@@ -7,6 +7,7 @@ The ENVFORGE_LOG environment variable overrides --log-level when set.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
 import sys
@@ -27,6 +28,7 @@ from .evaluation import (
     visualize,
     write_metrics,
 )
+from .evaluation.evaluate import override_policies, run_episode
 from .policies import POLICY_REGISTRY, SCRIPTED_RULES
 
 log = logging.getLogger("envforge")
@@ -34,6 +36,11 @@ log = logging.getLogger("envforge")
 
 class UsageError(Exception):
     pass
+
+
+class EpisodeFailed(Exception):
+    def __init__(self, index: int, seed: int, error: str):
+        super().__init__(f"episode {index} (seed {seed}): {error}")
 
 
 def _parse_policy(value: str | None) -> tuple[str, dict] | None:
@@ -71,14 +78,6 @@ def _require_config(args):
     return config
 
 
-def _apply_policy_override(env: Environment, override: tuple[str, dict] | None, seed: int):
-    if override is None:
-        return
-    name, config = override
-    for agent in env.agents.values():
-        agent.policy = POLICY_REGISTRY[name](config, seed=seed)
-
-
 # Subcommands -----------------------------------------------------------------
 
 
@@ -91,26 +90,19 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     config = _require_config(args)
     env = Environment(config, policy_seed=args.seed)
-    _apply_policy_override(env, _parse_policy(args.policy), args.seed)
+    override_policies(env, _parse_policy(args.policy), args.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for i in range(args.episodes):
         episode_seed = args.seed + i
-        observations = env.reset(seed=episode_seed)
-        for agent in env.agents.values():
-            agent.policy.reseed(episode_seed)
-        while not env.episode_done:
-            actions = {
-                name: agent.policy.compute_action(
-                    observations.get(name, {}), agent.action_space()
-                )
-                for name, agent in env.agents.items()
-            }
-            result = env.step(actions)
-            observations = result.observations
-        codes = {n: (c.value if c else None) for n, c in env.agent_done_codes.items()}
-        log.info("episode %d: %d steps, outcomes %s", i, env.state.step_count, codes)
-    paths = env.write_episode_logs(args.out)
-    for path in paths:
-        print(path)
+        artifact = run_episode(env, episode_seed)
+        if artifact.error is not None:
+            raise EpisodeFailed(i, episode_seed, artifact.error)
+        log.info("episode %d: %d steps, outcomes %s", i, len(artifact.steps), artifact.final_outcome)
+        print(artifact.write_csv(out / f"episode_{i}.csv"))
+    config_path = out / "run_config.json"
+    config_path.write_text(json.dumps(env.run_config(), indent=2, sort_keys=True))
+    print(config_path)
     return 0
 
 

@@ -1,20 +1,19 @@
 """Multi-agent environment: EPP sampling, simulator stepping, and the
-glue -> done -> reward schedule, with space sanity checks and episode logging.
+glue -> done -> reward schedule, with space sanity checks.  The environment
+only steps; recording a trajectory is the caller's job (see
+``evaluation.evaluate.run_episode``).
 """
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .agents import Agent, PolicyPool, attach_parts, build_agent
-from .config.schema import EnvironmentConfig, EpisodeEndMode, SpaceCheckMode
+from .config.schema import EnvironmentConfig, EpisodeEndMode
 from .config.serialize import environment_config_to_tree
-from .epp import EpisodeParameterProvider, SampledParameters
+from .epp import EpisodeParameterProvider
 from .functors.base import DoneResult, DoneStatusCode, EpisodeState, FunctorSpec
 from .functors.graph import build_graph
 from .parts import GLOBAL_REGISTRY
@@ -64,8 +63,7 @@ class Environment:
             self.epp.add(spec)
         for platform in config.platforms:
             for pname, spec in platform.initialization.items():
-                spec = _renamed(spec, init_key(platform.name, pname))
-                self.epp.add(spec)
+                self.epp.add(replace(spec, name=init_key(platform.name, pname)))
         for agent_cfg in config.agents:
             for spec in agent_cfg.reference_store.values():
                 if spec.name not in self.epp:
@@ -100,9 +98,6 @@ class Environment:
 
         self.state: EpisodeState | None = None
         self.trace: list[tuple[int, str]] = []  # (step, phase) instrumentation
-        self._episode_index = -1
-        self._episode_rows: list[dict] = []
-        self._episodes: list[dict] = []  # finished episodes: {"rows": [...], "sampled": {...}}
         self._env_done = True
         self._truncated = False
         self._agent_done: dict[str, bool] = {}
@@ -125,9 +120,6 @@ class Environment:
         self._truncated = False
         self._agent_done = {name: False for name in self.agents}
         self._agent_code = {name: None for name in self.agents}
-        self._episode_index += 1
-        self._episode_rows = []
-        self._sampled = sampled
         self._check_rng = np.random.default_rng(seed)
         self.trace = []
 
@@ -228,7 +220,7 @@ class Environment:
 
         state.agent_done = dict(self._agent_done)
         observations = self._collect_observations(active)
-        result = StepResult(
+        return StepResult(
             observations=observations,
             rewards=rewards,
             dones={name: self._agent_done[name] for name in active},
@@ -249,16 +241,6 @@ class Environment:
                 },
             },
         )
-        self._log_step(result)
-        if self._env_done:
-            self._episodes.append(
-                {
-                    "rows": self._episode_rows,
-                    "sampled": {k: q.item for k, q in self._sampled.values.items()},
-                    "index": self._episode_index,
-                }
-            )
-        return result
 
     @property
     def episode_done(self) -> bool:
@@ -271,6 +253,13 @@ class Environment:
     def apply_training_result(self, result: dict | None = None) -> None:
         self.epp.apply_training_result(result)
         self._epp_history.append(self.epp.snapshot_state())
+
+    def run_config(self) -> dict:
+        """Snapshot for run_config.json: the config tree and the EPP state per training iteration."""
+        return {
+            "environment": environment_config_to_tree(self.config),
+            "epp_state_per_iteration": self._epp_history,
+        }
 
     # Schedule internals -------------------------------------------------
 
@@ -312,52 +301,3 @@ class Environment:
                     for i, v in enumerate(values):
                         if v < box.low[i] or v > box.high[i]:
                             raise SpaceViolation(name, node.name, i, float(v), float(box.low[i]), float(box.high[i]))
-
-    def _log_step(self, result: StepResult) -> None:
-        row: dict[str, object] = {"step": self.state.step_count}
-        for agent, comps in result.info["reward_components"].items():
-            for comp, value in comps.items():
-                row[f"{agent}.reward.{comp}"] = value
-            row[f"{agent}.reward_total"] = result.rewards[agent]
-        for agent, code in result.done_codes.items():
-            row[f"{agent}.done_code"] = code.value if code else ""
-        for key, q in self._sampled.values.items():
-            row[f"param.{key}"] = q.item
-        self._episode_rows.append(row)
-
-    # Logging -------------------------------------------------------------
-
-    def write_episode_logs(self, out_dir: str | Path) -> list[Path]:
-        """One CSV per finished episode plus a run_config.json snapshot."""
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        written: list[Path] = []
-        for episode in self._episodes:
-            path = out_dir / f"episode_{episode['index']}.csv"
-            rows = episode["rows"]
-            columns: list[str] = ["step"]
-            for row in rows:
-                for key in row:
-                    if key not in columns:
-                        columns.append(key)
-            with open(path, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=columns)
-                writer.writeheader()
-                writer.writerows(rows)
-            written.append(path)
-
-        config_path = out_dir / "run_config.json"
-        snapshot = {
-            "environment": environment_config_to_tree(self.config),
-            "epp_state_per_iteration": self._epp_history,
-        }
-        with open(config_path, "w") as fh:
-            json.dump(snapshot, fh, indent=2, sort_keys=True)
-        written.append(config_path)
-        return written
-
-
-def _renamed(spec, new_name):
-    from dataclasses import replace
-
-    return replace(spec, name=new_name)

@@ -2,16 +2,40 @@
 
 On disk an artifact is line-delimited JSON: a header record carrying the
 schema version and case id, followed by one record per step and a final
-outcome record.  Round trips are lossless.
+outcome record.  Round trips are lossless.  ``write_csv`` projects the same
+trajectory onto the per-episode CSV log that ``envforge run`` writes.
 """
 
 from __future__ import annotations
 
+import csv
 import json
-from dataclasses import asdict, dataclass, field
+import os
+from dataclasses import dataclass, field
 from pathlib import Path
 
 SCHEMA_VERSION = 1
+
+
+class ArtifactError(ValueError):
+    """A malformed artifact; the message names its source file."""
+
+
+class TruncatedArtifact(ArtifactError):
+    def __init__(self, source: str):
+        super().__init__(f"{source}: artifact ends without an outcome record (truncated)")
+
+
+def write_atomic(path: str | Path, text: str) -> Path:
+    """Write text to path via a temporary file in the same directory and os.replace."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(text.encode())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
 
 
 @dataclass
@@ -46,7 +70,7 @@ class EpisodeArtifact:
         }
         lines = [json.dumps(header, sort_keys=True)]
         for step in self.steps:
-            lines.append(json.dumps({"record": "step", **asdict(step)}, sort_keys=True))
+            lines.append(json.dumps({"record": "step", **vars(step)}, sort_keys=True))
         lines.append(
             json.dumps(
                 {
@@ -61,36 +85,56 @@ class EpisodeArtifact:
         return lines
 
     @classmethod
-    def from_lines(cls, lines: list[str]) -> "EpisodeArtifact":
-        records = [json.loads(line) for line in lines if line.strip()]
-        header = records[0]
-        if header.get("record") != "header":
-            raise ValueError("artifact does not start with a header record")
+    def from_lines(cls, lines: list[str], source: str = "artifact") -> "EpisodeArtifact":
+        try:
+            records = [json.loads(line) for line in lines if line.strip()]
+        except json.JSONDecodeError as exc:
+            raise ArtifactError(f"{source}: a record is not valid JSON: {exc}") from exc
+        if not records or records[0].get("record") != "header":
+            raise ArtifactError(f"{source}: artifact does not start with a header record")
+        if records[-1].get("record") != "outcome":
+            raise TruncatedArtifact(source)
+        header, outcome = records[0], records[-1]
         artifact = cls(
             case_id=header["case_id"],
             seed=header["seed"],
             parameters=header["parameters"],
+            final_outcome=outcome["final_outcome"],
+            truncated=outcome["truncated"],
+            error=outcome.get("error"),
         )
-        for record in records[1:]:
+        for record in records[1:-1]:
             kind = record.pop("record")
-            if kind == "step":
-                artifact.steps.append(StepRecord(**record))
-            elif kind == "outcome":
-                artifact.final_outcome = record["final_outcome"]
-                artifact.truncated = record["truncated"]
-                artifact.error = record.get("error")
-            else:
-                raise ValueError(f"unknown artifact record type '{kind}'")
+            if kind != "step":
+                raise ArtifactError(f"{source}: unexpected '{kind}' record before the outcome")
+            artifact.steps.append(StepRecord(**record))
         return artifact
 
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text("\n".join(self.to_lines()) + "\n")
-        return path
+        return write_atomic(path, "\n".join(self.to_lines()) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "EpisodeArtifact":
-        return cls.from_lines(Path(path).read_text().splitlines())
+        return cls.from_lines(Path(path).read_text().splitlines(), source=str(path))
+
+    def write_csv(self, path: str | Path) -> Path:
+        """The per-episode log: one row per step with reward components and
+        totals, done codes ("" while running) and the sampled parameters."""
+        params = {f"param.{key}": p["value"] for key, p in self.parameters.items()}
+        rows = []
+        for step in self.steps:
+            row: dict[str, object] = {"step": step.step}
+            for agent, comps in step.rewards.items():
+                row.update({f"{agent}.reward.{comp}": value for comp, value in comps.items()})
+                row[f"{agent}.reward_total"] = step.reward_totals[agent]
+            row.update({f"{agent}.done_code": code or "" for agent, code in step.done_codes.items()})
+            rows.append({**row, **params})
+        columns = list(dict.fromkeys(["step", *(key for row in rows for key in row)]))
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=columns)
+            writer.writeheader()
+            writer.writerows(rows)
+        return Path(path)
 
 
 def load_artifacts(directory: str | Path) -> list[EpisodeArtifact]:

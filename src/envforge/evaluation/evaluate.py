@@ -1,12 +1,14 @@
 """Evaluate stage: rollouts from a named set of initial conditions.
 
 Each test case overrides EPP distributions with fixed values and is fully
-seeded, so N-worker and single-worker runs produce identical artifacts.  The
-rollout engine is the same environment step loop used everywhere else.
+seeded, so N-worker and single-worker runs produce identical artifacts.
+``run_episode`` is the one episode loop: ``rollout`` and ``envforge run``
+both drive it.
 """
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,7 +17,9 @@ from ..config.schema import EnvironmentConfig
 from ..environment import Environment
 from ..policies import POLICY_REGISTRY
 from ..units import Quantity, get_unit
-from .artifact import EpisodeArtifact, StepRecord
+from .artifact import EpisodeArtifact, StepRecord, write_atomic
+
+log = logging.getLogger(__name__)
 
 
 class EvaluationError(Exception):
@@ -64,29 +68,33 @@ def _case_overrides(env: Environment, case: TestCase) -> dict[str, Quantity]:
     return overrides
 
 
-def rollout(
-    config: EnvironmentConfig,
-    case: TestCase,
-    policy_override: tuple[str, dict] | None = None,
-) -> EpisodeArtifact:
-    """Run one fully seeded episode for a test case and capture its trajectory."""
-    env = Environment(config, policy_seed=case.seed)
-    if policy_override is not None:
-        name, pconfig = policy_override
-        policy = POLICY_REGISTRY[name](pconfig, seed=case.seed)
-        for agent in env.agents.values():
-            agent.policy = policy
+def override_policies(env: Environment, override: tuple[str, dict] | None, seed: int) -> None:
+    """Give every agent one shared instance of the named policy, as PolicyPool shares one declaration."""
+    if override is None:
+        return
+    name, pconfig = override
+    policy = POLICY_REGISTRY[name](pconfig, seed=seed)
+    for agent in env.agents.values():
+        agent.policy = policy
 
-    overrides = _case_overrides(env, case)
-    artifact = EpisodeArtifact(case_id=case.name, seed=case.seed, parameters={})
+
+def run_episode(
+    env: Environment, seed: int, overrides: dict[str, Quantity] | None = None
+) -> EpisodeArtifact:
+    """Run one seeded episode on env and record every step.
+
+    A failure inside the episode is recorded in the artifact's ``error``,
+    after the steps that completed; the caller decides whether it is fatal.
+    """
+    artifact = EpisodeArtifact(case_id="", seed=seed, parameters={})
     try:
-        observations = env.reset(seed=case.seed, overrides=overrides)
+        observations = env.reset(seed=seed, overrides=overrides)
         artifact.parameters = {
             k: {"value": q.item, "unit": q.unit.name}
             for k, q in env.epp.current_sample.values.items()
         }
         for agent in env.agents.values():
-            agent.policy.reseed(case.seed)
+            agent.policy.reseed(seed)
 
         while not env.episode_done:
             actions = {
@@ -129,10 +137,22 @@ def rollout(
             for name, code in env.agent_done_codes.items()
         }
         artifact.truncated = result.truncated
-    except EvaluationError:
-        raise
-    except Exception as exc:  # recorded per-case; remaining cases continue
+    except Exception as exc:
+        log.debug("episode with seed %d failed", seed, exc_info=True)
         artifact.error = f"{type(exc).__name__}: {exc}"
+    return artifact
+
+
+def rollout(
+    config: EnvironmentConfig,
+    case: TestCase,
+    policy_override: tuple[str, dict] | None = None,
+) -> EpisodeArtifact:
+    """One fully seeded episode for a test case; unknown case parameters raise."""
+    env = Environment(config, policy_seed=case.seed)
+    override_policies(env, policy_override, case.seed)
+    artifact = run_episode(env, case.seed, _case_overrides(env, case))
+    artifact.case_id = case.name
     return artifact
 
 
@@ -165,9 +185,7 @@ def evaluate(
     else:
         all_lines = [_run_case(job) for job in jobs]
 
-    paths = []
-    for case, lines in zip(cases, all_lines):
-        path = out_dir / f"artifact_{case.name}.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        paths.append(path)
-    return paths
+    return [
+        write_atomic(out_dir / f"artifact_{case.name}.jsonl", "\n".join(lines) + "\n")
+        for case, lines in zip(cases, all_lines)
+    ]

@@ -4,8 +4,9 @@ import logging
 import pytest
 
 from envforge.cli import main
+from envforge.evaluation import TestCase, rollout
 
-from conftest import CONFIG_DIR, DATA_DIR
+from conftest import CONFIG_DIR, DATA_DIR, load_env_config
 
 DOCKING = CONFIG_DIR / "docking"
 
@@ -86,6 +87,19 @@ class TestRun:
         )
         assert code == 0
         assert (out / "episode_0.csv").exists()
+
+    @pytest.mark.parametrize(
+        "env_file, seed",
+        [(DOCKING / "environment.yml", 7), (CONFIG_DIR / "cartpole" / "environment.yml", 3)],
+        ids=["docking", "cartpole"],
+    )
+    def test_run_csv_is_projection_of_rollout(self, tmp_path, env_file, seed):
+        out = tmp_path / "run"
+        assert main(["run", "--env", str(env_file), "--seed", str(seed), "--out", str(out)]) == 0
+        artifact = rollout(load_env_config(env_file), TestCase("c", {}, seed))
+        assert artifact.error is None
+        projected = artifact.write_csv(tmp_path / "projected.csv")
+        assert (out / "episode_0.csv").read_bytes() == projected.read_bytes()
 
     def test_unknown_policy_exit_two(self, tmp_path, capsys):
         code = main(docking_args("run", "--policy", "telepathy", "--out", str(tmp_path)))

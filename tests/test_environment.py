@@ -4,8 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from envforge import cli
 from envforge.config.validate import validate_environment, validate_environment_file
 from envforge.environment import Environment, EpisodeAlreadyDone, SpaceViolation
+from envforge.evaluation import TestCase, rollout
+from envforge.evaluation.evaluate import run_episode as record_episode
 from envforge.functors.base import DoneStatusCode
 from envforge.units import METER, Quantity
 
@@ -218,13 +221,18 @@ class TestEpisodeEnd:
         assert env.agent_done_codes["agent_1"] is DoneStatusCode.DRAW
 
 
+def write_logs(env, seeds, out):
+    """Record one episode per seed and write the files `envforge run` writes."""
+    out.mkdir(parents=True, exist_ok=True)
+    for i, seed in enumerate(seeds):
+        record_episode(env, seed).write_csv(out / f"episode_{i}.csv")
+    (out / "run_config.json").write_text(json.dumps(env.run_config(), indent=2, sort_keys=True))
+
+
 class TestDeterminism:
     def run_and_log(self, tmp_path, tag):
-        env = make_env(horizon=300)
-        for i in range(3):
-            run_episode(env, seed=7 + i)
         out = tmp_path / tag
-        env.write_episode_logs(out)
+        write_logs(make_env(horizon=300), [7, 8, 9], out)
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
     def test_identical_runs_identical_logs(self, tmp_path):
@@ -298,10 +306,8 @@ class TestSpaceChecks:
 class TestLogging:
     def test_episode_csv_columns_and_rows(self, tmp_path):
         env = make_env(horizon=300)
-        results = run_episode(env, seed=0)
-        paths = env.write_episode_logs(tmp_path)
-        csv_path = tmp_path / "episode_0.csv"
-        assert csv_path in paths
+        artifact = record_episode(env, seed=0)
+        csv_path = artifact.write_csv(tmp_path / "episode_0.csv")
         lines = csv_path.read_text().splitlines()
         header = lines[0].split(",")
         assert "step" in header
@@ -310,26 +316,62 @@ class TestLogging:
         assert "agent_0.reward_total" in header
         assert "agent_0.done_code" in header
         assert "param.deputy.x0" in header
-        assert len(lines) - 1 == len(results)
+        assert len(lines) - 1 == env.state.step_count == len(artifact.steps)
         assert lines[-1].split(",")[header.index("agent_0.done_code")] == "WIN"
 
     def test_run_config_snapshot_revalidates(self, tmp_path):
         env = make_env()
         run_episode(env)
         env.apply_training_result()
-        env.write_episode_logs(tmp_path)
+        write_logs(env, [], tmp_path)
         snapshot = json.loads((tmp_path / "run_config.json").read_text())
         reparsed, report = validate_environment(snapshot["environment"])
         assert reparsed is not None, str(report)
         assert len(snapshot["epp_state_per_iteration"]) == 2
 
     def test_one_csv_per_episode(self, tmp_path):
-        env = make_env(horizon=300)
-        for i in range(3):
-            run_episode(env, seed=i)
-        env.write_episode_logs(tmp_path)
+        env_file = CONFIG_DIR / "docking" / "environment_short.yml"
+        assert cli.main(["run", "--env", str(env_file), "--episodes", "3", "--out", str(tmp_path)]) == 0
         names = {p.name for p in tmp_path.iterdir()}
-        assert {"episode_0.csv", "episode_1.csv", "episode_2.csv", "run_config.json"} <= names
+        assert names == {"episode_0.csv", "episode_1.csv", "episode_2.csv", "run_config.json"}
+
+
+class TestPolicyOverride:
+    def test_run_and_rollout_share_one_policy_across_agents(self, tmp_path, monkeypatch):
+        env = make_env(agents=2, horizon=20, dones=False, space_check="off")
+        env_file = tmp_path / "env.yml"
+        env_file.write_text(json.dumps(env.run_config()["environment"]))
+        recorded = []
+
+        def recording(*args):
+            recorded.append(record_episode(*args))
+            return recorded[-1]
+
+        monkeypatch.setattr(cli, "run_episode", recording)
+        argv = ["run", "--env", str(env_file), "--policy", "random", "--seed", "5", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        ran = recorded[0]
+        rolled = rollout(env.config, TestCase("c", {}, 5), ("random", {}))
+        assert len(ran.steps) == 20
+        assert [s.actions for s in ran.steps] == [s.actions for s in rolled.steps]
+        # Both agents draw in turn from one shared instance, so their actions
+        # differ; two instances seeded alike would act in lockstep.
+        first = ran.steps[0].actions
+        assert first["agent_0"] != first["agent_1"]
+
+
+class TestEpisodeFailure:
+    def test_run_fails_and_rollout_records_error(self, tmp_path, capsys):
+        # -x0 = 10 leaves the declared [-5, 5] box at reset.
+        tree = docking_tree(extra_glues=TestSpaceChecks().bounded_tvd_glue(-5.0, 5.0))
+        env_file = tmp_path / "env.yml"
+        env_file.write_text(json.dumps(tree))
+        assert cli.main(["run", "--env", str(env_file), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "EpisodeFailed: episode 0 (seed 0): SpaceViolation" in err
+        config, _ = validate_environment(tree)
+        artifact = rollout(config, TestCase("c", {}, 0))
+        assert artifact.error.startswith("SpaceViolation") and artifact.steps == []
 
 
 class TestConfigFiles:

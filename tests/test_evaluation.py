@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -28,6 +29,7 @@ from envforge.evaluation import (
     visualize,
     write_metrics,
 )
+from envforge.evaluation.artifact import ArtifactError, TruncatedArtifact
 from envforge.evaluation.evaluate import _case_overrides
 from envforge.environment import Environment
 
@@ -86,6 +88,35 @@ class TestArtifact:
         sample_artifact("b").save(tmp_path / "artifact_b.jsonl")
         sample_artifact("a").save(tmp_path / "artifact_a.jsonl")
         assert [a.case_id for a in load_artifacts(tmp_path)] == ["a", "b"]
+
+    def test_failed_save_leaves_previous_file_whole(self, tmp_path, monkeypatch):
+        path = sample_artifact(steps=2).save(tmp_path / "artifact_c.jsonl")
+        before = path.read_bytes()
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError):
+            sample_artifact(steps=5).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact_c.jsonl"]  # no temp file left
+
+    @pytest.mark.parametrize("kept", [slice(0, -1), slice(0, 1)], ids=["no_outcome", "header_only"])
+    def test_missing_outcome_record_raises_naming_file(self, tmp_path, kept):
+        # A file cut off before its outcome record must not load as a non-win.
+        path = sample_artifact().save(tmp_path / "artifact_c.jsonl")
+        path.write_text("\n".join(path.read_text().splitlines()[kept]) + "\n")
+        with pytest.raises(TruncatedArtifact, match="artifact_c.jsonl"):
+            EpisodeArtifact.load(path)
+        with pytest.raises(TruncatedArtifact):
+            load_artifacts(tmp_path)
+
+    def test_line_cut_mid_record_raises_naming_file(self, tmp_path):
+        path = sample_artifact().save(tmp_path / "artifact_c.jsonl")
+        path.write_text(path.read_text()[:-20])
+        with pytest.raises(ArtifactError, match="artifact_c.jsonl"):
+            EpisodeArtifact.load(path)
 
 
 class TestRollout:
