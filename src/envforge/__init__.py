@@ -2,7 +2,14 @@
 
 from . import config, epp, functors, parts, policies, simulators, units
 from .agents import Agent, PolicyPool, build_agent
-from .environment import Environment, EpisodeAlreadyDone, SpaceViolation, StepResult
+from .environment import (
+    Environment,
+    EpisodeAlreadyDone,
+    NonFiniteAction,
+    SpaceViolation,
+    StepResult,
+    UnknownActionKey,
+)
 
 __version__ = "0.1.0"
 
@@ -10,9 +17,11 @@ __all__ = [
     "Agent",
     "Environment",
     "EpisodeAlreadyDone",
+    "NonFiniteAction",
     "PolicyPool",
     "SpaceViolation",
     "StepResult",
+    "UnknownActionKey",
     "build_agent",
     "config",
     "epp",

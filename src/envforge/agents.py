@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
+from types import MappingProxyType
 
 from .config.schema import AgentConfig
 from .functors.base import PartBindingError
 from .functors.graph import CompiledGraph, build_graph
-from .parts import GLOBAL_REGISTRY, Platform, PluginRegistry
+from .parts import GLOBAL_REGISTRY, Box, Platform, PluginRegistry
 from .policies import POLICY_REGISTRY, Policy, PolicyError
 
 
@@ -27,23 +29,29 @@ class Agent:
         self.graph = graph
         self.policy = policy
         self.trainable = trainable
+        #: glue name -> node, for the glues that take an action fragment
+        self.action_glues = {
+            node.name: node for node in graph.glues if node.action_space is not None
+        }
+        self._observation_space = MappingProxyType({
+            f"{node.name}/{key}": box
+            for node in graph.glues
+            for key, box in node.observation_space.items()
+        })
+        self._action_space = MappingProxyType({
+            name: node.action_space for name, node in self.action_glues.items()
+        })
 
-    def observation_space(self):
+    def observation_space(self) -> Mapping[str, Box]:
         """Union of top-level glue observations, keyed '<glue name>/<key>'."""
-        out = {}
-        for node in self.graph.glues:
-            for key, box in node.functor.observation_space().items():
-                out[f"{node.name}/{key}"] = box
-        return out
+        return self._observation_space
 
-    def action_space(self):
-        """Action fragments of controller-backed glues, keyed by glue name."""
-        out = {}
-        for node in self.graph.glues:
-            box = node.functor.action_space()
-            if box is not None:
-                out[node.name] = box
-        return out
+    def action_space(self) -> Mapping[str, Box]:
+        """Action fragments of controller-backed glues, keyed by glue name.
+
+        The same read-only mapping on every call.
+        """
+        return self._action_space
 
 
 def attach_parts(

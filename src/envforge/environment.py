@@ -16,7 +16,7 @@ from .config.serialize import environment_config_to_tree
 from .epp import EpisodeParameterProvider
 from .functors.base import DoneResult, DoneStatusCode, EpisodeState, FunctorSpec
 from .functors.graph import build_graph
-from .parts import GLOBAL_REGISTRY
+from .parts import GLOBAL_REGISTRY, Box
 from .simulators import SIMULATORS, PlatformSetup, init_key
 from .units import Quantity
 
@@ -38,6 +38,26 @@ class SpaceViolation(EnvironmentError_):
             f"observation out of bounds: agent '{agent}', glue '{glue}', "
             f"element {element}: value {value} outside [{low}, {high}]"
         )
+
+
+class UnknownActionKey(EnvironmentError_):
+    """``actions`` names an agent the environment lacks, or a glue that takes no action."""
+
+    def __init__(self, agent: str, key: str | None = None):
+        self.agent = agent
+        self.key = key
+        if key is None:
+            message = f"actions name unknown agent '{agent}'"
+        else:
+            message = f"agent '{agent}': '{key}' is not one of its action glues"
+        super().__init__(message)
+
+
+class NonFiniteAction(EnvironmentError_):
+    def __init__(self, agent: str, glue: str):
+        self.agent = agent
+        self.glue = glue
+        super().__init__(f"agent '{agent}', glue '{glue}': action fragment is not finite")
 
 
 @dataclass
@@ -96,6 +116,18 @@ class Environment:
             dict(self.simulator.platforms), glues=[], shared_dones=shared_specs
         )
 
+        # Per agent: the (glue node, observation key, box) entries _space_check tests.
+        self._space_checks = {
+            name: [
+                (node, key, box)
+                for node in agent.graph.glues
+                for key, box in node.observation_space.items()
+            ]
+            for name, agent in self.agents.items()
+        }
+        self.spot_checks_attempted = 0
+        self.spot_checks_run = 0
+
         self.state: EpisodeState | None = None
         self.trace: list[tuple[int, str]] = []  # (step, phase) instrumentation
         self._env_done = True
@@ -133,15 +165,28 @@ class Environment:
         state = self.state
         active = [name for name, done in self._agent_done.items() if not done]
 
-        # (1) glues push actions to controllers
+        # (1) glues push actions to controllers, once every fragment has passed
+        # its checks; a missing fragment leaves that controller's zero command
+        for name, fragments in actions.items():
+            agent = self.agents.get(name)
+            if agent is None:
+                raise UnknownActionKey(name)
+            if not fragments.keys() <= agent.action_glues.keys():
+                unknown = next(k for k in fragments if k not in agent.action_glues)
+                raise UnknownActionKey(name, unknown)
+        commands = []
         for name in active:
-            agent = self.agents[name]
-            fragments = actions.get(name, {})
-            for node in agent.graph.glues:
-                if node.functor.action_space() is not None and node.name in fragments:
-                    node.functor.apply_action(
-                        np.atleast_1d(np.asarray(fragments[node.name], dtype=float)), state
-                    )
+            fragments = actions.get(name)
+            if not fragments:
+                continue
+            for glue, node in self.agents[name].action_glues.items():
+                if glue in fragments:
+                    values = np.atleast_1d(np.asarray(fragments[glue], dtype=float))
+                    if not np.isfinite(values).all():
+                        raise NonFiniteAction(name, glue)
+                    commands.append((node, values))
+        for node, values in commands:
+            node.functor.apply_action(values, state)
         self.trace.append((state.step_count + 1, "apply_action"))
 
         # (2) simulator advances one frame
@@ -288,16 +333,22 @@ class Environment:
         if mode.mode == "off":
             return
         if mode.mode == "spot_check":
-            self.spot_checks_attempted = getattr(self, "spot_checks_attempted", 0) + 1
+            self.spot_checks_attempted += 1
             if self._check_rng.random() >= mode.probability:
                 return
-            self.spot_checks_run = getattr(self, "spot_checks_run", 0) + 1
-        for name, agent in self.agents.items():
-            for node in agent.graph.glues:
-                spaces = node.functor.observation_space()
-                obs = self.state.observations[node.id]
-                for key, box in spaces.items():
-                    values = obs[key].values
-                    for i, v in enumerate(values):
-                        if v < box.low[i] or v > box.high[i]:
-                            raise SpaceViolation(name, node.name, i, float(v), float(box.low[i]), float(box.high[i]))
+            self.spot_checks_run += 1
+        observations = self.state.observations
+        for name, checks in self._space_checks.items():
+            for node, key, box in checks:
+                values = observations[node.id][key].values
+                # NaN fails neither comparison, so it passes here as it does in
+                # the element loop that words the error; a wrong shape goes to
+                # that loop as it always did.
+                if values.shape != box.low.shape or ((values < box.low) | (values > box.high)).any():
+                    _raise_first_violation(name, node.name, values, box)
+
+
+def _raise_first_violation(agent: str, glue: str, values: np.ndarray, box: Box) -> None:
+    for i, v in enumerate(values):
+        if v < box.low[i] or v > box.high[i]:
+            raise SpaceViolation(agent, glue, i, float(v), float(box.low[i]), float(box.high[i]))

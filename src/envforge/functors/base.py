@@ -14,7 +14,7 @@ from typing import Any, Union
 
 import numpy as np
 
-from ..parts import Platform
+from ..parts import Box, Platform
 from ..units import NONE, Quantity, Unit, get_unit
 
 
@@ -43,28 +43,6 @@ class DoneStatusCode(enum.Enum):
 class DoneResult:
     code: DoneStatusCode
     truncation: bool = False
-
-
-@dataclass(frozen=True)
-class ObservationBox:
-    """Shape, bounds, and unit of one observation entry (mirrors PartProperty)."""
-
-    shape: int
-    low: np.ndarray
-    high: np.ndarray
-    unit: Unit = NONE
-
-    def __post_init__(self):
-        low = np.broadcast_to(np.asarray(self.low, dtype=float), (self.shape,)).copy()
-        high = np.broadcast_to(np.asarray(self.high, dtype=float), (self.shape,)).copy()
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "high", high)
-
-    def contains(self, values: np.ndarray) -> bool:
-        v = np.asarray(values, dtype=float)
-        return v.shape == (self.shape,) and bool(
-            np.all(v >= self.low) and np.all(v <= self.high)
-        )
 
 
 @dataclass(frozen=True)
@@ -169,26 +147,32 @@ class Functor:
             raise FunctorError(f"{self.name}: child '{key}' has {len(obs)} observations")
         return next(iter(obs.values()))
 
-    def child_space(self, key: str | None = None) -> ObservationBox:
+    def child_space(self, key: str | None = None) -> Box:
         if key is None:
             key = next(iter(self.children))
-        node = self.children[key]
-        spaces = node.functor.observation_space()
+        spaces = self.children[key].observation_space
         if len(spaces) != 1:
             raise FunctorError(f"{self.name}: child '{key}' has {len(spaces)} spaces")
         return next(iter(spaces.values()))
 
 
 class Glue(Functor):
+    """Moves information between parts and the agent.
+
+    ``observation_space`` and ``action_space`` are called once, when the graph
+    is compiled, and the results are kept on the glue's :class:`FunctorNode`;
+    they may depend only on the glue's config and on part properties.
+    """
+
     kind = "glue"
 
-    def observation_space(self) -> dict[str, ObservationBox]:
+    def observation_space(self) -> dict[str, Box]:
         return {}
 
     def get_observation(self, state: EpisodeState) -> dict[str, Quantity]:
         return {}
 
-    def action_space(self) -> ObservationBox | None:
+    def action_space(self) -> Box | None:
         return None
 
     def apply_action(self, fragment: np.ndarray, state: EpisodeState) -> None:
@@ -222,7 +206,7 @@ class Extractor:
     """Resolved accessor into a compiled glue's observation value/space/unit."""
 
     def __init__(self, node: "FunctorNode", key: str | None):
-        spaces = node.functor.observation_space()
+        spaces = node.observation_space
         if key is None:
             if len(spaces) != 1:
                 raise FunctorError(
@@ -237,8 +221,8 @@ class Extractor:
     def value(self, state: EpisodeState) -> Quantity:
         return state.observations[self.node.id][self.key]
 
-    def space(self) -> ObservationBox:
-        return self.node.functor.observation_space()[self.key]
+    def space(self) -> Box:
+        return self.node.observation_space[self.key]
 
     def unit(self) -> Unit:
         return self.space().unit
@@ -246,13 +230,19 @@ class Extractor:
 
 @dataclass
 class FunctorNode:
-    """One deduplicated node of the compiled DAG."""
+    """One deduplicated node of the compiled DAG.
+
+    A glue node carries its observation and action spaces, computed once when
+    the graph is compiled; every other node has none.
+    """
 
     id: str
     kind: str
     name: str
     functor: Functor
     children: tuple[str, ...]
+    observation_space: dict[str, Box] = field(default_factory=dict)
+    action_space: Box | None = None
 
 
 def _as_quantity(value) -> Quantity:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..parts import Controller, Sensor
+from ..parts import Box, Controller, Sensor
 from ..units import NONE, Quantity, get_unit
 from .base import (
     Done,
@@ -14,7 +14,6 @@ from .base import (
     DoneStatusCode,
     EpisodeState,
     Glue,
-    ObservationBox,
     PartBindingError,
     Reward,
     SharedDone,
@@ -46,30 +45,29 @@ class ObserveSensor(Glue):
             platforms, self.config["sensor"], self.config.get("platform"), Sensor
         )
         self.normalize = bool(self.config.get("normalize", True))
+        prop = self.sensor.property
+        self._bounded = np.isfinite(prop.low) & np.isfinite(prop.high)
+        span = np.where(self._bounded, prop.high - prop.low, 1.0)
+        self._span = np.where(span == 0, 1.0, span)
+        self._low = prop.low
 
     def observation_space(self):
         prop = self.sensor.property
         if not self.normalize:
-            return {
-                "direct_observation": ObservationBox(
-                    prop.shape, prop.low, prop.high, prop.unit
-                )
-            }
-        bounded = np.isfinite(prop.low) & np.isfinite(prop.high)
-        low = np.where(bounded, -1.0, prop.low)
-        high = np.where(bounded, 1.0, prop.high)
-        return {"direct_observation": ObservationBox(prop.shape, low, high, prop.unit)}
+            return {"direct_observation": prop}
+        low = np.where(self._bounded, -1.0, prop.low)
+        high = np.where(self._bounded, 1.0, prop.high)
+        return {"direct_observation": Box(prop.shape, low, high, prop.unit)}
 
     def get_observation(self, state):
         measured = self.sensor.measure(self.platform.state)
+        if not self.normalize:
+            return {"direct_observation": measured}
         values = measured.values
-        if self.normalize:
-            prop = self.sensor.property
-            bounded = np.isfinite(prop.low) & np.isfinite(prop.high)
-            span = np.where(bounded, prop.high - prop.low, 1.0)
-            scaled = -1.0 + 2.0 * (values - prop.low) / np.where(span == 0, 1.0, span)
-            values = np.where(bounded, scaled, values)
-        return {"direct_observation": Quantity(values, measured.unit)}
+        scaled = -1.0 + 2.0 * (values - self._low) / self._span
+        return {
+            "direct_observation": Quantity(np.where(self._bounded, scaled, values), measured.unit)
+        }
 
 
 class ControllerGlue(Glue):
@@ -84,8 +82,7 @@ class ControllerGlue(Glue):
         )
 
     def action_space(self):
-        prop = self.controller.property
-        return ObservationBox(prop.shape, prop.low, prop.high, prop.unit)
+        return self.controller.property
 
     def apply_action(self, fragment, state):
         self.controller.apply(Quantity(fragment, self.controller.property.unit))
@@ -100,7 +97,7 @@ class TargetValueDifference(Glue):
         unit = get_unit(self.config.get("unit", "none"))
         low = float(self.config.get("min", -np.inf))
         high = float(self.config.get("max", np.inf))
-        return {"target_value_difference": ObservationBox(1, low, high, unit)}
+        return {"target_value_difference": Box(1, low, high, unit)}
 
     def get_observation(self, state):
         child = self.child_observation(state)
@@ -121,7 +118,7 @@ class UnitVector(Glue):
 
     def observation_space(self):
         child = self.child_space()
-        return {"unit_vector": ObservationBox(child.shape, -1.0, 1.0, NONE)}
+        return {"unit_vector": Box(child.shape, -1.0, 1.0, NONE)}
 
     def get_observation(self, state):
         child = self.child_observation(state)
@@ -140,7 +137,7 @@ class Norm(Glue):
         bound = float(
             np.sqrt(np.sum(np.maximum(np.abs(child.low), np.abs(child.high)) ** 2))
         )
-        return {"norm": ObservationBox(1, 0.0, bound, child.unit)}
+        return {"norm": Box(1, 0.0, bound, child.unit)}
 
     def get_observation(self, state):
         child = self.child_observation(state)
@@ -157,7 +154,7 @@ class Projection(Glue):
         bound = float(
             np.sqrt(np.sum(np.maximum(np.abs(value.low), np.abs(value.high)) ** 2))
         )
-        return {"projection": ObservationBox(1, -bound, bound, value.unit)}
+        return {"projection": Box(1, -bound, bound, value.unit)}
 
     def get_observation(self, state):
         value = self.child_observation(state, "value")
@@ -180,7 +177,7 @@ class Difference(Glue):
         first = self.child_space("first")
         second = self.child_space("second")
         return {
-            "difference": ObservationBox(
+            "difference": Box(
                 first.shape, first.low - second.high, first.high - second.low, first.unit
             )
         }
@@ -199,7 +196,7 @@ class Wrapper(Glue):
     def observation_space(self):
         out = {}
         for key, node in self.children.items():
-            for obs_key, box in node.functor.observation_space().items():
+            for obs_key, box in node.observation_space.items():
                 out[f"{key}/{obs_key}"] = box
         return out
 

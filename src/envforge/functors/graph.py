@@ -178,6 +178,9 @@ class GraphBuilder:
             if extractor_node is not None:
                 child_ids = child_ids + (extractor_node.id,)
             node = FunctorNode(node_id, cls.kind, name, functor, child_ids)
+            if node.kind == "glue":
+                node.observation_space = functor.observation_space()
+                node.action_space = functor.action_space()
             self.graph.nodes[node_id] = node
             self.graph.by_name.setdefault(name, node)
             self.graph.topo_order.append(node_id)  # children compiled first

@@ -13,7 +13,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .units import Quantity, Unit, check_compatibility
+from .units import NONE, Quantity, Unit, check_compatibility
 
 
 class PartError(Exception):
@@ -45,20 +45,28 @@ class NoMatch(PartError):
 
 
 @dataclass(frozen=True)
-class PartProperty:
-    """Limits, cardinality, and unit of the space in which a part is valid."""
+class Box:
+    """Shape, element-wise bounds and unit of a space: a part's valid values,
+    one observation entry of a glue, or an action fragment.
 
-    name: str
+    ``name`` only labels errors (a part's property name, for example).
+    """
+
     shape: int
     low: np.ndarray
     high: np.ndarray
-    unit: Unit
+    unit: Unit = NONE
+    name: str = field(default="", compare=False)
 
     def __post_init__(self):
         low = np.broadcast_to(np.asarray(self.low, dtype=float), (self.shape,)).copy()
         high = np.broadcast_to(np.asarray(self.high, dtype=float), (self.shape,)).copy()
         if np.any(low > high):
-            raise ValueError(f"property '{self.name}': low > high")
+            label = f"property '{self.name}'" if self.name else "box"
+            raise ValueError(f"{label}: low > high")
+        # One box is shared by every reader of a compiled space.
+        low.flags.writeable = False
+        high.flags.writeable = False
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
 
@@ -70,7 +78,7 @@ class PartProperty:
 
 
 class Part:
-    def __init__(self, name: str, prop: PartProperty):
+    def __init__(self, name: str, prop: Box):
         self.name = name
         self.property = prop
 
@@ -81,7 +89,7 @@ class Part:
 class Sensor(Part):
     """Reads platform state; holds the last valid value on malformed readings."""
 
-    def __init__(self, name: str, prop: PartProperty, read: Callable[[Any], Quantity]):
+    def __init__(self, name: str, prop: Box, read: Callable[[Any], Quantity]):
         super().__init__(name, prop)
         self._read = read
         self.last_valid: Quantity | None = None
@@ -109,7 +117,7 @@ class Sensor(Part):
 class Controller(Part):
     """Accepts commanded values, clamped element-wise into the property bounds."""
 
-    def __init__(self, name: str, prop: PartProperty):
+    def __init__(self, name: str, prop: Box):
         super().__init__(name, prop)
         self.pending: Quantity | None = None
         self.clamp_count = 0

@@ -7,16 +7,17 @@ from the agent file's policy block.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Callable
 
 import numpy as np
 
-from .functors.base import ObservationBox
+from .parts import Box
 from .units import Quantity
 
 ActionDict = dict[str, np.ndarray]
 ObservationDict = dict[str, Quantity]
-ActionSpace = dict[str, ObservationBox]
+ActionSpace = Mapping[str, Box]
 
 
 class PolicyError(Exception):

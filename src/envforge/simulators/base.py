@@ -94,16 +94,19 @@ class Simulator:
             for part in platform.parts.values():
                 part.reset()
             self.platforms[setup.name] = platform
+            # Read every sensor once so a bad first reading fails at reset.
             platform.measure_all()
         return self.platforms
 
     def step(self) -> dict[str, Platform]:
-        """Apply pending controls, advance dynamics by one frame, refresh sensors."""
+        """Apply pending controls and advance dynamics by one frame.
+
+        No sensor is read here: each glue that observes a sensor reads it
+        once per step.
+        """
         for platform in self.platforms.values():
             self._advance(platform)
         self._steps += 1
-        for platform in self.platforms.values():
-            platform.measure_all()
         return self.platforms
 
     def mark_platform_inoperable(self, name: str) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..epp import SampledParameters
-from ..parts import GLOBAL_REGISTRY, Controller, PartProperty, Platform, Sensor
+from ..parts import GLOBAL_REGISTRY, Box, Controller, Platform, Sensor
 from ..units import METER, METER_PER_SECOND, NEWTON, NONE, RADIAN, RADIAN_PER_SECOND, Quantity
 from .base import PlatformSetup, Simulator
 
@@ -90,7 +90,7 @@ class CartPoleSimulator(Simulator):
 
 
 def _state_sensor(name: str, config: dict) -> Sensor:
-    prop = PartProperty("state", 4, -np.inf, np.inf, NONE)
+    prop = Box(4, -np.inf, np.inf, NONE, name="state")
     return Sensor(
         name,
         prop,
@@ -100,7 +100,7 @@ def _state_sensor(name: str, config: dict) -> Sensor:
 
 def _force_controller(name: str, config: dict) -> Controller:
     limit = float(config.get("force_limit", DEFAULTS["force_mag"]))
-    prop = PartProperty("force", 1, -limit, limit, NEWTON)
+    prop = Box(1, -limit, limit, NEWTON, name="force")
     return Controller(name, prop)
 
 

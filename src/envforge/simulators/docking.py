@@ -17,8 +17,8 @@ import numpy as np
 from ..epp import SampledParameters
 from ..parts import (
     GLOBAL_REGISTRY,
+    Box,
     Controller,
-    PartProperty,
     Platform,
     Sensor,
 )
@@ -76,24 +76,24 @@ _THRUST_LIMIT = 1.0
 
 
 def _position_sensor(name: str, config: dict) -> Sensor:
-    prop = PartProperty("position", 1, -np.inf, np.inf, METER)
+    prop = Box(1, -np.inf, np.inf, METER, name="position")
     return Sensor(name, prop, lambda e: Quantity.scalar(e.x, METER))
 
 
 def _velocity_sensor(name: str, config: dict) -> Sensor:
-    prop = PartProperty("velocity", 1, -np.inf, np.inf, METER_PER_SECOND)
+    prop = Box(1, -np.inf, np.inf, METER_PER_SECOND, name="velocity")
     return Sensor(name, prop, lambda e: Quantity.scalar(e.xdot, METER_PER_SECOND))
 
 
 def _state_sensor(name: str, config: dict) -> Sensor:
     # Raw state vector mixes dimensions, so it is reported unit-less.
-    prop = PartProperty("state", 2, -np.inf, np.inf, NONE)
+    prop = Box(2, -np.inf, np.inf, NONE, name="state")
     return Sensor(name, prop, lambda e: Quantity(np.array([e.x, e.xdot]), NONE))
 
 
 def _thrust_controller(name: str, config: dict) -> Controller:
     limit = float(config.get("thrust_limit", _THRUST_LIMIT))
-    prop = PartProperty("thrust", 1, -limit, limit, NEWTON)
+    prop = Box(1, -limit, limit, NEWTON, name="thrust")
     return Controller(name, prop)
 
 

@@ -120,6 +120,9 @@ def check_compatibility(a: Unit, b: Unit) -> bool:
     return a.dimension == b.dimension
 
 
+_FLOAT64 = np.dtype(float)
+
+
 @dataclass(frozen=True)
 class Quantity:
     """A non-empty vector of reals tagged with a unit."""
@@ -128,7 +131,10 @@ class Quantity:
     unit: Unit = NONE
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.values, dtype=float))
+        v = self.values
+        if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.ndim == 1 and v.size:
+            return  # already in stored form: the conversion below would return v itself
+        arr = np.atleast_1d(np.asarray(v, dtype=float))
         if arr.size == 0:
             raise ValueError("Quantity values must be non-empty")
         object.__setattr__(self, "values", arr)

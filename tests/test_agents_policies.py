@@ -3,8 +3,8 @@ import pytest
 
 from envforge.agents import PolicyPool, attach_parts, build_agent
 from envforge.config.schema import AgentConfig, PartConfig, PolicyConfig
-from envforge.functors.base import FunctorSpec, ObservationBox, PartBindingError
-from envforge.parts import Platform
+from envforge.functors.base import FunctorSpec, PartBindingError
+from envforge.parts import Box, Platform
 from envforge.policies import (
     POLICY_REGISTRY,
     PolicyError,
@@ -144,7 +144,7 @@ class TestPolicyPool:
 class TestRandomPolicy:
     def test_actions_within_bounds_10k(self):
         policy = RandomPolicy(seed=1)
-        space = {"a": ObservationBox(2, -0.5, 1.5), "b": ObservationBox(1, -3.0, -1.0)}
+        space = {"a": Box(2, -0.5, 1.5), "b": Box(1, -3.0, -1.0)}
         for _ in range(10_000):
             action = policy.compute_action({}, space)
             assert np.all(action["a"] >= -0.5) and np.all(action["a"] <= 1.5)
@@ -152,18 +152,18 @@ class TestRandomPolicy:
 
     def test_unbounded_dimensions_default_to_unit_interval(self):
         policy = RandomPolicy(seed=2)
-        space = {"a": ObservationBox(1, -np.inf, np.inf)}
+        space = {"a": Box(1, -np.inf, np.inf)}
         samples = [policy.compute_action({}, space)["a"][0] for _ in range(100)]
         assert all(-1.0 <= s <= 1.0 for s in samples)
 
     def test_seeded_reproducibility(self):
-        space = {"a": ObservationBox(3, -1.0, 1.0)}
+        space = {"a": Box(3, -1.0, 1.0)}
         a = RandomPolicy(seed=5).compute_action({}, space)["a"]
         b = RandomPolicy(seed=5).compute_action({}, space)["a"]
         assert np.array_equal(a, b)
 
     def test_reseed_resets_stream(self):
-        space = {"a": ObservationBox(1, -1.0, 1.0)}
+        space = {"a": Box(1, -1.0, 1.0)}
         policy = RandomPolicy(seed=5)
         first = policy.compute_action({}, space)["a"]
         policy.reseed(5)
@@ -178,7 +178,7 @@ class TestScriptedPolicy:
         }
 
     def space(self):
-        return {"ThrustControl": ObservationBox(1, -1.0, 1.0, NEWTON)}
+        return {"ThrustControl": Box(1, -1.0, 1.0, NEWTON)}
 
     def test_unknown_rule(self):
         with pytest.raises(PolicyError):
@@ -218,14 +218,14 @@ class TestScriptedPolicy:
 
 class TestReplayPolicy:
     def test_plays_back_then_zeros(self):
-        space = {"g": ObservationBox(1, -1.0, 1.0)}
+        space = {"g": Box(1, -1.0, 1.0)}
         policy = ReplayPolicy({"actions": [{"g": [0.3]}, {"g": [-0.7]}]})
         assert policy.compute_action({}, space)["g"][0] == pytest.approx(0.3)
         assert policy.compute_action({}, space)["g"][0] == pytest.approx(-0.7)
         assert policy.compute_action({}, space)["g"][0] == 0.0
 
     def test_reset_rewinds(self):
-        space = {"g": ObservationBox(1, -1.0, 1.0)}
+        space = {"g": Box(1, -1.0, 1.0)}
         policy = ReplayPolicy({"actions": [{"g": [0.5]}]})
         policy.compute_action({}, space)
         policy.reset()

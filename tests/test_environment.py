@@ -3,10 +3,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envforge import cli
 from envforge.config.validate import validate_environment, validate_environment_file
-from envforge.environment import Environment, EpisodeAlreadyDone, SpaceViolation
+from envforge.environment import (
+    Environment,
+    EpisodeAlreadyDone,
+    NonFiniteAction,
+    SpaceViolation,
+    UnknownActionKey,
+)
 from envforge.evaluation import TestCase, rollout
 from envforge.evaluation.evaluate import run_episode as record_episode
 from envforge.functors.base import DoneStatusCode
@@ -372,6 +380,87 @@ class TestEpisodeFailure:
         config, _ = validate_environment(tree)
         artifact = rollout(config, TestCase("c", {}, 0))
         assert artifact.error.startswith("SpaceViolation") and artifact.steps == []
+
+
+class TestActionBoundary:
+    """Actions are checked where they enter step(): keys first, then values."""
+
+    ZERO = {"name": "scripted", "config": {"rule": "zero"}}
+
+    def test_unknown_agent_raises(self):
+        env = make_env(policy=self.ZERO)
+        env.reset(seed=0)
+        with pytest.raises(UnknownActionKey) as excinfo:
+            env.step({"agent_0": {"ThrustControl": np.array([1.0])}, "agent_9": {}})
+        assert excinfo.value.agent == "agent_9"
+        assert "agent_9" in str(excinfo.value)
+        assert env.state.step_count == 0
+
+    def test_unknown_glue_raises_before_any_action_applies(self):
+        env = make_env(policy=self.ZERO)
+        env.reset(seed=0)
+        controller = env.simulator.platforms["deputy"].parts["Controller_Thrust"]
+        with pytest.raises(UnknownActionKey) as excinfo:
+            env.step({"agent_0": {"ThrustControl": np.array([1.0]), "ThrustControll": np.array([1.0])}})
+        assert (excinfo.value.agent, excinfo.value.key) == ("agent_0", "ThrustControll")
+        assert "agent_0" in str(excinfo.value) and "ThrustControll" in str(excinfo.value)
+        assert controller.pending is None
+        assert env.state.step_count == 0
+
+    def test_observation_glue_is_not_an_action_key(self):
+        env = make_env(policy=self.ZERO)
+        env.reset(seed=0)
+        with pytest.raises(UnknownActionKey) as excinfo:
+            env.step({"agent_0": {"ObservePosition": np.array([1.0])}})
+        assert excinfo.value.key == "ObservePosition"
+
+    @pytest.mark.parametrize("actions", [{}, {"agent_0": {}}], ids=["no_agent", "no_fragment"])
+    def test_missing_fragment_is_zero_command(self, actions):
+        env = make_env(policy=self.ZERO)
+        env.reset(seed=0)
+        result = env.step(actions)
+        deputy = env.simulator.platforms["deputy"].state
+        assert deputy.thrust == 0.0 and deputy.xdot == 0.0
+        assert result.observations["agent_0"]["ObservePosition/direct_observation"].item == -10.0
+
+    _env = None
+
+    @classmethod
+    def shared_env(cls):
+        if cls._env is None:
+            cls._env = make_env(policy=cls.ZERO)
+        return cls._env
+
+    @settings(max_examples=75, deadline=None)
+    @given(value=st.floats(allow_nan=True, allow_infinity=True), form=st.sampled_from(["array", "list", "float"]))
+    def test_fragment_applied_clamped_or_rejected(self, value, form):
+        # A finite fragment reaches the controller clamped into [-1, 1] N; a
+        # NaN or infinite one raises before the controller sees it.
+        env = self.shared_env()
+        env.reset(seed=0)
+        controller = env.simulator.platforms["deputy"].parts["Controller_Thrust"]
+        fragment = {"array": np.array([value]), "list": [value], "float": value}[form]
+        actions = {"agent_0": {"ThrustControl": fragment}}
+        if np.isfinite(value):
+            env.step(actions)
+            thrust = env.simulator.platforms["deputy"].state.thrust
+            assert thrust == float(np.clip(value, -1.0, 1.0))
+            assert controller.clamp_count == (1 if abs(value) > 1.0 else 0)
+        else:
+            with pytest.raises(NonFiniteAction) as excinfo:
+                env.step(actions)
+            assert (excinfo.value.agent, excinfo.value.glue) == ("agent_0", "ThrustControl")
+            assert controller.pending is None
+            assert env.state.step_count == 0
+
+    def test_rollout_records_non_finite_action(self):
+        config, report = validate_environment(docking_tree(horizon=20))
+        assert config is not None, str(report)
+        replay = ("replay", {"actions": [{"ThrustControl": [0.5]}, {"ThrustControl": [float("nan")]}]})
+        artifact = rollout(config, TestCase("c", {}, 0), replay)
+        assert artifact.error.startswith("NonFiniteAction")
+        assert "agent_0" in artifact.error and "ThrustControl" in artifact.error
+        assert len(artifact.steps) == 1
 
 
 class TestConfigFiles:

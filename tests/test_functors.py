@@ -244,10 +244,10 @@ class TestGlues:
 
     def test_observation_normalization(self):
         # A bounded sensor normalizes into [-1, 1] by min-max scaling.
-        from envforge.parts import PartProperty, Sensor
+        from envforge.parts import Box, Sensor
 
         platform = Platform("p", "T", state=7.5)
-        prop = PartProperty("level", 1, 0.0, 10.0, METER)
+        prop = Box(1, 0.0, 10.0, METER, name="level")
         platform.add_part(Sensor("Sensor_Level", prop, lambda s: Quantity.scalar(s, METER)))
         platforms = {"p": platform}
         graph = build_graph(

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from envforge.parts import (
+    Box,
     Controller,
     NoMatch,
     NoValidMeasurementYet,
-    PartProperty,
     Platform,
     PluginRegistry,
     RegistryFrozen,
@@ -16,23 +16,47 @@ from envforge.units import METER, NONE, Quantity
 
 
 def position_property():
-    return PartProperty("position", 1, -10.0, 10.0, METER)
+    return Box(1, -10.0, 10.0, METER, name="position")
 
 
 class TestPartProperty:
+    """A part's property is a Box."""
+
     def test_broadcast_bounds(self):
-        prop = PartProperty("p", 3, -1.0, 1.0, NONE)
+        prop = Box(3, -1.0, 1.0, NONE, name="p")
         assert prop.low.shape == (3,) and prop.high.shape == (3,)
 
     def test_low_above_high_rejected(self):
         with pytest.raises(ValueError):
-            PartProperty("p", 1, 2.0, 1.0, NONE)
+            Box(1, 2.0, 1.0, NONE, name="p")
 
     def test_contains(self):
-        prop = PartProperty("p", 2, -1.0, 1.0, NONE)
+        prop = Box(2, -1.0, 1.0, NONE, name="p")
         assert prop.contains(np.array([0.0, 1.0]))
         assert not prop.contains(np.array([0.0, 1.5]))
         assert not prop.contains(np.array([0.0]))
+
+
+class TestBox:
+    def test_low_above_high_error_names_the_property(self):
+        with pytest.raises(ValueError, match="property 'thrust': low > high"):
+            Box(2, [-1.0, 2.0], [1.0, 1.0], NONE, name="thrust")
+        with pytest.raises(ValueError, match="box: low > high"):
+            Box(1, 2.0, 1.0)
+
+    def test_unit_defaults_to_none(self):
+        assert Box(1, -1.0, 1.0).unit == NONE
+
+    def test_bounds_are_read_only(self):
+        # One compiled box is shared by every reader, so no reader may change it.
+        box = Box(2, -1.0, 1.0)
+        with pytest.raises(ValueError):
+            box.low[0] = 5.0
+        with pytest.raises(ValueError):
+            box.high[1] = -5.0
+
+    def test_name_is_not_part_of_equality(self):
+        assert Box(1, -1.0, 1.0, NONE, name="a") == Box(1, -1.0, 1.0, NONE, name="b")
 
 
 class TestSensor:
@@ -83,7 +107,7 @@ class TestSensor:
 
 class TestController:
     def test_clamping_and_count(self):
-        ctrl = Controller("c", PartProperty("thrust", 1, -1.0, 1.0, NONE))
+        ctrl = Controller("c", Box(1, -1.0, 1.0, NONE, name="thrust"))
         ctrl.apply(Quantity.scalar(0.5))
         assert ctrl.clamp_count == 0
         assert ctrl.take_pending().item == 0.5
@@ -92,15 +116,15 @@ class TestController:
         assert ctrl.take_pending().item == 1.0
 
     def test_no_pending_yields_zero(self):
-        ctrl = Controller("c", PartProperty("thrust", 1, -1.0, 1.0, NONE))
+        ctrl = Controller("c", Box(1, -1.0, 1.0, NONE, name="thrust"))
         assert ctrl.take_pending().item == 0.0
 
     def test_zero_clipped_into_bounds(self):
-        ctrl = Controller("c", PartProperty("thrust", 1, 0.5, 1.0, NONE))
+        ctrl = Controller("c", Box(1, 0.5, 1.0, NONE, name="thrust"))
         assert ctrl.take_pending().item == 0.5
 
     def test_reset(self):
-        ctrl = Controller("c", PartProperty("thrust", 1, -1.0, 1.0, NONE))
+        ctrl = Controller("c", Box(1, -1.0, 1.0, NONE, name="thrust"))
         ctrl.apply(Quantity.scalar(9.0))
         ctrl.reset()
         assert ctrl.pending is None and ctrl.clamp_count == 0
@@ -109,14 +133,14 @@ class TestController:
 class TestPlatform:
     def test_duplicate_part_rejected(self):
         platform = Platform("p", "T")
-        part = Controller("c", PartProperty("thrust", 1, -1.0, 1.0, NONE))
+        part = Controller("c", Box(1, -1.0, 1.0, NONE, name="thrust"))
         platform.add_part(part)
         with pytest.raises(ValueError):
-            platform.add_part(Controller("c", PartProperty("thrust", 1, -1.0, 1.0, NONE)))
+            platform.add_part(Controller("c", Box(1, -1.0, 1.0, NONE, name="thrust")))
 
     def test_sensor_controller_partition(self):
         platform = Platform("p", "T")
-        platform.add_part(Controller("c", PartProperty("t", 1, -1.0, 1.0, NONE)))
+        platform.add_part(Controller("c", Box(1, -1.0, 1.0, NONE, name="t")))
         platform.add_part(Sensor("s", position_property(), lambda _: Quantity.scalar(0.0, METER)))
         assert set(platform.sensors()) == {"s"}
         assert set(platform.controllers()) == {"c"}
@@ -125,7 +149,7 @@ class TestPlatform:
 class TestPluginRegistry:
     def factory(self, tag):
         def make(name, config):
-            part = Controller(name, PartProperty("t", 1, -1.0, 1.0, NONE))
+            part = Controller(name, Box(1, -1.0, 1.0, NONE, name="t"))
             part.tag = tag
             return part
 
