@@ -22,29 +22,29 @@ class Agent:
         platform_names: list[str],
         graph: CompiledGraph,
         policy: Policy,
-        trainable: bool = True,
     ):
         self.name = name
         self.platform_names = platform_names
         self.graph = graph
         self.policy = policy
-        self.trainable = trainable
         #: glue name -> node, for the glues that take an action fragment
         self.action_glues = {
             node.name: node for node in graph.glues if node.action_space is not None
         }
-        self._observation_space = MappingProxyType({
-            f"{node.name}/{key}": box
+        #: (observation name '<glue name>/<key>', glue node, key, box) for
+        #: every observation entry of the agent's glues, in glue order
+        self.observation_layout = [
+            (f"{node.name}/{key}", node, key, box)
             for node in graph.glues
             for key, box in node.observation_space.items()
-        })
+        ]
         self._action_space = MappingProxyType({
             name: node.action_space for name, node in self.action_glues.items()
         })
 
     def observation_space(self) -> Mapping[str, Box]:
         """Union of top-level glue observations, keyed '<glue name>/<key>'."""
-        return self._observation_space
+        return MappingProxyType({name: box for name, _, _, box in self.observation_layout})
 
     def action_space(self) -> Mapping[str, Box]:
         """Action fragments of controller-backed glues, keyed by glue name.
@@ -76,10 +76,12 @@ def attach_parts(
 
 
 class PolicyPool:
-    """Shares policy instances between agents that declare the same policy."""
+    """Shares policy instances between agents that declare the same policy.
 
-    def __init__(self, seed: int = 0):
-        self.seed = seed
+    Policies are seeded by ``Environment.reset``, not here.
+    """
+
+    def __init__(self):
         self._instances: dict[str, Policy] = {}
 
     def get(self, name: str, config: dict) -> Policy:
@@ -88,7 +90,7 @@ class PolicyPool:
             raise PolicyError(f"unknown policy '{name}' (registered: {sorted(POLICY_REGISTRY)})")
         key = json.dumps({"name": name, "config": config}, sort_keys=True, default=repr)
         if key not in self._instances:
-            self._instances[key] = cls(config, seed=self.seed)
+            self._instances[key] = cls(config)
         return self._instances[key]
 
 

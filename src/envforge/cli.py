@@ -89,8 +89,8 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     config = _require_config(args)
-    env = Environment(config, policy_seed=args.seed)
-    override_policies(env, _parse_policy(args.policy), args.seed)
+    env = Environment(config)
+    override_policies(env, _parse_policy(args.policy))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.episodes):

@@ -10,10 +10,8 @@ from .schema import (
 )
 from .validate import (
     ErrorCode,
-    UnknownReference,
     ValidationError,
     ValidationReport,
-    resolve_references,
     validate_agent,
     validate_environment,
     validate_environment_file,
@@ -32,11 +30,9 @@ __all__ = [
     "PlatformConfig",
     "PolicyConfig",
     "SpaceCheckMode",
-    "UnknownReference",
     "ValidationError",
     "ValidationReport",
     "load_config",
-    "resolve_references",
     "validate_agent",
     "validate_environment",
     "validate_environment_file",

@@ -17,6 +17,7 @@ from ..epp import DISTRIBUTION_KINDS, Increment, ParameterSpec
 from ..functors.base import ExtractorSpec, FunctorSpec
 from ..functors.graph import FUNCTOR_REGISTRY
 from ..parts import GLOBAL_REGISTRY, PluginRegistry
+from ..policies import POLICY_REGISTRY, SCRIPTED_RULES
 from ..simulators import SIMULATORS
 from ..units import UnknownUnit as UnknownUnitError
 from ..units import get_unit
@@ -71,10 +72,21 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-class UnknownReference(Exception):
-    def __init__(self, key: str):
-        self.key = key
-        super().__init__(f"unknown reference key '{key}'")
+#: the report code for each error the loader raises
+_LOAD_ERRORS = {
+    loader.FileNotFound: ErrorCode.FILE_NOT_FOUND,
+    loader.IncludeCycle: ErrorCode.INCLUDE_CYCLE,
+    loader.ParseError: ErrorCode.PARSE_ERROR,
+}
+
+
+def _load(path: Path, report_path: str, report: ValidationReport):
+    """The loaded tree, or None with the load error added to the report at report_path."""
+    try:
+        return loader.load_config(path)
+    except tuple(_LOAD_ERRORS) as exc:
+        report.add(report_path, _LOAD_ERRORS[type(exc)], str(exc))
+        return None
 
 
 def _join(*parts) -> str:
@@ -390,10 +402,7 @@ def validate_agent(
     policy = PolicyConfig("random")
     policy_tree = v.optional(tree, "policy", p, dict)
     if policy_tree is not None:
-        pv = _Validator(report)
-        pname = pv.require(policy_tree, "name", _join(p, "policy"), str)
-        if pname is not None:
-            policy = PolicyConfig(pname, pv.optional(policy_tree, "config", _join(p, "policy"), dict, {}))
+        policy = _parse_policy(policy_tree, _join(p, "policy"), report) or policy
 
     if not report.ok:
         return None, report
@@ -411,6 +420,31 @@ def validate_agent(
         ),
         report,
     )
+
+
+def _parse_policy(tree: dict, path: str, report: ValidationReport) -> PolicyConfig | None:
+    """A policy block whose name, and scripted rule, are registered."""
+    v = _Validator(report)
+    name = v.require(tree, "name", path, str)
+    config = v.optional(tree, "config", path, dict, {})
+    if name is None:
+        return None
+    if name not in POLICY_REGISTRY:
+        report.add(
+            _join(path, "name"),
+            ErrorCode.TYPE_MISMATCH,
+            f"unknown policy '{name}' (expected one of {sorted(POLICY_REGISTRY)})",
+        )
+        return None
+    if name == "scripted":
+        rule = v.require(config, "rule", _join(path, "config"), str)
+        if rule is not None and rule not in SCRIPTED_RULES:
+            report.add(
+                _join(path, "config", "rule"),
+                ErrorCode.TYPE_MISMATCH,
+                f"unknown scripted rule '{rule}' (expected one of {sorted(SCRIPTED_RULES)})",
+            )
+    return PolicyConfig(name, config)
 
 
 _END_MODES = {m.value: m for m in EpisodeEndMode}
@@ -505,16 +539,8 @@ def validate_environment(
     for i, at in enumerate(agent_trees):
         apath = _join("agents", i)
         if isinstance(at, str):
-            try:
-                at = loader.load_config(base_dir / at)
-            except loader.FileNotFound as exc:
-                report.add(apath, ErrorCode.FILE_NOT_FOUND, str(exc))
-                continue
-            except loader.IncludeCycle as exc:
-                report.add(apath, ErrorCode.INCLUDE_CYCLE, str(exc))
-                continue
-            except loader.ParseError as exc:
-                report.add(apath, ErrorCode.PARSE_ERROR, str(exc))
+            at = _load(base_dir / at, apath, report)
+            if at is None:
                 continue
         agent, agent_report = validate_agent(
             at, registry, extra_references=reference_store, path_prefix=apath
@@ -552,40 +578,7 @@ def validate_environment(
 def validate_environment_file(path: str | Path) -> tuple[EnvironmentConfig | None, ValidationReport]:
     """Load and validate an environment file; load errors land in the report."""
     report = ValidationReport()
-    try:
-        tree = loader.load_config(path)
-    except loader.FileNotFound as exc:
-        report.add("", ErrorCode.FILE_NOT_FOUND, str(exc))
-        return None, report
-    except loader.IncludeCycle as exc:
-        report.add("", ErrorCode.INCLUDE_CYCLE, str(exc))
-        return None, report
-    except loader.ParseError as exc:
-        report.add("", ErrorCode.PARSE_ERROR, str(exc))
+    tree = _load(Path(path), "", report)
+    if tree is None:
         return None, report
     return validate_environment(tree, base_dir=Path(path).parent)
-
-
-def resolve_references(config: AgentConfig, known_keys: set[str]) -> AgentConfig:
-    """Check every functor reference against the declared store keys.
-
-    References stay as deferred store keys; a single per-episode sample feeds
-    all referents through the Reference Store at runtime.
-    """
-
-    def walk(spec):
-        if isinstance(spec, FunctorSpec):
-            for key in spec.references.values():
-                if key not in known_keys:
-                    raise UnknownReference(key)
-            walk(spec.wrapped)
-        elif isinstance(spec, list):
-            for item in spec:
-                walk(item)
-        elif isinstance(spec, dict):
-            for item in spec.values():
-                walk(item)
-
-    for group in (config.glues, config.dones, config.rewards):
-        walk(group)
-    return config

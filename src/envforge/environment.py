@@ -74,7 +74,7 @@ class StepResult:
 class Environment:
     """Owns one simulator, its agents, and the per-step evaluation schedule."""
 
-    def __init__(self, config: EnvironmentConfig, registry=GLOBAL_REGISTRY, policy_seed: int = 0):
+    def __init__(self, config: EnvironmentConfig, registry=GLOBAL_REGISTRY):
         self.config = config
         self.registry = registry
 
@@ -103,11 +103,11 @@ class Environment:
         priming = self.epp.sample_episode(seed=0)
         self.simulator.reset(priming)
 
-        self.policy_pool = PolicyPool(seed=policy_seed)
+        policy_pool = PolicyPool()
         self.agents: dict[str, Agent] = {}
         for agent_cfg in config.agents:
             attach_parts(agent_cfg, self.simulator.platforms, sim_cls.simulator_type, registry)
-            agent = build_agent(agent_cfg, self.simulator.platforms, self.policy_pool)
+            agent = build_agent(agent_cfg, self.simulator.platforms, policy_pool)
             self.agents[agent.name] = agent
 
         shared_specs = list(config.shared_dones)
@@ -116,15 +116,6 @@ class Environment:
             dict(self.simulator.platforms), glues=[], shared_dones=shared_specs
         )
 
-        # Per agent: the (glue node, observation key, box) entries _space_check tests.
-        self._space_checks = {
-            name: [
-                (node, key, box)
-                for node in agent.graph.glues
-                for key, box in node.observation_space.items()
-            ]
-            for name, agent in self.agents.items()
-        }
         self.spot_checks_attempted = 0
         self.spot_checks_run = 0
 
@@ -132,26 +123,28 @@ class Environment:
         self.trace: list[tuple[int, str]] = []  # (step, phase) instrumentation
         self._env_done = True
         self._truncated = False
-        self._agent_done: dict[str, bool] = {}
-        self._agent_code: dict[str, DoneResult | None] = {}
+        # agent name -> the done that ended it, None while it is active
+        self._outcome: dict[str, DoneResult | None] = {}
         self._check_rng = np.random.default_rng(0)
         self._epp_history: list[dict] = [self.epp.snapshot_state()]
 
     # Lifecycle ---------------------------------------------------------
 
     def reset(self, seed: int = 0, overrides: dict[str, Quantity] | None = None):
+        """Start an episode; ``seed`` seeds the parameter draws, every agent's
+        policy and the spot checks."""
         sampled = self.epp.sample_episode(seed, overrides)
         self.simulator.reset(sampled)
         for agent in self.agents.values():
             agent.graph.reset()
+            agent.policy.reseed(seed)
         self.shared_graph.reset()
 
         self.state = EpisodeState(self.simulator.platforms, self.epp, self.config.horizon)
         self.state.sim_time = self.simulator.sim_time
         self._env_done = False
         self._truncated = False
-        self._agent_done = {name: False for name in self.agents}
-        self._agent_code = {name: None for name in self.agents}
+        self._outcome = dict.fromkeys(self.agents)
         self._check_rng = np.random.default_rng(seed)
         self.trace = []
 
@@ -163,7 +156,8 @@ class Environment:
         if self.state is None or self._env_done:
             raise EpisodeAlreadyDone()
         state = self.state
-        active = [name for name, done in self._agent_done.items() if not done]
+        outcome = self._outcome
+        active = [name for name, result in outcome.items() if result is None]
 
         # (1) glues push actions to controllers, once every fragment has passed
         # its checks; a missing fragment leaves that controller's zero command
@@ -199,91 +193,76 @@ class Environment:
         self._evaluate_glues()
         self.trace.append((state.step_count, "observe"))
 
-        # (4) dones, including shared dones
-        state.done_results = {name: {} for name in self.agents}
-        state.shared_done_results = {}
+        # (4) dones, including shared dones; an agent's outcome is its first
+        # fired done, else PlatformDestroyed, else the first shared done
+        fired: dict[str, dict[str, DoneResult]] = {}
         for name in active:
             agent = self.agents[name]
+            fired[name] = agent_fired = {}
             for node in agent.graph.dones:
                 result = node.functor.evaluate(state)
                 if result is not None:
-                    state.done_results[name][node.name] = result
-                    if not self._agent_done[name]:
-                        self._agent_done[name] = True
-                        self._agent_code[name] = result
+                    agent_fired[node.name] = result
+                    if outcome[name] is None:
+                        outcome[name] = result
             # destruction of an owning platform ends the agent with LOSS
-            if not self._agent_done[name]:
-                for pname in agent.platform_names:
-                    if pname not in self.simulator.platforms:
-                        result = DoneResult(DoneStatusCode.LOSS)
-                        state.done_results[name]["PlatformDestroyed"] = result
-                        self._agent_done[name] = True
-                        self._agent_code[name] = result
-                        break
-        shared_fired: DoneResult | None = None
+            if outcome[name] is None and any(
+                pname not in self.simulator.platforms for pname in agent.platform_names
+            ):
+                outcome[name] = agent_fired["PlatformDestroyed"] = DoneResult(DoneStatusCode.LOSS)
+        shared_fired: dict[str, DoneResult] = {}
+        shared_first: DoneResult | None = None
         for node in self.shared_graph.shared_dones:
             result = node.functor.evaluate(state)
             if result is not None:
-                state.shared_done_results[node.name] = result
-                if shared_fired is None:
-                    shared_fired = result
+                shared_fired[node.name] = result
+                if shared_first is None:
+                    shared_first = result
         self.trace.append((state.step_count, "dones"))
 
         # (5) rewards, with this step's done results visible
         components: dict[str, dict[str, float]] = {}
         rewards: dict[str, float] = {}
         for name in active:
-            agent = self.agents[name]
-            agent_dones = dict(state.done_results[name])
-            agent_dones.update(state.shared_done_results)
-            components[name] = {}
-            for node in agent.graph.rewards:
-                components[name][node.name] = float(
-                    node.functor.evaluate(state, agent_dones)
-                )
+            agent_dones = {**fired[name], **shared_fired}
+            components[name] = {
+                node.name: float(node.functor.evaluate(state, agent_dones))
+                for node in self.agents[name].graph.rewards
+            }
             rewards[name] = sum(components[name].values())
         self.trace.append((state.step_count, "rewards"))
 
         # (6) episode end policy
-        if shared_fired is not None:
-            for name in self.agents:
-                if not self._agent_done[name]:
-                    self._agent_done[name] = True
-                    self._agent_code[name] = shared_fired
+        if shared_first is not None:
+            for name, result in outcome.items():
+                if result is None:
+                    outcome[name] = shared_first
             self._env_done = True
-            self._truncated = self._truncated or shared_fired.truncation
+            self._truncated = self._truncated or shared_first.truncation
         elif self.config.episode_end_mode is EpisodeEndMode.ANY_AGENT_DONE:
-            self._env_done = any(self._agent_done.values())
+            self._env_done = any(r is not None for r in outcome.values())
         else:
-            self._env_done = all(self._agent_done.values())
+            self._env_done = all(r is not None for r in outcome.values())
         self._truncated = self._truncated or any(
-            r.truncation for r in (self._agent_code[n] for n in active) if r is not None
+            outcome[n] is not None and outcome[n].truncation for n in active
         )
 
         # (7) observation space sanity checks
         self._space_check()
 
-        state.agent_done = dict(self._agent_done)
-        observations = self._collect_observations(active)
         return StepResult(
-            observations=observations,
+            observations=self._collect_observations(active),
             rewards=rewards,
-            dones={name: self._agent_done[name] for name in active},
-            done_codes={
-                name: self._agent_code[name].code if self._agent_code[name] else None
-                for name in active
-            },
+            dones={name: outcome[name] is not None for name in active},
+            done_codes={name: outcome[name].code if outcome[name] else None for name in active},
             env_done=self._env_done,
             truncated=self._truncated,
             info={
                 "reward_components": components,
                 "done_results": {
-                    name: {k: r.code.value for k, r in state.done_results[name].items()}
-                    for name in active
+                    name: {k: r.code.value for k, r in fired[name].items()} for name in active
                 },
-                "shared_done_results": {
-                    k: r.code.value for k, r in state.shared_done_results.items()
-                },
+                "shared_done_results": {k: r.code.value for k, r in shared_fired.items()},
             },
         )
 
@@ -293,7 +272,7 @@ class Environment:
 
     @property
     def agent_done_codes(self) -> dict[str, DoneStatusCode | None]:
-        return {n: (r.code if r else None) for n, r in self._agent_code.items()}
+        return {name: (r.code if r else None) for name, r in self._outcome.items()}
 
     def apply_training_result(self, result: dict | None = None) -> None:
         self.epp.apply_training_result(result)
@@ -318,15 +297,14 @@ class Environment:
                     state.observations[node.id] = node.functor.get_observation(state)
 
     def _collect_observations(self, agent_names) -> dict[str, dict[str, Quantity]]:
-        out = {}
-        for name in agent_names:
-            agent = self.agents[name]
-            obs = {}
-            for node in agent.graph.glues:
-                for key, value in self.state.observations[node.id].items():
-                    obs[f"{node.name}/{key}"] = value
-            out[name] = obs
-        return out
+        observations = self.state.observations
+        return {
+            name: {
+                obs_name: observations[node.id][key]
+                for obs_name, node, key, _ in self.agents[name].observation_layout
+            }
+            for name in agent_names
+        }
 
     def _space_check(self) -> None:
         mode = self.config.space_check_mode
@@ -338,8 +316,8 @@ class Environment:
                 return
             self.spot_checks_run += 1
         observations = self.state.observations
-        for name, checks in self._space_checks.items():
-            for node, key, box in checks:
+        for name, agent in self.agents.items():
+            for _, node, key, box in agent.observation_layout:
                 values = observations[node.id][key].values
                 # NaN fails neither comparison, so it passes here as it does in
                 # the element loop that words the error; a wrong shape goes to

@@ -68,12 +68,12 @@ def _case_overrides(env: Environment, case: TestCase) -> dict[str, Quantity]:
     return overrides
 
 
-def override_policies(env: Environment, override: tuple[str, dict] | None, seed: int) -> None:
+def override_policies(env: Environment, override: tuple[str, dict] | None) -> None:
     """Give every agent one shared instance of the named policy, as PolicyPool shares one declaration."""
     if override is None:
         return
     name, pconfig = override
-    policy = POLICY_REGISTRY[name](pconfig, seed=seed)
+    policy = POLICY_REGISTRY[name](pconfig)
     for agent in env.agents.values():
         agent.policy = policy
 
@@ -93,9 +93,6 @@ def run_episode(
             k: {"value": q.item, "unit": q.unit.name}
             for k, q in env.epp.current_sample.values.items()
         }
-        for agent in env.agents.values():
-            agent.policy.reseed(seed)
-
         while not env.episode_done:
             actions = {
                 name: agent.policy.compute_action(
@@ -149,8 +146,8 @@ def rollout(
     policy_override: tuple[str, dict] | None = None,
 ) -> EpisodeArtifact:
     """One fully seeded episode for a test case; unknown case parameters raise."""
-    env = Environment(config, policy_seed=case.seed)
-    override_policies(env, policy_override, case.seed)
+    env = Environment(config)
+    override_policies(env, policy_override)
     artifact = run_episode(env, case.seed, _case_overrides(env, case))
     artifact.case_id = case.name
     return artifact

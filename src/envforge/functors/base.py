@@ -83,10 +83,6 @@ class EpisodeState:
         self.sim_time = 0.0
         # node id -> {key: Quantity}, refreshed every step
         self.observations: dict[str, dict[str, Quantity]] = {}
-        # agent name -> {done node name: DoneResult} for the current step
-        self.done_results: dict[str, dict[str, DoneResult]] = {}
-        self.shared_done_results: dict[str, DoneResult] = {}
-        self.agent_done: dict[str, bool] = {}
 
     def reference(self, key: str) -> Quantity:
         return self.epp.reference_lookup(key)
@@ -100,8 +96,6 @@ class Functor:
     required: tuple[str, ...] = ()
     #: parameter name -> dimension tag enforced at config validation time
     reference_dimensions: dict[str, str] = {}
-    #: "none" | "single" | "list" | "map" | "any"
-    wrapped_arity: str = "none"
 
     def __init__(
         self,

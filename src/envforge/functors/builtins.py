@@ -91,8 +91,6 @@ class ControllerGlue(Glue):
 class TargetValueDifference(Glue):
     """target_value minus one element of the wrapped glue's observation."""
 
-    wrapped_arity = "single"
-
     def observation_space(self):
         unit = get_unit(self.config.get("unit", "none"))
         low = float(self.config.get("min", -np.inf))
@@ -114,8 +112,6 @@ class TargetValueDifference(Glue):
 class UnitVector(Glue):
     """Wrapped observation scaled to unit Euclidean norm (zero stays zero)."""
 
-    wrapped_arity = "single"
-
     def observation_space(self):
         child = self.child_space()
         return {"unit_vector": Box(child.shape, -1.0, 1.0, NONE)}
@@ -129,8 +125,6 @@ class UnitVector(Glue):
 
 class Norm(Glue):
     """Euclidean norm of the wrapped observation."""
-
-    wrapped_arity = "single"
 
     def observation_space(self):
         child = self.child_space()
@@ -146,8 +140,6 @@ class Norm(Glue):
 
 class Projection(Glue):
     """Scalar projection of child 'value' onto the direction of child 'onto'."""
-
-    wrapped_arity = "map"
 
     def observation_space(self):
         value = self.child_space("value")
@@ -171,8 +163,6 @@ class Projection(Glue):
 class Difference(Glue):
     """Element-wise difference of two wrapped observations: first - second."""
 
-    wrapped_arity = "map"
-
     def observation_space(self):
         first = self.child_space("first")
         second = self.child_space("second")
@@ -190,8 +180,6 @@ class Difference(Glue):
 
 class Wrapper(Glue):
     """Groups child glues, re-exporting their observations namespaced by child key."""
-
-    wrapped_arity = "any"
 
     def observation_space(self):
         out = {}

@@ -134,13 +134,17 @@ class Controller(Part):
         self.pending = Quantity(clamped, self.property.unit)
 
     def take_pending(self) -> Quantity:
-        """Pending command, or a zero command if none was applied this step."""
-        if self.pending is None:
+        """The command applied this step, or a zero command if none was.
+
+        Taking the command clears it, so each command drives one step.
+        """
+        command, self.pending = self.pending, None
+        if command is None:
             zero = np.clip(
                 np.zeros(self.property.shape), self.property.low, self.property.high
             )
             return Quantity(zero, self.property.unit)
-        return self.pending
+        return command
 
 
 class Platform:

@@ -67,7 +67,6 @@ class CartPoleSimulator(Simulator):
         if platform.operable:
             for controller in platform.controllers().values():
                 state.force = controller.take_pending().to(NEWTON).item
-                controller.pending = None
 
         c = self.constants
         total_mass = c["mass_cart"] + c["mass_pole"]

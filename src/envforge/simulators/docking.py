@@ -66,7 +66,6 @@ class Docking1dSimulator(Simulator):
         if platform.operable:
             for controller in platform.controllers().values():
                 entity.thrust = controller.take_pending().to(NEWTON).item
-                controller.pending = None
         entity.step(self.dt)
 
 

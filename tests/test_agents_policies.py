@@ -57,7 +57,7 @@ def built_docking_agent(policy=None, pool=None):
     platforms = docking_platforms()
     config = docking_agent_config(policy=policy)
     attach_parts(config, platforms, Docking1dSimulator.simulator_type)
-    return build_agent(config, platforms, pool or PolicyPool(seed=0)), platforms
+    return build_agent(config, platforms, pool or PolicyPool()), platforms
 
 
 class TestAgentSpaces:
@@ -115,7 +115,7 @@ class TestAttachParts:
 
 class TestPolicyPool:
     def test_same_declaration_shares_instance(self):
-        pool = PolicyPool(seed=3)
+        pool = PolicyPool()
         a = pool.get("random", {})
         b = pool.get("random", {})
         assert a is b

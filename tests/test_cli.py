@@ -94,12 +94,17 @@ class TestRun:
         ids=["docking", "cartpole"],
     )
     def test_run_csv_is_projection_of_rollout(self, tmp_path, env_file, seed):
+        # run keeps one environment for all episodes, so episodes 1 and 2
+        # match a fresh rollout only if reset reseeds the policies.
         out = tmp_path / "run"
-        assert main(["run", "--env", str(env_file), "--seed", str(seed), "--out", str(out)]) == 0
-        artifact = rollout(load_env_config(env_file), TestCase("c", {}, seed))
-        assert artifact.error is None
-        projected = artifact.write_csv(tmp_path / "projected.csv")
-        assert (out / "episode_0.csv").read_bytes() == projected.read_bytes()
+        argv = ["run", "--env", str(env_file), "--seed", str(seed), "--episodes", "3"]
+        assert main(argv + ["--out", str(out)]) == 0
+        config = load_env_config(env_file)
+        for k in range(3):
+            artifact = rollout(config, TestCase("c", {}, seed + k))
+            assert artifact.error is None
+            projected = artifact.write_csv(tmp_path / f"projected_{k}.csv")
+            assert (out / f"episode_{k}.csv").read_bytes() == projected.read_bytes()
 
     def test_unknown_policy_exit_two(self, tmp_path, capsys):
         code = main(docking_args("run", "--policy", "telepathy", "--out", str(tmp_path)))

@@ -119,6 +119,14 @@ class TestController:
         ctrl = Controller("c", Box(1, -1.0, 1.0, NONE, name="thrust"))
         assert ctrl.take_pending().item == 0.0
 
+    def test_take_pending_consumes_command(self):
+        # A command applies to one step: taking it leaves nothing pending.
+        ctrl = Controller("c", Box(1, -1.0, 1.0, NONE, name="thrust"))
+        ctrl.apply(Quantity.scalar(0.5))
+        assert ctrl.take_pending().item == 0.5
+        assert ctrl.pending is None
+        assert ctrl.take_pending().item == 0.0
+
     def test_zero_clipped_into_bounds(self):
         ctrl = Controller("c", Box(1, 0.5, 1.0, NONE, name="thrust"))
         assert ctrl.take_pending().item == 0.5

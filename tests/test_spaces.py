@@ -127,12 +127,15 @@ class TestSpaceCheck:
     @given(st.lists(box_and_values(), min_size=1, max_size=3))
     def test_same_verdict_and_message_as_element_loop(self, entries):
         env = self.shared_env()
+        (agent,) = env.agents.values()
         nodes = [FunctorNode(f"id{i}", "glue", f"Glue{i}", None, ()) for i in range(len(entries))]
-        env._space_checks = {"agent": [(node, "obs", box) for node, (box, _) in zip(nodes, entries)]}
+        agent.observation_layout = [
+            (f"{node.name}/obs", node, "obs", box) for node, (box, _) in zip(nodes, entries)
+        ]
         env.state.observations = {
             node.id: {"obs": Quantity(values)} for node, (_, values) in zip(nodes, entries)
         }
-        reference = [("agent", node, "obs", box) for node, (box, _) in zip(nodes, entries)]
+        reference = [(agent.name, node, "obs", box) for node, (box, _) in zip(nodes, entries)]
         assert outcome(env._space_check) == outcome(
             lambda: reference_space_check(reference, env.state.observations)
         )
@@ -140,7 +143,8 @@ class TestSpaceCheck:
     def test_nan_passes_and_bound_values_pass(self):
         env = self.shared_env()
         node = FunctorNode("id", "glue", "G", None, ())
-        env._space_checks = {"agent": [(node, "obs", Box(3, -1.0, 1.0))]}
+        (agent,) = env.agents.values()
+        agent.observation_layout = [("G/obs", node, "obs", Box(3, -1.0, 1.0))]
         env.state.observations = {"id": {"obs": Quantity(np.array([np.nan, -1.0, 1.0]))}}
         env._space_check()
         env.state.observations = {"id": {"obs": Quantity(np.array([np.nan, -1.0, np.inf]))}}
