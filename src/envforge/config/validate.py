@@ -44,6 +44,7 @@ class ErrorCode(enum.Enum):
     FILE_NOT_FOUND = "FileNotFound"
     PARSE_ERROR = "ParseError"
     INCLUDE_CYCLE = "IncludeCycle"
+    DUPLICATE_NAME = "DuplicateName"
 
 
 @dataclass(frozen=True)
@@ -322,8 +323,15 @@ def _parse_wrapped(tree, path: str, report: ValidationReport, known_references):
 
 
 def _parse_functor_list(
-    tree, path: str, report: ValidationReport, known_references
+    tree, path: str, report: ValidationReport, known_references, names: dict[str, FunctorSpec]
 ) -> list[FunctorSpec]:
+    """The specs of one functor list.
+
+    ``names`` maps each display name to the first spec that has it, across
+    every list that shares the namespace: ``step()`` keys dones and reward
+    components by name, so a different spec with a taken name would hide the
+    first.  An identical spec is one graph node, so it may repeat.
+    """
     specs: list[FunctorSpec] = []
     if tree is None:
         return specs
@@ -332,8 +340,15 @@ def _parse_functor_list(
         return specs
     for i, sub in enumerate(tree):
         spec = parse_functor_spec(sub, _join(path, i), report, known_references)
-        if spec is not None:
-            specs.append(spec)
+        if spec is None:
+            continue
+        if names.setdefault(spec.display_name, spec) != spec:
+            report.add(
+                _join(path, i),
+                ErrorCode.DUPLICATE_NAME,
+                f"another functor is already named '{spec.display_name}'",
+            )
+        specs.append(spec)
     return specs
 
 
@@ -391,13 +406,14 @@ def validate_agent(
         epp_tree.get("parameters"), _join(p, "episode_parameter_provider", "parameters"), report
     )
 
-    glues = _parse_functor_list(tree.get("glues"), _join(p, "glues"), report, known_references)
+    names: dict[str, FunctorSpec] = {}
+    glues = _parse_functor_list(tree.get("glues"), _join(p, "glues"), report, known_references, names)
     if "glues" not in tree:
         report.add(_join(p, "glues"), ErrorCode.MISSING_FIELD, "missing required key 'glues'")
     elif not glues and not report.errors:
         report.add(_join(p, "glues"), ErrorCode.TYPE_MISMATCH, "at least one glue required")
-    dones = _parse_functor_list(tree.get("dones"), _join(p, "dones"), report, known_references)
-    rewards = _parse_functor_list(tree.get("rewards"), _join(p, "rewards"), report, known_references)
+    dones = _parse_functor_list(tree.get("dones"), _join(p, "dones"), report, known_references, names)
+    rewards = _parse_functor_list(tree.get("rewards"), _join(p, "rewards"), report, known_references, names)
 
     policy = PolicyConfig("random")
     policy_tree = v.optional(tree, "policy", p, dict)
@@ -531,7 +547,7 @@ def validate_environment(
 
     space_check = _parse_space_check(tree.get("space_check_mode"), "space_check_mode", report)
 
-    shared_dones = _parse_functor_list(tree.get("shared_dones"), "shared_dones", report, reference_store)
+    shared_dones = _parse_functor_list(tree.get("shared_dones"), "shared_dones", report, reference_store, {})
 
     agents: list[AgentConfig] = []
     agent_trees = v.require(tree, "agents", "", list) or []

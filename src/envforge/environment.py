@@ -115,6 +115,13 @@ class Environment:
         self.shared_graph = build_graph(
             dict(self.simulator.platforms), glues=[], shared_dones=shared_specs
         )
+        # every glue node, each graph's in topological order: the observe phase
+        self._glue_nodes = [
+            node
+            for graph in [*(a.graph for a in self.agents.values()), self.shared_graph]
+            for node in map(graph.nodes.__getitem__, graph.topo_order)
+            if node.kind == "glue"
+        ]
 
         self.spot_checks_attempted = 0
         self.spot_checks_run = 0
@@ -289,12 +296,9 @@ class Environment:
 
     def _evaluate_glues(self) -> None:
         state = self.state
-        graphs = [agent.graph for agent in self.agents.values()] + [self.shared_graph]
-        for graph in graphs:
-            for node_id in graph.topo_order:
-                node = graph.nodes[node_id]
-                if node.kind == "glue":
-                    state.observations[node.id] = node.functor.get_observation(state)
+        observations = state.observations
+        for node in self._glue_nodes:
+            observations[node.id] = node.functor.get_observation(state)
 
     def _collect_observations(self, agent_names) -> dict[str, dict[str, Quantity]]:
         observations = self.state.observations

@@ -13,6 +13,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from ..config.schema import EnvironmentConfig
 from ..environment import Environment
 from ..policies import POLICY_REGISTRY
@@ -113,7 +115,11 @@ def run_episode(
                         for agent, obs in result.observations.items()
                     },
                     actions={
-                        agent: {glue: list(map(float, frag)) for glue, frag in acts.items()}
+                        # each fragment as step() reads it: a bare number is one element
+                        agent: {
+                            glue: np.atleast_1d(np.asarray(frag, dtype=float)).tolist()
+                            for glue, frag in acts.items()
+                        }
                         for agent, acts in actions.items()
                     },
                     rewards=result.info["reward_components"],

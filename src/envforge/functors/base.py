@@ -111,21 +111,34 @@ class Functor:
         self.children = children
         self.extractor = extractor
         self.platforms = platforms
+        # (name, unit) -> the config or default value of param(), converted once
+        self._params: dict[tuple[str, Unit | None], Quantity] = {}
 
     def reset(self) -> None:
         """Clear episode-local state."""
 
     def param(self, state: EpisodeState, name: str, unit: Unit | None = None, default=None):
-        """A parameter value: reference-store lookup first, then config, then default."""
+        """A parameter value: reference-store lookup first, then config, then default.
+
+        A reference is looked up on every call, because each episode samples
+        it anew.  A config or default value cannot change, so it is converted
+        on the first call and kept; a parameter name has one default.
+        """
         if name in self.references:
             q = state.reference(self.references[name])
-        elif name in self.config:
-            q = _as_quantity(self.config[name])
-        elif default is not None:
-            q = _as_quantity(default)
-        else:
-            raise FunctorError(f"{self.name}: missing parameter '{name}'")
-        return q.to(unit) if unit is not None else q
+            return q.to(unit) if unit is not None else q
+        q = self._params.get((name, unit))
+        if q is None:
+            if name in self.config:
+                q = _as_quantity(self.config[name])
+            elif default is not None:
+                q = _as_quantity(default)
+            else:
+                raise FunctorError(f"{self.name}: missing parameter '{name}'")
+            if unit is not None:
+                q = q.to(unit)
+            self._params[name, unit] = q
+        return q
 
     def child_observation(self, state: EpisodeState, key: str | None = None) -> Quantity:
         """The (single) observation of a wrapped child, by child key."""

@@ -91,20 +91,22 @@ class ControllerGlue(Glue):
 class TargetValueDifference(Glue):
     """target_value minus one element of the wrapped glue's observation."""
 
+    def __init__(self, spec, children, extractor, platforms):
+        super().__init__(spec, children, extractor, platforms)
+        self.unit = get_unit(self.config.get("unit", "none"))
+        self.index = int(self.config.get("index", 0))
+
     def observation_space(self):
-        unit = get_unit(self.config.get("unit", "none"))
         low = float(self.config.get("min", -np.inf))
         high = float(self.config.get("max", np.inf))
-        return {"target_value_difference": Box(1, low, high, unit)}
+        return {"target_value_difference": Box(1, low, high, self.unit)}
 
     def get_observation(self, state):
         child = self.child_observation(state)
-        index = int(self.config.get("index", 0))
         target = self.param(state, "target_value", default=0.0).item
-        unit = get_unit(self.config.get("unit", "none"))
         return {
             "target_value_difference": Quantity.scalar(
-                target - float(child.values[index]), unit
+                target - float(child.values[self.index]), self.unit
             )
         }
 
@@ -200,10 +202,16 @@ class Wrapper(Glue):
 
 
 class EpisodeHorizon(SharedDone):
-    """Truncates the episode (DRAW) once the step counter reaches the horizon."""
+    """Truncates the episode (DRAW) once the step counter reaches the horizon:
+    ``horizon`` from config, else the environment's."""
+
+    def __init__(self, spec, children, extractor, platforms):
+        super().__init__(spec, children, extractor, platforms)
+        horizon = self.config.get("horizon")
+        self.horizon = None if horizon is None else int(horizon)
 
     def evaluate(self, state):
-        horizon = int(self.config.get("horizon", state.horizon))
+        horizon = state.horizon if self.horizon is None else self.horizon
         if state.step_count >= horizon:
             return DoneResult(DoneStatusCode.DRAW, truncation=True)
         return None
@@ -212,27 +220,34 @@ class EpisodeHorizon(SharedDone):
 class StateBounds(Done):
     """Fires when the extracted (or wrapped) observation leaves [min, max]."""
 
+    def __init__(self, spec, children, extractor, platforms):
+        super().__init__(spec, children, extractor, platforms)
+        self.code = DoneStatusCode[self.config.get("status", "LOSS")]
+
     def evaluate(self, state):
         if self.extractor is not None:
             value = self.extractor.value(state).values
         else:
             value = self.child_observation(state).values
-        low = self.param(state, "min", default=-math.inf)
-        high = self.param(state, "max", default=math.inf)
-        if np.any(value < low.values) or np.any(value > high.values):
-            code = DoneStatusCode[self.config.get("status", "LOSS")]
-            return DoneResult(code)
+        low = self.param(state, "min", default=-math.inf).values
+        high = self.param(state, "max", default=math.inf).values
+        if (value < low).any() or (value > high).any():
+            return DoneResult(self.code)
         return None
 
 
 class DockingSuccess(Done):
     """WIN when the craft is within dock_radius at a safe closing speed."""
 
+    required = ("dock_radius", "velocity_limit")
     reference_dimensions = {"dock_radius": "length", "velocity_limit": "velocity"}
 
+    def __init__(self, spec, children, extractor, platforms):
+        super().__init__(spec, children, extractor, platforms)
+        self.platform_name = self.config.get("platform") or next(iter(self.platforms))
+
     def _entity(self, state):
-        name = self.config.get("platform") or next(iter(self.platforms))
-        return state.platforms[name].state
+        return state.platforms[self.platform_name].state
 
     def evaluate(self, state):
         entity = self._entity(state)
@@ -261,10 +276,14 @@ class DockingFailure(DockingSuccess):
 class ConstantStepReward(Reward):
     """A fixed payment every step on which no done has fired for the agent."""
 
+    def __init__(self, spec, children, extractor, platforms):
+        super().__init__(spec, children, extractor, platforms)
+        self.reward = float(self.config.get("reward", 1.0))
+
     def evaluate(self, state, done_results):
         if done_results:
             return 0.0
-        return float(self.config.get("reward", 1.0))
+        return self.reward
 
 
 class ExponentialDecayFromTargetValue(Reward):
@@ -278,6 +297,9 @@ class ExponentialDecayFromTargetValue(Reward):
 
     def __init__(self, spec, children, extractor, platforms):
         super().__init__(spec, children, extractor, platforms)
+        self.eps = float(self.config["eps"])
+        self.scale = float(self.config.get("scale", 1.0))
+        self.reward_when_farther = float(self.config.get("reward_when_farther", 0.0))
         self._previous_distance: float | None = None
 
     def reset(self):
@@ -289,12 +311,10 @@ class ExponentialDecayFromTargetValue(Reward):
         else:
             value = float(self.child_observation(state).values[0])
         target = self.param(state, "target_value", default=0.0).item
-        eps = float(self.config["eps"])
-        scale = float(self.config.get("scale", 1.0))
         distance = abs(value - target)
-        reward = scale * math.exp(-distance / eps)
+        reward = self.scale * math.exp(-distance / self.eps)
         if self._previous_distance is not None and distance > self._previous_distance:
-            reward *= float(self.config.get("reward_when_farther", 0.0))
+            reward *= self.reward_when_farther
         self._previous_distance = distance
         return reward
 
@@ -302,10 +322,16 @@ class ExponentialDecayFromTargetValue(Reward):
 class DoneStatusReward(Reward):
     """Pays configured amounts keyed by the done status codes fired this step."""
 
+    def __init__(self, spec, children, extractor, platforms):
+        super().__init__(spec, children, extractor, platforms)
+        self.amounts = {
+            code: float(self.config.get(code.value.lower(), 0.0)) for code in DoneStatusCode
+        }
+
     def evaluate(self, state, done_results):
         total = 0.0
         for result in done_results.values():
-            total += float(self.config.get(result.code.value.lower(), 0.0))
+            total += self.amounts[result.code]
         return total
 
 

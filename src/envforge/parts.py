@@ -98,9 +98,10 @@ class Sensor(Part):
         self.last_valid = None
 
     def _is_valid(self, q: Quantity) -> bool:
+        v = q.values
         return (
-            q.values.shape == (self.property.shape,)
-            and q.is_finite()
+            v.shape == (self.property.shape,)
+            and np.isfinite(v).all()
             and check_compatibility(q.unit, self.property.unit)
         )
 
@@ -127,11 +128,14 @@ class Controller(Part):
         self.clamp_count = 0
 
     def apply(self, command: Quantity) -> None:
-        values = command.to(self.property.unit).values
-        clamped = np.clip(values, self.property.low, self.property.high)
-        if not np.array_equal(clamped, values):
+        prop = self.property
+        values = command.to(prop.unit).values
+        # np.clip's result, bit for bit (signed zeros included), without its
+        # Python-level dispatch
+        clamped = np.minimum(np.maximum(values, prop.low), prop.high)
+        if (clamped != values).any():
             self.clamp_count += 1
-        self.pending = Quantity(clamped, self.property.unit)
+        self.pending = Quantity(clamped, prop.unit)
 
     def take_pending(self) -> Quantity:
         """The command applied this step, or a zero command if none was.
@@ -156,17 +160,24 @@ class Platform:
         self.state = state
         self.parts: dict[str, Part] = {}
         self.operable = True
+        self._controllers: dict[str, Controller] | None = None
 
     def add_part(self, part: Part) -> None:
         if part.name in self.parts:
             raise ValueError(f"platform '{self.name}': duplicate part '{part.name}'")
         self.parts[part.name] = part
+        self._controllers = None
 
     def sensors(self) -> dict[str, Sensor]:
         return {n: p for n, p in self.parts.items() if isinstance(p, Sensor)}
 
     def controllers(self) -> dict[str, Controller]:
-        return {n: p for n, p in self.parts.items() if isinstance(p, Controller)}
+        """The platform's controllers by name; one dict, rebuilt only after ``add_part``."""
+        if self._controllers is None:
+            self._controllers = {
+                n: p for n, p in self.parts.items() if isinstance(p, Controller)
+            }
+        return self._controllers
 
     def measure_all(self) -> None:
         for sensor in self.sensors().values():

@@ -49,14 +49,34 @@ class Policy:
 
 
 class RandomPolicy(Policy):
-    """Uniform per-element sampling inside the action bounds."""
+    """Uniform per-element sampling inside the action bounds; an infinite
+    bound samples at -1 (low) or 1 (high) instead."""
+
+    def __init__(self, config=None, seed: int = 0):
+        super().__init__(config, seed)
+        # action name -> (box, sampling low, high - low); a Box never changes,
+        # so its bounds are recomputed only when the name's box does
+        self._bounds: dict[str, tuple[Box, np.ndarray, np.ndarray]] = {}
+
+    def _sampling_bounds(self, name: str, box: Box) -> tuple[np.ndarray, np.ndarray]:
+        cached = self._bounds.get(name)
+        if cached is None or cached[0] is not box:
+            low = np.where(np.isfinite(box.low), box.low, -1.0)
+            high = np.where(np.isfinite(box.high), box.high, 1.0)
+            with np.errstate(over="ignore"):
+                scale = high - low
+            if not np.isfinite(scale).all():
+                raise PolicyError(f"action '{name}': sampling range overflows")
+            cached = self._bounds[name] = (box, low, scale)
+        return cached[1], cached[2]
 
     def _compute(self, observation, action_space):
         action: ActionDict = {}
         for name, box in action_space.items():
-            low = np.where(np.isfinite(box.low), box.low, -1.0)
-            high = np.where(np.isfinite(box.high), box.high, 1.0)
-            action[name] = self._rng.uniform(low, high)
+            low, scale = self._sampling_bounds(name, box)
+            # Generator.uniform(low, high) draws exactly low + (high - low) * u,
+            # u from the same stream, after re-checking its arguments per call
+            action[name] = low + scale * self._rng.random(low.shape)
         return action
 
 

@@ -167,6 +167,8 @@ class Quantity:
 
 def convert(q: Quantity, target: Unit) -> Quantity:
     """Convert a quantity to another unit of the same dimension."""
+    if q.unit is target:
+        return q
     if not check_compatibility(q.unit, target):
         raise DimensionMismatch(q.unit, target)
     if q.unit == target:

@@ -169,6 +169,24 @@ class TestRandomPolicy:
         policy.reseed(5)
         assert np.array_equal(policy.compute_action({}, space)["a"], first)
 
+    def test_draws_equal_generator_uniform_bit_for_bit(self):
+        # The draws are those of Generator.uniform over the finite sampling
+        # bounds, including after a name's box is replaced.
+        wide = {"a": Box(3, [-1.0, -0.3, 2.0], [1.0, 5.0, 2.5]), "b": Box(1, -np.inf, 7.0)}
+        narrow = {"a": Box(3, 0.0, [1e-3, 1e3, 0.0]), "b": Box(1, -2.0, np.inf)}
+        policy = RandomPolicy(seed=11)
+        rng = np.random.default_rng(11)
+        for space in [wide, wide, narrow, wide, narrow]:
+            action = policy.compute_action({}, space)
+            for name, box in space.items():
+                low = np.where(np.isfinite(box.low), box.low, -1.0)
+                high = np.where(np.isfinite(box.high), box.high, 1.0)
+                assert action[name].tobytes() == rng.uniform(low, high).tobytes()
+
+    def test_overflowing_range_rejected(self):
+        with pytest.raises(PolicyError, match="'a'"):
+            RandomPolicy(seed=0).compute_action({}, {"a": Box(1, -1e308, 1e308)})
+
 
 class TestScriptedPolicy:
     def obs(self, x, v):

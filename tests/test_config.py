@@ -153,6 +153,47 @@ class TestValidConfigs:
         assert paths.index("simulator") < paths.index("horizon")
 
 
+class TestDuplicateNames:
+    """Two different top-level specs of one agent may not share a display name."""
+
+    def tree(self, glues, dones):
+        tree = yaml.safe_load((INVALID_DIR / "duplicate_name.yml").read_text())
+        tree["agents"][0]["glues"] = glues
+        tree["agents"][0]["dones"] = dones
+        return tree
+
+    observe = {"functor": "ObserveSensor", "name": "O", "config": {"sensor": "Sensor_Position"}}
+
+    def bounds(self, name=None, bound=20.0, wrapped="O"):
+        spec = {"functor": "StateBounds", "config": {"min": -bound, "max": bound}, "wrapped": wrapped}
+        if name is not None:
+            spec["name"] = name
+        return spec
+
+    def codes(self, tree):
+        _, report = validate_environment(tree)
+        return [(e.code.value, e.path) for e in report.errors]
+
+    def test_identical_specs_may_repeat(self):
+        assert self.codes(self.tree([self.observe], [self.bounds("B"), self.bounds("B")])) == []
+
+    def test_nested_specs_may_share_a_name(self):
+        # both wrapped TargetValueDifference specs are displayed under the functor name
+        def tvd(index):
+            return {"functor": "TargetValueDifference", "config": {"index": index}, "wrapped": "O"}
+
+        dones = [self.bounds("A", wrapped=tvd(0)), self.bounds("B", wrapped=tvd(1))]
+        assert self.codes(self.tree([self.observe], dones)) == []
+
+    def test_unnamed_specs_share_the_functor_name(self):
+        dones = [self.bounds(), self.bounds(bound=5.0)]
+        assert self.codes(self.tree([self.observe], dones)) == [("DuplicateName", "agents/0/dones/1")]
+
+    def test_one_namespace_across_lists(self):
+        dones = [self.bounds("O")]
+        assert self.codes(self.tree([self.observe], dones)) == [("DuplicateName", "agents/0/dones/0")]
+
+
 class TestSerialization:
     def test_round_trip_through_validation(self):
         config, _ = validate_environment_file(CONFIG_DIR / "docking" / "environment.yml")

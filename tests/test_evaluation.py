@@ -30,8 +30,9 @@ from envforge.evaluation import (
     write_metrics,
 )
 from envforge.evaluation.artifact import ArtifactError, TruncatedArtifact
-from envforge.evaluation.evaluate import _case_overrides
+from envforge.evaluation.evaluate import _case_overrides, run_episode
 from envforge.environment import Environment
+from envforge.policies import Policy
 
 from conftest import CONFIG_DIR
 
@@ -148,6 +149,25 @@ class TestRollout:
         assert artifact.final_outcome == {"deputy_agent": "DRAW"}
         assert artifact.truncated
         assert len(artifact.steps) == 300
+
+    def test_run_episode_records_scalar_fragment(self):
+        # step() reads a fragment as np.atleast_1d(np.asarray(frag, float)), so a
+        # bare float is a valid one-element command; the recorder must read it
+        # the same way.
+        class ConstantThrust(Policy):
+            def _compute(self, observation, action_space):
+                return {"ThrustControl": 0.05}
+
+        env = Environment(short_config())
+        for agent in env.agents.values():
+            agent.policy = ConstantThrust()
+        artifact = run_episode(env, seed=0)
+        assert artifact.error is None
+        # constant thrust reaches the dock too fast
+        assert artifact.steps and artifact.final_outcome == {"deputy_agent": "LOSS"}
+        for step in artifact.steps:
+            assert step.actions == {"deputy_agent": {"ThrustControl": [0.05]}}
+            assert step.platform_states["deputy"]["thrust"] == 0.05
 
     def test_evaluate_writes_one_artifact_per_case(self, tmp_path):
         paths = evaluate(short_config(), docking_cases(), tmp_path)

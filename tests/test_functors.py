@@ -1,9 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from envforge.environment import Environment
 from envforge.epp import Constant, EpisodeParameterProvider, ParameterSpec
+from envforge.evaluation.evaluate import run_episode
+from envforge.functors import base as functors_base
 from envforge.functors.base import (
     DoneResult,
     DoneStatusCode,
@@ -17,7 +21,9 @@ from envforge.parts import Platform
 from envforge.simulators.cartpole import CartPoleState
 from envforge.simulators.cartpole import _state_sensor as cartpole_state_sensor
 from envforge.simulators.docking import Deputy1d, _position_sensor, _velocity_sensor
-from envforge.units import METER, Quantity
+from envforge.units import METER, METER_PER_SECOND, Quantity, get_unit
+
+from conftest import CONFIG_DIR, load_env_config
 
 
 def cartpole_platform(x=0.0, xdot=0.0, theta=0.0, thetadot=0.0):
@@ -406,3 +412,55 @@ class TestRewards:
         assert functor.evaluate(state, {"D": DoneResult(DoneStatusCode.WIN)}) == 10.0
         assert functor.evaluate(state, {"D": DoneResult(DoneStatusCode.LOSS)}) == -10.0
         assert functor.evaluate(state, {"D": DoneResult(DoneStatusCode.DRAW)}) == 0.0
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Replace ``fn`` with a counting wrapper in every envforge module that binds it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "envforge" and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+class TestSettingsResolvedOnce:
+    """Config settings are parsed at build and converted on first use; references per call."""
+
+    # (functor, parameter) pairs param() converts from config or a default:
+    # docking's shaping target; cartpole's two difference targets and the
+    # min and max of its two bounds
+    CONVERTED = {"docking": 1, "cartpole": 6}
+
+    @pytest.mark.parametrize("task", ["docking", "cartpole"])
+    def test_episodes_convert_each_value_once(self, task, monkeypatch):
+        env = Environment(load_env_config(CONFIG_DIR / task / "environment.yml"))
+        as_quantity = count_calls(monkeypatch, functors_base._as_quantity)
+        unit_lookups = count_calls(monkeypatch, get_unit)
+        for seed in (1, 2, 3):
+            artifact = run_episode(env, seed=seed)
+            assert artifact.error is None and artifact.steps
+            assert all(code is not None for code in artifact.final_outcome.values())
+            # a value is converted on its first call (the first reset for
+            # glues, the first step for dones and rewards) and never again
+            assert len(as_quantity) == self.CONVERTED[task]
+        assert unit_lookups == []
+
+    def test_references_are_read_per_episode(self, docking_config):
+        env = Environment(docking_config)
+        success = env.agents["deputy_agent"].graph.by_name["DockingSuccess"]
+        start = {
+            "deputy.x0": Quantity.scalar(-1.0, METER),
+            "deputy.v0": Quantity.scalar(0.0, METER_PER_SECOND),
+        }
+        for radius, fires in [(2.0, True), (0.5, False), (2.0, True)]:
+            env.reset(seed=0, overrides={**start, "dock_radius": Quantity.scalar(radius, METER)})
+            assert success.functor.param(env.state, "dock_radius").item == radius
+            result = success.functor.evaluate(env.state)
+            assert (result is not None and result.code is DoneStatusCode.WIN) is fires

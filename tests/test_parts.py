@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envforge.parts import (
     Box,
@@ -137,6 +139,30 @@ class TestController:
         ctrl.reset()
         assert ctrl.pending is None and ctrl.clamp_count == 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_apply_matches_np_clip_bit_for_bit(self, data):
+        # Signed zeros are the case where clamping orders differ: np.clip keeps
+        # the sign that maximum-then-minimum keeps.
+        edge = st.sampled_from([0.0, -0.0, 1.0, -1.0])
+        finite = st.one_of(edge, st.floats(allow_nan=False, allow_infinity=False))
+        shape = data.draw(st.integers(1, 4))
+        ends = data.draw(st.lists(st.tuples(finite, finite), min_size=shape, max_size=shape))
+        # sorted() keeps the drawn order of equal ends, so low may be 0.0 with high -0.0
+        low, high = (np.array(end) for end in zip(*(sorted(pair) for pair in ends)))
+        box = Box(shape, low, high, NONE, name="p")
+        on_bound = st.integers(0, shape - 1).flatmap(
+            lambda i: st.sampled_from([float(low[i]), float(high[i])])
+        )
+        values = np.array(
+            data.draw(st.lists(st.one_of(finite, on_bound), min_size=shape, max_size=shape))
+        )
+        ctrl = Controller("c", box)
+        ctrl.apply(Quantity(values, NONE))
+        expected = np.clip(values, box.low, box.high)
+        assert ctrl.pending.values.tobytes() == expected.tobytes()
+        assert ctrl.clamp_count == int(not np.array_equal(expected, values))
+
 
 class TestPlatform:
     def test_duplicate_part_rejected(self):
@@ -152,6 +178,14 @@ class TestPlatform:
         platform.add_part(Sensor("s", position_property(), lambda _: Quantity.scalar(0.0, METER)))
         assert set(platform.sensors()) == {"s"}
         assert set(platform.controllers()) == {"c"}
+
+    def test_controllers_include_one_added_later(self):
+        platform = Platform("p", "T")
+        platform.add_part(Controller("c", Box(1, -1.0, 1.0, NONE, name="t")))
+        assert platform.controllers() is platform.controllers()  # built once
+        assert set(platform.controllers()) == {"c"}
+        platform.add_part(Controller("d", Box(1, -1.0, 1.0, NONE, name="t")))
+        assert set(platform.controllers()) == {"c", "d"}
 
 
 class TestPluginRegistry:
