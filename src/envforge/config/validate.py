@@ -16,6 +16,7 @@ from .. import epp as epp_mod
 from ..epp import DISTRIBUTION_KINDS, Increment, ParameterSpec
 from ..functors.base import ExtractorSpec, FunctorSpec
 from ..functors.graph import FUNCTOR_REGISTRY
+from ..params import parse_params
 from ..parts import GLOBAL_REGISTRY, PluginRegistry
 from ..policies import POLICY_REGISTRY, SCRIPTED_RULES
 from ..simulators import SIMULATORS
@@ -45,6 +46,7 @@ class ErrorCode(enum.Enum):
     PARSE_ERROR = "ParseError"
     INCLUDE_CYCLE = "IncludeCycle"
     DUPLICATE_NAME = "DuplicateName"
+    UNKNOWN_FIELD = "UnknownField"
 
 
 @dataclass(frozen=True)
@@ -217,16 +219,10 @@ def parse_parameter_store(tree, path: str, report: ValidationReport) -> dict[str
     return store
 
 
-def _parse_config_values(tree: dict, path: str, report: ValidationReport) -> dict:
-    """Check unit fields inside a functor config block and keep values raw."""
-    out = {}
-    for key, value in tree.items():
-        if isinstance(value, dict) and set(value) == {"value", "unit"}:
-            _check_unit(value["unit"], _join(path, key, "unit"), report)
-        elif key == "unit":
-            _check_unit(value, _join(path, key), report)
-        out[key] = value
-    return out
+def _add_param_errors(errors, path: str, report: ValidationReport) -> None:
+    """Add the errors of a ``parse_params`` call to the report, under path."""
+    for field_path, code, message in errors:
+        report.add(_join(path, field_path), ErrorCode(code), message)
 
 
 def parse_functor_spec(
@@ -252,18 +248,10 @@ def parse_functor_spec(
         return None
 
     name = v.optional(tree, "name", path, str)
-    config_tree = v.optional(tree, "config", path, dict, {})
-    config = _parse_config_values(config_tree, _join(path, "config"), report)
-
-    for req in cls.required:
-        if req not in config and req not in tree.get("references", {}):
-            report.add(
-                _join(path, "config", req),
-                ErrorCode.MISSING_FIELD,
-                f"functor '{functor}' requires config field '{req}'",
-            )
-
+    config = v.optional(tree, "config", path, dict, {})
     references = v.optional(tree, "references", path, dict, {})
+    _add_param_errors(parse_params(cls.params, config, references)[1], path, report)
+    units = {p.name: p.unit for p in cls.params if p.referenceable}
     for param, key in references.items():
         rpath = _join(path, "references", param)
         if not isinstance(key, str):
@@ -272,16 +260,15 @@ def parse_functor_spec(
         if key not in known_references:
             report.add(rpath, ErrorCode.UNKNOWN_REFERENCE, f"reference key '{key}' is not declared")
             continue
-        required_dim = cls.reference_dimensions.get(param)
-        if required_dim is not None:
-            actual = known_references[key].unit.dimension.value
-            if actual != required_dim:
-                report.add(
-                    rpath,
-                    ErrorCode.DIMENSION_MISMATCH,
-                    f"'{param}' expects dimension '{required_dim}' but reference "
-                    f"'{key}' has dimension '{actual}'",
-                )
+        unit = units.get(param)
+        actual = known_references[key].unit.dimension
+        if unit is not None and actual is not unit.dimension:
+            report.add(
+                rpath,
+                ErrorCode.DIMENSION_MISMATCH,
+                f"'{param}' expects dimension '{unit.dimension.value}' but reference "
+                f"'{key}' has dimension '{actual.value}'",
+            )
 
     wrapped_tree = tree.get("wrapped")
     wrapped = _parse_wrapped(wrapped_tree, _join(path, "wrapped"), report, known_references)
@@ -460,6 +447,8 @@ def _parse_policy(tree: dict, path: str, report: ValidationReport) -> PolicyConf
                 ErrorCode.TYPE_MISMATCH,
                 f"unknown scripted rule '{rule}' (expected one of {sorted(SCRIPTED_RULES)})",
             )
+        elif rule is not None:
+            _add_param_errors(SCRIPTED_RULES[rule].parse(config)[1], path, report)
     return PolicyConfig(name, config)
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 from .artifact import SCHEMA_VERSION, EpisodeArtifact, StepRecord, load_artifacts
 from .evaluate import (
     EvaluationError,
+    InvalidCaseParameter,
     TestCase,
     UnknownCaseParameter,
     evaluate,
@@ -72,6 +73,7 @@ __all__ = [
     "StepRecord",
     "load_artifacts",
     "EvaluationError",
+    "InvalidCaseParameter",
     "TestCase",
     "UnknownCaseParameter",
     "evaluate",

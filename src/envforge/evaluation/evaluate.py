@@ -9,6 +9,7 @@ both drive it.
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 from ..config.schema import EnvironmentConfig
 from ..environment import Environment
 from ..policies import POLICY_REGISTRY
-from ..units import Quantity, get_unit
+from ..units import Quantity, UnitError, value_in
 from .artifact import EpisodeArtifact, StepRecord, write_atomic
 
 log = logging.getLogger(__name__)
@@ -31,6 +32,11 @@ class EvaluationError(Exception):
 class UnknownCaseParameter(EvaluationError):
     def __init__(self, case: str, name: str):
         super().__init__(f"test case '{case}': unknown parameter '{name}'")
+
+
+class InvalidCaseParameter(EvaluationError):
+    def __init__(self, case: str, name: str, reason: str):
+        super().__init__(f"test case '{case}': parameter '{name}': {reason}")
 
 
 @dataclass
@@ -57,16 +63,23 @@ def parse_condition_set(tree) -> list[TestCase]:
 
 
 def _case_overrides(env: Environment, case: TestCase) -> dict[str, Quantity]:
-    """Fixed per-case values; bare numbers take the declared parameter's unit."""
+    """Fixed, finite per-case values in each declared parameter's unit.
+
+    A bare number takes the declared unit; a ``{value, unit}`` mapping is
+    converted to it.
+    """
     overrides = {}
     for name, raw in case.parameters.items():
         spec = env.epp.specs.get(name)
         if spec is None:
             raise UnknownCaseParameter(case.name, name)
-        if isinstance(raw, dict):
-            overrides[name] = Quantity.scalar(float(raw["value"]), get_unit(raw["unit"]))
-        else:
-            overrides[name] = Quantity.scalar(float(raw), spec.unit)
+        try:
+            value = value_in(raw, spec.unit)
+        except (TypeError, ValueError, UnitError) as exc:
+            raise InvalidCaseParameter(case.name, name, str(exc)) from exc
+        if not math.isfinite(value):
+            raise InvalidCaseParameter(case.name, name, f"value {value} is not finite")
+        overrides[name] = Quantity.scalar(value, spec.unit)
     return overrides
 
 

@@ -14,8 +14,9 @@ from typing import Any, Union
 
 import numpy as np
 
+from ..params import Param, parse_params
 from ..parts import Box, Platform
-from ..units import NONE, Quantity, Unit, get_unit
+from ..units import Quantity, Unit
 
 
 class FunctorError(Exception):
@@ -89,13 +90,15 @@ class EpisodeState:
 
 
 class Functor:
-    """Base for all functors; state is episode-local and cleared by reset()."""
+    """Base for all functors; state is episode-local and cleared by reset().
+
+    ``params`` is the functor's table of config keys.  A key it does not
+    declare, a value its converter rejects or a missing required key fails
+    construction with a ``FunctorError`` naming the functor and the field.
+    """
 
     kind: str = ""
-    #: config keys that must be present (after merging references)
-    required: tuple[str, ...] = ()
-    #: parameter name -> dimension tag enforced at config validation time
-    reference_dimensions: dict[str, str] = {}
+    params: tuple[Param, ...] = ()
 
     def __init__(
         self,
@@ -106,39 +109,32 @@ class Functor:
     ):
         self.spec = spec
         self.name = spec.display_name
-        self.config = spec.config
-        self.references = spec.references
+        self.settings, errors = parse_params(self.params, spec.config, spec.references)
+        if errors:
+            path, _, message = errors[0]
+            raise FunctorError(f"{self.name} ({spec.functor}): {path}: {message}")
+        units = {p.name: p.unit for p in self.params}
+        # param name -> (reference-store key, declared unit), for each param sampled per episode
+        self._references = {name: (key, units[name]) for name, key in spec.references.items()}
         self.children = children
         self.extractor = extractor
         self.platforms = platforms
-        # (name, unit) -> the config or default value of param(), converted once
-        self._params: dict[tuple[str, Unit | None], Quantity] = {}
 
     def reset(self) -> None:
         """Clear episode-local state."""
 
-    def param(self, state: EpisodeState, name: str, unit: Unit | None = None, default=None):
-        """A parameter value: reference-store lookup first, then config, then default.
+    def param(self, state: EpisodeState, name: str) -> float:
+        """A referenceable parameter's value, in its declared unit.
 
-        A reference is looked up on every call, because each episode samples
-        it anew.  A config or default value cannot change, so it is converted
-        on the first call and kept; a parameter name has one default.
+        A referenced parameter is looked up on every call, because each
+        episode samples it anew; any other returns its setting.
         """
-        if name in self.references:
-            q = state.reference(self.references[name])
-            return q.to(unit) if unit is not None else q
-        q = self._params.get((name, unit))
-        if q is None:
-            if name in self.config:
-                q = _as_quantity(self.config[name])
-            elif default is not None:
-                q = _as_quantity(default)
-            else:
-                raise FunctorError(f"{self.name}: missing parameter '{name}'")
-            if unit is not None:
-                q = q.to(unit)
-            self._params[name, unit] = q
-        return q
+        reference = self._references.get(name)
+        if reference is None:
+            return self.settings[name]
+        key, unit = reference
+        q = state.reference(key)
+        return (q if unit is None else q.to(unit)).item
 
     def child_observation(self, state: EpisodeState, key: str | None = None) -> Quantity:
         """The (single) observation of a wrapped child, by child key."""
@@ -250,13 +246,3 @@ class FunctorNode:
     children: tuple[str, ...]
     observation_space: dict[str, Box] = field(default_factory=dict)
     action_space: Box | None = None
-
-
-def _as_quantity(value) -> Quantity:
-    if isinstance(value, Quantity):
-        return value
-    if isinstance(value, dict) and "value" in value:
-        return Quantity.scalar(float(value["value"]), get_unit(value.get("unit", "none")))
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return Quantity(np.asarray(value, dtype=float), NONE)
-    return Quantity.scalar(float(value), NONE)

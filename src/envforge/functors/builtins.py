@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 
+from ..params import Param, boolean, string
 from ..parts import Box, Controller, Sensor
-from ..units import NONE, Quantity, get_unit
+from ..units import METER, METER_PER_SECOND, NONE, Quantity, get_unit
 from .base import (
     Done,
     DoneResult,
@@ -22,6 +23,8 @@ from .graph import register_functor
 
 
 def _find_part(platforms, part_name: str, platform_name: str | None, part_type):
+    if platform_name and platform_name not in platforms:
+        raise PartBindingError(f"platform '{platform_name}' not found in {sorted(platforms)}")
     candidates = (
         [platforms[platform_name]] if platform_name else list(platforms.values())
     )
@@ -37,14 +40,18 @@ def _find_part(platforms, part_name: str, platform_name: str | None, part_type):
 class ObserveSensor(Glue):
     """Exposes a sensor measurement, optionally min-max normalized into [-1, 1]."""
 
-    required = ("sensor",)
+    params = (
+        Param("sensor", string),
+        Param("platform", string, default=None),
+        Param("normalize", boolean, default=True),
+    )
 
     def __init__(self, spec, children, extractor, platforms):
         super().__init__(spec, children, extractor, platforms)
         self.platform, self.sensor = _find_part(
-            platforms, self.config["sensor"], self.config.get("platform"), Sensor
+            platforms, self.settings["sensor"], self.settings["platform"], Sensor
         )
-        self.normalize = bool(self.config.get("normalize", True))
+        self.normalize = self.settings["normalize"]
         prop = self.sensor.property
         self._bounded = np.isfinite(prop.low) & np.isfinite(prop.high)
         span = np.where(self._bounded, prop.high - prop.low, 1.0)
@@ -73,12 +80,12 @@ class ObserveSensor(Glue):
 class ControllerGlue(Glue):
     """Forwards an agent action fragment to a controller's pending buffer."""
 
-    required = ("controller",)
+    params = (Param("controller", string), Param("platform", string, default=None))
 
     def __init__(self, spec, children, extractor, platforms):
         super().__init__(spec, children, extractor, platforms)
         self.platform, self.controller = _find_part(
-            platforms, self.config["controller"], self.config.get("platform"), Controller
+            platforms, self.settings["controller"], self.settings["platform"], Controller
         )
 
     def action_space(self):
@@ -91,19 +98,27 @@ class ControllerGlue(Glue):
 class TargetValueDifference(Glue):
     """target_value minus one element of the wrapped glue's observation."""
 
+    params = (
+        Param("unit", get_unit, default=NONE),
+        Param("index", int, default=0),
+        Param("min", default=-math.inf),
+        Param("max", default=math.inf),
+        Param("target_value", default=0.0, referenceable=True),
+    )
+
     def __init__(self, spec, children, extractor, platforms):
         super().__init__(spec, children, extractor, platforms)
-        self.unit = get_unit(self.config.get("unit", "none"))
-        self.index = int(self.config.get("index", 0))
+        self.unit = self.settings["unit"]
+        self.index = self.settings["index"]
 
     def observation_space(self):
-        low = float(self.config.get("min", -np.inf))
-        high = float(self.config.get("max", np.inf))
-        return {"target_value_difference": Box(1, low, high, self.unit)}
+        return {
+            "target_value_difference": Box(1, self.settings["min"], self.settings["max"], self.unit)
+        }
 
     def get_observation(self, state):
         child = self.child_observation(state)
-        target = self.param(state, "target_value", default=0.0).item
+        target = self.param(state, "target_value")
         return {
             "target_value_difference": Quantity.scalar(
                 target - float(child.values[self.index]), self.unit
@@ -205,10 +220,11 @@ class EpisodeHorizon(SharedDone):
     """Truncates the episode (DRAW) once the step counter reaches the horizon:
     ``horizon`` from config, else the environment's."""
 
+    params = (Param("horizon", int, default=None),)
+
     def __init__(self, spec, children, extractor, platforms):
         super().__init__(spec, children, extractor, platforms)
-        horizon = self.config.get("horizon")
-        self.horizon = None if horizon is None else int(horizon)
+        self.horizon = self.settings["horizon"]
 
     def evaluate(self, state):
         horizon = state.horizon if self.horizon is None else self.horizon
@@ -220,17 +236,23 @@ class EpisodeHorizon(SharedDone):
 class StateBounds(Done):
     """Fires when the extracted (or wrapped) observation leaves [min, max]."""
 
+    params = (
+        Param("min", default=-math.inf, referenceable=True),
+        Param("max", default=math.inf, referenceable=True),
+        Param("status", DoneStatusCode.__getitem__, default=DoneStatusCode.LOSS),
+    )
+
     def __init__(self, spec, children, extractor, platforms):
         super().__init__(spec, children, extractor, platforms)
-        self.code = DoneStatusCode[self.config.get("status", "LOSS")]
+        self.code = self.settings["status"]
 
     def evaluate(self, state):
         if self.extractor is not None:
             value = self.extractor.value(state).values
         else:
             value = self.child_observation(state).values
-        low = self.param(state, "min", default=-math.inf).values
-        high = self.param(state, "max", default=math.inf).values
+        low = self.param(state, "min")
+        high = self.param(state, "max")
         if (value < low).any() or (value > high).any():
             return DoneResult(self.code)
         return None
@@ -239,20 +261,25 @@ class StateBounds(Done):
 class DockingSuccess(Done):
     """WIN when the craft is within dock_radius at a safe closing speed."""
 
-    required = ("dock_radius", "velocity_limit")
-    reference_dimensions = {"dock_radius": "length", "velocity_limit": "velocity"}
+    params = (
+        Param("dock_radius", unit=METER, referenceable=True),
+        Param("velocity_limit", unit=METER_PER_SECOND, referenceable=True),
+        Param("platform", string, default=None),
+    )
 
     def __init__(self, spec, children, extractor, platforms):
         super().__init__(spec, children, extractor, platforms)
-        self.platform_name = self.config.get("platform") or next(iter(self.platforms))
+        self.platform_name = self.settings["platform"] or next(iter(platforms))
+        if self.platform_name not in platforms:
+            raise PartBindingError(f"platform '{self.platform_name}' not found in {sorted(platforms)}")
 
     def _entity(self, state):
         return state.platforms[self.platform_name].state
 
     def evaluate(self, state):
         entity = self._entity(state)
-        radius = self.param(state, "dock_radius").item
-        v_max = self.param(state, "velocity_limit").item
+        radius = self.param(state, "dock_radius")
+        v_max = self.param(state, "velocity_limit")
         if abs(entity.x) <= radius and abs(entity.xdot) <= v_max:
             return DoneResult(DoneStatusCode.WIN)
         return None
@@ -263,8 +290,8 @@ class DockingFailure(DockingSuccess):
 
     def evaluate(self, state):
         entity = self._entity(state)
-        radius = self.param(state, "dock_radius").item
-        v_max = self.param(state, "velocity_limit").item
+        radius = self.param(state, "dock_radius")
+        v_max = self.param(state, "velocity_limit")
         if abs(entity.x) <= radius and abs(entity.xdot) > v_max:
             return DoneResult(DoneStatusCode.LOSS)
         return None
@@ -276,9 +303,11 @@ class DockingFailure(DockingSuccess):
 class ConstantStepReward(Reward):
     """A fixed payment every step on which no done has fired for the agent."""
 
+    params = (Param("reward", default=1.0),)
+
     def __init__(self, spec, children, extractor, platforms):
         super().__init__(spec, children, extractor, platforms)
-        self.reward = float(self.config.get("reward", 1.0))
+        self.reward = self.settings["reward"]
 
     def evaluate(self, state, done_results):
         if done_results:
@@ -293,13 +322,18 @@ class ExponentialDecayFromTargetValue(Reward):
     the payment is multiplied by ``reward_when_farther`` (default 0).
     """
 
-    required = ("eps",)
+    params = (
+        Param("eps"),
+        Param("scale", default=1.0),
+        Param("reward_when_farther", default=0.0),
+        Param("target_value", default=0.0, referenceable=True),
+    )
 
     def __init__(self, spec, children, extractor, platforms):
         super().__init__(spec, children, extractor, platforms)
-        self.eps = float(self.config["eps"])
-        self.scale = float(self.config.get("scale", 1.0))
-        self.reward_when_farther = float(self.config.get("reward_when_farther", 0.0))
+        self.eps = self.settings["eps"]
+        self.scale = self.settings["scale"]
+        self.reward_when_farther = self.settings["reward_when_farther"]
         self._previous_distance: float | None = None
 
     def reset(self):
@@ -310,7 +344,7 @@ class ExponentialDecayFromTargetValue(Reward):
             value = float(self.extractor.value(state).values[0])
         else:
             value = float(self.child_observation(state).values[0])
-        target = self.param(state, "target_value", default=0.0).item
+        target = self.param(state, "target_value")
         distance = abs(value - target)
         reward = self.scale * math.exp(-distance / self.eps)
         if self._previous_distance is not None and distance > self._previous_distance:
@@ -322,11 +356,11 @@ class ExponentialDecayFromTargetValue(Reward):
 class DoneStatusReward(Reward):
     """Pays configured amounts keyed by the done status codes fired this step."""
 
+    params = tuple(Param(code.value.lower(), default=0.0) for code in DoneStatusCode)
+
     def __init__(self, spec, children, extractor, platforms):
         super().__init__(spec, children, extractor, platforms)
-        self.amounts = {
-            code: float(self.config.get(code.value.lower(), 0.0)) for code in DoneStatusCode
-        }
+        self.amounts = {code: self.settings[code.value.lower()] for code in DoneStatusCode}
 
     def evaluate(self, state, done_results):
         total = 0.0

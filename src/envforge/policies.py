@@ -8,10 +8,12 @@ from the agent file's policy block.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Callable
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
+from .params import Param, parse_params, string
 from .parts import Box
 from .units import Quantity
 
@@ -82,11 +84,27 @@ class RandomPolicy(Policy):
 
 ScriptedRule = Callable[[ObservationDict, ActionSpace], ActionDict]
 
-SCRIPTED_RULES: dict[str, Callable[[dict], ScriptedRule]] = {}
+
+@dataclass(frozen=True)
+class RegisteredRule:
+    """A scripted rule's factory, called with the settings its table parses from the config."""
+
+    factory: Callable[[dict[str, Any]], ScriptedRule]
+    params: tuple[Param, ...]
+
+    def parse(self, config: Mapping):
+        """``parse_params`` over a scripted policy's config, whose ``rule`` key names the rule."""
+        return parse_params(self.params, {k: v for k, v in config.items() if k != "rule"}, {})
 
 
-def register_scripted_rule(name: str, factory: Callable[[dict], ScriptedRule]) -> None:
-    SCRIPTED_RULES[name] = factory
+SCRIPTED_RULES: dict[str, RegisteredRule] = {}
+
+
+def register_scripted_rule(
+    name: str, factory: Callable[[dict[str, Any]], ScriptedRule], params: tuple[Param, ...]
+) -> None:
+    """Register a rule under name; ``params`` declares every key of its config but ``rule``."""
+    SCRIPTED_RULES[name] = RegisteredRule(factory, params)
 
 
 class ScriptedPolicy(Policy):
@@ -99,7 +117,12 @@ class ScriptedPolicy(Policy):
             raise PolicyError(
                 f"unknown scripted rule '{rule_name}' (registered: {sorted(SCRIPTED_RULES)})"
             )
-        self._rule = SCRIPTED_RULES[rule_name](config)
+        rule = SCRIPTED_RULES[rule_name]
+        settings, errors = rule.parse(config)
+        if errors:
+            path, _, message = errors[0]
+            raise PolicyError(f"scripted rule '{rule_name}': {path}: {message}")
+        self._rule = rule.factory(settings)
         super().__init__(config, seed)
 
     def _compute(self, observation, action_space):
@@ -145,27 +168,38 @@ POLICY_REGISTRY: dict[str, type[Policy]] = {
 # Built-in scripted rules ----------------------------------------------------
 
 
-def _zero_rule(config: dict) -> ScriptedRule:
+def _zero_rule(settings: dict) -> ScriptedRule:
     def rule(observation, action_space):
         return {n: np.zeros(b.shape) for n, b in action_space.items()}
 
     return rule
 
 
-def _bang_bang_docking(config: dict) -> ScriptedRule:
+_BANG_BANG_DOCKING_PARAMS = (
+    Param("position_obs", string, default="ObservePosition/direct_observation"),
+    Param("velocity_obs", string, default="ObserveVelocity/direct_observation"),
+    Param("action_glue", string, default="ThrustControl"),
+    Param("thrust", default=0.1),
+    Param("v_cruise", default=0.15),
+    Param("gain", default=0.1),
+    Param("band", default=0.01),
+)
+
+
+def _bang_bang_docking(settings: dict) -> ScriptedRule:
     """Bang-off-bang thrust tracking a braking velocity profile toward x = 0.
 
     Accelerates toward the dock up to a cruise speed, then follows a
     proportional slow-down profile near the dock so arrival speed stays under
     the docking limit.
     """
-    position_obs = config.get("position_obs", "ObservePosition/direct_observation")
-    velocity_obs = config.get("velocity_obs", "ObserveVelocity/direct_observation")
-    action_glue = config.get("action_glue", "ThrustControl")
-    thrust = float(config.get("thrust", 0.1))
-    v_cruise = float(config.get("v_cruise", 0.15))
-    gain = float(config.get("gain", 0.1))
-    band = float(config.get("band", 0.01))
+    position_obs = settings["position_obs"]
+    velocity_obs = settings["velocity_obs"]
+    action_glue = settings["action_glue"]
+    thrust = settings["thrust"]
+    v_cruise = settings["v_cruise"]
+    gain = settings["gain"]
+    band = settings["band"]
 
     def rule(observation, action_space):
         x = float(observation[position_obs].values[0])
@@ -183,5 +217,5 @@ def _bang_bang_docking(config: dict) -> ScriptedRule:
     return rule
 
 
-register_scripted_rule("zero", _zero_rule)
-register_scripted_rule("bang_bang_docking", _bang_bang_docking)
+register_scripted_rule("zero", _zero_rule, ())
+register_scripted_rule("bang_bang_docking", _bang_bang_docking, _BANG_BANG_DOCKING_PARAMS)

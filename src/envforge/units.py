@@ -94,6 +94,8 @@ _ALIASES = {"n/a": "none"}
 
 def get_unit(name: str) -> Unit:
     """Look up a unit by its config-file name (case-insensitive)."""
+    if not isinstance(name, str):
+        raise TypeError(f"unit name must be a string, got {type(name).__name__}")
     key = name.strip().lower()
     key = _ALIASES.get(key, key)
     unit = REGISTRY.get(key)
@@ -163,6 +165,20 @@ class Quantity:
 
     def __repr__(self) -> str:
         return f"Quantity({self.values.tolist()}, {self.unit.name})"
+
+
+def value_in(raw, unit: Unit) -> float:
+    """A config value as a number in ``unit``.
+
+    A bare number is taken to be in ``unit``; a ``{value, unit}`` mapping is
+    converted to it.  Raises ``TypeError`` or ``ValueError`` for a malformed
+    value, ``UnknownUnit`` and ``DimensionMismatch``.
+    """
+    if isinstance(raw, dict):
+        if set(raw) != {"value", "unit"}:
+            raise TypeError(f"expected a number or a {{value, unit}} mapping, got keys {list(raw)}")
+        return convert(Quantity.scalar(float(raw["value"]), get_unit(raw["unit"])), unit).item
+    return float(raw)
 
 
 def convert(q: Quantity, target: Unit) -> Quantity:

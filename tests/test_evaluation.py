@@ -6,6 +6,7 @@ import pytest
 from envforge.config.validate import validate_environment_file
 from envforge.evaluation import (
     EpisodeArtifact,
+    InvalidCaseParameter,
     KindMismatch,
     MetricCycle,
     MetricSpec,
@@ -33,6 +34,7 @@ from envforge.evaluation.artifact import ArtifactError, TruncatedArtifact
 from envforge.evaluation.evaluate import _case_overrides, run_episode
 from envforge.environment import Environment
 from envforge.policies import Policy
+from envforge.units import METER, Quantity
 
 from conftest import CONFIG_DIR
 
@@ -137,6 +139,34 @@ class TestRollout:
         env = Environment(short_config())
         overrides = _case_overrides(env, TestCase("c", {"deputy.x0": -5.0}))
         assert overrides["deputy.x0"].unit.name == "meter"
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            float("nan"),
+            float("inf"),
+            -float("inf"),
+            {"value": -5.0},
+            {"value": -5.0, "unit": "second"},
+            {"value": -5.0, "unit": "furlong"},
+            {"value": float("nan"), "unit": "meter"},
+            "far",
+        ],
+    )
+    def test_invalid_case_value_names_case_and_parameter(self, raw):
+        env = Environment(short_config())
+        with pytest.raises(InvalidCaseParameter, match="'bad'.*'deputy.x0'"):
+            _case_overrides(env, TestCase("bad", {"deputy.x0": raw}))
+
+    def test_rollout_rejects_invalid_case_value_before_the_episode(self):
+        with pytest.raises(InvalidCaseParameter):
+            rollout(short_config(), TestCase("bad", {"deputy.x0": float("nan")}))
+
+    def test_case_value_with_unit_is_converted_to_declared_unit(self):
+        env = Environment(short_config())
+        raw = {"value": -500.0, "unit": "centimeter"}
+        overrides = _case_overrides(env, TestCase("c", {"deputy.x0": raw}))
+        assert overrides["deputy.x0"] == Quantity.scalar(-5.0, METER)
 
     def test_rollout_solvable_case_wins(self):
         artifact = rollout(short_config(), TestCase("near", {"deputy.x0": -5.0}))

@@ -7,7 +7,7 @@ import pytest
 from envforge.environment import Environment
 from envforge.epp import Constant, EpisodeParameterProvider, ParameterSpec
 from envforge.evaluation.evaluate import run_episode
-from envforge.functors import base as functors_base
+from envforge import params
 from envforge.functors.base import (
     DoneResult,
     DoneStatusCode,
@@ -21,7 +21,7 @@ from envforge.parts import Platform
 from envforge.simulators.cartpole import CartPoleState
 from envforge.simulators.cartpole import _state_sensor as cartpole_state_sensor
 from envforge.simulators.docking import Deputy1d, _position_sensor, _velocity_sensor
-from envforge.units import METER, METER_PER_SECOND, Quantity, get_unit
+from envforge.units import METER, METER_PER_SECOND, NONE, Quantity, get_unit
 
 from conftest import CONFIG_DIR, load_env_config
 
@@ -39,9 +39,10 @@ def docking_platform(x=0.0, xdot=0.0):
     return {"deputy": platform}
 
 
-def make_state(platforms, reference_values=None, horizon=1000):
+def make_state(platforms, reference_values=None, horizon=1000, units=None):
+    units = units or {}
     epp = EpisodeParameterProvider(
-        [ParameterSpec(k, Constant(v)) for k, v in (reference_values or {}).items()]
+        [ParameterSpec(k, Constant(v), units.get(k, NONE)) for k, v in (reference_values or {}).items()]
     )
     epp.sample_episode(0)
     return EpisodeState(platforms, epp, horizon)
@@ -305,7 +306,7 @@ class TestDones:
             references={"dock_radius": "dock_radius", "velocity_limit": "v_max"},
         )
         graph = build_graph(platforms, glues=[], dones=[success, failure])
-        state = make_state(platforms, refs)
+        state = make_state(platforms, refs, units={"dock_radius": METER, "v_max": METER_PER_SECOND})
         assert graph.dones[0].functor.evaluate(state).code is DoneStatusCode.WIN
         assert graph.dones[1].functor.evaluate(state) is None
 
@@ -431,25 +432,27 @@ def count_calls(monkeypatch, fn) -> list:
 
 
 class TestSettingsResolvedOnce:
-    """Config settings are parsed at build and converted on first use; references per call."""
+    """Config settings are parsed and converted at build; references per call."""
 
-    # (functor, parameter) pairs param() converts from config or a default:
-    # docking's shaping target; cartpole's two difference targets and the
-    # min and max of its two bounds
-    CONVERTED = {"docking": 1, "cartpole": 6}
+    # one parse per functor node and scripted policy: docking's 3 glues,
+    # 2 dones, 2 rewards, the horizon and its policy; cartpole's 2 glues,
+    # 2 differences, 2 bounds, 1 reward and the horizon
+    PARSED = {"docking": 9, "cartpole": 8}
 
     @pytest.mark.parametrize("task", ["docking", "cartpole"])
     def test_episodes_convert_each_value_once(self, task, monkeypatch):
-        env = Environment(load_env_config(CONFIG_DIR / task / "environment.yml"))
-        as_quantity = count_calls(monkeypatch, functors_base._as_quantity)
+        config = load_env_config(CONFIG_DIR / task / "environment.yml")
+        parses = count_calls(monkeypatch, params.parse_params)
+        env = Environment(config)
+        assert len(parses) == self.PARSED[task]
         unit_lookups = count_calls(monkeypatch, get_unit)
         for seed in (1, 2, 3):
             artifact = run_episode(env, seed=seed)
             assert artifact.error is None and artifact.steps
             assert all(code is not None for code in artifact.final_outcome.values())
-            # a value is converted on its first call (the first reset for
-            # glues, the first step for dones and rewards) and never again
-            assert len(as_quantity) == self.CONVERTED[task]
+            # every config value was parsed and converted when the
+            # environment was built, and none is in an episode
+            assert len(parses) == self.PARSED[task]
         assert unit_lookups == []
 
     def test_references_are_read_per_episode(self, docking_config):
@@ -461,6 +464,6 @@ class TestSettingsResolvedOnce:
         }
         for radius, fires in [(2.0, True), (0.5, False), (2.0, True)]:
             env.reset(seed=0, overrides={**start, "dock_radius": Quantity.scalar(radius, METER)})
-            assert success.functor.param(env.state, "dock_radius").item == radius
+            assert success.functor.param(env.state, "dock_radius") == radius
             result = success.functor.evaluate(env.state)
             assert (result is not None and result.code is DoneStatusCode.WIN) is fires

@@ -1,0 +1,208 @@
+"""Declared parameter tables: one parser read by both `validate` and the constructors."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from envforge.config import loader
+from envforge.config.validate import (
+    ErrorCode,
+    ValidationReport,
+    parse_functor_spec,
+    validate_environment,
+)
+from envforge.environment import Environment
+from envforge.epp import Constant, ParameterSpec
+from envforge.evaluation.evaluate import run_episode
+from envforge.functors import (
+    BUILTIN_FUNCTORS,
+    FunctorError,
+    FunctorSpec,
+    PartBindingError,
+    build_graph,
+)
+from envforge.params import Param, parse_params
+from envforge.parts import Platform
+from envforge.policies import PolicyError, ScriptedPolicy
+from envforge.simulators.docking import (
+    Deputy1d,
+    _position_sensor,
+    _thrust_controller,
+    _velocity_sensor,
+)
+from envforge.units import METER, METER_PER_SECOND, SECOND, Quantity, get_unit
+
+from conftest import CONFIG_DIR, load_env_config
+
+
+def docking_platforms():
+    platform = Platform("deputy", "Docking1dPlatform", Deputy1d(-10.0, 0.0, 1.0))
+    platform.add_part(_position_sensor("Sensor_Position", {}))
+    platform.add_part(_velocity_sensor("Sensor_Velocity", {}))
+    platform.add_part(_thrust_controller("Controller_Thrust", {"thrust_limit": 1.0}))
+    return {"deputy": platform}
+
+
+RADIUS = (Param("radius", unit=METER, referenceable=True), Param("count", int, default=1))
+
+
+class TestParseParams:
+    def test_bare_number_takes_the_declared_unit(self):
+        settings, errors = parse_params(RADIUS, {"radius": 2.0}, {})
+        assert errors == [] and settings == {"radius": 2.0, "count": 1}
+
+    def test_value_with_unit_is_converted_to_the_declared_unit(self):
+        settings, errors = parse_params(RADIUS, {"radius": {"value": 50.0, "unit": "centimeter"}}, {})
+        assert errors == [] and settings["radius"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "raw, code",
+        [
+            ({"value": 1.0, "unit": "second"}, "DimensionMismatch"),
+            ({"value": 1.0, "unit": "furlong"}, "UnknownUnit"),
+            ({"value": 1.0}, "TypeMismatch"),
+            ("far", "TypeMismatch"),
+            ([1.0], "TypeMismatch"),
+        ],
+    )
+    def test_bad_value_is_reported_at_its_field(self, raw, code):
+        settings, errors = parse_params(RADIUS, {"radius": raw}, {})
+        assert [(path, c) for path, c, _ in errors] == [("config/radius", code)]
+        assert "radius" not in settings
+
+    def test_unknown_key_and_missing_required(self):
+        _, errors = parse_params(RADIUS, {"radius_m": 1.0}, {})
+        assert [(path, c) for path, c, _ in errors] == [
+            ("config/radius_m", "UnknownField"),
+            ("config/radius", "MissingField"),
+        ]
+
+    def test_only_a_referenceable_param_may_be_referenced(self):
+        settings, errors = parse_params(RADIUS, {}, {"radius": "r"})
+        assert errors == [] and "radius" not in settings
+        _, errors = parse_params(RADIUS, {"radius": 1.0}, {"count": "n"})
+        assert [(path, c) for path, c, _ in errors] == [("references/count", "UnknownField")]
+
+    def test_int_overflow_is_a_type_mismatch(self):
+        _, errors = parse_params(RADIUS, {"radius": 1.0, "count": math.inf}, {})
+        assert [(path, c) for path, c, _ in errors] == [("config/count", "TypeMismatch")]
+
+
+# Each defect of the golden corpus, given straight to the graph builder.
+CORPUS_DEFECTS = [
+    ("ExponentialDecayFromTargetValue", {"eps": 5.0, "reward_when_farhter": 1.0}, {}, "reward_when_farhter"),
+    ("ExponentialDecayFromTargetValue", {}, {"eps": "eps"}, "eps"),
+    ("StateBounds", {"status": "LOSE"}, {}, "status"),
+    ("DockingFailure", {"velocity_limit": 0.2}, {}, "dock_radius"),
+]
+
+
+# Values for the names a functor binds to a part, so that construction can
+# fail only where parsing does; every other parameter draws from POOL.
+BOUND_NAMES = {"sensor": "Sensor_Position", "controller": "Controller_Thrust", "platform": "deputy"}
+POOL = [
+    0.5, -3, 7, math.nan, math.inf, True, None, "LOSS", "WIN", "meter", "N/A", "nope",
+    [1.0], {"value": 2.0, "unit": "centimeter"}, {"value": 2.0, "unit": "second"},
+    {"value": 2.0}, {"value": "x", "unit": "meter"},
+]
+
+
+@st.composite
+def functor_configs(draw):
+    """A built-in's name and a config over its declared keys, valid or not, maybe with an unknown key."""
+    name = draw(st.sampled_from(sorted(BUILTIN_FUNCTORS)))
+    config = {}
+    for param in BUILTIN_FUNCTORS[name].params:
+        if draw(st.booleans()):
+            bound = BOUND_NAMES.get(param.name)
+            config[param.name] = draw(st.sampled_from(POOL if bound is None else [bound, 5, None]))
+    if draw(st.booleans()):
+        config["not_a_param"] = 1.0
+    return name, config
+
+
+class TestBuildAgreesWithValidate:
+    @pytest.mark.parametrize("functor, config, references, field", CORPUS_DEFECTS)
+    def test_defect_raises_functor_error_naming_functor_and_field(
+        self, functor, config, references, field
+    ):
+        spec = FunctorSpec(functor, "Culprit", config=config, references=references)
+        with pytest.raises(FunctorError, match=f"Culprit.*{field}"):
+            build_graph(docking_platforms(), glues=[], dones=[spec])
+
+    @pytest.mark.parametrize(
+        "functor, config",
+        [
+            ("ObserveSensor", {"sensor": "Sensor_Position", "platform": "ghost"}),
+            ("DockingSuccess", {"dock_radius": 0.1, "velocity_limit": 0.2, "platform": "ghost"}),
+        ],
+    )
+    def test_unknown_platform_is_a_binding_error_at_build(self, functor, config):
+        with pytest.raises(PartBindingError, match="ghost"):
+            build_graph(docking_platforms(), glues=[], dones=[FunctorSpec(functor, config=config)])
+
+    def test_scripted_rule_defect_raises_policy_error_naming_rule_and_field(self):
+        with pytest.raises(PolicyError, match="bang_bang_docking.*thrust"):
+            ScriptedPolicy({"rule": "bang_bang_docking", "thrust": "fast"})
+
+    def test_scripted_rule_reads_its_settings(self):
+        policy = ScriptedPolicy({"rule": "bang_bang_docking", "thrust": 0.3, "action_glue": "T"})
+        observation = {
+            "ObservePosition/direct_observation": Quantity.scalar(-10.0, METER),
+            "ObserveVelocity/direct_observation": Quantity.scalar(0.0, METER_PER_SECOND),
+        }
+        assert policy._rule(observation, {})["T"].tolist() == [0.3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(functor_configs())
+    def test_validate_reports_no_error_exactly_when_the_functor_builds(self, case):
+        name, config = case
+        report = ValidationReport()
+        parsed = parse_functor_spec({"functor": name, "config": config}, "f", report, {})
+        assert parsed is not None
+        try:
+            BUILTIN_FUNCTORS[name](FunctorSpec(name, config=config), {}, None, docking_platforms())
+            built = True
+        except FunctorError:
+            built = False
+        assert report.ok == built, str(report)
+
+
+class TestDeclaredUnits:
+    def test_reference_in_centimetre_docks_as_in_metre(self):
+        tree = loader.load_config(CONFIG_DIR / "docking" / "environment.yml")
+        tree["reference_store"]["dock_radius"] = {
+            "distribution": {"kind": "constant", "value": 10.0},
+            "unit": "centimeter",
+        }
+        config, report = validate_environment(tree, base_dir=CONFIG_DIR / "docking")
+        assert report.ok, str(report)
+        in_cm = run_episode(Environment(config), seed=7)
+        in_m = run_episode(Environment(load_env_config(CONFIG_DIR / "docking" / "environment.yml")), seed=7)
+        assert in_cm.final_outcome == {"deputy_agent": "WIN"} and len(in_cm.steps) > 1
+        assert in_cm.parameters["dock_radius"] == {"value": 10.0, "unit": "centimeter"}
+        # the header records each sample in its own unit; every step and the outcome agree
+        assert in_cm.to_lines()[1:] == in_m.to_lines()[1:]
+
+    def test_config_value_with_unit_is_converted(self):
+        spec = FunctorSpec(
+            "DockingSuccess",
+            config={"dock_radius": {"value": 50.0, "unit": "centimeter"}, "velocity_limit": 0.2},
+        )
+        success = build_graph(docking_platforms(), glues=[], dones=[spec]).dones[0].functor
+        assert success.settings["dock_radius"] == pytest.approx(0.5)
+
+    def test_reference_of_wrong_dimension_is_reported(self):
+        report = ValidationReport()
+        store = {"r": ParameterSpec("r", Constant(0.1), SECOND), "v": ParameterSpec("v", Constant(0.2), METER_PER_SECOND)}
+        tree = {"functor": "DockingSuccess", "references": {"dock_radius": "r", "velocity_limit": "v"}}
+        parse_functor_spec(tree, "f", report, store)
+        assert [(e.path, e.code) for e in report.errors] == [
+            ("f/references/dock_radius", ErrorCode.DIMENSION_MISMATCH)
+        ]
+        store["r"] = ParameterSpec("r", Constant(10.0), get_unit("centimeter"))
+        report = ValidationReport()
+        parse_functor_spec(tree, "f", report, store)
+        assert report.ok
