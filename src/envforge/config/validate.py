@@ -16,7 +16,7 @@ from .. import epp as epp_mod
 from ..epp import DISTRIBUTION_KINDS, Increment, ParameterSpec
 from ..functors.base import ExtractorSpec, FunctorSpec
 from ..functors.graph import FUNCTOR_REGISTRY
-from ..params import parse_params
+from ..params import check_inputs, parse_params
 from ..parts import GLOBAL_REGISTRY, PluginRegistry
 from ..policies import POLICY_REGISTRY, SCRIPTED_RULES
 from ..simulators import SIMULATORS
@@ -47,6 +47,7 @@ class ErrorCode(enum.Enum):
     INCLUDE_CYCLE = "IncludeCycle"
     DUPLICATE_NAME = "DuplicateName"
     UNKNOWN_FIELD = "UnknownField"
+    CONFLICTING_FIELD = "ConflictingField"
 
 
 @dataclass(frozen=True)
@@ -280,6 +281,8 @@ def parse_functor_spec(
         glue = ev.require(ex_tree, "glue", _join(path, "extractor"), str)
         if glue is not None:
             extractor = ExtractorSpec(glue, ex_tree.get("key"))
+    has_extractor = tree.get("extractor") is not None
+    _add_param_errors(check_inputs(cls.inputs, _wrapped_keys(wrapped_tree), has_extractor), path, report)
 
     return FunctorSpec(
         functor=functor,
@@ -289,6 +292,17 @@ def parse_functor_spec(
         wrapped=wrapped,
         extractor=extractor,
     )
+
+
+def _wrapped_keys(tree) -> list[str]:
+    """The child keys ``wrapped`` gives, as the graph builder keys them."""
+    if tree is None:
+        return []
+    if isinstance(tree, list):
+        return [str(i) for i in range(len(tree))]
+    if isinstance(tree, dict) and "functor" not in tree:
+        return [str(k) for k in tree]
+    return ["wrapped"]
 
 
 def _parse_wrapped(tree, path: str, report: ValidationReport, known_references):

@@ -296,15 +296,13 @@ class Environment:
 
     def _evaluate_glues(self) -> None:
         state = self.state
-        observations = state.observations
         for node in self._glue_nodes:
-            observations[node.id] = node.functor.get_observation(state)
+            node.observation = node.functor.get_observation(state)
 
     def _collect_observations(self, agent_names) -> dict[str, dict[str, Quantity]]:
-        observations = self.state.observations
         return {
             name: {
-                obs_name: observations[node.id][key]
+                obs_name: node.observation[key]
                 for obs_name, node, key, _ in self.agents[name].observation_layout
             }
             for name in agent_names
@@ -319,10 +317,9 @@ class Environment:
             if self._check_rng.random() >= mode.probability:
                 return
             self.spot_checks_run += 1
-        observations = self.state.observations
         for name, agent in self.agents.items():
             for _, node, key, box in agent.observation_layout:
-                values = observations[node.id][key].values
+                values = node.observation[key].values
                 # NaN fails neither comparison, so it passes here as it does in
                 # the element loop that words the error; a wrong shape goes to
                 # that loop as it always did.

@@ -14,9 +14,9 @@ from typing import Any, Union
 
 import numpy as np
 
-from ..params import Param, parse_params
+from ..params import SOURCE, Param, check_inputs, parse_params, wrapped_path
 from ..parts import Box, Platform
-from ..units import Quantity, Unit
+from ..units import Quantity
 
 
 class FunctorError(Exception):
@@ -82,8 +82,6 @@ class EpisodeState:
         self.horizon = horizon
         self.step_count = 0
         self.sim_time = 0.0
-        # node id -> {key: Quantity}, refreshed every step
-        self.observations: dict[str, dict[str, Quantity]] = {}
 
     def reference(self, key: str) -> Quantity:
         return self.epp.reference_lookup(key)
@@ -95,10 +93,17 @@ class Functor:
     ``params`` is the functor's table of config keys.  A key it does not
     declare, a value its converter rejects or a missing required key fails
     construction with a ``FunctorError`` naming the functor and the field.
+
+    ``inputs`` declares the observations it reads (see ``params.check_inputs``).
+    Construction binds a ``SOURCE`` as ``source`` and each key of a tuple as
+    ``sources[key]``, each an :class:`Extractor`, the one way to read them; a
+    bound child must have exactly one observation.  ``ANY`` children are read
+    through ``children``.
     """
 
     kind: str = ""
     params: tuple[Param, ...] = ()
+    inputs: Any = ()
 
     def __init__(
         self,
@@ -110,15 +115,28 @@ class Functor:
         self.spec = spec
         self.name = spec.display_name
         self.settings, errors = parse_params(self.params, spec.config, spec.references)
+        errors += check_inputs(self.inputs, children.keys(), extractor is not None)
         if errors:
             path, _, message = errors[0]
-            raise FunctorError(f"{self.name} ({spec.functor}): {path}: {message}")
+            raise self._error(path, message)
         units = {p.name: p.unit for p in self.params}
         # param name -> (reference-store key, declared unit), for each param sampled per episode
         self._references = {name: (key, units[name]) for name, key in spec.references.items()}
         self.children = children
-        self.extractor = extractor
         self.platforms = platforms
+        if self.inputs is SOURCE:
+            self.source = extractor or self._bind(*next(iter(children.items())))
+        elif isinstance(self.inputs, tuple):
+            self.sources = {key: self._bind(key, children[key]) for key in self.inputs}
+
+    def _error(self, path: str, message: str) -> FunctorError:
+        return FunctorError(f"{self.name} ({self.spec.functor}): {path}: {message}")
+
+    def _bind(self, key: str, node: "FunctorNode") -> "Extractor":
+        count = len(node.observation_space)
+        if count != 1:
+            raise self._error(wrapped_path(key), f"'{node.name}' has {count} observations, expected one")
+        return Extractor(node, None)
 
     def reset(self) -> None:
         """Clear episode-local state."""
@@ -135,28 +153,6 @@ class Functor:
         key, unit = reference
         q = state.reference(key)
         return (q if unit is None else q.to(unit)).item
-
-    def child_observation(self, state: EpisodeState, key: str | None = None) -> Quantity:
-        """The (single) observation of a wrapped child, by child key."""
-        if not self.children:
-            raise FunctorError(f"{self.name}: has no wrapped children")
-        if key is None:
-            if len(self.children) != 1:
-                raise FunctorError(f"{self.name}: child key required (multiple children)")
-            key = next(iter(self.children))
-        node = self.children[key]
-        obs = state.observations[node.id]
-        if len(obs) != 1:
-            raise FunctorError(f"{self.name}: child '{key}' has {len(obs)} observations")
-        return next(iter(obs.values()))
-
-    def child_space(self, key: str | None = None) -> Box:
-        if key is None:
-            key = next(iter(self.children))
-        spaces = self.children[key].observation_space
-        if len(spaces) != 1:
-            raise FunctorError(f"{self.name}: child '{key}' has {len(spaces)} spaces")
-        return next(iter(spaces.values()))
 
 
 class Glue(Functor):
@@ -206,7 +202,7 @@ class Reward(Functor):
 
 
 class Extractor:
-    """Resolved accessor into a compiled glue's observation value/space/unit."""
+    """One observation of a compiled glue, bound when the graph is built."""
 
     def __init__(self, node: "FunctorNode", key: str | None):
         spaces = node.observation_space
@@ -221,14 +217,12 @@ class Extractor:
         self.node = node
         self.key = key
 
-    def value(self, state: EpisodeState) -> Quantity:
-        return state.observations[self.node.id][self.key]
+    def value(self) -> Quantity:
+        """The observation as of the glue's latest evaluation."""
+        return self.node.observation[self.key]
 
     def space(self) -> Box:
         return self.node.observation_space[self.key]
-
-    def unit(self) -> Unit:
-        return self.space().unit
 
 
 @dataclass
@@ -236,7 +230,9 @@ class FunctorNode:
     """One deduplicated node of the compiled DAG.
 
     A glue node carries its observation and action spaces, computed once when
-    the graph is compiled; every other node has none.
+    the graph is compiled, and its observation, replaced each time the glue
+    is evaluated; every other node has none.  A node belongs to one agent's
+    graph, so its observation is that agent's alone.
     """
 
     id: str
@@ -246,3 +242,4 @@ class FunctorNode:
     children: tuple[str, ...]
     observation_space: dict[str, Box] = field(default_factory=dict)
     action_space: Box | None = None
+    observation: dict[str, Quantity] = field(default_factory=dict, compare=False, repr=False)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..params import Param, boolean, string
+from ..params import ANY, SOURCE, Param, boolean, nonnegative, positive, positive_int, string
 from ..parts import Box, Controller, Sensor
 from ..units import METER, METER_PER_SECOND, NONE, Quantity, get_unit
 from .base import (
@@ -96,8 +96,9 @@ class ControllerGlue(Glue):
 
 
 class TargetValueDifference(Glue):
-    """target_value minus one element of the wrapped glue's observation."""
+    """target_value minus one element of the source observation."""
 
+    inputs = SOURCE
     params = (
         Param("unit", get_unit, default=NONE),
         Param("index", int, default=0),
@@ -117,57 +118,61 @@ class TargetValueDifference(Glue):
         }
 
     def get_observation(self, state):
-        child = self.child_observation(state)
         target = self.param(state, "target_value")
         return {
             "target_value_difference": Quantity.scalar(
-                target - float(child.values[self.index]), self.unit
+                target - float(self.source.value().values[self.index]), self.unit
             )
         }
 
 
 class UnitVector(Glue):
-    """Wrapped observation scaled to unit Euclidean norm (zero stays zero)."""
+    """Source observation scaled to unit Euclidean norm (zero stays zero)."""
+
+    inputs = SOURCE
 
     def observation_space(self):
-        child = self.child_space()
-        return {"unit_vector": Box(child.shape, -1.0, 1.0, NONE)}
+        return {"unit_vector": Box(self.source.space().shape, -1.0, 1.0, NONE)}
 
     def get_observation(self, state):
-        child = self.child_observation(state)
+        child = self.source.value()
         norm = float(np.linalg.norm(child.values))
         values = child.values / norm if norm > 0 else np.zeros_like(child.values)
         return {"unit_vector": Quantity(values, NONE)}
 
 
 class Norm(Glue):
-    """Euclidean norm of the wrapped observation."""
+    """Euclidean norm of the source observation."""
+
+    inputs = SOURCE
 
     def observation_space(self):
-        child = self.child_space()
+        child = self.source.space()
         bound = float(
             np.sqrt(np.sum(np.maximum(np.abs(child.low), np.abs(child.high)) ** 2))
         )
         return {"norm": Box(1, 0.0, bound, child.unit)}
 
     def get_observation(self, state):
-        child = self.child_observation(state)
+        child = self.source.value()
         return {"norm": Quantity.scalar(float(np.linalg.norm(child.values)), child.unit)}
 
 
 class Projection(Glue):
     """Scalar projection of child 'value' onto the direction of child 'onto'."""
 
+    inputs = ("value", "onto")
+
     def observation_space(self):
-        value = self.child_space("value")
+        value = self.sources["value"].space()
         bound = float(
             np.sqrt(np.sum(np.maximum(np.abs(value.low), np.abs(value.high)) ** 2))
         )
         return {"projection": Box(1, -bound, bound, value.unit)}
 
     def get_observation(self, state):
-        value = self.child_observation(state, "value")
-        onto = self.child_observation(state, "onto")
+        value = self.sources["value"].value()
+        onto = self.sources["onto"].value()
         norm = float(np.linalg.norm(onto.values))
         direction = onto.values / norm if norm > 0 else np.zeros_like(onto.values)
         return {
@@ -180,9 +185,11 @@ class Projection(Glue):
 class Difference(Glue):
     """Element-wise difference of two wrapped observations: first - second."""
 
+    inputs = ("first", "second")
+
     def observation_space(self):
-        first = self.child_space("first")
-        second = self.child_space("second")
+        first = self.sources["first"].space()
+        second = self.sources["second"].space()
         return {
             "difference": Box(
                 first.shape, first.low - second.high, first.high - second.low, first.unit
@@ -190,13 +197,15 @@ class Difference(Glue):
         }
 
     def get_observation(self, state):
-        first = self.child_observation(state, "first")
-        second = self.child_observation(state, "second").to(first.unit)
+        first = self.sources["first"].value()
+        second = self.sources["second"].value().to(first.unit)
         return {"difference": Quantity(first.values - second.values, first.unit)}
 
 
 class Wrapper(Glue):
     """Groups child glues, re-exporting their observations namespaced by child key."""
+
+    inputs = ANY
 
     def observation_space(self):
         out = {}
@@ -208,7 +217,7 @@ class Wrapper(Glue):
     def get_observation(self, state):
         out = {}
         for key, node in self.children.items():
-            for obs_key, value in state.observations[node.id].items():
+            for obs_key, value in node.observation.items():
                 out[f"{key}/{obs_key}"] = value
         return out
 
@@ -220,7 +229,7 @@ class EpisodeHorizon(SharedDone):
     """Truncates the episode (DRAW) once the step counter reaches the horizon:
     ``horizon`` from config, else the environment's."""
 
-    params = (Param("horizon", int, default=None),)
+    params = (Param("horizon", positive_int, default=None),)
 
     def __init__(self, spec, children, extractor, platforms):
         super().__init__(spec, children, extractor, platforms)
@@ -234,8 +243,9 @@ class EpisodeHorizon(SharedDone):
 
 
 class StateBounds(Done):
-    """Fires when the extracted (or wrapped) observation leaves [min, max]."""
+    """Fires when the source observation leaves [min, max]."""
 
+    inputs = SOURCE
     params = (
         Param("min", default=-math.inf, referenceable=True),
         Param("max", default=math.inf, referenceable=True),
@@ -247,10 +257,7 @@ class StateBounds(Done):
         self.code = self.settings["status"]
 
     def evaluate(self, state):
-        if self.extractor is not None:
-            value = self.extractor.value(state).values
-        else:
-            value = self.child_observation(state).values
+        value = self.source.value().values
         low = self.param(state, "min")
         high = self.param(state, "max")
         if (value < low).any() or (value > high).any():
@@ -262,8 +269,8 @@ class DockingSuccess(Done):
     """WIN when the craft is within dock_radius at a safe closing speed."""
 
     params = (
-        Param("dock_radius", unit=METER, referenceable=True),
-        Param("velocity_limit", unit=METER_PER_SECOND, referenceable=True),
+        Param("dock_radius", nonnegative, unit=METER, referenceable=True),
+        Param("velocity_limit", nonnegative, unit=METER_PER_SECOND, referenceable=True),
         Param("platform", string, default=None),
     )
 
@@ -322,8 +329,9 @@ class ExponentialDecayFromTargetValue(Reward):
     the payment is multiplied by ``reward_when_farther`` (default 0).
     """
 
+    inputs = SOURCE
     params = (
-        Param("eps"),
+        Param("eps", positive),
         Param("scale", default=1.0),
         Param("reward_when_farther", default=0.0),
         Param("target_value", default=0.0, referenceable=True),
@@ -340,10 +348,7 @@ class ExponentialDecayFromTargetValue(Reward):
         self._previous_distance = None
 
     def evaluate(self, state, done_results):
-        if self.extractor is not None:
-            value = float(self.extractor.value(state).values[0])
-        else:
-            value = float(self.child_observation(state).values[0])
+        value = float(self.source.value().values[0])
         target = self.param(state, "target_value")
         distance = abs(value - target)
         reward = self.scale * math.exp(-distance / self.eps)

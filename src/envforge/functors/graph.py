@@ -179,8 +179,11 @@ class GraphBuilder:
                 child_ids = child_ids + (extractor_node.id,)
             node = FunctorNode(node_id, cls.kind, name, functor, child_ids)
             if node.kind == "glue":
-                node.observation_space = functor.observation_space()
-                node.action_space = functor.action_space()
+                try:
+                    node.observation_space = functor.observation_space()
+                    node.action_space = functor.action_space()
+                except ValueError as exc:
+                    raise FunctorError(f"{name} ({spec.functor}): {exc}") from exc
             self.graph.nodes[node_id] = node
             self.graph.by_name.setdefault(name, node)
             self.graph.topo_order.append(node_id)  # children compiled first

@@ -1,26 +1,30 @@
 """Declared parameter tables of functors and scripted rules.
 
 A functor or scripted rule declares its config keys once, as a tuple of
-:class:`Param`.  ``validate`` and the constructor both read that tuple through
-:func:`parse_params`, so a config that validates also builds.
+:class:`Param`, and a functor declares the inputs it reads.  ``validate`` and
+the constructor both read those declarations through :func:`parse_params` and
+:func:`check_inputs`, so a config that validates also builds.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Collection, Mapping
 from dataclasses import dataclass
 from typing import Any
 
 from .units import DimensionMismatch, Unit, UnknownUnit, value_in
 
 
-class _Required:
+class _Sentinel:
+    def __init__(self, name: str):
+        self.name = name
+
     def __repr__(self) -> str:
-        return "REQUIRED"
+        return self.name
 
 
 #: the default of a param that has none: its key must be given
-REQUIRED: Any = _Required()
+REQUIRED: Any = _Sentinel("REQUIRED")
 
 
 @dataclass(frozen=True)
@@ -30,9 +34,10 @@ class Param:
     ``parse`` converts the raw config value, raising ``TypeError``,
     ``ValueError``, ``KeyError`` or ``OverflowError`` when it cannot.  A param
     with no default is required.  Only a ``referenceable`` param may be given
-    under ``references``.  A param with a ``unit`` holds a number in that
-    unit: a bare number is taken to be in it, and a ``{value, unit}`` value or
-    a reference is converted to it.
+    under ``references``, and then not also in config.  A param with a
+    ``unit`` holds a number in that unit: a bare number is taken to be in it,
+    and a ``{value, unit}`` value is converted to it before ``parse`` checks
+    it.  A reference is converted to it each episode and is not checked.
     """
 
     name: str
@@ -54,6 +59,24 @@ def boolean(raw) -> bool:
     if not isinstance(raw, bool):
         raise TypeError(f"expected a boolean, got {type(raw).__name__}")
     return raw
+
+
+def _bounded(convert: Callable[[Any], Any], holds: Callable[[Any], bool], requirement: str):
+    def parse(raw):
+        value = convert(raw)
+        if not holds(value):
+            raise ValueError(f"must be {requirement}, got {value}")
+        return value
+
+    return parse
+
+
+#: a float above zero (NaN fails every comparison, so it is rejected too)
+positive = _bounded(float, lambda v: v > 0, "> 0")
+#: a float of zero or more
+nonnegative = _bounded(float, lambda v: v >= 0, ">= 0")
+#: an integer of one or more
+positive_int = _bounded(int, lambda v: v >= 1, ">= 1")
 
 
 #: (field path, error code, message); the codes are ``config.validate.ErrorCode`` values
@@ -80,7 +103,7 @@ def parse_params(
             errors.append((path, "UnknownField", f"unknown field '{key}' (declared: {sorted(declared)})"))
             continue
         try:
-            settings[key] = p.parse(raw) if p.unit is None else value_in(raw, p.unit)
+            settings[key] = p.parse(raw if p.unit is None else value_in(raw, p.unit))
         except UnknownUnit as exc:
             errors.append((path, "UnknownUnit", str(exc)))
         except DimensionMismatch as exc:
@@ -94,6 +117,10 @@ def parse_params(
             errors.append(
                 (f"references/{key}", "UnknownField", f"'{key}' cannot be a reference (referenceable: {allowed})")
             )
+        elif key in config:
+            errors.append(
+                (f"config/{key}", "ConflictingField", f"'{key}' is given both in config and under references")
+            )
     for p in params:
         if p.name in config or p.name in references:
             continue
@@ -102,3 +129,48 @@ def parse_params(
         else:
             settings[p.name] = p.default
     return settings, errors
+
+
+#: ``inputs`` of a functor that reads one observation: its extractor's, else
+#: that of its one wrapped child, under any key
+SOURCE: Any = _Sentinel("SOURCE")
+#: ``inputs`` of a functor that reads one or more wrapped children, under any keys
+ANY: Any = _Sentinel("ANY")
+
+
+def wrapped_path(key: str) -> str:
+    """The field path of the wrapped child keyed ``key``; a lone wrapped spec is keyed 'wrapped'."""
+    return "wrapped" if key == "wrapped" else f"wrapped/{key}"
+
+
+def check_inputs(inputs, wrapped_keys: Collection[str], has_extractor: bool) -> list[ParamError]:
+    """Every error in giving a functor that declares ``inputs`` the wrapped
+    children keyed ``wrapped_keys`` and, if ``has_extractor``, an extractor.
+
+    ``inputs`` is a tuple of the child keys the functor reads (``()`` reads
+    none), ``SOURCE`` or ``ANY``.  An input that is not given is
+    ``MissingField``; a child or an extractor the functor does not read is
+    ``UnknownField``.
+    """
+    errors: list[ParamError] = []
+    if inputs is SOURCE:
+        if not has_extractor and not wrapped_keys:
+            errors.append(("wrapped", "MissingField", "needs one wrapped child or an extractor"))
+        # the extractor, else the first child, is the source
+        for key in list(wrapped_keys)[0 if has_extractor else 1:]:
+            errors.append((wrapped_path(key), "UnknownField", "reads one source: an extractor, else one wrapped child"))
+        return errors
+    if inputs is ANY:
+        if not wrapped_keys:
+            errors.append(("wrapped", "MissingField", "needs at least one wrapped child"))
+    else:
+        for key in wrapped_keys:
+            if key not in inputs:
+                declared = f"declared: {list(inputs)}" if inputs else "takes none"
+                errors.append((wrapped_path(key), "UnknownField", f"unknown wrapped child '{key}' ({declared})"))
+        for key in inputs:
+            if key not in wrapped_keys:
+                errors.append((f"wrapped/{key}", "MissingField", f"missing wrapped child '{key}'"))
+    if has_extractor:
+        errors.append(("extractor", "UnknownField", "takes no extractor"))
+    return errors

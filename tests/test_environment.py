@@ -229,6 +229,39 @@ class TestEpisodeEnd:
         assert env.agent_done_codes["agent_1"] is DoneStatusCode.DRAW
 
 
+class TestAgentsOwnObservations:
+    def two_platform_tree(self):
+        """Agents with identical glue specs, each on its own Docking platform."""
+        tree = docking_tree(agents=2, horizon=20, dones=False, policy={"name": "scripted", "config": {"rule": "zero"}})
+        (deputy,) = tree["platforms"]
+        tree["platforms"] = []
+        for name, x0 in (("a", -10.0), ("b", 7.0)):
+            platform = copy.deepcopy(deputy)
+            platform["name"] = name
+            platform["initialization"]["x0"]["distribution"]["value"] = x0
+            tree["platforms"].append(platform)
+        for agent, platform in zip(tree["agents"], ("a", "b")):
+            agent["platforms"] = [platform]
+        return tree
+
+    def test_each_agent_observes_its_own_platform(self):
+        config, report = validate_environment(self.two_platform_tree())
+        assert config is not None, str(report)
+        env = Environment(config)
+        position = "ObservePosition/direct_observation"
+        obs = env.reset(seed=0)
+        assert obs["agent_0"][position].item == -10.0
+        assert obs["agent_1"][position].item == 7.0
+        # Thrust only agent_1's craft: 1 N on 1 kg from rest moves it 0.5 m.
+        result = env.step({"agent_1": {"ThrustControl": np.array([1.0])}})
+        assert result.observations["agent_0"][position].item == -10.0
+        assert result.observations["agent_1"][position].item == 7.5
+        for _ in range(3):
+            result = env.step({})
+        assert result.observations["agent_0"][position].item == -10.0
+        assert result.observations["agent_1"][position].item == 10.5
+
+
 def write_logs(env, seeds, out):
     """Record one episode per seed and write the files `envforge run` writes."""
     out.mkdir(parents=True, exist_ok=True)

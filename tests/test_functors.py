@@ -52,7 +52,7 @@ def evaluate_glues(graph, state):
     for node_id in graph.topo_order:
         node = graph.nodes[node_id]
         if node.kind == "glue":
-            state.observations[node.id] = node.functor.get_observation(state)
+            node.observation = node.functor.get_observation(state)
 
 
 def observe_state_spec(name="ObserveState"):
@@ -184,8 +184,8 @@ class TestGraphStructure:
             ],
         )
         reward = graph.rewards[0].functor
-        assert reward.extractor is not None
-        assert reward.extractor.key == "direct_observation"
+        assert reward.source is not None
+        assert reward.source.key == "direct_observation"
 
     def test_extractor_unknown_target(self):
         with pytest.raises(UnknownExtractorTarget):
@@ -217,7 +217,7 @@ class TestGlues:
         )
         state = make_state(platforms)
         evaluate_glues(graph, state)
-        obs = state.observations[graph.glues[0].id]
+        obs = graph.glues[0].observation
         assert obs["direct_observation"] == Quantity.scalar(-7.5, METER)
 
     def test_target_value_difference(self):
@@ -231,7 +231,7 @@ class TestGlues:
         graph = build_graph(platforms, glues=[tvd])
         state = make_state(platforms)
         evaluate_glues(graph, state)
-        obs = state.observations[graph.by_name["TVD"].id]
+        obs = graph.by_name["TVD"].observation
         assert obs["target_value_difference"].item == pytest.approx(1.0 - 0.4)
 
     def test_norm_and_unit_vector(self):
@@ -245,8 +245,8 @@ class TestGlues:
         )
         state = make_state(platforms)
         evaluate_glues(graph, state)
-        assert state.observations[graph.by_name["N"].id]["norm"].item == pytest.approx(5.0)
-        uv = state.observations[graph.by_name["U"].id]["unit_vector"].values
+        assert graph.by_name["N"].observation["norm"].item == pytest.approx(5.0)
+        uv = graph.by_name["U"].observation["unit_vector"].values
         assert np.linalg.norm(uv) == pytest.approx(1.0)
 
     def test_observation_normalization(self):
@@ -263,7 +263,7 @@ class TestGlues:
         )
         state = make_state(platforms)
         evaluate_glues(graph, state)
-        value = state.observations[graph.glues[0].id]["direct_observation"].item
+        value = graph.glues[0].observation["direct_observation"].item
         assert value == pytest.approx(-1.0 + 2.0 * 7.5 / 10.0)
         box = graph.glues[0].functor.observation_space()["direct_observation"]
         assert box.low[0] == -1.0 and box.high[0] == 1.0

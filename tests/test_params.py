@@ -23,7 +23,7 @@ from envforge.functors import (
     PartBindingError,
     build_graph,
 )
-from envforge.params import Param, parse_params
+from envforge.params import ANY, SOURCE, Param, check_inputs, nonnegative, parse_params
 from envforge.parts import Platform
 from envforge.policies import PolicyError, ScriptedPolicy
 from envforge.simulators.docking import (
@@ -89,6 +89,18 @@ class TestParseParams:
         _, errors = parse_params(RADIUS, {"radius": 1.0, "count": math.inf}, {})
         assert [(path, c) for path, c, _ in errors] == [("config/count", "TypeMismatch")]
 
+    def test_param_in_config_and_references_conflicts(self):
+        _, errors = parse_params(RADIUS, {"radius": 1.0}, {"radius": "r"})
+        assert [(path, c) for path, c, _ in errors] == [("config/radius", "ConflictingField")]
+
+    def test_range_is_checked_after_unit_conversion(self):
+        table = (Param("radius", nonnegative, unit=METER),)
+        settings, errors = parse_params(table, {"radius": {"value": 50.0, "unit": "centimeter"}}, {})
+        assert errors == [] and settings["radius"] == pytest.approx(0.5)
+        _, errors = parse_params(table, {"radius": {"value": -50.0, "unit": "centimeter"}}, {})
+        assert [(path, c) for path, c, _ in errors] == [("config/radius", "TypeMismatch")]
+        assert "-0.5" in errors[0][2]
+
 
 # Each defect of the golden corpus, given straight to the graph builder.
 CORPUS_DEFECTS = [
@@ -96,6 +108,8 @@ CORPUS_DEFECTS = [
     ("ExponentialDecayFromTargetValue", {}, {"eps": "eps"}, "eps"),
     ("StateBounds", {"status": "LOSE"}, {}, "status"),
     ("DockingFailure", {"velocity_limit": 0.2}, {}, "dock_radius"),
+    ("ExponentialDecayFromTargetValue", {"eps": 0}, {}, "eps"),
+    ("DockingSuccess", {"dock_radius": 5.0, "velocity_limit": 0.2}, {"dock_radius": "r"}, "dock_radius"),
 ]
 
 
@@ -168,6 +182,121 @@ class TestBuildAgreesWithValidate:
         except FunctorError:
             built = False
         assert report.ok == built, str(report)
+
+
+# The glue every input case below may read, by name or through an extractor.
+POSITION = FunctorSpec("ObserveSensor", "P", config={"sensor": "Sensor_Position", "normalize": False})
+CHILD = {"functor": "ObserveSensor", "config": {"sensor": "Sensor_Velocity", "normalize": False}}
+VALID_CONFIG = {
+    "ObserveSensor": {"sensor": "Sensor_Position"},
+    "ControllerGlue": {"controller": "Controller_Thrust"},
+    "DockingSuccess": {"dock_radius": 0.1, "velocity_limit": 0.2},
+    "DockingFailure": {"dock_radius": 0.1, "velocity_limit": 0.2},
+    "ExponentialDecayFromTargetValue": {"eps": 5.0},
+}
+
+
+def build_beside_position(spec):
+    return build_graph(docking_platforms(), glues=[POSITION], dones=[spec])
+
+
+def validate_and_build(tree):
+    """The errors ``parse_functor_spec`` reports for tree, and the build's FunctorError or None."""
+    report = ValidationReport()
+    spec = parse_functor_spec(tree, "f", report, {})
+    try:
+        build_beside_position(spec)
+    except FunctorError as exc:
+        return [(e.path, e.code) for e in report.errors], exc
+    return [(e.path, e.code) for e in report.errors], None
+
+
+@st.composite
+def functor_inputs(draw):
+    """A built-in with a valid config, given no input, one child, a list or a
+    mapping of children under declared or other keys, an extractor, or both."""
+    name = draw(st.sampled_from(sorted(BUILTIN_FUNCTORS)))
+    tree = {"functor": name, "name": "Culprit", "config": VALID_CONFIG.get(name, {})}
+    children = [CHILD, "P"]
+    shape = draw(st.sampled_from(["none", "one", "list", "mapping"]))
+    if shape == "one":
+        tree["wrapped"] = draw(st.sampled_from(children))
+    elif shape == "list":
+        tree["wrapped"] = children
+    elif shape == "mapping":
+        keys = draw(st.lists(st.sampled_from(["value", "onto", "first", "second", "x"]), unique=True, max_size=3))
+        tree["wrapped"] = {key: children[i % 2] for i, key in enumerate(keys)}
+    if draw(st.booleans()):
+        tree["extractor"] = {"glue": "P"}
+    return tree
+
+
+class TestInputs:
+    @pytest.mark.parametrize(
+        "inputs, keys, extractor, expected",
+        [
+            ((), ["wrapped"], True, [("wrapped", "UnknownField"), ("extractor", "UnknownField")]),
+            (("value", "onto"), ["value", "x"], False, [("wrapped/x", "UnknownField"), ("wrapped/onto", "MissingField")]),
+            (SOURCE, [], False, [("wrapped", "MissingField")]),
+            (SOURCE, ["a", "b"], False, [("wrapped/b", "UnknownField")]),
+            (SOURCE, ["wrapped"], True, [("wrapped", "UnknownField")]),
+            (SOURCE, [], True, []),
+            (ANY, [], False, [("wrapped", "MissingField")]),
+            (ANY, ["0", "1"], True, [("extractor", "UnknownField")]),
+        ],
+    )
+    def test_codes_and_paths(self, inputs, keys, extractor, expected):
+        assert [(path, c) for path, c, _ in check_inputs(inputs, keys, extractor)] == expected
+
+    @pytest.mark.parametrize(
+        "tree, path",
+        [
+            ({"functor": "TargetValueDifference", "config": {"unit": "meter"}}, "wrapped"),
+            ({"functor": "Projection", "wrapped": {"value": "P"}}, "wrapped/onto"),
+            ({"functor": "DockingSuccess", "config": VALID_CONFIG["DockingSuccess"], "wrapped": "P"}, "wrapped"),
+            ({"functor": "StateBounds", "wrapped": "P", "extractor": {"glue": "P"}}, "wrapped"),
+        ],
+    )
+    def test_input_defect_fails_in_validate_and_at_build(self, tree, path):
+        errors, exc = validate_and_build({**tree, "name": "Culprit"})
+        assert len(errors) == 1 and errors[0][0] == f"f/{path}"
+        assert str(exc).startswith(f"Culprit ({tree['functor']}): {path}: ")
+
+    def test_bound_child_needs_exactly_one_observation(self):
+        pair = FunctorSpec("Wrapper", "Pair", wrapped=["P", "P"])
+        with pytest.raises(FunctorError, match=r"Size \(Norm\): wrapped: 'Pair' has 2 observations"):
+            build_beside_position(FunctorSpec("Norm", "Size", wrapped=pair))
+
+    def test_space_error_names_the_glue(self):
+        gap = FunctorSpec("TargetValueDifference", "Gap", config={"min": 1.0, "max": -1.0}, wrapped="P")
+        with pytest.raises(FunctorError, match=r"Gap \(TargetValueDifference\): .*low > high"):
+            build_beside_position(gap)
+
+    @pytest.mark.parametrize(
+        "functor, config, field",
+        [
+            ("ExponentialDecayFromTargetValue", {"eps": 0}, "eps"),
+            ("ExponentialDecayFromTargetValue", {"eps": -2.0}, "eps"),
+            ("ExponentialDecayFromTargetValue", {"eps": math.nan}, "eps"),
+            ("EpisodeHorizon", {"horizon": 0}, "horizon"),
+            ("DockingSuccess", {"dock_radius": -0.1, "velocity_limit": 0.2}, "dock_radius"),
+            ("DockingSuccess", {"dock_radius": {"value": -5, "unit": "centimeter"}, "velocity_limit": 0.2}, "dock_radius"),
+            ("DockingFailure", {"dock_radius": 0.1, "velocity_limit": -1}, "velocity_limit"),
+        ],
+    )
+    def test_out_of_range_value_fails_in_validate_and_at_build(self, functor, config, field):
+        tree = {"functor": functor, "name": "Culprit", "config": config}
+        if BUILTIN_FUNCTORS[functor].inputs is SOURCE:
+            tree["extractor"] = {"glue": "P"}
+        errors, exc = validate_and_build(tree)
+        assert errors == [(f"f/config/{field}", ErrorCode.TYPE_MISMATCH)]
+        assert str(exc).startswith(f"Culprit ({functor}): config/{field}: ")
+
+    @settings(max_examples=300, deadline=None)
+    @given(functor_inputs())
+    def test_validate_reports_no_error_exactly_when_the_inputs_build(self, tree):
+        errors, exc = validate_and_build(tree)
+        assert (errors == []) == (exc is None), (errors, exc)
 
 
 class TestDeclaredUnits:

@@ -74,10 +74,10 @@ class TestSpacesCompiledOnce:
                 assert (node.action_space is None) == (node.functor.action_space() is None)
 
 
-def reference_space_check(entries, observations):
+def reference_space_check(entries):
     """The element loop ``_space_check`` ran before spaces were compiled."""
     for name, node, key, box in entries:
-        values = observations[node.id][key].values
+        values = node.observation[key].values
         for i, v in enumerate(values):
             if v < box.low[i] or v > box.high[i]:
                 raise SpaceViolation(name, node.name, i, float(v), float(box.low[i]), float(box.high[i]))
@@ -132,22 +132,19 @@ class TestSpaceCheck:
         agent.observation_layout = [
             (f"{node.name}/obs", node, "obs", box) for node, (box, _) in zip(nodes, entries)
         ]
-        env.state.observations = {
-            node.id: {"obs": Quantity(values)} for node, (_, values) in zip(nodes, entries)
-        }
+        for node, (_, values) in zip(nodes, entries):
+            node.observation = {"obs": Quantity(values)}
         reference = [(agent.name, node, "obs", box) for node, (box, _) in zip(nodes, entries)]
-        assert outcome(env._space_check) == outcome(
-            lambda: reference_space_check(reference, env.state.observations)
-        )
+        assert outcome(env._space_check) == outcome(lambda: reference_space_check(reference))
 
     def test_nan_passes_and_bound_values_pass(self):
         env = self.shared_env()
         node = FunctorNode("id", "glue", "G", None, ())
         (agent,) = env.agents.values()
         agent.observation_layout = [("G/obs", node, "obs", Box(3, -1.0, 1.0))]
-        env.state.observations = {"id": {"obs": Quantity(np.array([np.nan, -1.0, 1.0]))}}
+        node.observation = {"obs": Quantity(np.array([np.nan, -1.0, 1.0]))}
         env._space_check()
-        env.state.observations = {"id": {"obs": Quantity(np.array([np.nan, -1.0, np.inf]))}}
+        node.observation = {"obs": Quantity(np.array([np.nan, -1.0, np.inf]))}
         with pytest.raises(SpaceViolation, match="element 2: value inf outside"):
             env._space_check()
 
