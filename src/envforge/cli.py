@@ -17,6 +17,7 @@ from .config import loader
 from .config.validate import validate_environment, validate_environment_file
 from .environment import Environment
 from .evaluation import (
+    artifact_file,
     evaluate,
     generate_metrics,
     load_artifacts,
@@ -109,15 +110,15 @@ def cmd_run(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _require_config(args)
     cases = parse_condition_set(loader.load_config(args.cases))
-    paths = evaluate(
+    evaluate(
         config,
         cases,
         args.out,
         policy_override=_parse_policy(args.policy),
         workers=args.workers,
     )
-    for path in paths:
-        print(path)
+    for case in cases:
+        print(Path(args.out) / artifact_file(case.name))
     return 0
 
 

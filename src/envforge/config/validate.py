@@ -97,9 +97,40 @@ def _join(*parts) -> str:
     return "/".join(str(p) for p in parts if p != "")
 
 
+#: the keys each structural section declares; any other key is UnknownField.
+#: A simulator's or a part's ``config`` has no table, so its keys are not checked.
+ENVIRONMENT_KEYS = (
+    "simulator", "platforms", "agents", "horizon", "episode_end_mode",
+    "space_check_mode", "reference_store", "shared_dones",
+)
+SIMULATOR_KEYS = ("name", "config")
+PLATFORM_KEYS = ("name", "platform_type", "initialization")
+PARAMETER_KEYS = ("distribution", "unit", "updaters")
+UPDATER_KEYS = ("kind", "target", "step", "limit")
+AGENT_KEYS = (
+    "agent", "platforms", "parts", "reference_store", "episode_parameter_provider",
+    "glues", "dones", "rewards", "policy",
+)
+EPP_KEYS = ("parameters",)
+PART_KEYS = ("part", "config")
+POLICY_KEYS = ("name", "config")
+FUNCTOR_KEYS = ("functor", "name", "config", "references", "wrapped", "extractor")
+EXTRACTOR_KEYS = ("glue", "key")
+
+
 class _Validator:
     def __init__(self, report: ValidationReport):
         self.report = report
+
+    def declared(self, tree: dict, keys: tuple[str, ...], path: str) -> None:
+        """Report each key of tree that keys does not declare."""
+        for key in tree:
+            if key not in keys:
+                self.report.add(
+                    _join(path, key),
+                    ErrorCode.UNKNOWN_FIELD,
+                    f"undeclared key '{key}' (expected one of {sorted(keys)})",
+                )
 
     def require(self, tree: dict, key: str, path: str, types=None):
         if key not in tree:
@@ -154,6 +185,7 @@ def parse_parameter_spec(name: str, tree, path: str, report: ValidationReport) -
         report.add(path, ErrorCode.TYPE_MISMATCH, "parameter must be a number or a mapping")
         return None
     v = _Validator(report)
+    v.declared(tree, PARAMETER_KEYS, path)
     dist_tree = v.require(tree, "distribution", path, dict)
     unit = _check_unit(tree.get("unit", "none"), _join(path, "unit"), report)
     if dist_tree is None or unit is None:
@@ -186,6 +218,7 @@ def parse_parameter_spec(name: str, tree, path: str, report: ValidationReport) -
             report.add(upath, ErrorCode.TYPE_MISMATCH, "updater must be a mapping")
             continue
         uv = _Validator(report)
+        uv.declared(ut, UPDATER_KEYS, upath)
         target = uv.require(ut, "target", upath, str)
         step = uv.require(ut, "step", upath, (int, float))
         kind_name = uv.optional(ut, "kind", upath, str, "increment")
@@ -236,6 +269,7 @@ def parse_functor_spec(
         report.add(path, ErrorCode.TYPE_MISMATCH, "functor spec must be a mapping")
         return None
     v = _Validator(report)
+    v.declared(tree, FUNCTOR_KEYS, path)
     functor = v.require(tree, "functor", path, str)
     if functor is None:
         return None
@@ -278,6 +312,7 @@ def parse_functor_spec(
     ex_tree = v.optional(tree, "extractor", path, dict)
     if ex_tree is not None:
         ev = _Validator(report)
+        ev.declared(ex_tree, EXTRACTOR_KEYS, _join(path, "extractor"))
         glue = ev.require(ex_tree, "glue", _join(path, "extractor"), str)
         if glue is not None:
             extractor = ExtractorSpec(glue, ex_tree.get("key"))
@@ -366,6 +401,7 @@ def validate_agent(
         return None, report
     v = _Validator(report)
     p = path_prefix
+    v.declared(tree, AGENT_KEYS, p)
 
     name = v.require(tree, "agent", p, str)
     platform_names = v.require(tree, "platforms", p, list)
@@ -385,6 +421,7 @@ def validate_agent(
             report.add(ppath, ErrorCode.TYPE_MISMATCH, "part entry must be a mapping or string")
             continue
         pv = _Validator(report)
+        pv.declared(part_tree, PART_KEYS, ppath)
         group = pv.require(part_tree, "part", ppath, str)
         if group is None:
             continue
@@ -403,6 +440,7 @@ def validate_agent(
     known_references = {**(extra_references or {}), **reference_store}
 
     epp_tree = v.optional(tree, "episode_parameter_provider", p, dict, {})
+    v.declared(epp_tree, EPP_KEYS, _join(p, "episode_parameter_provider"))
     parameters = parse_parameter_store(
         epp_tree.get("parameters"), _join(p, "episode_parameter_provider", "parameters"), report
     )
@@ -442,6 +480,7 @@ def validate_agent(
 def _parse_policy(tree: dict, path: str, report: ValidationReport) -> PolicyConfig | None:
     """A policy block whose name, and scripted rule, are registered."""
     v = _Validator(report)
+    v.declared(tree, POLICY_KEYS, path)
     name = v.require(tree, "name", path, str)
     config = v.optional(tree, "config", path, dict, {})
     if name is None:
@@ -503,11 +542,13 @@ def validate_environment(
         return None, report
     base_dir = Path(base_dir)
     v = _Validator(report)
+    v.declared(tree, ENVIRONMENT_KEYS, "")
 
     sim_tree = v.require(tree, "simulator", "", dict)
     sim_name, sim_config = None, {}
     if sim_tree is not None:
         sv = _Validator(report)
+        sv.declared(sim_tree, SIMULATOR_KEYS, "simulator")
         sim_name = sv.require(sim_tree, "name", "simulator", str)
         sim_config = sv.optional(sim_tree, "config", "simulator", dict, {})
         if sim_name is not None and sim_name not in SIMULATORS:
@@ -525,9 +566,19 @@ def validate_environment(
             report.add(ppath, ErrorCode.TYPE_MISMATCH, "platform entry must be a mapping")
             continue
         pv = _Validator(report)
+        pv.declared(pt, PLATFORM_KEYS, ppath)
         pname = pv.require(pt, "name", ppath, str)
         ptype = pv.require(pt, "platform_type", ppath, str)
-        init = parse_parameter_store(pt.get("initialization"), _join(ppath, "initialization"), report)
+        ipath = _join(ppath, "initialization")
+        init_tree = pt.get("initialization")
+        init = parse_parameter_store(init_tree, ipath, report)
+        # the initialization declares exactly the parameters the simulator reads
+        given = init_tree or {}
+        if sim_name in SIMULATORS and isinstance(given, dict):
+            required = SIMULATORS[sim_name].required_init_params
+            pv.declared(given, required, ipath)
+            for name in required:
+                pv.require(given, name, ipath)
         if pname is not None and ptype is not None:
             platforms.append(PlatformConfig(pname, ptype, init))
 

@@ -1,7 +1,8 @@
 """Evaluation pipeline: evaluate -> generate metrics -> visualize.
 
-Each stage reads and writes plain files (JSONL artifacts, metrics.json, HTML
-reports), so stages can run in one process or as separate invocations with
+Each stage writes plain files (JSONL artifacts and manifest.json,
+metrics.json, HTML reports), so stages can run as separate invocations.
+``run_pipeline`` runs them in one pass over the artifacts in memory, with
 byte-identical results.
 """
 
@@ -9,9 +10,19 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .artifact import SCHEMA_VERSION, EpisodeArtifact, StepRecord, load_artifacts
+from .artifact import (
+    MANIFEST,
+    SCHEMA_VERSION,
+    ArtifactError,
+    EpisodeArtifact,
+    MissingArtifact,
+    StepRecord,
+    artifact_file,
+    load_artifacts,
+)
 from .evaluate import (
     EvaluationError,
+    InvalidCase,
     InvalidCaseParameter,
     TestCase,
     UnknownCaseParameter,
@@ -21,6 +32,7 @@ from .evaluate import (
 )
 from .metrics import (
     METRIC_REGISTRY,
+    InvalidMetricEntry,
     MetricCycle,
     MetricError,
     MetricSpec,
@@ -34,6 +46,7 @@ from .metrics import (
     write_metrics,
 )
 from .visualize import (
+    InvalidVizEntry,
     KindMismatch,
     VizSpec,
     parse_viz_config,
@@ -55,11 +68,14 @@ def run_pipeline(
     """All three stages in series over one output directory.
 
     Produces exactly the files the staged commands would: artifact JSONL per
-    case, metrics.json, and any configured HTML reports.
+    case, the manifest, metrics.json, and any configured HTML reports.
+    Metrics come from the artifacts in memory, taken in file-name order as
+    ``load_artifacts`` reads them.
     """
     out_dir = Path(out_dir)
-    evaluate(config, cases, out_dir, policy_override=policy_override, workers=workers)
-    metrics = generate_metrics(load_artifacts(out_dir), metric_specs)
+    artifacts = evaluate(config, cases, out_dir, policy_override=policy_override, workers=workers)
+    artifacts.sort(key=lambda artifact: artifact_file(artifact.case_id))
+    metrics = generate_metrics(artifacts, metric_specs)
     path = write_metrics(metrics, out_dir / "metrics.json")
     # Visualize from the stored file so staged runs render identically.
     metrics = read_metrics(path)
@@ -68,11 +84,16 @@ def run_pipeline(
 
 
 __all__ = [
+    "MANIFEST",
     "SCHEMA_VERSION",
+    "ArtifactError",
     "EpisodeArtifact",
+    "MissingArtifact",
     "StepRecord",
+    "artifact_file",
     "load_artifacts",
     "EvaluationError",
+    "InvalidCase",
     "InvalidCaseParameter",
     "TestCase",
     "UnknownCaseParameter",
@@ -80,6 +101,7 @@ __all__ = [
     "parse_condition_set",
     "rollout",
     "METRIC_REGISTRY",
+    "InvalidMetricEntry",
     "MetricCycle",
     "MetricError",
     "MetricSpec",
@@ -91,6 +113,7 @@ __all__ = [
     "read_metrics",
     "register_metric",
     "write_metrics",
+    "InvalidVizEntry",
     "KindMismatch",
     "VizSpec",
     "parse_viz_config",

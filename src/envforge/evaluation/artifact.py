@@ -4,6 +4,9 @@ On disk an artifact is line-delimited JSON: a header record carrying the
 schema version and case id, followed by one record per step and a final
 outcome record.  Round trips are lossless.  ``write_csv`` projects the same
 trajectory onto the per-episode CSV log that ``envforge run`` writes.
+
+An evaluate run also writes ``manifest.json``, naming its cases, so a later
+stage reads that run's artifacts and no other file in the directory.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 SCHEMA_VERSION = 1
+MANIFEST = "manifest.json"
 
 
 class ArtifactError(ValueError):
@@ -24,6 +28,16 @@ class ArtifactError(ValueError):
 class TruncatedArtifact(ArtifactError):
     def __init__(self, source: str):
         super().__init__(f"{source}: artifact ends without an outcome record (truncated)")
+
+
+class MissingArtifact(ArtifactError):
+    def __init__(self, manifest: Path, missing: list[str]):
+        super().__init__(f"{manifest}: names artifacts that are missing: {', '.join(missing)}")
+
+
+def artifact_file(case_id: str) -> str:
+    """The file name of a case's artifact in an output directory."""
+    return f"artifact_{case_id}.jsonl"
 
 
 def write_atomic(path: str | Path, text: str) -> Path:
@@ -137,9 +151,30 @@ class EpisodeArtifact:
         return Path(path)
 
 
+def write_manifest(directory: str | Path, case_ids: list[str]) -> Path:
+    """Name the artifacts of one evaluate run; written after the artifacts."""
+    document = {"schema_version": SCHEMA_VERSION, "cases": case_ids}
+    return write_atomic(Path(directory) / MANIFEST, json.dumps(document, indent=2) + "\n")
+
+
 def load_artifacts(directory: str | Path) -> list[EpisodeArtifact]:
-    """All artifacts in a directory, ordered by file name."""
-    return [
-        EpisodeArtifact.load(p)
-        for p in sorted(Path(directory).glob("artifact_*.jsonl"))
-    ]
+    """The artifacts the directory's manifest names, ordered by file name.
+
+    A directory without a manifest, written before manifests existed, yields
+    every ``artifact_*.jsonl`` in it.
+    """
+    directory = Path(directory)
+    manifest = directory / MANIFEST
+    if not manifest.is_file():
+        return [EpisodeArtifact.load(p) for p in sorted(directory.glob("artifact_*.jsonl"))]
+    try:
+        cases = json.loads(manifest.read_text())["cases"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ArtifactError(f"{manifest}: not a run manifest: {exc!r}") from exc
+    if not isinstance(cases, list):
+        raise ArtifactError(f"{manifest}: 'cases' is not a list of case names")
+    paths = [directory / artifact_file(case) for case in cases]
+    missing = [p.name for p in paths if not p.is_file()]
+    if missing:
+        raise MissingArtifact(manifest, missing)
+    return [EpisodeArtifact.load(p) for p in sorted(paths)]

@@ -1,9 +1,10 @@
 """Evaluate stage: rollouts from a named set of initial conditions.
 
 Each test case overrides EPP distributions with fixed values and is fully
-seeded, so N-worker and single-worker runs produce identical artifacts.
-``run_episode`` is the one episode loop: ``rollout`` and ``envforge run``
-both drive it.
+seeded, and a reused environment acts as a fresh one, so each process runs
+all its cases on one environment and N-worker and single-worker runs produce
+identical artifacts.  ``run_episode`` is the one episode loop: ``rollout``
+and ``envforge run`` both drive it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from ..config.schema import EnvironmentConfig
 from ..environment import Environment
 from ..policies import POLICY_REGISTRY
 from ..units import Quantity, UnitError, value_in
-from .artifact import EpisodeArtifact, StepRecord, write_atomic
+from .artifact import EpisodeArtifact, StepRecord, artifact_file, write_manifest
 
 log = logging.getLogger(__name__)
 
@@ -39,6 +40,11 @@ class InvalidCaseParameter(EvaluationError):
         super().__init__(f"test case '{case}': parameter '{name}': {reason}")
 
 
+class InvalidCase(EvaluationError):
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"test case {index}: {reason}")
+
+
 @dataclass
 class TestCase:
     name: str
@@ -49,16 +55,29 @@ class TestCase:
 
 
 def parse_condition_set(tree) -> list[TestCase]:
-    """Parse an initial-condition config tree into ordered test cases."""
-    cases = []
-    for i, entry in enumerate(tree.get("test_cases", [])):
-        cases.append(
-            TestCase(
-                name=str(entry.get("name", f"case_{i}")),
-                parameters=entry.get("parameters", {}),
-                seed=int(entry.get("seed", i)),
-            )
-        )
+    """Parse an initial-condition config tree into ordered test cases.
+
+    Each case names its artifact file, so a name must be unique and may not
+    contain a path separator.
+    """
+    entries = tree.get("test_cases", []) if isinstance(tree, dict) else None
+    if not isinstance(entries, list):
+        raise EvaluationError("test cases: expected a mapping with a 'test_cases' list")
+    cases: list[TestCase] = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise InvalidCase(i, "expected a mapping")
+        name = str(entry.get("name", f"case_{i}"))
+        if any(sep in name for sep in ("/", "\\", "\0")):
+            raise InvalidCase(i, f"name '{name}' contains a path separator")
+        if any(case.name == name for case in cases):
+            raise InvalidCase(i, f"another case is already named '{name}'")
+        parameters, seed = entry.get("parameters", {}), entry.get("seed", i)
+        if not isinstance(parameters, dict):
+            raise InvalidCase(i, f"'{name}': parameters must be a mapping")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise InvalidCase(i, f"'{name}': seed must be an integer")
+        cases.append(TestCase(name=name, parameters=parameters, seed=seed))
     return cases
 
 
@@ -159,22 +178,30 @@ def run_episode(
     return artifact
 
 
-def rollout(
-    config: EnvironmentConfig,
-    case: TestCase,
-    policy_override: tuple[str, dict] | None = None,
-) -> EpisodeArtifact:
-    """One fully seeded episode for a test case; unknown case parameters raise."""
-    env = Environment(config)
-    override_policies(env, policy_override)
+def rollout(env: Environment, case: TestCase) -> EpisodeArtifact:
+    """One fully seeded episode for a test case on env; unknown case parameters raise."""
     artifact = run_episode(env, case.seed, _case_overrides(env, case))
     artifact.case_id = case.name
     return artifact
 
 
-def _run_case(args) -> list[str]:
-    config, case, policy_override = args
-    return rollout(config, case, policy_override).to_lines()
+def _environment(config: EnvironmentConfig, policy_override: tuple[str, dict] | None) -> Environment:
+    env = Environment(config)
+    override_policies(env, policy_override)
+    return env
+
+
+#: the pool worker's environment, built once by ``_init_worker``
+_worker_env: Environment | None = None
+
+
+def _init_worker(config: EnvironmentConfig, policy_override: tuple[str, dict] | None) -> None:
+    global _worker_env
+    _worker_env = _environment(config, policy_override)
+
+
+def _worker_rollout(case: TestCase) -> EpisodeArtifact:
+    return rollout(_worker_env, case)
 
 
 def evaluate(
@@ -183,8 +210,12 @@ def evaluate(
     out_dir: str | Path,
     policy_override: tuple[str, dict] | None = None,
     workers: int = 1,
-) -> list[Path]:
-    """One artifact file per test case, written under out_dir."""
+) -> list[EpisodeArtifact]:
+    """Roll out every case and write one artifact file per case, then the manifest.
+
+    Each process builds one environment and runs its cases on it.  Returns
+    the artifacts in case order.
+    """
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -194,14 +225,16 @@ def evaluate(
     except OSError as exc:
         raise IOError(f"output directory '{out_dir}' is not writable: {exc}") from exc
 
-    jobs = [(config, case, policy_override) for case in cases]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            all_lines = list(pool.map(_run_case, jobs))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(config, policy_override)
+        ) as pool:
+            artifacts = list(pool.map(_worker_rollout, cases))
     else:
-        all_lines = [_run_case(job) for job in jobs]
+        env = _environment(config, policy_override)
+        artifacts = [rollout(env, case) for case in cases]
 
-    return [
-        write_atomic(out_dir / f"artifact_{case.name}.jsonl", "\n".join(lines) + "\n")
-        for case, lines in zip(cases, all_lines)
-    ]
+    for artifact in artifacts:
+        artifact.save(out_dir / artifact_file(artifact.case_id))
+    write_manifest(out_dir, [case.name for case in cases])
+    return artifacts

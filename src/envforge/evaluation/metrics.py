@@ -1,4 +1,4 @@
-"""Generate Metrics stage: composable metric functors over stored trajectories.
+"""Generate Metrics stage: composable metric functors over episode artifacts.
 
 Metrics follow the same functor pattern as glues/rewards/dones: registered by
 name, configured declaratively, and composable (a metric may consume other
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .artifact import EpisodeArtifact, load_artifacts
+from .artifact import EpisodeArtifact
 
 TERMINAL = "terminal"
 NON_TERMINAL = "non_terminal"
@@ -34,8 +34,14 @@ class MetricCycle(MetricError):
 
 
 class UnknownMetric(MetricError):
-    def __init__(self, name: str):
-        super().__init__(f"no metric registered under '{name}'")
+    def __init__(self, name: str, entry: str | None = None):
+        prefix = f"metric '{entry}': " if entry is not None else ""
+        super().__init__(f"{prefix}no metric registered under '{name}'")
+
+
+class InvalidMetricEntry(MetricError):
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"metrics entry {index}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -142,52 +148,69 @@ class MetricSpec:
 
 
 def parse_metric_config(tree) -> list[MetricSpec]:
-    specs = []
-    for entry in tree.get("metrics", []):
+    """The metric specs of a config tree, each checked before any artifact is read."""
+    entries = tree.get("metrics", []) if isinstance(tree, dict) else None
+    if not isinstance(entries, list):
+        raise MetricError("metric config: expected a mapping with a 'metrics' list")
+    specs: list[MetricSpec] = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "name" not in entry:
+            raise InvalidMetricEntry(i, "expected a mapping with a 'name'")
+        name = str(entry["name"])
+        if any(spec.name == name for spec in specs):
+            raise InvalidMetricEntry(i, f"another metric is already named '{name}'")
+        config, inputs = entry.get("config", {}), entry.get("inputs", {})
+        if not isinstance(config, dict) or not isinstance(inputs, dict):
+            raise InvalidMetricEntry(i, f"'config' and 'inputs' of '{name}' must be mappings")
         specs.append(
             MetricSpec(
-                name=str(entry["name"]),
-                metric=str(entry.get("metric", entry["name"])),
-                config=entry.get("config", {}),
-                inputs={str(k): str(v) for k, v in entry.get("inputs", {}).items()},
+                name=name,
+                metric=str(entry.get("metric", name)),
+                config=config,
+                inputs={str(k): str(v) for k, v in inputs.items()},
             )
         )
+    _computation_order(specs)
     return specs
 
 
-def generate_metrics(
-    artifacts: list[EpisodeArtifact] | str | Path,
-    specs: list[MetricSpec],
-) -> dict[str, MetricValue]:
-    """Evaluate metrics in dependency (topological) order."""
-    if not isinstance(artifacts, list):
-        artifacts = load_artifacts(artifacts)
+def _computation_order(specs: list[MetricSpec]) -> list[MetricSpec]:
+    """The specs with every producer before its consumers.
+
+    Raises for an unregistered metric, an input no spec produces, or a cycle.
+    """
     by_name = {spec.name: spec for spec in specs}
-    computed: dict[str, MetricValue] = {}
+    order: dict[str, MetricSpec] = {}
     visiting: list[str] = []
 
-    def resolve(name: str) -> MetricValue:
-        if name in computed:
-            return computed[name]
-        if name in visiting:
-            raise MetricCycle(visiting + [name])
-        spec = by_name[name]
+    def visit(spec: MetricSpec) -> None:
+        if spec.name in order:
+            return
+        if spec.name in visiting:
+            raise MetricCycle(visiting + [spec.name])
         if spec.metric not in METRIC_REGISTRY:
-            raise UnknownMetric(spec.metric)
-        visiting.append(name)
-        try:
-            inputs = {}
-            for role, producer in spec.inputs.items():
-                if producer not in by_name:
-                    raise UnknownMetricInput(name, producer)
-                inputs[role] = resolve(producer)
-            computed[name] = METRIC_REGISTRY[spec.metric](artifacts, inputs, spec.config)
-        finally:
-            visiting.pop()
-        return computed[name]
+            raise UnknownMetric(spec.metric, spec.name)
+        visiting.append(spec.name)
+        for producer in spec.inputs.values():
+            if producer not in by_name:
+                raise UnknownMetricInput(spec.name, producer)
+            visit(by_name[producer])
+        visiting.pop()
+        order[spec.name] = spec
 
     for spec in specs:
-        resolve(spec.name)
+        visit(by_name[spec.name])
+    return list(order.values())
+
+
+def generate_metrics(
+    artifacts: list[EpisodeArtifact], specs: list[MetricSpec]
+) -> dict[str, MetricValue]:
+    """Evaluate metrics in dependency (topological) order."""
+    computed: dict[str, MetricValue] = {}
+    for spec in _computation_order(specs):
+        inputs = {role: computed[producer] for role, producer in spec.inputs.items()}
+        computed[spec.name] = METRIC_REGISTRY[spec.metric](artifacts, inputs, spec.config)
     return computed
 
 

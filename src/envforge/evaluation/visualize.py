@@ -20,6 +20,14 @@ class KindMismatch(MetricError):
         )
 
 
+class InvalidVizEntry(MetricError):
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"visualizations entry {index}: {reason}")
+
+
+VIZ_TYPES = ("html", "table")
+
+
 @dataclass
 class VizSpec:
     type: str  # table | html
@@ -30,12 +38,22 @@ class VizSpec:
 
 
 def parse_viz_config(tree) -> list[VizSpec]:
+    """The visualization specs of a config tree, each checked before any rollout."""
+    entries = tree.get("visualizations", []) if isinstance(tree, dict) else None
+    if not isinstance(entries, list):
+        raise MetricError("visualization config: expected a mapping with a 'visualizations' list")
     specs = []
-    for entry in tree.get("visualizations", []):
+    for i, entry in enumerate(entries):
+        kind = entry.get("type") if isinstance(entry, dict) else None
+        if kind not in VIZ_TYPES:
+            raise InvalidVizEntry(i, f"type {kind!r} is not one of {list(VIZ_TYPES)}")
+        metrics = entry.get("metrics")
+        if metrics is not None and not isinstance(metrics, list):
+            raise InvalidVizEntry(i, "'metrics' must be a list of metric names")
         specs.append(
             VizSpec(
-                type=str(entry["type"]),
-                metrics=entry.get("metrics"),
+                type=kind,
+                metrics=metrics,
                 file=str(entry.get("file", "report.html")),
                 title=str(entry.get("title", "Evaluation report")),
                 config=entry.get("config", {}),

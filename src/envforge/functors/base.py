@@ -202,18 +202,20 @@ class Reward(Functor):
 
 
 class Extractor:
-    """One observation of a compiled glue, bound when the graph is built."""
+    """One observation of a compiled glue, bound when the graph is built.
+
+    The graph builder prefixes a ``FunctorError`` raised here with the
+    functor that holds the extractor.
+    """
 
     def __init__(self, node: "FunctorNode", key: str | None):
         spaces = node.observation_space
         if key is None:
             if len(spaces) != 1:
-                raise FunctorError(
-                    f"extractor on '{node.name}' needs a key ({len(spaces)} observations)"
-                )
+                raise FunctorError(f"'{node.name}' has {len(spaces)} observations, so a key is needed")
             key = next(iter(spaces))
         if key not in spaces:
-            raise UnknownExtractorTarget(f"{node.name}/{key}")
+            raise FunctorError(f"'{node.name}' has no observation '{key}'")
         self.node = node
         self.key = key
 

@@ -170,9 +170,12 @@ class GraphBuilder:
             if node_id in self.graph.nodes:
                 return self.graph.nodes[node_id]
 
-            extractor = (
-                Extractor(extractor_node, spec.extractor.key) if extractor_node else None
-            )
+            extractor = None
+            if extractor_node is not None:
+                try:
+                    extractor = Extractor(extractor_node, spec.extractor.key)
+                except FunctorError as exc:
+                    raise FunctorError(f"{name} ({spec.functor}): extractor: {exc}") from exc
             functor = cls(spec, children, extractor, self.platforms)
             child_ids = tuple(n.id for n in children.values())
             if extractor_node is not None:

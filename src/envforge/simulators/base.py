@@ -46,7 +46,8 @@ class Simulator:
     """
 
     simulator_type = "Simulator"
-    #: init parameter names each platform of this simulator must declare
+    #: init parameter names each platform of this simulator must declare, and
+    #: the only ones it reads
     required_init_params: tuple[str, ...] = ()
 
     def __init__(self, config: dict[str, Any], platform_setups: list[PlatformSetup]):

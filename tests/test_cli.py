@@ -4,6 +4,7 @@ import logging
 import pytest
 
 from envforge.cli import main
+from envforge.environment import Environment
 from envforge.evaluation import TestCase, rollout
 
 from conftest import CONFIG_DIR, DATA_DIR, load_env_config
@@ -101,7 +102,7 @@ class TestRun:
         assert main(argv + ["--out", str(out)]) == 0
         config = load_env_config(env_file)
         for k in range(3):
-            artifact = rollout(config, TestCase("c", {}, seed + k))
+            artifact = rollout(Environment(config), TestCase("c", {}, seed + k))
             assert artifact.error is None
             projected = artifact.write_csv(tmp_path / f"projected_{k}.csv")
             assert (out / f"episode_{k}.csv").read_bytes() == projected.read_bytes()
@@ -175,6 +176,27 @@ class TestPipelineStages:
         code = main(["metrics", "--metrics", "no_such_metrics.yml", "--out", str(tmp_path)])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "file, text, error",
+        [
+            ("cases", "test_cases: [{name: a}, {name: a}]", "InvalidCase: test case 1"),
+            ("cases", "test_cases: [{name: a/b}]", "InvalidCase: test case 0"),
+            ("metrics", "metrics: [{name: success_rte}]", "UnknownMetric: metric 'success_rte'"),
+            ("metrics", "metrics: [{metric: success_rate}]", "InvalidMetricEntry: metrics entry 0"),
+            ("viz", "visualizations: [{type: htm}]", "InvalidVizEntry: visualizations entry 0"),
+        ],
+        ids=["duplicate_case", "case_path", "unknown_metric", "metric_without_name", "viz_type"],
+    )
+    def test_bad_input_fails_before_the_first_rollout(self, tmp_path, capsys, file, text, error):
+        inputs = {"cases": DOCKING / "cases.yml", "metrics": DOCKING / "metrics.yml", "viz": DOCKING / "viz.yml"}
+        inputs[file] = tmp_path / f"{file}.yml"
+        inputs[file].write_text(text + "\n")
+        out = tmp_path / "out"
+        argv = [f"--{k}={v}" for k, v in inputs.items()]
+        assert main(short_args("pipeline", *argv, "--out", str(out))) == 1
+        assert error in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLogLevel:

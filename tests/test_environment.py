@@ -16,6 +16,7 @@ from envforge.environment import (
     UnknownActionKey,
 )
 from envforge.evaluation import TestCase, rollout
+from envforge.evaluation.evaluate import override_policies
 from envforge.evaluation.evaluate import run_episode as record_episode
 from envforge.functors.base import DoneStatusCode
 from envforge.units import METER, Quantity
@@ -392,7 +393,9 @@ class TestPolicyOverride:
         argv = ["run", "--env", str(env_file), "--policy", "random", "--seed", "5", "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 0
         ran = recorded[0]
-        rolled = rollout(env.config, TestCase("c", {}, 5), ("random", {}))
+        fresh = Environment(env.config)
+        override_policies(fresh, ("random", {}))
+        rolled = rollout(fresh, TestCase("c", {}, 5))
         assert len(ran.steps) == 20
         assert [s.actions for s in ran.steps] == [s.actions for s in rolled.steps]
         # Both agents draw in turn from one shared instance, so their actions
@@ -411,7 +414,7 @@ class TestEpisodeFailure:
         err = capsys.readouterr().err
         assert "EpisodeFailed: episode 0 (seed 0): SpaceViolation" in err
         config, _ = validate_environment(tree)
-        artifact = rollout(config, TestCase("c", {}, 0))
+        artifact = rollout(Environment(config), TestCase("c", {}, 0))
         assert artifact.error.startswith("SpaceViolation") and artifact.steps == []
 
 
@@ -490,7 +493,9 @@ class TestActionBoundary:
         config, report = validate_environment(docking_tree(horizon=20))
         assert config is not None, str(report)
         replay = ("replay", {"actions": [{"ThrustControl": [0.5]}, {"ThrustControl": [float("nan")]}]})
-        artifact = rollout(config, TestCase("c", {}, 0), replay)
+        env = Environment(config)
+        override_policies(env, replay)
+        artifact = rollout(env, TestCase("c", {}, 0))
         assert artifact.error.startswith("NonFiniteAction")
         assert "agent_0" in artifact.error and "ThrustControl" in artifact.error
         assert len(artifact.steps) == 1

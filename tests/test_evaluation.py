@@ -1,14 +1,24 @@
+import importlib
 import json
 import os
+import re
 
 import pytest
 
 from envforge.config.validate import validate_environment_file
 from envforge.evaluation import (
+    MANIFEST,
+    ArtifactError,
     EpisodeArtifact,
+    EvaluationError,
+    InvalidCase,
     InvalidCaseParameter,
+    InvalidMetricEntry,
+    InvalidVizEntry,
     KindMismatch,
     MetricCycle,
+    MetricError,
+    MissingArtifact,
     MetricSpec,
     MetricValue,
     StepRecord,
@@ -17,11 +27,13 @@ from envforge.evaluation import (
     UnknownMetric,
     UnknownMetricInput,
     VizSpec,
+    artifact_file,
     evaluate,
     generate_metrics,
     load_artifacts,
     parse_condition_set,
     parse_metric_config,
+    parse_viz_config,
     read_metrics,
     render_html,
     render_table,
@@ -30,13 +42,18 @@ from envforge.evaluation import (
     visualize,
     write_metrics,
 )
-from envforge.evaluation.artifact import ArtifactError, TruncatedArtifact
-from envforge.evaluation.evaluate import _case_overrides, run_episode
+from envforge.config.validate import validate_environment
+from envforge.evaluation.artifact import TruncatedArtifact
+from envforge.evaluation.evaluate import _case_overrides, override_policies, run_episode
 from envforge.environment import Environment
 from envforge.policies import Policy
 from envforge.units import METER, Quantity
 
 from conftest import CONFIG_DIR
+from test_environment import TestSpaceChecks, docking_tree
+
+# the module, which the package's ``evaluate`` function shadows
+evaluate_module = importlib.import_module("envforge.evaluation.evaluate")
 
 
 def short_config():
@@ -160,7 +177,7 @@ class TestRollout:
 
     def test_rollout_rejects_invalid_case_value_before_the_episode(self):
         with pytest.raises(InvalidCaseParameter):
-            rollout(short_config(), TestCase("bad", {"deputy.x0": float("nan")}))
+            rollout(Environment(short_config()), TestCase("bad", {"deputy.x0": float("nan")}))
 
     def test_case_value_with_unit_is_converted_to_declared_unit(self):
         env = Environment(short_config())
@@ -169,13 +186,13 @@ class TestRollout:
         assert overrides["deputy.x0"] == Quantity.scalar(-5.0, METER)
 
     def test_rollout_solvable_case_wins(self):
-        artifact = rollout(short_config(), TestCase("near", {"deputy.x0": -5.0}))
+        artifact = rollout(Environment(short_config()), TestCase("near", {"deputy.x0": -5.0}))
         assert artifact.final_outcome == {"deputy_agent": "WIN"}
         assert artifact.error is None
         assert artifact.parameters["deputy.x0"]["value"] == -5.0
 
     def test_rollout_far_case_times_out(self):
-        artifact = rollout(short_config(), TestCase("far", {"deputy.x0": -150.0}))
+        artifact = rollout(Environment(short_config()), TestCase("far", {"deputy.x0": -150.0}))
         assert artifact.final_outcome == {"deputy_agent": "DRAW"}
         assert artifact.truncated
         assert len(artifact.steps) == 300
@@ -200,12 +217,10 @@ class TestRollout:
             assert step.platform_states["deputy"]["thrust"] == 0.05
 
     def test_evaluate_writes_one_artifact_per_case(self, tmp_path):
-        paths = evaluate(short_config(), docking_cases(), tmp_path)
-        assert [p.name for p in paths] == [
-            "artifact_near_5m.jsonl",
-            "artifact_near_10m.jsonl",
-            "artifact_far_150m.jsonl",
-        ]
+        artifacts = evaluate(short_config(), docking_cases(), tmp_path)
+        assert [a.case_id for a in artifacts] == ["near_5m", "near_10m", "far_150m"]
+        for artifact in artifacts:
+            assert EpisodeArtifact.load(tmp_path / artifact_file(artifact.case_id)) == artifact
 
     def test_parallel_matches_serial(self, tmp_path):
         serial = tmp_path / "serial"
@@ -366,3 +381,195 @@ class TestPipeline:
         metrics = run_pipeline(short_config(), docking_cases(), metric_specs, viz_specs, tmp_path)
         assert metrics["success_rate"].value == 2 / 3
         assert "success_rate" in capsys.readouterr().out
+
+
+class TestRunManifest:
+    """Later stages read the artifacts of the latest evaluate run, and only those."""
+
+    def specs(self):
+        return TestPipeline().specs()
+
+    def test_second_run_into_one_directory_ignores_the_first(self, tmp_path, capsys):
+        metric_specs, viz_specs = self.specs()
+        again = [TestCase("again_5m", {"deputy.x0": -5.0}, seed=0)]
+
+        piped = tmp_path / "piped"
+        run_pipeline(short_config(), docking_cases(), metric_specs, viz_specs, piped)
+        metrics = run_pipeline(short_config(), again, metric_specs, viz_specs, piped)
+        assert metrics["success_rate"].value == 1.0
+        assert metrics["episode_length"].value.keys() == {"again_5m"}
+
+        staged = tmp_path / "staged"
+        for cases in (docking_cases(), again):
+            evaluate(short_config(), cases, staged)
+            write_metrics(generate_metrics(load_artifacts(staged), metric_specs), staged / "metrics.json")
+            visualize(read_metrics(staged / "metrics.json"), viz_specs, staged)
+        assert read_metrics(staged / "metrics.json") == metrics
+
+        staged_files = {p.name: p.read_bytes() for p in staged.iterdir()}
+        piped_files = {p.name: p.read_bytes() for p in piped.iterdir()}
+        assert staged_files == piped_files
+
+    def test_manifest_names_the_cases_in_case_order(self, tmp_path):
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        evaluate(short_config(), docking_cases(), serial)
+        evaluate(short_config(), docking_cases(), parallel, workers=2)
+        manifest = json.loads((serial / MANIFEST).read_text())
+        assert manifest == {"schema_version": 1, "cases": ["near_5m", "near_10m", "far_150m"]}
+        assert (parallel / MANIFEST).read_bytes() == (serial / MANIFEST).read_bytes()
+
+    def test_missing_named_artifact_raises_naming_the_file(self, tmp_path):
+        evaluate(short_config(), docking_cases(), tmp_path)
+        (tmp_path / "artifact_near_10m.jsonl").unlink()
+        with pytest.raises(MissingArtifact, match="artifact_near_10m.jsonl"):
+            load_artifacts(tmp_path)
+
+    @pytest.mark.parametrize("text", ["[]", "{\"cases\": \"a\"}", "{"], ids=["list", "not_a_list", "cut"])
+    def test_malformed_manifest_raises_naming_the_file(self, tmp_path, text):
+        (tmp_path / MANIFEST).write_text(text)
+        with pytest.raises(ArtifactError, match=MANIFEST):
+            load_artifacts(tmp_path)
+
+    def test_directory_without_manifest_loads_every_artifact(self, tmp_path):
+        evaluate(short_config(), docking_cases(), tmp_path)
+        sample_artifact("older").save(tmp_path / "artifact_older.jsonl")
+        assert [a.case_id for a in load_artifacts(tmp_path)] == ["far_150m", "near_10m", "near_5m"]
+        (tmp_path / MANIFEST).unlink()
+        assert [a.case_id for a in load_artifacts(tmp_path)] == ["far_150m", "near_10m", "near_5m", "older"]
+
+
+class TestOnePass:
+    """evaluate runs every case of a process on one environment; pipeline
+    computes metrics from the artifacts in memory."""
+
+    def test_pipeline_opens_no_artifact_file(self, tmp_path, capsys, monkeypatch):
+        def refuse(cls, path):
+            raise AssertionError(f"pipeline loaded {path}")
+
+        monkeypatch.setattr(EpisodeArtifact, "load", classmethod(refuse))
+        metric_specs, viz_specs = TestPipeline().specs()
+        metrics = run_pipeline(short_config(), docking_cases(), metric_specs, viz_specs, tmp_path)
+        assert metrics["success_rate"].value == 2 / 3
+
+    def test_metrics_from_memory_equal_metrics_from_disk(self, tmp_path):
+        specs = parse_metric_config(
+            {"metrics": [{"name": n} for n in (
+                "success_count", "episode_length", "total_reward",
+                "reward_component_proportions", "done_code_histogram",
+            )]}
+        )
+        artifacts = evaluate(short_config(), docking_cases(), tmp_path)
+        in_memory = sorted(artifacts, key=lambda a: artifact_file(a.case_id))
+        loaded = load_artifacts(tmp_path)
+        assert in_memory == loaded
+        assert generate_metrics(in_memory, specs) == generate_metrics(loaded, specs)
+
+    def test_serial_evaluate_builds_one_environment(self, tmp_path, monkeypatch):
+        built = []
+
+        class Counting(Environment):
+            def __init__(self, config):
+                built.append(config)
+                super().__init__(config)
+
+        monkeypatch.setattr(evaluate_module, "Environment", Counting)
+        evaluate(short_config(), docking_cases(), tmp_path)
+        assert len(built) == 1
+
+    def test_each_pool_worker_builds_one_environment(self, tmp_path, monkeypatch):
+        log = tmp_path / "builds.txt"
+
+        class Recording(Environment):
+            def __init__(self, config):
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                super().__init__(config)
+
+        monkeypatch.setattr(evaluate_module, "Environment", Recording)
+        cases = docking_cases() + [TestCase("near_15m", {"deputy.x0": -15.0}, seed=3)]
+        evaluate(short_config(), cases, tmp_path / "out", workers=2)
+        pids = log.read_text().split()
+        assert 1 <= len(pids) <= 2 and len(set(pids)) == len(pids)
+        assert str(os.getpid()) not in pids
+
+    def test_reused_environment_matches_fresh_after_a_failed_case(self, tmp_path):
+        # Two steps of full reverse thrust: from x0 = -4 the bounded glue
+        # leaves its [-5, 5] box at step 2 and the episode fails there; from
+        # x0 = 4 the craft passes the dock too fast and the episode ends in LOSS.
+        tree = docking_tree(horizon=30, extra_glues=TestSpaceChecks().bounded_tvd_glue(-5.0, 5.0))
+        config, report = validate_environment(tree)
+        assert config is not None, str(report)
+        replay = ("replay", {"actions": [{"ThrustControl": [-1.0]}] * 2})
+        cases = [
+            TestCase("fails", {"deputy.x0": -4.0}, seed=0),
+            TestCase("after", {"deputy.x0": 4.0}, seed=1),
+            TestCase("again", {"deputy.x0": -4.0}, seed=2),
+        ]
+        reused = evaluate(config, cases, tmp_path, policy_override=replay)
+        assert reused[0].error.startswith("SpaceViolation") and len(reused[0].steps) == 1
+        assert reused[1].error is None and reused[1].final_outcome == {"agent_0": "LOSS"}
+        for case, artifact in zip(cases, reused):
+            env = Environment(config)
+            override_policies(env, replay)
+            assert rollout(env, case).to_lines() == artifact.to_lines()
+
+
+class TestInputChecks:
+    """Bad evaluation inputs fail where they are parsed, before any rollout."""
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([{"name": "a"}, {"name": "a"}], "test case 1: another case is already named 'a'"),
+            ([{"name": "a/b"}], "test case 0: name 'a/b' contains a path separator"),
+            ([{"name": "a\\b"}], "contains a path separator"),
+            (["a"], "test case 0: expected a mapping"),
+            ([{"name": "a", "parameters": [1.0]}], "'a': parameters must be a mapping"),
+            ([{"name": "a", "seed": 1.5}], "'a': seed must be an integer"),
+        ],
+        ids=["duplicate", "slash", "backslash", "not_a_mapping", "parameters", "seed"],
+    )
+    def test_bad_case_entry(self, entries, message):
+        with pytest.raises(InvalidCase, match=re.escape(message)):
+            parse_condition_set({"test_cases": entries})
+
+    @pytest.mark.parametrize(
+        "entries, error, message",
+        [
+            ([{"name": "rate", "metric": "success_rte"}], UnknownMetric,
+             "metric 'rate': no metric registered under 'success_rte'"),
+            ([{"metric": "success_rate"}], InvalidMetricEntry, "metrics entry 0: expected a mapping with a 'name'"),
+            ([{"name": "m", "metric": "mean_of", "inputs": {"source": "ghost"}}], UnknownMetricInput,
+             "metric 'm' consumes undefined metric 'ghost'"),
+            ([{"name": "a", "metric": "mean_of", "inputs": {"source": "a"}}], MetricCycle, "a -> a"),
+            ([{"name": "x"}, {"name": "x", "metric": "success_rate"}], InvalidMetricEntry,
+             "metrics entry 1: another metric is already named 'x'"),
+            ([{"name": "success_rate", "inputs": ["count"]}], InvalidMetricEntry, "must be mappings"),
+        ],
+        ids=["unknown_metric", "no_name", "undefined_input", "cycle", "duplicate", "inputs"],
+    )
+    def test_bad_metric_entry(self, entries, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            parse_metric_config({"metrics": entries})
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([{"type": "table"}, {"type": "htm"}], "visualizations entry 1: type 'htm' is not one of"),
+            ([{"file": "r.html"}], "visualizations entry 0: type None is not one of"),
+            ([{"type": "table", "metrics": "success_rate"}], "'metrics' must be a list"),
+        ],
+        ids=["unknown_type", "no_type", "metrics"],
+    )
+    def test_bad_viz_entry(self, entries, message):
+        with pytest.raises(InvalidVizEntry, match=re.escape(message)):
+            parse_viz_config({"visualizations": entries})
+
+    @pytest.mark.parametrize(
+        "parse, tree",
+        [(parse_condition_set, {"test_cases": {}}), (parse_metric_config, []), (parse_viz_config, None)],
+        ids=["cases", "metrics", "viz"],
+    )
+    def test_tree_without_its_list(self, parse, tree):
+        with pytest.raises((EvaluationError, MetricError), match="expected a mapping with a"):
+            parse(tree)

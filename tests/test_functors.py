@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -13,6 +14,7 @@ from envforge.functors.base import (
     DoneStatusCode,
     EpisodeState,
     ExtractorSpec,
+    FunctorError,
     FunctorSpec,
     UnknownExtractorTarget,
 )
@@ -200,6 +202,31 @@ class TestGraphStructure:
                     )
                 ],
             )
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [(None, "'Pair' has 2 observations, so a key is needed"), ("ghost", "'Pair' has no observation 'ghost'")],
+        ids=["no_key", "unknown_key"],
+    )
+    def test_extractor_error_names_its_functor(self, key, message):
+        observe = {"normalize": False}
+        pair = FunctorSpec(
+            "Wrapper",
+            "Pair",
+            wrapped={
+                "p": FunctorSpec("ObserveSensor", "P", config={"sensor": "Sensor_Position", **observe}),
+                "v": FunctorSpec("ObserveSensor", "V", config={"sensor": "Sensor_Velocity", **observe}),
+            },
+        )
+        shaping = FunctorSpec(
+            "ExponentialDecayFromTargetValue",
+            "Shaping",
+            config={"eps": 1.0},
+            extractor=ExtractorSpec("Pair", key),
+        )
+        expected = f"Shaping (ExponentialDecayFromTargetValue): extractor: {message}"
+        with pytest.raises(FunctorError, match=re.escape(expected)):
+            build_graph(docking_platform(), glues=[pair], rewards=[shaping])
 
 
 class TestGlues:
