@@ -71,6 +71,24 @@ class StepResult:
     info: dict = field(default_factory=dict)
 
 
+def episode_parameters(config: EnvironmentConfig) -> EpisodeParameterProvider:
+    """A provider of every episode parameter ``config`` declares: the
+    reference store, each platform's initialization (keyed
+    ``<platform>.<name>``), then each agent's reference store and parameters
+    not declared before."""
+    epp = EpisodeParameterProvider()
+    for spec in config.reference_store.values():
+        epp.add(spec)
+    for platform in config.platforms:
+        for pname, spec in platform.initialization.items():
+            epp.add(replace(spec, name=init_key(platform.name, pname)))
+    for agent_cfg in config.agents:
+        for spec in [*agent_cfg.reference_store.values(), *agent_cfg.parameters.values()]:
+            if spec.name not in epp:
+                epp.add(spec)
+    return epp
+
+
 class Environment:
     """Owns one simulator, its agents, and the per-step evaluation schedule."""
 
@@ -78,19 +96,7 @@ class Environment:
         self.config = config
         self.registry = registry
 
-        self.epp = EpisodeParameterProvider()
-        for name, spec in config.reference_store.items():
-            self.epp.add(spec)
-        for platform in config.platforms:
-            for pname, spec in platform.initialization.items():
-                self.epp.add(replace(spec, name=init_key(platform.name, pname)))
-        for agent_cfg in config.agents:
-            for spec in agent_cfg.reference_store.values():
-                if spec.name not in self.epp:
-                    self.epp.add(spec)
-            for spec in agent_cfg.parameters.values():
-                if spec.name not in self.epp:
-                    self.epp.add(spec)
+        self.epp = episode_parameters(config)
 
         setups = [
             PlatformSetup(p.name, p.platform_type, list(p.initialization))
@@ -143,9 +149,9 @@ class Environment:
         sampled = self.epp.sample_episode(seed, overrides)
         self.simulator.reset(sampled)
         for agent in self.agents.values():
-            agent.graph.reset()
+            agent.graph.reset(sampled)
             agent.policy.reseed(seed)
-        self.shared_graph.reset()
+        self.shared_graph.reset(sampled)
 
         self.state = EpisodeState(self.simulator.platforms, self.epp, self.config.horizon)
         self.state.sim_time = self.simulator.sim_time
@@ -157,30 +163,32 @@ class Environment:
 
         self._evaluate_glues()
         self._space_check()
-        return self._collect_observations(self.agents.keys())
+        return self._collect_observations(self.agents.items())
 
     def step(self, actions: dict[str, dict[str, np.ndarray]]) -> StepResult:
         if self.state is None or self._env_done:
             raise EpisodeAlreadyDone()
         state = self.state
         outcome = self._outcome
-        active = [name for name, result in outcome.items() if result is None]
+        agents = self.agents
+        # (name, agent) of each agent without an outcome as the step starts
+        active = [(name, agents[name]) for name, result in outcome.items() if result is None]
 
         # (1) glues push actions to controllers, once every fragment has passed
         # its checks; a missing fragment leaves that controller's zero command
         for name, fragments in actions.items():
-            agent = self.agents.get(name)
+            agent = agents.get(name)
             if agent is None:
                 raise UnknownActionKey(name)
             if not fragments.keys() <= agent.action_glues.keys():
                 unknown = next(k for k in fragments if k not in agent.action_glues)
                 raise UnknownActionKey(name, unknown)
         commands = []
-        for name in active:
+        for name, agent in active:
             fragments = actions.get(name)
             if not fragments:
                 continue
-            for glue, node in self.agents[name].action_glues.items():
+            for glue, node in agent.action_glues.items():
                 if glue in fragments:
                     values = np.atleast_1d(np.asarray(fragments[glue], dtype=float))
                     if not np.isfinite(values).all():
@@ -202,21 +210,24 @@ class Environment:
 
         # (4) dones, including shared dones; an agent's outcome is its first
         # fired done, else PlatformDestroyed, else the first shared done
+        platforms = self.simulator.platforms
         fired: dict[str, dict[str, DoneResult]] = {}
-        for name in active:
-            agent = self.agents[name]
+        for name, agent in active:
             fired[name] = agent_fired = {}
+            first = None
             for node in agent.graph.dones:
                 result = node.functor.evaluate(state)
                 if result is not None:
                     agent_fired[node.name] = result
-                    if outcome[name] is None:
-                        outcome[name] = result
-            # destruction of an owning platform ends the agent with LOSS
-            if outcome[name] is None and any(
-                pname not in self.simulator.platforms for pname in agent.platform_names
-            ):
-                outcome[name] = agent_fired["PlatformDestroyed"] = DoneResult(DoneStatusCode.LOSS)
+                    if first is None:
+                        first = result
+            if first is None:
+                # destruction of an owning platform ends the agent with LOSS
+                for pname in agent.platform_names:
+                    if pname not in platforms:
+                        first = agent_fired["PlatformDestroyed"] = DoneResult(DoneStatusCode.LOSS)
+                        break
+            outcome[name] = first
         shared_fired: dict[str, DoneResult] = {}
         shared_first: DoneResult | None = None
         for node in self.shared_graph.shared_dones:
@@ -227,32 +238,45 @@ class Environment:
                     shared_first = result
         self.trace.append((state.step_count, "dones"))
 
-        # (5) rewards, with this step's done results visible
+        # (5) rewards, with this step's done results visible; an agent's
+        # reward is the sum of its components, in order
         components: dict[str, dict[str, float]] = {}
         rewards: dict[str, float] = {}
-        for name in active:
-            agent_dones = {**fired[name], **shared_fired}
-            components[name] = {
-                node.name: float(node.functor.evaluate(state, agent_dones))
-                for node in self.agents[name].graph.rewards
-            }
-            rewards[name] = sum(components[name].values())
+        for name, agent in active:
+            agent_dones = {**fired[name], **shared_fired} if shared_fired else fired[name]
+            components[name] = agent_components = {}
+            total = 0  # an int, as sum() starts: no components is a reward of 0
+            for node in agent.graph.rewards:
+                agent_components[node.name] = value = float(node.functor.evaluate(state, agent_dones))
+                total += value
+            rewards[name] = total
         self.trace.append((state.step_count, "rewards"))
 
-        # (6) episode end policy
+        # (6) episode end policy; the shared done ends every agent still active
+        truncated = self._truncated
+        dones: dict[str, bool] = {}
+        done_codes: dict[str, DoneStatusCode | None] = {}
+        ended = len(outcome) - len(active)
+        for name, _ in active:
+            result = outcome[name]
+            if result is None:
+                result = outcome[name] = shared_first
+            if result is None:
+                dones[name] = False
+                done_codes[name] = None
+            else:
+                ended += 1
+                dones[name] = True
+                done_codes[name] = result.code
+                truncated = truncated or result.truncation
         if shared_first is not None:
-            for name, result in outcome.items():
-                if result is None:
-                    outcome[name] = shared_first
             self._env_done = True
-            self._truncated = self._truncated or shared_first.truncation
+            truncated = truncated or shared_first.truncation
         elif self.config.episode_end_mode is EpisodeEndMode.ANY_AGENT_DONE:
-            self._env_done = any(r is not None for r in outcome.values())
+            self._env_done = ended > 0
         else:
-            self._env_done = all(r is not None for r in outcome.values())
-        self._truncated = self._truncated or any(
-            outcome[n] is not None and outcome[n].truncation for n in active
-        )
+            self._env_done = ended == len(outcome)
+        self._truncated = truncated
 
         # (7) observation space sanity checks
         self._space_check()
@@ -260,14 +284,14 @@ class Environment:
         return StepResult(
             observations=self._collect_observations(active),
             rewards=rewards,
-            dones={name: outcome[name] is not None for name in active},
-            done_codes={name: outcome[name].code if outcome[name] else None for name in active},
+            dones=dones,
+            done_codes=done_codes,
             env_done=self._env_done,
-            truncated=self._truncated,
+            truncated=truncated,
             info={
                 "reward_components": components,
                 "done_results": {
-                    name: {k: r.code.value for k, r in fired[name].items()} for name in active
+                    name: {k: r.code.value for k, r in fired[name].items()} for name, _ in active
                 },
                 "shared_done_results": {k: r.code.value for k, r in shared_fired.items()},
             },
@@ -299,13 +323,15 @@ class Environment:
         for node in self._glue_nodes:
             node.observation = node.functor.get_observation(state)
 
-    def _collect_observations(self, agent_names) -> dict[str, dict[str, Quantity]]:
+    @staticmethod
+    def _collect_observations(agents) -> dict[str, dict[str, Quantity]]:
+        """Each of ``agents``' ((name, agent) pairs) observations, keyed '<glue name>/<key>'."""
         return {
             name: {
                 obs_name: node.observation[key]
-                for obs_name, node, key, _ in self.agents[name].observation_layout
+                for obs_name, node, key, _ in agent.observation_layout
             }
-            for name in agent_names
+            for name, agent in agents
         }
 
     def _space_check(self) -> None:
@@ -321,9 +347,12 @@ class Environment:
             for _, node, key, box in agent.observation_layout:
                 values = node.observation[key].values
                 # NaN fails neither comparison, so it passes here as it does in
-                # the element loop that words the error; a wrong shape goes to
-                # that loop as it always did.
-                if values.shape != box.low.shape or ((values < box.low) | (values > box.high)).any():
+                # the element loop that words the error, and no value lies
+                # outside an unbounded box; a wrong shape goes to that loop as
+                # it always did.
+                if values.shape != box.low.shape or (
+                    not box.unbounded and ((values < box.low) | (values > box.high)).any()
+                ):
                     _raise_first_violation(name, node.name, values, box)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from ..config.schema import EnvironmentConfig
-from ..environment import Environment
+from ..environment import Environment, episode_parameters
+from ..epp import ParameterSpec
 from ..policies import POLICY_REGISTRY
 from ..units import Quantity, UnitError, value_in
 from .artifact import EpisodeArtifact, StepRecord, artifact_file, write_manifest
@@ -64,14 +66,12 @@ def parse_condition_set(tree) -> list[TestCase]:
     if not isinstance(entries, list):
         raise EvaluationError("test cases: expected a mapping with a 'test_cases' list")
     cases: list[TestCase] = []
+    names: set[str] = set()
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise InvalidCase(i, "expected a mapping")
         name = str(entry.get("name", f"case_{i}"))
-        if any(sep in name for sep in ("/", "\\", "\0")):
-            raise InvalidCase(i, f"name '{name}' contains a path separator")
-        if any(case.name == name for case in cases):
-            raise InvalidCase(i, f"another case is already named '{name}'")
+        _check_case_name(i, name, names)
         parameters, seed = entry.get("parameters", {}), entry.get("seed", i)
         if not isinstance(parameters, dict):
             raise InvalidCase(i, f"'{name}': parameters must be a mapping")
@@ -81,15 +81,25 @@ def parse_condition_set(tree) -> list[TestCase]:
     return cases
 
 
-def _case_overrides(env: Environment, case: TestCase) -> dict[str, Quantity]:
+def _check_case_name(index: int, name: str, names: set[str]) -> None:
+    """Each case names its artifact file: ``name`` must be new to ``names``
+    (the earlier cases' names, to which it is added) and hold no path separator."""
+    if any(sep in name for sep in ("/", "\\", "\0")):
+        raise InvalidCase(index, f"name '{name}' contains a path separator")
+    if name in names:
+        raise InvalidCase(index, f"another case is already named '{name}'")
+    names.add(name)
+
+
+def _case_overrides(specs: Mapping[str, ParameterSpec], case: TestCase) -> dict[str, Quantity]:
     """Fixed, finite per-case values in each declared parameter's unit.
 
-    A bare number takes the declared unit; a ``{value, unit}`` mapping is
-    converted to it.
+    ``specs`` are the episode parameters by name.  A bare number takes the
+    declared unit; a ``{value, unit}`` mapping is converted to it.
     """
     overrides = {}
     for name, raw in case.parameters.items():
-        spec = env.epp.specs.get(name)
+        spec = specs.get(name)
         if spec is None:
             raise UnknownCaseParameter(case.name, name)
         try:
@@ -180,7 +190,7 @@ def run_episode(
 
 def rollout(env: Environment, case: TestCase) -> EpisodeArtifact:
     """One fully seeded episode for a test case on env; unknown case parameters raise."""
-    artifact = run_episode(env, case.seed, _case_overrides(env, case))
+    artifact = run_episode(env, case.seed, _case_overrides(env.epp.specs, case))
     artifact.case_id = case.name
     return artifact
 
@@ -213,9 +223,17 @@ def evaluate(
 ) -> list[EpisodeArtifact]:
     """Roll out every case and write one artifact file per case, then the manifest.
 
-    Each process builds one environment and runs its cases on it.  Returns
-    the artifacts in case order.
+    Every case's name and parameters are checked before the first rollout, as
+    ``parse_condition_set`` and ``rollout`` check them.  Each process builds
+    one environment and runs its cases on it.  Returns the artifacts in case
+    order.
     """
+    names: set[str] = set()
+    specs = episode_parameters(config).specs
+    for i, case in enumerate(cases):
+        _check_case_name(i, case.name, names)
+        _case_overrides(specs, case)
+
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

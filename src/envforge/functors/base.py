@@ -14,9 +14,10 @@ from typing import Any, Union
 
 import numpy as np
 
+from ..epp import SampledParameters
 from ..params import SOURCE, Param, check_inputs, parse_params, wrapped_path
 from ..parts import Box, Platform
-from ..units import Quantity
+from ..units import Quantity, UnitError
 
 
 class FunctorError(Exception):
@@ -83,9 +84,6 @@ class EpisodeState:
         self.step_count = 0
         self.sim_time = 0.0
 
-    def reference(self, key: str) -> Quantity:
-        return self.epp.reference_lookup(key)
-
 
 class Functor:
     """Base for all functors; state is episode-local and cleared by reset().
@@ -93,6 +91,8 @@ class Functor:
     ``params`` is the functor's table of config keys.  A key it does not
     declare, a value its converter rejects or a missing required key fails
     construction with a ``FunctorError`` naming the functor and the field.
+    ``values`` holds the settings and, once ``bind`` has run for the
+    episode, each referenced param's sample.
 
     ``inputs`` declares the observations it reads (see ``params.check_inputs``).
     Construction binds a ``SOURCE`` as ``source`` and each key of a tuple as
@@ -119,20 +119,21 @@ class Functor:
         if errors:
             path, _, message = errors[0]
             raise self._error(path, message)
-        units = {p.name: p.unit for p in self.params}
-        # param name -> (reference-store key, declared unit), for each param sampled per episode
-        self._references = {name: (key, units[name]) for name, key in spec.references.items()}
+        declared = {p.name: p for p in self.params}
+        # param name -> (reference-store key, Param), for each param sampled per episode
+        self._references = {name: (key, declared[name]) for name, key in spec.references.items()}
+        self.values: dict[str, Any] = dict(self.settings)
         self.children = children
         self.platforms = platforms
         if self.inputs is SOURCE:
-            self.source = extractor or self._bind(*next(iter(children.items())))
+            self.source = extractor or self._bind_input(*next(iter(children.items())))
         elif isinstance(self.inputs, tuple):
-            self.sources = {key: self._bind(key, children[key]) for key in self.inputs}
+            self.sources = {key: self._bind_input(key, children[key]) for key in self.inputs}
 
     def _error(self, path: str, message: str) -> FunctorError:
         return FunctorError(f"{self.name} ({self.spec.functor}): {path}: {message}")
 
-    def _bind(self, key: str, node: "FunctorNode") -> "Extractor":
+    def _bind_input(self, key: str, node: "FunctorNode") -> "Extractor":
         count = len(node.observation_space)
         if count != 1:
             raise self._error(wrapped_path(key), f"'{node.name}' has {count} observations, expected one")
@@ -141,18 +142,27 @@ class Functor:
     def reset(self) -> None:
         """Clear episode-local state."""
 
-    def param(self, state: EpisodeState, name: str) -> float:
-        """A referenceable parameter's value, in its declared unit.
+    def bind(self, sample: SampledParameters) -> None:
+        """Bind this episode's referenced values into ``values``.
 
-        A referenced parameter is looked up on every call, because each
-        episode samples it anew; any other returns its setting.
+        Each sample is converted to its param's declared unit and passed
+        through the param's ``parse``, so a value out of range fails here, at
+        ``reset``, naming the functor, the param and the reference key.
         """
-        reference = self._references.get(name)
-        if reference is None:
-            return self.settings[name]
-        key, unit = reference
-        q = state.reference(key)
-        return (q if unit is None else q.to(unit)).item
+        for name, (key, p) in self._references.items():
+            q = sample.get(key)
+            if q is None:
+                raise self._error(f"references/{name}", f"reference store has no key '{key}'")
+            try:
+                value = (q if p.unit is None else q.to(p.unit)).item
+                self.values[name] = p.parse(value)
+            except (UnitError, TypeError, ValueError, KeyError, OverflowError) as exc:
+                raise self._error(f"references/{name}", f"reference '{key}': {exc}") from exc
+
+    def param(self, state: EpisodeState, name: str) -> Any:
+        """A parameter's value: its setting, or, for a referenced one, this
+        episode's sample in its declared unit, as bound at ``reset``."""
+        return self.values[name]
 
 
 class Glue(Functor):

@@ -118,7 +118,7 @@ class TargetValueDifference(Glue):
         }
 
     def get_observation(self, state):
-        target = self.param(state, "target_value")
+        target = self.values["target_value"]
         return {
             "target_value_difference": Quantity.scalar(
                 target - float(self.source.value().values[self.index]), self.unit
@@ -258,9 +258,8 @@ class StateBounds(Done):
 
     def evaluate(self, state):
         value = self.source.value().values
-        low = self.param(state, "min")
-        high = self.param(state, "max")
-        if (value < low).any() or (value > high).any():
+        values = self.values
+        if ((value < values["min"]) | (value > values["max"])).any():
             return DoneResult(self.code)
         return None
 
@@ -285,9 +284,8 @@ class DockingSuccess(Done):
 
     def evaluate(self, state):
         entity = self._entity(state)
-        radius = self.param(state, "dock_radius")
-        v_max = self.param(state, "velocity_limit")
-        if abs(entity.x) <= radius and abs(entity.xdot) <= v_max:
+        values = self.values
+        if abs(entity.x) <= values["dock_radius"] and abs(entity.xdot) <= values["velocity_limit"]:
             return DoneResult(DoneStatusCode.WIN)
         return None
 
@@ -297,9 +295,8 @@ class DockingFailure(DockingSuccess):
 
     def evaluate(self, state):
         entity = self._entity(state)
-        radius = self.param(state, "dock_radius")
-        v_max = self.param(state, "velocity_limit")
-        if abs(entity.x) <= radius and abs(entity.xdot) > v_max:
+        values = self.values
+        if abs(entity.x) <= values["dock_radius"] and abs(entity.xdot) > values["velocity_limit"]:
             return DoneResult(DoneStatusCode.LOSS)
         return None
 
@@ -349,8 +346,7 @@ class ExponentialDecayFromTargetValue(Reward):
 
     def evaluate(self, state, done_results):
         value = float(self.source.value().values[0])
-        target = self.param(state, "target_value")
-        distance = abs(value - target)
+        distance = abs(value - self.values["target_value"])
         reward = self.scale * math.exp(-distance / self.eps)
         if self._previous_distance is not None and distance > self._previous_distance:
             reward *= self.reward_when_farther

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..epp import SampledParameters
 from ..parts import Platform
 from .base import (
     Extractor,
@@ -101,8 +102,10 @@ class CompiledGraph:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def reset(self) -> None:
+    def reset(self, sample: SampledParameters) -> None:
+        """Start an episode: bind every functor to ``sample``, then clear its state."""
         for node in self.nodes.values():
+            node.functor.bind(sample)
             node.functor.reset()
 
     def order_index(self, node_id: str) -> int:

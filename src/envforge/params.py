@@ -37,7 +37,8 @@ class Param:
     under ``references``, and then not also in config.  A param with a
     ``unit`` holds a number in that unit: a bare number is taken to be in it,
     and a ``{value, unit}`` value is converted to it before ``parse`` checks
-    it.  A reference is converted to it each episode and is not checked.
+    it.  A referenced value is sampled each episode; ``Functor.bind``
+    converts it to the unit and checks it with ``parse`` at every ``reset``.
     """
 
     name: str

@@ -50,6 +50,8 @@ class Box:
     one observation entry of a glue, or an action fragment.
 
     ``name`` only labels errors (a part's property name, for example).
+    ``unbounded`` is derived: every ``low`` is -inf and every ``high`` is
+    +inf, so no value of the right shape lies outside the box.
     """
 
     shape: int
@@ -57,6 +59,7 @@ class Box:
     high: np.ndarray
     unit: Unit = NONE
     name: str = field(default="", compare=False)
+    unbounded: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         low = np.broadcast_to(np.asarray(self.low, dtype=float), (self.shape,)).copy()
@@ -69,6 +72,12 @@ class Box:
         high.flags.writeable = False
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
+        object.__setattr__(self, "unbounded", bool((low == -np.inf).all() and (high == np.inf).all()))
+
+    def clip(self, values: np.ndarray) -> np.ndarray:
+        """``np.clip(values, low, high)``, bit for bit (signed zeros
+        included), without its Python-level dispatch."""
+        return np.minimum(np.maximum(values, self.low), self.high)
 
     def contains(self, values: np.ndarray) -> bool:
         v = np.asarray(values, dtype=float)
@@ -130,9 +139,7 @@ class Controller(Part):
     def apply(self, command: Quantity) -> None:
         prop = self.property
         values = command.to(prop.unit).values
-        # np.clip's result, bit for bit (signed zeros included), without its
-        # Python-level dispatch
-        clamped = np.minimum(np.maximum(values, prop.low), prop.high)
+        clamped = prop.clip(values)
         if (clamped != values).any():
             self.clamp_count += 1
         self.pending = Quantity(clamped, prop.unit)
@@ -144,10 +151,8 @@ class Controller(Part):
         """
         command, self.pending = self.pending, None
         if command is None:
-            zero = np.clip(
-                np.zeros(self.property.shape), self.property.low, self.property.high
-            )
-            return Quantity(zero, self.property.unit)
+            prop = self.property
+            return Quantity(prop.clip(np.zeros(prop.shape)), prop.unit)
         return command
 
 

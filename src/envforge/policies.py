@@ -128,10 +128,8 @@ class ScriptedPolicy(Policy):
     def _compute(self, observation, action_space):
         action = self._rule(observation, action_space)
         return {
-            name: np.clip(np.atleast_1d(np.asarray(values, dtype=float)), box.low, box.high)
-            for name, (box, values) in (
-                (n, (action_space[n], action[n])) for n in action
-            )
+            name: action_space[name].clip(np.atleast_1d(np.asarray(values, dtype=float)))
+            for name, values in action.items()
         }
 
 
@@ -154,8 +152,8 @@ class ReplayPolicy(Policy):
         if self._cursor < len(self._sequence):
             action = self._sequence[self._cursor]
             self._cursor += 1
-            return {n: np.clip(v, action_space[n].low, action_space[n].high) for n, v in action.items()}
-        return {n: np.clip(np.zeros(b.shape), b.low, b.high) for n, b in action_space.items()}
+            return {n: action_space[n].clip(v) for n, v in action.items()}
+        return {n: b.clip(np.zeros(b.shape)) for n, b in action_space.items()}
 
 
 POLICY_REGISTRY: dict[str, type[Policy]] = {

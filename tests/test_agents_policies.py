@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envforge.agents import PolicyPool, attach_parts, build_agent
 from envforge.config.schema import AgentConfig, PartConfig, PolicyConfig
@@ -248,6 +250,58 @@ class TestReplayPolicy:
         policy.compute_action({}, space)
         policy.reset()
         assert policy.compute_action({}, space)["g"][0] == pytest.approx(0.5)
+
+
+ELEMENT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+)
+BOUND = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+)
+
+
+@st.composite
+def box_and_values(draw):
+    n = draw(st.integers(1, 4))
+    pairs = [sorted(draw(st.tuples(BOUND, BOUND))) for _ in range(n)]
+    box = Box(n, [lo for lo, _ in pairs], [hi for _, hi in pairs])
+    return box, np.array([draw(ELEMENT) for _ in range(n)])
+
+
+def bits(values: np.ndarray) -> list[int]:
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestClamp:
+    """Scripted and replayed actions are clamped exactly as ``np.clip`` clamps them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(box_and_values())
+    def test_scripted_clamp_equals_np_clip_bit_for_bit(self, case):
+        box, values = case
+        policy = ScriptedPolicy({"rule": "zero"})
+        policy._rule = lambda observation, action_space: {"a": values.tolist()}
+        clamped = policy.compute_action({}, {"a": box})["a"]
+        assert bits(clamped) == bits(np.clip(values, box.low, box.high))
+
+    @settings(max_examples=300, deadline=None)
+    @given(box_and_values())
+    def test_replay_clamp_equals_np_clip_bit_for_bit(self, case):
+        box, values = case
+        policy = ReplayPolicy({"actions": [{"a": values.tolist()}]})
+        played = policy.compute_action({}, {"a": box})["a"]
+        assert bits(played) == bits(np.clip(values, box.low, box.high))
+        zero = policy.compute_action({}, {"a": box})["a"]
+        assert bits(zero) == bits(np.clip(np.zeros(box.shape), box.low, box.high))
+
+    def test_signed_zero_and_infinite_bounds(self):
+        box = Box(4, [0.0, -0.0, -np.inf, -np.inf], [0.0, -0.0, np.inf, -np.inf])
+        values = np.array([-0.0, 0.0, -0.0, 5.0])
+        policy = ReplayPolicy({"actions": [{"a": values.tolist()}]})
+        played = policy.compute_action({}, {"a": box})["a"]
+        assert bits(played) == bits(np.clip(values, box.low, box.high))
 
 
 def test_policy_registry_contents():

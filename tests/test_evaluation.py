@@ -150,11 +150,11 @@ class TestRollout:
     def test_unknown_case_parameter(self):
         env = Environment(short_config())
         with pytest.raises(UnknownCaseParameter):
-            _case_overrides(env, TestCase("bad", {"warp_factor": 9}))
+            _case_overrides(env.epp.specs, TestCase("bad", {"warp_factor": 9}))
 
     def test_case_parameters_take_declared_unit(self):
         env = Environment(short_config())
-        overrides = _case_overrides(env, TestCase("c", {"deputy.x0": -5.0}))
+        overrides = _case_overrides(env.epp.specs, TestCase("c", {"deputy.x0": -5.0}))
         assert overrides["deputy.x0"].unit.name == "meter"
 
     @pytest.mark.parametrize(
@@ -173,7 +173,7 @@ class TestRollout:
     def test_invalid_case_value_names_case_and_parameter(self, raw):
         env = Environment(short_config())
         with pytest.raises(InvalidCaseParameter, match="'bad'.*'deputy.x0'"):
-            _case_overrides(env, TestCase("bad", {"deputy.x0": raw}))
+            _case_overrides(env.epp.specs, TestCase("bad", {"deputy.x0": raw}))
 
     def test_rollout_rejects_invalid_case_value_before_the_episode(self):
         with pytest.raises(InvalidCaseParameter):
@@ -182,7 +182,7 @@ class TestRollout:
     def test_case_value_with_unit_is_converted_to_declared_unit(self):
         env = Environment(short_config())
         raw = {"value": -500.0, "unit": "centimeter"}
-        overrides = _case_overrides(env, TestCase("c", {"deputy.x0": raw}))
+        overrides = _case_overrides(env.epp.specs, TestCase("c", {"deputy.x0": raw}))
         assert overrides["deputy.x0"] == Quantity.scalar(-5.0, METER)
 
     def test_rollout_solvable_case_wins(self):
@@ -516,6 +516,37 @@ class TestOnePass:
 
 class TestInputChecks:
     """Bad evaluation inputs fail where they are parsed, before any rollout."""
+
+    @staticmethod
+    def no_rollouts(monkeypatch):
+        """Make building an environment or a pool fail the test: evaluate must
+        reject its cases before either."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate started rollouts")
+
+        monkeypatch.setattr(evaluate_module, "Environment", refuse)
+        monkeypatch.setattr(evaluate_module, "ProcessPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (TestCase("near_5m", {"deputy.x0": -7.0}, seed=3), InvalidCase,
+             "test case 3: another case is already named 'near_5m'"),
+            (TestCase("a/b", {}, seed=3), InvalidCase, "test case 3: name 'a/b' contains a path separator"),
+            (TestCase("far", {"deputy.x0": "far"}, seed=3), InvalidCaseParameter,
+             "test case 'far': parameter 'deputy.x0'"),
+            (TestCase("warp", {"warp_factor": 9}, seed=3), UnknownCaseParameter,
+             "test case 'warp': unknown parameter 'warp_factor'"),
+        ],
+        ids=["duplicate", "separator", "bad_value", "unknown"],
+    )
+    def test_evaluate_checks_every_case_before_the_first_rollout(self, tmp_path, monkeypatch, bad, error, message, workers):
+        self.no_rollouts(monkeypatch)
+        with pytest.raises(error, match=re.escape(message)):
+            evaluate(short_config(), docking_cases() + [bad], tmp_path / "out", workers=workers)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "entries, message",

@@ -334,6 +334,7 @@ class TestDones:
         )
         graph = build_graph(platforms, glues=[], dones=[success, failure])
         state = make_state(platforms, refs, units={"dock_radius": METER, "v_max": METER_PER_SECOND})
+        graph.reset(state.epp.current_sample)  # binds the referenced values, as Environment.reset does
         assert graph.dones[0].functor.evaluate(state).code is DoneStatusCode.WIN
         assert graph.dones[1].functor.evaluate(state) is None
 
@@ -411,7 +412,7 @@ class TestRewards:
         state = make_state(platforms)
         evaluate_glues(graph, state)
         graph.rewards[0].functor.evaluate(state, {})
-        graph.reset()
+        graph.reset(state.epp.current_sample)
         platforms["deputy"].state.x = -2.0
         evaluate_glues(graph, state)
         # After reset there is no previous distance, so no damping.

@@ -335,3 +335,57 @@ class TestDeclaredUnits:
         report = ValidationReport()
         parse_functor_spec(tree, "f", report, store)
         assert report.ok
+
+
+class TestReferencedValues:
+    """A referenced value is sampled each episode and checked by its param's ``parse`` when bound."""
+
+    @staticmethod
+    def short_config_with(key, distribution, unit):
+        tree = loader.load_config(CONFIG_DIR / "docking" / "environment_short.yml")
+        tree["reference_store"][key] = {"distribution": distribution, "unit": unit}
+        config, report = validate_environment(tree, base_dir=CONFIG_DIR / "docking")
+        # validate cannot see a sample, so the config is valid
+        assert report.ok, str(report)
+        return config
+
+    @pytest.mark.parametrize(
+        "key, unit, param",
+        [("dock_radius", "meter", "dock_radius"), ("v_max", "meter_per_second", "velocity_limit")],
+    )
+    def test_sample_out_of_range_fails_reset_naming_functor_param_and_key(self, key, unit, param):
+        config = self.short_config_with(key, {"kind": "constant", "value": -0.1}, unit)
+        env = Environment(config)
+        with pytest.raises(FunctorError) as info:
+            env.reset(seed=7)
+        message = str(info.value)
+        assert message.startswith(f"DockingSuccess (DockingSuccess): references/{param}: ")
+        assert f"'{key}'" in message and "must be >= 0, got -0.1" in message
+        artifact = run_episode(env, seed=7)
+        assert artifact.steps == [] and artifact.error.startswith("FunctorError: DockingSuccess")
+
+    def test_sample_is_converted_before_it_is_checked(self):
+        # -10 cm is out of range in metres as well; 10 cm binds as 0.1 m
+        config = self.short_config_with("dock_radius", {"kind": "constant", "value": -10.0}, "centimeter")
+        with pytest.raises(FunctorError, match="must be >= 0, got -0.1"):
+            Environment(config).reset(seed=0)
+        config = self.short_config_with("dock_radius", {"kind": "constant", "value": 10.0}, "centimeter")
+        env = Environment(config)
+        env.reset(seed=0)
+        success = env.agents["deputy_agent"].graph.by_name["DockingSuccess"].functor
+        assert success.param(env.state, "dock_radius") == pytest.approx(0.1)
+
+    def test_uniform_reference_is_rebound_on_every_reset(self):
+        config = self.short_config_with("dock_radius", {"kind": "uniform", "low": 0.05, "high": 0.5}, "meter")
+        env = Environment(config)
+        graph = env.agents["deputy_agent"].graph
+        radii = set()
+        for seed in range(8):
+            env.reset(seed=seed)
+            sampled = env.epp.current_sample["dock_radius"].item
+            radii.add(sampled)
+            for name in ("DockingSuccess", "DockingFailure"):
+                functor = graph.by_name[name].functor
+                assert functor.param(env.state, "dock_radius") == sampled
+                assert functor.param(env.state, "velocity_limit") == env.epp.current_sample["v_max"].item
+        assert len(radii) == 8

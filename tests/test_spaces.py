@@ -113,6 +113,36 @@ def box_and_values(draw):
     return Box(n, low, high), np.array(values, dtype=float)
 
 
+INFINITE_PAIR = st.sampled_from(
+    [(-np.inf, np.inf), (-np.inf, -np.inf), (np.inf, np.inf), (-np.inf, 0.0), (0.0, np.inf)]
+)
+
+
+@st.composite
+def boxes(draw):
+    n = draw(st.integers(1, 4))
+    pairs = [draw(st.one_of(INFINITE_PAIR, st.tuples(BOUND, BOUND).map(sorted))) for _ in range(n)]
+    return Box(n, [lo for lo, _ in pairs], [hi for _, hi in pairs])
+
+
+class TestUnboundedBox:
+    @settings(max_examples=300, deadline=None)
+    @given(boxes())
+    def test_unbounded_exactly_when_every_low_is_minus_inf_and_every_high_plus_inf(self, box):
+        expected = all(lo == -np.inf for lo in box.low) and all(hi == np.inf for hi in box.high)
+        assert box.unbounded is expected
+
+    def test_equal_infinite_bounds_are_bounded(self):
+        assert Box(2, -np.inf, np.inf).unbounded
+        assert not Box(1, -np.inf, -np.inf).unbounded
+        assert not Box(1, np.inf, np.inf).unbounded
+        assert not Box(2, [-np.inf, -np.inf], [np.inf, 1e308]).unbounded
+
+    def test_flag_takes_no_part_in_equality(self):
+        assert Box(1, -np.inf, np.inf) == Box(1, -np.inf, np.inf, name="other")
+        assert "unbounded" not in repr(Box(1, -np.inf, np.inf))
+
+
 class TestSpaceCheck:
     env = None
 
