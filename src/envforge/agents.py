@@ -9,7 +9,8 @@ from types import MappingProxyType
 from .config.schema import AgentConfig
 from .functors.base import PartBindingError
 from .functors.graph import CompiledGraph, build_graph
-from .parts import GLOBAL_REGISTRY, Box, Platform, PluginRegistry
+from .params import parse_params
+from .parts import GLOBAL_REGISTRY, Box, PartError, Platform, PluginRegistry
 from .policies import POLICY_REGISTRY, Policy, PolicyError
 
 
@@ -63,16 +64,22 @@ def attach_parts(
     """Resolve the agent's part groups and attach them to its platforms.
 
     A part entry may name its platform in config; otherwise it attaches to the
-    agent's first platform.  Already-attached identical groups are shared (two
-    agents on one platform reuse the same part).
+    agent's first platform.  The entry's config is parsed by the table of the
+    group's matching registration, and the factory receives the settings; a
+    key the table does not declare, or a value it rejects, raises
+    ``PartError``.  Already-attached identical groups are shared (two agents
+    on one platform reuse the same part).
     """
     for part in agent_config.parts:
-        target_name = part.config.get("platform", agent_config.platform_names[0])
-        platform = platforms[target_name]
+        platform = platforms[agent_config.part_platform(part)]
         if part.group in platform.parts:
             continue
-        factory = registry.resolve(part.group, simulator_type, platform.platform_type)
-        platform.add_part(factory(part.group, part.config))
+        entry = registry.match(part.group, simulator_type, platform.platform_type)
+        settings, errors = parse_params(entry.params, part.config, {})
+        if errors:
+            path, _, message = errors[0]
+            raise PartError(f"part '{part.group}': {path}: {message}")
+        platform.add_part(entry.factory(part.group, settings))
 
 
 class PolicyPool:

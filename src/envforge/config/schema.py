@@ -59,6 +59,10 @@ class AgentConfig:
     reference_store: dict[str, ParameterSpec] = field(default_factory=dict)
     policy: PolicyConfig = field(default_factory=lambda: PolicyConfig("random"))
 
+    def part_platform(self, part: PartConfig):
+        """The platform ``part`` attaches to: its ``platform`` setting, else the agent's first."""
+        return part.config.get("platform", self.platform_names[0])
+
 
 @dataclass
 class PlatformConfig:

@@ -8,6 +8,7 @@ node, in document order.  Nothing here raises for bad user input.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -16,10 +17,11 @@ from .. import epp as epp_mod
 from ..epp import DISTRIBUTION_KINDS, Increment, ParameterSpec
 from ..functors.base import ExtractorSpec, FunctorSpec
 from ..functors.graph import FUNCTOR_REGISTRY
-from ..params import check_inputs, parse_params
-from ..parts import GLOBAL_REGISTRY, PluginRegistry
+from ..params import PARSE_ERRORS, Param, check_inputs, parse_params, parse_reference
+from ..parts import GLOBAL_REGISTRY, NoMatch, PluginRegistry
 from ..policies import POLICY_REGISTRY, SCRIPTED_RULES
 from ..simulators import SIMULATORS
+from ..units import Quantity, UnitError
 from ..units import UnknownUnit as UnknownUnitError
 from ..units import get_unit
 from . import loader
@@ -98,7 +100,8 @@ def _join(*parts) -> str:
 
 
 #: the keys each structural section declares; any other key is UnknownField.
-#: A simulator's or a part's ``config`` has no table, so its keys are not checked.
+#: A simulator's ``config`` is checked against its class's ``params``, and a
+#: part's against its registration's.
 ENVIRONMENT_KEYS = (
     "simulator", "platforms", "agents", "horizon", "episode_end_mode",
     "space_check_mode", "reference_store", "shared_dones",
@@ -557,6 +560,8 @@ def validate_environment(
                 ErrorCode.UNKNOWN_FUNCTOR,
                 f"unknown simulator '{sim_name}' (expected one of {sorted(SIMULATORS)})",
             )
+        elif sim_name is not None:
+            _add_param_errors(parse_params(SIMULATORS[sim_name].params, sim_config, {})[1], "simulator", report)
 
     platforms: list[PlatformConfig] = []
     platform_trees = v.require(tree, "platforms", "", list) or []
@@ -583,6 +588,9 @@ def validate_environment(
             platforms.append(PlatformConfig(pname, ptype, init))
 
     reference_store = parse_parameter_store(tree.get("reference_store"), "reference_store", report)
+    # (path, store) of every reference store, checked once every functor that
+    # may reference it is known
+    stores = [("reference_store", reference_store)]
 
     horizon = v.optional(tree, "horizon", "", int, 1000)
     if isinstance(horizon, bool) or (horizon is not None and horizon < 1):
@@ -605,7 +613,7 @@ def validate_environment(
 
     agents: list[AgentConfig] = []
     agent_trees = v.require(tree, "agents", "", list) or []
-    declared_platforms = {p.name for p in platforms}
+    platform_types = {p.name: p.platform_type for p in platforms}
     for i, at in enumerate(agent_trees):
         apath = _join("agents", i)
         if isinstance(at, str):
@@ -619,30 +627,127 @@ def validate_environment(
         if agent is None:
             continue
         for j, pn in enumerate(agent.platform_names):
-            if pn not in declared_platforms:
+            if pn not in platform_types:
                 report.add(
                     _join(apath, "platforms", j),
                     ErrorCode.UNKNOWN_REFERENCE,
                     f"agent platform '{pn}' is not declared in the environment",
                 )
+        if sim_name in SIMULATORS:
+            _check_parts(agent, apath, sim_name, platform_types, registry, report)
+        stores.append((_join(apath, "reference_store"), agent.reference_store))
         agents.append(agent)
 
+    config = EnvironmentConfig(
+        simulator_name=sim_name,
+        simulator_config=sim_config,
+        platforms=platforms,
+        agents=agents,
+        shared_dones=shared_dones,
+        episode_end_mode=end_mode,
+        horizon=int(horizon),
+        reference_store=reference_store,
+        space_check_mode=space_check,
+    )
+    referencing = referencing_params(config)
+    for path, store in stores:
+        for key, spec in store.items():
+            message = _store_range_error(spec, referencing.get(key, ()))
+            if message is not None:
+                report.add(_join(path, key, "distribution"), ErrorCode.TYPE_MISMATCH, message)
     if not report.ok:
         return None, report
-    return (
-        EnvironmentConfig(
-            simulator_name=sim_name,
-            simulator_config=sim_config,
-            platforms=platforms,
-            agents=agents,
-            shared_dones=shared_dones,
-            episode_end_mode=end_mode,
-            horizon=int(horizon),
-            reference_store=reference_store,
-            space_check_mode=space_check,
-        ),
-        report,
-    )
+    return config, report
+
+
+def _check_parts(
+    agent: AgentConfig,
+    path: str,
+    simulator_type: str,
+    platform_types: dict[str, str],
+    registry: PluginRegistry,
+    report: ValidationReport,
+) -> None:
+    """Check each part's config against the table of the registration its
+    group resolves to on its platform, as ``attach_parts`` parses it."""
+    for j, part in enumerate(agent.parts):
+        ppath = _join(path, "parts", j)
+        target = agent.part_platform(part)
+        if not isinstance(target, str) or target not in platform_types:
+            if "platform" in part.config:  # else the agent's platform is reported
+                report.add(
+                    _join(ppath, "config", "platform"),
+                    ErrorCode.UNKNOWN_REFERENCE,
+                    f"platform {target!r} is not declared in the environment",
+                )
+            continue
+        try:
+            entry = registry.match(part.group, simulator_type, platform_types[target])
+        except NoMatch as exc:
+            report.add(_join(ppath, "part"), ErrorCode.UNKNOWN_PART_GROUP, str(exc))
+            continue
+        _add_param_errors(parse_params(entry.params, part.config, {})[1], ppath, report)
+
+
+def referencing_params(config: EnvironmentConfig) -> dict[str, list[Param]]:
+    """Each reference-store key that ``config``'s functor specs reference
+    (``wrapped`` specs included), mapped to the params that reference it."""
+    found: dict[str, list[Param]] = {}
+
+    def walk(wrapped) -> None:
+        if isinstance(wrapped, FunctorSpec):
+            cls = FUNCTOR_REGISTRY.get(wrapped.functor)
+            declared = {p.name: p for p in cls.params} if cls else {}
+            for name, key in wrapped.references.items():
+                p = declared.get(name)
+                if p is not None and p not in found.setdefault(key, []):
+                    found[key].append(p)
+            walk(wrapped.wrapped)
+        elif isinstance(wrapped, (list, tuple)):
+            for child in wrapped:
+                walk(child)
+        elif isinstance(wrapped, dict):
+            walk(list(wrapped.values()))
+
+    walk(config.shared_dones)
+    for agent in config.agents:
+        walk([*agent.glues, *agent.dones, *agent.rewards])
+    return found
+
+
+def reference_range_error(params: Iterable[Param], value: Quantity) -> str | None:
+    """Why ``value``, a sample of a reference-store key, fails the first of
+    ``params`` (the params that reference the key) whose ``parse`` rejects it
+    once ``Functor.bind`` has converted it; None if every one takes it.  A
+    value of another dimension is skipped: the reference reports it."""
+    for p in params:
+        try:
+            parse_reference(p, value)
+        except UnitError:
+            continue
+        except PARSE_ERRORS as exc:
+            return f"'{p.name}': {exc}"
+    return None
+
+
+def _store_range_error(spec: ParameterSpec, params: Iterable[Param]) -> str | None:
+    """Why a value that ``spec`` can only draw (a constant, or any value of a
+    discrete choice) fails a param that references it, or None."""
+    dist = spec.distribution
+    if isinstance(dist, epp_mod.Constant):
+        values = [dist.value]
+    elif isinstance(dist, epp_mod.DiscreteChoice):
+        values = dist.values
+    else:
+        return None
+    for value in values:
+        try:
+            reason = reference_range_error(params, Quantity.scalar(value, spec.unit))
+        except PARSE_ERRORS as exc:
+            reason = str(exc)
+        if reason is not None:
+            return f"value {value} {spec.unit.name}: {reason}"
+    return None
 
 
 def validate_environment_file(path: str | Path) -> tuple[EnvironmentConfig | None, ValidationReport]:

@@ -325,11 +325,12 @@ class Environment:
 
     @staticmethod
     def _collect_observations(agents) -> dict[str, dict[str, Quantity]]:
-        """Each of ``agents``' ((name, agent) pairs) observations, keyed '<glue name>/<key>'."""
+        """Each of ``agents``' ((name, agent) pairs) observations, keyed
+        '<glue name>/<key>', as a ``Quantity`` in its box's unit."""
         return {
             name: {
-                obs_name: node.observation[key]
-                for obs_name, node, key, _ in agent.observation_layout
+                obs_name: Quantity(node.observation[key], box.unit)
+                for obs_name, node, key, box in agent.observation_layout
             }
             for name, agent in agents
         }
@@ -345,7 +346,7 @@ class Environment:
             self.spot_checks_run += 1
         for name, agent in self.agents.items():
             for _, node, key, box in agent.observation_layout:
-                values = node.observation[key].values
+                values = node.observation[key]
                 # NaN fails neither comparison, so it passes here as it does in
                 # the element loop that words the error, and no value lies
                 # outside an unbounded box; a wrong shape goes to that loop as

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ..config.schema import EnvironmentConfig
+from ..config.validate import reference_range_error, referencing_params
 from ..environment import Environment, episode_parameters
 from ..epp import ParameterSpec
 from ..policies import POLICY_REGISTRY
@@ -224,15 +225,21 @@ def evaluate(
     """Roll out every case and write one artifact file per case, then the manifest.
 
     Every case's name and parameters are checked before the first rollout, as
-    ``parse_condition_set`` and ``rollout`` check them.  Each process builds
+    ``parse_condition_set`` and ``rollout`` check them, and so is each value
+    given to a reference-store key against the range of every functor param
+    that references the key, as ``reset`` checks it.  Each process builds
     one environment and runs its cases on it.  Returns the artifacts in case
     order.
     """
     names: set[str] = set()
     specs = episode_parameters(config).specs
+    referencing = referencing_params(config)
     for i, case in enumerate(cases):
         _check_case_name(i, case.name, names)
-        _case_overrides(specs, case)
+        for name, value in _case_overrides(specs, case).items():
+            reason = reference_range_error(referencing.get(name, ()), value)
+            if reason is not None:
+                raise InvalidCaseParameter(case.name, name, reason)
 
     out_dir = Path(out_dir)
     try:

@@ -15,9 +15,9 @@ from typing import Any, Union
 import numpy as np
 
 from ..epp import SampledParameters
-from ..params import SOURCE, Param, check_inputs, parse_params, wrapped_path
+from ..params import PARSE_ERRORS, SOURCE, Param, check_inputs, parse_params, parse_reference, wrapped_path
 from ..parts import Box, Platform
-from ..units import Quantity, UnitError
+from ..units import UnitError
 
 
 class FunctorError(Exception):
@@ -154,9 +154,8 @@ class Functor:
             if q is None:
                 raise self._error(f"references/{name}", f"reference store has no key '{key}'")
             try:
-                value = (q if p.unit is None else q.to(p.unit)).item
-                self.values[name] = p.parse(value)
-            except (UnitError, TypeError, ValueError, KeyError, OverflowError) as exc:
+                self.values[name] = parse_reference(p, q)
+            except (UnitError, *PARSE_ERRORS) as exc:
                 raise self._error(f"references/{name}", f"reference '{key}': {exc}") from exc
 
     def param(self, state: EpisodeState, name: str) -> Any:
@@ -171,6 +170,9 @@ class Glue(Functor):
     ``observation_space`` and ``action_space`` are called once, when the graph
     is compiled, and the results are kept on the glue's :class:`FunctorNode`;
     they may depend only on the glue's config and on part properties.
+    ``get_observation`` returns one float64 array per observation key, of its
+    box's shape and in its box's unit; ``apply_action`` gets the fragment in
+    the action box's unit.
     """
 
     kind = "glue"
@@ -178,7 +180,7 @@ class Glue(Functor):
     def observation_space(self) -> dict[str, Box]:
         return {}
 
-    def get_observation(self, state: EpisodeState) -> dict[str, Quantity]:
+    def get_observation(self, state: EpisodeState) -> dict[str, np.ndarray]:
         return {}
 
     def action_space(self) -> Box | None:
@@ -229,8 +231,8 @@ class Extractor:
         self.node = node
         self.key = key
 
-    def value(self) -> Quantity:
-        """The observation as of the glue's latest evaluation."""
+    def value(self) -> np.ndarray:
+        """The observation as of the glue's latest evaluation, in ``space().unit``."""
         return self.node.observation[self.key]
 
     def space(self) -> Box:
@@ -243,8 +245,8 @@ class FunctorNode:
 
     A glue node carries its observation and action spaces, computed once when
     the graph is compiled, and its observation, replaced each time the glue
-    is evaluated; every other node has none.  A node belongs to one agent's
-    graph, so its observation is that agent's alone.
+    is evaluated (arrays in their boxes' units); every other node has none.
+    A node belongs to one agent's graph, so its observation is that agent's alone.
     """
 
     id: str
@@ -254,4 +256,4 @@ class FunctorNode:
     children: tuple[str, ...]
     observation_space: dict[str, Box] = field(default_factory=dict)
     action_space: Box | None = None
-    observation: dict[str, Quantity] = field(default_factory=dict, compare=False, repr=False)
+    observation: dict[str, np.ndarray] = field(default_factory=dict, compare=False, repr=False)

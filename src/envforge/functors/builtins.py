@@ -8,7 +8,7 @@ import numpy as np
 
 from ..params import ANY, SOURCE, Param, boolean, nonnegative, positive, positive_int, string
 from ..parts import Box, Controller, Sensor
-from ..units import METER, METER_PER_SECOND, NONE, Quantity, get_unit
+from ..units import METER, METER_PER_SECOND, NONE, DimensionMismatch, check_compatibility, get_unit
 from .base import (
     Done,
     DoneResult,
@@ -70,11 +70,8 @@ class ObserveSensor(Glue):
         measured = self.sensor.measure(self.platform.state)
         if not self.normalize:
             return {"direct_observation": measured}
-        values = measured.values
-        scaled = -1.0 + 2.0 * (values - self._low) / self._span
-        return {
-            "direct_observation": Quantity(np.where(self._bounded, scaled, values), measured.unit)
-        }
+        scaled = -1.0 + 2.0 * (measured - self._low) / self._span
+        return {"direct_observation": np.where(self._bounded, scaled, measured)}
 
 
 class ControllerGlue(Glue):
@@ -92,7 +89,7 @@ class ControllerGlue(Glue):
         return self.controller.property
 
     def apply_action(self, fragment, state):
-        self.controller.apply(Quantity(fragment, self.controller.property.unit))
+        self.controller.apply(fragment)
 
 
 class TargetValueDifference(Glue):
@@ -119,11 +116,7 @@ class TargetValueDifference(Glue):
 
     def get_observation(self, state):
         target = self.values["target_value"]
-        return {
-            "target_value_difference": Quantity.scalar(
-                target - float(self.source.value().values[self.index]), self.unit
-            )
-        }
+        return {"target_value_difference": np.array([target - float(self.source.value()[self.index])])}
 
 
 class UnitVector(Glue):
@@ -136,9 +129,8 @@ class UnitVector(Glue):
 
     def get_observation(self, state):
         child = self.source.value()
-        norm = float(np.linalg.norm(child.values))
-        values = child.values / norm if norm > 0 else np.zeros_like(child.values)
-        return {"unit_vector": Quantity(values, NONE)}
+        norm = float(np.linalg.norm(child))
+        return {"unit_vector": child / norm if norm > 0 else np.zeros_like(child)}
 
 
 class Norm(Glue):
@@ -154,8 +146,7 @@ class Norm(Glue):
         return {"norm": Box(1, 0.0, bound, child.unit)}
 
     def get_observation(self, state):
-        child = self.source.value()
-        return {"norm": Quantity.scalar(float(np.linalg.norm(child.values)), child.unit)}
+        return {"norm": np.array([float(np.linalg.norm(self.source.value()))])}
 
 
 class Projection(Glue):
@@ -173,33 +164,34 @@ class Projection(Glue):
     def get_observation(self, state):
         value = self.sources["value"].value()
         onto = self.sources["onto"].value()
-        norm = float(np.linalg.norm(onto.values))
-        direction = onto.values / norm if norm > 0 else np.zeros_like(onto.values)
-        return {
-            "projection": Quantity.scalar(
-                float(np.dot(value.values, direction)), value.unit
-            )
-        }
+        norm = float(np.linalg.norm(onto))
+        direction = onto / norm if norm > 0 else np.zeros_like(onto)
+        return {"projection": np.array([float(np.dot(value, direction))])}
 
 
 class Difference(Glue):
-    """Element-wise difference of two wrapped observations: first - second."""
+    """Element-wise difference of two wrapped observations, first - second, in
+    first's unit; second is converted to it by one factor fixed at build."""
 
     inputs = ("first", "second")
+
+    def __init__(self, spec, children, extractor, platforms):
+        super().__init__(spec, children, extractor, platforms)
+        first = self.sources["first"].space().unit
+        second = self.sources["second"].space().unit
+        if not check_compatibility(first, second):
+            raise self._error("wrapped/second", str(DimensionMismatch(second, first)))
+        self._factor = second.scale_to_base / first.scale_to_base
 
     def observation_space(self):
         first = self.sources["first"].space()
         second = self.sources["second"].space()
-        return {
-            "difference": Box(
-                first.shape, first.low - second.high, first.high - second.low, first.unit
-            )
-        }
+        low, high = first.low - second.high * self._factor, first.high - second.low * self._factor
+        return {"difference": Box(first.shape, low, high, first.unit)}
 
     def get_observation(self, state):
-        first = self.sources["first"].value()
-        second = self.sources["second"].value().to(first.unit)
-        return {"difference": Quantity(first.values - second.values, first.unit)}
+        second = self.sources["second"].value()
+        return {"difference": self.sources["first"].value() - second * self._factor}
 
 
 class Wrapper(Glue):
@@ -257,7 +249,7 @@ class StateBounds(Done):
         self.code = self.settings["status"]
 
     def evaluate(self, state):
-        value = self.source.value().values
+        value = self.source.value()
         values = self.values
         if ((value < values["min"]) | (value > values["max"])).any():
             return DoneResult(self.code)
@@ -345,7 +337,7 @@ class ExponentialDecayFromTargetValue(Reward):
         self._previous_distance = None
 
     def evaluate(self, state, done_results):
-        value = float(self.source.value().values[0])
+        value = float(self.source.value()[0])
         distance = abs(value - self.values["target_value"])
         reward = self.scale * math.exp(-distance / self.eps)
         if self._previous_distance is not None and distance > self._previous_distance:

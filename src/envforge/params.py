@@ -12,7 +12,7 @@ from collections.abc import Callable, Collection, Mapping
 from dataclasses import dataclass
 from typing import Any
 
-from .units import DimensionMismatch, Unit, UnknownUnit, value_in
+from .units import DimensionMismatch, Quantity, Unit, UnknownUnit, value_in
 
 
 class _Sentinel:
@@ -48,6 +48,10 @@ class Param:
     unit: Unit | None = None
 
 
+#: what a ``Param.parse`` raises for a value it cannot take
+PARSE_ERRORS = (TypeError, ValueError, KeyError, OverflowError)
+
+
 def string(raw) -> str:
     """A value that must already be a string (``str`` would accept anything)."""
     if not isinstance(raw, str):
@@ -80,6 +84,13 @@ nonnegative = _bounded(float, lambda v: v >= 0, ">= 0")
 positive_int = _bounded(int, lambda v: v >= 1, ">= 1")
 
 
+def parse_reference(p: Param, value: Quantity) -> Any:
+    """A referenced param's setting from a sampled ``value``: converted to
+    ``p.unit`` (if any), then checked by ``p.parse``.  Raises as ``parse``
+    does, or ``UnitError`` for a value of another dimension."""
+    return p.parse(value.item if p.unit is None else value.to(p.unit).item)
+
+
 #: (field path, error code, message); the codes are ``config.validate.ErrorCode`` values
 ParamError = tuple[str, str, str]
 
@@ -109,7 +120,7 @@ def parse_params(
             errors.append((path, "UnknownUnit", str(exc)))
         except DimensionMismatch as exc:
             errors.append((path, "DimensionMismatch", f"'{key}' is in {p.unit.name}: {exc}"))
-        except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        except PARSE_ERRORS as exc:
             errors.append((path, "TypeMismatch", f"invalid value for '{key}': {exc}"))
     for key in references:
         p = declared.get(key)

@@ -1,9 +1,10 @@
 """Platforms, Sensor/Controller parts, and the condition-matched plugin registry.
 
 A platform is a simulator-backed entity with measurable or modifiable state.
-Parts attach to platforms with bounded, unit-tagged property spaces.  Part
-group names in agent config files resolve through the plugin registry, so
-swapping simulators never requires editing agent configs.
+Parts attach to platforms with bounded, unit-tagged property spaces: a part's
+values are bare float64 vectors in its property's unit.  Part group names in
+agent config files resolve through the plugin registry, so swapping
+simulators never requires editing agent configs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .units import NONE, Quantity, Unit, check_compatibility
+from .params import Param, string
+from .units import NONE, Unit
 
 
 class PartError(Exception):
@@ -96,55 +98,46 @@ class Part:
 
 
 class Sensor(Part):
-    """Reads platform state; holds the last valid value on malformed readings."""
+    """Reads platform state as a float64 array in the property's unit; holds the
+    last valid value when a reading has the wrong shape or a non-finite element."""
 
-    def __init__(self, name: str, prop: Box, read: Callable[[Any], Quantity]):
+    def __init__(self, name: str, prop: Box, read: Callable[[Any], np.ndarray]):
         super().__init__(name, prop)
         self._read = read
-        self.last_valid: Quantity | None = None
+        self.last_valid: np.ndarray | None = None
 
     def reset(self) -> None:
         self.last_valid = None
 
-    def _is_valid(self, q: Quantity) -> bool:
-        v = q.values
-        return (
-            v.shape == (self.property.shape,)
-            and np.isfinite(v).all()
-            and check_compatibility(q.unit, self.property.unit)
-        )
-
-    def measure(self, platform_state: Any) -> Quantity:
+    def measure(self, platform_state: Any) -> np.ndarray:
         reading = self._read(platform_state)
-        if self._is_valid(reading):
-            self.last_valid = reading.to(self.property.unit)
-            return self.last_valid
+        if reading.shape == (self.property.shape,) and np.isfinite(reading).all():
+            self.last_valid = reading
+            return reading
         if self.last_valid is None:
             raise NoValidMeasurementYet(self.name)
         return self.last_valid
 
 
 class Controller(Part):
-    """Accepts commanded values, clamped element-wise into the property bounds."""
+    """Accepts commands in the property's unit, clamped element-wise into its bounds."""
 
     def __init__(self, name: str, prop: Box):
         super().__init__(name, prop)
-        self.pending: Quantity | None = None
+        self.pending: np.ndarray | None = None
         self.clamp_count = 0
 
     def reset(self) -> None:
         self.pending = None
         self.clamp_count = 0
 
-    def apply(self, command: Quantity) -> None:
-        prop = self.property
-        values = command.to(prop.unit).values
-        clamped = prop.clip(values)
-        if (clamped != values).any():
+    def apply(self, command: np.ndarray) -> None:
+        clamped = self.property.clip(command)
+        if (clamped != command).any():
             self.clamp_count += 1
-        self.pending = Quantity(clamped, prop.unit)
+        self.pending = clamped
 
-    def take_pending(self) -> Quantity:
+    def take_pending(self) -> np.ndarray:
         """The command applied this step, or a zero command if none was.
 
         Taking the command clears it, so each command drives one step.
@@ -152,7 +145,7 @@ class Controller(Part):
         command, self.pending = self.pending, None
         if command is None:
             prop = self.property
-            return Quantity(prop.clip(np.zeros(prop.shape)), prop.unit)
+            return prop.clip(np.zeros(prop.shape))
         return command
 
 
@@ -202,20 +195,29 @@ class Conditions:
         )
 
 
+#: makes a part from its group name and the settings its registration's table parses
 PartFactory = Callable[[str, dict], Part]
 
+#: the config key every part takes: the platform it attaches to (default: the
+#: agent's first platform)
+PLATFORM = Param("platform", string, default=None)
 
-@dataclass
-class _Entry:
+
+@dataclass(frozen=True)
+class PartEntry:
+    """One registration of a part group: where it applies, its factory, and
+    the table of its config keys (``PLATFORM`` first)."""
+
     conditions: Conditions
     factory: PartFactory
+    params: tuple[Param, ...]
 
 
 class PluginRegistry:
     """Ordered condition-matched mapping from part group names to factories."""
 
     def __init__(self):
-        self._entries: dict[str, list[_Entry]] = {}
+        self._entries: dict[str, list[PartEntry]] = {}
         self._frozen = False
 
     def register(
@@ -224,10 +226,13 @@ class PluginRegistry:
         factory: PartFactory,
         simulator_type: str | None = None,
         platform_type: str | None = None,
+        params: tuple[Param, ...] = (),
     ) -> None:
+        """Register ``factory`` for ``group``; ``params`` declares every key of
+        the part's config but ``platform``."""
         if self._frozen:
             raise RegistryFrozen(group)
-        entry = _Entry(Conditions(simulator_type, platform_type), factory)
+        entry = PartEntry(Conditions(simulator_type, platform_type), factory, (PLATFORM, *params))
         self._entries.setdefault(group, []).append(entry)
 
     def freeze(self) -> None:
@@ -240,12 +245,13 @@ class PluginRegistry:
     def has_group(self, group: str) -> bool:
         return group in self._entries
 
-    def resolve(self, group: str, simulator_type: str, platform_type: str) -> PartFactory:
+    def match(self, group: str, simulator_type: str, platform_type: str) -> PartEntry:
+        """The first registration of ``group`` whose conditions match."""
         if group not in self._entries:
             raise UnknownGroup(group)
         for entry in self._entries[group]:
             if entry.conditions.matches(simulator_type, platform_type):
-                return entry.factory
+                return entry
         raise NoMatch(group, simulator_type, platform_type)
 
 

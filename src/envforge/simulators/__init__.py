@@ -1,6 +1,8 @@
 """Built-in simulators and the name -> class lookup used by config validation."""
 
-from .base import MissingInitParameter, PlatformSetup, Simulator, SimulatorError, UnknownPlatform, init_key
+from .base import (
+    InvalidSimulatorConfig, MissingInitParameter, PlatformSetup, Simulator, SimulatorError, UnknownPlatform, init_key,
+)
 from .cartpole import CartPoleSimulator
 from .docking import Deputy1d, Docking1dSimulator
 
@@ -19,6 +21,7 @@ __all__ = [
     "CartPoleSimulator",
     "Deputy1d",
     "Docking1dSimulator",
+    "InvalidSimulatorConfig",
     "MissingInitParameter",
     "PlatformSetup",
     "SIMULATORS",

@@ -6,12 +6,17 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..epp import SampledParameters
+from ..params import Param, parse_params, positive
 from ..parts import Platform
-from ..units import Quantity
+from ..units import Unit
 
 
 class SimulatorError(Exception):
     pass
+
+
+class InvalidSimulatorConfig(SimulatorError, ValueError):
+    """The simulator's ``config`` fails its parameter table."""
 
 
 class MissingInitParameter(SimulatorError):
@@ -42,25 +47,28 @@ def init_key(platform_name: str, param: str) -> str:
 class Simulator:
     """Base simulator: owns platforms and advances sim_time at a fixed frame rate.
 
-    Subclasses implement :meth:`_build_platform` and :meth:`_advance`.
+    Subclasses implement :meth:`_make_entity` and :meth:`_advance`.  ``params``
+    declares the keys of the simulator's ``config``; ``validate`` and the
+    constructor both parse it with ``parse_params``, and the parsed values
+    are ``settings``.
     """
 
     simulator_type = "Simulator"
     #: init parameter names each platform of this simulator must declare, and
     #: the only ones it reads
     required_init_params: tuple[str, ...] = ()
+    params: tuple[Param, ...] = (Param("frame_rate", positive, default=1.0),)
 
     def __init__(self, config: dict[str, Any], platform_setups: list[PlatformSetup]):
-        self.config = config
-        self.frame_rate = float(config.get("frame_rate", self.default_frame_rate()))
+        self.settings, errors = parse_params(self.params, config, {})
+        if errors:
+            path, _, message = errors[0]
+            raise InvalidSimulatorConfig(f"{self.simulator_type}: {path}: {message}")
+        self.frame_rate = self.settings["frame_rate"]
         self.platform_setups = platform_setups
         self.platforms: dict[str, Platform] = {}
         self._persistent: dict[str, Platform] = {}
         self._steps = 0
-
-    @classmethod
-    def default_frame_rate(cls) -> float:
-        return 1.0
 
     @property
     def sim_time(self) -> float:
@@ -70,12 +78,13 @@ class Simulator:
     def dt(self) -> float:
         return 1.0 / self.frame_rate
 
-    def _init_value(self, sampled: SampledParameters, platform: str, param: str) -> Quantity:
+    def _init_value(self, sampled: SampledParameters, platform: str, param: str, unit: Unit) -> float:
+        """The sampled initialization ``param`` of ``platform``, in ``unit``."""
         key = init_key(platform, param)
         value = sampled.get(key)
         if value is None:
             raise MissingInitParameter(key)
-        return value
+        return value.to(unit).item
 
     def reset(self, sampled: SampledParameters) -> dict[str, Platform]:
         """Construct entities from sampled parameters and pair them with platforms.

@@ -2,8 +2,8 @@
 
 Constants follow the standard published task (cart mass 1.0 kg, pole mass
 0.1 kg, half-length 0.5 m, g = 9.8, force magnitude 10 N, dt = 0.02 s,
-failure bounds +-2.4 m and +-12 degrees) and live in one config-overridable
-block.
+failure bounds +-2.4 m and +-12 degrees) and live in one block; the
+simulator config's ``constants`` overrides any of them by name.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..epp import SampledParameters
+from ..params import Param, positive
 from ..parts import GLOBAL_REGISTRY, Box, Controller, Platform, Sensor
-from ..units import METER, METER_PER_SECOND, NEWTON, NONE, RADIAN, RADIAN_PER_SECOND, Quantity
+from ..units import METER, METER_PER_SECOND, NEWTON, NONE, RADIAN, RADIAN_PER_SECOND
 from .base import PlatformSetup, Simulator
 
 DEFAULTS = {
@@ -27,6 +28,16 @@ DEFAULTS = {
     "x_threshold": 2.4,
     "theta_threshold": 12.0 * math.pi / 180.0,
 }
+
+
+def _constants(raw) -> dict[str, float]:
+    """``DEFAULTS`` with the overrides of the mapping ``raw``, whose keys must be its names."""
+    if not isinstance(raw, dict):
+        raise TypeError(f"expected a mapping, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - set(DEFAULTS))
+    if unknown:
+        raise ValueError(f"unknown constants {unknown} (known: {sorted(DEFAULTS)})")
+    return {**DEFAULTS, **{name: float(value) for name, value in raw.items()}}
 
 
 @dataclass
@@ -42,23 +53,21 @@ class CartPoleSimulator(Simulator):
     simulator_type = "CartPoleSimulator"
     platform_type = "CartPolePlatform"
     required_init_params = ("x0", "xdot0", "theta0", "thetadot0")
-
-    @classmethod
-    def default_frame_rate(cls) -> float:
-        return 50.0
+    params = (
+        Param("frame_rate", positive, default=50.0),
+        Param("constants", _constants, default=DEFAULTS),
+    )
 
     def __init__(self, config, platform_setups):
         super().__init__(config, platform_setups)
-        self.constants = {**DEFAULTS, **config.get("constants", {})}
+        self.constants = dict(self.settings["constants"])
 
     def _make_entity(self, setup: PlatformSetup, sampled: SampledParameters) -> CartPoleState:
         return CartPoleState(
-            x=self._init_value(sampled, setup.name, "x0").to(METER).item,
-            xdot=self._init_value(sampled, setup.name, "xdot0").to(METER_PER_SECOND).item,
-            theta=self._init_value(sampled, setup.name, "theta0").to(RADIAN).item,
-            thetadot=self._init_value(sampled, setup.name, "thetadot0")
-            .to(RADIAN_PER_SECOND)
-            .item,
+            x=self._init_value(sampled, setup.name, "x0", METER),
+            xdot=self._init_value(sampled, setup.name, "xdot0", METER_PER_SECOND),
+            theta=self._init_value(sampled, setup.name, "theta0", RADIAN),
+            thetadot=self._init_value(sampled, setup.name, "thetadot0", RADIAN_PER_SECOND),
         )
 
     def _advance(self, platform: Platform) -> None:
@@ -66,7 +75,7 @@ class CartPoleSimulator(Simulator):
         state.force = 0.0
         if platform.operable:
             for controller in platform.controllers().values():
-                state.force = controller.take_pending().to(NEWTON).item
+                state.force = float(controller.take_pending()[0])
 
         c = self.constants
         total_mass = c["mass_cart"] + c["mass_pole"]
@@ -88,17 +97,15 @@ class CartPoleSimulator(Simulator):
 # Part factories ---------------------------------------------------------
 
 
-def _state_sensor(name: str, config: dict) -> Sensor:
+def _state_sensor(name: str, settings: dict) -> Sensor:
     prop = Box(4, -np.inf, np.inf, NONE, name="state")
     return Sensor(
-        name,
-        prop,
-        lambda s: Quantity(np.array([s.x, s.xdot, s.theta, s.thetadot]), NONE),
+        name, prop, lambda s: np.array([s.x, s.xdot, s.theta, s.thetadot], dtype=float)
     )
 
 
-def _force_controller(name: str, config: dict) -> Controller:
-    limit = float(config.get("force_limit", DEFAULTS["force_mag"]))
+def _force_controller(name: str, settings: dict) -> Controller:
+    limit = settings["force_limit"]
     prop = Box(1, -limit, limit, NEWTON, name="force")
     return Controller(name, prop)
 
@@ -106,4 +113,5 @@ def _force_controller(name: str, config: dict) -> Controller:
 def register_parts(registry=GLOBAL_REGISTRY) -> None:
     sim, plat = CartPoleSimulator.simulator_type, CartPoleSimulator.platform_type
     registry.register("Sensor_State", _state_sensor, sim, plat)
-    registry.register("Controller_Force", _force_controller, sim, plat)
+    limit = Param("force_limit", positive, default=DEFAULTS["force_mag"])
+    registry.register("Controller_Force", _force_controller, sim, plat, (limit,))

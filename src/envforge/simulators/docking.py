@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..epp import SampledParameters
+from ..params import Param, positive
 from ..parts import (
     GLOBAL_REGISTRY,
     Box,
@@ -22,7 +23,7 @@ from ..parts import (
     Platform,
     Sensor,
 )
-from ..units import METER, METER_PER_SECOND, NEWTON, NONE, Quantity
+from ..units import METER, METER_PER_SECOND, NEWTON, NONE
 from .base import PlatformSetup, Simulator
 
 
@@ -49,49 +50,43 @@ class Docking1dSimulator(Simulator):
     simulator_type = "Docking1dSimulator"
     platform_type = "Docking1dPlatform"
     required_init_params = ("x0", "v0")
-
-    @classmethod
-    def default_frame_rate(cls) -> float:
-        return 1.0
+    params = (*Simulator.params, Param("mass", positive, default=1.0))
 
     def _make_entity(self, setup: PlatformSetup, sampled: SampledParameters) -> Deputy1d:
-        x0 = self._init_value(sampled, setup.name, "x0").to(METER).item
-        v0 = self._init_value(sampled, setup.name, "v0").to(METER_PER_SECOND).item
-        mass = float(self.config.get("mass", 1.0))
-        return Deputy1d(x=x0, xdot=v0, m=mass)
+        x0 = self._init_value(sampled, setup.name, "x0", METER)
+        v0 = self._init_value(sampled, setup.name, "v0", METER_PER_SECOND)
+        return Deputy1d(x=x0, xdot=v0, m=self.settings["mass"])
 
     def _advance(self, platform: Platform) -> None:
         entity: Deputy1d = platform.state
         entity.thrust = 0.0
         if platform.operable:
             for controller in platform.controllers().values():
-                entity.thrust = controller.take_pending().to(NEWTON).item
+                entity.thrust = float(controller.take_pending()[0])
         entity.step(self.dt)
 
 
 # Part factories ---------------------------------------------------------
 
-_THRUST_LIMIT = 1.0
 
-
-def _position_sensor(name: str, config: dict) -> Sensor:
+def _position_sensor(name: str, settings: dict) -> Sensor:
     prop = Box(1, -np.inf, np.inf, METER, name="position")
-    return Sensor(name, prop, lambda e: Quantity.scalar(e.x, METER))
+    return Sensor(name, prop, lambda e: np.array([float(e.x)]))
 
 
-def _velocity_sensor(name: str, config: dict) -> Sensor:
+def _velocity_sensor(name: str, settings: dict) -> Sensor:
     prop = Box(1, -np.inf, np.inf, METER_PER_SECOND, name="velocity")
-    return Sensor(name, prop, lambda e: Quantity.scalar(e.xdot, METER_PER_SECOND))
+    return Sensor(name, prop, lambda e: np.array([float(e.xdot)]))
 
 
-def _state_sensor(name: str, config: dict) -> Sensor:
+def _state_sensor(name: str, settings: dict) -> Sensor:
     # Raw state vector mixes dimensions, so it is reported unit-less.
     prop = Box(2, -np.inf, np.inf, NONE, name="state")
-    return Sensor(name, prop, lambda e: Quantity(np.array([e.x, e.xdot]), NONE))
+    return Sensor(name, prop, lambda e: np.array([e.x, e.xdot], dtype=float))
 
 
-def _thrust_controller(name: str, config: dict) -> Controller:
-    limit = float(config.get("thrust_limit", _THRUST_LIMIT))
+def _thrust_controller(name: str, settings: dict) -> Controller:
+    limit = settings["thrust_limit"]
     prop = Box(1, -limit, limit, NEWTON, name="thrust")
     return Controller(name, prop)
 
@@ -101,4 +96,6 @@ def register_parts(registry=GLOBAL_REGISTRY) -> None:
     registry.register("Sensor_Position", _position_sensor, sim, plat)
     registry.register("Sensor_Velocity", _velocity_sensor, sim, plat)
     registry.register("Sensor_State", _state_sensor, sim, plat)
-    registry.register("Controller_Thrust", _thrust_controller, sim, plat)
+    registry.register(
+        "Controller_Thrust", _thrust_controller, sim, plat, (Param("thrust_limit", positive, default=1.0),)
+    )

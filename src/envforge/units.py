@@ -1,9 +1,11 @@
 """Closed unit library: dimension-checked storage and conversion of measured values.
 
-Every value flowing between sensors, glues, rewards, and dones is a
-:class:`Quantity` -- a numeric vector tagged with a :class:`Unit`.  Conversions
-are purely multiplicative (no affine units) and the registry is fixed at
-import time.
+Sensors, controllers, glues, dones and rewards pass bare float64 vectors, each
+in the unit of its ``Box`` (see :mod:`envforge.parts`).  A :class:`Quantity`,
+a vector tagged with a :class:`Unit`, is built only where a value enters or
+leaves the step: episode parameters, bound references, initialization values
+and returned observations.  Conversions are purely multiplicative (no affine
+units) and the registry is fixed at import time.
 """
 
 from __future__ import annotations

@@ -40,8 +40,6 @@ from conftest import CONFIG_DIR, DATA_DIR
 from test_functors import cartpole_platform, observe_state_spec, tvd_done_spec
 from test_simulators import cartpole_oracle, make_cartpole, make_docking
 
-NEWTON = REGISTRY["newton"]
-
 
 def report(criterion: str, ok: bool) -> None:
     print(f"{'PASS' if ok else 'FAIL'}: {criterion}", flush=True)
@@ -72,7 +70,7 @@ def test_docking_dynamics_exactness():
     start = time.perf_counter()
     ok = True
     for k in range(1, n + 1):
-        ctrl.apply(Quantity.scalar(thrust, NEWTON))
+        ctrl.apply(np.array([thrust]))
         sim.step()
         t = k * sim.dt
         ok = ok and abs(platform.state.x - (x0 + v0 * t + 0.5 * a * t * t)) <= 1e-9
@@ -278,7 +276,7 @@ def test_cartpole_reference():
     match = True
     for k in range(100):
         force = 10.0 if k % 2 == 0 else -10.0
-        ctrl.apply(Quantity.scalar(force, NEWTON))
+        ctrl.apply(np.array([force]))
         sim.step()
         state = cartpole_oracle(state, force, 1)[-1]
         s = platform.state

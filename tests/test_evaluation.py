@@ -539,8 +539,12 @@ class TestInputChecks:
              "test case 'far': parameter 'deputy.x0'"),
             (TestCase("warp", {"warp_factor": 9}, seed=3), UnknownCaseParameter,
              "test case 'warp': unknown parameter 'warp_factor'"),
+            (TestCase("b", {"v_max": -0.1}, seed=3), InvalidCaseParameter,
+             "test case 'b': parameter 'v_max': 'velocity_limit': must be >= 0, got -0.1"),
+            (TestCase("b", {"dock_radius": {"value": -10.0, "unit": "centimeter"}}, seed=3), InvalidCaseParameter,
+             "test case 'b': parameter 'dock_radius': 'dock_radius': must be >= 0, got -0.1"),
         ],
-        ids=["duplicate", "separator", "bad_value", "unknown"],
+        ids=["duplicate", "separator", "bad_value", "unknown", "reference_range", "reference_range_converted"],
     )
     def test_evaluate_checks_every_case_before_the_first_rollout(self, tmp_path, monkeypatch, bad, error, message, workers):
         self.no_rollouts(monkeypatch)

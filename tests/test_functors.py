@@ -8,7 +8,7 @@ import pytest
 from envforge.environment import Environment
 from envforge.epp import Constant, EpisodeParameterProvider, ParameterSpec
 from envforge.evaluation.evaluate import run_episode
-from envforge import params
+from envforge import params, units
 from envforge.functors.base import (
     DoneResult,
     DoneStatusCode,
@@ -245,7 +245,8 @@ class TestGlues:
         state = make_state(platforms)
         evaluate_glues(graph, state)
         obs = graph.glues[0].observation
-        assert obs["direct_observation"] == Quantity.scalar(-7.5, METER)
+        assert np.array_equal(obs["direct_observation"], [-7.5])
+        assert graph.glues[0].observation_space["direct_observation"].unit == METER
 
     def test_target_value_difference(self):
         platforms = cartpole_platform(x=0.4)
@@ -259,7 +260,7 @@ class TestGlues:
         state = make_state(platforms)
         evaluate_glues(graph, state)
         obs = graph.by_name["TVD"].observation
-        assert obs["target_value_difference"].item == pytest.approx(1.0 - 0.4)
+        assert obs["target_value_difference"][0] == pytest.approx(1.0 - 0.4)
 
     def test_norm_and_unit_vector(self):
         platforms = cartpole_platform(x=3.0, xdot=4.0)
@@ -272,8 +273,8 @@ class TestGlues:
         )
         state = make_state(platforms)
         evaluate_glues(graph, state)
-        assert graph.by_name["N"].observation["norm"].item == pytest.approx(5.0)
-        uv = graph.by_name["U"].observation["unit_vector"].values
+        assert graph.by_name["N"].observation["norm"][0] == pytest.approx(5.0)
+        uv = graph.by_name["U"].observation["unit_vector"]
         assert np.linalg.norm(uv) == pytest.approx(1.0)
 
     def test_observation_normalization(self):
@@ -282,7 +283,7 @@ class TestGlues:
 
         platform = Platform("p", "T", state=7.5)
         prop = Box(1, 0.0, 10.0, METER, name="level")
-        platform.add_part(Sensor("Sensor_Level", prop, lambda s: Quantity.scalar(s, METER)))
+        platform.add_part(Sensor("Sensor_Level", prop, lambda s: np.array([s])))
         platforms = {"p": platform}
         graph = build_graph(
             platforms,
@@ -290,7 +291,7 @@ class TestGlues:
         )
         state = make_state(platforms)
         evaluate_glues(graph, state)
-        value = graph.glues[0].observation["direct_observation"].item
+        value = graph.glues[0].observation["direct_observation"][0]
         assert value == pytest.approx(-1.0 + 2.0 * 7.5 / 10.0)
         box = graph.glues[0].functor.observation_space()["direct_observation"]
         assert box.low[0] == -1.0 and box.high[0] == 1.0
@@ -462,10 +463,11 @@ def count_calls(monkeypatch, fn) -> list:
 class TestSettingsResolvedOnce:
     """Config settings are parsed and converted at build; references per call."""
 
-    # one parse per functor node and scripted policy: docking's 3 glues,
-    # 2 dones, 2 rewards, the horizon and its policy; cartpole's 2 glues,
-    # 2 differences, 2 bounds, 1 reward and the horizon
-    PARSED = {"docking": 9, "cartpole": 8}
+    # one parse per functor node, scripted policy, simulator and part:
+    # docking's 3 glues, 2 dones, 2 rewards, the horizon, its policy, its
+    # simulator and 3 parts; cartpole's 2 glues, 2 differences, 2 bounds,
+    # 1 reward, the horizon, its simulator and 2 parts
+    PARSED = {"docking": 13, "cartpole": 11}
 
     @pytest.mark.parametrize("task", ["docking", "cartpole"])
     def test_episodes_convert_each_value_once(self, task, monkeypatch):
@@ -495,3 +497,90 @@ class TestSettingsResolvedOnce:
             assert success.functor.param(env.state, "dock_radius") == radius
             result = success.functor.evaluate(env.state)
             assert (result is not None and result.code is DoneStatusCode.WIN) is fires
+
+
+def difference_spec(first, second):
+    """Difference 'D' of two TargetValueDifferences over the deputy's position,
+    each given as (unit, min, max, target_value)."""
+    position = FunctorSpec(
+        "ObserveSensor", "ObservePosition", config={"sensor": "Sensor_Position", "normalize": False}
+    )
+
+    def tvd(unit, low, high, target):
+        config = {"unit": unit, "min": low, "max": high, "target_value": target}
+        return FunctorSpec("TargetValueDifference", config=config, wrapped=position)
+
+    return FunctorSpec("Difference", "D", wrapped={"first": tvd(*first), "second": tvd(*second)})
+
+
+class TestDifferenceUnits:
+    """``Difference`` is in first's unit: second's bounds and values are converted."""
+
+    def test_bounds_and_value_in_first_unit(self):
+        platforms = docking_platform(x=0.5)
+        spec = difference_spec(("meter", -1.0, 1.0, 0.0), ("centimeter", -100.0, 100.0, 100.0))
+        graph = build_graph(platforms, glues=[spec])
+        node = graph.by_name["D"]
+        box = node.observation_space["difference"]
+        assert box.unit == METER
+        assert box.low.tolist() == [-2.0] and box.high.tolist() == [2.0]
+        evaluate_glues(graph, make_state(platforms))
+        # first: 0 - 0.5 = -0.5 m; second: 100 - 0.5 = 99.5 cm = 0.995 m
+        assert node.observation["difference"][0] == pytest.approx(-1.495, abs=1e-12)
+
+    def test_same_unit_is_plain_subtraction(self):
+        platforms = docking_platform(x=0.25)
+        spec = difference_spec(("meter", -1.0, 1.0, 0.0), ("meter", -3.0, 2.0, 1.0))
+        graph = build_graph(platforms, glues=[spec])
+        node = graph.by_name["D"]
+        box = node.observation_space["difference"]
+        assert box.low.tolist() == [-3.0] and box.high.tolist() == [4.0]
+        evaluate_glues(graph, make_state(platforms))
+        assert node.observation["difference"].tolist() == [-0.25 - 0.75]
+
+    def test_incompatible_units_fail_the_build(self):
+        spec = difference_spec(("meter", -1.0, 1.0, 0.0), ("second", -1.0, 1.0, 0.0))
+        message = r"^D \(Difference\): wrapped/second: cannot convert between 'second' \(time\) and 'meter' \(length\)$"
+        with pytest.raises(FunctorError, match=message):
+            build_graph(docking_platform(), glues=[spec])
+
+
+class TestQuantityOnlyAtTheBoundary:
+    """Inside ``step()`` values are bare arrays in their box's unit: the only
+    ``Quantity`` built is one per returned observation, and nothing converts."""
+
+    @pytest.mark.parametrize("task", ["docking", "cartpole"])
+    def test_step_builds_one_quantity_per_observation(self, task, monkeypatch):
+        env = Environment(load_env_config(CONFIG_DIR / task / "environment.yml"))
+        built, converted = [], []
+        post_init, to = Quantity.__post_init__, Quantity.to
+
+        def counting_post_init(q):
+            built.append(q)
+            post_init(q)
+
+        def counting_to(q, target):
+            converted.append(target)
+            return to(q, target)
+
+        monkeypatch.setattr(Quantity, "__post_init__", counting_post_init)
+        monkeypatch.setattr(Quantity, "to", counting_to)
+        conversions = count_calls(monkeypatch, units.convert)
+        for seed in (1, 2, 3):
+            observations = env.reset(seed=seed)
+            for calls in (built, converted, conversions):
+                calls.clear()
+            in_step = returned = steps = 0
+            while not env.episode_done:
+                actions = {
+                    name: agent.policy.compute_action(observations.get(name, {}), agent.action_space())
+                    for name, agent in env.agents.items()
+                }
+                before = len(built)
+                observations = env.step(actions).observations
+                in_step += len(built) - before
+                returned += sum(len(obs) for obs in observations.values())
+                steps += 1
+            assert steps > 1 and returned > 0
+            assert in_step == returned
+            assert converted == [] and conversions == []

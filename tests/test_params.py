@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from envforge.config import loader
@@ -11,6 +11,8 @@ from envforge.config.validate import (
     ErrorCode,
     ValidationReport,
     parse_functor_spec,
+    parse_parameter_spec,
+    referencing_params,
     validate_environment,
 )
 from envforge.environment import Environment
@@ -24,10 +26,13 @@ from envforge.functors import (
     build_graph,
 )
 from envforge.params import ANY, SOURCE, Param, check_inputs, nonnegative, parse_params
-from envforge.parts import Platform
+from envforge.parts import PartError, Platform
+from envforge.simulators.base import InvalidSimulatorConfig
+from envforge.simulators.cartpole import DEFAULTS
 from envforge.policies import PolicyError, ScriptedPolicy
 from envforge.simulators.docking import (
     Deputy1d,
+    Docking1dSimulator,
     _position_sensor,
     _thrust_controller,
     _velocity_sensor,
@@ -200,6 +205,19 @@ def build_beside_position(spec):
     return build_graph(docking_platforms(), glues=[POSITION], dones=[spec])
 
 
+def differs_in_dimension(tree):
+    """Whether tree is a Difference of CHILD (velocity) and P (position): the
+    one defect ``parse_functor_spec`` cannot see, since which unit a child
+    carries is known only once the parts are built."""
+    wrapped = tree.get("wrapped")
+    return (
+        tree["functor"] == "Difference"
+        and isinstance(wrapped, dict)
+        and {"first", "second"} <= wrapped.keys()
+        and wrapped["first"] != wrapped["second"]
+    )
+
+
 def validate_and_build(tree):
     """The errors ``parse_functor_spec`` reports for tree, and the build's FunctorError or None."""
     report = ValidationReport()
@@ -294,9 +312,14 @@ class TestInputs:
 
     @settings(max_examples=300, deadline=None)
     @given(functor_inputs())
+    @example({"functor": "Difference", "name": "Culprit", "wrapped": {"first": "P", "second": CHILD}})
+    @example({"functor": "Difference", "name": "Culprit", "wrapped": {"first": CHILD, "second": CHILD}})
     def test_validate_reports_no_error_exactly_when_the_inputs_build(self, tree):
         errors, exc = validate_and_build(tree)
-        assert (errors == []) == (exc is None), (errors, exc)
+        if errors == [] and differs_in_dimension(tree):
+            assert str(exc).startswith("Culprit (Difference): wrapped/second: cannot convert"), exc
+        else:
+            assert (errors == []) == (exc is None), (errors, exc)
 
 
 class TestDeclaredUnits:
@@ -342,10 +365,14 @@ class TestReferencedValues:
 
     @staticmethod
     def short_config_with(key, distribution, unit):
-        tree = loader.load_config(CONFIG_DIR / "docking" / "environment_short.yml")
-        tree["reference_store"][key] = {"distribution": distribution, "unit": unit}
-        config, report = validate_environment(tree, base_dir=CONFIG_DIR / "docking")
-        # validate cannot see a sample, so the config is valid
+        # validate rejects a constant that a referencing param's parse rejects
+        # (TestReferencedRangesInValidate), so the spec goes in after
+        # validation, as a config built in Python or a curriculum updater can
+        # put it; reset checks what validate cannot see
+        config = load_env_config(CONFIG_DIR / "docking" / "environment_short.yml")
+        report = ValidationReport()
+        tree = {"distribution": distribution, "unit": unit}
+        config.reference_store[key] = parse_parameter_spec(key, tree, f"reference_store/{key}", report)
         assert report.ok, str(report)
         return config
 
@@ -389,3 +416,157 @@ class TestReferencedValues:
                 assert functor.param(env.state, "dock_radius") == sampled
                 assert functor.param(env.state, "velocity_limit") == env.epp.current_sample["v_max"].item
         assert len(radii) == 8
+
+
+def errors_of(tree, base_dir=CONFIG_DIR / "docking"):
+    """(path, code) of every error ``validate`` reports for an environment tree."""
+    config, report = validate_environment(tree, base_dir=base_dir)
+    assert (config is None) == (not report.ok)
+    return [(e.path, e.code.value) for e in report.errors]
+
+
+def env_tree(task):
+    """An environment file of ``configs/<task>`` with its agent file inlined."""
+    tree = loader.load_config(CONFIG_DIR / task / "environment.yml")
+    tree["agents"] = [loader.load_config(CONFIG_DIR / task / "agent.yml")]
+    return tree
+
+
+class TestSimulatorAndPartTables:
+    """A simulator's and a part's config keys are declared, and checked by
+    ``validate`` and the constructor through ``parse_params``."""
+
+    @pytest.mark.parametrize(
+        "task, config, path, code",
+        [
+            ("docking", {"mas": 5.0}, "simulator/config/mas", "UnknownField"),
+            ("docking", {"frame_rate": 0.0}, "simulator/config/frame_rate", "TypeMismatch"),
+            ("docking", {"mass": -1.0}, "simulator/config/mass", "TypeMismatch"),
+            ("cartpole", {"constants": {"gravty": 0.0}}, "simulator/config/constants", "TypeMismatch"),
+            ("cartpole", {"constants": [9.8]}, "simulator/config/constants", "TypeMismatch"),
+        ],
+    )
+    def test_simulator_config_is_checked(self, task, config, path, code):
+        tree = env_tree(task)
+        tree["simulator"]["config"] = config
+        assert errors_of(tree, CONFIG_DIR / task) == [(path, code)]
+
+    @pytest.mark.parametrize(
+        "task, index, config, path, code",
+        [
+            ("docking", 2, {"thrust_limt": 0.01}, "agents/0/parts/2/config/thrust_limt", "UnknownField"),
+            ("docking", 2, {"thrust_limit": 0.0}, "agents/0/parts/2/config/thrust_limit", "TypeMismatch"),
+            ("cartpole", 1, {"force_limit": -1.0}, "agents/0/parts/1/config/force_limit", "TypeMismatch"),
+            ("docking", 0, {"platform": "ghost"}, "agents/0/parts/0/config/platform", "UnknownReference"),
+            ("docking", 0, {"platform": ""}, "agents/0/parts/0/config/platform", "UnknownReference"),
+            ("docking", 0, {"range": 5.0}, "agents/0/parts/0/config/range", "UnknownField"),
+        ],
+    )
+    def test_part_config_is_checked(self, task, index, config, path, code):
+        tree = env_tree(task)
+        tree["agents"][0]["parts"][index] = {"part": tree["agents"][0]["parts"][index]["part"], "config": config}
+        assert errors_of(tree, CONFIG_DIR / task) == [(path, code)]
+
+    def test_part_group_without_a_matching_registration(self):
+        tree = env_tree("docking")
+        tree["agents"][0]["parts"].append({"part": "Controller_Force"})
+        assert errors_of(tree) == [("agents/0/parts/3/part", "UnknownPartGroup")]
+
+    def test_settings_are_read(self):
+        tree = env_tree("cartpole")
+        tree["simulator"]["config"] = {"frame_rate": 25.0, "constants": {"gravity": 0.0}}
+        tree["agents"][0]["parts"][1]["config"] = {"force_limit": 4.0}
+        config, report = validate_environment(tree, base_dir=CONFIG_DIR / "cartpole")
+        assert report.ok, str(report)
+        env = Environment(config)
+        assert env.simulator.dt == 1.0 / 25.0
+        assert env.simulator.constants == {**DEFAULTS, "gravity": 0.0}
+        assert env.agents["cartpole_agent"].action_space()["ForceControl"].high.tolist() == [4.0]
+
+    def test_each_simulator_owns_its_constants(self):
+        tree = env_tree("cartpole")
+        config, report = validate_environment(tree, base_dir=CONFIG_DIR / "cartpole")
+        assert report.ok, str(report)
+        env = Environment(config)
+        env.simulator.constants["gravity"] = 0.0
+        assert DEFAULTS["gravity"] != 0.0
+        assert Environment(config).simulator.constants == DEFAULTS
+
+    def test_construction_fails_naming_the_field(self, docking_config):
+        with pytest.raises(InvalidSimulatorConfig, match="Docking1dSimulator: config/mas: unknown field 'mas'"):
+            Docking1dSimulator({"mas": 5.0}, [])
+        docking_config.agents[0].parts[2].config = {"thrust_limt": 0.01}
+        with pytest.raises(PartError, match="part 'Controller_Thrust': config/thrust_limt: unknown field"):
+            Environment(docking_config)
+
+
+class TestReferencedRangesInValidate:
+    """A reference-store value that can only be drawn (a constant, any value of
+    a discrete choice) is checked against every param that references it."""
+
+    @staticmethod
+    def short_tree_with(key, distribution, unit):
+        tree = loader.load_config(CONFIG_DIR / "docking" / "environment_short.yml")
+        tree["reference_store"][key] = {"distribution": distribution, "unit": unit}
+        return tree
+
+    @pytest.mark.parametrize(
+        "key, distribution, unit, reason",
+        [
+            ("dock_radius", {"kind": "constant", "value": -0.1}, "meter",
+             "value -0.1 meter: 'dock_radius': must be >= 0, got -0.1"),
+            ("v_max", {"kind": "constant", "value": -0.1}, "meter_per_second",
+             "value -0.1 meter_per_second: 'velocity_limit': must be >= 0, got -0.1"),
+            ("dock_radius", {"kind": "constant", "value": -10.0}, "centimeter",
+             "value -10.0 centimeter: 'dock_radius': must be >= 0, got -0.1"),
+            ("dock_radius", {"kind": "discrete_choice", "values": [0.1, -0.2]}, "meter",
+             "value -0.2 meter: 'dock_radius': must be >= 0, got -0.2"),
+        ],
+    )
+    def test_value_out_of_range_is_a_type_mismatch(self, key, distribution, unit, reason):
+        _, report = validate_environment(self.short_tree_with(key, distribution, unit), base_dir=CONFIG_DIR / "docking")
+        assert [(e.path, e.code.value, e.message) for e in report.errors] == [
+            (f"reference_store/{key}/distribution", "TypeMismatch", reason)
+        ]
+
+    @pytest.mark.parametrize(
+        "distribution, unit",
+        [
+            ({"kind": "constant", "value": 10.0}, "centimeter"),
+            ({"kind": "discrete_choice", "values": [0.0, 0.3]}, "meter"),
+            # a draw validate cannot see is checked by reset
+            ({"kind": "uniform", "low": -1.0, "high": 1.0}, "meter"),
+        ],
+    )
+    def test_value_in_range_or_not_fixed_passes(self, distribution, unit):
+        assert errors_of(self.short_tree_with("dock_radius", distribution, unit)) == []
+
+    def test_agent_store_is_checked_at_its_path(self):
+        tree = env_tree("docking")
+        agent = tree["agents"][0]
+        agent["reference_store"] = {"r": {"distribution": {"kind": "constant", "value": -1.0}, "unit": "meter"}}
+        agent["dones"][0]["references"]["dock_radius"] = "r"
+        assert errors_of(tree) == [("agents/0/reference_store/r/distribution", "TypeMismatch")]
+
+    def test_wrapped_reference_is_found(self):
+        tree = env_tree("docking")
+        tree["reference_store"]["t"] = {"distribution": {"kind": "constant", "value": 1.0}, "unit": "meter"}
+        tree["agents"][0]["dones"].append({
+            "functor": "StateBounds",
+            "name": "Outer",
+            "config": {"status": "DRAW"},
+            "wrapped": {
+                "functor": "TargetValueDifference",
+                "config": {"unit": "meter"},
+                "references": {"target_value": "t"},
+                "wrapped": "ObservePosition",
+            },
+        })
+        config, report = validate_environment(tree, base_dir=CONFIG_DIR / "docking")
+        assert report.ok, str(report)
+        referencing = referencing_params(config)
+        assert {key: [p.name for p in params] for key, params in referencing.items()} == {
+            "dock_radius": ["dock_radius"],
+            "v_max": ["velocity_limit"],
+            "t": ["target_value"],
+        }

@@ -14,7 +14,7 @@ from envforge.parts import (
     Sensor,
     UnknownGroup,
 )
-from envforge.units import METER, NONE, Quantity
+from envforge.units import METER, NONE
 
 
 def position_property():
@@ -62,46 +62,26 @@ class TestBox:
 
 
 class TestSensor:
-    def test_valid_reading_converted_to_property_unit(self):
-        from envforge.units import get_unit
-
-        sensor = Sensor(
-            "s", position_property(), lambda _: Quantity.scalar(200.0, get_unit("centimeter"))
-        )
-        assert sensor.measure(None) == Quantity.scalar(2.0, METER)
-
     def test_invalid_reading_holds_last_valid(self):
         values = iter([1.0, float("nan"), 2.0])
-        sensor = Sensor(
-            "s", position_property(), lambda _: Quantity.scalar(next(values), METER)
-        )
-        assert sensor.measure(None).item == 1.0
-        assert sensor.measure(None).item == 1.0  # NaN reading: held
-        assert sensor.measure(None).item == 2.0  # recovers on next valid value
+        sensor = Sensor("s", position_property(), lambda _: np.array([next(values)]))
+        assert sensor.measure(None)[0] == 1.0
+        assert sensor.measure(None)[0] == 1.0  # NaN reading: held
+        assert sensor.measure(None)[0] == 2.0  # recovers on next valid value
 
     def test_invalid_first_reading_raises(self):
-        sensor = Sensor(
-            "s", position_property(), lambda _: Quantity.scalar(float("inf"), METER)
-        )
+        sensor = Sensor("s", position_property(), lambda _: np.array([float("inf")]))
         with pytest.raises(NoValidMeasurementYet):
             sensor.measure(None)
 
     def test_wrong_shape_is_invalid(self):
-        values = iter(
-            [Quantity(np.array([1.0]), METER), Quantity(np.array([1.0, 2.0]), METER)]
-        )
+        values = iter([np.array([1.0]), np.array([1.0, 2.0])])
         sensor = Sensor("s", position_property(), lambda _: next(values))
-        assert sensor.measure(None).item == 1.0
-        assert sensor.measure(None).item == 1.0  # shape mismatch: held
-
-    def test_wrong_dimension_is_invalid(self):
-        values = iter([Quantity.scalar(1.0, METER), Quantity.scalar(2.0, NONE)])
-        sensor = Sensor("s", position_property(), lambda _: next(values))
-        assert sensor.measure(None).item == 1.0
-        assert sensor.measure(None).item == 1.0
+        assert sensor.measure(None)[0] == 1.0
+        assert sensor.measure(None)[0] == 1.0  # shape mismatch: held
 
     def test_reset_clears_hold(self):
-        sensor = Sensor("s", position_property(), lambda _: Quantity.scalar(1.0, METER))
+        sensor = Sensor("s", position_property(), lambda _: np.array([1.0]))
         sensor.measure(None)
         sensor.reset()
         assert sensor.last_valid is None
@@ -110,32 +90,32 @@ class TestSensor:
 class TestController:
     def test_clamping_and_count(self):
         ctrl = Controller("c", Box(1, -1.0, 1.0, NONE, name="thrust"))
-        ctrl.apply(Quantity.scalar(0.5))
+        ctrl.apply(np.array([0.5]))
         assert ctrl.clamp_count == 0
-        assert ctrl.take_pending().item == 0.5
-        ctrl.apply(Quantity.scalar(5.0))
+        assert ctrl.take_pending()[0] == 0.5
+        ctrl.apply(np.array([5.0]))
         assert ctrl.clamp_count == 1
-        assert ctrl.take_pending().item == 1.0
+        assert ctrl.take_pending()[0] == 1.0
 
     def test_no_pending_yields_zero(self):
         ctrl = Controller("c", Box(1, -1.0, 1.0, NONE, name="thrust"))
-        assert ctrl.take_pending().item == 0.0
+        assert ctrl.take_pending()[0] == 0.0
 
     def test_take_pending_consumes_command(self):
         # A command applies to one step: taking it leaves nothing pending.
         ctrl = Controller("c", Box(1, -1.0, 1.0, NONE, name="thrust"))
-        ctrl.apply(Quantity.scalar(0.5))
-        assert ctrl.take_pending().item == 0.5
+        ctrl.apply(np.array([0.5]))
+        assert ctrl.take_pending()[0] == 0.5
         assert ctrl.pending is None
-        assert ctrl.take_pending().item == 0.0
+        assert ctrl.take_pending()[0] == 0.0
 
     def test_zero_clipped_into_bounds(self):
         ctrl = Controller("c", Box(1, 0.5, 1.0, NONE, name="thrust"))
-        assert ctrl.take_pending().item == 0.5
+        assert ctrl.take_pending()[0] == 0.5
 
     def test_reset(self):
         ctrl = Controller("c", Box(1, -1.0, 1.0, NONE, name="thrust"))
-        ctrl.apply(Quantity.scalar(9.0))
+        ctrl.apply(np.array([9.0]))
         ctrl.reset()
         assert ctrl.pending is None and ctrl.clamp_count == 0
 
@@ -158,9 +138,9 @@ class TestController:
             data.draw(st.lists(st.one_of(finite, on_bound), min_size=shape, max_size=shape))
         )
         ctrl = Controller("c", box)
-        ctrl.apply(Quantity(values, NONE))
+        ctrl.apply(values)
         expected = np.clip(values, box.low, box.high)
-        assert ctrl.pending.values.tobytes() == expected.tobytes()
+        assert ctrl.pending.tobytes() == expected.tobytes()
         assert ctrl.clamp_count == int(not np.array_equal(expected, values))
 
 
@@ -175,7 +155,7 @@ class TestPlatform:
     def test_sensor_controller_partition(self):
         platform = Platform("p", "T")
         platform.add_part(Controller("c", Box(1, -1.0, 1.0, NONE, name="t")))
-        platform.add_part(Sensor("s", position_property(), lambda _: Quantity.scalar(0.0, METER)))
+        platform.add_part(Sensor("s", position_property(), lambda _: np.array([0.0])))
         assert set(platform.sensors()) == {"s"}
         assert set(platform.controllers()) == {"c"}
 
@@ -201,24 +181,24 @@ class TestPluginRegistry:
         reg = PluginRegistry()
         reg.register("G", self.factory("specific"), simulator_type="SimA")
         reg.register("G", self.factory("generic"))
-        assert reg.resolve("G", "SimA", "P")("x", {}).tag == "specific"
-        assert reg.resolve("G", "SimB", "P")("x", {}).tag == "generic"
+        assert reg.match("G", "SimA", "P").factory("x", {}).tag == "specific"
+        assert reg.match("G", "SimB", "P").factory("x", {}).tag == "generic"
 
     def test_wildcard_conditions(self):
         reg = PluginRegistry()
         reg.register("G", self.factory("any"))
-        assert reg.resolve("G", "whatever", "thing")("x", {}).tag == "any"
+        assert reg.match("G", "whatever", "thing").factory("x", {}).tag == "any"
 
     def test_platform_condition(self):
         reg = PluginRegistry()
         reg.register("G", self.factory("cart"), platform_type="Cart")
         with pytest.raises(NoMatch):
-            reg.resolve("G", "Sim", "Rover")
+            reg.match("G", "Sim", "Rover")
 
     def test_unknown_group(self):
         reg = PluginRegistry()
         with pytest.raises(UnknownGroup):
-            reg.resolve("Missing", "Sim", "P")
+            reg.match("Missing", "Sim", "P")
 
     def test_freeze_blocks_registration(self):
         reg = PluginRegistry()
@@ -228,12 +208,12 @@ class TestPluginRegistry:
         with pytest.raises(RegistryFrozen):
             reg.register("H", self.factory("b"))
         # Resolution still works after freezing.
-        assert reg.resolve("G", "Sim", "P")("x", {}).tag == "a"
+        assert reg.match("G", "Sim", "P").factory("x", {}).tag == "a"
 
     def test_same_group_across_simulators(self):
         # The simulator-swap property: one group name, per-simulator factories.
         reg = PluginRegistry()
         reg.register("Sensor_State", self.factory("dock"), simulator_type="Dock")
         reg.register("Sensor_State", self.factory("cart"), simulator_type="Cart")
-        assert reg.resolve("Sensor_State", "Dock", "P")("x", {}).tag == "dock"
-        assert reg.resolve("Sensor_State", "Cart", "P")("x", {}).tag == "cart"
+        assert reg.match("Sensor_State", "Dock", "P").factory("x", {}).tag == "dock"
+        assert reg.match("Sensor_State", "Cart", "P").factory("x", {}).tag == "cart"

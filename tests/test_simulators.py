@@ -10,7 +10,7 @@ from envforge.simulators.base import MissingInitParameter, PlatformSetup, Unknow
 from envforge.simulators.cartpole import DEFAULTS, CartPoleSimulator, _force_controller
 from envforge.simulators.cartpole import _state_sensor as cartpole_state_sensor
 from envforge.simulators.docking import Docking1dSimulator, _thrust_controller
-from envforge.units import METER, METER_PER_SECOND, NEWTON, RADIAN, RADIAN_PER_SECOND, Quantity
+from envforge.units import METER, METER_PER_SECOND, RADIAN, RADIAN_PER_SECOND, Quantity
 
 
 def docking_sampled(x0=0.0, v0=0.0, name="deputy"):
@@ -53,7 +53,7 @@ def make_cartpole(**state):
     )
     sim.reset(cartpole_sampled(**state))
     platform = sim.platforms["cart"]
-    platform.add_part(_force_controller("Controller_Force", {}))
+    platform.add_part(_force_controller("Controller_Force", {"force_limit": DEFAULTS["force_mag"]}))
     return sim, platform
 
 
@@ -66,7 +66,7 @@ class TestDockingDynamics:
         a = thrust / mass
         start = time.perf_counter()
         for k in range(1, n + 1):
-            ctrl.apply(Quantity.scalar(thrust, NEWTON))
+            ctrl.apply(np.array([thrust]))
             sim.step()
             t = k * sim.dt
             assert platform.state.x == pytest.approx(x0 + v0 * t + 0.5 * a * t * t, abs=1e-9)
@@ -83,7 +83,7 @@ class TestDockingDynamics:
     def test_thrust_clamped_to_limit(self):
         sim, platform = make_docking()
         ctrl = platform.controllers()["Controller_Thrust"]
-        ctrl.apply(Quantity.scalar(10.0, NEWTON))
+        ctrl.apply(np.array([10.0]))
         sim.step()
         assert platform.state.xdot == pytest.approx(1.0)  # limit 1 N, mass 1 kg
         assert ctrl.clamp_count == 1
@@ -91,7 +91,7 @@ class TestDockingDynamics:
     def test_pending_thrust_cleared_after_step(self):
         sim, platform = make_docking()
         ctrl = platform.controllers()["Controller_Thrust"]
-        ctrl.apply(Quantity.scalar(0.5, NEWTON))
+        ctrl.apply(np.array([0.5]))
         sim.step()
         sim.step()  # no command: zero thrust
         assert platform.state.xdot == pytest.approx(0.5)
@@ -135,7 +135,7 @@ class TestPlatformPersistence:
     def test_inoperable_platform_ignores_controls(self):
         sim, platform = make_docking()
         sim.mark_platform_inoperable("deputy")
-        platform.controllers()["Controller_Thrust"].apply(Quantity.scalar(1.0, NEWTON))
+        platform.controllers()["Controller_Thrust"].apply(np.array([1.0]))
         sim.step()
         assert platform.state.xdot == 0.0
 
@@ -185,7 +185,7 @@ class TestCartPole:
         state = (0.0, 0.0, 0.02, 0.0)
         for k in range(100):
             force = 10.0 if k % 2 == 0 else -10.0
-            ctrl.apply(Quantity.scalar(force, NEWTON))
+            ctrl.apply(np.array([force]))
             sim.step()
             state = cartpole_oracle(state, force, 1)[-1]
             s = platform.state
@@ -228,7 +228,7 @@ class TestSensors:
         sim, platform = make_cartpole(x=0.1, xdot=0.2, theta=0.3, thetadot=0.4)
         sensor = cartpole_state_sensor("Sensor_State", {})
         platform.add_part(sensor)
-        values = sensor.measure(platform.state).values
+        values = sensor.measure(platform.state)
         assert np.allclose(values, [0.1, 0.2, 0.3, 0.4])
 
     def test_simulator_registry(self):

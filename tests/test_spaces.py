@@ -12,7 +12,6 @@ from envforge.evaluation.evaluate import run_episode
 from envforge.functors.base import FunctorNode, Glue
 from envforge.functors.graph import FUNCTOR_REGISTRY
 from envforge.parts import Box, Sensor
-from envforge.units import Quantity
 
 from conftest import CONFIG_DIR, load_env_config
 
@@ -77,7 +76,7 @@ class TestSpacesCompiledOnce:
 def reference_space_check(entries):
     """The element loop ``_space_check`` ran before spaces were compiled."""
     for name, node, key, box in entries:
-        values = node.observation[key].values
+        values = node.observation[key]
         for i, v in enumerate(values):
             if v < box.low[i] or v > box.high[i]:
                 raise SpaceViolation(name, node.name, i, float(v), float(box.low[i]), float(box.high[i]))
@@ -163,7 +162,7 @@ class TestSpaceCheck:
             (f"{node.name}/obs", node, "obs", box) for node, (box, _) in zip(nodes, entries)
         ]
         for node, (_, values) in zip(nodes, entries):
-            node.observation = {"obs": Quantity(values)}
+            node.observation = {"obs": values}
         reference = [(agent.name, node, "obs", box) for node, (box, _) in zip(nodes, entries)]
         assert outcome(env._space_check) == outcome(lambda: reference_space_check(reference))
 
@@ -172,9 +171,9 @@ class TestSpaceCheck:
         node = FunctorNode("id", "glue", "G", None, ())
         (agent,) = env.agents.values()
         agent.observation_layout = [("G/obs", node, "obs", Box(3, -1.0, 1.0))]
-        node.observation = {"obs": Quantity(np.array([np.nan, -1.0, 1.0]))}
+        node.observation = {"obs": np.array([np.nan, -1.0, 1.0])}
         env._space_check()
-        node.observation = {"obs": Quantity(np.array([np.nan, -1.0, np.inf]))}
+        node.observation = {"obs": np.array([np.nan, -1.0, np.inf])}
         with pytest.raises(SpaceViolation, match="element 2: value inf outside"):
             env._space_check()
 
