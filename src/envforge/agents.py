@@ -6,10 +6,10 @@ import json
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .config.schema import AgentConfig
+from .config.schema import AgentConfig, PartConfig
 from .functors.base import PartBindingError
-from .functors.graph import CompiledGraph, build_graph
-from .params import parse_params
+from .functors.graph import CompiledGraph, build_graph, canonical
+from .params import BuildErrors, join_path, parse_params
 from .parts import GLOBAL_REGISTRY, Box, PartError, Platform, PluginRegistry
 from .policies import POLICY_REGISTRY, Policy, PolicyError
 
@@ -65,21 +65,44 @@ def attach_parts(
 
     A part entry may name its platform in config; otherwise it attaches to the
     agent's first platform.  The entry's config is parsed by the table of the
-    group's matching registration, and the factory receives the settings; a
-    key the table does not declare, or a value it rejects, raises
-    ``PartError``.  Already-attached identical groups are shared (two agents
-    on one platform reuse the same part).
+    group's matching registration, and the factory receives the settings.
+    Already-attached identical groups are shared (two agents on one platform
+    reuse the same part).  A part that fails (an undeclared platform, a group
+    with no registration for the simulator and platform type, a key the table
+    does not declare or a value it rejects) is reported at its ``path`` and
+    the others still attach; then the first ``PartError`` is raised, listing
+    every error.  An agent on an undeclared platform attaches nothing.
     """
+    _agent_platforms(agent_config, platforms)
+    errors = BuildErrors()
     for part in agent_config.parts:
-        platform = platforms[agent_config.part_platform(part)]
-        if part.group in platform.parts:
-            continue
-        entry = registry.match(part.group, simulator_type, platform.platform_type)
-        settings, errors = parse_params(entry.params, part.config, {})
-        if errors:
-            path, _, message = errors[0]
-            raise PartError(f"part '{part.group}': {path}: {message}")
-        platform.add_part(entry.factory(part.group, settings))
+        target = agent_config.part_platform(part)
+        errors.attempt(_attach_part, part, target, platforms, simulator_type, registry, path=part.path)
+    errors.check()
+
+
+def _agent_platforms(agent_config: AgentConfig, platforms: dict[str, Platform]) -> dict[str, Platform]:
+    """The agent's platforms by name; one that ``platforms`` lacks fails with ``PartBindingError``."""
+    for j, name in enumerate(agent_config.platform_names):
+        if name not in platforms:
+            message = f"unknown platform '{name}'"
+            error = (join_path(agent_config.path, "platforms", j), "UnknownReference", message)
+            raise PartBindingError(f"agent '{agent_config.name}': {message}", [error])
+    return {name: platforms[name] for name in agent_config.platform_names}
+
+
+def _attach_part(part: PartConfig, target, platforms, simulator_type: str, registry: PluginRegistry) -> None:
+    platform = platforms.get(target) if isinstance(target, str) else None
+    if platform is None:
+        error = ("config/platform", "UnknownReference", f"platform {target!r} is not declared in the environment")
+        raise PartError.listing(f"part '{part.group}'", [error])
+    if part.group in platform.parts:
+        return
+    entry = registry.match(part.group, simulator_type, platform.platform_type)
+    settings, errors = parse_params(entry.params, part.config, {})
+    if errors:
+        raise PartError.listing(f"part '{part.group}'", errors)
+    platform.add_part(entry.factory(part.group, settings))
 
 
 class PolicyPool:
@@ -94,8 +117,9 @@ class PolicyPool:
     def get(self, name: str, config: dict) -> Policy:
         cls = POLICY_REGISTRY.get(name)
         if cls is None:
-            raise PolicyError(f"unknown policy '{name}' (registered: {sorted(POLICY_REGISTRY)})")
-        key = json.dumps({"name": name, "config": config}, sort_keys=True, default=repr)
+            message = f"unknown policy '{name}' (registered: {sorted(POLICY_REGISTRY)})"
+            raise PolicyError(message, [("name", "TypeMismatch", message)])
+        key = json.dumps({"name": name, "config": canonical(config)}, sort_keys=True)
         if key not in self._instances:
             self._instances[key] = cls(config)
         return self._instances[key]
@@ -106,17 +130,14 @@ def build_agent(
     platforms: dict[str, Platform],
     policy_pool: PolicyPool,
 ) -> Agent:
-    """Wire an agent's glue/done/reward maps into a compiled graph."""
-    agent_platforms = {}
-    for name in agent_config.platform_names:
-        if name not in platforms:
-            raise PartBindingError(f"agent '{agent_config.name}': unknown platform '{name}'")
-        agent_platforms[name] = platforms[name]
-    graph = build_graph(
-        agent_platforms,
-        glues=agent_config.glues,
-        dones=agent_config.dones,
-        rewards=agent_config.rewards,
+    """Wire an agent's glue/done/reward maps into a compiled graph, and get
+    its policy; if either fails, the first error is raised, listing both's."""
+    agent_platforms = _agent_platforms(agent_config, platforms)
+    errors = BuildErrors()
+    graph = errors.attempt(build_graph, agent_platforms, agent_config.glues, agent_config.dones, agent_config.rewards)
+    policy = errors.attempt(
+        policy_pool.get, agent_config.policy.name, agent_config.policy.config,
+        path=join_path(agent_config.path, "policy"),
     )
-    policy = policy_pool.get(agent_config.policy.name, agent_config.policy.config)
+    errors.check()
     return Agent(agent_config.name, agent_config.platform_names, graph, policy)

@@ -37,8 +37,12 @@ class SpaceCheckMode:
 
 @dataclass
 class PartConfig:
+    """One part entry; ``path`` is the config path it was parsed from, under
+    which the build reports its errors (not compared, not serialized)."""
+
     group: str
     config: dict[str, Any] = field(default_factory=dict)
+    path: str = field(default="", compare=False, repr=False)
 
 
 @dataclass
@@ -58,6 +62,8 @@ class AgentConfig:
     parameters: dict[str, ParameterSpec] = field(default_factory=dict)
     reference_store: dict[str, ParameterSpec] = field(default_factory=dict)
     policy: PolicyConfig = field(default_factory=lambda: PolicyConfig("random"))
+    #: the config path it was parsed from, as ``PartConfig.path``
+    path: str = field(default="", compare=False, repr=False)
 
     def part_platform(self, part: PartConfig):
         """The platform ``part`` attaches to: its ``platform`` setting, else the agent's first."""

@@ -1,25 +1,35 @@
 """Config tree validation with path-addressed error reporting.
 
+Validation is construction.  ``validate_environment`` itself parses only the
+structure: section keys and types, file loading, the registry lookups that
+choose which class to build, and the reference stores.  Then it builds the
+environment from what parsed, through the same constructors ``run`` uses,
+and reports what they reject: a parameter table, a functor's inputs and
+references, a part or platform a functor names, a scripted rule's config, a
+simulator's config.  So a config that validates also builds.
+
 Validation is total: any loaded tree yields either a typed config or a
 ValidationReport whose errors carry the slash-separated path of the offending
-node, in document order.  Nothing here raises for bad user input.
+node: the structural errors, then the build's, each in document order.
+Nothing here raises for bad user input.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
 from .. import epp as epp_mod
-from ..epp import DISTRIBUTION_KINDS, Increment, ParameterSpec
+from ..epp import DISTRIBUTION_KINDS, Increment, ParameterSpec, finite_real
 from ..functors.base import ExtractorSpec, FunctorSpec
 from ..functors.graph import FUNCTOR_REGISTRY
-from ..params import PARSE_ERRORS, Param, check_inputs, parse_params, parse_reference
-from ..parts import GLOBAL_REGISTRY, NoMatch, PluginRegistry
-from ..policies import POLICY_REGISTRY, SCRIPTED_RULES
+from ..params import PARSE_ERRORS, ConfigError, Param, parse_reference
+from ..params import join_path as _join
+from ..parts import GLOBAL_REGISTRY, PluginRegistry
+from ..policies import POLICY_REGISTRY
 from ..simulators import SIMULATORS
 from ..units import Quantity, UnitError
 from ..units import UnknownUnit as UnknownUnitError
@@ -50,6 +60,7 @@ class ErrorCode(enum.Enum):
     DUPLICATE_NAME = "DuplicateName"
     UNKNOWN_FIELD = "UnknownField"
     CONFLICTING_FIELD = "ConflictingField"
+    REFERENCE_CYCLE = "ReferenceCycle"
 
 
 @dataclass(frozen=True)
@@ -95,13 +106,9 @@ def _load(path: Path, report_path: str, report: ValidationReport):
         return None
 
 
-def _join(*parts) -> str:
-    return "/".join(str(p) for p in parts if p != "")
-
-
 #: the keys each structural section declares; any other key is UnknownField.
-#: A simulator's ``config`` is checked against its class's ``params``, and a
-#: part's against its registration's.
+#: A simulator's, a part's, a functor's and a scripted rule's ``config`` is
+#: checked by its constructor, against its declared ``params``.
 ENVIRONMENT_KEYS = (
     "simulator", "platforms", "agents", "horizon", "episode_end_mode",
     "space_check_mode", "reference_store", "shared_dones",
@@ -181,9 +188,13 @@ def _check_unit(name, path: str, report: ValidationReport):
 
 
 def parse_parameter_spec(name: str, tree, path: str, report: ValidationReport) -> ParameterSpec | None:
-    """Parse one parameter entry; bare scalars are Constant with unit none."""
+    """Parse one parameter entry; bare scalars are Constant with unit none.
+
+    Every hyperparameter must be a finite number, and so must an updater's
+    ``step`` and ``limit``.
+    """
     if isinstance(tree, (int, float)) and not isinstance(tree, bool):
-        return ParameterSpec(name, epp_mod.Constant(float(tree)))
+        tree = {"distribution": {"kind": "constant", "value": float(tree) if finite_real(tree) else tree}}
     if not isinstance(tree, dict):
         report.add(path, ErrorCode.TYPE_MISMATCH, "parameter must be a number or a mapping")
         return None
@@ -207,13 +218,11 @@ def parse_parameter_spec(name: str, tree, path: str, report: ValidationReport) -
         return None
     hyper = {k: v2 for k, v2 in dist_tree.items() if k != "kind"}
     try:
-        dist = cls(**hyper)
-        dist.validate()
+        spec = ParameterSpec(name, cls(**hyper), unit)
     except (TypeError, ValueError) as exc:
         report.add(_join(path, "distribution"), ErrorCode.TYPE_MISMATCH, str(exc))
         return None
 
-    updaters: list[Increment] = []
     updater_trees = v.optional(tree, "updaters", path, list, [])
     for i, ut in enumerate(updater_trees):
         upath = _join(path, "updaters", i)
@@ -223,23 +232,27 @@ def parse_parameter_spec(name: str, tree, path: str, report: ValidationReport) -
         uv = _Validator(report)
         uv.declared(ut, UPDATER_KEYS, upath)
         target = uv.require(ut, "target", upath, str)
-        step = uv.require(ut, "step", upath, (int, float))
+        step = uv.require(ut, "step", upath)
+        limit = ut.get("limit")
+        numbers = [(key, value) for key, value in (("step", step), ("limit", limit)) if value is not None]
+        for key, value in numbers:
+            if not finite_real(value):
+                report.add(_join(upath, key), ErrorCode.TYPE_MISMATCH, f"expected a finite number, got {value!r}")
         kind_name = uv.optional(ut, "kind", upath, str, "increment")
         if kind_name != "increment":
             report.add(_join(upath, "kind"), ErrorCode.TYPE_MISMATCH, f"unknown updater kind '{kind_name}'")
             continue
-        if target is None or step is None:
+        if target is None or step is None or not all(finite_real(value) for _, value in numbers):
             continue
-        if target not in dist.mutable:
+        if target not in cls.mutable:
             report.add(
                 _join(upath, "target"),
                 ErrorCode.TYPE_MISMATCH,
                 f"'{target}' is not a hyperparameter of {cls.__name__}",
             )
             continue
-        limit = ut.get("limit")
-        updaters.append(Increment(target, float(step), None if limit is None else float(limit)))
-    return ParameterSpec(name, dist, unit, updaters)
+        spec.updaters.append(Increment(target, float(step), None if limit is None else float(limit)))
+    return spec
 
 
 def parse_parameter_store(tree, path: str, report: ValidationReport) -> dict[str, ParameterSpec]:
@@ -256,18 +269,7 @@ def parse_parameter_store(tree, path: str, report: ValidationReport) -> dict[str
     return store
 
 
-def _add_param_errors(errors, path: str, report: ValidationReport) -> None:
-    """Add the errors of a ``parse_params`` call to the report, under path."""
-    for field_path, code, message in errors:
-        report.add(_join(path, field_path), ErrorCode(code), message)
-
-
-def parse_functor_spec(
-    tree,
-    path: str,
-    report: ValidationReport,
-    known_references: dict[str, ParameterSpec],
-) -> FunctorSpec | None:
+def parse_functor_spec(tree, path: str, report: ValidationReport) -> FunctorSpec | None:
     if not isinstance(tree, dict):
         report.add(path, ErrorCode.TYPE_MISMATCH, "functor spec must be a mapping")
         return None
@@ -276,8 +278,7 @@ def parse_functor_spec(
     functor = v.require(tree, "functor", path, str)
     if functor is None:
         return None
-    cls = FUNCTOR_REGISTRY.get(functor)
-    if cls is None:
+    if functor not in FUNCTOR_REGISTRY:
         report.add(
             _join(path, "functor"),
             ErrorCode.UNKNOWN_FUNCTOR,
@@ -288,28 +289,11 @@ def parse_functor_spec(
     name = v.optional(tree, "name", path, str)
     config = v.optional(tree, "config", path, dict, {})
     references = v.optional(tree, "references", path, dict, {})
-    _add_param_errors(parse_params(cls.params, config, references)[1], path, report)
-    units = {p.name: p.unit for p in cls.params if p.referenceable}
     for param, key in references.items():
-        rpath = _join(path, "references", param)
         if not isinstance(key, str):
-            report.add(rpath, ErrorCode.TYPE_MISMATCH, "reference key must be a string")
-            continue
-        if key not in known_references:
-            report.add(rpath, ErrorCode.UNKNOWN_REFERENCE, f"reference key '{key}' is not declared")
-            continue
-        unit = units.get(param)
-        actual = known_references[key].unit.dimension
-        if unit is not None and actual is not unit.dimension:
-            report.add(
-                rpath,
-                ErrorCode.DIMENSION_MISMATCH,
-                f"'{param}' expects dimension '{unit.dimension.value}' but reference "
-                f"'{key}' has dimension '{actual.value}'",
-            )
+            report.add(_join(path, "references", param), ErrorCode.TYPE_MISMATCH, "reference key must be a string")
 
-    wrapped_tree = tree.get("wrapped")
-    wrapped = _parse_wrapped(wrapped_tree, _join(path, "wrapped"), report, known_references)
+    wrapped = _parse_wrapped(tree.get("wrapped"), _join(path, "wrapped"), report)
 
     extractor = None
     ex_tree = v.optional(tree, "extractor", path, dict)
@@ -317,10 +301,9 @@ def parse_functor_spec(
         ev = _Validator(report)
         ev.declared(ex_tree, EXTRACTOR_KEYS, _join(path, "extractor"))
         glue = ev.require(ex_tree, "glue", _join(path, "extractor"), str)
+        key = ev.optional(ex_tree, "key", _join(path, "extractor"), str)
         if glue is not None:
-            extractor = ExtractorSpec(glue, ex_tree.get("key"))
-    has_extractor = tree.get("extractor") is not None
-    _add_param_errors(check_inputs(cls.inputs, _wrapped_keys(wrapped_tree), has_extractor), path, report)
+            extractor = ExtractorSpec(glue, key)
 
     return FunctorSpec(
         functor=functor,
@@ -329,40 +312,28 @@ def parse_functor_spec(
         references={str(k): str(val) for k, val in references.items() if isinstance(val, str)},
         wrapped=wrapped,
         extractor=extractor,
+        path=path,
     )
 
 
-def _wrapped_keys(tree) -> list[str]:
-    """The child keys ``wrapped`` gives, as the graph builder keys them."""
-    if tree is None:
-        return []
+def _parse_wrapped(tree, path: str, report: ValidationReport):
+    """A functor's ``wrapped``: one child, or a list or mapping of them."""
     if isinstance(tree, list):
-        return [str(i) for i in range(len(tree))]
+        return [_parse_child(item, _join(path, i), report) for i, item in enumerate(tree)]
     if isinstance(tree, dict) and "functor" not in tree:
-        return [str(k) for k in tree]
-    return ["wrapped"]
+        return {str(k): _parse_child(v, _join(path, k), report) for k, v in tree.items()}
+    return _parse_child(tree, path, report)
 
 
-def _parse_wrapped(tree, path: str, report: ValidationReport, known_references):
-    if tree is None:
-        return None
-    if isinstance(tree, str):
+def _parse_child(tree, path: str, report: ValidationReport):
+    """A wrapped child: a functor entry, or the name of a top-level one."""
+    if tree is None or isinstance(tree, str):
         return tree
-    if isinstance(tree, list):
-        return [
-            _parse_wrapped(item, _join(path, i), report, known_references)
-            for i, item in enumerate(tree)
-        ]
-    if isinstance(tree, dict) and "functor" not in tree:
-        return {
-            str(k): _parse_wrapped(v, _join(path, k), report, known_references)
-            for k, v in tree.items()
-        }
-    return parse_functor_spec(tree, path, report, known_references)
+    return parse_functor_spec(tree, path, report)
 
 
 def _parse_functor_list(
-    tree, path: str, report: ValidationReport, known_references, names: dict[str, FunctorSpec]
+    tree, path: str, report: ValidationReport, names: dict[str, FunctorSpec]
 ) -> list[FunctorSpec]:
     """The specs of one functor list.
 
@@ -378,7 +349,7 @@ def _parse_functor_list(
         report.add(path, ErrorCode.TYPE_MISMATCH, "expected a list of functor specs")
         return specs
     for i, sub in enumerate(tree):
-        spec = parse_functor_spec(sub, _join(path, i), report, known_references)
+        spec = parse_functor_spec(sub, _join(path, i), report)
         if spec is None:
             continue
         if names.setdefault(spec.display_name, spec) != spec:
@@ -394,7 +365,6 @@ def _parse_functor_list(
 def validate_agent(
     tree,
     registry: PluginRegistry = GLOBAL_REGISTRY,
-    extra_references: dict[str, ParameterSpec] | None = None,
     path_prefix: str = "",
 ) -> tuple[AgentConfig | None, ValidationReport]:
     """Validate an agent config tree into an AgentConfig, or report errors."""
@@ -435,12 +405,11 @@ def validate_agent(
                 f"no part group named '{group}' in the plugin registry",
             )
             continue
-        parts.append(PartConfig(group, pv.optional(part_tree, "config", ppath, dict, {})))
+        parts.append(PartConfig(group, pv.optional(part_tree, "config", ppath, dict, {}), ppath))
 
     reference_store = parse_parameter_store(
         tree.get("reference_store"), _join(p, "reference_store"), report
     )
-    known_references = {**(extra_references or {}), **reference_store}
 
     epp_tree = v.optional(tree, "episode_parameter_provider", p, dict, {})
     v.declared(epp_tree, EPP_KEYS, _join(p, "episode_parameter_provider"))
@@ -449,13 +418,13 @@ def validate_agent(
     )
 
     names: dict[str, FunctorSpec] = {}
-    glues = _parse_functor_list(tree.get("glues"), _join(p, "glues"), report, known_references, names)
+    glues = _parse_functor_list(tree.get("glues"), _join(p, "glues"), report, names)
     if "glues" not in tree:
         report.add(_join(p, "glues"), ErrorCode.MISSING_FIELD, "missing required key 'glues'")
     elif not glues and not report.errors:
         report.add(_join(p, "glues"), ErrorCode.TYPE_MISMATCH, "at least one glue required")
-    dones = _parse_functor_list(tree.get("dones"), _join(p, "dones"), report, known_references, names)
-    rewards = _parse_functor_list(tree.get("rewards"), _join(p, "rewards"), report, known_references, names)
+    dones = _parse_functor_list(tree.get("dones"), _join(p, "dones"), report, names)
+    rewards = _parse_functor_list(tree.get("rewards"), _join(p, "rewards"), report, names)
 
     policy = PolicyConfig("random")
     policy_tree = v.optional(tree, "policy", p, dict)
@@ -475,13 +444,14 @@ def validate_agent(
             parameters=parameters,
             reference_store=reference_store,
             policy=policy,
+            path=path_prefix,
         ),
         report,
     )
 
 
 def _parse_policy(tree: dict, path: str, report: ValidationReport) -> PolicyConfig | None:
-    """A policy block whose name, and scripted rule, are registered."""
+    """A policy block whose name is registered."""
     v = _Validator(report)
     v.declared(tree, POLICY_KEYS, path)
     name = v.require(tree, "name", path, str)
@@ -495,16 +465,6 @@ def _parse_policy(tree: dict, path: str, report: ValidationReport) -> PolicyConf
             f"unknown policy '{name}' (expected one of {sorted(POLICY_REGISTRY)})",
         )
         return None
-    if name == "scripted":
-        rule = v.require(config, "rule", _join(path, "config"), str)
-        if rule is not None and rule not in SCRIPTED_RULES:
-            report.add(
-                _join(path, "config", "rule"),
-                ErrorCode.TYPE_MISMATCH,
-                f"unknown scripted rule '{rule}' (expected one of {sorted(SCRIPTED_RULES)})",
-            )
-        elif rule is not None:
-            _add_param_errors(SCRIPTED_RULES[rule].parse(config)[1], path, report)
     return PolicyConfig(name, config)
 
 
@@ -524,8 +484,10 @@ def _parse_space_check(tree, path: str, report: ValidationReport) -> SpaceCheckM
         report.add(path, ErrorCode.TYPE_MISMATCH, f"unknown space_check_mode '{tree}'")
     elif isinstance(tree, dict) and "spot_check" in tree:
         prob = tree["spot_check"]
-        if not isinstance(prob, (int, float)) or not 0 <= prob <= 1:
-            report.add(_join(path, "spot_check"), ErrorCode.TYPE_MISMATCH, "probability must be in [0, 1]")
+        if not finite_real(prob) or not 0 <= prob <= 1:
+            report.add(
+                _join(path, "spot_check"), ErrorCode.TYPE_MISMATCH, f"expected a probability in [0, 1], got {prob!r}"
+            )
         else:
             return SpaceCheckMode.spot_check(float(prob))
     else:
@@ -560,8 +522,6 @@ def validate_environment(
                 ErrorCode.UNKNOWN_FUNCTOR,
                 f"unknown simulator '{sim_name}' (expected one of {sorted(SIMULATORS)})",
             )
-        elif sim_name is not None:
-            _add_param_errors(parse_params(SIMULATORS[sim_name].params, sim_config, {})[1], "simulator", report)
 
     platforms: list[PlatformConfig] = []
     platform_trees = v.require(tree, "platforms", "", list) or []
@@ -609,11 +569,11 @@ def validate_environment(
 
     space_check = _parse_space_check(tree.get("space_check_mode"), "space_check_mode", report)
 
-    shared_dones = _parse_functor_list(tree.get("shared_dones"), "shared_dones", report, reference_store, {})
+    shared_dones = _parse_functor_list(tree.get("shared_dones"), "shared_dones", report, {})
 
-    agents: list[AgentConfig] = []
     agent_trees = v.require(tree, "agents", "", list) or []
-    platform_types = {p.name: p.platform_type for p in platforms}
+    environment_parsed = report.ok
+    agents: list[AgentConfig] = []
     for i, at in enumerate(agent_trees):
         apath = _join("agents", i)
         if isinstance(at, str):
@@ -621,22 +581,12 @@ def validate_environment(
             if at is None:
                 continue
         agent, agent_report = validate_agent(
-            at, registry, extra_references=reference_store, path_prefix=apath
+            at, registry, path_prefix=apath
         )
         report.errors.extend(agent_report.errors)
-        if agent is None:
-            continue
-        for j, pn in enumerate(agent.platform_names):
-            if pn not in platform_types:
-                report.add(
-                    _join(apath, "platforms", j),
-                    ErrorCode.UNKNOWN_REFERENCE,
-                    f"agent platform '{pn}' is not declared in the environment",
-                )
-        if sim_name in SIMULATORS:
-            _check_parts(agent, apath, sim_name, platform_types, registry, report)
-        stores.append((_join(apath, "reference_store"), agent.reference_store))
-        agents.append(agent)
+        if agent is not None:
+            stores.append((_join(apath, "reference_store"), agent.reference_store))
+            agents.append(agent)
 
     config = EnvironmentConfig(
         simulator_name=sim_name,
@@ -655,38 +605,36 @@ def validate_environment(
             message = _store_range_error(spec, referencing.get(key, ()))
             if message is not None:
                 report.add(_join(path, key, "distribution"), ErrorCode.TYPE_MISMATCH, message)
+    if environment_parsed:
+        # a shared done may read any agent's parts, so it is built only beside every agent
+        every_agent = len(agents) == len(agent_trees)
+        report.errors += _build_errors(config if every_agent else replace(config, shared_dones=[]), registry)
     if not report.ok:
         return None, report
     return config, report
 
 
-def _check_parts(
-    agent: AgentConfig,
-    path: str,
-    simulator_type: str,
-    platform_types: dict[str, str],
-    registry: PluginRegistry,
-    report: ValidationReport,
-) -> None:
-    """Check each part's config against the table of the registration its
-    group resolves to on its platform, as ``attach_parts`` parses it."""
-    for j, part in enumerate(agent.parts):
-        ppath = _join(path, "parts", j)
-        target = agent.part_platform(part)
-        if not isinstance(target, str) or target not in platform_types:
-            if "platform" in part.config:  # else the agent's platform is reported
-                report.add(
-                    _join(ppath, "config", "platform"),
-                    ErrorCode.UNKNOWN_REFERENCE,
-                    f"platform {target!r} is not declared in the environment",
-                )
-            continue
-        try:
-            entry = registry.match(part.group, simulator_type, platform_types[target])
-        except NoMatch as exc:
-            report.add(_join(ppath, "part"), ErrorCode.UNKNOWN_PART_GROUP, str(exc))
-            continue
-        _add_param_errors(parse_params(entry.params, part.config, {})[1], ppath, report)
+#: rank of each section key, for ordering build errors by document position
+_SECTION_RANK = {key: rank for rank, key in enumerate((*ENVIRONMENT_KEYS, *AGENT_KEYS))}
+
+
+def _document_position(error: ValidationError) -> list[int]:
+    """Where ``error``'s path lies in the document: by section, then by list
+    index, down to a spec of an agent (the build reports a spec's own errors
+    in order, but reaches specs out of order through name references)."""
+    return [int(p) if p.isdigit() else _SECTION_RANK.get(p, 0) for p in error.path.split("/")[:4]]
+
+
+def _build_errors(config: EnvironmentConfig, registry: PluginRegistry) -> list[ValidationError]:
+    """Every error that building ``config`` reports, in document order."""
+    from ..environment import Environment  # the environment imports this package
+
+    try:
+        Environment(config, registry)
+    except ConfigError as exc:
+        errors = [ValidationError(path, ErrorCode(code), message) for path, code, message in exc.errors]
+        return sorted(errors, key=_document_position)
+    return []
 
 
 def referencing_params(config: EnvironmentConfig) -> dict[str, list[Param]]:
@@ -740,11 +688,8 @@ def _store_range_error(spec: ParameterSpec, params: Iterable[Param]) -> str | No
         values = dist.values
     else:
         return None
-    for value in values:
-        try:
-            reason = reference_range_error(params, Quantity.scalar(value, spec.unit))
-        except PARSE_ERRORS as exc:
-            reason = str(exc)
+    for value in values:  # finite numbers, as Distribution.validate requires
+        reason = reference_range_error(params, Quantity.scalar(value, spec.unit))
         if reason is not None:
             return f"value {value} {spec.unit.name}: {reason}"
     return None

@@ -13,9 +13,10 @@ import numpy as np
 from .agents import Agent, PolicyPool, attach_parts, build_agent
 from .config.schema import EnvironmentConfig, EpisodeEndMode
 from .config.serialize import environment_config_to_tree
-from .epp import EpisodeParameterProvider
+from .epp import EppError, EpisodeParameterProvider
 from .functors.base import DoneResult, DoneStatusCode, EpisodeState, FunctorSpec
 from .functors.graph import build_graph
+from .params import BuildErrors, ParamError, join_path
 from .parts import GLOBAL_REGISTRY, Box
 from .simulators import SIMULATORS, PlatformSetup, init_key
 from .units import Quantity
@@ -71,56 +72,74 @@ class StepResult:
     info: dict = field(default_factory=dict)
 
 
-def episode_parameters(config: EnvironmentConfig) -> EpisodeParameterProvider:
+def episode_parameters(config: EnvironmentConfig) -> tuple[EpisodeParameterProvider, list[ParamError]]:
     """A provider of every episode parameter ``config`` declares: the
     reference store, each platform's initialization (keyed
-    ``<platform>.<name>``), then each agent's reference store and parameters
-    not declared before."""
+    ``<platform>.<name>``), then each agent's reference store and parameters;
+    and a ``ConflictingField`` for each agent spec whose name an earlier,
+    different spec took (the earlier one is kept).  An identical repeat, as
+    two agents of one agent file give, is one parameter."""
     epp = EpisodeParameterProvider()
     for spec in config.reference_store.values():
         epp.add(spec)
     for platform in config.platforms:
         for pname, spec in platform.initialization.items():
             epp.add(replace(spec, name=init_key(platform.name, pname)))
+    conflicts: list[ParamError] = []
     for agent_cfg in config.agents:
-        for spec in [*agent_cfg.reference_store.values(), *agent_cfg.parameters.values()]:
-            if spec.name not in epp:
-                epp.add(spec)
-    return epp
+        for section, store in (
+            ("reference_store", agent_cfg.reference_store),
+            ("episode_parameter_provider/parameters", agent_cfg.parameters),
+        ):
+            for key, spec in store.items():
+                if spec.name not in epp:
+                    epp.add(spec)
+                elif epp.specs[spec.name] != spec:
+                    message = f"'{spec.name}' is already declared with another spec"
+                    conflicts.append((join_path(agent_cfg.path, section, key), "ConflictingField", message))
+    return epp, conflicts
 
 
 class Environment:
     """Owns one simulator, its agents, and the per-step evaluation schedule."""
 
     def __init__(self, config: EnvironmentConfig, registry=GLOBAL_REGISTRY):
+        """Build the simulator, then every agent's parts, then the functor
+        graphs and policies, and check each functor's references against the
+        episode parameters.  What fails is reported at its config path and
+        what depends on it is skipped (a functor may read any part); then the
+        first ``ConfigError`` is raised, listing every error."""
         self.config = config
         self.registry = registry
-
-        self.epp = episode_parameters(config)
+        errors = BuildErrors()
 
         setups = [
             PlatformSetup(p.name, p.platform_type, list(p.initialization))
             for p in config.platforms
         ]
         sim_cls = SIMULATORS[config.simulator_name]
-        self.simulator = sim_cls(config.simulator_config, setups)
+        self.simulator = errors.attempt(sim_cls, config.simulator_config, setups, path="simulator")
+        errors.check()  # nothing builds without the simulator and its platforms
 
         # Priming reset so platforms exist for part attachment and glue wiring.
-        priming = self.epp.sample_episode(seed=0)
-        self.simulator.reset(priming)
+        self.epp, conflicts = episode_parameters(config)
+        platforms = errors.attempt(self.simulator.reset, self.epp.sample_episode(seed=0))
+        errors.check()
 
-        policy_pool = PolicyPool()
-        self.agents: dict[str, Agent] = {}
         for agent_cfg in config.agents:
-            attach_parts(agent_cfg, self.simulator.platforms, sim_cls.simulator_type, registry)
-            agent = build_agent(agent_cfg, self.simulator.platforms, policy_pool)
-            self.agents[agent.name] = agent
-
-        shared_specs = list(config.shared_dones)
-        shared_specs.append(FunctorSpec(functor="EpisodeHorizon", name="EpisodeHorizon"))
-        self.shared_graph = build_graph(
-            dict(self.simulator.platforms), glues=[], shared_dones=shared_specs
-        )
+            errors.attempt(attach_parts, agent_cfg, platforms, sim_cls.simulator_type, registry)
+        if errors.first is None:
+            policy_pool = PolicyPool()
+            agents = [errors.attempt(build_agent, a, platforms, policy_pool) for a in config.agents]
+            self.agents: dict[str, Agent] = {agent.name: agent for agent in agents if agent is not None}
+            shared_specs = [*config.shared_dones, FunctorSpec(functor="EpisodeHorizon", name="EpisodeHorizon")]
+            self.shared_graph = errors.attempt(build_graph, dict(platforms), [], None, None, shared_specs)
+            graphs = [agent.graph for agent in agents if agent is not None] + [self.shared_graph]
+            for node in (node for graph in graphs if graph is not None for node in graph.nodes.values()):
+                errors.attempt(node.functor.check_references, self.epp.specs, path=node.functor.spec.path)
+        if conflicts:
+            errors.add(EppError.listing("episode parameters", conflicts))
+        errors.check()
         # every glue node, each graph's in topological order: the observe phase
         self._glue_nodes = [
             node

@@ -10,16 +10,19 @@ sampled value visible to every functor that references it.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Any
 
 import numpy as np
 
+from .params import ConfigError
 from .units import NONE, Quantity, Unit
 
 
-class EppError(Exception):
+class EppError(ConfigError):
     pass
 
 
@@ -44,6 +47,20 @@ class NotYetSampled(EppError):
 _STD_NORMAL = NormalDist()
 
 
+def finite_real(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, that is finite as a float."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _require_finite(dist: "Distribution", name: str, values: list) -> None:
+    for value in values:
+        if not finite_real(value):
+            raise ValueError(f"{type(dist).__name__}: {name} must be a finite number, got {value!r}")
+
+
 class Distribution:
     """Base distribution; subclasses expose mutable hyperparameters."""
 
@@ -54,7 +71,11 @@ class Distribution:
         raise NotImplementedError
 
     def validate(self) -> None:
-        """Re-check invariants; called after construction and after updates."""
+        """Check invariants; ``ParameterSpec`` calls it at construction.  Every
+        hyperparameter must be a finite real number (not a str, None, a bool,
+        NaN or an infinity); a subclass checks its own invariants after this."""
+        for name, value in vars(self).items():
+            _require_finite(self, name, [value])
 
     def clamp(self) -> None:
         """Restore invariants after an update, clamping where possible."""
@@ -78,6 +99,7 @@ class Uniform(Distribution):
     mutable = ("low", "high")
 
     def validate(self) -> None:
+        super().validate()
         if self.low > self.high:
             raise ValueError(f"Uniform: low ({self.low}) > high ({self.high})")
 
@@ -99,6 +121,7 @@ class TruncatedGaussian(Distribution):
     mutable = ("mu", "sigma", "low", "high")
 
     def validate(self) -> None:
+        super().validate()
         if self.sigma <= 0:
             raise ValueError(f"TruncatedGaussian: sigma ({self.sigma}) must be > 0")
         if self.low >= self.high:
@@ -132,6 +155,9 @@ class DiscreteChoice(Distribution):
     mutable = ()
 
     def validate(self) -> None:
+        # list-valued, and weights may be None, so the base class's check does not apply
+        for name in ("values", "weights"):
+            _require_finite(self, name, getattr(self, name) or [])
         if not self.values:
             raise ValueError("DiscreteChoice: values must be non-empty")
         if self.weights is not None:

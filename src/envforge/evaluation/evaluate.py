@@ -232,7 +232,7 @@ def evaluate(
     order.
     """
     names: set[str] = set()
-    specs = episode_parameters(config).specs
+    specs = episode_parameters(config)[0].specs
     referencing = referencing_params(config)
     for i, case in enumerate(cases):
         _check_case_name(i, case.name, names)

@@ -9,28 +9,30 @@ All three compile into a deduplicated DAG (see :mod:`envforge.functors.graph`).
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Union
 
 import numpy as np
 
-from ..epp import SampledParameters
-from ..params import PARSE_ERRORS, SOURCE, Param, check_inputs, parse_params, parse_reference, wrapped_path
+from ..epp import ParameterSpec, SampledParameters
+from ..params import (
+    PARSE_ERRORS, SOURCE, ConfigError, Param, check_inputs, parse_params, parse_reference, wrapped_path,
+)
 from ..parts import Box, Platform
 from ..units import UnitError
 
 
-class FunctorError(Exception):
+class FunctorError(ConfigError):
     pass
 
 
 class PartBindingError(FunctorError):
-    """A glue references a part that is absent from the agent's platforms."""
+    """A functor names a part or platform that is absent from the agent's platforms."""
 
 
 class UnknownExtractorTarget(FunctorError):
-    def __init__(self, target: str):
-        super().__init__(f"extractor targets unknown glue '{target}'")
+    """A wrapped child or an extractor names no top-level functor."""
 
 
 class DoneStatusCode(enum.Enum):
@@ -60,7 +62,12 @@ WrappedSpec = Union["FunctorSpec", str, list, dict, None]
 
 @dataclass
 class FunctorSpec:
-    """Declarative description of one glue/done/reward instance."""
+    """Declarative description of one glue/done/reward instance.
+
+    ``path`` is the config path it was parsed from ('' if built in Python):
+    the build reports the spec's errors under it.  It is not compared and
+    not serialized.
+    """
 
     functor: str
     name: str | None = None
@@ -68,10 +75,16 @@ class FunctorSpec:
     references: dict[str, str] = field(default_factory=dict)
     wrapped: WrappedSpec = None
     extractor: ExtractorSpec | None = None
+    path: str = field(default="", compare=False, repr=False)
 
     @property
     def display_name(self) -> str:
         return self.name or self.functor
+
+    @property
+    def label(self) -> str:
+        """'<display name> (<functor>)', as its errors name it."""
+        return f"{self.display_name} ({self.functor})"
 
 
 class EpisodeState:
@@ -90,7 +103,8 @@ class Functor:
 
     ``params`` is the functor's table of config keys.  A key it does not
     declare, a value its converter rejects or a missing required key fails
-    construction with a ``FunctorError`` naming the functor and the field.
+    construction with a ``FunctorError`` naming the functor and the field,
+    which lists every such error and every input error.
     ``values`` holds the settings and, once ``bind`` has run for the
     episode, each referenced param's sample.
 
@@ -117,8 +131,7 @@ class Functor:
         self.settings, errors = parse_params(self.params, spec.config, spec.references)
         errors += check_inputs(self.inputs, children.keys(), extractor is not None)
         if errors:
-            path, _, message = errors[0]
-            raise self._error(path, message)
+            raise FunctorError.listing(spec.label, errors)
         declared = {p.name: p for p in self.params}
         # param name -> (reference-store key, Param), for each param sampled per episode
         self._references = {name: (key, declared[name]) for name, key in spec.references.items()}
@@ -130,14 +143,32 @@ class Functor:
         elif isinstance(self.inputs, tuple):
             self.sources = {key: self._bind_input(key, children[key]) for key in self.inputs}
 
-    def _error(self, path: str, message: str) -> FunctorError:
-        return FunctorError(f"{self.name} ({self.spec.functor}): {path}: {message}")
+    def _error(self, path: str, message: str, code: str = "TypeMismatch", cls=FunctorError) -> FunctorError:
+        return cls.listing(self.spec.label, [(path, code, message)])
 
     def _bind_input(self, key: str, node: "FunctorNode") -> "Extractor":
         count = len(node.observation_space)
         if count != 1:
             raise self._error(wrapped_path(key), f"'{node.name}' has {count} observations, expected one")
         return Extractor(node, None)
+
+    def check_references(self, specs: Mapping[str, ParameterSpec]) -> None:
+        """Raise a ``FunctorError`` listing each reference to a key that the
+        episode parameters ``specs`` lack, or whose unit is of another
+        dimension than its param's."""
+        errors = []
+        for name, (key, p) in self._references.items():
+            spec = specs.get(key)
+            if spec is None:
+                errors.append((f"references/{name}", "UnknownReference", f"reference key '{key}' is not declared"))
+            elif p.unit is not None and spec.unit.dimension is not p.unit.dimension:
+                message = (
+                    f"'{name}' expects dimension '{p.unit.dimension.value}' but reference "
+                    f"'{key}' has dimension '{spec.unit.dimension.value}'"
+                )
+                errors.append((f"references/{name}", "DimensionMismatch", message))
+        if errors:
+            raise FunctorError.listing(self.spec.label, errors)
 
     def reset(self) -> None:
         """Clear episode-local state."""
@@ -152,7 +183,7 @@ class Functor:
         for name, (key, p) in self._references.items():
             q = sample.get(key)
             if q is None:
-                raise self._error(f"references/{name}", f"reference store has no key '{key}'")
+                raise self._error(f"references/{name}", f"reference store has no key '{key}'", "UnknownReference")
             try:
                 self.values[name] = parse_reference(p, q)
             except (UnitError, *PARSE_ERRORS) as exc:
@@ -216,18 +247,20 @@ class Reward(Functor):
 class Extractor:
     """One observation of a compiled glue, bound when the graph is built.
 
-    The graph builder prefixes a ``FunctorError`` raised here with the
-    functor that holds the extractor.
+    The graph builder reports a ``FunctorError`` raised here at the
+    ``extractor`` of the functor that holds the extractor.
     """
 
     def __init__(self, node: "FunctorNode", key: str | None):
         spaces = node.observation_space
         if key is None:
             if len(spaces) != 1:
-                raise FunctorError(f"'{node.name}' has {len(spaces)} observations, so a key is needed")
+                message = f"'{node.name}' has {len(spaces)} observations, so a key is needed"
+                raise FunctorError(message, [("", "MissingField", message)])
             key = next(iter(spaces))
         if key not in spaces:
-            raise FunctorError(f"'{node.name}' has no observation '{key}'")
+            message = f"'{node.name}' has no observation '{key}'"
+            raise FunctorError(message, [("", "UnknownReference", message)])
         self.node = node
         self.key = key
 

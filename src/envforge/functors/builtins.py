@@ -22,19 +22,22 @@ from .base import (
 from .graph import register_functor
 
 
-def _find_part(platforms, part_name: str, platform_name: str | None, part_type):
+def _find_part(functor, key: str, part_type):
+    """The (platform, part) of the part that ``functor``'s setting ``key``
+    names, on its ``platform`` setting or else on any of its platforms."""
+    platforms, name, platform_name = functor.platforms, functor.settings[key], functor.settings["platform"]
     if platform_name and platform_name not in platforms:
-        raise PartBindingError(f"platform '{platform_name}' not found in {sorted(platforms)}")
+        message = f"platform '{platform_name}' not found in {sorted(platforms)}"
+        raise functor._error("config/platform", message, "UnknownReference", PartBindingError)
     candidates = (
         [platforms[platform_name]] if platform_name else list(platforms.values())
     )
     for platform in candidates:
-        part = platform.parts.get(part_name)
+        part = platform.parts.get(name)
         if isinstance(part, part_type):
             return platform, part
-    raise PartBindingError(
-        f"part '{part_name}' not found on platforms {sorted(platforms)}"
-    )
+    message = f"part '{name}' not found on platforms {sorted(platforms)}"
+    raise functor._error(f"config/{key}", message, "UnknownReference", PartBindingError)
 
 
 class ObserveSensor(Glue):
@@ -48,9 +51,7 @@ class ObserveSensor(Glue):
 
     def __init__(self, spec, children, extractor, platforms):
         super().__init__(spec, children, extractor, platforms)
-        self.platform, self.sensor = _find_part(
-            platforms, self.settings["sensor"], self.settings["platform"], Sensor
-        )
+        self.platform, self.sensor = _find_part(self, "sensor", Sensor)
         self.normalize = self.settings["normalize"]
         prop = self.sensor.property
         self._bounded = np.isfinite(prop.low) & np.isfinite(prop.high)
@@ -81,9 +82,7 @@ class ControllerGlue(Glue):
 
     def __init__(self, spec, children, extractor, platforms):
         super().__init__(spec, children, extractor, platforms)
-        self.platform, self.controller = _find_part(
-            platforms, self.settings["controller"], self.settings["platform"], Controller
-        )
+        self.platform, self.controller = _find_part(self, "controller", Controller)
 
     def action_space(self):
         return self.controller.property
@@ -180,7 +179,7 @@ class Difference(Glue):
         first = self.sources["first"].space().unit
         second = self.sources["second"].space().unit
         if not check_compatibility(first, second):
-            raise self._error("wrapped/second", str(DimensionMismatch(second, first)))
+            raise self._error("wrapped/second", str(DimensionMismatch(second, first)), "DimensionMismatch")
         self._factor = second.scale_to_base / first.scale_to_base
 
     def observation_space(self):
@@ -269,7 +268,8 @@ class DockingSuccess(Done):
         super().__init__(spec, children, extractor, platforms)
         self.platform_name = self.settings["platform"] or next(iter(platforms))
         if self.platform_name not in platforms:
-            raise PartBindingError(f"platform '{self.platform_name}' not found in {sorted(platforms)}")
+            message = f"platform '{self.platform_name}' not found in {sorted(platforms)}"
+            raise self._error("config/platform", message, "UnknownReference", PartBindingError)
 
     def _entity(self, state):
         return state.platforms[self.platform_name].state

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..epp import SampledParameters
+from ..params import BuildErrors, wrapped_path
 from ..parts import Platform
 from .base import (
     Extractor,
@@ -26,14 +27,11 @@ from .base import (
 
 
 class CycleDetected(FunctorError):
-    def __init__(self, names: list[str]):
-        super().__init__(f"functor specs form a cycle: {' -> '.join(names)}")
+    """Functor specs read each other, through name references, in a cycle."""
 
 
 class UnknownFunctor(FunctorError):
-    def __init__(self, name: str):
-        self.functor = name
-        super().__init__(f"no functor registered under '{name}'")
+    """A spec names a functor that is not registered."""
 
 
 FUNCTOR_REGISTRY: dict[str, type[Functor]] = {}
@@ -48,16 +46,17 @@ def register_functor(name: str, cls: type[Functor]) -> None:
 def get_functor_class(name: str) -> type[Functor]:
     cls = FUNCTOR_REGISTRY.get(name)
     if cls is None:
-        raise UnknownFunctor(name)
+        message = f"no functor registered under '{name}'"
+        raise UnknownFunctor(message, [("functor", "UnknownFunctor", message)])
     return cls
 
 
-def _canonical(value):
-    """JSON-stable form of a config value for structural hashing."""
+def canonical(value):
+    """JSON-stable form of a config value for structural hashing (keys as strings)."""
     if isinstance(value, dict):
-        return {k: _canonical(value[k]) for k in sorted(value)}
+        return {str(k): canonical(value[k]) for k in sorted(value, key=str)}
     if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
+        return [canonical(v) for v in value]
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (int, float, str, bool)) or value is None:
@@ -75,8 +74,8 @@ def canonical_hash(
     payload = json.dumps(
         {
             "functor": functor,
-            "config": _canonical(config),
-            "references": _canonical(references),
+            "config": canonical(config),
+            "references": canonical(references),
             "children": {k: children[k] for k in sorted(children)},
             "extractor": list(extractor_id) if extractor_id else None,
         },
@@ -113,11 +112,18 @@ class CompiledGraph:
 
 
 class GraphBuilder:
+    """Compiles functor specs into one graph.  A spec that fails is reported
+    at its ``path`` and every spec that reads it is skipped; ``build`` then
+    raises the first error, listing every one (see ``params.BuildErrors``)."""
+
     def __init__(self, platforms: dict[str, Platform]):
         self.platforms = platforms
         self.graph = CompiledGraph()
+        self.errors = BuildErrors()
         self._named_specs: dict[str, FunctorSpec] = {}
-        self._building: list[str] = []
+        self._building: list[FunctorSpec] = []
+        # id() of each spec that failed, or that reads one that did
+        self._failed: set[int] = set()
 
     def build(
         self,
@@ -141,68 +147,82 @@ class GraphBuilder:
             target: list[FunctorNode] = getattr(self.graph, role)
             for spec in specs:
                 node = self._compile(spec)
-                if node not in target:
+                if node is not None and node not in target:
                     target.append(node)
+        self.errors.check()
         return self.graph
 
-    def _compile(self, spec: FunctorSpec) -> FunctorNode:
-        name = spec.display_name
-        if name in self._building:
-            raise CycleDetected(self._building + [name])
-        self._building.append(name)
-        try:
-            cls = get_functor_class(spec.functor)
+    def _compile(self, spec: FunctorSpec) -> FunctorNode | None:
+        """The node of ``spec``, or None if it failed or reads a spec that did."""
+        if id(spec) in self._failed:
+            return None
+        self._building.append(spec)
+        node = self.errors.attempt(self._node, spec, path=spec.path)
+        self._building.pop()
+        if node is None:
+            self._failed.add(id(spec))
+        return node
 
-            children: dict[str, FunctorNode] = {}
-            for key, child_spec in _wrapped_items(spec.wrapped):
-                children[key] = self._resolve_child(child_spec)
+    def _node(self, spec: FunctorSpec) -> FunctorNode | None:
+        cls = get_functor_class(spec.functor)
+        children = {
+            key: self._resolve(child, spec, wrapped_path(key)) for key, child in _wrapped_items(spec.wrapped)
+        }
+        extractor_node = None
+        if spec.extractor is not None:
+            extractor_node = self._resolve(spec.extractor.glue, spec, "extractor/glue")
+            if extractor_node is None:
+                return None
+        if None in children.values():
+            return None
 
-            extractor_node = None
-            if spec.extractor is not None:
-                if spec.extractor.glue not in self._named_specs:
-                    raise UnknownExtractorTarget(spec.extractor.glue)
-                extractor_node = self._compile(self._named_specs[spec.extractor.glue])
+        node_id = canonical_hash(
+            spec.functor,
+            spec.config,
+            spec.references,
+            {k: n.id for k, n in children.items()},
+            (extractor_node.id, spec.extractor.key) if extractor_node else None,
+        )
+        if node_id in self.graph.nodes:
+            return self.graph.nodes[node_id]
 
-            node_id = canonical_hash(
-                spec.functor,
-                spec.config,
-                spec.references,
-                {k: n.id for k, n in children.items()},
-                (extractor_node.id, spec.extractor.key) if extractor_node else None,
-            )
-            if node_id in self.graph.nodes:
-                return self.graph.nodes[node_id]
+        extractor = None
+        if extractor_node is not None:
+            try:
+                extractor = Extractor(extractor_node, spec.extractor.key)
+            except FunctorError as exc:
+                errors = [("extractor", code, message) for _, code, message in exc.errors]
+                raise FunctorError.listing(spec.label, errors) from exc
+        functor = cls(spec, children, extractor, self.platforms)
+        child_ids = tuple(n.id for n in children.values())
+        if extractor_node is not None:
+            child_ids = child_ids + (extractor_node.id,)
+        node = FunctorNode(node_id, cls.kind, spec.display_name, functor, child_ids)
+        if node.kind == "glue":
+            try:
+                node.observation_space = functor.observation_space()
+                node.action_space = functor.action_space()
+            except ValueError as exc:
+                raise FunctorError.listing(spec.label, [("", "TypeMismatch", str(exc))]) from exc
+        self.graph.nodes[node_id] = node
+        self.graph.by_name.setdefault(node.name, node)
+        self.graph.topo_order.append(node_id)  # children compiled first
+        return node
 
-            extractor = None
-            if extractor_node is not None:
-                try:
-                    extractor = Extractor(extractor_node, spec.extractor.key)
-                except FunctorError as exc:
-                    raise FunctorError(f"{name} ({spec.functor}): extractor: {exc}") from exc
-            functor = cls(spec, children, extractor, self.platforms)
-            child_ids = tuple(n.id for n in children.values())
-            if extractor_node is not None:
-                child_ids = child_ids + (extractor_node.id,)
-            node = FunctorNode(node_id, cls.kind, name, functor, child_ids)
-            if node.kind == "glue":
-                try:
-                    node.observation_space = functor.observation_space()
-                    node.action_space = functor.action_space()
-                except ValueError as exc:
-                    raise FunctorError(f"{name} ({spec.functor}): {exc}") from exc
-            self.graph.nodes[node_id] = node
-            self.graph.by_name.setdefault(name, node)
-            self.graph.topo_order.append(node_id)  # children compiled first
-            return node
-        finally:
-            self._building.pop()
-
-    def _resolve_child(self, child: FunctorSpec | str) -> FunctorNode:
-        if isinstance(child, str):
-            if child not in self._named_specs:
-                raise UnknownExtractorTarget(child)
-            return self._compile(self._named_specs[child])
-        return self._compile(child)
+    def _resolve(self, child: FunctorSpec | str, parent: FunctorSpec, path: str) -> FunctorNode | None:
+        """The node of ``child``, a spec or the name of a top-level one, that
+        ``parent`` reads at ``path``."""
+        if isinstance(child, FunctorSpec):
+            return self._compile(child)
+        target = self._named_specs.get(child)
+        if target is None:
+            error = (path, "UnknownReference", f"no functor named '{child}'")
+            raise UnknownExtractorTarget.listing(parent.label, [error])
+        if any(spec is target for spec in self._building):
+            names = " -> ".join([spec.display_name for spec in self._building] + [child])
+            error = (path, "ReferenceCycle", f"functor specs form a cycle: {names}")
+            raise CycleDetected.listing(parent.label, [error])
+        return self._compile(target)
 
 
 def _wrapped_items(wrapped) -> list[tuple[str, FunctorSpec | str]]:
@@ -214,7 +234,8 @@ def _wrapped_items(wrapped) -> list[tuple[str, FunctorSpec | str]]:
         return [(str(i), w) for i, w in enumerate(wrapped)]
     if isinstance(wrapped, dict):
         return list(wrapped.items())
-    raise FunctorError(f"invalid wrapped specification: {wrapped!r}")
+    message = f"invalid wrapped specification: {wrapped!r}"
+    raise FunctorError(message, [("wrapped", "TypeMismatch", message)])
 
 
 def build_graph(

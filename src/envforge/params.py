@@ -1,9 +1,11 @@
 """Declared parameter tables of functors and scripted rules.
 
 A functor or scripted rule declares its config keys once, as a tuple of
-:class:`Param`, and a functor declares the inputs it reads.  ``validate`` and
-the constructor both read those declarations through :func:`parse_params` and
-:func:`check_inputs`, so a config that validates also builds.
+:class:`Param`, and a functor declares the inputs it reads.  The constructor
+reads those declarations through :func:`parse_params` and
+:func:`check_inputs` and raises a :class:`ConfigError` listing every error
+it found.  ``validate`` builds the environment, so these are the only
+checks of a config value, and a config that validates also builds.
 """
 
 from __future__ import annotations
@@ -93,6 +95,55 @@ def parse_reference(p: Param, value: Quantity) -> Any:
 
 #: (field path, error code, message); the codes are ``config.validate.ErrorCode`` values
 ParamError = tuple[str, str, str]
+
+
+def join_path(*parts) -> str:
+    """The slash-separated config path of ``parts``; empty parts are skipped."""
+    return "/".join(str(p) for p in parts if p != "")
+
+
+class ConfigError(Exception):
+    """A config value that a constructor rejects.  ``errors`` holds every
+    ``(path, code, message)`` it found, each path relative to what it was
+    given (an error given none lists its message at ''); ``str`` is the first."""
+
+    def __init__(self, message: str, errors: list[ParamError] = ()):
+        super().__init__(message)
+        self.errors = list(errors) or [("", "TypeMismatch", message)]
+
+    @classmethod
+    def listing(cls, context: str, errors: list[ParamError]):
+        """The error of ``context`` (what raises it) listing ``errors``, worded as the first."""
+        path, _, message = errors[0]
+        return cls(f"{context}: {path}: {message}" if path else f"{context}: {message}", errors)
+
+
+class BuildErrors:
+    """What one build rejected: each ``ConfigError`` caught, its paths joined
+    to the config path of what failed.  The build skips what depends on a
+    failure and goes on; ``check`` then raises the first error caught, its
+    ``errors`` extended to every one."""
+
+    def __init__(self):
+        self.first: ConfigError | None = None
+        self.errors: list[ParamError] = []
+
+    def add(self, exc: ConfigError, path: str = "") -> None:
+        self.first = self.first or exc
+        self.errors += [(join_path(path, p), code, message) for p, code, message in exc.errors]
+
+    def attempt(self, build: Callable, *args, path: str = ""):
+        """``build(*args)``, or None with the ``ConfigError`` it raises added at ``path``."""
+        try:
+            return build(*args)
+        except ConfigError as exc:
+            self.add(exc, path)
+            return None
+
+    def check(self) -> None:
+        if self.first is not None:
+            self.first.errors = self.errors
+            raise self.first
 
 
 def parse_params(

@@ -14,11 +14,11 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .params import Param, string
+from .params import ConfigError, Param, string
 from .units import NONE, Unit
 
 
-class PartError(Exception):
+class PartError(ConfigError):
     pass
 
 
@@ -35,15 +35,17 @@ class RegistryFrozen(PartError):
 class UnknownGroup(PartError):
     def __init__(self, group: str):
         self.group = group
-        super().__init__(f"no part group named '{group}' in the plugin registry")
+        message = f"no part group named '{group}' in the plugin registry"
+        super().__init__(message, [("part", "UnknownPartGroup", message)])
 
 
 class NoMatch(PartError):
     def __init__(self, group: str, simulator_type: str, platform_type: str):
-        super().__init__(
+        message = (
             f"part group '{group}' has no entry matching simulator "
             f"'{simulator_type}' and platform '{platform_type}'"
         )
+        super().__init__(message, [("part", "UnknownPartGroup", message)])
 
 
 @dataclass(frozen=True)

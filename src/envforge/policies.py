@@ -13,7 +13,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .params import Param, parse_params, string
+from .params import ConfigError, Param, parse_params, string
 from .parts import Box
 from .units import Quantity
 
@@ -22,7 +22,7 @@ ObservationDict = dict[str, Quantity]
 ActionSpace = Mapping[str, Box]
 
 
-class PolicyError(Exception):
+class PolicyError(ConfigError):
     pass
 
 
@@ -113,15 +113,19 @@ class ScriptedPolicy(Policy):
     def __init__(self, config=None, seed: int = 0):
         config = config or {}
         rule_name = config.get("rule")
-        if rule_name not in SCRIPTED_RULES:
-            raise PolicyError(
-                f"unknown scripted rule '{rule_name}' (registered: {sorted(SCRIPTED_RULES)})"
-            )
-        rule = SCRIPTED_RULES[rule_name]
+        rule = SCRIPTED_RULES.get(rule_name) if isinstance(rule_name, str) else None
+        if rule is None:
+            if "rule" not in config:
+                error = ("config/rule", "MissingField", "missing required key 'rule'")
+            else:
+                error = (
+                    "config/rule", "TypeMismatch",
+                    f"unknown scripted rule {rule_name!r} (registered: {sorted(SCRIPTED_RULES)})",
+                )
+            raise PolicyError.listing("scripted policy", [error])
         settings, errors = rule.parse(config)
         if errors:
-            path, _, message = errors[0]
-            raise PolicyError(f"scripted rule '{rule_name}': {path}: {message}")
+            raise PolicyError.listing(f"scripted rule '{rule_name}'", errors)
         self._rule = rule.factory(settings)
         super().__init__(config, seed)
 
@@ -138,10 +142,15 @@ class ReplayPolicy(Policy):
 
     def __init__(self, config=None, seed: int = 0):
         config = config or {}
-        self._sequence = [
-            {name: np.atleast_1d(np.asarray(v, dtype=float)) for name, v in step.items()}
-            for step in config.get("actions", [])
-        ]
+        actions = config.get("actions", [])
+        try:
+            if not isinstance(actions, list) or not all(isinstance(step, dict) for step in actions):
+                raise TypeError("expected a list of mappings of action name to values")
+            self._sequence = [
+                {name: np.atleast_1d(np.asarray(v, dtype=float)) for name, v in step.items()} for step in actions
+            ]
+        except (TypeError, ValueError) as exc:
+            raise PolicyError.listing("replay policy", [("config/actions", "TypeMismatch", str(exc))]) from exc
         super().__init__(config, seed)
 
     def reset(self):

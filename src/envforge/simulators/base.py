@@ -6,12 +6,12 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..epp import SampledParameters
-from ..params import Param, parse_params, positive
+from ..params import ConfigError, Param, parse_params, positive
 from ..parts import Platform
-from ..units import Unit
+from ..units import Unit, UnitError
 
 
-class SimulatorError(Exception):
+class SimulatorError(ConfigError):
     pass
 
 
@@ -48,9 +48,9 @@ class Simulator:
     """Base simulator: owns platforms and advances sim_time at a fixed frame rate.
 
     Subclasses implement :meth:`_make_entity` and :meth:`_advance`.  ``params``
-    declares the keys of the simulator's ``config``; ``validate`` and the
-    constructor both parse it with ``parse_params``, and the parsed values
-    are ``settings``.
+    declares the keys of the simulator's ``config``; the constructor parses
+    it with ``parse_params``, raising ``InvalidSimulatorConfig`` that lists
+    every error, and the parsed values are ``settings``.
     """
 
     simulator_type = "Simulator"
@@ -62,8 +62,7 @@ class Simulator:
     def __init__(self, config: dict[str, Any], platform_setups: list[PlatformSetup]):
         self.settings, errors = parse_params(self.params, config, {})
         if errors:
-            path, _, message = errors[0]
-            raise InvalidSimulatorConfig(f"{self.simulator_type}: {path}: {message}")
+            raise InvalidSimulatorConfig.listing(self.simulator_type, errors)
         self.frame_rate = self.settings["frame_rate"]
         self.platform_setups = platform_setups
         self.platforms: dict[str, Platform] = {}
@@ -79,12 +78,18 @@ class Simulator:
         return 1.0 / self.frame_rate
 
     def _init_value(self, sampled: SampledParameters, platform: str, param: str, unit: Unit) -> float:
-        """The sampled initialization ``param`` of ``platform``, in ``unit``."""
+        """The sampled initialization ``param`` of ``platform``, in ``unit``.
+        A value of another dimension fails at its config path."""
         key = init_key(platform, param)
         value = sampled.get(key)
         if value is None:
             raise MissingInitParameter(key)
-        return value.to(unit).item
+        try:
+            return value.to(unit).item
+        except UnitError as exc:
+            index = [setup.name for setup in self.platform_setups].index(platform)
+            error = (f"platforms/{index}/initialization/{param}", "DimensionMismatch", str(exc))
+            raise SimulatorError.listing(self.simulator_type, [error]) from exc
 
     def reset(self, sampled: SampledParameters) -> dict[str, Platform]:
         """Construct entities from sampled parameters and pair them with platforms.

@@ -1,16 +1,15 @@
-"""Declared parameter tables: one parser read by both `validate` and the constructors."""
+"""Declared parameter tables, read by the constructors; `validate` builds, so it reports what they reject."""
 
+import copy
 import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from envforge.config import loader
+from envforge.config import AgentConfig, EnvironmentConfig, PartConfig, PlatformConfig, PolicyConfig, loader
 from envforge.config.validate import (
-    ErrorCode,
     ValidationReport,
-    parse_functor_spec,
     parse_parameter_spec,
     referencing_params,
     validate_environment,
@@ -21,15 +20,16 @@ from envforge.evaluation.evaluate import run_episode
 from envforge.functors import (
     BUILTIN_FUNCTORS,
     FunctorError,
+    ExtractorSpec,
     FunctorSpec,
     PartBindingError,
     build_graph,
 )
-from envforge.params import ANY, SOURCE, Param, check_inputs, nonnegative, parse_params
-from envforge.parts import PartError, Platform
+from envforge.params import ANY, SOURCE, ConfigError, Param, check_inputs, nonnegative, parse_params
+from envforge.parts import GLOBAL_REGISTRY, PartError, Platform
 from envforge.simulators.base import InvalidSimulatorConfig
 from envforge.simulators.cartpole import DEFAULTS
-from envforge.policies import PolicyError, ScriptedPolicy
+from envforge.policies import SCRIPTED_RULES, PolicyError, ScriptedPolicy
 from envforge.simulators.docking import (
     Deputy1d,
     Docking1dSimulator,
@@ -37,7 +37,7 @@ from envforge.simulators.docking import (
     _thrust_controller,
     _velocity_sensor,
 )
-from envforge.units import METER, METER_PER_SECOND, SECOND, Quantity, get_unit
+from envforge.units import METER, METER_PER_SECOND, Quantity
 
 from conftest import CONFIG_DIR, load_env_config
 
@@ -118,30 +118,6 @@ CORPUS_DEFECTS = [
 ]
 
 
-# Values for the names a functor binds to a part, so that construction can
-# fail only where parsing does; every other parameter draws from POOL.
-BOUND_NAMES = {"sensor": "Sensor_Position", "controller": "Controller_Thrust", "platform": "deputy"}
-POOL = [
-    0.5, -3, 7, math.nan, math.inf, True, None, "LOSS", "WIN", "meter", "N/A", "nope",
-    [1.0], {"value": 2.0, "unit": "centimeter"}, {"value": 2.0, "unit": "second"},
-    {"value": 2.0}, {"value": "x", "unit": "meter"},
-]
-
-
-@st.composite
-def functor_configs(draw):
-    """A built-in's name and a config over its declared keys, valid or not, maybe with an unknown key."""
-    name = draw(st.sampled_from(sorted(BUILTIN_FUNCTORS)))
-    config = {}
-    for param in BUILTIN_FUNCTORS[name].params:
-        if draw(st.booleans()):
-            bound = BOUND_NAMES.get(param.name)
-            config[param.name] = draw(st.sampled_from(POOL if bound is None else [bound, 5, None]))
-    if draw(st.booleans()):
-        config["not_a_param"] = 1.0
-    return name, config
-
-
 class TestBuildAgreesWithValidate:
     @pytest.mark.parametrize("functor, config, references, field", CORPUS_DEFECTS)
     def test_defect_raises_functor_error_naming_functor_and_field(
@@ -174,23 +150,10 @@ class TestBuildAgreesWithValidate:
         }
         assert policy._rule(observation, {})["T"].tolist() == [0.3]
 
-    @settings(max_examples=300, deadline=None)
-    @given(functor_configs())
-    def test_validate_reports_no_error_exactly_when_the_functor_builds(self, case):
-        name, config = case
-        report = ValidationReport()
-        parsed = parse_functor_spec({"functor": name, "config": config}, "f", report, {})
-        assert parsed is not None
-        try:
-            BUILTIN_FUNCTORS[name](FunctorSpec(name, config=config), {}, None, docking_platforms())
-            built = True
-        except FunctorError:
-            built = False
-        assert report.ok == built, str(report)
 
-
-# The glue every input case below may read, by name or through an extractor.
-POSITION = FunctorSpec("ObserveSensor", "P", config={"sensor": "Sensor_Position", "normalize": False})
+# The glue every generated functor may read, by name or through an extractor,
+# and a nested child in another unit (velocity).
+POSITION = "ObservePosition"
 CHILD = {"functor": "ObserveSensor", "config": {"sensor": "Sensor_Velocity", "normalize": False}}
 VALID_CONFIG = {
     "ObserveSensor": {"sensor": "Sensor_Position"},
@@ -199,43 +162,42 @@ VALID_CONFIG = {
     "DockingFailure": {"dock_radius": 0.1, "velocity_limit": 0.2},
     "ExponentialDecayFromTargetValue": {"eps": 5.0},
 }
+# The values drawn for a param, valid or not; a name that binds a part or a
+# platform draws one that is attached, one that is not, or a non-string.
+POOL = [
+    0.5, -3, 7, math.nan, math.inf, True, None, "LOSS", "WIN", "meter", "N/A", "nope",
+    [1.0], {"value": 2.0, "unit": "centimeter"}, {"value": 2.0, "unit": "second"},
+    {"value": 2.0}, {"value": "x", "unit": "meter"},
+]
+BOUND_NAMES = {
+    "sensor": ["Sensor_Position", "Sensor_Foo", 5, None],
+    "controller": ["Controller_Thrust", "Controller_Foo", None],
+    "platform": ["deputy", "ghost", "", 5, None],
+}
+#: the agent list a generated functor joins, by its kind
+ROLE = {"glue": "glues", "done": "dones", "shared_done": "dones", "reward": "rewards"}
 
 
-def build_beside_position(spec):
-    return build_graph(docking_platforms(), glues=[POSITION], dones=[spec])
-
-
-def differs_in_dimension(tree):
-    """Whether tree is a Difference of CHILD (velocity) and P (position): the
-    one defect ``parse_functor_spec`` cannot see, since which unit a child
-    carries is known only once the parts are built."""
-    wrapped = tree.get("wrapped")
-    return (
-        tree["functor"] == "Difference"
-        and isinstance(wrapped, dict)
-        and {"first", "second"} <= wrapped.keys()
-        and wrapped["first"] != wrapped["second"]
-    )
-
-
-def validate_and_build(tree):
-    """The errors ``parse_functor_spec`` reports for tree, and the build's FunctorError or None."""
-    report = ValidationReport()
-    spec = parse_functor_spec(tree, "f", report, {})
-    try:
-        build_beside_position(spec)
-    except FunctorError as exc:
-        return [(e.path, e.code) for e in report.errors], exc
-    return [(e.path, e.code) for e in report.errors], None
+def draw_config(draw, params, config=None):
+    """``config`` with each of ``params`` maybe redrawn, valid or not, and maybe an unknown key."""
+    config = dict(config or {})
+    for param in params:
+        if draw(st.integers(0, 2)) == 0:
+            config[param.name] = draw(st.sampled_from(BOUND_NAMES.get(param.name, POOL)))
+    if draw(st.integers(0, 3)) == 0:
+        config["not_a_param"] = 1.0
+    return config
 
 
 @st.composite
-def functor_inputs(draw):
-    """A built-in with a valid config, given no input, one child, a list or a
-    mapping of children under declared or other keys, an extractor, or both."""
+def functor_trees(draw):
+    """A built-in named Culprit, its config drawn over its declared keys,
+    given no input, one child, a list or a mapping of children under
+    declared or other keys, an extractor, or both."""
     name = draw(st.sampled_from(sorted(BUILTIN_FUNCTORS)))
-    tree = {"functor": name, "name": "Culprit", "config": VALID_CONFIG.get(name, {})}
-    children = [CHILD, "P"]
+    params = BUILTIN_FUNCTORS[name].params
+    tree = {"functor": name, "name": "Culprit", "config": draw_config(draw, params, VALID_CONFIG.get(name))}
+    children = [CHILD, POSITION]
     shape = draw(st.sampled_from(["none", "one", "list", "mapping"]))
     if shape == "one":
         tree["wrapped"] = draw(st.sampled_from(children))
@@ -245,8 +207,102 @@ def functor_inputs(draw):
         keys = draw(st.lists(st.sampled_from(["value", "onto", "first", "second", "x"]), unique=True, max_size=3))
         tree["wrapped"] = {key: children[i % 2] for i, key in enumerate(keys)}
     if draw(st.booleans()):
-        tree["extractor"] = {"glue": "P"}
-    return tree
+        tree["extractor"] = {"glue": POSITION}
+    return "functor", tree
+
+
+@st.composite
+def part_configs(draw):
+    """One of the docking agent's parts, its config drawn over the keys its registration declares."""
+    index = draw(st.integers(0, 2))
+    group = DOCKING_AGENT["parts"][index]["part"]
+    params = GLOBAL_REGISTRY.match(group, "Docking1dSimulator", "Docking1dPlatform").params
+    return "part", (index, draw_config(draw, params))
+
+
+@st.composite
+def rule_configs(draw):
+    """A scripted policy's config: a rule that is registered or not (or none),
+    and a config drawn over the keys of bang_bang_docking."""
+    config = draw_config(draw, SCRIPTED_RULES["bang_bang_docking"].params)
+    rule = draw(st.sampled_from(["bang_bang_docking", "zero", "nope", 5, None, "absent"]))
+    if rule != "absent":
+        config["rule"] = rule
+    return "rule", config
+
+
+def python_spec(tree) -> FunctorSpec:
+    """The ``FunctorSpec`` a functor entry describes, made without ``validate``."""
+
+    def wrapped(w):
+        if isinstance(w, list):
+            return [wrapped(child) for child in w]
+        if isinstance(w, dict):
+            return python_spec(w) if "functor" in w else {k: wrapped(child) for k, child in w.items()}
+        return w
+
+    extractor = tree.get("extractor")
+    return FunctorSpec(
+        tree["functor"], tree.get("name"), tree.get("config", {}), tree.get("references", {}),
+        wrapped(tree.get("wrapped")), extractor and ExtractorSpec(**extractor),
+    )
+
+
+def build_beside_position(spec):
+    position = FunctorSpec("ObserveSensor", "P", config={"sensor": "Sensor_Position", "normalize": False})
+    return build_graph(docking_platforms(), glues=[position], dones=[spec])
+
+
+DOCKING_TREE = loader.load_config(CONFIG_DIR / "docking" / "environment.yml")
+DOCKING_AGENT = loader.load_config(CONFIG_DIR / "docking" / "agent.yml")
+DOCKING_CONFIG = load_env_config(CONFIG_DIR / "docking" / "environment.yml")
+
+
+def validate_and_build(defect):
+    """Validate the docking tree (agent file inlined) with ``defect`` in it,
+    and build the same config made in Python, without ``validate``.
+
+    ``defect`` is ("functor", entry) for an entry added to the agent's list
+    of its kind, ("part", (index, config)) for a part's config, or ("rule",
+    config) for a scripted policy's config.  Returns the tree, the reported
+    (path, code) pairs and the build's ``ConfigError``, or None.
+    """
+    kind, value = defect
+    tree = copy.deepcopy(DOCKING_TREE)
+    tree["agents"] = [agent := copy.deepcopy(DOCKING_AGENT)]
+    config = copy.deepcopy(DOCKING_CONFIG)
+    if kind == "functor":
+        role = ROLE[BUILTIN_FUNCTORS[value["functor"]].kind]
+        agent[role].append(value)
+        getattr(config.agents[0], role).append(python_spec(value))
+    elif kind == "part":
+        index, part_config = value
+        agent["parts"][index]["config"] = part_config
+        config.agents[0].parts[index] = PartConfig(agent["parts"][index]["part"], part_config)
+    else:
+        agent["policy"] = {"name": "scripted", "config": value}
+        config.agents[0].policy = PolicyConfig("scripted", value)
+    _, report = validate_environment(tree, base_dir=CONFIG_DIR / "docking")
+    try:
+        Environment(config)
+    except ConfigError as exc:
+        return tree, [(e.path, e.code.value) for e in report.errors], exc
+    return tree, [(e.path, e.code.value) for e in report.errors], None
+
+
+def resolves(tree, path: str, code: str) -> bool:
+    """Whether ``path`` names a node of ``tree``.  A missing field's path may
+    go on past the last node that exists (``wrapped/first`` where ``wrapped``
+    is one child, or absent), but not past the end of a list."""
+    node = tree
+    for part in path.split("/") if path else []:
+        try:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        except IndexError:
+            return False
+        except (KeyError, TypeError, ValueError):
+            return code == "MissingField"
+    return True
 
 
 class TestInputs:
@@ -269,16 +325,20 @@ class TestInputs:
     @pytest.mark.parametrize(
         "tree, path",
         [
-            ({"functor": "TargetValueDifference", "config": {"unit": "meter"}}, "wrapped"),
-            ({"functor": "Projection", "wrapped": {"value": "P"}}, "wrapped/onto"),
-            ({"functor": "DockingSuccess", "config": VALID_CONFIG["DockingSuccess"], "wrapped": "P"}, "wrapped"),
-            ({"functor": "StateBounds", "wrapped": "P", "extractor": {"glue": "P"}}, "wrapped"),
+            ({"functor": "TargetValueDifference", "config": {"unit": "meter"}}, "agents/0/glues/3/wrapped"),
+            ({"functor": "Projection", "wrapped": {"value": POSITION}}, "agents/0/glues/3/wrapped/onto"),
+            (
+                {"functor": "DockingSuccess", "config": VALID_CONFIG["DockingSuccess"], "wrapped": POSITION},
+                "agents/0/dones/2/wrapped",
+            ),
+            ({"functor": "StateBounds", "wrapped": POSITION, "extractor": {"glue": POSITION}}, "agents/0/dones/2/wrapped"),
         ],
     )
     def test_input_defect_fails_in_validate_and_at_build(self, tree, path):
-        errors, exc = validate_and_build({**tree, "name": "Culprit"})
-        assert len(errors) == 1 and errors[0][0] == f"f/{path}"
-        assert str(exc).startswith(f"Culprit ({tree['functor']}): {path}: ")
+        _, errors, exc = validate_and_build(("functor", {**tree, "name": "Culprit"}))
+        assert len(errors) == 1 and errors[0][0] == path
+        field = path.split("/", 4)[4]
+        assert str(exc).startswith(f"Culprit ({tree['functor']}): {field}: ")
 
     def test_bound_child_needs_exactly_one_observation(self):
         pair = FunctorSpec("Wrapper", "Pair", wrapped=["P", "P"])
@@ -305,21 +365,98 @@ class TestInputs:
     def test_out_of_range_value_fails_in_validate_and_at_build(self, functor, config, field):
         tree = {"functor": functor, "name": "Culprit", "config": config}
         if BUILTIN_FUNCTORS[functor].inputs is SOURCE:
-            tree["extractor"] = {"glue": "P"}
-        errors, exc = validate_and_build(tree)
-        assert errors == [(f"f/config/{field}", ErrorCode.TYPE_MISMATCH)]
+            tree["extractor"] = {"glue": POSITION}
+        _, errors, exc = validate_and_build(("functor", tree))
+        role = ROLE[BUILTIN_FUNCTORS[functor].kind]
+        assert errors == [(f"agents/0/{role}/2/config/{field}", "TypeMismatch")]
         assert str(exc).startswith(f"Culprit ({functor}): config/{field}: ")
 
-    @settings(max_examples=300, deadline=None)
-    @given(functor_inputs())
-    @example({"functor": "Difference", "name": "Culprit", "wrapped": {"first": "P", "second": CHILD}})
-    @example({"functor": "Difference", "name": "Culprit", "wrapped": {"first": CHILD, "second": CHILD}})
-    def test_validate_reports_no_error_exactly_when_the_inputs_build(self, tree):
-        errors, exc = validate_and_build(tree)
-        if errors == [] and differs_in_dimension(tree):
-            assert str(exc).startswith("Culprit (Difference): wrapped/second: cannot convert"), exc
-        else:
-            assert (errors == []) == (exc is None), (errors, exc)
+
+class TestValidateIsBuild:
+    """``validate`` builds the environment, so it reports an error exactly when the build does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(functor_trees(), part_configs(), rule_configs()))
+    @example(("functor", {"functor": "Difference", "name": "Culprit", "wrapped": {"first": POSITION, "second": CHILD}}))
+    @example(("functor", {"functor": "Difference", "name": "Culprit", "wrapped": {"first": CHILD, "second": CHILD}}))
+    @example(("functor", {"functor": "ObserveSensor", "name": "Culprit", "config": {"sensor": "Sensor_Foo"}}))
+    @example(("part", (0, {"platform": "ghost", "range": 1.0})))
+    @example(("rule", {"rule": "bang_bang_docking", "thrust": "fast", "v_crusie": 0.2}))
+    def test_validate_reports_no_error_exactly_when_the_environment_builds(self, defect):
+        tree, errors, exc = validate_and_build(defect)
+        assert (errors == []) == (exc is None), (errors, exc)
+        assert [(path, code) for path, code in errors if not resolves(tree, path, code)] == []
+        if exc is not None:
+            # the build without validate lists what validate reports
+            assert sorted(code for _, code in errors) == sorted(code for _, code, _ in exc.errors)
+
+    def test_two_independent_defects_raise_one_error_listing_both(self):
+        initialization = {
+            "x0": ParameterSpec("x0", Constant(-10.0), METER),
+            "v0": ParameterSpec("v0", Constant(0.0), METER_PER_SECOND),
+        }
+        agent = AgentConfig(
+            "a", ["deputy"], [PartConfig("Sensor_Position")],
+            glues=[FunctorSpec("ObserveSensor", "Foo", config={"sensor": "Sensor_Foo"})],
+            policy=PolicyConfig("scripted", {"rule": "zero", "gain": 1.0}),
+        )
+        config = EnvironmentConfig(
+            "Docking1dSimulator", {}, [PlatformConfig("deputy", "Docking1dPlatform", initialization)], [agent]
+        )
+        with pytest.raises(PartBindingError, match=r"^Foo \(ObserveSensor\): config/sensor: part 'Sensor_Foo'") as info:
+            Environment(config)
+        assert [(path, code) for path, code, _ in info.value.errors] == [
+            ("config/sensor", "UnknownReference"),
+            ("policy/config/gain", "UnknownField"),
+        ]
+
+    def test_a_failed_spec_skips_what_reads_it(self):
+        tree = copy.deepcopy(DOCKING_TREE)
+        tree["agents"] = [agent := copy.deepcopy(DOCKING_AGENT)]
+        agent["glues"][0]["config"]["sensor"] = "Sensor_Foo"
+        # the shaping reward and a done read ObservePosition, and report nothing of their own
+        agent["dones"].append({"functor": "StateBounds", "name": "Far", "wrapped": POSITION, "config": {"max": 1.0}})
+        assert errors_of(tree) == [("agents/0/glues/0/config/sensor", "UnknownReference")]
+
+    def test_named_child_is_reported_in_document_order(self):
+        tree = copy.deepcopy(DOCKING_TREE)
+        tree["agents"] = [agent := copy.deepcopy(DOCKING_AGENT)]
+        agent["glues"].insert(0, {"functor": "Norm", "name": "Size", "wrapped": "Bad", "config": {"x": 1}})
+        agent["glues"].append({"functor": "Norm", "name": "Bad", "wrapped": "ObserveVelocity", "config": {"y": 1}})
+        agent["glues"].insert(1, {"functor": "Norm", "name": "Odd", "wrapped": "ObservePosition", "config": {"z": 1}})
+        assert errors_of(tree) == [
+            ("agents/0/glues/1/config/z", "UnknownField"),
+            ("agents/0/glues/5/config/y", "UnknownField"),
+        ]
+
+    @pytest.mark.parametrize(
+        "path, value, error",
+        [
+            # each of these validated with 0 errors and then failed the build with a bare exception
+            (("platforms", 0, "initialization", "x0", "unit"), "meter_per_second",
+             ("platforms/0/initialization/x0", "DimensionMismatch")),
+            (("agents", 0, "policy"), {"name": "replay", "config": {"actions": 5}},
+             ("agents/0/policy/config/actions", "TypeMismatch")),
+            (("agents", 0, "rewards", 0, "extractor", "key"), ["direct_observation"],
+             ("agents/0/rewards/0/extractor/key", "TypeMismatch")),
+            (("agents", 0, "glues", 1), {"functor": "Norm", "name": "N", "wrapped": {"x": [POSITION]}},
+             ("agents/0/glues/1/wrapped/x", "TypeMismatch")),
+        ],
+    )
+    def test_defect_is_reported_not_raised(self, path, value, error):
+        tree = copy.deepcopy(DOCKING_TREE)
+        tree["agents"] = [copy.deepcopy(DOCKING_AGENT)]
+        node = tree
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        assert errors_of(tree)[:1] == [error]
+
+    def test_reference_cycle_is_reported_where_it_closes(self):
+        tree = copy.deepcopy(DOCKING_TREE)
+        tree["agents"] = [agent := copy.deepcopy(DOCKING_AGENT)]
+        agent["glues"] += [{"functor": "Norm", "name": "A", "wrapped": "B"}, {"functor": "Norm", "name": "B", "wrapped": "A"}]
+        assert errors_of(tree) == [("agents/0/glues/4/wrapped", "ReferenceCycle")]
 
 
 class TestDeclaredUnits:
@@ -347,17 +484,30 @@ class TestDeclaredUnits:
         assert success.settings["dock_radius"] == pytest.approx(0.5)
 
     def test_reference_of_wrong_dimension_is_reported(self):
-        report = ValidationReport()
-        store = {"r": ParameterSpec("r", Constant(0.1), SECOND), "v": ParameterSpec("v", Constant(0.2), METER_PER_SECOND)}
-        tree = {"functor": "DockingSuccess", "references": {"dock_radius": "r", "velocity_limit": "v"}}
-        parse_functor_spec(tree, "f", report, store)
-        assert [(e.path, e.code) for e in report.errors] == [
-            ("f/references/dock_radius", ErrorCode.DIMENSION_MISMATCH)
+        tree = env_tree("docking")
+        tree["reference_store"]["dock_radius"]["unit"] = "second"
+        assert errors_of(tree) == [
+            ("agents/0/dones/0/references/dock_radius", "DimensionMismatch"),
+            ("agents/0/dones/1/references/dock_radius", "DimensionMismatch"),
         ]
-        store["r"] = ParameterSpec("r", Constant(10.0), get_unit("centimeter"))
-        report = ValidationReport()
-        parse_functor_spec(tree, "f", report, store)
-        assert report.ok
+        tree["reference_store"]["dock_radius"] = {"distribution": {"kind": "constant", "value": 10.0}, "unit": "centimeter"}
+        assert errors_of(tree) == []
+
+    def test_any_episode_parameter_may_be_referenced(self):
+        # one namespace: the environment's store, each agent's store and parameters
+        tree = env_tree("docking")
+        parameters = {"r": {"distribution": {"kind": "constant", "value": 0.1}, "unit": "meter"}}
+        tree["agents"][0]["episode_parameter_provider"] = {"parameters": parameters}
+        tree["agents"][0]["dones"][0]["references"]["dock_radius"] = "r"
+        assert errors_of(tree) == []
+        tree["agents"][0]["dones"][0]["references"]["dock_radius"] = "radius"
+        assert errors_of(tree) == [("agents/0/dones/0/references/dock_radius", "UnknownReference")]
+
+    def test_undeclared_reference_fails_construction(self):
+        config = copy.deepcopy(DOCKING_CONFIG)
+        config.agents[0].dones[0].references["dock_radius"] = "radius"
+        with pytest.raises(FunctorError, match="references/dock_radius: reference key 'radius' is not declared"):
+            Environment(config)
 
 
 class TestReferencedValues:
