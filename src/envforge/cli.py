@@ -99,7 +99,7 @@ def cmd_run(args) -> int:
         artifact = run_episode(env, episode_seed)
         if artifact.error is not None:
             raise EpisodeFailed(i, episode_seed, artifact.error)
-        log.info("episode %d: %d steps, outcomes %s", i, len(artifact.steps), artifact.final_outcome)
+        log.info("episode %d: %d steps, outcomes %s", i, len(artifact.rows), artifact.final_outcome)
         print(artifact.write_csv(out / f"episode_{i}.csv"))
     config_path = out / "run_config.json"
     config_path.write_text(json.dumps(env.run_config(), indent=2, sort_keys=True))

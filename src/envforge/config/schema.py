@@ -77,6 +77,12 @@ class PlatformConfig:
     initialization: dict[str, ParameterSpec] = field(default_factory=dict)
 
 
+#: the shared done every environment adds after its config's ``shared_dones``:
+#: it ends the episode at ``EnvironmentConfig.horizon``, and no other shared
+#: done may take its name
+HORIZON_DONE = FunctorSpec(functor="EpisodeHorizon", name="EpisodeHorizon")
+
+
 @dataclass
 class EnvironmentConfig:
     simulator_name: str

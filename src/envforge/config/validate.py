@@ -36,6 +36,7 @@ from ..units import UnknownUnit as UnknownUnitError
 from ..units import get_unit
 from . import loader
 from .schema import (
+    HORIZON_DONE,
     AgentConfig,
     EnvironmentConfig,
     EpisodeEndMode,
@@ -569,7 +570,9 @@ def validate_environment(
 
     space_check = _parse_space_check(tree.get("space_check_mode"), "space_check_mode", report)
 
-    shared_dones = _parse_functor_list(tree.get("shared_dones"), "shared_dones", report, {})
+    # the built-in horizon done shares the shared dones' namespace
+    horizon_name = {HORIZON_DONE.display_name: HORIZON_DONE}
+    shared_dones = _parse_functor_list(tree.get("shared_dones"), "shared_dones", report, horizon_name)
 
     agent_trees = v.require(tree, "agents", "", list) or []
     environment_parsed = report.ok

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .agents import Agent, PolicyPool, attach_parts, build_agent
-from .config.schema import EnvironmentConfig, EpisodeEndMode
+from .config.schema import HORIZON_DONE, EnvironmentConfig, EpisodeEndMode
 from .config.serialize import environment_config_to_tree
 from .epp import EppError, EpisodeParameterProvider
-from .functors.base import DoneResult, DoneStatusCode, EpisodeState, FunctorSpec
+from .functors.base import DoneResult, DoneStatusCode, EpisodeState
 from .functors.graph import build_graph
 from .params import BuildErrors, ParamError, join_path
 from .parts import GLOBAL_REGISTRY, Box
@@ -132,7 +132,7 @@ class Environment:
             policy_pool = PolicyPool()
             agents = [errors.attempt(build_agent, a, platforms, policy_pool) for a in config.agents]
             self.agents: dict[str, Agent] = {agent.name: agent for agent in agents if agent is not None}
-            shared_specs = [*config.shared_dones, FunctorSpec(functor="EpisodeHorizon", name="EpisodeHorizon")]
+            shared_specs = [*config.shared_dones, HORIZON_DONE]
             self.shared_graph = errors.attempt(build_graph, dict(platforms), [], None, None, shared_specs)
             graphs = [agent.graph for agent in agents if agent is not None] + [self.shared_graph]
             for node in (node for graph in graphs if graph is not None for node in graph.nodes.values()):

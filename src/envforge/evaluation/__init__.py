@@ -16,6 +16,7 @@ from .artifact import (
     ArtifactError,
     EpisodeArtifact,
     MissingArtifact,
+    RecordLayout,
     StepRecord,
     artifact_file,
     load_artifacts,
@@ -89,6 +90,7 @@ __all__ = [
     "ArtifactError",
     "EpisodeArtifact",
     "MissingArtifact",
+    "RecordLayout",
     "StepRecord",
     "artifact_file",
     "load_artifacts",

@@ -5,6 +5,12 @@ schema version and case id, followed by one record per step and a final
 outcome record.  Round trips are lossless.  ``write_csv`` projects the same
 trajectory onto the per-episode CSV log that ``envforge run`` writes.
 
+In memory each step is a row: a ``RecordLayout``, compiled once from one
+step record's key structure, and the record's leaf values in the order its
+line writes them.  A row becomes its line by filling the layout's template;
+``EpisodeArtifact.steps`` rebuilds ``StepRecord`` objects for callers that
+want the nested form.
+
 An evaluate run also writes ``manifest.json``, naming its cases, so a later
 stage reads that run's artifacts and no other file in the directory.
 """
@@ -13,8 +19,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from itertools import count
+from operator import itemgetter
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -64,15 +74,248 @@ class StepRecord:
     platform_states: dict  # platform -> {attr: float}
 
 
+_STEP_KEYS = frozenset(["record", *(f.name for f in fields(StepRecord))])
+
+# A shape is a record's key structure, hashable so that it keys a layout
+# cache: a mapping is (dict, ((key, shape), ...)) in key order, a list
+# (list, (shape, ...)), and a leaf a slot marker or a literal.  The slot
+# markers are type objects, which no JSON value is.  An integer slot is told
+# from a float slot so that a shape fixes every type ``_check_step`` checks.
+_FLOAT = float  # written as repr writes it
+_INTEGER = int  # written as repr writes it
+_TEXT = str  # a string or null, held as its JSON encoding
+
+
+def _json(value) -> str:
+    """value as json.dumps writes it, escaped for a %-format template."""
+    return json.dumps(value).replace("%", "%%")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _flatten(node, values: list, text: bool = False):
+    """node's shape, each number (and, where ``text``, each string or null)
+    a slot marker whose value is appended to ``values``.  Other leaves stay
+    as literals."""
+    kind = type(node)
+    if kind is dict:
+        return (dict, tuple([(key, _flatten(node[key], values, text)) for key in sorted(node)]))
+    if kind is float or kind is int:
+        values.append(node)
+        return kind
+    if kind is list or kind is tuple:
+        return (list, tuple([_flatten(item, values, text) for item in node]))
+    if isinstance(node, float):
+        values.append(float(node))  # a float subclass, np.float64 say, prints as a float
+        return _FLOAT
+    if _is_number(node):
+        values.append(int(node))
+        return _INTEGER
+    if text and (node is None or kind is str):
+        values.append(json.dumps(node))
+        return _TEXT
+    return node
+
+
+def _template(shape) -> str:
+    if type(shape) is tuple:
+        kind, items = shape
+        if kind is dict:
+            return "{" + ", ".join(f"{_json(key)}: {_template(value)}" for key, value in items) + "}"
+        return "[" + ", ".join(map(_template, items)) + "]"
+    if shape is _FLOAT or shape is _INTEGER:
+        return "%r"
+    if shape is _TEXT:
+        return "%s"
+    return _json(shape)
+
+
+def _indexed(shape, slots, numbers: list):
+    """shape as a record with each slot replaced by its position, counted by
+    ``slots``; the positions of number slots are also appended to ``numbers``."""
+    if type(shape) is tuple:
+        kind, items = shape
+        if kind is dict:
+            return {key: _indexed(value, slots, numbers) for key, value in items}
+        return [_indexed(value, slots, numbers) for value in items]
+    if shape is _FLOAT or shape is _INTEGER or shape is _TEXT:
+        index = next(slots)
+        if shape is not _TEXT:
+            numbers.append(index)
+        return index
+    return None
+
+
+def _rebuilt(shape, values):
+    """The record that ``shape`` and the iterator ``values`` were flattened from."""
+    if type(shape) is tuple:
+        kind, items = shape
+        if kind is dict:
+            return {key: _rebuilt(value, values) for key, value in items}
+        return [_rebuilt(value, values) for value in items]
+    if shape is _FLOAT or shape is _INTEGER:
+        return next(values)
+    if shape is _TEXT:
+        return _text_value(next(values))
+    return shape
+
+
+@lru_cache(maxsize=64)
+def _text_value(encoded: str):
+    """The string or None that a text slot holds, JSON-encoded."""
+    return json.loads(encoded)
+
+
+def _check_step(record) -> None:
+    """Raise ValueError unless record has a step record's keys, and the
+    sections that metrics and the CSV log read have their types."""
+    if not isinstance(record, dict):
+        raise ValueError("a record is not a JSON object")
+    if record.get("record") != "step":
+        raise ValueError(f"unexpected {record.get('record')!r} record before the outcome")
+    if record.keys() != _STEP_KEYS:
+        missing, extra = sorted(_STEP_KEYS - record.keys()), sorted(record.keys() - _STEP_KEYS)
+        raise ValueError(f"step record: missing keys {missing}, unknown keys {extra}")
+    if type(record["step"]) is not int or not _is_number(record["sim_time"]):
+        raise ValueError("step record: 'step' must be an integer and 'sim_time' a number")
+    for key in ("observations", "actions", "platform_states"):
+        if not isinstance(record[key], dict):
+            raise ValueError(f"step record: '{key}' is not a mapping")
+    rewards, totals, codes = record["rewards"], record["reward_totals"], record["done_codes"]
+    if not (
+        isinstance(rewards, dict)
+        and all(isinstance(c, dict) and all(map(_is_number, c.values())) for c in rewards.values())
+    ):
+        raise ValueError("step record: 'rewards' is not a mapping of agent to {component: number}")
+    if not (isinstance(totals, dict) and totals.keys() == rewards.keys() and all(map(_is_number, totals.values()))):
+        raise ValueError("step record: 'reward_totals' is not a number for each agent of 'rewards'")
+    if not (isinstance(codes, dict) and all(c is None or isinstance(c, str) for c in codes.values())):
+        raise ValueError("step record: 'done_codes' is not a mapping of agent to a string or null")
+
+
+class RecordLayout:
+    """The compiled form of one step record's key structure.
+
+    ``fmt`` is the record's line as ``json.dumps(record, sort_keys=True)``
+    writes it, with every number replaced by ``%r`` and every done code by
+    ``%s``; keys, units and other literals are encoded once, here.  A row's
+    values fill those slots in order: numbers as ``int`` or ``float`` (never a
+    numpy scalar, whose repr differs), done codes already JSON-encoded.  The
+    reader fields give slot positions in the record's own key order, so
+    metrics and the CSV log read a row without rebuilding its record.
+    """
+
+    def __init__(self, shape: tuple, record: dict):
+        """``shape`` is record's as ``_flatten`` gives it; ``record`` orders the readers."""
+        self.shape = shape
+        self.fmt = _template(shape)
+        numbers: list[int] = []
+        index = _indexed(shape, count(), numbers)
+        self._numbers = itemgetter(*numbers)  # a step record has at least its step and sim_time
+        self.step = index["step"]
+        #: (agent, slot of its reward total, ((component, slot), ...)) per agent
+        self.rewards = tuple(
+            (agent, index["reward_totals"][agent], tuple((c, index["rewards"][agent][c]) for c in components))
+            for agent, components in record["rewards"].items()
+        )
+        #: (agent, slot of its done code) per agent
+        self.done_codes = tuple((agent, index["done_codes"][agent]) for agent in record["done_codes"])
+
+    @classmethod
+    def of(cls, record: dict, layouts: dict | None = None) -> tuple[RecordLayout, tuple]:
+        """The row of a step record: its layout and values.
+
+        ``layouts`` caches layouts by shape across calls.  Raises ValueError
+        for a record that is not a step record.  The checks depend on the
+        shape alone, so a record is checked when its shape's layout is
+        compiled.
+        """
+        if not isinstance(record, dict):
+            _check_step(record)
+        values: list = []
+        items = [(key, _flatten(record[key], values, key == "done_codes")) for key in sorted(record)]
+        shape = (dict, tuple(items))
+        layout = layouts.get(shape) if layouts is not None else None
+        if layout is None:
+            _check_step(record)
+            layout = cls(shape, record)
+            if layouts is not None:
+                layouts[shape] = layout
+        return layout, tuple(values)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RecordLayout):
+            return NotImplemented
+        return self.fmt == other.fmt
+
+    def __hash__(self) -> int:
+        return hash(self.fmt)
+
+    def record(self, values: tuple) -> dict:
+        return _rebuilt(self.shape, iter(values))
+
+    def line(self, values: tuple) -> str:
+        """A row's line, as ``json.dumps(record, sort_keys=True)`` writes it.
+
+        A row holding NaN or an infinity, which ``json`` writes as ``NaN``,
+        ``Infinity`` and ``-Infinity`` where ``%r`` would not, is written by
+        ``json`` itself.  Such a row is one whose numbers do not sum to a
+        finite float; so is a finite row whose sum overflows, which ``json``
+        writes correctly too.
+        """
+        try:
+            finite = math.isfinite(sum(self._numbers(values)))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if finite:
+            return self.fmt % values
+        return json.dumps(self.record(values), sort_keys=True)
+
+
+Row = tuple[RecordLayout, tuple]
+
+
+def _parsed(number: int, line: str, source: str):
+    """The JSON object on a line; raises ``ArtifactError`` naming the line otherwise."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ArtifactError(f"{source}:{number}: a record is not valid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ArtifactError(f"{source}:{number}: a record is not a JSON object")
+    return record
+
+
+def _check_fields(record: dict, types: dict, where: str) -> None:
+    """Raise ``ArtifactError`` at ``where`` unless record has each key of
+    ``types`` with a value of its type."""
+    for key, expected in types.items():
+        value = record.get(key)
+        if key not in record or not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
+            raise ArtifactError(f"{where}: {record['record']} record: '{key}' is missing or has the wrong type")
+
+
 @dataclass
 class EpisodeArtifact:
     case_id: str
     seed: int
     parameters: dict  # epp name -> {value: float, unit: str}
-    steps: list[StepRecord] = field(default_factory=list)
+    rows: list[Row] = field(default_factory=list)  # one per step
     final_outcome: dict = field(default_factory=dict)  # agent -> status code
     truncated: bool = False
     error: str | None = None
+
+    @property
+    def steps(self) -> tuple[StepRecord, ...]:
+        """Each step as a ``StepRecord``, rebuilt from the rows on every call."""
+        steps = []
+        for layout, values in self.rows:
+            record = layout.record(values)
+            del record["record"]
+            steps.append(StepRecord(**record))
+        return tuple(steps)
 
     def to_lines(self) -> list[str]:
         header = {
@@ -83,8 +326,7 @@ class EpisodeArtifact:
             "parameters": self.parameters,
         }
         lines = [json.dumps(header, sort_keys=True)]
-        for step in self.steps:
-            lines.append(json.dumps({"record": "step", **vars(step)}, sort_keys=True))
+        lines += [layout.line(values) for layout, values in self.rows]
         lines.append(
             json.dumps(
                 {
@@ -100,15 +342,22 @@ class EpisodeArtifact:
 
     @classmethod
     def from_lines(cls, lines: list[str], source: str = "artifact") -> "EpisodeArtifact":
-        try:
-            records = [json.loads(line) for line in lines if line.strip()]
-        except json.JSONDecodeError as exc:
-            raise ArtifactError(f"{source}: a record is not valid JSON: {exc}") from exc
-        if not records or records[0].get("record") != "header":
+        """Parse an artifact's lines; a malformed one raises ``ArtifactError``
+        naming ``source`` and the line.
+
+        Each step line is parsed and compiled by ``RecordLayout.of``; lines of
+        one shape share a layout.
+        """
+        numbered = [(number, line) for number, line in enumerate(lines, 1) if line.strip()]
+        header = _parsed(*numbered[0], source) if numbered else {}
+        if header.get("record") != "header":
             raise ArtifactError(f"{source}: artifact does not start with a header record")
-        if records[-1].get("record") != "outcome":
+        outcome = _parsed(*numbered[-1], source) if len(numbered) > 1 else {}
+        if outcome.get("record") != "outcome":
             raise TruncatedArtifact(source)
-        header, outcome = records[0], records[-1]
+        _check_fields(header, {"case_id": str, "seed": int, "parameters": dict}, f"{source}:{numbered[0][0]}")
+        outcome_types = {"final_outcome": dict, "truncated": bool, "error": (str, type(None))}
+        _check_fields({"error": None, **outcome}, outcome_types, f"{source}:{numbered[-1][0]}")
         artifact = cls(
             case_id=header["case_id"],
             seed=header["seed"],
@@ -117,11 +366,13 @@ class EpisodeArtifact:
             truncated=outcome["truncated"],
             error=outcome.get("error"),
         )
-        for record in records[1:-1]:
-            kind = record.pop("record")
-            if kind != "step":
-                raise ArtifactError(f"{source}: unexpected '{kind}' record before the outcome")
-            artifact.steps.append(StepRecord(**record))
+        layouts: dict[tuple, RecordLayout] = {}
+        for number, line in numbered[1:-1]:
+            record = _parsed(number, line, source)
+            try:
+                artifact.rows.append(RecordLayout.of(record, layouts))
+            except ValueError as exc:
+                raise ArtifactError(f"{source}:{number}: {exc}") from exc
         return artifact
 
     def save(self, path: str | Path) -> Path:
@@ -135,13 +386,14 @@ class EpisodeArtifact:
         """The per-episode log: one row per step with reward components and
         totals, done codes ("" while running) and the sampled parameters."""
         params = {f"param.{key}": p["value"] for key, p in self.parameters.items()}
+        # layout -> (column, slot, is a done code) of each of its step's columns
+        plans: dict[int, list[tuple[str, int, bool]]] = {}
         rows = []
-        for step in self.steps:
-            row: dict[str, object] = {"step": step.step}
-            for agent, comps in step.rewards.items():
-                row.update({f"{agent}.reward.{comp}": value for comp, value in comps.items()})
-                row[f"{agent}.reward_total"] = step.reward_totals[agent]
-            row.update({f"{agent}.done_code": code or "" for agent, code in step.done_codes.items()})
+        for layout, values in self.rows:
+            plan = plans.get(id(layout))
+            if plan is None:
+                plan = plans[id(layout)] = _csv_columns(layout)
+            row = {column: (_text_value(values[i]) or "") if code else values[i] for column, i, code in plan}
             rows.append({**row, **params})
         columns = list(dict.fromkeys(["step", *(key for row in rows for key in row)]))
         with open(path, "w", newline="") as fh:
@@ -149,6 +401,15 @@ class EpisodeArtifact:
             writer.writeheader()
             writer.writerows(rows)
         return Path(path)
+
+
+def _csv_columns(layout: RecordLayout) -> list[tuple[str, int, bool]]:
+    columns = [("step", layout.step, False)]
+    for agent, total, components in layout.rewards:
+        columns += [(f"{agent}.reward.{component}", slot, False) for component, slot in components]
+        columns.append((f"{agent}.reward_total", total, False))
+    columns += [(f"{agent}.done_code", slot, True) for agent, slot in layout.done_codes]
+    return columns
 
 
 def write_manifest(directory: str | Path, case_ids: list[str]) -> Path:

@@ -9,22 +9,25 @@ and ``envforge run`` both drive it.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from ..config.schema import EnvironmentConfig
 from ..config.validate import reference_range_error, referencing_params
-from ..environment import Environment, episode_parameters
+from ..environment import Environment, StepResult, episode_parameters
 from ..epp import ParameterSpec
+from ..functors.base import DoneStatusCode
 from ..policies import POLICY_REGISTRY
 from ..units import Quantity, UnitError, value_in
-from .artifact import EpisodeArtifact, StepRecord, artifact_file, write_manifest
+from .artifact import EpisodeArtifact, RecordLayout, Row, artifact_file, write_manifest
 
 log = logging.getLogger(__name__)
 
@@ -123,21 +126,125 @@ def override_policies(env: Environment, override: tuple[str, dict] | None) -> No
         agent.policy = policy
 
 
+#: a done code as a row's text slot holds it
+_CODE_TEXT = {None: "null", **{code: json.dumps(code.value) for code in DoneStatusCode}}
+
+
+def _fragment(fragment) -> list[float]:
+    """An action fragment as step() reads it: a bare number is one element."""
+    return np.atleast_1d(np.asarray(fragment, dtype=float)).tolist()
+
+
+def _step_record(env: Environment, actions: dict, result: StepResult) -> dict:
+    """The step just taken as its artifact line records it."""
+    return {
+        "record": "step",
+        "step": env.state.step_count,
+        "sim_time": float(env.state.sim_time),
+        "observations": {
+            agent: {key: {"values": q.values.tolist(), "unit": q.unit.name} for key, q in obs.items()}
+            for agent, obs in result.observations.items()
+        },
+        "actions": {
+            agent: {glue: _fragment(fragment) for glue, fragment in fragments.items()}
+            for agent, fragments in actions.items()
+        },
+        "rewards": result.info["reward_components"],
+        "reward_totals": result.rewards,
+        "done_codes": {agent: (code.value if code else None) for agent, code in result.done_codes.items()},
+        "platform_states": {
+            name: {k: float(v) for k, v in vars(p.state).items()} for name, p in env.simulator.platforms.items()
+        },
+    }
+
+
+class _RowPlan:
+    """Reads the steps of one structure into rows, each value in the place
+    the step's line writes it (every mapping in key order).
+
+    The structure is the key ``run_episode`` files a plan under: the active
+    agents, the platforms and each agent's action keys.  The environment
+    fixes the rest of it at build: each agent's observation names and units
+    and reward components, and each platform's state attributes.  The
+    lengths of a step's arrays, and the number of each platform's state
+    attributes, select its layout: a fragment of another length gets a
+    layout of its own, never a wrong line.  A layout is compiled from the
+    step's nested record, and the plan's values must equal the record's, slot
+    for slot, so the plan's order cannot drift from the layout's.
+    """
+
+    def __init__(self, env: Environment, actions: dict, result: StepResult):
+        platforms = env.simulator.platforms
+        self.actions = [(agent, sorted(fragments)) for agent, fragments in sorted(actions.items())]
+        self.agents = sorted(result.done_codes)
+        self.observations = [(agent, sorted(obs)) for agent, obs in sorted(result.observations.items())]
+        self.platforms = [(name, sorted(vars(platforms[name].state))) for name in sorted(platforms)]
+        self.rewards = [(agent, sorted(c)) for agent, c in sorted(result.info["reward_components"].items())]
+        self.layouts: dict[tuple[int, ...], RecordLayout] = {}
+
+    def row(self, env: Environment, actions: dict, result: StepResult) -> Row:
+        values: list = []
+        lengths = []
+        for agent, glues in self.actions:
+            fragments = actions[agent]
+            for glue in glues:
+                leaf = _fragment(fragments[glue])
+                lengths.append(len(leaf))
+                values += leaf
+        codes = result.done_codes
+        values += [_CODE_TEXT[codes[agent]] for agent in self.agents]
+        observations = result.observations
+        for agent, names in self.observations:
+            obs = observations[agent]
+            for name in names:
+                leaf = obs[name].values.tolist()
+                lengths.append(len(leaf))
+                values += leaf
+        platforms = env.simulator.platforms
+        for name, attrs in self.platforms:
+            state = vars(platforms[name].state)
+            lengths.append(len(state))
+            values += [float(state[attr]) for attr in attrs]
+        totals = result.rewards
+        values += [totals[agent] for agent in self.agents]
+        components = result.info["reward_components"]
+        for agent, names in self.rewards:
+            agent_components = components[agent]
+            values += [agent_components[name] for name in names]
+        values.append(float(env.state.sim_time))
+        values.append(env.state.step_count)
+        key = tuple(lengths)
+        layout = self.layouts.get(key)
+        if layout is None:
+            layout, expected = RecordLayout.of(_step_record(env, actions, result))
+            if list(map(repr, values)) != list(map(repr, expected)):
+                raise RuntimeError("a row plan orders a step's values other than its record's layout")
+            self.layouts[key] = layout
+        return layout, tuple(values)
+
+
+#: each environment's row plans, by the key ``run_episode`` computes: a plan
+#: holds for every episode of the environment it was made on
+_row_plans: WeakKeyDictionary[Environment, dict[tuple, _RowPlan]] = WeakKeyDictionary()
+
+
 def run_episode(
     env: Environment, seed: int, overrides: dict[str, Quantity] | None = None
 ) -> EpisodeArtifact:
-    """Run one seeded episode on env and record every step.
+    """Run one seeded episode on env and record every step as a row.
 
     A failure inside the episode is recorded in the artifact's ``error``,
     after the steps that completed; the caller decides whether it is fatal.
     """
     artifact = EpisodeArtifact(case_id="", seed=seed, parameters={})
+    plans = _row_plans.setdefault(env, {})
     try:
         observations = env.reset(seed=seed, overrides=overrides)
         artifact.parameters = {
             k: {"value": q.item, "unit": q.unit.name}
             for k, q in env.epp.current_sample.values.items()
         }
+        rows = artifact.rows
         while not env.episode_done:
             actions = {
                 name: agent.policy.compute_action(
@@ -146,37 +253,11 @@ def run_episode(
                 for name, agent in env.agents.items()
             }
             result = env.step(actions)
-            artifact.steps.append(
-                StepRecord(
-                    step=env.state.step_count,
-                    sim_time=env.state.sim_time,
-                    observations={
-                        agent: {
-                            key: {"values": q.values.tolist(), "unit": q.unit.name}
-                            for key, q in obs.items()
-                        }
-                        for agent, obs in result.observations.items()
-                    },
-                    actions={
-                        # each fragment as step() reads it: a bare number is one element
-                        agent: {
-                            glue: np.atleast_1d(np.asarray(frag, dtype=float)).tolist()
-                            for glue, frag in acts.items()
-                        }
-                        for agent, acts in actions.items()
-                    },
-                    rewards=result.info["reward_components"],
-                    reward_totals=result.rewards,
-                    done_codes={
-                        agent: (code.value if code else None)
-                        for agent, code in result.done_codes.items()
-                    },
-                    platform_states={
-                        pname: {k: float(v) for k, v in vars(p.state).items()}
-                        for pname, p in env.simulator.platforms.items()
-                    },
-                )
-            )
+            key = (tuple(result.done_codes), tuple(env.simulator.platforms), tuple(map(tuple, actions.values())))
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = _RowPlan(env, actions, result)
+            rows.append(plan.row(env, actions, result))
             observations = result.observations
         artifact.final_outcome = {
             name: (code.value if code else None)

@@ -81,16 +81,16 @@ def _success_rate(artifacts, inputs, config):
 
 
 def _episode_length(artifacts, inputs, config):
-    return MetricValue(NON_TERMINAL, {a.case_id: len(a.steps) for a in artifacts})
+    return MetricValue(NON_TERMINAL, {a.case_id: len(a.rows) for a in artifacts})
 
 
 def _total_reward(artifacts, inputs, config):
     out = {}
     for artifact in artifacts:
         totals: dict[str, float] = {}
-        for step in artifact.steps:
-            for agent, value in step.reward_totals.items():
-                totals[agent] = totals.get(agent, 0.0) + value
+        for layout, values in artifact.rows:
+            for agent, total, _ in layout.rewards:
+                totals[agent] = totals.get(agent, 0.0) + values[total]
         out[artifact.case_id] = totals
     return MetricValue(NON_TERMINAL, out)
 
@@ -98,11 +98,11 @@ def _total_reward(artifacts, inputs, config):
 def _reward_component_proportions(artifacts, inputs, config):
     totals: dict[str, float] = {}
     for artifact in artifacts:
-        for step in artifact.steps:
-            for agent, components in step.rewards.items():
-                for component, value in components.items():
+        for layout, values in artifact.rows:
+            for agent, _, components in layout.rewards:
+                for component, slot in components:
                     key = f"{agent}.{component}"
-                    totals[key] = totals.get(key, 0.0) + value
+                    totals[key] = totals.get(key, 0.0) + values[slot]
     grand = sum(totals.values())
     proportions = {k: (v / grand if grand else 0.0) for k, v in totals.items()}
     return MetricValue(NON_TERMINAL, proportions)

@@ -50,11 +50,22 @@ class Policy:
         raise NotImplementedError
 
 
+def _settings(context: str, params: tuple[Param, ...], config: Mapping) -> dict[str, Any]:
+    """``parse_params`` over a policy's config; raises ``PolicyError`` listing every error."""
+    settings, errors = parse_params(params, config, {})
+    if errors:
+        raise PolicyError.listing(context, errors)
+    return settings
+
+
 class RandomPolicy(Policy):
     """Uniform per-element sampling inside the action bounds; an infinite
     bound samples at -1 (low) or 1 (high) instead."""
 
+    params: tuple[Param, ...] = ()  # it takes no config
+
     def __init__(self, config=None, seed: int = 0):
+        _settings("random policy", self.params, config or {})
         super().__init__(config, seed)
         # action name -> (box, sampling low, high - low); a Box never changes,
         # so its bounds are recomputed only when the name's box does
@@ -92,10 +103,6 @@ class RegisteredRule:
     factory: Callable[[dict[str, Any]], ScriptedRule]
     params: tuple[Param, ...]
 
-    def parse(self, config: Mapping):
-        """``parse_params`` over a scripted policy's config, whose ``rule`` key names the rule."""
-        return parse_params(self.params, {k: v for k, v in config.items() if k != "rule"}, {})
-
 
 SCRIPTED_RULES: dict[str, RegisteredRule] = {}
 
@@ -123,10 +130,8 @@ class ScriptedPolicy(Policy):
                     f"unknown scripted rule {rule_name!r} (registered: {sorted(SCRIPTED_RULES)})",
                 )
             raise PolicyError.listing("scripted policy", [error])
-        settings, errors = rule.parse(config)
-        if errors:
-            raise PolicyError.listing(f"scripted rule '{rule_name}'", errors)
-        self._rule = rule.factory(settings)
+        rule_config = {k: v for k, v in config.items() if k != "rule"}
+        self._rule = rule.factory(_settings(f"scripted rule '{rule_name}'", rule.params, rule_config))
         super().__init__(config, seed)
 
     def _compute(self, observation, action_space):
@@ -137,20 +142,19 @@ class ScriptedPolicy(Policy):
         }
 
 
+def _action_sequence(raw) -> list[ActionDict]:
+    if not isinstance(raw, list) or not all(isinstance(step, dict) for step in raw):
+        raise TypeError("expected a list of mappings of action name to values")
+    return [{name: np.atleast_1d(np.asarray(v, dtype=float)) for name, v in step.items()} for step in raw]
+
+
 class ReplayPolicy(Policy):
     """Plays back a recorded action sequence; used by the evaluation pipeline tests."""
 
+    params = (Param("actions", _action_sequence, default=()),)
+
     def __init__(self, config=None, seed: int = 0):
-        config = config or {}
-        actions = config.get("actions", [])
-        try:
-            if not isinstance(actions, list) or not all(isinstance(step, dict) for step in actions):
-                raise TypeError("expected a list of mappings of action name to values")
-            self._sequence = [
-                {name: np.atleast_1d(np.asarray(v, dtype=float)) for name, v in step.items()} for step in actions
-            ]
-        except (TypeError, ValueError) as exc:
-            raise PolicyError.listing("replay policy", [("config/actions", "TypeMismatch", str(exc))]) from exc
+        self._sequence = _settings("replay policy", self.params, config or {})["actions"]
         super().__init__(config, seed)
 
     def reset(self):

@@ -124,7 +124,16 @@ class TestPolicyPool:
 
     def test_different_config_distinct_instances(self):
         pool = PolicyPool()
-        assert pool.get("random", {}) is not pool.get("random", {"tag": 1})
+        assert pool.get("replay", {}) is not pool.get("replay", {"actions": [{"G": [1.0]}]})
+
+    @pytest.mark.parametrize(
+        "name, config, path",
+        [("random", {"tag": 1}, "config/tag"), ("replay", {"actons": [{"G": [1.0]}]}, "config/actons")],
+    )
+    def test_undeclared_config_key_is_an_error(self, name, config, path):
+        with pytest.raises(PolicyError) as info:
+            PolicyPool().get(name, config)
+        assert info.value.errors == [(path, "UnknownField", info.value.errors[0][2])]
 
     def test_shared_instance_observable_via_calls_counter(self):
         # Aliasing check: actions computed through either agent increment one

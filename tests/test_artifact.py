@@ -1,0 +1,357 @@
+"""The compiled artifact record: rows under a RecordLayout write the lines
+``json.dumps(record, sort_keys=True)`` writes, load back to the same rows,
+and malformed files fail naming their file and line."""
+
+import csv
+import importlib
+import json
+import math
+import pickle
+import re
+
+import numpy as np
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from envforge.cli import main
+from envforge.config.validate import validate_environment
+from envforge.environment import Environment
+from envforge.evaluation import ArtifactError, EpisodeArtifact, RecordLayout, StepRecord, TestCase, evaluate
+from envforge.functors.base import Reward
+from envforge.functors.graph import FUNCTOR_REGISTRY
+
+from conftest import CONFIG_DIR, load_env_config
+from test_environment import docking_tree
+
+# the module, which the package's ``evaluate`` function shadows
+evaluate_module = importlib.import_module("envforge.evaluation.evaluate")
+
+DOCKING = CONFIG_DIR / "docking"
+
+# floats whose repr changes form, the smallest normal and subnormal, and the non-finite
+SPECIAL_FLOATS = [
+    -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05,
+    1e22, 1.7976931348623157e308, -1e-7, math.nan, math.inf, -math.inf,
+]
+floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+numbers = st.one_of(floats, floats.map(np.float64))
+# non-ASCII names, and names holding the characters a %-template or JSON string escapes
+names = st.text(alphabet="aZ_/.%é漢\"\\ \n", min_size=1, max_size=4)
+vectors = st.lists(numbers, min_size=1, max_size=3)
+
+
+@st.composite
+def step_records(draw) -> dict:
+    agents = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    # the agents still active: an agent that ended early has no observations,
+    # rewards or done code, but its policy still acts
+    active = agents[: draw(st.integers(0, len(agents)))]
+    observation = st.fixed_dictionaries({"values": vectors, "unit": names})
+    rewards = {agent: draw(st.dictionaries(names, numbers, max_size=3)) for agent in active}
+    return {
+        "record": "step",
+        "step": draw(st.integers(0, 10**6)),
+        "sim_time": draw(numbers),
+        "observations": {agent: draw(st.dictionaries(names, observation, max_size=2)) for agent in active},
+        "actions": {agent: draw(st.dictionaries(names, vectors, max_size=2)) for agent in agents},
+        "rewards": rewards,
+        # no components total an int 0, as Environment.step sums them
+        "reward_totals": {agent: draw(numbers) if rewards[agent] else 0 for agent in active},
+        "done_codes": {agent: draw(st.one_of(st.none(), st.sampled_from(["WIN", "LOSS"]), names)) for agent in active},
+        "platform_states": draw(st.dictionaries(names, st.dictionaries(names, numbers, max_size=3), max_size=2)),
+    }
+
+
+def artifact_of(records: list[dict]) -> EpisodeArtifact:
+    artifact = EpisodeArtifact(case_id="c", seed=0, parameters={"p": {"value": 1.0, "unit": "none"}})
+    artifact.rows = [RecordLayout.of(record) for record in records]
+    artifact.final_outcome = {"a": "WIN"}
+    return artifact
+
+
+class TestLayout:
+    @settings(max_examples=300, deadline=None)
+    @given(step_records())
+    def test_line_is_what_json_writes(self, record):
+        layout, values = RecordLayout.of(record)
+        assert layout.line(values) == json.dumps(record, sort_keys=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(step_records(), min_size=0, max_size=4))
+    def test_round_trip_is_fixed_point(self, records):
+        lines = artifact_of(records).to_lines()
+        loaded = EpisodeArtifact.from_lines(lines)
+        assert loaded.to_lines() == lines
+        assert EpisodeArtifact.from_lines(loaded.to_lines()).to_lines() == lines
+
+    @settings(max_examples=100, deadline=None)
+    @given(step_records(), st.data())
+    def test_lines_of_one_layout_load_alike(self, record, data):
+        # every line has the first line's shape, so all load under one layout
+        layout, values = RecordLayout.of(record)
+        slots = dict.fromkeys(range(len(values)), st.one_of(floats, st.integers(-(10**20), 10**20)))
+        slots[layout.step] = st.integers(0, 10**6)
+        for _, slot in layout.done_codes:
+            slots[slot] = st.sampled_from(["null", '"WIN"', json.dumps("é"), json.dumps('"%')])
+        rows = [(layout, values)] + [(layout, tuple(data.draw(s) for s in slots.values())) for _ in range(3)]
+        artifact = artifact_of([])
+        artifact.rows = rows
+        lines = artifact.to_lines()
+        loaded = EpisodeArtifact.from_lines(lines)
+        assert loaded.to_lines() == lines
+        assert all(loaded_layout == layout for loaded_layout, _ in loaded.rows)
+
+    def test_lines_not_written_by_json_dumps_load_as_json_reads_them(self):
+        record = {
+            "record": "step", "step": 1, "sim_time": 1.50, "observations": {}, "actions": {"a": {"G": [0.5]}},
+            "rewards": {"a": {"r": 1.0}}, "reward_totals": {"a": 1.0}, "done_codes": {"a": "WIN"},
+            "platform_states": {},
+        }
+        lines = artifact_of([record, record]).to_lines()
+        lines[2] = json.dumps(dict(reversed(record.items())), indent=1).replace("\n", "")
+        lines[1] = lines[1].replace('"WIN"', '"W\\u0049N"').replace("1.5", "1.50")
+        assert EpisodeArtifact.from_lines(lines).to_lines() == artifact_of([record, record]).to_lines()
+
+    def test_records_of_one_shape_share_a_layout(self):
+        base = {
+            "record": "step", "step": 1, "sim_time": 1.0, "observations": {}, "actions": {"a": {"G": [0.5]}},
+            "rewards": {"a": {"r": 1.0}}, "reward_totals": {"a": 1.0}, "done_codes": {"a": None},
+            "platform_states": {},
+        }
+        other = {**base, "step": 2, "done_codes": {"a": "WIN"}, "actions": {"a": {"G": [0.25]}}}
+        longer = {**base, "actions": {"a": {"G": [0.5, 0.5]}}}
+        layouts = {}
+        assert RecordLayout.of(base, layouts)[0] is RecordLayout.of(other, layouts)[0]
+        assert RecordLayout.of(longer, layouts)[0] is not RecordLayout.of(base, layouts)[0]
+
+    def test_steps_view_rebuilds_the_records(self):
+        record = {
+            "record": "step", "step": 3, "sim_time": 0.5, "observations": {"a": {"O": {"values": [1.0], "unit": "m"}}},
+            "actions": {"a": {"G": [0.5]}}, "rewards": {"a": {}}, "reward_totals": {"a": 0},
+            "done_codes": {"a": "WIN"}, "platform_states": {"p": {"x": -0.0}},
+        }
+        artifact = artifact_of([record])
+        (step,) = artifact.steps
+        assert step == StepRecord(**{k: v for k, v in record.items() if k != "record"})
+        assert isinstance(artifact.steps, tuple)  # a view: rows are the artifact
+
+
+def spy_records(monkeypatch) -> list[dict]:
+    """The nested record of every step ``run_episode`` captures, built the
+    way the step was recorded before rows."""
+    records = []
+    row = evaluate_module._RowPlan.row
+
+    def spying(plan, env, actions, result):
+        records.append(evaluate_module._step_record(env, actions, result))
+        return row(plan, env, actions, result)
+
+    monkeypatch.setattr(evaluate_module._RowPlan, "row", spying)
+    return records
+
+
+class TestCapture:
+    @staticmethod
+    def early_ending_config():
+        """Two agents on one craft: agent_0 flies it, and agent_1, which only
+        observes, ends with LOSS when the craft passes x = -9."""
+        tree = docking_tree(agents=2, end_mode="all_agents_done", horizon=300)
+        watcher = tree["agents"][1]
+        watcher["parts"] = watcher["parts"][:2]
+        watcher["glues"] = watcher["glues"][:2]
+        watcher["policy"] = {"name": "scripted", "config": {"rule": "zero"}}
+        tree["agents"][1]["dones"].append(
+            {"functor": "StateBounds", "name": "Leash", "config": {"min": -20.0, "max": -9.0},
+             "extractor": {"glue": "ObservePosition", "key": "direct_observation"}}
+        )
+        config, report = validate_environment(tree)
+        assert config is not None, str(report)
+        return config
+
+    def test_rows_write_the_records_every_step(self, monkeypatch):
+        records = spy_records(monkeypatch)
+        env = Environment(self.early_ending_config())
+        artifact = evaluate_module.run_episode(env, seed=0)
+        assert artifact.error is None
+        assert artifact.final_outcome["agent_1"] == "LOSS" and artifact.final_outcome["agent_0"] is not None
+        assert len(artifact.steps[-1].done_codes) == 1  # agent_1 ended first
+        assert artifact.to_lines()[1:-1] == [json.dumps(r, sort_keys=True) for r in records]
+        # an agent that ends switches the layout
+        layouts = {id(layout) for layout, _ in artifact.rows}
+        assert len(layouts) >= 2
+
+    def test_later_episodes_reuse_the_layouts(self, monkeypatch):
+        records = spy_records(monkeypatch)
+        env = Environment(self.early_ending_config())
+        first = evaluate_module.run_episode(env, seed=0)
+        del records[:]
+        second = evaluate_module.run_episode(env, seed=1)
+        assert second.to_lines()[1:-1] == [json.dumps(r, sort_keys=True) for r in records]
+        assert {id(layout) for layout, _ in second.rows} <= {id(layout) for layout, _ in first.rows}
+
+    def test_plan_out_of_the_records_order_is_refused(self, monkeypatch):
+        # a record whose platform state values sit in other slots than the plan's
+        step_record = evaluate_module._step_record
+
+        def reordered(env, actions, result):
+            record = step_record(env, actions, result)
+            for state in record["platform_states"].values():
+                state.update(zip(state, reversed(list(state.values()))))
+            return record
+
+        monkeypatch.setattr(evaluate_module, "_step_record", reordered)
+        artifact = evaluate_module.run_episode(Environment(self.early_ending_config()), seed=0)
+        assert artifact.rows == [] and "a row plan orders" in artifact.error
+
+    def test_cartpole_rows_write_the_records(self, monkeypatch, cartpole_env_path):
+        records = spy_records(monkeypatch)
+        env = Environment(load_env_config(cartpole_env_path))
+        for seed in range(3):
+            del records[:]
+            artifact = evaluate_module.run_episode(env, seed=seed)
+            assert artifact.to_lines()[1:-1] == [json.dumps(r, sort_keys=True) for r in records]
+
+    def test_csv_log_projects_the_step_records(self, tmp_path):
+        # the projection as it was made from StepRecords, the reference for the one made from rows
+        artifact = evaluate_module.run_episode(Environment(self.early_ending_config()), seed=0)
+        params = {f"param.{key}": p["value"] for key, p in artifact.parameters.items()}
+        rows = []
+        for step in artifact.steps:
+            row = {"step": step.step}
+            for agent, comps in step.rewards.items():
+                row.update({f"{agent}.reward.{comp}": value for comp, value in comps.items()})
+                row[f"{agent}.reward_total"] = step.reward_totals[agent]
+            row.update({f"{agent}.done_code": code or "" for agent, code in step.done_codes.items()})
+            rows.append({**row, **params})
+        columns = list(dict.fromkeys(["step", *(key for row in rows for key in row)]))
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=columns)
+            writer.writeheader()
+            writer.writerows(rows)
+        written = artifact.write_csv(tmp_path / "episode.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert b"agent_1.done_code" in written.splitlines()[0]
+
+    def test_pickled_artifact_writes_the_same_lines(self):
+        env = Environment(self.early_ending_config())
+        artifact = evaluate_module.run_episode(env, seed=0)
+        blob = pickle.dumps(artifact)
+        assert pickle.loads(blob).to_lines() == artifact.to_lines()
+        # one copy of each layout's template per artifact
+        for layout in {id(layout): layout for layout, _ in artifact.rows}.values():
+            assert blob.count(layout.fmt.encode()) == 1
+
+
+HEADER = {"record": "header", "schema_version": 1, "case_id": "c", "seed": 0, "parameters": {}}
+STEP = {
+    "record": "step", "step": 1, "sim_time": 1.0, "observations": {}, "actions": {},
+    "rewards": {"a": {"r": 1.0}}, "reward_totals": {"a": 1.0}, "done_codes": {"a": None}, "platform_states": {},
+}
+OUTCOME = {"record": "outcome", "final_outcome": {"a": "WIN"}, "truncated": False, "error": None}
+
+
+def without(record: dict, key: str) -> dict:
+    return {k: v for k, v in record.items() if k != key}
+
+
+MALFORMED = {
+    "step_missing_a_key": (1, without(STEP, "rewards")),
+    "step_with_an_extra_key": (1, {**STEP, "extra": 1}),
+    "record_is_a_list": (1, [1, 2]),
+    "record_is_a_number": (1, 5),
+    "step_reward_not_a_number": (1, {**STEP, "rewards": {"a": {"r": "high"}}}),
+    "step_totals_for_other_agents": (1, {**STEP, "reward_totals": {"b": 1.0}}),
+    "step_done_code_not_a_string": (1, {**STEP, "done_codes": {"a": 3}}),
+    "step_number_is_text": (1, {**STEP, "step": "1"}),
+    "header_without_case_id": (0, without(HEADER, "case_id")),
+    "header_seed_not_an_integer": (0, {**HEADER, "seed": True}),
+    "outcome_without_final_outcome": (2, without(OUTCOME, "final_outcome")),
+}
+
+
+class TestMalformed:
+    @staticmethod
+    def write(tmp_path, index: int, record) -> tuple:
+        records = [HEADER, STEP, OUTCOME]
+        records[index] = record
+        path = tmp_path / "artifact_c.jsonl"
+        # a blank line first: line numbers count every line of the file
+        path.write_text("\n" + "".join(json.dumps(r) + "\n" for r in records))
+        return path, index + 2
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_load_names_file_and_line(self, tmp_path, case):
+        path, line = self.write(tmp_path, *MALFORMED[case])
+        with pytest.raises(ArtifactError) as info:
+            EpisodeArtifact.load(path)
+        assert str(info.value).startswith(f"{path}:{line}: ")
+        assert str(info.value).count("artifact_c.jsonl") == 1
+
+    def test_mistyped_step_after_a_step_of_its_shape(self, tmp_path):
+        path = tmp_path / "artifact_c.jsonl"
+        records = [HEADER, STEP, {**STEP, "step": 2.0}, OUTCOME]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ArtifactError, match=f"^{re.escape(str(path))}:3: .*'step' must be an integer"):
+            EpisodeArtifact.load(path)
+
+    def test_well_formed_file_loads(self, tmp_path):
+        path, _ = self.write(tmp_path, 1, STEP)
+        artifact = EpisodeArtifact.load(path)
+        assert len(artifact.rows) == 1 and artifact.steps[0].reward_totals == {"a": 1.0}
+
+    @pytest.mark.parametrize("case", ["step_missing_a_key", "record_is_a_list", "header_without_case_id"])
+    def test_metrics_command_reports_artifact_error(self, tmp_path, capsys, case):
+        path, line = self.write(tmp_path, *MALFORMED[case])
+        code = main(["metrics", "--metrics", str(DOCKING / "metrics.yml"), "--out", str(tmp_path)])
+        assert code == 1
+        assert f"error: ArtifactError: {path}:{line}: " in capsys.readouterr().err
+
+
+class NaNReward(Reward):
+    """A broken reward: NaN on every step."""
+
+    def evaluate(self, state, done_results):
+        return math.nan
+
+
+class TestNonFiniteReward:
+    @pytest.fixture()
+    def env_file(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(FUNCTOR_REGISTRY, "NaNReward", NaNReward)
+        tree = docking_tree(horizon=40)
+        tree["agents"][0]["rewards"].append({"functor": "NaNReward", "name": "Broken"})
+        path = tmp_path / "environment.yml"
+        path.write_text(yaml.safe_dump(tree))
+        return path
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_staged_run_matches_pipeline(self, tmp_path, capsys, env_file, workers):
+        cases = tmp_path / "cases.yml"
+        cases.write_text(yaml.safe_dump({"test_cases": [
+            {"name": "near", "parameters": {"deputy.x0": -5.0}},
+            {"name": "far", "parameters": {"deputy.x0": -150.0}},
+        ]}))
+        common = ["--env", str(env_file), "--cases", str(cases), "--workers", workers]
+        staged, piped = tmp_path / "staged", tmp_path / "piped"
+        assert main(["evaluate", *common, "--out", str(staged)]) == 0
+        assert main(["metrics", "--metrics", str(DOCKING / "metrics.yml"), "--out", str(staged)]) == 0
+        assert main(["visualize", "--viz", str(DOCKING / "viz.yml"), "--out", str(staged)]) == 0
+        assert main(["pipeline", *common, "--metrics", str(DOCKING / "metrics.yml"),
+                     "--viz", str(DOCKING / "viz.yml"), "--out", str(piped)]) == 0
+        staged_files = {p.name: p.read_bytes() for p in staged.iterdir()}
+        assert staged_files == {p.name: p.read_bytes() for p in piped.iterdir()}
+
+        lines = (staged / "artifact_near.jsonl").read_text().splitlines()
+        step = json.loads(lines[1])
+        assert math.isnan(step["rewards"]["agent_0"]["Broken"]) and math.isnan(step["reward_totals"]["agent_0"])
+        assert lines[1] == json.dumps(step, sort_keys=True) and '"Broken": NaN' in lines[1]
+        metrics = json.loads((staged / "metrics.json").read_text())
+        assert math.isnan(metrics["total_reward"]["value"]["near"]["agent_0"])
+
+    def test_rows_hold_the_nan(self, env_file):
+        artifact = evaluate(load_env_config(env_file), [TestCase("near", {"deputy.x0": -5.0})], env_file.parent / "o")[0]
+        layout, values = artifact.rows[0]
+        assert any(isinstance(v, float) and math.isnan(v) for v in values)
+        assert artifact.to_lines()[1] == json.dumps(layout.record(values), sort_keys=True)

@@ -415,7 +415,7 @@ class TestEpisodeFailure:
         assert "EpisodeFailed: episode 0 (seed 0): SpaceViolation" in err
         config, _ = validate_environment(tree)
         artifact = rollout(Environment(config), TestCase("c", {}, 0))
-        assert artifact.error.startswith("SpaceViolation") and artifact.steps == []
+        assert artifact.error.startswith("SpaceViolation") and artifact.rows == []
 
 
 class TestActionBoundary:

@@ -21,6 +21,7 @@ from envforge.evaluation import (
     MissingArtifact,
     MetricSpec,
     MetricValue,
+    RecordLayout,
     StepRecord,
     TestCase,
     UnknownCaseParameter,
@@ -73,18 +74,17 @@ def docking_cases():
 def sample_artifact(case_id="c", outcome="WIN", steps=2):
     artifact = EpisodeArtifact(case_id=case_id, seed=0, parameters={"p": {"value": 1.0, "unit": "none"}})
     for k in range(steps):
-        artifact.steps.append(
-            StepRecord(
-                step=k + 1,
-                sim_time=float(k + 1),
-                observations={"a": {"O/x": {"values": [0.5], "unit": "meter"}}},
-                actions={"a": {"G": [0.1]}},
-                rewards={"a": {"r1": 0.75, "r2": 0.25}},
-                reward_totals={"a": 1.0},
-                done_codes={"a": None},
-                platform_states={"p": {"x": 0.0}},
-            )
+        step = StepRecord(
+            step=k + 1,
+            sim_time=float(k + 1),
+            observations={"a": {"O/x": {"values": [0.5], "unit": "meter"}}},
+            actions={"a": {"G": [0.1]}},
+            rewards={"a": {"r1": 0.75, "r2": 0.25}},
+            reward_totals={"a": 1.0},
+            done_codes={"a": None},
+            platform_states={"p": {"x": 0.0}},
         )
+        artifact.rows.append(RecordLayout.of({"record": "step", **vars(step)}))
     artifact.final_outcome = {"a": outcome}
     return artifact
 

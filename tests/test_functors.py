@@ -463,11 +463,11 @@ def count_calls(monkeypatch, fn) -> list:
 class TestSettingsResolvedOnce:
     """Config settings are parsed and converted at build; references per call."""
 
-    # one parse per functor node, scripted policy, simulator and part:
-    # docking's 3 glues, 2 dones, 2 rewards, the horizon, its policy, its
-    # simulator and 3 parts; cartpole's 2 glues, 2 differences, 2 bounds,
-    # 1 reward, the horizon, its simulator and 2 parts
-    PARSED = {"docking": 13, "cartpole": 11}
+    # one parse per functor node, policy, simulator and part: docking's 3
+    # glues, 2 dones, 2 rewards, the horizon, its policy, its simulator and
+    # 3 parts; cartpole's 2 glues, 2 differences, 2 bounds, 1 reward, the
+    # horizon, its policy, its simulator and 2 parts
+    PARSED = {"docking": 13, "cartpole": 12}
 
     @pytest.mark.parametrize("task", ["docking", "cartpole"])
     def test_episodes_convert_each_value_once(self, task, monkeypatch):

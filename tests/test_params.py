@@ -539,7 +539,7 @@ class TestReferencedValues:
         assert message.startswith(f"DockingSuccess (DockingSuccess): references/{param}: ")
         assert f"'{key}'" in message and "must be >= 0, got -0.1" in message
         artifact = run_episode(env, seed=7)
-        assert artifact.steps == [] and artifact.error.startswith("FunctorError: DockingSuccess")
+        assert artifact.rows == [] and artifact.error.startswith("FunctorError: DockingSuccess")
 
     def test_sample_is_converted_before_it_is_checked(self):
         # -10 cm is out of range in metres as well; 10 cm binds as 0.1 m
