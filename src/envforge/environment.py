@@ -17,9 +17,9 @@ from .epp import EppError, EpisodeParameterProvider
 from .functors.base import DoneResult, DoneStatusCode, EpisodeState
 from .functors.graph import build_graph
 from .params import BuildErrors, ParamError, join_path
-from .parts import GLOBAL_REGISTRY, Box
+from .parts import GLOBAL_REGISTRY, Box, all_finite
 from .simulators import SIMULATORS, PlatformSetup, init_key
-from .units import Quantity
+from .units import Quantity, as_vector
 
 
 class EnvironmentError_(Exception):
@@ -59,6 +59,19 @@ class NonFiniteAction(EnvironmentError_):
         self.agent = agent
         self.glue = glue
         super().__init__(f"agent '{agent}', glue '{glue}': action fragment is not finite")
+
+
+class ActionShapeMismatch(EnvironmentError_):
+    """An action fragment whose shape is not its action box's (a bare number is one element)."""
+
+    def __init__(self, agent: str, glue: str, got: tuple[int, ...], expected: tuple[int, ...]):
+        self.agent = agent
+        self.glue = glue
+        self.got = got
+        self.expected = expected
+        super().__init__(
+            f"agent '{agent}', glue '{glue}': action fragment has shape {got}, expected {expected}"
+        )
 
 
 @dataclass
@@ -140,13 +153,35 @@ class Environment:
         if conflicts:
             errors.add(EppError.listing("episode parameters", conflicts))
         errors.check()
-        # every glue node, each graph's in topological order: the observe phase
-        self._glue_nodes = [
-            node
+        # The step plan: every call a step makes, bound here once.  Per agent:
+        # (name, agent, [(action glue, its box's shape, apply_action)],
+        # [(done name, evaluate)], [(reward name, evaluate)], platform names,
+        # [(observation name, glue node, key, unit)]).
+        self._plan = [
+            (
+                name,
+                agent,
+                [
+                    (glue, (node.action_space.shape,), node.functor.apply_action)
+                    for glue, node in agent.action_glues.items()
+                ],
+                [(node.name, node.functor.evaluate) for node in agent.graph.dones],
+                [(node.name, node.functor.evaluate) for node in agent.graph.rewards],
+                agent.platform_names,
+                [(obs_name, node, key, box.unit) for obs_name, node, key, box in agent.observation_layout],
+            )
+            for name, agent in self.agents.items()
+        ]
+        # every glue node with its get_observation, each graph's in
+        # topological order: the observe phase
+        self._observe = [
+            (node, node.functor.get_observation)
             for graph in [*(a.graph for a in self.agents.values()), self.shared_graph]
             for node in map(graph.nodes.__getitem__, graph.topo_order)
             if node.kind == "glue"
         ]
+        self._shared_dones = [(node.name, node.functor.evaluate) for node in self.shared_graph.shared_dones]
+        self._any_agent_done = config.episode_end_mode is EpisodeEndMode.ANY_AGENT_DONE
 
         self.spot_checks_attempted = 0
         self.spot_checks_run = 0
@@ -167,7 +202,7 @@ class Environment:
         policy and the spot checks."""
         sampled = self.epp.sample_episode(seed, overrides)
         self.simulator.reset(sampled)
-        for agent in self.agents.values():
+        for _, agent, _, _, _, _, _ in self._plan:
             agent.graph.reset(sampled)
             agent.policy.reseed(seed)
         self.shared_graph.reset(sampled)
@@ -182,7 +217,7 @@ class Environment:
 
         self._evaluate_glues()
         self._space_check()
-        return self._collect_observations(self.agents.items())
+        return self._collect_observations(self._plan)
 
     def step(self, actions: dict[str, dict[str, np.ndarray]]) -> StepResult:
         if self.state is None or self._env_done:
@@ -190,8 +225,8 @@ class Environment:
         state = self.state
         outcome = self._outcome
         agents = self.agents
-        # (name, agent) of each agent without an outcome as the step starts
-        active = [(name, agents[name]) for name, result in outcome.items() if result is None]
+        # the plan of each agent without an outcome as the step starts
+        active = [entry for entry in self._plan if outcome[entry[0]] is None]
 
         # (1) glues push actions to controllers, once every fragment has passed
         # its checks; a missing fragment leaves that controller's zero command
@@ -203,18 +238,20 @@ class Environment:
                 unknown = next(k for k in fragments if k not in agent.action_glues)
                 raise UnknownActionKey(name, unknown)
         commands = []
-        for name, agent in active:
+        for name, _, action_glues, _, _, _, _ in active:
             fragments = actions.get(name)
             if not fragments:
                 continue
-            for glue, node in agent.action_glues.items():
+            for glue, shape, apply_action in action_glues:
                 if glue in fragments:
-                    values = np.atleast_1d(np.asarray(fragments[glue], dtype=float))
-                    if not np.isfinite(values).all():
+                    values = as_vector(fragments[glue])
+                    if values.shape != shape:
+                        raise ActionShapeMismatch(name, glue, values.shape, shape)
+                    if not all_finite(values):
                         raise NonFiniteAction(name, glue)
-                    commands.append((node, values))
-        for node, values in commands:
-            node.functor.apply_action(values, state)
+                    commands.append((apply_action, values))
+        for apply_action, values in commands:
+            apply_action(values, state)
         self.trace.append((state.step_count + 1, "apply_action"))
 
         # (2) simulator advances one frame
@@ -231,28 +268,28 @@ class Environment:
         # fired done, else PlatformDestroyed, else the first shared done
         platforms = self.simulator.platforms
         fired: dict[str, dict[str, DoneResult]] = {}
-        for name, agent in active:
+        for name, _, _, done_calls, _, platform_names, _ in active:
             fired[name] = agent_fired = {}
             first = None
-            for node in agent.graph.dones:
-                result = node.functor.evaluate(state)
+            for done, evaluate in done_calls:
+                result = evaluate(state)
                 if result is not None:
-                    agent_fired[node.name] = result
+                    agent_fired[done] = result
                     if first is None:
                         first = result
             if first is None:
                 # destruction of an owning platform ends the agent with LOSS
-                for pname in agent.platform_names:
+                for pname in platform_names:
                     if pname not in platforms:
                         first = agent_fired["PlatformDestroyed"] = DoneResult(DoneStatusCode.LOSS)
                         break
             outcome[name] = first
         shared_fired: dict[str, DoneResult] = {}
         shared_first: DoneResult | None = None
-        for node in self.shared_graph.shared_dones:
-            result = node.functor.evaluate(state)
+        for done, evaluate in self._shared_dones:
+            result = evaluate(state)
             if result is not None:
-                shared_fired[node.name] = result
+                shared_fired[done] = result
                 if shared_first is None:
                     shared_first = result
         self.trace.append((state.step_count, "dones"))
@@ -261,12 +298,12 @@ class Environment:
         # reward is the sum of its components, in order
         components: dict[str, dict[str, float]] = {}
         rewards: dict[str, float] = {}
-        for name, agent in active:
+        for name, _, _, _, reward_calls, _, _ in active:
             agent_dones = {**fired[name], **shared_fired} if shared_fired else fired[name]
             components[name] = agent_components = {}
             total = 0  # an int, as sum() starts: no components is a reward of 0
-            for node in agent.graph.rewards:
-                agent_components[node.name] = value = float(node.functor.evaluate(state, agent_dones))
+            for reward, evaluate in reward_calls:
+                agent_components[reward] = value = float(evaluate(state, agent_dones))
                 total += value
             rewards[name] = total
         self.trace.append((state.step_count, "rewards"))
@@ -276,7 +313,8 @@ class Environment:
         dones: dict[str, bool] = {}
         done_codes: dict[str, DoneStatusCode | None] = {}
         ended = len(outcome) - len(active)
-        for name, _ in active:
+        for entry in active:
+            name = entry[0]
             result = outcome[name]
             if result is None:
                 result = outcome[name] = shared_first
@@ -291,7 +329,7 @@ class Environment:
         if shared_first is not None:
             self._env_done = True
             truncated = truncated or shared_first.truncation
-        elif self.config.episode_end_mode is EpisodeEndMode.ANY_AGENT_DONE:
+        elif self._any_agent_done:
             self._env_done = ended > 0
         else:
             self._env_done = ended == len(outcome)
@@ -310,7 +348,7 @@ class Environment:
             info={
                 "reward_components": components,
                 "done_results": {
-                    name: {k: r.code.value for k, r in fired[name].items()} for name, _ in active
+                    name: {k: r.code.value for k, r in agent_fired.items()} for name, agent_fired in fired.items()
                 },
                 "shared_done_results": {k: r.code.value for k, r in shared_fired.items()},
             },
@@ -339,19 +377,16 @@ class Environment:
 
     def _evaluate_glues(self) -> None:
         state = self.state
-        for node in self._glue_nodes:
-            node.observation = node.functor.get_observation(state)
+        for node, get_observation in self._observe:
+            node.observation = get_observation(state)
 
     @staticmethod
-    def _collect_observations(agents) -> dict[str, dict[str, Quantity]]:
-        """Each of ``agents``' ((name, agent) pairs) observations, keyed
-        '<glue name>/<key>', as a ``Quantity`` in its box's unit."""
+    def _collect_observations(plan) -> dict[str, dict[str, Quantity]]:
+        """The observations of each agent in ``plan`` (entries of the step
+        plan), keyed '<glue name>/<key>', as a ``Quantity`` in its box's unit."""
         return {
-            name: {
-                obs_name: Quantity(node.observation[key], box.unit)
-                for obs_name, node, key, box in agent.observation_layout
-            }
-            for name, agent in agents
+            entry[0]: {obs_name: Quantity(node.observation[key], unit) for obs_name, node, key, unit in entry[6]}
+            for entry in plan
         }
 
     def _space_check(self) -> None:

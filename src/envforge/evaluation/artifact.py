@@ -384,32 +384,64 @@ class EpisodeArtifact:
 
     def write_csv(self, path: str | Path) -> Path:
         """The per-episode log: one row per step with reward components and
-        totals, done codes ("" while running) and the sampled parameters."""
+        totals, done codes ("" while running) and the sampled parameters.
+
+        The columns are "step", then each layout's columns followed by the
+        parameters, in order of first use; a cell a step's layout lacks is
+        "" and a parameter's value is the same on every row.
+        """
         params = {f"param.{key}": p["value"] for key, p in self.parameters.items()}
-        # layout -> (column, slot, is a done code) of each of its step's columns
-        plans: dict[int, list[tuple[str, int, bool]]] = {}
-        rows = []
-        for layout, values in self.rows:
-            plan = plans.get(id(layout))
-            if plan is None:
-                plan = plans[id(layout)] = _csv_columns(layout)
-            row = {column: (_text_value(values[i]) or "") if code else values[i] for column, i, code in plan}
-            rows.append({**row, **params})
-        columns = list(dict.fromkeys(["step", *(key for row in rows for key in row)]))
+        step_columns: dict[int, list[tuple[str, int, bool]]] = {}  # by id() of the layout
+        for layout, _ in self.rows:
+            if id(layout) not in step_columns:
+                step_columns[id(layout)] = _csv_columns(layout)
+        columns = list(dict.fromkeys([
+            "step", *(name for plan in step_columns.values() for name in [*(c for c, _, _ in plan), *params])
+        ]))
+        plans = {key: _csv_plan(plan, columns, params) for key, plan in step_columns.items()}
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns)
-            writer.writeheader()
-            writer.writerows(rows)
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(_csv_rows(self.rows, plans))
         return Path(path)
 
 
 def _csv_columns(layout: RecordLayout) -> list[tuple[str, int, bool]]:
+    """(column, slot, is a done code) of each of the layout's step columns."""
     columns = [("step", layout.step, False)]
     for agent, total, components in layout.rewards:
         columns += [(f"{agent}.reward.{component}", slot, False) for component, slot in components]
         columns.append((f"{agent}.reward_total", total, False))
     columns += [(f"{agent}.done_code", slot, True) for agent, slot in layout.done_codes]
     return columns
+
+
+def _csv_rows(rows: list[Row], plans: dict):
+    """Each row's cells, filled by its layout's plan from ``_csv_plan``."""
+    for layout, values in rows:
+        slots, codes, constants = plans[id(layout)]
+        values += constants
+        cells = [values[i] for i in slots]
+        for j, i in codes:
+            cells[j] = _text_value(values[i]) or ""
+        yield cells
+
+
+def _csv_plan(
+    plan: list[tuple[str, int, bool]], columns: list[str], params: dict
+) -> tuple[list[int], list[tuple[int, int]], tuple]:
+    """How a row of the layout whose step columns are ``plan`` fills
+    ``columns``: the index of each cell in the row's values followed by
+    ``constants`` (the parameter values, then ""), a constant's counted from
+    the end; and (column index, slot) of each done code.  A parameter wins
+    over a step column of the same name, as the later key of a merged
+    mapping does.  A float parameter is formatted once, as the csv writer
+    formats a float: by its repr."""
+    constants = (*(repr(v) if type(v) is float else v for v in params.values()), "")
+    source = {column: (slot, code) for column, slot, code in plan}
+    source.update((column, (k - len(constants), False)) for k, column in enumerate(params))
+    cells = [source.get(column, (-1, False)) for column in columns]
+    return [i for i, _ in cells], [(j, i) for j, (i, code) in enumerate(cells) if code], constants
 
 
 def write_manifest(directory: str | Path, case_ids: list[str]) -> Path:

@@ -18,15 +18,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from weakref import WeakKeyDictionary
 
-import numpy as np
-
 from ..config.schema import EnvironmentConfig
 from ..config.validate import reference_range_error, referencing_params
 from ..environment import Environment, StepResult, episode_parameters
 from ..epp import ParameterSpec
 from ..functors.base import DoneStatusCode
 from ..policies import POLICY_REGISTRY
-from ..units import Quantity, UnitError, value_in
+from ..units import Quantity, UnitError, as_vector, value_in
 from .artifact import EpisodeArtifact, RecordLayout, Row, artifact_file, write_manifest
 
 log = logging.getLogger(__name__)
@@ -132,7 +130,7 @@ _CODE_TEXT = {None: "null", **{code: json.dumps(code.value) for code in DoneStat
 
 def _fragment(fragment) -> list[float]:
     """An action fragment as step() reads it: a bare number is one element."""
-    return np.atleast_1d(np.asarray(fragment, dtype=float)).tolist()
+    return as_vector(fragment).tolist()
 
 
 def _step_record(env: Environment, actions: dict, result: StepResult) -> dict:
@@ -233,8 +231,10 @@ def run_episode(
 ) -> EpisodeArtifact:
     """Run one seeded episode on env and record every step as a row.
 
-    A failure inside the episode is recorded in the artifact's ``error``,
-    after the steps that completed; the caller decides whether it is fatal.
+    Each step asks the policy of every agent that has not ended for its
+    action; an agent that has ended records no action.  A failure inside the
+    episode is recorded in the artifact's ``error``, after the steps that
+    completed; the caller decides whether it is fatal.
     """
     artifact = EpisodeArtifact(case_id="", seed=seed, parameters={})
     plans = _row_plans.setdefault(env, {})
@@ -245,14 +245,15 @@ def run_episode(
             for k, q in env.epp.current_sample.values.items()
         }
         rows = artifact.rows
+        agents = env.agents
+        active = list(agents)  # the agents that have not ended: only they act
         while not env.episode_done:
             actions = {
-                name: agent.policy.compute_action(
-                    observations.get(name, {}), agent.action_space()
-                )
-                for name, agent in env.agents.items()
+                name: agents[name].policy.compute_action(observations[name], agents[name].action_space())
+                for name in active
             }
             result = env.step(actions)
+            active = [name for name, code in result.done_codes.items() if code is None]
             key = (tuple(result.done_codes), tuple(env.simulator.platforms), tuple(map(tuple, actions.values())))
             plan = plans.get(key)
             if plan is None:

@@ -9,6 +9,7 @@ simulators never requires editing agent configs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -90,6 +91,20 @@ class Box:
         )
 
 
+def all_finite(values: np.ndarray) -> bool:
+    """``bool(np.isfinite(values).all())`` for a one-dimensional array, by
+    an exact test in Python that costs less than numpy's on a few elements.
+
+    A NaN or an infinite element makes the sum of the elements non-finite,
+    so a finite sum proves every element finite.  A non-finite sum comes
+    from such an element or from finite elements whose sum overflows, and
+    numpy tells the two apart.
+    """
+    if math.isfinite(sum(values.tolist())):
+        return True
+    return bool(np.isfinite(values).all())
+
+
 class Part:
     def __init__(self, name: str, prop: Box):
         self.name = name
@@ -113,7 +128,7 @@ class Sensor(Part):
 
     def measure(self, platform_state: Any) -> np.ndarray:
         reading = self._read(platform_state)
-        if reading.shape == (self.property.shape,) and np.isfinite(reading).all():
+        if reading.shape == (self.property.shape,) and all_finite(reading):
             self.last_valid = reading
             return reading
         if self.last_valid is None:
@@ -135,7 +150,9 @@ class Controller(Part):
 
     def apply(self, command: np.ndarray) -> None:
         clamped = self.property.clip(command)
-        if (clamped != command).any():
+        # as (clamped != command).any() for a command of the property's
+        # shape, NaN and signed zeros included, without numpy's dispatch
+        if clamped.tolist() != command.tolist():
             self.clamp_count += 1
         self.pending = clamped
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .params import ConfigError, Param, parse_params, string
 from .parts import Box
-from .units import Quantity
+from .units import Quantity, as_vector
 
 ActionDict = dict[str, np.ndarray]
 ObservationDict = dict[str, Quantity]
@@ -137,15 +137,14 @@ class ScriptedPolicy(Policy):
     def _compute(self, observation, action_space):
         action = self._rule(observation, action_space)
         return {
-            name: action_space[name].clip(np.atleast_1d(np.asarray(values, dtype=float)))
-            for name, values in action.items()
+            name: action_space[name].clip(as_vector(values)) for name, values in action.items()
         }
 
 
 def _action_sequence(raw) -> list[ActionDict]:
     if not isinstance(raw, list) or not all(isinstance(step, dict) for step in raw):
         raise TypeError("expected a list of mappings of action name to values")
-    return [{name: np.atleast_1d(np.asarray(v, dtype=float)) for name, v in step.items()} for step in raw]
+    return [{name: as_vector(v) for name, v in step.items()} for step in raw]
 
 
 class ReplayPolicy(Policy):

@@ -127,6 +127,15 @@ def check_compatibility(a: Unit, b: Unit) -> bool:
 _FLOAT64 = np.dtype(float)
 
 
+def as_vector(value) -> np.ndarray:
+    """``np.atleast_1d(np.asarray(value, dtype=float))``: ``value`` itself
+    when it already is a one-dimensional float64 array, which the
+    conversion would return unchanged, without numpy's dispatch."""
+    if type(value) is np.ndarray and value.dtype is _FLOAT64 and value.ndim == 1:
+        return value
+    return np.atleast_1d(np.asarray(value, dtype=float))
+
+
 @dataclass(frozen=True)
 class Quantity:
     """A non-empty vector of reals tagged with a unit."""
@@ -135,13 +144,11 @@ class Quantity:
     unit: Unit = NONE
 
     def __post_init__(self):
-        v = self.values
-        if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.ndim == 1 and v.size:
-            return  # already in stored form: the conversion below would return v itself
-        arr = np.atleast_1d(np.asarray(v, dtype=float))
-        if arr.size == 0:
+        values = as_vector(self.values)
+        if not values.size:
             raise ValueError("Quantity values must be non-empty")
-        object.__setattr__(self, "values", arr)
+        if values is not self.values:
+            object.__setattr__(self, "values", values)
 
     @classmethod
     def scalar(cls, value: float, unit: Unit = NONE) -> "Quantity":

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from envforge import cli
 from envforge.config.validate import validate_environment, validate_environment_file
 from envforge.environment import (
+    ActionShapeMismatch,
     Environment,
     EpisodeAlreadyDone,
     NonFiniteAction,
@@ -468,14 +469,17 @@ class TestActionBoundary:
         return cls._env
 
     @settings(max_examples=75, deadline=None)
-    @given(value=st.floats(allow_nan=True, allow_infinity=True), form=st.sampled_from(["array", "list", "float"]))
+    @given(
+        value=st.floats(allow_nan=True, allow_infinity=True),
+        form=st.sampled_from(["array", "list", "float", "zero_d"]),
+    )
     def test_fragment_applied_clamped_or_rejected(self, value, form):
         # A finite fragment reaches the controller clamped into [-1, 1] N; a
         # NaN or infinite one raises before the controller sees it.
         env = self.shared_env()
         env.reset(seed=0)
         controller = env.simulator.platforms["deputy"].parts["Controller_Thrust"]
-        fragment = {"array": np.array([value]), "list": [value], "float": value}[form]
+        fragment = {"array": np.array([value]), "list": [value], "float": value, "zero_d": np.array(value)}[form]
         actions = {"agent_0": {"ThrustControl": fragment}}
         if np.isfinite(value):
             env.step(actions)
@@ -499,6 +503,81 @@ class TestActionBoundary:
         assert artifact.error.startswith("NonFiniteAction")
         assert "agent_0" in artifact.error and "ThrustControl" in artifact.error
         assert len(artifact.steps) == 1
+
+
+class TestActionShape:
+    """A fragment must have its action box's shape; a bare number is one element."""
+
+    ZERO = TestActionBoundary.ZERO
+
+    @pytest.mark.parametrize(
+        "fragment",
+        [np.array([0.5, 0.9, -1.0]), np.array([[0.2]]), [0.5, 0.9], np.array([])],
+        ids=["longer", "two_dimensional", "list", "empty"],
+    )
+    def test_other_shape_raises_before_any_action_applies(self, fragment):
+        env = make_env(policy=self.ZERO)
+        env.reset(seed=0)
+        controller = env.simulator.platforms["deputy"].parts["Controller_Thrust"]
+        with pytest.raises(ActionShapeMismatch) as excinfo:
+            env.step({"agent_0": {"ThrustControl": fragment}})
+        error = excinfo.value
+        assert (error.agent, error.glue, error.expected) == ("agent_0", "ThrustControl", (1,))
+        assert error.got == np.atleast_1d(np.asarray(fragment, dtype=float)).shape
+        assert "agent_0" in str(error) and "ThrustControl" in str(error)
+        assert controller.pending is None and controller.clamp_count == 0
+        assert env.state.step_count == 0
+
+    def test_shape_is_checked_before_finiteness(self):
+        env = make_env(policy=self.ZERO)
+        env.reset(seed=0)
+        with pytest.raises(ActionShapeMismatch):
+            env.step({"agent_0": {"ThrustControl": np.array([np.nan, 0.5])}})
+
+    def test_rollout_records_shape_mismatch(self):
+        config, report = validate_environment(docking_tree(horizon=20))
+        assert config is not None, str(report)
+        replay = ("replay", {"actions": [{"ThrustControl": [0.5]}, {"ThrustControl": [0.5, 0.9, -1.0]}]})
+        env = Environment(config)
+        override_policies(env, replay)
+        artifact = record_episode(env, seed=0)
+        assert artifact.error.startswith("ActionShapeMismatch")
+        assert "agent_0" in artifact.error and "ThrustControl" in artifact.error
+        assert len(artifact.steps) == 1
+
+
+class TestEndedAgentsDoNotAct:
+    @staticmethod
+    def leashed_config():
+        """Two bang-bang agents on one craft, all_agents_done: agent_1 also
+        ends with LOSS when the craft passes x = -9, long before docking."""
+        tree = docking_tree(agents=2, end_mode="all_agents_done", horizon=300)
+        tree["agents"][1]["dones"].append(
+            {"functor": "StateBounds", "name": "Leash", "config": {"min": -20.0, "max": -9.0},
+             "extractor": {"glue": "ObservePosition", "key": "direct_observation"}}
+        )
+        config, report = validate_environment(tree)
+        assert config is not None, str(report)
+        return config
+
+    def test_episode_runs_on_after_one_agent_ends(self):
+        env = Environment(self.leashed_config())
+        artifact = record_episode(env, seed=0)
+        assert artifact.error is None
+        assert artifact.final_outcome == {"agent_0": "WIN", "agent_1": "LOSS"}
+        ended = next(i for i, step in enumerate(artifact.steps) if step.done_codes.get("agent_1"))
+        assert 0 < ended < len(artifact.steps) - 1
+        for step in artifact.steps[: ended + 1]:
+            assert set(step.actions) == {"agent_0", "agent_1"}
+        for step in artifact.steps[ended + 1:]:
+            assert set(step.actions) == {"agent_0"}
+
+    def test_ended_agent_policy_is_not_called(self):
+        env = Environment(self.leashed_config())
+        artifact = record_episode(env, seed=0)
+        policy = env.agents["agent_0"].policy
+        assert policy is env.agents["agent_1"].policy  # one shared declaration
+        assert policy.calls == sum(len(step.actions) for step in artifact.steps)
 
 
 class TestConfigFiles:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from envforge.parts import (
@@ -13,6 +13,7 @@ from envforge.parts import (
     RegistryFrozen,
     Sensor,
     UnknownGroup,
+    all_finite,
 )
 from envforge.units import METER, NONE
 
@@ -142,6 +143,49 @@ class TestController:
         expected = np.clip(values, box.low, box.high)
         assert ctrl.pending.tobytes() == expected.tobytes()
         assert ctrl.clamp_count == int(not np.array_equal(expected, values))
+
+
+#: values at the edges of the finiteness and clamp checks
+SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]
+any_float = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestExactChecks:
+    """The step's checks on small arrays give numpy's verdict exactly."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(any_float, max_size=64))
+    @example(values=[1.7e308, 1.7e308])  # finite elements whose sum overflows
+    @example(values=[np.inf, -np.inf])  # a sum of NaN from infinite elements
+    @example(values=[-1.7e308, -1.7e308, np.nan])
+    @example(values=[])
+    def test_all_finite_is_numpys(self, values):
+        array = np.array(values, dtype=float)
+        assert all_finite(array) is bool(np.isfinite(array).all())
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_clamp_count_is_numpys(self, data):
+        shape = data.draw(st.integers(1, 4))
+        edge = st.sampled_from([0.0, -0.0, 1.0, -1.0])
+        bound = st.one_of(edge, st.floats(allow_nan=False, allow_infinity=False))
+        ends = data.draw(st.lists(st.tuples(bound, bound), min_size=shape, max_size=shape))
+        low, high = (np.array(end) for end in zip(*(sorted(pair) for pair in ends)))
+        values = np.array(data.draw(st.lists(st.one_of(edge, any_float), min_size=shape, max_size=shape)))
+        ctrl = Controller("c", Box(shape, low, high, NONE, name="p"))
+        ctrl.apply(values)
+        assert ctrl.clamp_count == int((np.clip(values, low, high) != values).any())
+
+    @pytest.mark.parametrize(
+        "value, clamps",
+        [(0.0, False), (-0.0, False), (np.nan, True), (2.0, True), (-np.inf, True)],
+    )
+    def test_signed_zero_on_a_bound_and_nan(self, value, clamps):
+        # [-0.0, 0.0] holds both zeros; NaN compares unequal to itself, so
+        # numpy counts it as clamped and so does the list comparison.
+        ctrl = Controller("c", Box(1, -0.0, 0.0, NONE, name="p"))
+        ctrl.apply(np.array([value]))
+        assert ctrl.clamp_count == int(clamps)
 
 
 class TestPlatform:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from envforge.units import (
     NONE,
@@ -11,6 +12,7 @@ from envforge.units import (
     DimensionMismatch,
     Quantity,
     UnknownUnit,
+    as_vector,
     check_compatibility,
     convert,
     get_unit,
@@ -129,3 +131,28 @@ class TestQuantity:
         assert Quantity.scalar(1.0).is_finite()
         assert not Quantity(np.array([1.0, np.nan]), NONE).is_finite()
         assert not Quantity(np.array([np.inf]), NONE).is_finite()
+
+
+class TestAsVector:
+    """``as_vector`` is ``np.atleast_1d(np.asarray(v, dtype=float))``, bit for bit."""
+
+    arrays = hnp.arrays(
+        dtype=st.sampled_from([np.float64, np.float32, np.int64, np.bool_, np.dtype(">f8")]),
+        shape=hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+    )
+    plain = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(-(2**53), 2**53),
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=4),
+    )
+
+    @given(value=st.one_of(arrays, plain))
+    def test_matches_numpy(self, value):
+        expected = np.atleast_1d(np.asarray(value, dtype=float))
+        got = as_vector(value)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @given(value=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=1, min_side=0)))
+    def test_one_dimensional_float64_is_returned_itself(self, value):
+        assert as_vector(value) is value
