@@ -99,7 +99,7 @@ def _attach_part(part: PartConfig, target, platforms, simulator_type: str, regis
     if part.group in platform.parts:
         return
     entry = registry.match(part.group, simulator_type, platform.platform_type)
-    settings, errors = parse_params(entry.params, part.config, {})
+    settings, errors = parse_params(entry.params, part.config, "config")
     if errors:
         raise PartError.listing(f"part '{part.group}'", errors)
     platform.add_part(entry.factory(part.group, settings))

@@ -1,17 +1,22 @@
 """Config tree validation with path-addressed error reporting.
 
 Validation is construction.  ``validate_environment`` itself parses only the
-structure: section keys and types, file loading, the registry lookups that
-choose which class to build, and the reference stores.  Then it builds the
+structure: each structural section is a ``Param`` table that
+``params.parse_params`` reads, as a constructor reads its config (the
+registry lookups that choose which class to build are converters of those
+tables), plus file loading and the reference stores.  Then it builds the
 environment from what parsed, through the same constructors ``run`` uses,
 and reports what they reject: a parameter table, a functor's inputs and
 references, a part or platform a functor names, a scripted rule's config, a
-simulator's config.  So a config that validates also builds.
+simulator's config, two platforms or agents of one name.  So a config that
+validates also builds.
 
 Validation is total: any loaded tree yields either a typed config or a
 ValidationReport whose errors carry the slash-separated path of the offending
-node: the structural errors, then the build's, each in document order.
-Nothing here raises for bad user input.
+node.  The structural errors come first: each section's own errors, in
+``parse_params`` order (its keys in document order, then the required keys
+it lacks), before the errors inside it.  Then come the build's, in document
+order.  Nothing here raises for bad user input.
 """
 
 from __future__ import annotations
@@ -20,20 +25,32 @@ import enum
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
 
 from .. import epp as epp_mod
-from ..epp import DISTRIBUTION_KINDS, Increment, ParameterSpec, finite_real
+from ..epp import DISTRIBUTION_KINDS, Distribution, Increment, ParameterSpec
 from ..functors.base import ExtractorSpec, FunctorSpec
 from ..functors.graph import FUNCTOR_REGISTRY
-from ..params import PARSE_ERRORS, ConfigError, Param, parse_reference
+from ..params import (
+    PARSE_ERRORS,
+    ConfigError,
+    Param,
+    finite,
+    finite_real,
+    mapping,
+    nonempty,
+    one_of,
+    parse_params,
+    parse_reference,
+    positive_int,
+    probability,
+    sequence,
+    string,
+)
 from ..params import join_path as _join
 from ..parts import GLOBAL_REGISTRY, PluginRegistry
 from ..policies import POLICY_REGISTRY
 from ..simulators import SIMULATORS
-from ..units import Quantity, UnitError
-from ..units import UnknownUnit as UnknownUnitError
-from ..units import get_unit
+from ..units import NONE, Quantity, UnitError, get_unit
 from . import loader
 from .schema import (
     HORIZON_DONE,
@@ -107,85 +124,123 @@ def _load(path: Path, report_path: str, report: ValidationReport):
         return None
 
 
+def _raw(raw):
+    """A value that the section holding it parses further."""
+    return raw
+
+
+#: the one declared key of a distribution; the others are its kind's hyperparameters
+_KIND = (Param("kind", one_of(DISTRIBUTION_KINDS)),)
+
+
+def _distribution(raw) -> Distribution:
+    """The distribution of a ``{kind, <hyperparameter>: value, ...}`` mapping."""
+    hyperparameters = dict(mapping(raw))
+    given = {"kind": hyperparameters.pop("kind")} if "kind" in hyperparameters else {}
+    settings, errors = parse_params(_KIND, given, "")
+    if errors:
+        raise ConfigError(errors[0][2], errors)
+    distribution = DISTRIBUTION_KINDS[settings["kind"]](**hyperparameters)
+    distribution.validate()
+    return distribution
+
+
+_SPACE_CHECK_MODES = {
+    "every_step": SpaceCheckMode.every_step(),
+    "off": SpaceCheckMode.off(),
+    "spot_check": SpaceCheckMode.spot_check(),
+}
+
+
+def _space_check_mode(raw):
+    """A mode's name, or a ``{spot_check: p}`` mapping, which is parsed as
+    its own section (``SPOT_CHECK``)."""
+    return raw if isinstance(raw, dict) else _SPACE_CHECK_MODES[one_of(_SPACE_CHECK_MODES)(raw)]
+
+
+def _names(raw) -> list[str]:
+    """One or more names."""
+    return [string(name) for name in nonempty(raw)]
+
+
+def _references(raw) -> dict[str, str]:
+    """A functor's ``references``: the reference-store key of each param."""
+    references = mapping(raw)
+    message = "reference key must be a string"
+    errors = [(str(param), "TypeMismatch", message) for param, key in references.items() if not isinstance(key, str)]
+    if errors:
+        raise ConfigError(errors[0][2], errors)
+    return {str(param): key for param, key in references.items()}
+
+
 #: the keys each structural section declares; any other key is UnknownField.
-#: A simulator's, a part's, a functor's and a scripted rule's ``config`` is
-#: checked by its constructor, against its declared ``params``.
-ENVIRONMENT_KEYS = (
-    "simulator", "platforms", "agents", "horizon", "episode_end_mode",
-    "space_check_mode", "reference_store", "shared_dones",
+#: A simulator's, a part's, a functor's and a policy's ``config`` is checked
+#: by its constructor, against its own table.
+ENVIRONMENT = (
+    Param("simulator", mapping),
+    Param("platforms", sequence),
+    Param("agents", sequence),
+    Param("horizon", positive_int, 1000),
+    Param("episode_end_mode", EpisodeEndMode, EpisodeEndMode.ALL_AGENTS_DONE),
+    Param("space_check_mode", _space_check_mode, SpaceCheckMode.every_step()),
+    Param("reference_store", mapping, {}),
+    Param("shared_dones", sequence, []),
 )
-SIMULATOR_KEYS = ("name", "config")
-PLATFORM_KEYS = ("name", "platform_type", "initialization")
-PARAMETER_KEYS = ("distribution", "unit", "updaters")
-UPDATER_KEYS = ("kind", "target", "step", "limit")
-AGENT_KEYS = (
-    "agent", "platforms", "parts", "reference_store", "episode_parameter_provider",
-    "glues", "dones", "rewards", "policy",
+SIMULATOR = (Param("name", one_of(SIMULATORS, "UnknownFunctor")), Param("config", mapping, {}))
+SPOT_CHECK = (Param("spot_check", probability),)
+PLATFORM = (Param("name", string), Param("platform_type", string), Param("initialization", mapping, {}))
+PARAMETER = (Param("distribution", _distribution), Param("unit", get_unit, NONE), Param("updaters", sequence, []))
+AGENT = (
+    Param("agent", string),
+    Param("platforms", _names),
+    Param("parts", sequence, []),
+    Param("reference_store", mapping, {}),
+    Param("episode_parameter_provider", mapping, {}),
+    Param("glues", nonempty),
+    Param("dones", sequence, []),
+    Param("rewards", sequence, []),
+    Param("policy", mapping, None),
 )
-EPP_KEYS = ("parameters",)
-PART_KEYS = ("part", "config")
-POLICY_KEYS = ("name", "config")
-FUNCTOR_KEYS = ("functor", "name", "config", "references", "wrapped", "extractor")
-EXTRACTOR_KEYS = ("glue", "key")
+EPISODE_PARAMETER_PROVIDER = (Param("parameters", mapping, {}),)
+POLICY = (Param("name", one_of(POLICY_REGISTRY)), Param("config", mapping, {}))
+FUNCTOR = (
+    Param("functor", one_of(FUNCTOR_REGISTRY, "UnknownFunctor")),
+    Param("name", string, None),
+    Param("config", mapping, {}),
+    Param("references", _references, {}),
+    Param("wrapped", _raw, None),
+    Param("extractor", mapping, None),
+)
+EXTRACTOR = (Param("glue", string), Param("key", string, None))
 
 
-class _Validator:
-    def __init__(self, report: ValidationReport):
-        self.report = report
-
-    def declared(self, tree: dict, keys: tuple[str, ...], path: str) -> None:
-        """Report each key of tree that keys does not declare."""
-        for key in tree:
-            if key not in keys:
-                self.report.add(
-                    _join(path, key),
-                    ErrorCode.UNKNOWN_FIELD,
-                    f"undeclared key '{key}' (expected one of {sorted(keys)})",
-                )
-
-    def require(self, tree: dict, key: str, path: str, types=None):
-        if key not in tree:
-            self.report.add(_join(path, key), ErrorCode.MISSING_FIELD, f"missing required key '{key}'")
-            return None
-        value = tree[key]
-        if types is not None and not isinstance(value, types):
-            self.report.add(
-                _join(path, key),
-                ErrorCode.TYPE_MISMATCH,
-                f"expected {_type_names(types)}, got {type(value).__name__}",
-            )
-            return None
-        return value
-
-    def optional(self, tree: dict, key: str, path: str, types=None, default=None):
-        if key not in tree:
-            return default
-        value = tree[key]
-        if types is not None and not isinstance(value, types):
-            self.report.add(
-                _join(path, key),
-                ErrorCode.TYPE_MISMATCH,
-                f"expected {_type_names(types)}, got {type(value).__name__}",
-            )
-            return default
-        return value
+def _updater_table(mutable: tuple[str, ...]) -> tuple[Param, ...]:
+    """The keys of an updater of a distribution whose hyperparameters ``mutable`` may change."""
+    return (
+        Param("kind", one_of(("increment",)), "increment"),
+        Param("target", one_of(mutable)),
+        Param("step", finite),
+        Param("limit", finite, None),
+    )
 
 
-def _type_names(types) -> str:
-    if not isinstance(types, tuple):
-        types = (types,)
-    return " or ".join(t.__name__ for t in types)
+def _part_table(registry: PluginRegistry) -> tuple[Param, ...]:
+    """The keys of a part entry, whose group ``registry`` must have."""
+    return (Param("part", one_of(registry.groups, "UnknownPartGroup")), Param("config", mapping, {}))
 
 
-def _check_unit(name, path: str, report: ValidationReport):
-    if not isinstance(name, str):
-        report.add(path, ErrorCode.TYPE_MISMATCH, f"unit name must be a string, got {type(name).__name__}")
-        return None
+def _parse(table: tuple[Param, ...], tree, path: str, report: ValidationReport) -> dict | None:
+    """The settings of the section ``tree`` at ``path`` under ``table``, its
+    errors added to ``report``.  A failed key has no setting.  None, and a
+    ``TypeMismatch`` at ``path``, if ``tree`` is not a mapping."""
     try:
-        return get_unit(name)
-    except UnknownUnitError:
-        report.add(path, ErrorCode.UNKNOWN_UNIT, f"unknown unit '{name}'")
+        tree = mapping(tree)
+    except TypeError as exc:
+        report.add(path, ErrorCode.TYPE_MISMATCH, str(exc))
         return None
+    settings, errors = parse_params(table, tree, path)
+    report.errors += [ValidationError(p, ErrorCode(code), message) for p, code, message in errors]
+    return settings
 
 
 def parse_parameter_spec(name: str, tree, path: str, report: ValidationReport) -> ParameterSpec | None:
@@ -196,121 +251,39 @@ def parse_parameter_spec(name: str, tree, path: str, report: ValidationReport) -
     """
     if isinstance(tree, (int, float)) and not isinstance(tree, bool):
         tree = {"distribution": {"kind": "constant", "value": float(tree) if finite_real(tree) else tree}}
-    if not isinstance(tree, dict):
-        report.add(path, ErrorCode.TYPE_MISMATCH, "parameter must be a number or a mapping")
+    settings = _parse(PARAMETER, tree, path, report)
+    if settings is None or "distribution" not in settings or "unit" not in settings:
         return None
-    v = _Validator(report)
-    v.declared(tree, PARAMETER_KEYS, path)
-    dist_tree = v.require(tree, "distribution", path, dict)
-    unit = _check_unit(tree.get("unit", "none"), _join(path, "unit"), report)
-    if dist_tree is None or unit is None:
-        return None
-
-    kind = v.require(dist_tree, "kind", _join(path, "distribution"), str)
-    if kind is None:
-        return None
-    cls = DISTRIBUTION_KINDS.get(kind)
-    if cls is None:
-        report.add(
-            _join(path, "distribution", "kind"),
-            ErrorCode.TYPE_MISMATCH,
-            f"unknown distribution kind '{kind}' (expected one of {sorted(DISTRIBUTION_KINDS)})",
-        )
-        return None
-    hyper = {k: v2 for k, v2 in dist_tree.items() if k != "kind"}
-    try:
-        spec = ParameterSpec(name, cls(**hyper), unit)
-    except (TypeError, ValueError) as exc:
-        report.add(_join(path, "distribution"), ErrorCode.TYPE_MISMATCH, str(exc))
-        return None
-
-    updater_trees = v.optional(tree, "updaters", path, list, [])
-    for i, ut in enumerate(updater_trees):
-        upath = _join(path, "updaters", i)
-        if not isinstance(ut, dict):
-            report.add(upath, ErrorCode.TYPE_MISMATCH, "updater must be a mapping")
-            continue
-        uv = _Validator(report)
-        uv.declared(ut, UPDATER_KEYS, upath)
-        target = uv.require(ut, "target", upath, str)
-        step = uv.require(ut, "step", upath)
-        limit = ut.get("limit")
-        numbers = [(key, value) for key, value in (("step", step), ("limit", limit)) if value is not None]
-        for key, value in numbers:
-            if not finite_real(value):
-                report.add(_join(upath, key), ErrorCode.TYPE_MISMATCH, f"expected a finite number, got {value!r}")
-        kind_name = uv.optional(ut, "kind", upath, str, "increment")
-        if kind_name != "increment":
-            report.add(_join(upath, "kind"), ErrorCode.TYPE_MISMATCH, f"unknown updater kind '{kind_name}'")
-            continue
-        if target is None or step is None or not all(finite_real(value) for _, value in numbers):
-            continue
-        if target not in cls.mutable:
-            report.add(
-                _join(upath, "target"),
-                ErrorCode.TYPE_MISMATCH,
-                f"'{target}' is not a hyperparameter of {cls.__name__}",
-            )
-            continue
-        spec.updaters.append(Increment(target, float(step), None if limit is None else float(limit)))
+    spec = ParameterSpec(name, settings["distribution"], settings["unit"])
+    table = _updater_table(spec.distribution.mutable)
+    for i, updater_tree in enumerate(settings.get("updaters", [])):
+        updater = _parse(table, updater_tree, _join(path, "updaters", i), report)
+        if updater is not None and len(updater) == len(table):
+            spec.updaters.append(Increment(updater["target"], updater["step"], updater["limit"]))
     return spec
 
 
-def parse_parameter_store(tree, path: str, report: ValidationReport) -> dict[str, ParameterSpec]:
-    store: dict[str, ParameterSpec] = {}
-    if tree is None:
-        return store
-    if not isinstance(tree, dict):
-        report.add(path, ErrorCode.TYPE_MISMATCH, "expected a mapping of parameter specs")
-        return store
-    for name, sub in tree.items():
-        spec = parse_parameter_spec(str(name), sub, _join(path, name), report)
-        if spec is not None:
-            store[str(name)] = spec
-    return store
+def parse_parameter_store(tree: dict, path: str, report: ValidationReport) -> dict[str, ParameterSpec]:
+    """The parameter specs of a mapping of them, by name."""
+    store = {str(name): parse_parameter_spec(str(name), sub, _join(path, name), report) for name, sub in tree.items()}
+    return {name: spec for name, spec in store.items() if spec is not None}
 
 
 def parse_functor_spec(tree, path: str, report: ValidationReport) -> FunctorSpec | None:
-    if not isinstance(tree, dict):
-        report.add(path, ErrorCode.TYPE_MISMATCH, "functor spec must be a mapping")
+    settings = _parse(FUNCTOR, tree, path, report)
+    if settings is None or "functor" not in settings:
         return None
-    v = _Validator(report)
-    v.declared(tree, FUNCTOR_KEYS, path)
-    functor = v.require(tree, "functor", path, str)
-    if functor is None:
-        return None
-    if functor not in FUNCTOR_REGISTRY:
-        report.add(
-            _join(path, "functor"),
-            ErrorCode.UNKNOWN_FUNCTOR,
-            f"no functor registered under '{functor}'",
-        )
-        return None
-
-    name = v.optional(tree, "name", path, str)
-    config = v.optional(tree, "config", path, dict, {})
-    references = v.optional(tree, "references", path, dict, {})
-    for param, key in references.items():
-        if not isinstance(key, str):
-            report.add(_join(path, "references", param), ErrorCode.TYPE_MISMATCH, "reference key must be a string")
-
-    wrapped = _parse_wrapped(tree.get("wrapped"), _join(path, "wrapped"), report)
-
+    wrapped = _parse_wrapped(settings.get("wrapped"), _join(path, "wrapped"), report)
     extractor = None
-    ex_tree = v.optional(tree, "extractor", path, dict)
-    if ex_tree is not None:
-        ev = _Validator(report)
-        ev.declared(ex_tree, EXTRACTOR_KEYS, _join(path, "extractor"))
-        glue = ev.require(ex_tree, "glue", _join(path, "extractor"), str)
-        key = ev.optional(ex_tree, "key", _join(path, "extractor"), str)
-        if glue is not None:
-            extractor = ExtractorSpec(glue, key)
-
+    if settings.get("extractor") is not None:
+        extractor_settings = _parse(EXTRACTOR, settings["extractor"], _join(path, "extractor"), report)
+        if "glue" in extractor_settings:
+            extractor = ExtractorSpec(extractor_settings["glue"], extractor_settings.get("key"))
     return FunctorSpec(
-        functor=functor,
-        name=name,
-        config=config,
-        references={str(k): str(val) for k, val in references.items() if isinstance(val, str)},
+        functor=settings["functor"],
+        name=settings.get("name"),
+        config=settings.get("config", {}),
+        references=settings.get("references", {}),
         wrapped=wrapped,
         extractor=extractor,
         path=path,
@@ -334,7 +307,7 @@ def _parse_child(tree, path: str, report: ValidationReport):
 
 
 def _parse_functor_list(
-    tree, path: str, report: ValidationReport, names: dict[str, FunctorSpec]
+    entries: list, path: str, report: ValidationReport, names: dict[str, FunctorSpec]
 ) -> list[FunctorSpec]:
     """The specs of one functor list.
 
@@ -344,12 +317,7 @@ def _parse_functor_list(
     first.  An identical spec is one graph node, so it may repeat.
     """
     specs: list[FunctorSpec] = []
-    if tree is None:
-        return specs
-    if not isinstance(tree, list):
-        report.add(path, ErrorCode.TYPE_MISMATCH, "expected a list of functor specs")
-        return specs
-    for i, sub in enumerate(tree):
+    for i, sub in enumerate(entries):
         spec = parse_functor_spec(sub, _join(path, i), report)
         if spec is None:
             continue
@@ -370,74 +338,43 @@ def validate_agent(
 ) -> tuple[AgentConfig | None, ValidationReport]:
     """Validate an agent config tree into an AgentConfig, or report errors."""
     report = ValidationReport()
-    if not isinstance(tree, dict):
-        report.add(path_prefix, ErrorCode.TYPE_MISMATCH, "agent config must be a mapping")
-        return None, report
-    v = _Validator(report)
     p = path_prefix
-    v.declared(tree, AGENT_KEYS, p)
-
-    name = v.require(tree, "agent", p, str)
-    platform_names = v.require(tree, "platforms", p, list)
-    if platform_names is not None:
-        if not platform_names:
-            report.add(_join(p, "platforms"), ErrorCode.TYPE_MISMATCH, "at least one platform required")
-        for i, pn in enumerate(platform_names):
-            if not isinstance(pn, str):
-                report.add(_join(p, "platforms", i), ErrorCode.TYPE_MISMATCH, "platform name must be a string")
+    settings = _parse(AGENT, tree, p, report)
+    if settings is None:
+        return None, report
 
     parts: list[PartConfig] = []
-    for i, part_tree in enumerate(v.optional(tree, "parts", p, list, [])):
+    part_table = _part_table(registry)
+    for i, part_tree in enumerate(settings.get("parts", [])):
         ppath = _join(p, "parts", i)
-        if isinstance(part_tree, str):
-            part_tree = {"part": part_tree}
-        if not isinstance(part_tree, dict):
-            report.add(ppath, ErrorCode.TYPE_MISMATCH, "part entry must be a mapping or string")
-            continue
-        pv = _Validator(report)
-        pv.declared(part_tree, PART_KEYS, ppath)
-        group = pv.require(part_tree, "part", ppath, str)
-        if group is None:
-            continue
-        if not registry.has_group(group):
-            report.add(
-                _join(ppath, "part"),
-                ErrorCode.UNKNOWN_PART_GROUP,
-                f"no part group named '{group}' in the plugin registry",
-            )
-            continue
-        parts.append(PartConfig(group, pv.optional(part_tree, "config", ppath, dict, {}), ppath))
+        part = _parse(part_table, {"part": part_tree} if isinstance(part_tree, str) else part_tree, ppath, report)
+        if part is not None and "part" in part:
+            parts.append(PartConfig(part["part"], part.get("config", {}), ppath))
 
     reference_store = parse_parameter_store(
-        tree.get("reference_store"), _join(p, "reference_store"), report
+        settings.get("reference_store", {}), _join(p, "reference_store"), report
     )
-
-    epp_tree = v.optional(tree, "episode_parameter_provider", p, dict, {})
-    v.declared(epp_tree, EPP_KEYS, _join(p, "episode_parameter_provider"))
-    parameters = parse_parameter_store(
-        epp_tree.get("parameters"), _join(p, "episode_parameter_provider", "parameters"), report
-    )
+    epp_path = _join(p, "episode_parameter_provider")
+    epp = _parse(EPISODE_PARAMETER_PROVIDER, settings.get("episode_parameter_provider", {}), epp_path, report)
+    parameters = parse_parameter_store(epp.get("parameters", {}), _join(epp_path, "parameters"), report)
 
     names: dict[str, FunctorSpec] = {}
-    glues = _parse_functor_list(tree.get("glues"), _join(p, "glues"), report, names)
-    if "glues" not in tree:
-        report.add(_join(p, "glues"), ErrorCode.MISSING_FIELD, "missing required key 'glues'")
-    elif not glues and not report.errors:
-        report.add(_join(p, "glues"), ErrorCode.TYPE_MISMATCH, "at least one glue required")
-    dones = _parse_functor_list(tree.get("dones"), _join(p, "dones"), report, names)
-    rewards = _parse_functor_list(tree.get("rewards"), _join(p, "rewards"), report, names)
+    glues = _parse_functor_list(settings.get("glues", []), _join(p, "glues"), report, names)
+    dones = _parse_functor_list(settings.get("dones", []), _join(p, "dones"), report, names)
+    rewards = _parse_functor_list(settings.get("rewards", []), _join(p, "rewards"), report, names)
 
     policy = PolicyConfig("random")
-    policy_tree = v.optional(tree, "policy", p, dict)
-    if policy_tree is not None:
-        policy = _parse_policy(policy_tree, _join(p, "policy"), report) or policy
+    if settings.get("policy") is not None:
+        policy_settings = _parse(POLICY, settings["policy"], _join(p, "policy"), report)
+        if "name" in policy_settings:
+            policy = PolicyConfig(policy_settings["name"], policy_settings.get("config", {}))
 
     if not report.ok:
         return None, report
     return (
         AgentConfig(
-            name=name,
-            platform_names=list(platform_names),
+            name=settings["agent"],
+            platform_names=settings["platforms"],
             parts=parts,
             glues=glues,
             dones=dones,
@@ -451,51 +388,6 @@ def validate_agent(
     )
 
 
-def _parse_policy(tree: dict, path: str, report: ValidationReport) -> PolicyConfig | None:
-    """A policy block whose name is registered."""
-    v = _Validator(report)
-    v.declared(tree, POLICY_KEYS, path)
-    name = v.require(tree, "name", path, str)
-    config = v.optional(tree, "config", path, dict, {})
-    if name is None:
-        return None
-    if name not in POLICY_REGISTRY:
-        report.add(
-            _join(path, "name"),
-            ErrorCode.TYPE_MISMATCH,
-            f"unknown policy '{name}' (expected one of {sorted(POLICY_REGISTRY)})",
-        )
-        return None
-    return PolicyConfig(name, config)
-
-
-_END_MODES = {m.value: m for m in EpisodeEndMode}
-
-
-def _parse_space_check(tree, path: str, report: ValidationReport) -> SpaceCheckMode:
-    if tree is None:
-        return SpaceCheckMode.every_step()
-    if isinstance(tree, str):
-        if tree == "every_step":
-            return SpaceCheckMode.every_step()
-        if tree == "off":
-            return SpaceCheckMode.off()
-        if tree == "spot_check":
-            return SpaceCheckMode.spot_check()
-        report.add(path, ErrorCode.TYPE_MISMATCH, f"unknown space_check_mode '{tree}'")
-    elif isinstance(tree, dict) and "spot_check" in tree:
-        prob = tree["spot_check"]
-        if not finite_real(prob) or not 0 <= prob <= 1:
-            report.add(
-                _join(path, "spot_check"), ErrorCode.TYPE_MISMATCH, f"expected a probability in [0, 1], got {prob!r}"
-            )
-        else:
-            return SpaceCheckMode.spot_check(float(prob))
-    else:
-        report.add(path, ErrorCode.TYPE_MISMATCH, "expected 'every_step', 'off', or {spot_check: p}")
-    return SpaceCheckMode.every_step()
-
-
 def validate_environment(
     tree,
     base_dir: str | Path = ".",
@@ -503,78 +395,46 @@ def validate_environment(
 ) -> tuple[EnvironmentConfig | None, ValidationReport]:
     """Validate an environment config tree, loading agent files it references."""
     report = ValidationReport()
-    if not isinstance(tree, dict):
-        report.add("", ErrorCode.TYPE_MISMATCH, "environment config must be a mapping")
+    settings = _parse(ENVIRONMENT, tree, "", report)
+    if settings is None:
         return None, report
     base_dir = Path(base_dir)
-    v = _Validator(report)
-    v.declared(tree, ENVIRONMENT_KEYS, "")
 
-    sim_tree = v.require(tree, "simulator", "", dict)
-    sim_name, sim_config = None, {}
-    if sim_tree is not None:
-        sv = _Validator(report)
-        sv.declared(sim_tree, SIMULATOR_KEYS, "simulator")
-        sim_name = sv.require(sim_tree, "name", "simulator", str)
-        sim_config = sv.optional(sim_tree, "config", "simulator", dict, {})
-        if sim_name is not None and sim_name not in SIMULATORS:
-            report.add(
-                "simulator/name",
-                ErrorCode.UNKNOWN_FUNCTOR,
-                f"unknown simulator '{sim_name}' (expected one of {sorted(SIMULATORS)})",
-            )
+    simulator = _parse(SIMULATOR, settings["simulator"], "simulator", report) if "simulator" in settings else {}
+    sim_name = simulator.get("name")
+    # the initialization declares exactly the parameters the simulator reads
+    initialization = None if sim_name is None else tuple(
+        Param(name, _raw) for name in SIMULATORS[sim_name].required_init_params
+    )
 
     platforms: list[PlatformConfig] = []
-    platform_trees = v.require(tree, "platforms", "", list) or []
-    for i, pt in enumerate(platform_trees):
+    for i, platform_tree in enumerate(settings.get("platforms", [])):
         ppath = _join("platforms", i)
-        if not isinstance(pt, dict):
-            report.add(ppath, ErrorCode.TYPE_MISMATCH, "platform entry must be a mapping")
+        platform = _parse(PLATFORM, platform_tree, ppath, report)
+        if platform is None:
             continue
-        pv = _Validator(report)
-        pv.declared(pt, PLATFORM_KEYS, ppath)
-        pname = pv.require(pt, "name", ppath, str)
-        ptype = pv.require(pt, "platform_type", ppath, str)
         ipath = _join(ppath, "initialization")
-        init_tree = pt.get("initialization")
+        init_tree = platform.get("initialization", {})
+        if initialization is not None:
+            _parse(initialization, init_tree, ipath, report)
         init = parse_parameter_store(init_tree, ipath, report)
-        # the initialization declares exactly the parameters the simulator reads
-        given = init_tree or {}
-        if sim_name in SIMULATORS and isinstance(given, dict):
-            required = SIMULATORS[sim_name].required_init_params
-            pv.declared(given, required, ipath)
-            for name in required:
-                pv.require(given, name, ipath)
-        if pname is not None and ptype is not None:
-            platforms.append(PlatformConfig(pname, ptype, init))
+        platforms.append(PlatformConfig(platform.get("name"), platform.get("platform_type"), init))
 
-    reference_store = parse_parameter_store(tree.get("reference_store"), "reference_store", report)
+    reference_store = parse_parameter_store(settings.get("reference_store", {}), "reference_store", report)
     # (path, store) of every reference store, checked once every functor that
     # may reference it is known
     stores = [("reference_store", reference_store)]
 
-    horizon = v.optional(tree, "horizon", "", int, 1000)
-    if isinstance(horizon, bool) or (horizon is not None and horizon < 1):
-        report.add("horizon", ErrorCode.TYPE_MISMATCH, "horizon must be an integer >= 1")
-        horizon = 1000
-
-    end_mode_name = v.optional(tree, "episode_end_mode", "", str, EpisodeEndMode.ALL_AGENTS_DONE.value)
-    end_mode = _END_MODES.get(end_mode_name)
-    if end_mode is None:
-        report.add(
-            "episode_end_mode",
-            ErrorCode.TYPE_MISMATCH,
-            f"expected one of {sorted(_END_MODES)}, got '{end_mode_name}'",
-        )
-        end_mode = EpisodeEndMode.ALL_AGENTS_DONE
-
-    space_check = _parse_space_check(tree.get("space_check_mode"), "space_check_mode", report)
+    space_check = settings.get("space_check_mode")
+    if isinstance(space_check, dict):
+        spot_check = _parse(SPOT_CHECK, space_check, "space_check_mode", report)
+        space_check = SpaceCheckMode.spot_check(spot_check.get("spot_check", 0.0))
 
     # the built-in horizon done shares the shared dones' namespace
     horizon_name = {HORIZON_DONE.display_name: HORIZON_DONE}
-    shared_dones = _parse_functor_list(tree.get("shared_dones"), "shared_dones", report, horizon_name)
+    shared_dones = _parse_functor_list(settings.get("shared_dones", []), "shared_dones", report, horizon_name)
 
-    agent_trees = v.require(tree, "agents", "", list) or []
+    agent_trees = settings.get("agents", [])
     environment_parsed = report.ok
     agents: list[AgentConfig] = []
     for i, at in enumerate(agent_trees):
@@ -591,14 +451,15 @@ def validate_environment(
             stores.append((_join(apath, "reference_store"), agent.reference_store))
             agents.append(agent)
 
+    # a key that failed has no setting: such a config is neither built nor returned
     config = EnvironmentConfig(
         simulator_name=sim_name,
-        simulator_config=sim_config,
+        simulator_config=simulator.get("config", {}),
         platforms=platforms,
         agents=agents,
         shared_dones=shared_dones,
-        episode_end_mode=end_mode,
-        horizon=int(horizon),
+        episode_end_mode=settings.get("episode_end_mode"),
+        horizon=settings.get("horizon"),
         reference_store=reference_store,
         space_check_mode=space_check,
     )
@@ -618,7 +479,7 @@ def validate_environment(
 
 
 #: rank of each section key, for ordering build errors by document position
-_SECTION_RANK = {key: rank for rank, key in enumerate((*ENVIRONMENT_KEYS, *AGENT_KEYS))}
+_SECTION_RANK = {p.name: rank for rank, p in enumerate((*ENVIRONMENT, *AGENT))}
 
 
 def _document_position(error: ValidationError) -> list[int]:

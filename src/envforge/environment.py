@@ -16,7 +16,7 @@ from .config.serialize import environment_config_to_tree
 from .epp import EppError, EpisodeParameterProvider
 from .functors.base import DoneResult, DoneStatusCode, EpisodeState
 from .functors.graph import build_graph
-from .params import BuildErrors, ParamError, join_path
+from .params import BuildErrors, ConfigError, ParamError, join_path
 from .parts import GLOBAL_REGISTRY, Box, all_finite
 from .simulators import SIMULATORS, PlatformSetup, init_key
 from .units import Quantity, as_vector
@@ -91,7 +91,7 @@ def episode_parameters(config: EnvironmentConfig) -> tuple[EpisodeParameterProvi
     ``<platform>.<name>``), then each agent's reference store and parameters;
     and a ``ConflictingField`` for each agent spec whose name an earlier,
     different spec took (the earlier one is kept).  An identical repeat, as
-    two agents of one agent file give, is one parameter."""
+    two agent files that include one store give, is one parameter."""
     epp = EpisodeParameterProvider()
     for spec in config.reference_store.values():
         epp.add(spec)
@@ -113,17 +113,36 @@ def episode_parameters(config: EnvironmentConfig) -> tuple[EpisodeParameterProvi
     return epp, conflicts
 
 
+def _duplicate_names(config: EnvironmentConfig) -> list[ParamError]:
+    """A ``DuplicateName`` for each platform, and each agent, whose name an
+    earlier one took: the simulator keys platforms by name, and the
+    environment keys agents by name."""
+    entries = [(join_path("platforms", i, "name"), "platform", p.name) for i, p in enumerate(config.platforms)]
+    entries += [(join_path(a.path or f"agents/{i}", "agent"), "agent", a.name) for i, a in enumerate(config.agents)]
+    seen: set[tuple[str, str]] = set()
+    errors: list[ParamError] = []
+    for path, kind, name in entries:
+        if (kind, name) in seen:
+            errors.append((path, "DuplicateName", f"another {kind} is already named '{name}'"))
+        seen.add((kind, name))
+    return errors
+
+
 class Environment:
     """Owns one simulator, its agents, and the per-step evaluation schedule."""
 
     def __init__(self, config: EnvironmentConfig, registry=GLOBAL_REGISTRY):
         """Build the simulator, then every agent's parts, then the functor
         graphs and policies, and check each functor's references against the
-        episode parameters.  What fails is reported at its config path and
+        episode parameters.  Two platforms, or two agents, of one name raise
+        before anything is built.  What fails is reported at its config path and
         what depends on it is skipped (a functor may read any part); then the
         first ``ConfigError`` is raised, listing every error."""
         self.config = config
         self.registry = registry
+        duplicates = _duplicate_names(config)
+        if duplicates:
+            raise ConfigError.listing("environment", duplicates)
         errors = BuildErrors()
 
         setups = [

@@ -10,15 +10,13 @@ sampled value visible to every functor that references it.
 from __future__ import annotations
 
 import hashlib
-import math
-import numbers
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Any
 
 import numpy as np
 
-from .params import ConfigError
+from .params import ConfigError, finite_real
 from .units import NONE, Quantity, Unit
 
 
@@ -45,14 +43,6 @@ class NotYetSampled(EppError):
 
 
 _STD_NORMAL = NormalDist()
-
-
-def finite_real(value) -> bool:
-    """Whether ``value`` is a real number, not a bool, that is finite as a float."""
-    try:
-        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
 
 
 def _require_finite(dist: "Distribution", name: str, values: list) -> None:

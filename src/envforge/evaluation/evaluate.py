@@ -23,6 +23,7 @@ from ..config.validate import reference_range_error, referencing_params
 from ..environment import Environment, StepResult, episode_parameters
 from ..epp import ParameterSpec
 from ..functors.base import DoneStatusCode
+from ..params import Param, integer, mapping, parse_params
 from ..policies import POLICY_REGISTRY
 from ..units import Quantity, UnitError, as_vector, value_in
 from .artifact import EpisodeArtifact, RecordLayout, Row, artifact_file, write_manifest
@@ -58,6 +59,11 @@ class TestCase:
     __test__ = False  # not a pytest class despite the name
 
 
+#: the keys of a test case; ``name`` defaults to ``case_<index>``, and
+#: ``seed`` to the index
+CASE = (Param("name", str, None), Param("parameters", mapping, {}), Param("seed", integer, None))
+
+
 def parse_condition_set(tree) -> list[TestCase]:
     """Parse an initial-condition config tree into ordered test cases.
 
@@ -72,14 +78,14 @@ def parse_condition_set(tree) -> list[TestCase]:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise InvalidCase(i, "expected a mapping")
-        name = str(entry.get("name", f"case_{i}"))
+        settings, errors = parse_params(CASE, entry, "")
+        if errors:
+            path, _, message = errors[0]
+            raise InvalidCase(i, f"{path}: {message}")
+        name = f"case_{i}" if settings["name"] is None else settings["name"]
         _check_case_name(i, name, names)
-        parameters, seed = entry.get("parameters", {}), entry.get("seed", i)
-        if not isinstance(parameters, dict):
-            raise InvalidCase(i, f"'{name}': parameters must be a mapping")
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise InvalidCase(i, f"'{name}': seed must be an integer")
-        cases.append(TestCase(name=name, parameters=parameters, seed=seed))
+        seed = i if settings["seed"] is None else settings["seed"]
+        cases.append(TestCase(name=name, parameters=settings["parameters"], seed=seed))
     return cases
 
 

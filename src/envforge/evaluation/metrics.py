@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from ..params import Param, mapping, parse_params
 from .artifact import EpisodeArtifact
 
 TERMINAL = "terminal"
@@ -147,6 +148,15 @@ class MetricSpec:
     inputs: dict[str, str]  # role -> producing metric name
 
 
+#: the keys of a metrics entry; ``metric`` defaults to the entry's ``name``
+METRIC_ENTRY = (
+    Param("name", str),
+    Param("metric", str, None),
+    Param("config", mapping, {}),
+    Param("inputs", mapping, {}),
+)
+
+
 def parse_metric_config(tree) -> list[MetricSpec]:
     """The metric specs of a config tree, each checked before any artifact is read."""
     entries = tree.get("metrics", []) if isinstance(tree, dict) else None
@@ -154,20 +164,21 @@ def parse_metric_config(tree) -> list[MetricSpec]:
         raise MetricError("metric config: expected a mapping with a 'metrics' list")
     specs: list[MetricSpec] = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise InvalidMetricEntry(i, "expected a mapping with a 'name'")
-        name = str(entry["name"])
+        if not isinstance(entry, dict):
+            raise InvalidMetricEntry(i, "expected a mapping")
+        settings, errors = parse_params(METRIC_ENTRY, entry, "")
+        if errors:
+            path, _, message = errors[0]
+            raise InvalidMetricEntry(i, f"{path}: {message}")
+        name = settings["name"]
         if any(spec.name == name for spec in specs):
             raise InvalidMetricEntry(i, f"another metric is already named '{name}'")
-        config, inputs = entry.get("config", {}), entry.get("inputs", {})
-        if not isinstance(config, dict) or not isinstance(inputs, dict):
-            raise InvalidMetricEntry(i, f"'config' and 'inputs' of '{name}' must be mappings")
         specs.append(
             MetricSpec(
                 name=name,
-                metric=str(entry.get("metric", name)),
-                config=config,
-                inputs={str(k): str(v) for k, v in inputs.items()},
+                metric=name if settings["metric"] is None else settings["metric"],
+                config=settings["config"],
+                inputs={str(k): str(v) for k, v in settings["inputs"].items()},
             )
         )
     _computation_order(specs)

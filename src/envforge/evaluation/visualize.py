@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..params import Param, mapping, one_of, parse_params, sequence
 from .metrics import NON_TERMINAL, TERMINAL, MetricError, MetricValue, UnknownMetric
 
 
@@ -37,6 +38,21 @@ class VizSpec:
     config: dict = field(default_factory=dict)
 
 
+def _metric_names(raw) -> list | None:
+    """The names of the metrics to render; None renders every applicable one."""
+    return None if raw is None else sequence(raw)
+
+
+#: the keys of a visualizations entry, which are ``VizSpec``'s fields
+VIZ_ENTRY = (
+    Param("type", one_of(VIZ_TYPES)),
+    Param("metrics", _metric_names, None),
+    Param("file", str, "report.html"),
+    Param("title", str, "Evaluation report"),
+    Param("config", mapping, {}),
+)
+
+
 def parse_viz_config(tree) -> list[VizSpec]:
     """The visualization specs of a config tree, each checked before any rollout."""
     entries = tree.get("visualizations", []) if isinstance(tree, dict) else None
@@ -44,21 +60,13 @@ def parse_viz_config(tree) -> list[VizSpec]:
         raise MetricError("visualization config: expected a mapping with a 'visualizations' list")
     specs = []
     for i, entry in enumerate(entries):
-        kind = entry.get("type") if isinstance(entry, dict) else None
-        if kind not in VIZ_TYPES:
-            raise InvalidVizEntry(i, f"type {kind!r} is not one of {list(VIZ_TYPES)}")
-        metrics = entry.get("metrics")
-        if metrics is not None and not isinstance(metrics, list):
-            raise InvalidVizEntry(i, "'metrics' must be a list of metric names")
-        specs.append(
-            VizSpec(
-                type=kind,
-                metrics=metrics,
-                file=str(entry.get("file", "report.html")),
-                title=str(entry.get("title", "Evaluation report")),
-                config=entry.get("config", {}),
-            )
-        )
+        if not isinstance(entry, dict):
+            raise InvalidVizEntry(i, "expected a mapping")
+        settings, errors = parse_params(VIZ_ENTRY, entry, "")
+        if errors:
+            path, _, message = errors[0]
+            raise InvalidVizEntry(i, f"{path}: {message}")
+        specs.append(VizSpec(**settings))
     return specs
 
 

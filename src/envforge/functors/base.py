@@ -128,7 +128,7 @@ class Functor:
     ):
         self.spec = spec
         self.name = spec.display_name
-        self.settings, errors = parse_params(self.params, spec.config, spec.references)
+        self.settings, errors = parse_params(self.params, spec.config, "config", spec.references)
         errors += check_inputs(self.inputs, children.keys(), extractor is not None)
         if errors:
             raise FunctorError.listing(spec.label, errors)

@@ -1,15 +1,18 @@
-"""Declared parameter tables of functors and scripted rules.
+"""Declared parameter tables: every config section and every config of a
+functor, part, policy, scripted rule or simulator.
 
-A functor or scripted rule declares its config keys once, as a tuple of
-:class:`Param`, and a functor declares the inputs it reads.  The constructor
-reads those declarations through :func:`parse_params` and
-:func:`check_inputs` and raises a :class:`ConfigError` listing every error
-it found.  ``validate`` builds the environment, so these are the only
-checks of a config value, and a config that validates also builds.
+Each declares its keys once, as a tuple of :class:`Param`, and a functor
+declares the inputs it reads.  :func:`parse_params` is the one parser of a
+table: ``validate`` runs it over each structural section, and each
+constructor over its own config, raising a :class:`ConfigError` listing
+every error it found.  ``validate`` builds the environment, so these are the
+only checks of a config value, and a config that validates also builds.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Callable, Collection, Mapping
 from dataclasses import dataclass
 from typing import Any
@@ -31,10 +34,12 @@ REQUIRED: Any = _Sentinel("REQUIRED")
 
 @dataclass(frozen=True)
 class Param:
-    """One config key of a functor or scripted rule.
+    """One config key of a section, functor, part, policy or simulator.
 
     ``parse`` converts the raw config value, raising ``TypeError``,
-    ``ValueError``, ``KeyError`` or ``OverflowError`` when it cannot.  A param
+    ``ValueError``, ``KeyError`` or ``OverflowError`` when it cannot, or a
+    ``ConfigError`` whose codes and paths (relative to the key) are its own,
+    as a registry lookup's (see :func:`one_of`).  A param
     with no default is required.  Only a ``referenceable`` param may be given
     under ``references``, and then not also in config.  A param with a
     ``unit`` holds a number in that unit: a bare number is taken to be in it,
@@ -68,6 +73,62 @@ def boolean(raw) -> bool:
     return raw
 
 
+def mapping(raw) -> dict:
+    """A mapping; a key written with no value is an empty one."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise TypeError(f"expected a mapping, got {type(raw).__name__}")
+    return raw
+
+
+def sequence(raw) -> list:
+    """A list; a key written with no value is an empty one."""
+    if raw is None:
+        return []
+    if not isinstance(raw, list):
+        raise TypeError(f"expected a list, got {type(raw).__name__}")
+    return raw
+
+
+def integer(raw) -> int:
+    """A value that must already be an integer, not a boolean (``int`` would truncate a float)."""
+    if not isinstance(raw, numbers.Integral) or isinstance(raw, bool):
+        raise TypeError(f"expected an integer, got {type(raw).__name__}")
+    return int(raw)
+
+
+def finite_real(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, that is finite as a float."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def finite(raw) -> float:
+    """A real number, not a boolean, that is finite as a float."""
+    if not finite_real(raw):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return float(raw)
+
+
+def one_of(choices: Collection, code: str = "TypeMismatch") -> Callable[[Any], Any]:
+    """The converter of a value that must be one of ``choices`` (a
+    registry's names, say); ``parse_params`` reports any other as ``code``."""
+
+    def parse(raw):
+        try:
+            if raw in choices:
+                return raw
+        except TypeError:  # unhashable, so not a registered name
+            pass
+        message = f"{raw!r} is not one of {sorted(choices)}"
+        raise ConfigError(message, [("", code, message)])
+
+    return parse
+
+
 def _bounded(convert: Callable[[Any], Any], holds: Callable[[Any], bool], requirement: str):
     def parse(raw):
         value = convert(raw)
@@ -83,7 +144,11 @@ positive = _bounded(float, lambda v: v > 0, "> 0")
 #: a float of zero or more
 nonnegative = _bounded(float, lambda v: v >= 0, ">= 0")
 #: an integer of one or more
-positive_int = _bounded(int, lambda v: v >= 1, ">= 1")
+positive_int = _bounded(integer, lambda v: v >= 1, ">= 1")
+#: a finite number in [0, 1]
+probability = _bounded(finite, lambda v: 0 <= v <= 1, "in [0, 1]")
+#: a list of one or more entries
+nonempty = _bounded(sequence, bool, "non-empty")
 
 
 def parse_reference(p: Param, value: Quantity) -> Any:
@@ -147,32 +212,37 @@ class BuildErrors:
 
 
 def parse_params(
-    params: tuple[Param, ...], config: Mapping, references: Mapping
+    params: tuple[Param, ...], config: Mapping, path: str, references: Collection[str] = ()
 ) -> tuple[dict[str, Any], list[ParamError]]:
-    """The settings that ``config`` gives under the table ``params``, and every error in it.
+    """The settings that ``config``, found at ``path``, gives under the table
+    ``params``, and every error in it.
 
-    Each param given in ``config``, or defaulted, has a setting; a param given
-    under ``references`` has none, because each episode samples its value.
-    Errors come in document order: config keys, then references, then the
-    required params that neither gives.
+    Each param given in ``config``, or defaulted, has a setting; a param named
+    in ``references`` (a functor's, whose entry holds them beside its
+    ``config``) has none, because each episode samples its value.  An error
+    is reported at ``path`` joined to its key, a reference's at
+    ``references/<key>``.  Errors come in document order: config keys, then
+    references, then the required params that neither gives.
     """
     declared = {p.name: p for p in params}
     settings: dict[str, Any] = {}
     errors: list[ParamError] = []
     for key, raw in config.items():
-        path = f"config/{key}"
+        key_path = join_path(path, key)
         p = declared.get(key)
         if p is None:
-            errors.append((path, "UnknownField", f"unknown field '{key}' (declared: {sorted(declared)})"))
+            errors.append((key_path, "UnknownField", f"unknown field '{key}' (declared: {sorted(declared)})"))
             continue
         try:
             settings[key] = p.parse(raw if p.unit is None else value_in(raw, p.unit))
         except UnknownUnit as exc:
-            errors.append((path, "UnknownUnit", str(exc)))
+            errors.append((key_path, "UnknownUnit", str(exc)))
         except DimensionMismatch as exc:
-            errors.append((path, "DimensionMismatch", f"'{key}' is in {p.unit.name}: {exc}"))
+            errors.append((key_path, "DimensionMismatch", f"'{key}' is in {p.unit.name}: {exc}"))
         except PARSE_ERRORS as exc:
-            errors.append((path, "TypeMismatch", f"invalid value for '{key}': {exc}"))
+            errors.append((key_path, "TypeMismatch", f"invalid value for '{key}': {exc}"))
+        except ConfigError as exc:
+            errors += [(join_path(key_path, sub), code, message) for sub, code, message in exc.errors]
     for key in references:
         p = declared.get(key)
         if p is None or not p.referenceable:
@@ -182,13 +252,13 @@ def parse_params(
             )
         elif key in config:
             errors.append(
-                (f"config/{key}", "ConflictingField", f"'{key}' is given both in config and under references")
+                (join_path(path, key), "ConflictingField", f"'{key}' is given both in config and under references")
             )
     for p in params:
         if p.name in config or p.name in references:
             continue
         if p.default is REQUIRED:
-            errors.append((f"config/{p.name}", "MissingField", f"missing required field '{p.name}'"))
+            errors.append((join_path(path, p.name), "MissingField", f"missing required field '{p.name}'"))
         else:
             settings[p.name] = p.default
     return settings, errors

@@ -10,6 +10,7 @@ simulators never requires editing agent configs.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -261,8 +262,10 @@ class PluginRegistry:
     def frozen(self) -> bool:
         return self._frozen
 
-    def has_group(self, group: str) -> bool:
-        return group in self._entries
+    @property
+    def groups(self) -> Collection[str]:
+        """The names of the registered groups."""
+        return self._entries.keys()
 
     def match(self, group: str, simulator_type: str, platform_type: str) -> PartEntry:
         """The first registration of ``group`` whose conditions match."""

@@ -52,7 +52,7 @@ class Policy:
 
 def _settings(context: str, params: tuple[Param, ...], config: Mapping) -> dict[str, Any]:
     """``parse_params`` over a policy's config; raises ``PolicyError`` listing every error."""
-    settings, errors = parse_params(params, config, {})
+    settings, errors = parse_params(params, config, "config")
     if errors:
         raise PolicyError.listing(context, errors)
     return settings

@@ -60,7 +60,7 @@ class Simulator:
     params: tuple[Param, ...] = (Param("frame_rate", positive, default=1.0),)
 
     def __init__(self, config: dict[str, Any], platform_setups: list[PlatformSetup]):
-        self.settings, errors = parse_params(self.params, config, {})
+        self.settings, errors = parse_params(self.params, config, "config")
         if errors:
             raise InvalidSimulatorConfig.listing(self.simulator_type, errors)
         self.frame_rate = self.settings["frame_rate"]

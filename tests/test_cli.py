@@ -198,6 +198,20 @@ class TestPipelineStages:
         assert error in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("path", sorted((DATA_DIR / "invalid_pipeline").glob("*.yml")), ids=lambda p: p.stem)
+    def test_invalid_pipeline_corpus(self, tmp_path, capsys, path):
+        # a file's name starts with the option it is passed to
+        option = path.stem.split("_")[0]
+        inputs = {"cases": DOCKING / "cases.yml", "metrics": DOCKING / "metrics.yml", "viz": DOCKING / "viz.yml"}
+        inputs[option] = path
+        out = tmp_path / "out"
+        argv = [f"--{k}={v}" for k, v in inputs.items()]
+        assert main(short_args("pipeline", *argv, "--out", str(out))) == 1
+        error = {"cases": "InvalidCase", "metrics": "InvalidMetricEntry", "viz": "InvalidVizEntry"}[option]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {error}: "), lines
+        assert list(out.glob("artifact_*.jsonl")) == []
+
 
 class TestLogLevel:
     def test_log_level_flag(self, tmp_path):

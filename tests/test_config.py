@@ -143,6 +143,7 @@ class TestValidConfigs:
         assert len(report.errors) >= 4
 
     def test_errors_in_document_order(self):
+        # a section's keys in document order, then the required keys it lacks
         tree = {
             "platforms": "not_a_list",
             "horizon": -1,
@@ -150,7 +151,7 @@ class TestValidConfigs:
         }
         _, report = validate_environment(tree)
         paths = [e.path for e in report.errors]
-        assert paths.index("simulator") < paths.index("horizon")
+        assert paths == ["platforms", "horizon", "simulator"]
 
 
 class TestDuplicateNames:

@@ -559,10 +559,14 @@ class TestInputChecks:
             ([{"name": "a/b"}], "test case 0: name 'a/b' contains a path separator"),
             ([{"name": "a\\b"}], "contains a path separator"),
             (["a"], "test case 0: expected a mapping"),
-            ([{"name": "a", "parameters": [1.0]}], "'a': parameters must be a mapping"),
-            ([{"name": "a", "seed": 1.5}], "'a': seed must be an integer"),
+            ([{"name": "a", "parameters": [1.0]}],
+             "test case 0: parameters: invalid value for 'parameters': expected a mapping"),
+            ([{"name": "a", "seed": 1.5}],
+             "test case 0: seed: invalid value for 'seed': expected an integer, got float"),
+            ([{"name": "a", "paramters": {"deputy.x0": -5.0}, "sed": 3}],
+             "test case 0: paramters: unknown field 'paramters'"),
         ],
-        ids=["duplicate", "slash", "backslash", "not_a_mapping", "parameters", "seed"],
+        ids=["duplicate", "slash", "backslash", "not_a_mapping", "parameters", "seed", "undeclared"],
     )
     def test_bad_case_entry(self, entries, message):
         with pytest.raises(InvalidCase, match=re.escape(message)):
@@ -573,15 +577,18 @@ class TestInputChecks:
         [
             ([{"name": "rate", "metric": "success_rte"}], UnknownMetric,
              "metric 'rate': no metric registered under 'success_rte'"),
-            ([{"metric": "success_rate"}], InvalidMetricEntry, "metrics entry 0: expected a mapping with a 'name'"),
+            ([{"metric": "success_rate"}], InvalidMetricEntry, "metrics entry 0: name: missing required field 'name'"),
             ([{"name": "m", "metric": "mean_of", "inputs": {"source": "ghost"}}], UnknownMetricInput,
              "metric 'm' consumes undefined metric 'ghost'"),
             ([{"name": "a", "metric": "mean_of", "inputs": {"source": "a"}}], MetricCycle, "a -> a"),
             ([{"name": "x"}, {"name": "x", "metric": "success_rate"}], InvalidMetricEntry,
              "metrics entry 1: another metric is already named 'x'"),
-            ([{"name": "success_rate", "inputs": ["count"]}], InvalidMetricEntry, "must be mappings"),
+            ([{"name": "success_rate", "inputs": ["count"]}], InvalidMetricEntry,
+             "metrics entry 0: inputs: invalid value for 'inputs': expected a mapping"),
+            ([{"name": "m", "metric": "mean_of", "input": {"source": "rate"}}], InvalidMetricEntry,
+             "metrics entry 0: input: unknown field 'input'"),
         ],
-        ids=["unknown_metric", "no_name", "undefined_input", "cycle", "duplicate", "inputs"],
+        ids=["unknown_metric", "no_name", "undefined_input", "cycle", "duplicate", "inputs", "undeclared"],
     )
     def test_bad_metric_entry(self, entries, error, message):
         with pytest.raises(error, match=re.escape(message)):
@@ -590,11 +597,14 @@ class TestInputChecks:
     @pytest.mark.parametrize(
         "entries, message",
         [
-            ([{"type": "table"}, {"type": "htm"}], "visualizations entry 1: type 'htm' is not one of"),
-            ([{"file": "r.html"}], "visualizations entry 0: type None is not one of"),
-            ([{"type": "table", "metrics": "success_rate"}], "'metrics' must be a list"),
+            ([{"type": "table"}, {"type": "htm"}],
+             "visualizations entry 1: type: 'htm' is not one of ['html', 'table']"),
+            ([{"file": "r.html"}], "visualizations entry 0: type: missing required field 'type'"),
+            ([{"type": "table", "metrics": "success_rate"}],
+             "visualizations entry 0: metrics: invalid value for 'metrics'"),
+            ([{"type": "table", "metric": ["success_rate"]}], "visualizations entry 0: metric: unknown field 'metric'"),
         ],
-        ids=["unknown_type", "no_type", "metrics"],
+        ids=["unknown_type", "no_type", "metrics", "undeclared"],
     )
     def test_bad_viz_entry(self, entries, message):
         with pytest.raises(InvalidVizEntry, match=re.escape(message)):

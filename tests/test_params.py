@@ -2,6 +2,7 @@
 
 import copy
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -55,11 +56,11 @@ RADIUS = (Param("radius", unit=METER, referenceable=True), Param("count", int, d
 
 class TestParseParams:
     def test_bare_number_takes_the_declared_unit(self):
-        settings, errors = parse_params(RADIUS, {"radius": 2.0}, {})
+        settings, errors = parse_params(RADIUS, {"radius": 2.0}, "config")
         assert errors == [] and settings == {"radius": 2.0, "count": 1}
 
     def test_value_with_unit_is_converted_to_the_declared_unit(self):
-        settings, errors = parse_params(RADIUS, {"radius": {"value": 50.0, "unit": "centimeter"}}, {})
+        settings, errors = parse_params(RADIUS, {"radius": {"value": 50.0, "unit": "centimeter"}}, "config")
         assert errors == [] and settings["radius"] == pytest.approx(0.5)
 
     @pytest.mark.parametrize(
@@ -73,36 +74,36 @@ class TestParseParams:
         ],
     )
     def test_bad_value_is_reported_at_its_field(self, raw, code):
-        settings, errors = parse_params(RADIUS, {"radius": raw}, {})
+        settings, errors = parse_params(RADIUS, {"radius": raw}, "config")
         assert [(path, c) for path, c, _ in errors] == [("config/radius", code)]
         assert "radius" not in settings
 
     def test_unknown_key_and_missing_required(self):
-        _, errors = parse_params(RADIUS, {"radius_m": 1.0}, {})
+        _, errors = parse_params(RADIUS, {"radius_m": 1.0}, "config")
         assert [(path, c) for path, c, _ in errors] == [
             ("config/radius_m", "UnknownField"),
             ("config/radius", "MissingField"),
         ]
 
     def test_only_a_referenceable_param_may_be_referenced(self):
-        settings, errors = parse_params(RADIUS, {}, {"radius": "r"})
+        settings, errors = parse_params(RADIUS, {}, "config", {"radius": "r"})
         assert errors == [] and "radius" not in settings
-        _, errors = parse_params(RADIUS, {"radius": 1.0}, {"count": "n"})
+        _, errors = parse_params(RADIUS, {"radius": 1.0}, "config", {"count": "n"})
         assert [(path, c) for path, c, _ in errors] == [("references/count", "UnknownField")]
 
     def test_int_overflow_is_a_type_mismatch(self):
-        _, errors = parse_params(RADIUS, {"radius": 1.0, "count": math.inf}, {})
+        _, errors = parse_params(RADIUS, {"radius": 1.0, "count": math.inf}, "config")
         assert [(path, c) for path, c, _ in errors] == [("config/count", "TypeMismatch")]
 
     def test_param_in_config_and_references_conflicts(self):
-        _, errors = parse_params(RADIUS, {"radius": 1.0}, {"radius": "r"})
+        _, errors = parse_params(RADIUS, {"radius": 1.0}, "config", {"radius": "r"})
         assert [(path, c) for path, c, _ in errors] == [("config/radius", "ConflictingField")]
 
     def test_range_is_checked_after_unit_conversion(self):
         table = (Param("radius", nonnegative, unit=METER),)
-        settings, errors = parse_params(table, {"radius": {"value": 50.0, "unit": "centimeter"}}, {})
+        settings, errors = parse_params(table, {"radius": {"value": 50.0, "unit": "centimeter"}}, "config")
         assert errors == [] and settings["radius"] == pytest.approx(0.5)
-        _, errors = parse_params(table, {"radius": {"value": -50.0, "unit": "centimeter"}}, {})
+        _, errors = parse_params(table, {"radius": {"value": -50.0, "unit": "centimeter"}}, "config")
         assert [(path, c) for path, c, _ in errors] == [("config/radius", "TypeMismatch")]
         assert "-0.5" in errors[0][2]
 
@@ -305,6 +306,87 @@ def resolves(tree, path: str, code: str) -> bool:
     return True
 
 
+#: the docking tree, its agent file inlined, with an updater and a spot-check probability
+STRUCTURE = copy.deepcopy(DOCKING_TREE)
+STRUCTURE["agents"] = [copy.deepcopy(DOCKING_AGENT)]
+STRUCTURE["platforms"][0]["initialization"]["x0"]["updaters"] = [{"target": "value", "step": 0.0}]
+STRUCTURE["space_check_mode"] = {"spot_check": 1.0}
+X0 = ("platforms", 0, "initialization", "x0")
+#: the path of each structural section of STRUCTURE
+SECTIONS = [
+    (), ("simulator",), ("platforms", 0), X0[:-1], X0, (*X0, "updaters", 0), ("space_check_mode",),
+    ("reference_store", "dock_radius"), ("agents", 0), ("agents", 0, "parts", 2),
+    ("agents", 0, "episode_parameter_provider"), ("agents", 0, "glues", 0),
+    ("agents", 0, "rewards", 0, "extractor"), ("agents", 0, "policy"),
+]
+NOT_STRINGS = [5, 0.5, True, None, [1.0], {"value": 2.0}]
+#: each leaf of a structural section, and the values drawn for it; a name
+#: that others refer to draws no other string
+LEAVES = {
+    ("horizon",): POOL,
+    ("episode_end_mode",): [*POOL, "any_agent_done"],
+    ("space_check_mode", "spot_check"): POOL,
+    ("simulator", "name"): [*NOT_STRINGS, "nope"],
+    ("platforms", 0, "name"): NOT_STRINGS,
+    ("platforms", 0, "platform_type"): NOT_STRINGS,
+    (*X0, "unit"): [*POOL, "second"],
+    (*X0, "updaters", 0, "target"): [*POOL, "value"],
+    (*X0, "updaters", 0, "step"): POOL,
+    ("reference_store", "dock_radius", "distribution", "kind"): [*POOL, "uniform"],
+    ("agents", 0, "agent"): NOT_STRINGS,
+    ("agents", 0, "platforms"): [*NOT_STRINGS, []],
+    ("agents", 0, "parts", 2, "part"): [*NOT_STRINGS, "nope"],
+    ("agents", 0, "glues", 0, "functor"): [*NOT_STRINGS, "nope"],
+    ("agents", 0, "dones", 0, "references", "dock_radius"): NOT_STRINGS,
+    ("agents", 0, "rewards", 0, "extractor", "key"): NOT_STRINGS,
+    ("agents", 0, "policy", "name"): [*POOL, "random"],
+}
+
+
+@st.composite
+def structural_defects(draw):
+    """("undeclared", section, key): an undeclared key in one section;
+    ("leaf", leaf, value): a leaf's value redrawn, of the wrong type or not;
+    ("duplicate", list, None): the first platform or agent entry repeated."""
+    kind = draw(st.sampled_from(["undeclared", "leaf", "duplicate"]))
+    if kind == "undeclared":
+        return kind, draw(st.sampled_from(SECTIONS)), "not_a_key"
+    if kind == "leaf":
+        leaf = draw(st.sampled_from(sorted(LEAVES, key=str)))
+        return kind, leaf, draw(st.sampled_from(LEAVES[leaf]))
+    return kind, (draw(st.sampled_from(["platforms", "agents"])),), None
+
+
+def with_structural_defect(defect):
+    """STRUCTURE with ``defect`` in it, the path of the section it lies in,
+    and, for a repeated entry, the same config made in Python, else None."""
+    kind, path, value = defect
+    tree = copy.deepcopy(STRUCTURE)
+    node = tree
+    for key in path[:-1] if kind == "leaf" else path:
+        node = node[key]
+    if kind == "undeclared":
+        node[value] = 1.0
+        return tree, "/".join(map(str, path)), None
+    if kind == "leaf":
+        node[path[-1]] = copy.deepcopy(value)
+        return tree, "/".join(map(str, path[:-1])), None
+    node.append(copy.deepcopy(node[0]))
+    twin, report = validate_environment(copy.deepcopy(STRUCTURE), base_dir=CONFIG_DIR / "docking")
+    assert report.ok, str(report)
+    entries = getattr(twin, path[0])
+    entries.append(replace(entries[0], path="") if path[0] == "agents" else copy.deepcopy(entries[0]))
+    return tree, f"{path[0]}/1", twin
+
+
+def builds_and_resets(config) -> bool:
+    try:
+        Environment(config).reset(seed=0)
+    except ConfigError:
+        return False
+    return True
+
+
 class TestInputs:
     @pytest.mark.parametrize(
         "inputs, keys, extractor, expected",
@@ -389,6 +471,30 @@ class TestValidateIsBuild:
         if exc is not None:
             # the build without validate lists what validate reports
             assert sorted(code for _, code in errors) == sorted(code for _, code, _ in exc.errors)
+
+    @settings(max_examples=150, deadline=None)
+    @given(structural_defects())
+    @example(("duplicate", ("platforms",), None))
+    @example(("duplicate", ("agents",), None))
+    @example(("undeclared", ("space_check_mode",), "probabilty"))
+    @example(("leaf", (*X0, "unit"), "second"))
+    def test_structural_defect_is_reported_where_it_lies(self, defect):
+        kind, path, key = defect
+        tree, section, twin = with_structural_defect(defect)
+        config, report = validate_environment(tree, base_dir=CONFIG_DIR / "docking")
+        errors = [(e.path, e.code.value) for e in report.errors]
+        assert (config is None) == (errors != [])
+        if kind == "undeclared":
+            assert errors == [("/".join(filter(None, [section, key])), "UnknownField")]
+        elif kind == "duplicate":
+            assert errors == [(f"{section}/{'name' if path[0] == 'platforms' else 'agent'}", "DuplicateName")]
+            # the build without validate reports the same
+            assert not builds_and_resets(twin)
+        elif errors:
+            # reported in the leaf's section, not where the section's value is used
+            assert all(p == section or p.startswith(f"{section}/") for p, _ in errors if section), errors
+        else:
+            assert builds_and_resets(config)
 
     def test_two_independent_defects_raise_one_error_listing_both(self):
         initialization = {
