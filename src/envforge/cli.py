@@ -44,6 +44,13 @@ class EpisodeFailed(Exception):
         super().__init__(f"episode {index} (seed {seed}): {error}")
 
 
+def _count(text: str) -> int:
+    """An integer of 1 or more; argparse reports any other as a usage error."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _parse_policy(value: str | None) -> tuple[str, dict] | None:
     """Resolve a --policy value to (registry name, config).
 
@@ -186,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run seeded episodes and write episode logs")
     add_env(p)
     p.add_argument("--policy", help="override every agent's policy")
-    p.add_argument("--episodes", type=int, default=1)
+    p.add_argument("--episodes", type=_count, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")
     p.set_defaults(fn=cmd_run)
@@ -195,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_env(p)
     p.add_argument("--cases", required=True, help="initial-condition set file")
     p.add_argument("--policy", help="override every agent's policy")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_count, default=1)
     p.add_argument("--out", default="out")
     p.set_defaults(fn=cmd_evaluate)
 
@@ -215,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", required=True)
     p.add_argument("--viz", required=True)
     p.add_argument("--policy", help="override every agent's policy")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_count, default=1)
     p.add_argument("--out", default="out")
     p.set_defaults(fn=cmd_pipeline)
 

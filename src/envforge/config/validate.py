@@ -35,8 +35,9 @@ from ..params import (
     ConfigError,
     Param,
     finite,
-    finite_real,
+    list_of,
     mapping,
+    mapping_of,
     nonempty,
     one_of,
     parse_params,
@@ -45,6 +46,7 @@ from ..params import (
     probability,
     sequence,
     string,
+    table,
 )
 from ..params import join_path as _join
 from ..parts import GLOBAL_REGISTRY, PluginRegistry
@@ -129,18 +131,18 @@ def _raw(raw):
     return raw
 
 
-#: the one declared key of a distribution; the others are its kind's hyperparameters
-_KIND = (Param("kind", one_of(DISTRIBUTION_KINDS)),)
+#: the key of a distribution that chooses its class; the others are read with that class's ``params``
+_KIND = Param("kind", one_of(DISTRIBUTION_KINDS))
 
 
 def _distribution(raw) -> Distribution:
     """The distribution of a ``{kind, <hyperparameter>: value, ...}`` mapping."""
-    hyperparameters = dict(mapping(raw))
-    given = {"kind": hyperparameters.pop("kind")} if "kind" in hyperparameters else {}
-    settings, errors = parse_params(_KIND, given, "")
-    if errors:
-        raise ConfigError(errors[0][2], errors)
-    distribution = DISTRIBUTION_KINDS[settings["kind"]](**hyperparameters)
+    tree = mapping(raw)
+    kind = table((_KIND,))({key: value for key, value in tree.items() if key == "kind"})["kind"]
+    cls = DISTRIBUTION_KINDS[kind]
+    settings = table((_KIND, *cls.params))(tree)
+    del settings["kind"]
+    distribution = cls(**settings)
     distribution.validate()
     return distribution
 
@@ -156,21 +158,6 @@ def _space_check_mode(raw):
     """A mode's name, or a ``{spot_check: p}`` mapping, which is parsed as
     its own section (``SPOT_CHECK``)."""
     return raw if isinstance(raw, dict) else _SPACE_CHECK_MODES[one_of(_SPACE_CHECK_MODES)(raw)]
-
-
-def _names(raw) -> list[str]:
-    """One or more names."""
-    return [string(name) for name in nonempty(raw)]
-
-
-def _references(raw) -> dict[str, str]:
-    """A functor's ``references``: the reference-store key of each param."""
-    references = mapping(raw)
-    message = "reference key must be a string"
-    errors = [(str(param), "TypeMismatch", message) for param, key in references.items() if not isinstance(key, str)]
-    if errors:
-        raise ConfigError(errors[0][2], errors)
-    return {str(param): key for param, key in references.items()}
 
 
 #: the keys each structural section declares; any other key is UnknownField.
@@ -192,11 +179,11 @@ PLATFORM = (Param("name", string), Param("platform_type", string), Param("initia
 PARAMETER = (Param("distribution", _distribution), Param("unit", get_unit, NONE), Param("updaters", sequence, []))
 AGENT = (
     Param("agent", string),
-    Param("platforms", _names),
+    Param("platforms", nonempty(list_of(string))),
     Param("parts", sequence, []),
     Param("reference_store", mapping, {}),
     Param("episode_parameter_provider", mapping, {}),
-    Param("glues", nonempty),
+    Param("glues", nonempty(sequence)),
     Param("dones", sequence, []),
     Param("rewards", sequence, []),
     Param("policy", mapping, None),
@@ -207,7 +194,7 @@ FUNCTOR = (
     Param("functor", one_of(FUNCTOR_REGISTRY, "UnknownFunctor")),
     Param("name", string, None),
     Param("config", mapping, {}),
-    Param("references", _references, {}),
+    Param("references", mapping_of(string), {}),
     Param("wrapped", _raw, None),
     Param("extractor", mapping, None),
 )
@@ -250,7 +237,7 @@ def parse_parameter_spec(name: str, tree, path: str, report: ValidationReport) -
     ``step`` and ``limit``.
     """
     if isinstance(tree, (int, float)) and not isinstance(tree, bool):
-        tree = {"distribution": {"kind": "constant", "value": float(tree) if finite_real(tree) else tree}}
+        tree = {"distribution": {"kind": "constant", "value": tree}}
     settings = _parse(PARAMETER, tree, path, report)
     if settings is None or "distribution" not in settings or "unit" not in settings:
         return None

@@ -206,7 +206,6 @@ class Environment:
         self.spot_checks_run = 0
 
         self.state: EpisodeState | None = None
-        self.trace: list[tuple[int, str]] = []  # (step, phase) instrumentation
         self._env_done = True
         self._truncated = False
         # agent name -> the done that ended it, None while it is active
@@ -232,7 +231,6 @@ class Environment:
         self._truncated = False
         self._outcome = dict.fromkeys(self.agents)
         self._check_rng = np.random.default_rng(seed)
-        self.trace = []
 
         self._evaluate_glues()
         self._space_check()
@@ -271,17 +269,14 @@ class Environment:
                     commands.append((apply_action, values))
         for apply_action, values in commands:
             apply_action(values, state)
-        self.trace.append((state.step_count + 1, "apply_action"))
 
         # (2) simulator advances one frame
         self.simulator.step()
         state.step_count += 1
         state.sim_time = self.simulator.sim_time
-        self.trace.append((state.step_count, "sim_step"))
 
         # (3) glues compute observations
         self._evaluate_glues()
-        self.trace.append((state.step_count, "observe"))
 
         # (4) dones, including shared dones; an agent's outcome is its first
         # fired done, else PlatformDestroyed, else the first shared done
@@ -311,7 +306,6 @@ class Environment:
                 shared_fired[done] = result
                 if shared_first is None:
                     shared_first = result
-        self.trace.append((state.step_count, "dones"))
 
         # (5) rewards, with this step's done results visible; an agent's
         # reward is the sum of its components, in order
@@ -325,7 +319,6 @@ class Environment:
                 agent_components[reward] = value = float(evaluate(state, agent_dones))
                 total += value
             rewards[name] = total
-        self.trace.append((state.step_count, "rewards"))
 
         # (6) episode end policy; the shared done ends every agent still active
         truncated = self._truncated

@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .params import ConfigError, finite_real
+from .params import ConfigError, Param, finite, list_of, nonempty, nonnegative, optional, parse_params, positive
 from .units import NONE, Quantity, Unit
 
 
@@ -45,15 +45,12 @@ class NotYetSampled(EppError):
 _STD_NORMAL = NormalDist()
 
 
-def _require_finite(dist: "Distribution", name: str, values: list) -> None:
-    for value in values:
-        if not finite_real(value):
-            raise ValueError(f"{type(dist).__name__}: {name} must be a finite number, got {value!r}")
-
-
 class Distribution:
-    """Base distribution; subclasses expose mutable hyperparameters."""
+    """Base distribution; subclasses declare their hyperparameters in
+    ``params`` and expose the mutable ones."""
 
+    #: the table of its hyperparameters, each a finite number or a list of them
+    params: tuple[Param, ...] = ()
     #: names of hyperparameters an updater may target
     mutable: tuple[str, ...] = ()
 
@@ -61,11 +58,14 @@ class Distribution:
         raise NotImplementedError
 
     def validate(self) -> None:
-        """Check invariants; ``ParameterSpec`` calls it at construction.  Every
-        hyperparameter must be a finite real number (not a str, None, a bool,
-        NaN or an infinity); a subclass checks its own invariants after this."""
-        for name, value in vars(self).items():
-            _require_finite(self, name, [value])
+        """Check invariants; ``ParameterSpec`` calls it at construction.  The
+        hyperparameters are read with ``params``, which raises ``ValueError``
+        naming the first one that fails; a subclass checks the invariants
+        between them after this."""
+        _, errors = parse_params(self.params, vars(self), "")
+        if errors:
+            path, _, message = errors[0]
+            raise ValueError(f"{type(self).__name__}: {path}: {message}")
 
     def clamp(self) -> None:
         """Restore invariants after an update, clamping where possible."""
@@ -75,6 +75,7 @@ class Distribution:
 class Constant(Distribution):
     value: float
 
+    params = (Param("value", finite),)
     mutable = ("value",)
 
     def sample(self, rng: np.random.Generator) -> float:
@@ -86,6 +87,7 @@ class Uniform(Distribution):
     low: float
     high: float
 
+    params = (Param("low", finite), Param("high", finite))
     mutable = ("low", "high")
 
     def validate(self) -> None:
@@ -108,12 +110,11 @@ class TruncatedGaussian(Distribution):
     low: float
     high: float
 
+    params = (Param("mu", finite), Param("sigma", positive), Param("low", finite), Param("high", finite))
     mutable = ("mu", "sigma", "low", "high")
 
     def validate(self) -> None:
         super().validate()
-        if self.sigma <= 0:
-            raise ValueError(f"TruncatedGaussian: sigma ({self.sigma}) must be > 0")
         if self.low >= self.high:
             raise ValueError(
                 f"TruncatedGaussian: low ({self.low}) must be < high ({self.high})"
@@ -142,19 +143,17 @@ class DiscreteChoice(Distribution):
     values: list[float]
     weights: list[float] | None = None
 
+    params = (
+        Param("values", nonempty(list_of(finite))),
+        Param("weights", optional(list_of(nonnegative)), None),
+    )
     mutable = ()
 
     def validate(self) -> None:
-        # list-valued, and weights may be None, so the base class's check does not apply
-        for name in ("values", "weights"):
-            _require_finite(self, name, getattr(self, name) or [])
-        if not self.values:
-            raise ValueError("DiscreteChoice: values must be non-empty")
+        super().validate()
         if self.weights is not None:
             if len(self.weights) != len(self.values):
                 raise ValueError("DiscreteChoice: weights length != values length")
-            if any(w < 0 for w in self.weights):
-                raise ValueError("DiscreteChoice: weights must be non-negative")
             if sum(self.weights) <= 0:
                 raise ValueError("DiscreteChoice: weights must sum to > 0")
 

@@ -27,6 +27,8 @@ from itertools import count
 from operator import itemgetter
 from pathlib import Path
 
+from ..params import Param, boolean, integer, list_of, mapping, optional, parse_params, string
+
 SCHEMA_VERSION = 1
 MANIFEST = "manifest.json"
 
@@ -48,6 +50,45 @@ class MissingArtifact(ArtifactError):
 def artifact_file(case_id: str) -> str:
     """The file name of a case's artifact in an output directory."""
     return f"artifact_{case_id}.jsonl"
+
+
+def case_name(raw) -> str:
+    """A case's name, which names its artifact file: a string without a path separator."""
+    if any(sep in string(raw) for sep in ("/", "\\", "\0")):
+        raise ValueError(f"name '{raw}' contains a path separator")
+    return raw
+
+
+def _schema_version(raw) -> int:
+    """The schema version of a file this module can read: ``SCHEMA_VERSION``."""
+    if integer(raw) != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {raw} (this version reads {SCHEMA_VERSION})")
+    return raw
+
+
+def _case_names(raw) -> list[str]:
+    """The case names of a manifest, each a ``case_name`` named once."""
+    names = list_of(case_name)(raw)
+    if len(set(names)) != len(names):
+        raise ValueError(f"names a case more than once: {names}")
+    return names
+
+
+#: the keys of an artifact's header, outcome record and manifest
+HEADER = (
+    Param("record", string),
+    Param("schema_version", _schema_version),
+    Param("case_id", string),
+    Param("seed", integer),
+    Param("parameters", mapping),
+)
+OUTCOME = (
+    Param("record", string),
+    Param("final_outcome", mapping),
+    Param("truncated", boolean),
+    Param("error", optional(string), None),
+)
+MANIFEST_KEYS = (Param("schema_version", _schema_version), Param("cases", _case_names))
 
 
 def write_atomic(path: str | Path, text: str) -> Path:
@@ -288,13 +329,14 @@ def _parsed(number: int, line: str, source: str):
     return record
 
 
-def _check_fields(record: dict, types: dict, where: str) -> None:
-    """Raise ``ArtifactError`` at ``where`` unless record has each key of
-    ``types`` with a value of its type."""
-    for key, expected in types.items():
-        value = record.get(key)
-        if key not in record or not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
-            raise ArtifactError(f"{where}: {record['record']} record: '{key}' is missing or has the wrong type")
+def _settings(table: tuple[Param, ...], record: dict, where: str) -> dict:
+    """``record`` read with ``table``; raises ``ArtifactError`` at ``where``
+    (its file, and line, and what it is) naming the first error."""
+    settings, errors = parse_params(table, record, "")
+    if errors:
+        path, _, message = errors[0]
+        raise ArtifactError(f"{where}: {path}: {message}")
+    return settings
 
 
 @dataclass
@@ -355,16 +397,15 @@ class EpisodeArtifact:
         outcome = _parsed(*numbered[-1], source) if len(numbered) > 1 else {}
         if outcome.get("record") != "outcome":
             raise TruncatedArtifact(source)
-        _check_fields(header, {"case_id": str, "seed": int, "parameters": dict}, f"{source}:{numbered[0][0]}")
-        outcome_types = {"final_outcome": dict, "truncated": bool, "error": (str, type(None))}
-        _check_fields({"error": None, **outcome}, outcome_types, f"{source}:{numbered[-1][0]}")
+        header = _settings(HEADER, header, f"{source}:{numbered[0][0]}: header record")
+        outcome = _settings(OUTCOME, outcome, f"{source}:{numbered[-1][0]}: outcome record")
         artifact = cls(
             case_id=header["case_id"],
             seed=header["seed"],
             parameters=header["parameters"],
             final_outcome=outcome["final_outcome"],
             truncated=outcome["truncated"],
-            error=outcome.get("error"),
+            error=outcome["error"],
         )
         layouts: dict[tuple, RecordLayout] = {}
         for number, line in numbered[1:-1]:
@@ -461,11 +502,10 @@ def load_artifacts(directory: str | Path) -> list[EpisodeArtifact]:
     if not manifest.is_file():
         return [EpisodeArtifact.load(p) for p in sorted(directory.glob("artifact_*.jsonl"))]
     try:
-        cases = json.loads(manifest.read_text())["cases"]
-    except (ValueError, KeyError, TypeError) as exc:
+        document = mapping(json.loads(manifest.read_text()))
+    except (ValueError, TypeError) as exc:
         raise ArtifactError(f"{manifest}: not a run manifest: {exc!r}") from exc
-    if not isinstance(cases, list):
-        raise ArtifactError(f"{manifest}: 'cases' is not a list of case names")
+    cases = _settings(MANIFEST_KEYS, document, str(manifest))["cases"]
     paths = [directory / artifact_file(case) for case in cases]
     missing = [p.name for p in paths if not p.is_file()]
     if missing:

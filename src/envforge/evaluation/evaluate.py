@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -23,10 +22,10 @@ from ..config.validate import reference_range_error, referencing_params
 from ..environment import Environment, StepResult, episode_parameters
 from ..epp import ParameterSpec
 from ..functors.base import DoneStatusCode
-from ..params import Param, integer, mapping, parse_params
+from ..params import PARSE_ERRORS, Param, finite, integer, mapping, parse_entries, string, value_in
 from ..policies import POLICY_REGISTRY
-from ..units import Quantity, UnitError, as_vector, value_in
-from .artifact import EpisodeArtifact, RecordLayout, Row, artifact_file, write_manifest
+from ..units import Quantity, UnitError, as_vector
+from .artifact import EpisodeArtifact, RecordLayout, Row, artifact_file, case_name, write_manifest
 
 log = logging.getLogger(__name__)
 
@@ -61,7 +60,7 @@ class TestCase:
 
 #: the keys of a test case; ``name`` defaults to ``case_<index>``, and
 #: ``seed`` to the index
-CASE = (Param("name", str, None), Param("parameters", mapping, {}), Param("seed", integer, None))
+CASE = (Param("name", string, None), Param("parameters", mapping, {}), Param("seed", integer, None))
 
 
 def parse_condition_set(tree) -> list[TestCase]:
@@ -75,13 +74,7 @@ def parse_condition_set(tree) -> list[TestCase]:
         raise EvaluationError("test cases: expected a mapping with a 'test_cases' list")
     cases: list[TestCase] = []
     names: set[str] = set()
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise InvalidCase(i, "expected a mapping")
-        settings, errors = parse_params(CASE, entry, "")
-        if errors:
-            path, _, message = errors[0]
-            raise InvalidCase(i, f"{path}: {message}")
+    for i, settings in enumerate(parse_entries(entries, CASE, InvalidCase)):
         name = f"case_{i}" if settings["name"] is None else settings["name"]
         _check_case_name(i, name, names)
         seed = i if settings["seed"] is None else settings["seed"]
@@ -90,10 +83,12 @@ def parse_condition_set(tree) -> list[TestCase]:
 
 
 def _check_case_name(index: int, name: str, names: set[str]) -> None:
-    """Each case names its artifact file: ``name`` must be new to ``names``
-    (the earlier cases' names, to which it is added) and hold no path separator."""
-    if any(sep in name for sep in ("/", "\\", "\0")):
-        raise InvalidCase(index, f"name '{name}' contains a path separator")
+    """Each case names its artifact file: ``name`` must be a ``case_name``
+    new to ``names`` (the earlier cases' names, to which it is added)."""
+    try:
+        case_name(name)
+    except PARSE_ERRORS as exc:
+        raise InvalidCase(index, str(exc)) from exc
     if name in names:
         raise InvalidCase(index, f"another case is already named '{name}'")
     names.add(name)
@@ -111,11 +106,9 @@ def _case_overrides(specs: Mapping[str, ParameterSpec], case: TestCase) -> dict[
         if spec is None:
             raise UnknownCaseParameter(case.name, name)
         try:
-            value = value_in(raw, spec.unit)
-        except (TypeError, ValueError, UnitError) as exc:
+            value = finite(value_in(raw, spec.unit))
+        except (*PARSE_ERRORS, UnitError) as exc:
             raise InvalidCaseParameter(case.name, name, str(exc)) from exc
-        if not math.isfinite(value):
-            raise InvalidCaseParameter(case.name, name, f"value {value} is not finite")
         overrides[name] = Quantity.scalar(value, spec.unit)
     return overrides
 
@@ -317,8 +310,10 @@ def evaluate(
     given to a reference-store key against the range of every functor param
     that references the key, as ``reset`` checks it.  Each process builds
     one environment and runs its cases on it.  Returns the artifacts in case
-    order.
+    order.  ``workers`` must be at least 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     names: set[str] = set()
     specs = episode_parameters(config)[0].specs
     referencing = referencing_params(config)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from ..params import Param, mapping, parse_params
+from ..params import Param, mapping, mapping_of, parse_entries, string
 from .artifact import EpisodeArtifact
 
 TERMINAL = "terminal"
@@ -150,10 +150,10 @@ class MetricSpec:
 
 #: the keys of a metrics entry; ``metric`` defaults to the entry's ``name``
 METRIC_ENTRY = (
-    Param("name", str),
-    Param("metric", str, None),
+    Param("name", string),
+    Param("metric", string, None),
     Param("config", mapping, {}),
-    Param("inputs", mapping, {}),
+    Param("inputs", mapping_of(string), {}),
 )
 
 
@@ -163,13 +163,7 @@ def parse_metric_config(tree) -> list[MetricSpec]:
     if not isinstance(entries, list):
         raise MetricError("metric config: expected a mapping with a 'metrics' list")
     specs: list[MetricSpec] = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise InvalidMetricEntry(i, "expected a mapping")
-        settings, errors = parse_params(METRIC_ENTRY, entry, "")
-        if errors:
-            path, _, message = errors[0]
-            raise InvalidMetricEntry(i, f"{path}: {message}")
+    for i, settings in enumerate(parse_entries(entries, METRIC_ENTRY, InvalidMetricEntry)):
         name = settings["name"]
         if any(spec.name == name for spec in specs):
             raise InvalidMetricEntry(i, f"another metric is already named '{name}'")
@@ -178,7 +172,7 @@ def parse_metric_config(tree) -> list[MetricSpec]:
                 name=name,
                 metric=name if settings["metric"] is None else settings["metric"],
                 config=settings["config"],
-                inputs={str(k): str(v) for k, v in settings["inputs"].items()},
+                inputs=settings["inputs"],
             )
         )
     _computation_order(specs)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..params import Param, mapping, one_of, parse_params, sequence
+from ..params import Param, list_of, mapping, one_of, optional, parse_entries, string
 from .metrics import NON_TERMINAL, TERMINAL, MetricError, MetricValue, UnknownMetric
 
 
@@ -38,17 +38,13 @@ class VizSpec:
     config: dict = field(default_factory=dict)
 
 
-def _metric_names(raw) -> list | None:
-    """The names of the metrics to render; None renders every applicable one."""
-    return None if raw is None else sequence(raw)
-
-
-#: the keys of a visualizations entry, which are ``VizSpec``'s fields
+#: the keys of a visualizations entry, which are ``VizSpec``'s fields;
+#: ``metrics`` names the metrics to render, and null renders every applicable one
 VIZ_ENTRY = (
     Param("type", one_of(VIZ_TYPES)),
-    Param("metrics", _metric_names, None),
-    Param("file", str, "report.html"),
-    Param("title", str, "Evaluation report"),
+    Param("metrics", optional(list_of(string)), None),
+    Param("file", string, "report.html"),
+    Param("title", string, "Evaluation report"),
     Param("config", mapping, {}),
 )
 
@@ -58,16 +54,7 @@ def parse_viz_config(tree) -> list[VizSpec]:
     entries = tree.get("visualizations", []) if isinstance(tree, dict) else None
     if not isinstance(entries, list):
         raise MetricError("visualization config: expected a mapping with a 'visualizations' list")
-    specs = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise InvalidVizEntry(i, "expected a mapping")
-        settings, errors = parse_params(VIZ_ENTRY, entry, "")
-        if errors:
-            path, _, message = errors[0]
-            raise InvalidVizEntry(i, f"{path}: {message}")
-        specs.append(VizSpec(**settings))
-    return specs
+    return [VizSpec(**settings) for settings in parse_entries(entries, VIZ_ENTRY, InvalidVizEntry)]
 
 
 def _select(metrics: dict[str, MetricValue], names: list[str] | None, default_kind: str | None):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..params import ANY, SOURCE, Param, boolean, nonnegative, positive, positive_int, string
+from ..params import ANY, SOURCE, Param, boolean, integer, nonnegative, positive, positive_int, string
 from ..parts import Box, Controller, Sensor
 from ..units import METER, METER_PER_SECOND, NONE, DimensionMismatch, check_compatibility, get_unit
 from .base import (
@@ -97,7 +97,7 @@ class TargetValueDifference(Glue):
     inputs = SOURCE
     params = (
         Param("unit", get_unit, default=NONE),
-        Param("index", int, default=0),
+        Param("index", integer, default=0),
         Param("min", default=-math.inf),
         Param("max", default=math.inf),
         Param("target_value", default=0.0, referenceable=True),

@@ -17,7 +17,7 @@ from collections.abc import Callable, Collection, Mapping
 from dataclasses import dataclass
 from typing import Any
 
-from .units import DimensionMismatch, Quantity, Unit, UnknownUnit, value_in
+from .units import DimensionMismatch, Quantity, Unit, UnknownUnit, convert, get_unit
 
 
 class _Sentinel:
@@ -30,6 +30,18 @@ class _Sentinel:
 
 #: the default of a param that has none: its key must be given
 REQUIRED: Any = _Sentinel("REQUIRED")
+
+
+def number(raw) -> float:
+    """A real number that is not a boolean and not NaN, as a float; an
+    infinity is one (``float`` would take a boolean, a string or NaN)."""
+    if type(raw) is not float:
+        if not isinstance(raw, numbers.Real) or isinstance(raw, bool):
+            raise TypeError(f"expected a number, got {type(raw).__name__}")
+        raw = float(raw)
+    if raw != raw:
+        raise ValueError("expected a number, got nan")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -49,7 +61,7 @@ class Param:
     """
 
     name: str
-    parse: Callable[[Any], Any] = float
+    parse: Callable[[Any], Any] = number
     default: Any = REQUIRED
     referenceable: bool = False
     unit: Unit | None = None
@@ -98,19 +110,45 @@ def integer(raw) -> int:
     return int(raw)
 
 
-def finite_real(value) -> bool:
-    """Whether ``value`` is a real number, not a bool, that is finite as a float."""
-    try:
-        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 def finite(raw) -> float:
-    """A real number, not a boolean, that is finite as a float."""
-    if not finite_real(raw):
-        raise ValueError(f"expected a finite number, got {raw!r}")
-    return float(raw)
+    """A number that is finite."""
+    value = number(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value}")
+    return value
+
+
+def optional(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """The converter of a value that ``convert`` takes, or null (None)."""
+    return lambda raw: None if raw is None else convert(raw)
+
+
+def _each(convert: Callable[[Any], Any], items) -> list[tuple]:
+    """(key, ``convert(value)``) of each (key, value) of ``items``, or a
+    ``ConfigError`` listing each value that ``convert`` rejects at its key."""
+    converted, errors = [], []
+    for key, raw in items:
+        try:
+            converted.append((key, convert(raw)))
+        except PARSE_ERRORS as exc:
+            errors.append((str(key), "TypeMismatch", f"invalid value for '{key}': {exc}"))
+        except ConfigError as exc:
+            errors += [(join_path(key, sub), code, message) for sub, code, message in exc.errors]
+    if errors:
+        raise ConfigError(errors[0][2], errors)
+    return converted
+
+
+def list_of(convert: Callable[[Any], Any]) -> Callable[[Any], list]:
+    """The converter of a list each of whose elements ``convert`` takes;
+    ``parse_params`` reports a bad element at its index."""
+    return lambda raw: [value for _, value in _each(convert, enumerate(sequence(raw)))]
+
+
+def mapping_of(convert: Callable[[Any], Any]) -> Callable[[Any], dict]:
+    """The converter of a mapping each of whose values ``convert`` takes,
+    keyed by its keys as strings; ``parse_params`` reports a bad value at its key."""
+    return lambda raw: dict(_each(convert, [(str(key), value) for key, value in mapping(raw).items()]))
 
 
 def one_of(choices: Collection, code: str = "TypeMismatch") -> Callable[[Any], Any]:
@@ -139,16 +177,34 @@ def _bounded(convert: Callable[[Any], Any], holds: Callable[[Any], bool], requir
     return parse
 
 
-#: a float above zero (NaN fails every comparison, so it is rejected too)
-positive = _bounded(float, lambda v: v > 0, "> 0")
-#: a float of zero or more
-nonnegative = _bounded(float, lambda v: v >= 0, ">= 0")
+#: a finite number above zero
+positive = _bounded(finite, lambda v: v > 0, "> 0")
+#: a finite number of zero or more
+nonnegative = _bounded(finite, lambda v: v >= 0, ">= 0")
 #: an integer of one or more
 positive_int = _bounded(integer, lambda v: v >= 1, ">= 1")
 #: a finite number in [0, 1]
 probability = _bounded(finite, lambda v: 0 <= v <= 1, "in [0, 1]")
-#: a list of one or more entries
-nonempty = _bounded(sequence, bool, "non-empty")
+
+
+def nonempty(convert: Callable[[Any], list]) -> Callable[[Any], list]:
+    """The converter of a list that ``convert`` takes and that has one or more entries."""
+    return _bounded(convert, bool, "non-empty")
+
+
+def value_in(raw, unit: Unit) -> float:
+    """A config value as a number in ``unit``.
+
+    A bare number is taken to be in ``unit``; a ``{value, unit}`` mapping is
+    converted to it.  Each number is read by :func:`number`.  Raises
+    ``TypeError`` or ``ValueError`` for a malformed value, ``UnknownUnit``
+    and ``DimensionMismatch``.
+    """
+    if isinstance(raw, dict):
+        if set(raw) != {"value", "unit"}:
+            raise TypeError(f"expected a number or a {{value, unit}} mapping, got keys {list(raw)}")
+        return convert(Quantity.scalar(number(raw["value"]), get_unit(raw["unit"])), unit).item
+    return number(raw)
 
 
 def parse_reference(p: Param, value: Quantity) -> Any:
@@ -262,6 +318,35 @@ def parse_params(
         else:
             settings[p.name] = p.default
     return settings, errors
+
+
+def table(params: tuple[Param, ...]) -> Callable[[Any], dict[str, Any]]:
+    """The converter of a mapping read with the table ``params``: its
+    settings, or a ``ConfigError`` listing every error at its key's path."""
+
+    def parse(raw) -> dict[str, Any]:
+        settings, errors = parse_params(params, mapping(raw), "")
+        if errors:
+            raise ConfigError(errors[0][2], errors)
+        return settings
+
+    return parse
+
+
+def parse_entries(entries: list, params: tuple[Param, ...], invalid: Callable[[int, str], Exception]) -> list[dict]:
+    """The settings of each entry of ``entries`` under the table ``params``;
+    raises ``invalid(index, reason)`` for the first entry that is not a
+    mapping or has an error, naming the error's path."""
+    parsed = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise invalid(i, "expected a mapping")
+        settings, errors = parse_params(params, entry, "")
+        if errors:
+            path, _, message = errors[0]
+            raise invalid(i, f"{path}: {message}")
+        parsed.append(settings)
+    return parsed
 
 
 #: ``inputs`` of a functor that reads one observation: its extractor's, else

@@ -13,7 +13,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .params import ConfigError, Param, parse_params, string
+from .params import ConfigError, Param, list_of, mapping_of, number, one_of, parse_params, string
 from .parts import Box
 from .units import Quantity, as_vector
 
@@ -119,19 +119,12 @@ class ScriptedPolicy(Policy):
 
     def __init__(self, config=None, seed: int = 0):
         config = config or {}
-        rule_name = config.get("rule")
-        rule = SCRIPTED_RULES.get(rule_name) if isinstance(rule_name, str) else None
-        if rule is None:
-            if "rule" not in config:
-                error = ("config/rule", "MissingField", "missing required key 'rule'")
-            else:
-                error = (
-                    "config/rule", "TypeMismatch",
-                    f"unknown scripted rule {rule_name!r} (registered: {sorted(SCRIPTED_RULES)})",
-                )
-            raise PolicyError.listing("scripted policy", [error])
+        given = {"rule": config["rule"]} if "rule" in config else {}
+        name = _settings("scripted policy", (Param("rule", one_of(SCRIPTED_RULES)),), given)["rule"]
         rule_config = {k: v for k, v in config.items() if k != "rule"}
-        self._rule = rule.factory(_settings(f"scripted rule '{rule_name}'", rule.params, rule_config))
+        self._rule = SCRIPTED_RULES[name].factory(
+            _settings(f"scripted rule '{name}'", SCRIPTED_RULES[name].params, rule_config)
+        )
         super().__init__(config, seed)
 
     def _compute(self, observation, action_space):
@@ -141,16 +134,16 @@ class ScriptedPolicy(Policy):
         }
 
 
-def _action_sequence(raw) -> list[ActionDict]:
-    if not isinstance(raw, list) or not all(isinstance(step, dict) for step in raw):
-        raise TypeError("expected a list of mappings of action name to values")
-    return [{name: as_vector(v) for name, v in step.items()} for step in raw]
+def _fragment(raw) -> np.ndarray:
+    """A recorded action fragment: a number or a list of numbers."""
+    return as_vector(list_of(number)(raw) if isinstance(raw, list) else number(raw))
 
 
 class ReplayPolicy(Policy):
     """Plays back a recorded action sequence; used by the evaluation pipeline tests."""
 
-    params = (Param("actions", _action_sequence, default=()),)
+    #: each step's actions: the fragment of each action name
+    params = (Param("actions", list_of(mapping_of(_fragment)), default=()),)
 
     def __init__(self, config=None, seed: int = 0):
         self._sequence = _settings("replay policy", self.params, config or {})["actions"]

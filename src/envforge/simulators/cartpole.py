@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..epp import SampledParameters
-from ..params import Param, positive
+from ..params import Param, finite, positive, table
 from ..parts import GLOBAL_REGISTRY, Box, Controller, Platform, Sensor
 from ..units import METER, METER_PER_SECOND, NEWTON, NONE, RADIAN, RADIAN_PER_SECOND
 from .base import PlatformSetup, Simulator
@@ -30,14 +30,8 @@ DEFAULTS = {
 }
 
 
-def _constants(raw) -> dict[str, float]:
-    """``DEFAULTS`` with the overrides of the mapping ``raw``, whose keys must be its names."""
-    if not isinstance(raw, dict):
-        raise TypeError(f"expected a mapping, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - set(DEFAULTS))
-    if unknown:
-        raise ValueError(f"unknown constants {unknown} (known: {sorted(DEFAULTS)})")
-    return {**DEFAULTS, **{name: float(value) for name, value in raw.items()}}
+#: the keys of ``constants``: each of ``DEFAULTS``, a finite number defaulting to its value there
+CONSTANTS = tuple(Param(name, finite, default) for name, default in DEFAULTS.items())
 
 
 @dataclass
@@ -55,7 +49,7 @@ class CartPoleSimulator(Simulator):
     required_init_params = ("x0", "xdot0", "theta0", "thetadot0")
     params = (
         Param("frame_rate", positive, default=50.0),
-        Param("constants", _constants, default=DEFAULTS),
+        Param("constants", table(CONSTANTS), default=DEFAULTS),
     )
 
     def __init__(self, config, platform_setups):

@@ -176,20 +176,6 @@ class Quantity:
         return f"Quantity({self.values.tolist()}, {self.unit.name})"
 
 
-def value_in(raw, unit: Unit) -> float:
-    """A config value as a number in ``unit``.
-
-    A bare number is taken to be in ``unit``; a ``{value, unit}`` mapping is
-    converted to it.  Raises ``TypeError`` or ``ValueError`` for a malformed
-    value, ``UnknownUnit`` and ``DimensionMismatch``.
-    """
-    if isinstance(raw, dict):
-        if set(raw) != {"value", "unit"}:
-            raise TypeError(f"expected a number or a {{value, unit}} mapping, got keys {list(raw)}")
-        return convert(Quantity.scalar(float(raw["value"]), get_unit(raw["unit"])), unit).item
-    return float(raw)
-
-
 def convert(q: Quantity, target: Unit) -> Quantity:
     """Convert a quantity to another unit of the same dimension."""
     if q.unit is target:

@@ -36,7 +36,7 @@ from envforge.functors.base import DoneStatusCode
 from envforge.functors.graph import build_graph
 from envforge.units import REGISTRY, Quantity
 
-from conftest import CONFIG_DIR, DATA_DIR
+from conftest import CONFIG_DIR, DATA_DIR, PHASES, phases, record_schedule
 from test_functors import cartpole_platform, observe_state_spec, tvd_done_spec
 from test_simulators import cartpole_oracle, make_cartpole, make_docking
 
@@ -164,31 +164,29 @@ def test_validation_corpus():
     )
 
 
-def test_step_schedule():
+def test_step_schedule(monkeypatch):
+    calls = record_schedule(monkeypatch)
     config, _ = validate_environment_file(CONFIG_DIR / "docking" / "environment_short.yml")
     env = Environment(config)
     observations = env.reset(seed=0, overrides={"deputy.x0": Quantity.scalar(-500.0, REGISTRY["meter"])})
     sums_exact = True
+    order_ok = True
     for _ in range(100):
         actions = {
             name: agent.policy.compute_action(observations.get(name, {}), agent.action_space())
             for name, agent in env.agents.items()
         }
+        calls.clear()
         result = env.step(actions)
+        order_ok = order_ok and phases(calls) == PHASES
         observations = result.observations
         for agent, total in result.rewards.items():
             sums_exact = sums_exact and total == sum(
                 result.info["reward_components"][agent].values()
             )
-    by_step = {}
-    for step, phase in env.trace:
-        by_step.setdefault(step, []).append(phase)
-    order_ok = len(by_step) >= 100 and all(
-        phases.index("dones") < phases.index("rewards") for phases in by_step.values()
-    )
     report(
-        "step schedule: 100-step trace evaluates dones strictly before rewards; "
-        "agent reward equals component sum exactly",
+        "step schedule: each of 100 steps runs apply_action, sim_step, observe, dones, rewards "
+        "in order (dones strictly before rewards); agent reward equals component sum exactly",
         order_ok and sums_exact,
     )
 

@@ -267,6 +267,10 @@ MALFORMED = {
     "step_number_is_text": (1, {**STEP, "step": "1"}),
     "header_without_case_id": (0, without(HEADER, "case_id")),
     "header_seed_not_an_integer": (0, {**HEADER, "seed": True}),
+    "header_of_schema_version_99": (0, {**HEADER, "schema_version": 99}),
+    "header_without_schema_version": (0, without(HEADER, "schema_version")),
+    "header_with_an_extra_key": (0, {**HEADER, "extra": 1}),
+    "outcome_error_not_a_string": (2, {**OUTCOME, "error": 3}),
     "outcome_without_final_outcome": (2, without(OUTCOME, "final_outcome")),
 }
 

@@ -57,6 +57,27 @@ class TestValidate:
             main(["frobnicate"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--episodes", "-2"],
+            ["run", "--episodes", "0"],
+            ["run", "--episodes", "1.5"],
+            ["evaluate", "--cases", str(DOCKING / "cases.yml"), "--workers", "-3"],
+            ["evaluate", "--cases", str(DOCKING / "cases.yml"), "--workers", "0"],
+            ["pipeline", "--cases", "c.yml", "--metrics", "m.yml", "--viz", "v.yml", "--workers", "two"],
+        ],
+        ids=["episodes_negative", "episodes_zero", "episodes_fraction", "workers_negative", "workers_zero",
+             "workers_text"],
+    )
+    def test_count_below_one_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(short_args(*argv, "--out", str(out)))
+        assert excinfo.value.code == 2
+        assert "expected an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     def test_run_writes_logs_under_out_only(self, tmp_path, monkeypatch, capsys):
@@ -211,6 +232,20 @@ class TestPipelineStages:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {error}: "), lines
         assert list(out.glob("artifact_*.jsonl")) == []
+
+
+    @pytest.mark.parametrize(
+        "path", sorted((DATA_DIR / "invalid_artifacts").glob("*.json*")), ids=lambda p: p.stem
+    )
+    def test_invalid_artifacts_corpus(self, tmp_path, capsys, path):
+        # each file alone in an output directory; a manifest under its own name
+        out = tmp_path / "out"
+        out.mkdir()
+        target = out / ("manifest.json" if path.name.startswith("manifest_") else path.name)
+        target.write_bytes(path.read_bytes())
+        assert main(["metrics", "--metrics", str(DOCKING / "metrics.yml"), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: ArtifactError: {target}"), lines
 
 
 class TestLogLevel:

@@ -20,9 +20,10 @@ from envforge.evaluation import TestCase, rollout
 from envforge.evaluation.evaluate import override_policies
 from envforge.evaluation.evaluate import run_episode as record_episode
 from envforge.functors.base import DoneStatusCode
+from envforge.policies import ScriptedPolicy
 from envforge.units import METER, Quantity
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, PHASES, phases, record_schedule
 
 
 def docking_tree(
@@ -146,20 +147,21 @@ def run_episode(env, seed=0, max_steps=10_000):
 
 
 class TestStepSchedule:
-    PHASES = ["apply_action", "sim_step", "observe", "dones", "rewards"]
-
-    def test_phase_order_over_100_steps(self):
-        # Instrumented trace: within every step dones come strictly before
-        # rewards, and the full schedule is in declared order.
+    def test_phase_order_over_100_steps(self, monkeypatch):
+        # The calls each step makes, recorded on their classes: every step
+        # runs the full schedule in declared order, so dones come strictly
+        # before rewards.
+        calls = record_schedule(monkeypatch)
         env = make_env(horizon=200, x0=-500.0)
-        run_episode(env, max_steps=100)
-        by_step = {}
-        for step, phase in env.trace:
-            by_step.setdefault(step, []).append(phase)
-        assert len(by_step) >= 100
-        for phases in by_step.values():
-            assert phases == self.PHASES
-            assert phases.index("dones") < phases.index("rewards")
+        observations = env.reset(seed=0)
+        for _ in range(100):
+            actions = {
+                name: agent.policy.compute_action(observations[name], agent.action_space())
+                for name, agent in env.agents.items()
+            }
+            calls.clear()
+            observations = env.step(actions).observations
+            assert phases(calls) == PHASES
 
     def test_rewards_see_same_step_done_results(self):
         # The OutcomeReward pays 10.0 on the exact step DockingSuccess fires.
@@ -496,9 +498,12 @@ class TestActionBoundary:
     def test_rollout_records_non_finite_action(self):
         config, report = validate_environment(docking_tree(horizon=20))
         assert config is not None, str(report)
-        replay = ("replay", {"actions": [{"ThrustControl": [0.5]}, {"ThrustControl": [float("nan")]}]})
         env = Environment(config)
-        override_policies(env, replay)
+        # a replay policy rejects NaN in its config, so a scripted rule plays it
+        policy = ScriptedPolicy({"rule": "zero"})
+        fragments = iter([[0.5], [float("nan")]])
+        policy._rule = lambda observation, action_space: {"ThrustControl": next(fragments)}
+        env.agents["agent_0"].policy = policy
         artifact = rollout(env, TestCase("c", {}, 0))
         assert artifact.error.startswith("NonFiniteAction")
         assert "agent_0" in artifact.error and "ThrustControl" in artifact.error

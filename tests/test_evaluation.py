@@ -167,7 +167,10 @@ class TestRollout:
             {"value": -5.0, "unit": "second"},
             {"value": -5.0, "unit": "furlong"},
             {"value": float("nan"), "unit": "meter"},
+            {"value": True, "unit": "meter"},
             "far",
+            "-5",
+            True,
         ],
     )
     def test_invalid_case_value_names_case_and_parameter(self, raw):
@@ -424,10 +427,35 @@ class TestRunManifest:
         with pytest.raises(MissingArtifact, match="artifact_near_10m.jsonl"):
             load_artifacts(tmp_path)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_raise(self, tmp_path, workers):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            evaluate(short_config(), docking_cases(), tmp_path / "out", workers=workers)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text", ["[]", "{\"cases\": \"a\"}", "{"], ids=["list", "not_a_list", "cut"])
     def test_malformed_manifest_raises_naming_the_file(self, tmp_path, text):
         (tmp_path / MANIFEST).write_text(text)
         with pytest.raises(ArtifactError, match=MANIFEST):
+            load_artifacts(tmp_path)
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"schema_version": 99, "cases": ["near_5m"]}, "schema_version: .*unsupported schema_version 99"),
+            ({"cases": ["near_5m"]}, "schema_version: missing required field"),
+            ({"schema_version": True, "cases": ["near_5m"]}, "schema_version: .*expected an integer, got bool"),
+            ({"schema_version": 1, "cases": ["near_5m", "near_5m"]}, "cases: .*names a case more than once"),
+            ({"schema_version": 1, "cases": ["../near_5m"]}, "cases/0: .*contains a path separator"),
+            ({"schema_version": 1, "cases": [5]}, "cases/0: .*expected a string, got int"),
+            ({"schema_version": 1, "cases": [], "extra": 1}, "extra: unknown field"),
+        ],
+        ids=["v99", "no_version", "bool_version", "repeated_case", "separator", "not_a_string", "undeclared"],
+    )
+    def test_manifest_is_read_with_its_table(self, tmp_path, document, message):
+        evaluate(short_config(), docking_cases(), tmp_path)
+        (tmp_path / MANIFEST).write_text(json.dumps(document))
+        with pytest.raises(ArtifactError, match=f"^{re.escape(str(tmp_path / MANIFEST))}: {message}"):
             load_artifacts(tmp_path)
 
     def test_directory_without_manifest_loads_every_artifact(self, tmp_path):
@@ -563,10 +591,11 @@ class TestInputChecks:
              "test case 0: parameters: invalid value for 'parameters': expected a mapping"),
             ([{"name": "a", "seed": 1.5}],
              "test case 0: seed: invalid value for 'seed': expected an integer, got float"),
+            ([{"name": 5}], "test case 0: name: invalid value for 'name': expected a string, got int"),
             ([{"name": "a", "paramters": {"deputy.x0": -5.0}, "sed": 3}],
              "test case 0: paramters: unknown field 'paramters'"),
         ],
-        ids=["duplicate", "slash", "backslash", "not_a_mapping", "parameters", "seed", "undeclared"],
+        ids=["duplicate", "slash", "backslash", "not_a_mapping", "parameters", "seed", "name", "undeclared"],
     )
     def test_bad_case_entry(self, entries, message):
         with pytest.raises(InvalidCase, match=re.escape(message)):
@@ -587,8 +616,11 @@ class TestInputChecks:
              "metrics entry 0: inputs: invalid value for 'inputs': expected a mapping"),
             ([{"name": "m", "metric": "mean_of", "input": {"source": "rate"}}], InvalidMetricEntry,
              "metrics entry 0: input: unknown field 'input'"),
+            ([{"name": 1}], InvalidMetricEntry, "metrics entry 0: name: invalid value for 'name': expected a string"),
+            ([{"name": "m", "metric": True}], InvalidMetricEntry,
+             "metrics entry 0: metric: invalid value for 'metric': expected a string"),
         ],
-        ids=["unknown_metric", "no_name", "undefined_input", "cycle", "duplicate", "inputs", "undeclared"],
+        ids=["unknown_metric", "no_name", "undefined_input", "cycle", "duplicate", "inputs", "undeclared", "name", "metric"],
     )
     def test_bad_metric_entry(self, entries, error, message):
         with pytest.raises(error, match=re.escape(message)):
@@ -603,8 +635,14 @@ class TestInputChecks:
             ([{"type": "table", "metrics": "success_rate"}],
              "visualizations entry 0: metrics: invalid value for 'metrics'"),
             ([{"type": "table", "metric": ["success_rate"]}], "visualizations entry 0: metric: unknown field 'metric'"),
+            ([{"type": "table", "metrics": ["success_rate", 3]}],
+             "visualizations entry 0: metrics/1: invalid value for '1': expected a string, got int"),
+            ([{"type": "html", "file": ["a"]}],
+             "visualizations entry 0: file: invalid value for 'file': expected a string, got list"),
+            ([{"type": "html", "title": 3}],
+             "visualizations entry 0: title: invalid value for 'title': expected a string, got int"),
         ],
-        ids=["unknown_type", "no_type", "metrics", "undeclared"],
+        ids=["unknown_type", "no_type", "metrics", "undeclared", "metric_name", "file", "title"],
     )
     def test_bad_viz_entry(self, entries, message):
         with pytest.raises(InvalidVizEntry, match=re.escape(message)):

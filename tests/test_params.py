@@ -698,7 +698,7 @@ class TestSimulatorAndPartTables:
             ("docking", {"mas": 5.0}, "simulator/config/mas", "UnknownField"),
             ("docking", {"frame_rate": 0.0}, "simulator/config/frame_rate", "TypeMismatch"),
             ("docking", {"mass": -1.0}, "simulator/config/mass", "TypeMismatch"),
-            ("cartpole", {"constants": {"gravty": 0.0}}, "simulator/config/constants", "TypeMismatch"),
+            ("cartpole", {"constants": {"gravty": 0.0}}, "simulator/config/constants/gravty", "UnknownField"),
             ("cartpole", {"constants": [9.8]}, "simulator/config/constants", "TypeMismatch"),
         ],
     )
