@@ -357,13 +357,7 @@ class Environment:
             done_codes=done_codes,
             env_done=self._env_done,
             truncated=truncated,
-            info={
-                "reward_components": components,
-                "done_results": {
-                    name: {k: r.code.value for k, r in agent_fired.items()} for name, agent_fired in fired.items()
-                },
-                "shared_done_results": {k: r.code.value for k, r in shared_fired.items()},
-            },
+            info={"reward_components": components},
         )
 
     @property

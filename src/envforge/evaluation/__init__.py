@@ -17,7 +17,7 @@ from .artifact import (
     EpisodeArtifact,
     MissingArtifact,
     RecordLayout,
-    StepRecord,
+    StepShape,
     artifact_file,
     load_artifacts,
 )
@@ -91,7 +91,7 @@ __all__ = [
     "EpisodeArtifact",
     "MissingArtifact",
     "RecordLayout",
-    "StepRecord",
+    "StepShape",
     "artifact_file",
     "load_artifacts",
     "EvaluationError",

@@ -5,11 +5,11 @@ schema version and case id, followed by one record per step and a final
 outcome record.  Round trips are lossless.  ``write_csv`` projects the same
 trajectory onto the per-episode CSV log that ``envforge run`` writes.
 
-In memory each step is a row: a ``RecordLayout``, compiled once from one
-step record's key structure, and the record's leaf values in the order its
-line writes them.  A row becomes its line by filling the layout's template;
-``EpisodeArtifact.steps`` rebuilds ``StepRecord`` objects for callers that
-want the nested form.
+In memory each step is a row: a ``RecordLayout``, compiled once from the
+step record's ``StepShape``, and the step's values in the order its line
+writes them.  A row becomes its line by filling the layout's template.  The
+recorder gathers a step's values in its shape's order; the loader reads each
+line's shape and values in one pass, and the layout checks their types.
 
 An evaluate run also writes ``manifest.json``, naming its cases, so a later
 stage reads that run's artifacts and no other file in the directory.
@@ -21,11 +21,11 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import count
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from ..params import Param, boolean, integer, list_of, mapping, optional, parse_params, string
 
@@ -103,28 +103,31 @@ def write_atomic(path: str | Path, text: str) -> Path:
     return path
 
 
-@dataclass
-class StepRecord:
-    step: int
-    sim_time: float
-    observations: dict  # agent -> {obs name: {values: [...], unit: str}}
-    actions: dict  # agent -> {glue name: [...]}
-    rewards: dict  # agent -> {component: float}
-    reward_totals: dict  # agent -> float
-    done_codes: dict  # agent -> str | None
-    platform_states: dict  # platform -> {attr: float}
+class StepShape(NamedTuple):
+    """The structure of a step record, which fixes its line but for the
+    values: each mapping's keys in sorted order and each array's length.
+    ``reward_totals`` has the agents of ``rewards``."""
+
+    actions: tuple[tuple[str, tuple[str, ...]], ...]  # (agent, its glues that took a fragment)
+    done_codes: tuple[str, ...]  # the agents with a done code
+    observations: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]  # (agent, ((name, unit), ...))
+    platform_states: tuple[tuple[str, tuple[str, ...]], ...]  # (platform, its state attributes)
+    rewards: tuple[tuple[str, tuple[str, ...]], ...]  # (agent, its reward components)
+    lengths: tuple[int, ...] = ()  # of each action fragment, then of each observation's values
 
 
-_STEP_KEYS = frozenset(["record", *(f.name for f in fields(StepRecord))])
+_STEP_KEYS = frozenset([
+    "record", "step", "sim_time", "observations", "actions", "rewards", "reward_totals", "done_codes",
+    "platform_states",
+])
+_OBSERVATION_KEYS = frozenset(["values", "unit"])
 
-# A shape is a record's key structure, hashable so that it keys a layout
-# cache: a mapping is (dict, ((key, shape), ...)) in key order, a list
-# (list, (shape, ...)), and a leaf a slot marker or a literal.  The slot
-# markers are type objects, which no JSON value is.  An integer slot is told
-# from a float slot so that a shape fixes every type ``_check_step`` checks.
-_FLOAT = float  # written as repr writes it
-_INTEGER = int  # written as repr writes it
-_TEXT = str  # a string or null, held as its JSON encoding
+# A slot's kind, as an error names what its value must be
+_NUMBER = "a number"
+_INTEGER = "an integer"
+_TEXT = "a string or null"  # a done code, held as its JSON encoding
+#: the types of a loaded value that each kind of slot takes
+_TYPES = {_NUMBER: frozenset([int, float]), _INTEGER: frozenset([int]), _TEXT: frozenset([str, type(None)])}
 
 
 def _json(value) -> str:
@@ -132,75 +135,48 @@ def _json(value) -> str:
     return json.dumps(value).replace("%", "%%")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _object(items) -> str:
+    """The template of a JSON object from (key, template of its value) pairs."""
+    return "{" + ", ".join([f"{_json(key)}: {value}" for key, value in items]) + "}"
 
 
-def _flatten(node, values: list, text: bool = False):
-    """node's shape, each number (and, where ``text``, each string or null)
-    a slot marker whose value is appended to ``values``.  Other leaves stay
-    as literals."""
-    kind = type(node)
-    if kind is dict:
-        return (dict, tuple([(key, _flatten(node[key], values, text)) for key in sorted(node)]))
-    if kind is float or kind is int:
-        values.append(node)
-        return kind
-    if kind is list or kind is tuple:
-        return (list, tuple([_flatten(item, values, text) for item in node]))
-    if isinstance(node, float):
-        values.append(float(node))  # a float subclass, np.float64 say, prints as a float
-        return _FLOAT
-    if _is_number(node):
-        values.append(int(node))
-        return _INTEGER
-    if text and (node is None or kind is str):
-        values.append(json.dumps(node))
-        return _TEXT
-    return node
+def _compile(shape: StepShape) -> tuple[str, list[tuple[tuple, str]]]:
+    """The template of shape's line, as ``json.dumps(record, sort_keys=True)``
+    writes it with each value a ``%s`` slot; and (path, kind) of each slot,
+    in order."""
+    slots: list[tuple[tuple, str]] = []
+    lengths = iter(shape.lengths)
 
-
-def _template(shape) -> str:
-    if type(shape) is tuple:
-        kind, items = shape
-        if kind is dict:
-            return "{" + ", ".join(f"{_json(key)}: {_template(value)}" for key, value in items) + "}"
-        return "[" + ", ".join(map(_template, items)) + "]"
-    if shape is _FLOAT or shape is _INTEGER:
-        return "%r"
-    if shape is _TEXT:
+    def slot(kind: str, *path) -> str:
+        slots.append((path, kind))
         return "%s"
-    return _json(shape)
 
+    def array(*path) -> str:
+        return "[" + ", ".join([slot(_NUMBER, *path, i) for i in range(next(lengths))]) + "]"
 
-def _indexed(shape, slots, numbers: list):
-    """shape as a record with each slot replaced by its position, counted by
-    ``slots``; the positions of number slots are also appended to ``numbers``."""
-    if type(shape) is tuple:
-        kind, items = shape
-        if kind is dict:
-            return {key: _indexed(value, slots, numbers) for key, value in items}
-        return [_indexed(value, slots, numbers) for value in items]
-    if shape is _FLOAT or shape is _INTEGER or shape is _TEXT:
-        index = next(slots)
-        if shape is not _TEXT:
-            numbers.append(index)
-        return index
-    return None
+    def observation(agent: str, name: str, unit: str) -> str:
+        return _object([("unit", _json(unit)), ("values", array("observations", agent, name, "values"))])
 
-
-def _rebuilt(shape, values):
-    """The record that ``shape`` and the iterator ``values`` were flattened from."""
-    if type(shape) is tuple:
-        kind, items = shape
-        if kind is dict:
-            return {key: _rebuilt(value, values) for key, value in items}
-        return [_rebuilt(value, values) for value in items]
-    if shape is _FLOAT or shape is _INTEGER:
-        return next(values)
-    if shape is _TEXT:
-        return _text_value(next(values))
-    return shape
+    # each section is compiled in its key order, so the slots are numbered in line order
+    fmt = _object([
+        ("actions", _object((a, _object((g, array("actions", a, g)) for g in glues)) for a, glues in shape.actions)),
+        ("done_codes", _object((a, slot(_TEXT, "done_codes", a)) for a in shape.done_codes)),
+        ("observations", _object(
+            (a, _object((name, observation(a, name, unit)) for name, unit in names)) for a, names in shape.observations
+        )),
+        ("platform_states", _object(
+            (p, _object((k, slot(_NUMBER, "platform_states", p, k)) for k in attributes))
+            for p, attributes in shape.platform_states
+        )),
+        ("record", _json("step")),
+        ("reward_totals", _object((a, slot(_NUMBER, "reward_totals", a)) for a, _ in shape.rewards)),
+        ("rewards", _object(
+            (a, _object((c, slot(_NUMBER, "rewards", a, c)) for c in components)) for a, components in shape.rewards
+        )),
+        ("sim_time", slot(_NUMBER, "sim_time")),
+        ("step", slot(_INTEGER, "step")),
+    ])
+    return fmt, slots
 
 
 @lru_cache(maxsize=64)
@@ -209,102 +185,70 @@ def _text_value(encoded: str):
     return json.loads(encoded)
 
 
-def _check_step(record) -> None:
-    """Raise ValueError unless record has a step record's keys, and the
-    sections that metrics and the CSV log read have their types."""
-    if not isinstance(record, dict):
-        raise ValueError("a record is not a JSON object")
-    if record.get("record") != "step":
-        raise ValueError(f"unexpected {record.get('record')!r} record before the outcome")
-    if record.keys() != _STEP_KEYS:
-        missing, extra = sorted(_STEP_KEYS - record.keys()), sorted(record.keys() - _STEP_KEYS)
-        raise ValueError(f"step record: missing keys {missing}, unknown keys {extra}")
-    if type(record["step"]) is not int or not _is_number(record["sim_time"]):
-        raise ValueError("step record: 'step' must be an integer and 'sim_time' a number")
-    for key in ("observations", "actions", "platform_states"):
-        if not isinstance(record[key], dict):
-            raise ValueError(f"step record: '{key}' is not a mapping")
-    rewards, totals, codes = record["rewards"], record["reward_totals"], record["done_codes"]
-    if not (
-        isinstance(rewards, dict)
-        and all(isinstance(c, dict) and all(map(_is_number, c.values())) for c in rewards.values())
-    ):
-        raise ValueError("step record: 'rewards' is not a mapping of agent to {component: number}")
-    if not (isinstance(totals, dict) and totals.keys() == rewards.keys() and all(map(_is_number, totals.values()))):
-        raise ValueError("step record: 'reward_totals' is not a number for each agent of 'rewards'")
-    if not (isinstance(codes, dict) and all(c is None or isinstance(c, str) for c in codes.values())):
-        raise ValueError("step record: 'done_codes' is not a mapping of agent to a string or null")
+@lru_cache(maxsize=64)
+def _text_slot(code: str | None) -> str:
+    """A done code as a text slot holds it: JSON-encoded."""
+    return json.dumps(code)
+
+
+def _json_number(value):
+    """value, or the token ``json`` writes for it if it is a NaN or an infinity."""
+    if type(value) is float and not math.isfinite(value):
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    return value
 
 
 class RecordLayout:
-    """The compiled form of one step record's key structure.
+    """The compiled form of one ``StepShape``.
 
-    ``fmt`` is the record's line as ``json.dumps(record, sort_keys=True)``
-    writes it, with every number replaced by ``%r`` and every done code by
-    ``%s``; keys, units and other literals are encoded once, here.  A row's
-    values fill those slots in order: numbers as ``int`` or ``float`` (never a
-    numpy scalar, whose repr differs), done codes already JSON-encoded.  The
-    reader fields give slot positions in the record's own key order, so
-    metrics and the CSV log read a row without rebuilding its record.
+    ``fmt`` is the shape's line as ``json.dumps(record, sort_keys=True)``
+    writes it, with a ``%s`` slot for every value; keys, units and other
+    literals are encoded once, here.  A row's values fill those slots in
+    order: numbers as ``int`` or ``float`` (whose ``str`` is the ``repr``
+    that ``json`` writes), done codes already JSON-encoded.  The reader
+    fields give slot positions, so metrics and the CSV log read a row without
+    rebuilding its record.
     """
 
-    def __init__(self, shape: tuple, record: dict):
-        """``shape`` is record's as ``_flatten`` gives it; ``record`` orders the readers."""
+    def __init__(self, shape: StepShape):
         self.shape = shape
-        self.fmt = _template(shape)
-        numbers: list[int] = []
-        index = _indexed(shape, count(), numbers)
-        self._numbers = itemgetter(*numbers)  # a step record has at least its step and sim_time
-        self.step = index["step"]
+        self.fmt, slots = _compile(shape)
+        kinds = [kind for _, kind in slots]
+        index = {path: i for i, (path, _) in enumerate(slots)}
+        self._types = tuple([_TYPES[kind] for kind in kinds])
+        # a step record has at least its step and sim_time, so the getter returns a tuple
+        self._numbers = itemgetter(*[i for i, kind in enumerate(kinds) if kind is not _TEXT])
+        self.step = index["step",]
         #: (agent, slot of its reward total, ((component, slot), ...)) per agent
         self.rewards = tuple(
-            (agent, index["reward_totals"][agent], tuple((c, index["rewards"][agent][c]) for c in components))
-            for agent, components in record["rewards"].items()
+            (agent, index["reward_totals", agent], tuple((c, index["rewards", agent, c]) for c in components))
+            for agent, components in shape.rewards
         )
         #: (agent, slot of its done code) per agent
-        self.done_codes = tuple((agent, index["done_codes"][agent]) for agent in record["done_codes"])
+        self.done_codes = tuple((agent, index["done_codes", agent]) for agent in shape.done_codes)
 
     @classmethod
-    def of(cls, record: dict, layouts: dict | None = None) -> tuple[RecordLayout, tuple]:
-        """The row of a step record: its layout and values.
-
-        ``layouts`` caches layouts by shape across calls.  Raises ValueError
-        for a record that is not a step record.  The checks depend on the
-        shape alone, so a record is checked when its shape's layout is
-        compiled.
-        """
-        if not isinstance(record, dict):
-            _check_step(record)
-        values: list = []
-        items = [(key, _flatten(record[key], values, key == "done_codes")) for key in sorted(record)]
-        shape = (dict, tuple(items))
-        layout = layouts.get(shape) if layouts is not None else None
-        if layout is None:
-            _check_step(record)
-            layout = cls(shape, record)
-            if layouts is not None:
-                layouts[shape] = layout
-        return layout, tuple(values)
+    @lru_cache(maxsize=256)
+    def of(cls, shape: StepShape) -> RecordLayout:
+        """The layout of ``shape``, compiled once per shape: the recorder and the loader share it."""
+        return cls(shape)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RecordLayout):
             return NotImplemented
-        return self.fmt == other.fmt
+        return self.shape == other.shape
 
     def __hash__(self) -> int:
-        return hash(self.fmt)
-
-    def record(self, values: tuple) -> dict:
-        return _rebuilt(self.shape, iter(values))
+        return hash(self.shape)
 
     def line(self, values: tuple) -> str:
         """A row's line, as ``json.dumps(record, sort_keys=True)`` writes it.
 
         A row holding NaN or an infinity, which ``json`` writes as ``NaN``,
-        ``Infinity`` and ``-Infinity`` where ``%r`` would not, is written by
-        ``json`` itself.  Such a row is one whose numbers do not sum to a
-        finite float; so is a finite row whose sum overflows, which ``json``
-        writes correctly too.
+        ``Infinity`` and ``-Infinity``, fills its slots with those tokens.
+        Such a row is one whose numbers do not sum to a finite float; so is a
+        finite row whose sum overflows, whose values are then written as
+        they are.
         """
         try:
             finite = math.isfinite(sum(self._numbers(values)))
@@ -312,10 +256,97 @@ class RecordLayout:
             finite = False
         if finite:
             return self.fmt % values
-        return json.dumps(self.record(values), sort_keys=True)
+        return self.fmt % tuple(map(_json_number, values))
+
+    def row(self, leaves: list) -> tuple:
+        """The values of a loaded line from its leaves in slot order, each
+        done code encoded; raises ValueError naming the first leaf whose type
+        is not its slot's."""
+        if not all(map(frozenset.__contains__, self._types, map(type, leaves))):
+            for (path, kind), leaf in zip(_compile(self.shape)[1], leaves):
+                if type(leaf) not in _TYPES[kind]:
+                    raise ValueError(f"step record: '{_path(path)}' must be {kind}, got {leaf!r}")
+        for _, i in self.done_codes:
+            leaves[i] = _text_slot(leaves[i])
+        return tuple(leaves)
+
+
+def _path(path: tuple) -> str:
+    return "/".join(map(str, path))
 
 
 Row = tuple[RecordLayout, tuple]
+
+
+def _sorted(node, *path) -> list[str]:
+    """A mapping's keys in sorted order; raises ValueError unless node is a mapping."""
+    if type(node) is not dict:
+        raise ValueError(f"step record: '{_path(path)}' is not a mapping")
+    return sorted(node)
+
+
+def _keys(node, leaves: list, *path) -> tuple[str, ...]:
+    """A mapping's keys in sorted order, its values appended to leaves in that order."""
+    keys = _sorted(node, *path)
+    leaves += map(node.__getitem__, keys)
+    return tuple(keys)
+
+
+def _extend(leaves: list, node, *path) -> int:
+    """Append an array's elements to leaves and return its length; raises
+    ValueError unless node is an array."""
+    if type(node) is not list:
+        raise ValueError(f"step record: '{_path(path)}' is not an array")
+    leaves += node
+    return len(node)
+
+
+def _read_step(record: dict) -> Row:
+    """The row of a parsed step line: its shape, read from the step record's
+    sections, and its leaves, read in the same pass and checked by the
+    shape's layout.  Raises ValueError for a record that is not a step record."""
+    if record.get("record") != "step":
+        raise ValueError(f"unexpected {record.get('record')!r} record before the outcome")
+    if record.keys() != _STEP_KEYS:
+        missing, extra = sorted(_STEP_KEYS - record.keys()), sorted(record.keys() - _STEP_KEYS)
+        raise ValueError(f"step record: missing keys {missing}, unknown keys {extra}")
+    leaves: list = []
+    lengths: list[int] = []
+    actions = []
+    section = record["actions"]
+    for agent in _sorted(section, "actions"):
+        fragments = section[agent]
+        glues = _sorted(fragments, "actions", agent)
+        lengths += [_extend(leaves, fragments[glue], "actions", agent, glue) for glue in glues]
+        actions.append((agent, tuple(glues)))
+    done_codes = _keys(record["done_codes"], leaves, "done_codes")
+    observations = []
+    section = record["observations"]
+    for agent in _sorted(section, "observations"):
+        by_name = section[agent]
+        names = []
+        for name in _sorted(by_name, "observations", agent):
+            observation = by_name[name]
+            if not (type(observation) is dict and observation.keys() == _OBSERVATION_KEYS
+                    and type(observation["unit"]) is str):
+                raise ValueError(f"step record: 'observations/{agent}/{name}' is not a {{unit, values}} mapping")
+            lengths.append(_extend(leaves, observation["values"], "observations", agent, name, "values"))
+            names.append((name, observation["unit"]))
+        observations.append((agent, tuple(names)))
+    section = record["platform_states"]
+    platforms = tuple([
+        (name, _keys(section[name], leaves, "platform_states", name)) for name in _sorted(section, "platform_states")
+    ])
+    totals = _keys(record["reward_totals"], leaves, "reward_totals")
+    section = record["rewards"]
+    rewards = tuple([(agent, _keys(section[agent], leaves, "rewards", agent)) for agent in _sorted(section, "rewards")])
+    if totals != tuple([agent for agent, _ in rewards]):
+        raise ValueError("step record: 'reward_totals' does not name the agents of 'rewards'")
+    leaves.append(record["sim_time"])
+    leaves.append(record["step"])
+    shape = StepShape(tuple(actions), done_codes, tuple(observations), platforms, rewards, tuple(lengths))
+    layout = RecordLayout.of(shape)
+    return layout, layout.row(leaves)
 
 
 def _parsed(number: int, line: str, source: str):
@@ -349,16 +380,6 @@ class EpisodeArtifact:
     truncated: bool = False
     error: str | None = None
 
-    @property
-    def steps(self) -> tuple[StepRecord, ...]:
-        """Each step as a ``StepRecord``, rebuilt from the rows on every call."""
-        steps = []
-        for layout, values in self.rows:
-            record = layout.record(values)
-            del record["record"]
-            steps.append(StepRecord(**record))
-        return tuple(steps)
-
     def to_lines(self) -> list[str]:
         header = {
             "record": "header",
@@ -387,8 +408,8 @@ class EpisodeArtifact:
         """Parse an artifact's lines; a malformed one raises ``ArtifactError``
         naming ``source`` and the line.
 
-        Each step line is parsed and compiled by ``RecordLayout.of``; lines of
-        one shape share a layout.
+        Each step line is parsed by ``json`` and read into a row by
+        ``_read_step``; lines of one shape share a layout.
         """
         numbered = [(number, line) for number, line in enumerate(lines, 1) if line.strip()]
         header = _parsed(*numbered[0], source) if numbered else {}
@@ -407,11 +428,10 @@ class EpisodeArtifact:
             truncated=outcome["truncated"],
             error=outcome["error"],
         )
-        layouts: dict[tuple, RecordLayout] = {}
         for number, line in numbered[1:-1]:
             record = _parsed(number, line, source)
             try:
-                artifact.rows.append(RecordLayout.of(record, layouts))
+                artifact.rows.append(_read_step(record))
             except ValueError as exc:
                 raise ArtifactError(f"{source}:{number}: {exc}") from exc
         return artifact

@@ -4,7 +4,9 @@ Each test case overrides EPP distributions with fixed values and is fully
 seeded, and a reused environment acts as a fresh one, so each process runs
 all its cases on one environment and N-worker and single-worker runs produce
 identical artifacts.  ``run_episode`` is the one episode loop: ``rollout``
-and ``envforge run`` both drive it.
+and ``envforge run`` both drive it.  It records each step as a row, its
+values gathered in the order of the step's ``StepShape``, under the layout
+compiled from that shape (see ``artifact``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from ..functors.base import DoneStatusCode
 from ..params import PARSE_ERRORS, Param, finite, integer, mapping, parse_entries, string, value_in
 from ..policies import POLICY_REGISTRY
 from ..units import Quantity, UnitError, as_vector
-from .artifact import EpisodeArtifact, RecordLayout, Row, artifact_file, case_name, write_manifest
+from .artifact import EpisodeArtifact, RecordLayout, Row, StepShape, artifact_file, case_name, write_manifest
 
 log = logging.getLogger(__name__)
 
@@ -127,85 +129,56 @@ def override_policies(env: Environment, override: tuple[str, dict] | None) -> No
 _CODE_TEXT = {None: "null", **{code: json.dumps(code.value) for code in DoneStatusCode}}
 
 
-def _fragment(fragment) -> list[float]:
-    """An action fragment as step() reads it: a bare number is one element."""
-    return as_vector(fragment).tolist()
-
-
-def _step_record(env: Environment, actions: dict, result: StepResult) -> dict:
-    """The step just taken as its artifact line records it."""
-    return {
-        "record": "step",
-        "step": env.state.step_count,
-        "sim_time": float(env.state.sim_time),
-        "observations": {
-            agent: {key: {"values": q.values.tolist(), "unit": q.unit.name} for key, q in obs.items()}
-            for agent, obs in result.observations.items()
-        },
-        "actions": {
-            agent: {glue: _fragment(fragment) for glue, fragment in fragments.items()}
-            for agent, fragments in actions.items()
-        },
-        "rewards": result.info["reward_components"],
-        "reward_totals": result.rewards,
-        "done_codes": {agent: (code.value if code else None) for agent, code in result.done_codes.items()},
-        "platform_states": {
-            name: {k: float(v) for k, v in vars(p.state).items()} for name, p in env.simulator.platforms.items()
-        },
-    }
-
-
 class _RowPlan:
-    """Reads the steps of one structure into rows, each value in the place
-    the step's line writes it (every mapping in key order).
+    """Reads the steps of one shape, but for its arrays' lengths, into rows.
 
-    The structure is the key ``run_episode`` files a plan under: the active
-    agents, the platforms and each agent's action keys.  The environment
-    fixes the rest of it at build: each agent's observation names and units
-    and reward components, and each platform's state attributes.  The
-    lengths of a step's arrays, and the number of each platform's state
-    attributes, select its layout: a fragment of another length gets a
-    layout of its own, never a wrong line.  A layout is compiled from the
-    step's nested record, and the plan's values must equal the record's, slot
-    for slot, so the plan's order cannot drift from the layout's.
+    The key ``run_episode`` files a plan under (the active agents, the
+    platforms and each agent's action glues) fixes the shape, with what the
+    environment fixes at build.  The lengths of a step's arrays complete it,
+    so a fragment of another length gets a layout of its own.
     """
 
     def __init__(self, env: Environment, actions: dict, result: StepResult):
         platforms = env.simulator.platforms
-        self.actions = [(agent, sorted(fragments)) for agent, fragments in sorted(actions.items())]
-        self.agents = sorted(result.done_codes)
-        self.observations = [(agent, sorted(obs)) for agent, obs in sorted(result.observations.items())]
-        self.platforms = [(name, sorted(vars(platforms[name].state))) for name in sorted(platforms)]
-        self.rewards = [(agent, sorted(c)) for agent, c in sorted(result.info["reward_components"].items())]
+        self.shape = StepShape(
+            actions=tuple((agent, tuple(sorted(fragments))) for agent, fragments in sorted(actions.items())),
+            done_codes=tuple(sorted(result.done_codes)),
+            observations=tuple(
+                (agent, tuple((name, obs[name].unit.name) for name in sorted(obs)))
+                for agent, obs in sorted(result.observations.items())
+            ),
+            platform_states=tuple((name, tuple(sorted(vars(platforms[name].state)))) for name in sorted(platforms)),
+            rewards=tuple((agent, tuple(sorted(c))) for agent, c in sorted(result.info["reward_components"].items())),
+        )
         self.layouts: dict[tuple[int, ...], RecordLayout] = {}
 
     def row(self, env: Environment, actions: dict, result: StepResult) -> Row:
+        shape = self.shape
         values: list = []
         lengths = []
-        for agent, glues in self.actions:
+        for agent, glues in shape.actions:
             fragments = actions[agent]
             for glue in glues:
-                leaf = _fragment(fragments[glue])
+                leaf = as_vector(fragments[glue]).tolist()  # as step() reads it: a bare number is one element
                 lengths.append(len(leaf))
                 values += leaf
         codes = result.done_codes
-        values += [_CODE_TEXT[codes[agent]] for agent in self.agents]
+        values += [_CODE_TEXT[codes[agent]] for agent in shape.done_codes]
         observations = result.observations
-        for agent, names in self.observations:
+        for agent, names in shape.observations:
             obs = observations[agent]
-            for name in names:
+            for name, _ in names:
                 leaf = obs[name].values.tolist()
                 lengths.append(len(leaf))
                 values += leaf
         platforms = env.simulator.platforms
-        for name, attrs in self.platforms:
+        for name, attrs in shape.platform_states:
             state = vars(platforms[name].state)
-            lengths.append(len(state))
             values += [float(state[attr]) for attr in attrs]
         totals = result.rewards
-        values += [totals[agent] for agent in self.agents]
         components = result.info["reward_components"]
-        for agent, names in self.rewards:
+        values += [totals[agent] for agent, _ in shape.rewards]
+        for agent, names in shape.rewards:
             agent_components = components[agent]
             values += [agent_components[name] for name in names]
         values.append(float(env.state.sim_time))
@@ -213,10 +186,7 @@ class _RowPlan:
         key = tuple(lengths)
         layout = self.layouts.get(key)
         if layout is None:
-            layout, expected = RecordLayout.of(_step_record(env, actions, result))
-            if list(map(repr, values)) != list(map(repr, expected)):
-                raise RuntimeError("a row plan orders a step's values other than its record's layout")
-            self.layouts[key] = layout
+            layout = self.layouts[key] = RecordLayout.of(shape._replace(lengths=key))
         return layout, tuple(values)
 
 

@@ -92,7 +92,8 @@ class ControllerGlue(Glue):
 
 
 class TargetValueDifference(Glue):
-    """target_value minus one element of the source observation."""
+    """target_value minus one element of the source observation: its
+    ``index``-th, counted from 0 and within the source's length."""
 
     inputs = SOURCE
     params = (
@@ -107,6 +108,11 @@ class TargetValueDifference(Glue):
         super().__init__(spec, children, extractor, platforms)
         self.unit = self.settings["unit"]
         self.index = self.settings["index"]
+        size = self.source.space().shape
+        if not 0 <= self.index < size:
+            source = self.source.node.name
+            message = f"index must be in [0, {size}) ('{source}' has {size} elements), got {self.index}"
+            raise self._error("config/index", message)
 
     def observation_space(self):
         return {

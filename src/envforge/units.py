@@ -177,7 +177,9 @@ class Quantity:
 
 
 def convert(q: Quantity, target: Unit) -> Quantity:
-    """Convert a quantity to another unit of the same dimension."""
+    """Convert a quantity to another unit of the same dimension; raises
+    ``DimensionMismatch``, or ``OverflowError`` for a finite value that has
+    no finite float in ``target``."""
     if q.unit is target:
         return q
     if not check_compatibility(q.unit, target):
@@ -185,4 +187,9 @@ def convert(q: Quantity, target: Unit) -> Quantity:
     if q.unit == target:
         return q
     factor = q.unit.scale_to_base / target.scale_to_base
-    return Quantity(q.values * factor, target)
+    try:
+        with np.errstate(over="raise"):
+            values = q.values * factor
+    except FloatingPointError:
+        raise OverflowError(f"a value in {q.unit.name} overflows a float in {target.name}") from None
+    return Quantity(values, target)

@@ -1,3 +1,4 @@
+import json
 from itertools import groupby
 from pathlib import Path
 
@@ -12,6 +13,11 @@ from envforge.simulators.base import Simulator
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
 DATA_DIR = Path(__file__).resolve().parent / "data"
+
+
+def recorded_steps(artifact) -> list[dict]:
+    """An artifact's step records, as ``json`` reads its lines."""
+    return [json.loads(line) for line in artifact.to_lines()[1:-1]]
 
 
 def load_env_config(path):

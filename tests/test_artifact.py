@@ -1,7 +1,9 @@
 """The compiled artifact record: rows under a RecordLayout write the lines
 ``json.dumps(record, sort_keys=True)`` writes, load back to the same rows,
-and malformed files fail naming their file and line."""
+and malformed files fail naming their file and line.  Records are read
+through ``json``, which the layouts do not use, as the reference."""
 
+import copy
 import csv
 import importlib
 import json
@@ -18,11 +20,11 @@ from hypothesis import strategies as st
 from envforge.cli import main
 from envforge.config.validate import validate_environment
 from envforge.environment import Environment
-from envforge.evaluation import ArtifactError, EpisodeArtifact, RecordLayout, StepRecord, TestCase, evaluate
+from envforge.evaluation import ArtifactError, EpisodeArtifact, TestCase, evaluate
 from envforge.functors.base import Reward
 from envforge.functors.graph import FUNCTOR_REGISTRY
 
-from conftest import CONFIG_DIR, load_env_config
+from conftest import CONFIG_DIR, load_env_config, recorded_steps
 from test_environment import docking_tree
 
 # the module, which the package's ``evaluate`` function shadows
@@ -64,24 +66,28 @@ def step_records(draw) -> dict:
     }
 
 
+def lines_of(records: list[dict]) -> list[str]:
+    """An artifact's lines, each record as ``json`` writes it."""
+    header = {"record": "header", "schema_version": 1, "case_id": "c", "seed": 0,
+              "parameters": {"p": {"value": 1.0, "unit": "none"}}}
+    outcome = {"record": "outcome", "final_outcome": {"a": "WIN"}, "truncated": False, "error": None}
+    return [json.dumps(record, sort_keys=True) for record in [header, *records, outcome]]
+
+
 def artifact_of(records: list[dict]) -> EpisodeArtifact:
-    artifact = EpisodeArtifact(case_id="c", seed=0, parameters={"p": {"value": 1.0, "unit": "none"}})
-    artifact.rows = [RecordLayout.of(record) for record in records]
-    artifact.final_outcome = {"a": "WIN"}
-    return artifact
+    return EpisodeArtifact.from_lines(lines_of(records))
 
 
 class TestLayout:
     @settings(max_examples=300, deadline=None)
     @given(step_records())
     def test_line_is_what_json_writes(self, record):
-        layout, values = RecordLayout.of(record)
-        assert layout.line(values) == json.dumps(record, sort_keys=True)
+        assert artifact_of([record]).to_lines()[1] == json.dumps(record, sort_keys=True)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(step_records(), min_size=0, max_size=4))
     def test_round_trip_is_fixed_point(self, records):
-        lines = artifact_of(records).to_lines()
+        lines = lines_of(records)
         loaded = EpisodeArtifact.from_lines(lines)
         assert loaded.to_lines() == lines
         assert EpisodeArtifact.from_lines(loaded.to_lines()).to_lines() == lines
@@ -90,7 +96,7 @@ class TestLayout:
     @given(step_records(), st.data())
     def test_lines_of_one_layout_load_alike(self, record, data):
         # every line has the first line's shape, so all load under one layout
-        layout, values = RecordLayout.of(record)
+        ((layout, values),) = artifact_of([record]).rows
         slots = dict.fromkeys(range(len(values)), st.one_of(floats, st.integers(-(10**20), 10**20)))
         slots[layout.step] = st.integers(0, 10**6)
         for _, slot in layout.done_codes:
@@ -101,7 +107,7 @@ class TestLayout:
         lines = artifact.to_lines()
         loaded = EpisodeArtifact.from_lines(lines)
         assert loaded.to_lines() == lines
-        assert all(loaded_layout == layout for loaded_layout, _ in loaded.rows)
+        assert all(loaded_layout is layout for loaded_layout, _ in loaded.rows)
 
     def test_lines_not_written_by_json_dumps_load_as_json_reads_them(self):
         record = {
@@ -109,10 +115,10 @@ class TestLayout:
             "rewards": {"a": {"r": 1.0}}, "reward_totals": {"a": 1.0}, "done_codes": {"a": "WIN"},
             "platform_states": {},
         }
-        lines = artifact_of([record, record]).to_lines()
+        lines = lines_of([record, record])
         lines[2] = json.dumps(dict(reversed(record.items())), indent=1).replace("\n", "")
         lines[1] = lines[1].replace('"WIN"', '"W\\u0049N"').replace("1.5", "1.50")
-        assert EpisodeArtifact.from_lines(lines).to_lines() == artifact_of([record, record]).to_lines()
+        assert EpisodeArtifact.from_lines(lines).to_lines() == lines_of([record, record])
 
     def test_records_of_one_shape_share_a_layout(self):
         base = {
@@ -122,33 +128,45 @@ class TestLayout:
         }
         other = {**base, "step": 2, "done_codes": {"a": "WIN"}, "actions": {"a": {"G": [0.25]}}}
         longer = {**base, "actions": {"a": {"G": [0.5, 0.5]}}}
-        layouts = {}
-        assert RecordLayout.of(base, layouts)[0] is RecordLayout.of(other, layouts)[0]
-        assert RecordLayout.of(longer, layouts)[0] is not RecordLayout.of(base, layouts)[0]
+        (first, _), (second, _), (third, _) = artifact_of([base, other, longer]).rows
+        assert first is second and third is not first
 
-    def test_steps_view_rebuilds_the_records(self):
-        record = {
-            "record": "step", "step": 3, "sim_time": 0.5, "observations": {"a": {"O": {"values": [1.0], "unit": "m"}}},
-            "actions": {"a": {"G": [0.5]}}, "rewards": {"a": {}}, "reward_totals": {"a": 0},
-            "done_codes": {"a": "WIN"}, "platform_states": {"p": {"x": -0.0}},
-        }
-        artifact = artifact_of([record])
-        (step,) = artifact.steps
-        assert step == StepRecord(**{k: v for k, v in record.items() if k != "record"})
-        assert isinstance(artifact.steps, tuple)  # a view: rows are the artifact
+
+def step_record(env: Environment, actions: dict, result) -> dict:
+    """The step just taken as its artifact line records it."""
+    return {
+        "record": "step",
+        "step": env.state.step_count,
+        "sim_time": float(env.state.sim_time),
+        "observations": {
+            agent: {key: {"values": q.values.tolist(), "unit": q.unit.name} for key, q in obs.items()}
+            for agent, obs in result.observations.items()
+        },
+        "actions": {
+            agent: {glue: np.atleast_1d(np.asarray(frag, dtype=float)).tolist() for glue, frag in fragments.items()}
+            for agent, fragments in actions.items()
+        },
+        "rewards": result.info["reward_components"],
+        "reward_totals": result.rewards,
+        "done_codes": {agent: (code.value if code else None) for agent, code in result.done_codes.items()},
+        "platform_states": {
+            name: {k: float(v) for k, v in vars(p.state).items()} for name, p in env.simulator.platforms.items()
+        },
+    }
 
 
 def spy_records(monkeypatch) -> list[dict]:
-    """The nested record of every step ``run_episode`` captures, built the
-    way the step was recorded before rows."""
+    """The record of every step an environment takes, built from the step
+    and its result apart from the recorder: the reference for its rows."""
     records = []
-    row = evaluate_module._RowPlan.row
+    step = Environment.step
 
-    def spying(plan, env, actions, result):
-        records.append(evaluate_module._step_record(env, actions, result))
-        return row(plan, env, actions, result)
+    def spying(env, actions):
+        result = step(env, actions)
+        records.append(step_record(env, actions, result))
+        return result
 
-    monkeypatch.setattr(evaluate_module._RowPlan, "row", spying)
+    monkeypatch.setattr(Environment, "step", spying)
     return records
 
 
@@ -176,7 +194,7 @@ class TestCapture:
         artifact = evaluate_module.run_episode(env, seed=0)
         assert artifact.error is None
         assert artifact.final_outcome["agent_1"] == "LOSS" and artifact.final_outcome["agent_0"] is not None
-        assert len(artifact.steps[-1].done_codes) == 1  # agent_1 ended first
+        assert len(recorded_steps(artifact)[-1]["done_codes"]) == 1  # agent_1 ended first
         assert artifact.to_lines()[1:-1] == [json.dumps(r, sort_keys=True) for r in records]
         # an agent that ends switches the layout
         layouts = {id(layout) for layout, _ in artifact.rows}
@@ -191,19 +209,13 @@ class TestCapture:
         assert second.to_lines()[1:-1] == [json.dumps(r, sort_keys=True) for r in records]
         assert {id(layout) for layout, _ in second.rows} <= {id(layout) for layout, _ in first.rows}
 
-    def test_plan_out_of_the_records_order_is_refused(self, monkeypatch):
-        # a record whose platform state values sit in other slots than the plan's
-        step_record = evaluate_module._step_record
-
-        def reordered(env, actions, result):
-            record = step_record(env, actions, result)
-            for state in record["platform_states"].values():
-                state.update(zip(state, reversed(list(state.values()))))
-            return record
-
-        monkeypatch.setattr(evaluate_module, "_step_record", reordered)
+    def test_recorded_rows_are_their_lines_loaded(self):
+        # the recorder's values sit in the slots the loader reads them from,
+        # under the layouts the loader compiles for the lines' shapes
         artifact = evaluate_module.run_episode(Environment(self.early_ending_config()), seed=0)
-        assert artifact.rows == [] and "a row plan orders" in artifact.error
+        loaded = EpisodeArtifact.from_lines(artifact.to_lines())
+        assert loaded.rows == artifact.rows
+        assert all(a is b for (a, _), (b, _) in zip(loaded.rows, artifact.rows))
 
     def test_cartpole_rows_write_the_records(self, monkeypatch, cartpole_env_path):
         records = spy_records(monkeypatch)
@@ -214,16 +226,16 @@ class TestCapture:
             assert artifact.to_lines()[1:-1] == [json.dumps(r, sort_keys=True) for r in records]
 
     def test_csv_log_projects_the_step_records(self, tmp_path):
-        # the projection as it was made from StepRecords, the reference for the one made from rows
+        # the projection as it is made from the step records, the reference for the one made from rows
         artifact = evaluate_module.run_episode(Environment(self.early_ending_config()), seed=0)
         params = {f"param.{key}": p["value"] for key, p in artifact.parameters.items()}
         rows = []
-        for step in artifact.steps:
-            row = {"step": step.step}
-            for agent, comps in step.rewards.items():
+        for step in recorded_steps(artifact):
+            row = {"step": step["step"]}
+            for agent, comps in step["rewards"].items():
                 row.update({f"{agent}.reward.{comp}": value for comp, value in comps.items()})
-                row[f"{agent}.reward_total"] = step.reward_totals[agent]
-            row.update({f"{agent}.done_code": code or "" for agent, code in step.done_codes.items()})
+                row[f"{agent}.reward_total"] = step["reward_totals"][agent]
+            row.update({f"{agent}.done_code": code or "" for agent, code in step["done_codes"].items()})
             rows.append({**row, **params})
         columns = list(dict.fromkeys(["step", *(key for row in rows for key in row)]))
         with open(tmp_path / "reference.csv", "w", newline="") as fh:
@@ -265,6 +277,12 @@ MALFORMED = {
     "step_totals_for_other_agents": (1, {**STEP, "reward_totals": {"b": 1.0}}),
     "step_done_code_not_a_string": (1, {**STEP, "done_codes": {"a": 3}}),
     "step_number_is_text": (1, {**STEP, "step": "1"}),
+    "step_observation_values_not_an_array": (1, {**STEP, "observations": {"a": {"O": {"values": "far", "unit": "m"}}}}),
+    "step_observation_with_an_extra_key": (
+        1, {**STEP, "observations": {"a": {"O": {"values": [1.0], "unit": "m", "extra": 1}}}}
+    ),
+    "step_action_element_is_boolean": (1, {**STEP, "actions": {"a": {"G": [True]}}}),
+    "step_platform_state_not_a_number": (1, {**STEP, "platform_states": {"p": {"x": "far"}}}),
     "header_without_case_id": (0, without(HEADER, "case_id")),
     "header_seed_not_an_integer": (0, {**HEADER, "seed": True}),
     "header_of_schema_version_99": (0, {**HEADER, "schema_version": 99}),
@@ -273,6 +291,34 @@ MALFORMED = {
     "outcome_error_not_a_string": (2, {**OUTCOME, "error": 3}),
     "outcome_without_final_outcome": (2, without(OUTCOME, "final_outcome")),
 }
+
+
+#: values of the wrong type for a number, the step number and a done code
+WRONG_LEAVES = {
+    "number": st.one_of(st.booleans(), st.text(max_size=3)),
+    "step": st.floats(),
+    "code": st.one_of(st.integers(), st.floats()),
+}
+
+
+def leaves(record: dict) -> list[tuple[tuple, str]]:
+    """(path, kind of WRONG_LEAVES) of every value of a step record."""
+    out = [(("step",), "step"), (("sim_time",), "number")]
+    out += [(("done_codes", agent), "code") for agent in record["done_codes"]]
+    out += [
+        (("actions", agent, glue, i), "number")
+        for agent, fragments in record["actions"].items() for glue, fragment in fragments.items()
+        for i in range(len(fragment))
+    ]
+    out += [
+        (("observations", agent, name, "values", i), "number")
+        for agent, by_name in record["observations"].items() for name, observation in by_name.items()
+        for i in range(len(observation["values"]))
+    ]
+    out += [(("platform_states", p, k), "number") for p, state in record["platform_states"].items() for k in state]
+    out += [(("reward_totals", agent), "number") for agent in record["reward_totals"]]
+    out += [(("rewards", agent, c), "number") for agent, by_name in record["rewards"].items() for c in by_name]
+    return out
 
 
 class TestMalformed:
@@ -303,7 +349,25 @@ class TestMalformed:
     def test_well_formed_file_loads(self, tmp_path):
         path, _ = self.write(tmp_path, 1, STEP)
         artifact = EpisodeArtifact.load(path)
-        assert len(artifact.rows) == 1 and artifact.steps[0].reward_totals == {"a": 1.0}
+        assert len(artifact.rows) == 1 and recorded_steps(artifact)[0]["reward_totals"] == {"a": 1.0}
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_records(), st.data(), st.booleans())
+    def test_mistyped_leaf_names_its_line(self, record, data, earlier):
+        # one leaf of a valid line changed to a wrong type; ``earlier`` puts
+        # the valid line, of the same shape, before it
+        path, kind = data.draw(st.sampled_from(leaves(record)))
+        mistyped = copy.deepcopy(record)
+        *parents, last = path
+        node = mistyped
+        for key in parents:
+            node = node[key]
+        node[last] = data.draw(WRONG_LEAVES[kind])
+        records = [record, mistyped] if earlier else [mistyped]
+        with pytest.raises(ArtifactError) as info:
+            EpisodeArtifact.from_lines(lines_of(records), source="f.jsonl")
+        assert str(info.value).startswith(f"f.jsonl:{len(records) + 1}: ")
+        assert f"'{'/'.join(map(str, path))}' must be" in str(info.value)
 
     @pytest.mark.parametrize("case", ["step_missing_a_key", "record_is_a_list", "header_without_case_id"])
     def test_metrics_command_reports_artifact_error(self, tmp_path, capsys, case):
@@ -356,6 +420,7 @@ class TestNonFiniteReward:
 
     def test_rows_hold_the_nan(self, env_file):
         artifact = evaluate(load_env_config(env_file), [TestCase("near", {"deputy.x0": -5.0})], env_file.parent / "o")[0]
-        layout, values = artifact.rows[0]
+        _, values = artifact.rows[0]
         assert any(isinstance(v, float) and math.isnan(v) for v in values)
-        assert artifact.to_lines()[1] == json.dumps(layout.record(values), sort_keys=True)
+        line = artifact.to_lines()[1]
+        assert line == json.dumps(json.loads(line), sort_keys=True) and "NaN" in line

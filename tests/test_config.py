@@ -180,10 +180,11 @@ class TestDuplicateNames:
 
     def test_nested_specs_may_share_a_name(self):
         # both wrapped TargetValueDifference specs are displayed under the functor name
-        def tvd(index):
-            return {"functor": "TargetValueDifference", "config": {"index": index}, "wrapped": "O"}
+        # (the position has one element, so each differs by its target)
+        def tvd(target):
+            return {"functor": "TargetValueDifference", "config": {"target_value": target}, "wrapped": "O"}
 
-        dones = [self.bounds("A", wrapped=tvd(0)), self.bounds("B", wrapped=tvd(1))]
+        dones = [self.bounds("A", wrapped=tvd(0.0)), self.bounds("B", wrapped=tvd(1.0))]
         assert self.codes(self.tree([self.observe], dones)) == []
 
     def test_unnamed_specs_share_the_functor_name(self):

@@ -23,7 +23,7 @@ from envforge.functors.base import DoneStatusCode
 from envforge.policies import ScriptedPolicy
 from envforge.units import METER, Quantity
 
-from conftest import CONFIG_DIR, PHASES, phases, record_schedule
+from conftest import CONFIG_DIR, PHASES, phases, record_schedule, recorded_steps
 
 
 def docking_tree(
@@ -201,7 +201,6 @@ class TestEpisodeEnd:
         final = results[-1]
         assert final.env_done and final.truncated
         assert final.done_codes["agent_0"] is DoneStatusCode.DRAW
-        assert "EpisodeHorizon" in final.info["shared_done_results"]
 
     def test_win_is_not_truncation(self):
         env = make_env(horizon=300)
@@ -361,7 +360,7 @@ class TestLogging:
         assert "agent_0.reward_total" in header
         assert "agent_0.done_code" in header
         assert "param.deputy.x0" in header
-        assert len(lines) - 1 == env.state.step_count == len(artifact.steps)
+        assert len(lines) - 1 == env.state.step_count == len(artifact.rows)
         assert lines[-1].split(",")[header.index("agent_0.done_code")] == "WIN"
 
     def test_run_config_snapshot_revalidates(self, tmp_path):
@@ -399,11 +398,12 @@ class TestPolicyOverride:
         fresh = Environment(env.config)
         override_policies(fresh, ("random", {}))
         rolled = rollout(fresh, TestCase("c", {}, 5))
-        assert len(ran.steps) == 20
-        assert [s.actions for s in ran.steps] == [s.actions for s in rolled.steps]
+        assert len(ran.rows) == 20
+        ran_steps = recorded_steps(ran)
+        assert [s["actions"] for s in ran_steps] == [s["actions"] for s in recorded_steps(rolled)]
         # Both agents draw in turn from one shared instance, so their actions
         # differ; two instances seeded alike would act in lockstep.
-        first = ran.steps[0].actions
+        first = ran_steps[0]["actions"]
         assert first["agent_0"] != first["agent_1"]
 
 
@@ -507,7 +507,7 @@ class TestActionBoundary:
         artifact = rollout(env, TestCase("c", {}, 0))
         assert artifact.error.startswith("NonFiniteAction")
         assert "agent_0" in artifact.error and "ThrustControl" in artifact.error
-        assert len(artifact.steps) == 1
+        assert len(artifact.rows) == 1
 
 
 class TestActionShape:
@@ -548,7 +548,7 @@ class TestActionShape:
         artifact = record_episode(env, seed=0)
         assert artifact.error.startswith("ActionShapeMismatch")
         assert "agent_0" in artifact.error and "ThrustControl" in artifact.error
-        assert len(artifact.steps) == 1
+        assert len(artifact.rows) == 1
 
 
 class TestEndedAgentsDoNotAct:
@@ -570,19 +570,20 @@ class TestEndedAgentsDoNotAct:
         artifact = record_episode(env, seed=0)
         assert artifact.error is None
         assert artifact.final_outcome == {"agent_0": "WIN", "agent_1": "LOSS"}
-        ended = next(i for i, step in enumerate(artifact.steps) if step.done_codes.get("agent_1"))
-        assert 0 < ended < len(artifact.steps) - 1
-        for step in artifact.steps[: ended + 1]:
-            assert set(step.actions) == {"agent_0", "agent_1"}
-        for step in artifact.steps[ended + 1:]:
-            assert set(step.actions) == {"agent_0"}
+        steps = recorded_steps(artifact)
+        ended = next(i for i, step in enumerate(steps) if step["done_codes"].get("agent_1"))
+        assert 0 < ended < len(steps) - 1
+        for step in steps[: ended + 1]:
+            assert set(step["actions"]) == {"agent_0", "agent_1"}
+        for step in steps[ended + 1:]:
+            assert set(step["actions"]) == {"agent_0"}
 
     def test_ended_agent_policy_is_not_called(self):
         env = Environment(self.leashed_config())
         artifact = record_episode(env, seed=0)
         policy = env.agents["agent_0"].policy
         assert policy is env.agents["agent_1"].policy  # one shared declaration
-        assert policy.calls == sum(len(step.actions) for step in artifact.steps)
+        assert policy.calls == sum(len(step["actions"]) for step in recorded_steps(artifact))
 
 
 class TestConfigFiles:

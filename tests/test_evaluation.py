@@ -21,8 +21,6 @@ from envforge.evaluation import (
     MissingArtifact,
     MetricSpec,
     MetricValue,
-    RecordLayout,
-    StepRecord,
     TestCase,
     UnknownCaseParameter,
     UnknownMetric,
@@ -50,7 +48,7 @@ from envforge.environment import Environment
 from envforge.policies import Policy
 from envforge.units import METER, Quantity
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, recorded_steps
 from test_environment import TestSpaceChecks, docking_tree
 
 # the module, which the package's ``evaluate`` function shadows
@@ -72,21 +70,25 @@ def docking_cases():
 
 
 def sample_artifact(case_id="c", outcome="WIN", steps=2):
-    artifact = EpisodeArtifact(case_id=case_id, seed=0, parameters={"p": {"value": 1.0, "unit": "none"}})
-    for k in range(steps):
-        step = StepRecord(
-            step=k + 1,
-            sim_time=float(k + 1),
-            observations={"a": {"O/x": {"values": [0.5], "unit": "meter"}}},
-            actions={"a": {"G": [0.1]}},
-            rewards={"a": {"r1": 0.75, "r2": 0.25}},
-            reward_totals={"a": 1.0},
-            done_codes={"a": None},
-            platform_states={"p": {"x": 0.0}},
-        )
-        artifact.rows.append(RecordLayout.of({"record": "step", **vars(step)}))
-    artifact.final_outcome = {"a": outcome}
-    return artifact
+    """An artifact built by hand: its lines, as ``json`` writes each record, loaded."""
+    header = {"record": "header", "schema_version": 1, "case_id": case_id, "seed": 0,
+              "parameters": {"p": {"value": 1.0, "unit": "none"}}}
+    records = [
+        {
+            "record": "step",
+            "step": k + 1,
+            "sim_time": float(k + 1),
+            "observations": {"a": {"O/x": {"values": [0.5], "unit": "meter"}}},
+            "actions": {"a": {"G": [0.1]}},
+            "rewards": {"a": {"r1": 0.75, "r2": 0.25}},
+            "reward_totals": {"a": 1.0},
+            "done_codes": {"a": None},
+            "platform_states": {"p": {"x": 0.0}},
+        }
+        for k in range(steps)
+    ]
+    outcome = {"record": "outcome", "final_outcome": {"a": outcome}, "truncated": False, "error": None}
+    return EpisodeArtifact.from_lines([json.dumps(record) for record in [header, *records, outcome]])
 
 
 class TestArtifact:
@@ -168,6 +170,7 @@ class TestRollout:
             {"value": -5.0, "unit": "furlong"},
             {"value": float("nan"), "unit": "meter"},
             {"value": True, "unit": "meter"},
+            {"value": 1e308, "unit": "kilometer"},  # no finite float in meters
             "far",
             "-5",
             True,
@@ -198,7 +201,7 @@ class TestRollout:
         artifact = rollout(Environment(short_config()), TestCase("far", {"deputy.x0": -150.0}))
         assert artifact.final_outcome == {"deputy_agent": "DRAW"}
         assert artifact.truncated
-        assert len(artifact.steps) == 300
+        assert len(artifact.rows) == 300
 
     def test_run_episode_records_scalar_fragment(self):
         # step() reads a fragment as np.atleast_1d(np.asarray(frag, float)), so a
@@ -214,10 +217,10 @@ class TestRollout:
         artifact = run_episode(env, seed=0)
         assert artifact.error is None
         # constant thrust reaches the dock too fast
-        assert artifact.steps and artifact.final_outcome == {"deputy_agent": "LOSS"}
-        for step in artifact.steps:
-            assert step.actions == {"deputy_agent": {"ThrustControl": [0.05]}}
-            assert step.platform_states["deputy"]["thrust"] == 0.05
+        assert artifact.rows and artifact.final_outcome == {"deputy_agent": "LOSS"}
+        for step in recorded_steps(artifact):
+            assert step["actions"] == {"deputy_agent": {"ThrustControl": [0.05]}}
+            assert step["platform_states"]["deputy"]["thrust"] == 0.05
 
     def test_evaluate_writes_one_artifact_per_case(self, tmp_path):
         artifacts = evaluate(short_config(), docking_cases(), tmp_path)
@@ -534,7 +537,7 @@ class TestOnePass:
             TestCase("again", {"deputy.x0": -4.0}, seed=2),
         ]
         reused = evaluate(config, cases, tmp_path, policy_override=replay)
-        assert reused[0].error.startswith("SpaceViolation") and len(reused[0].steps) == 1
+        assert reused[0].error.startswith("SpaceViolation") and len(reused[0].rows) == 1
         assert reused[1].error is None and reused[1].final_outcome == {"agent_0": "LOSS"}
         for case, artifact in zip(cases, reused):
             env = Environment(config)

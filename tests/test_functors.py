@@ -262,6 +262,14 @@ class TestGlues:
         obs = graph.by_name["TVD"].observation
         assert obs["target_value_difference"][0] == pytest.approx(1.0 - 0.4)
 
+    @pytest.mark.parametrize("index", [-1, 4, 7])
+    def test_target_value_difference_index_outside_its_source_fails_the_build(self, index):
+        # the cart-pole state has 4 elements; a negative index would count from the end
+        tvd = FunctorSpec("TargetValueDifference", "TVD", config={"index": index}, wrapped=observe_state_spec())
+        message = rf"^TVD \(TargetValueDifference\): config/index: index must be in \[0, 4\) .*, got {index}$"
+        with pytest.raises(FunctorError, match=message):
+            build_graph(cartpole_platform(), glues=[tvd])
+
     def test_norm_and_unit_vector(self):
         platforms = cartpole_platform(x=3.0, xdot=4.0)
         graph = build_graph(
@@ -481,7 +489,7 @@ class TestSettingsResolvedOnce:
         unit_lookups = count_calls(monkeypatch, get_unit)
         for seed in (1, 2, 3):
             artifact = run_episode(env, seed=seed)
-            assert artifact.error is None and artifact.steps
+            assert artifact.error is None and artifact.rows
             assert all(code is not None for code in artifact.final_outcome.values())
             # every config value was parsed and converted when the
             # environment was built, and none is in an episode

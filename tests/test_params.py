@@ -576,7 +576,7 @@ class TestDeclaredUnits:
         assert report.ok, str(report)
         in_cm = run_episode(Environment(config), seed=7)
         in_m = run_episode(Environment(load_env_config(CONFIG_DIR / "docking" / "environment.yml")), seed=7)
-        assert in_cm.final_outcome == {"deputy_agent": "WIN"} and len(in_cm.steps) > 1
+        assert in_cm.final_outcome == {"deputy_agent": "WIN"} and len(in_cm.rows) > 1
         assert in_cm.parameters["dock_radius"] == {"value": 10.0, "unit": "centimeter"}
         # the header records each sample in its own unit; every step and the outcome agree
         assert in_cm.to_lines()[1:] == in_m.to_lines()[1:]

@@ -39,7 +39,7 @@ class TestSpacesCompiledOnce:
         env = Environment(config)
         calls = count_space_calls(monkeypatch)
         artifact = run_episode(env, seed=3)
-        assert artifact.error is None and artifact.steps
+        assert artifact.error is None and artifact.rows
         assert all(code is not None for code in artifact.final_outcome.values())
         assert calls == []
         # The wrappers do count: building compiles each glue's spaces once.
@@ -190,7 +190,7 @@ class TestSensorReads:
 
         monkeypatch.setattr(Sensor, "measure", counting)
         artifact = run_episode(env, seed=0)
-        steps = len(artifact.steps)
+        steps = len(artifact.rows)
         assert artifact.final_outcome == {"deputy_agent": "WIN"} and steps > 10
         # At reset the simulator reads each sensor once and its glue reads it
         # once; every step after that, only the glue reads it.

@@ -70,6 +70,13 @@ class TestConversion:
         with pytest.raises(DimensionMismatch):
             convert(Quantity.scalar(1.0, get_unit("meter")), get_unit("second"))
 
+    def test_overflow_raises_without_a_warning(self):
+        # pytest turns numpy's overflow warning into an error, so a warning fails here
+        with pytest.raises(OverflowError, match="a value in kilometer overflows a float in meter"):
+            convert(Quantity.scalar(1e308, get_unit("kilometer")), get_unit("meter"))
+        infinite = convert(Quantity.scalar(float("inf"), get_unit("kilometer")), get_unit("meter"))
+        assert infinite.item == float("inf")  # already not finite: nothing overflowed
+
     def test_none_only_matches_none(self):
         assert check_compatibility(NONE, NONE)
         assert not check_compatibility(NONE, get_unit("fraction"))
