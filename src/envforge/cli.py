@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import loader
+from .config import PolicyConfig, loader
 from .config.validate import validate_environment, validate_environment_file
 from .environment import Environment
 from .evaluation import (
@@ -29,7 +29,7 @@ from .evaluation import (
     visualize,
     write_metrics,
 )
-from .evaluation.evaluate import override_policies, run_episode
+from .evaluation.evaluate import run_episode
 from .policies import POLICY_REGISTRY, SCRIPTED_RULES
 
 log = logging.getLogger("envforge")
@@ -79,10 +79,17 @@ def _load_environment(env_path: str, agent_paths: list[str]):
 
 
 def _require_config(args):
+    """The validated config, each agent's policy replaced by a ``--policy``
+    given: one declaration, so ``PolicyPool`` shares one instance between
+    the agents, and ``run_config.json`` records it."""
     config, report = _load_environment(args.env, getattr(args, "agent", []) or [])
     if config is None:
         print(report)
         raise SystemExit(1)
+    override = _parse_policy(args.policy)
+    if override is not None:
+        for agent in config.agents:
+            agent.policy = PolicyConfig(*override)
     return config
 
 
@@ -98,7 +105,6 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     config = _require_config(args)
     env = Environment(config)
-    override_policies(env, _parse_policy(args.policy))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.episodes):
@@ -121,7 +127,6 @@ def cmd_evaluate(args) -> int:
         config,
         cases,
         args.out,
-        policy_override=_parse_policy(args.policy),
         workers=args.workers,
     )
     for case in cases:
@@ -156,7 +161,6 @@ def cmd_pipeline(args) -> int:
         metric_specs,
         viz_specs,
         args.out,
-        policy_override=_parse_policy(args.policy),
         workers=args.workers,
     )
     return 0

@@ -17,13 +17,20 @@ node.  The structural errors come first: each section's own errors, in
 ``parse_params`` order (its keys in document order, then the required keys
 it lacks), before the errors inside it.  Then come the build's, in document
 order.  Nothing here raises for bad user input.
+
+The tables also write the config.  Where a table's parse builds an object
+(a distribution, a unit, a mode, a parameter store, a functor, part, policy,
+platform or agent), its ``Param.dump`` writes the object back, and
+``environment_tree`` writes a typed config with ``params.dump_params`` as the
+tree that validates back to it.  ``run_config.json`` holds that tree.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 from .. import epp as epp_mod
@@ -34,7 +41,9 @@ from ..params import (
     PARSE_ERRORS,
     ConfigError,
     Param,
+    dump_params,
     finite,
+    identity,
     list_of,
     mapping,
     mapping_of,
@@ -126,13 +135,9 @@ def _load(path: Path, report_path: str, report: ValidationReport):
         return None
 
 
-def _raw(raw):
-    """A value that the section holding it parses further."""
-    return raw
-
-
 #: the key of a distribution that chooses its class; the others are read with that class's ``params``
 _KIND = Param("kind", one_of(DISTRIBUTION_KINDS))
+_KIND_NAMES = {cls: kind for kind, cls in DISTRIBUTION_KINDS.items()}
 
 
 def _distribution(raw) -> Distribution:
@@ -145,6 +150,12 @@ def _distribution(raw) -> Distribution:
     distribution = cls(**settings)
     distribution.validate()
     return distribution
+
+
+def _distribution_tree(distribution: Distribution) -> dict:
+    """The ``{kind, <hyperparameter>: value, ...}`` mapping of ``distribution``."""
+    cls = type(distribution)
+    return dump_params((_KIND, *cls.params), {"kind": _KIND_NAMES[cls], **vars(distribution)})
 
 
 _SPACE_CHECK_MODES = {
@@ -160,48 +171,12 @@ def _space_check_mode(raw):
     return raw if isinstance(raw, dict) else _SPACE_CHECK_MODES[one_of(_SPACE_CHECK_MODES)(raw)]
 
 
-#: the keys each structural section declares; any other key is UnknownField.
-#: A simulator's, a part's, a functor's and a policy's ``config`` is checked
-#: by its constructor, against its own table.
-ENVIRONMENT = (
-    Param("simulator", mapping),
-    Param("platforms", sequence),
-    Param("agents", sequence),
-    Param("horizon", positive_int, 1000),
-    Param("episode_end_mode", EpisodeEndMode, EpisodeEndMode.ALL_AGENTS_DONE),
-    Param("space_check_mode", _space_check_mode, SpaceCheckMode.every_step()),
-    Param("reference_store", mapping, {}),
-    Param("shared_dones", sequence, []),
-)
-SIMULATOR = (Param("name", one_of(SIMULATORS, "UnknownFunctor")), Param("config", mapping, {}))
-SPOT_CHECK = (Param("spot_check", probability),)
-PLATFORM = (Param("name", string), Param("platform_type", string), Param("initialization", mapping, {}))
-PARAMETER = (Param("distribution", _distribution), Param("unit", get_unit, NONE), Param("updaters", sequence, []))
-AGENT = (
-    Param("agent", string),
-    Param("platforms", nonempty(list_of(string))),
-    Param("parts", sequence, []),
-    Param("reference_store", mapping, {}),
-    Param("episode_parameter_provider", mapping, {}),
-    Param("glues", nonempty(sequence)),
-    Param("dones", sequence, []),
-    Param("rewards", sequence, []),
-    Param("policy", mapping, None),
-)
-EPISODE_PARAMETER_PROVIDER = (Param("parameters", mapping, {}),)
-POLICY = (Param("name", one_of(POLICY_REGISTRY)), Param("config", mapping, {}))
-FUNCTOR = (
-    Param("functor", one_of(FUNCTOR_REGISTRY, "UnknownFunctor")),
-    Param("name", string, None),
-    Param("config", mapping, {}),
-    Param("references", mapping_of(string), {}),
-    Param("wrapped", _raw, None),
-    Param("extractor", mapping, None),
-)
-EXTRACTOR = (Param("glue", string), Param("key", string, None))
+def _space_check_tree(mode: SpaceCheckMode):
+    """A mode's name, or the ``{spot_check: p}`` mapping of a spot check."""
+    return dump_params(SPOT_CHECK, {"spot_check": mode.probability}) if mode.mode == "spot_check" else mode.mode
 
 
-def _updater_table(mutable: tuple[str, ...]) -> tuple[Param, ...]:
+def _updater_table(mutable: Collection[str]) -> tuple[Param, ...]:
     """The keys of an updater of a distribution whose hyperparameters ``mutable`` may change."""
     return (
         Param("kind", one_of(("increment",)), "increment"),
@@ -211,9 +186,102 @@ def _updater_table(mutable: tuple[str, ...]) -> tuple[Param, ...]:
     )
 
 
-def _part_table(registry: PluginRegistry) -> tuple[Param, ...]:
-    """The keys of a part entry, whose group ``registry`` must have."""
-    return (Param("part", one_of(registry.groups, "UnknownPartGroup")), Param("config", mapping, {}))
+def _part_table(groups: Collection[str]) -> tuple[Param, ...]:
+    """The keys of a part entry, whose group must be one of ``groups``."""
+    return (Param("part", one_of(groups, "UnknownPartGroup")), Param("config", mapping, {}))
+
+
+def _store_tree(store: dict[str, ParameterSpec]) -> dict:
+    """A parameter store, by name."""
+    return {name: dump_params(PARAMETER, vars(spec)) for name, spec in store.items()}
+
+
+def _functor_tree(functor):
+    """A functor entry, or a list or mapping of them (a functor list, or a
+    functor's ``wrapped``); a wrapped child given by name is written as its name."""
+    if isinstance(functor, FunctorSpec):
+        return dump_params(FUNCTOR, vars(functor))
+    if isinstance(functor, list):
+        return [_functor_tree(child) for child in functor]
+    if isinstance(functor, dict):
+        return {key: _functor_tree(child) for key, child in functor.items()}
+    return functor
+
+
+def _agent_tree(agent: AgentConfig) -> dict:
+    """An agent entry; its ``episode_parameter_provider`` holds its parameters."""
+    parameters = {"parameters": agent.parameters}
+    settings = {"agent": agent.name, "platforms": agent.platform_names, "episode_parameter_provider": parameters}
+    return dump_params(AGENT, {**vars(agent), **settings})
+
+
+#: the keys each structural section declares; any other key is UnknownField.
+#: A simulator's, a part's, a functor's and a policy's ``config`` is checked
+#: by its constructor, against its own table.  Where a section's parse builds
+#: an object, its ``dump`` writes that object back as the section's tree.
+SIMULATOR = (Param("name", one_of(SIMULATORS, "UnknownFunctor")), Param("config", mapping, {}))
+SPOT_CHECK = (Param("spot_check", probability),)
+PARAMETER = (
+    Param("distribution", _distribution, dump=_distribution_tree),
+    Param("unit", get_unit, NONE, dump=lambda unit: unit.name),
+    Param(
+        "updaters",
+        sequence,
+        [],
+        dump=lambda updaters: [dump_params(_updater_table(()), {"kind": "increment", **vars(u)}) for u in updaters],
+    ),
+)
+PLATFORM = (
+    Param("name", string),
+    Param("platform_type", string),
+    Param("initialization", mapping, {}, dump=_store_tree),
+)
+EXTRACTOR = (Param("glue", string), Param("key", string, None))
+FUNCTOR = (
+    Param("functor", one_of(FUNCTOR_REGISTRY, "UnknownFunctor")),
+    Param("name", string, None),
+    Param("config", mapping, {}),
+    Param("references", mapping_of(string), {}),
+    Param("wrapped", identity, None, dump=_functor_tree),
+    Param("extractor", mapping, None, dump=lambda extractor: dump_params(EXTRACTOR, vars(extractor))),
+)
+POLICY = (Param("name", one_of(POLICY_REGISTRY)), Param("config", mapping, {}))
+EPISODE_PARAMETER_PROVIDER = (Param("parameters", mapping, {}, dump=_store_tree),)
+AGENT = (
+    Param("agent", string),
+    Param("platforms", nonempty(list_of(string))),
+    Param(
+        "parts",
+        sequence,
+        [],
+        dump=lambda parts: [dump_params(_part_table(()), {"part": p.group, "config": p.config}) for p in parts],
+    ),
+    Param("reference_store", mapping, {}, dump=_store_tree),
+    Param("episode_parameter_provider", mapping, {}, dump=partial(dump_params, EPISODE_PARAMETER_PROVIDER)),
+    Param("glues", nonempty(sequence), dump=_functor_tree),
+    Param("dones", sequence, [], dump=_functor_tree),
+    Param("rewards", sequence, [], dump=_functor_tree),
+    Param("policy", mapping, None, dump=lambda policy: dump_params(POLICY, vars(policy))),
+)
+ENVIRONMENT = (
+    Param("simulator", mapping, dump=partial(dump_params, SIMULATOR)),
+    Param("platforms", sequence, dump=lambda platforms: [dump_params(PLATFORM, vars(p)) for p in platforms]),
+    Param("agents", sequence, dump=lambda agents: [_agent_tree(agent) for agent in agents]),
+    Param("horizon", positive_int, 1000),
+    Param("episode_end_mode", EpisodeEndMode, EpisodeEndMode.ALL_AGENTS_DONE, dump=lambda mode: mode.value),
+    Param("space_check_mode", _space_check_mode, SpaceCheckMode.every_step(), dump=_space_check_tree),
+    Param("reference_store", mapping, {}, dump=_store_tree),
+    Param("shared_dones", sequence, [], dump=_functor_tree),
+)
+
+
+def environment_tree(config: EnvironmentConfig) -> dict:
+    """The config tree that ``validate_environment`` reads back as ``config``,
+    written by the tables that read it: defaults filled in, a bare number
+    written as a ``constant`` spec, agent files inlined, empty sections left
+    out.  ``run_config.json`` holds it."""
+    simulator = {"name": config.simulator_name, "config": config.simulator_config}
+    return dump_params(ENVIRONMENT, {**vars(config), "simulator": simulator})
 
 
 def _parse(table: tuple[Param, ...], tree, path: str, report: ValidationReport) -> dict | None:
@@ -278,7 +346,10 @@ def parse_functor_spec(tree, path: str, report: ValidationReport) -> FunctorSpec
 
 
 def _parse_wrapped(tree, path: str, report: ValidationReport):
-    """A functor's ``wrapped``: one child, or a list or mapping of them."""
+    """A functor's ``wrapped``: one child, or a list or mapping of them; an
+    empty one is none, as its dump leaves it out."""
+    if tree == [] or tree == {}:
+        return None
     if isinstance(tree, list):
         return [_parse_child(item, _join(path, i), report) for i, item in enumerate(tree)]
     if isinstance(tree, dict) and "functor" not in tree:
@@ -331,7 +402,7 @@ def validate_agent(
         return None, report
 
     parts: list[PartConfig] = []
-    part_table = _part_table(registry)
+    part_table = _part_table(registry.groups)
     for i, part_tree in enumerate(settings.get("parts", [])):
         ppath = _join(p, "parts", i)
         part = _parse(part_table, {"part": part_tree} if isinstance(part_tree, str) else part_tree, ppath, report)
@@ -391,7 +462,7 @@ def validate_environment(
     sim_name = simulator.get("name")
     # the initialization declares exactly the parameters the simulator reads
     initialization = None if sim_name is None else tuple(
-        Param(name, _raw) for name in SIMULATORS[sim_name].required_init_params
+        Param(name, identity) for name in SIMULATORS[sim_name].required_init_params
     )
 
     platforms: list[PlatformConfig] = []

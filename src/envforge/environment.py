@@ -6,14 +6,15 @@ only steps; recording a trajectory is the caller's job (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .agents import Agent, PolicyPool, attach_parts, build_agent
 from .config.schema import HORIZON_DONE, EnvironmentConfig, EpisodeEndMode
-from .config.serialize import environment_config_to_tree
-from .epp import EppError, EpisodeParameterProvider
+from .config.validate import environment_tree
+from .epp import EppError, EpisodeParameterProvider, ParameterSpec
 from .functors.base import DoneResult, DoneStatusCode, EpisodeState
 from .functors.graph import build_graph
 from .params import BuildErrors, ConfigError, ParamError, join_path
@@ -85,19 +86,28 @@ class StepResult:
     info: dict = field(default_factory=dict)
 
 
+def _own_copy(spec: ParameterSpec, name: str) -> ParameterSpec:
+    """``spec`` named ``name``, with a copy of its distribution for updaters to move."""
+    own = copy.copy(spec)
+    own.name, own.distribution = name, copy.copy(spec.distribution)
+    return own
+
+
 def episode_parameters(config: EnvironmentConfig) -> tuple[EpisodeParameterProvider, list[ParamError]]:
     """A provider of every episode parameter ``config`` declares: the
     reference store, each platform's initialization (keyed
     ``<platform>.<name>``), then each agent's reference store and parameters;
     and a ``ConflictingField`` for each agent spec whose name an earlier,
     different spec took (the earlier one is kept).  An identical repeat, as
-    two agent files that include one store give, is one parameter."""
+    two agent files that include one store give, is one parameter.  The
+    provider holds its own copy of each distribution, so a curriculum moves
+    the copy and ``config`` keeps the values it was built from."""
     epp = EpisodeParameterProvider()
     for spec in config.reference_store.values():
-        epp.add(spec)
+        epp.add(_own_copy(spec, spec.name))
     for platform in config.platforms:
         for pname, spec in platform.initialization.items():
-            epp.add(replace(spec, name=init_key(platform.name, pname)))
+            epp.add(_own_copy(spec, init_key(platform.name, pname)))
     conflicts: list[ParamError] = []
     for agent_cfg in config.agents:
         for section, store in (
@@ -106,7 +116,7 @@ def episode_parameters(config: EnvironmentConfig) -> tuple[EpisodeParameterProvi
         ):
             for key, spec in store.items():
                 if spec.name not in epp:
-                    epp.add(spec)
+                    epp.add(_own_copy(spec, spec.name))
                 elif epp.specs[spec.name] != spec:
                     message = f"'{spec.name}' is already declared with another spec"
                     conflicts.append((join_path(agent_cfg.path, section, key), "ConflictingField", message))
@@ -375,7 +385,7 @@ class Environment:
     def run_config(self) -> dict:
         """Snapshot for run_config.json: the config tree and the EPP state per training iteration."""
         return {
-            "environment": environment_config_to_tree(self.config),
+            "environment": environment_tree(self.config),
             "epp_state_per_iteration": self._epp_history,
         }
 

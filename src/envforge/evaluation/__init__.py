@@ -63,7 +63,6 @@ def run_pipeline(
     metric_specs: list[MetricSpec],
     viz_specs: list[VizSpec],
     out_dir: str | Path,
-    policy_override: tuple[str, dict] | None = None,
     workers: int = 1,
 ) -> dict[str, MetricValue]:
     """All three stages in series over one output directory.
@@ -74,7 +73,7 @@ def run_pipeline(
     ``load_artifacts`` reads them.
     """
     out_dir = Path(out_dir)
-    artifacts = evaluate(config, cases, out_dir, policy_override=policy_override, workers=workers)
+    artifacts = evaluate(config, cases, out_dir, workers=workers)
     artifacts.sort(key=lambda artifact: artifact_file(artifact.case_id))
     metrics = generate_metrics(artifacts, metric_specs)
     path = write_metrics(metrics, out_dir / "metrics.json")

@@ -25,7 +25,6 @@ from ..environment import Environment, StepResult, episode_parameters
 from ..epp import ParameterSpec
 from ..functors.base import DoneStatusCode
 from ..params import PARSE_ERRORS, Param, finite, integer, mapping, parse_entries, string, value_in
-from ..policies import POLICY_REGISTRY
 from ..units import Quantity, UnitError, as_vector
 from .artifact import EpisodeArtifact, RecordLayout, Row, StepShape, artifact_file, case_name, write_manifest
 
@@ -113,16 +112,6 @@ def _case_overrides(specs: Mapping[str, ParameterSpec], case: TestCase) -> dict[
             raise InvalidCaseParameter(case.name, name, str(exc)) from exc
         overrides[name] = Quantity.scalar(value, spec.unit)
     return overrides
-
-
-def override_policies(env: Environment, override: tuple[str, dict] | None) -> None:
-    """Give every agent one shared instance of the named policy, as PolicyPool shares one declaration."""
-    if override is None:
-        return
-    name, pconfig = override
-    policy = POLICY_REGISTRY[name](pconfig)
-    for agent in env.agents.values():
-        agent.policy = policy
 
 
 #: a done code as a row's text slot holds it
@@ -247,19 +236,13 @@ def rollout(env: Environment, case: TestCase) -> EpisodeArtifact:
     return artifact
 
 
-def _environment(config: EnvironmentConfig, policy_override: tuple[str, dict] | None) -> Environment:
-    env = Environment(config)
-    override_policies(env, policy_override)
-    return env
-
-
 #: the pool worker's environment, built once by ``_init_worker``
 _worker_env: Environment | None = None
 
 
-def _init_worker(config: EnvironmentConfig, policy_override: tuple[str, dict] | None) -> None:
+def _init_worker(config: EnvironmentConfig) -> None:
     global _worker_env
-    _worker_env = _environment(config, policy_override)
+    _worker_env = Environment(config)
 
 
 def _worker_rollout(case: TestCase) -> EpisodeArtifact:
@@ -270,7 +253,6 @@ def evaluate(
     config: EnvironmentConfig,
     cases: list[TestCase],
     out_dir: str | Path,
-    policy_override: tuple[str, dict] | None = None,
     workers: int = 1,
 ) -> list[EpisodeArtifact]:
     """Roll out every case and write one artifact file per case, then the manifest.
@@ -305,11 +287,11 @@ def evaluate(
 
     if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(config, policy_override)
+            max_workers=workers, initializer=_init_worker, initargs=(config,)
         ) as pool:
             artifacts = list(pool.map(_worker_rollout, cases))
     else:
-        env = _environment(config, policy_override)
+        env = Environment(config)
         artifacts = [rollout(env, case) for case in cases]
 
     for artifact in artifacts:

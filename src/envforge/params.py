@@ -7,6 +7,8 @@ table: ``validate`` runs it over each structural section, and each
 constructor over its own config, raising a :class:`ConfigError` listing
 every error it found.  ``validate`` builds the environment, so these are the
 only checks of a config value, and a config that validates also builds.
+:func:`dump_params` is the one writer of a table, its inverse: the config
+sections write ``run_config.json`` with it.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ def number(raw) -> float:
     return raw
 
 
+def identity(value):
+    """The value itself: the reader, or writer, of a value that is its own setting."""
+    return value
+
+
 @dataclass(frozen=True)
 class Param:
     """One config key of a section, functor, part, policy or simulator.
@@ -58,6 +65,8 @@ class Param:
     and a ``{value, unit}`` value is converted to it before ``parse`` checks
     it.  A referenced value is sampled each episode; ``Functor.bind``
     converts it to the unit and checks it with ``parse`` at every ``reset``.
+    ``dump`` is the inverse of ``parse``: it writes a setting as the config
+    value that ``parse`` reads back as it (see :func:`dump_params`).
     """
 
     name: str
@@ -65,6 +74,7 @@ class Param:
     default: Any = REQUIRED
     referenceable: bool = False
     unit: Unit | None = None
+    dump: Callable[[Any], Any] = identity
 
 
 #: what a ``Param.parse`` raises for a value it cannot take
@@ -318,6 +328,25 @@ def parse_params(
         else:
             settings[p.name] = p.default
     return settings, errors
+
+
+def dump_params(params: tuple[Param, ...], settings: Mapping[str, Any]) -> dict[str, Any]:
+    """The config mapping that :func:`parse_params` reads back under the
+    table ``params`` as ``settings``, each setting written by its param's
+    ``dump`` (a setting of a param in its ``unit`` is written in it, as a
+    bare number).  A key whose setting is missing or None is left out, and
+    so is a key that is not required whose written value is an empty mapping
+    or list: a param that may take either defaults to it.  Keys come in
+    table order."""
+    tree: dict[str, Any] = {}
+    for p in params:
+        value = settings.get(p.name)
+        if value is None:
+            continue
+        written = p.dump(value)
+        if p.default is REQUIRED or not (written == {} or written == []):
+            tree[p.name] = written
+    return tree
 
 
 def table(params: tuple[Param, ...]) -> Callable[[Any], dict[str, Any]]:

@@ -3,18 +3,75 @@ import json
 import pytest
 import yaml
 
-from envforge.config import loader
-from envforge.config.serialize import environment_config_to_tree
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from envforge.config import EpisodeEndMode, loader
 from envforge.config.validate import (
+    PARAMETER,
     ErrorCode,
+    ValidationReport,
+    environment_tree,
+    parse_parameter_spec,
     validate_environment,
     validate_environment_file,
 )
-from envforge.epp import Uniform
+from envforge.epp import DISTRIBUTION_KINDS, Uniform
+from envforge.params import dump_params
+from envforge.units import REGISTRY
 
 from conftest import CONFIG_DIR, DATA_DIR
+from test_environment import curriculum_tree, docking_tree
 
 INVALID_DIR = DATA_DIR / "invalid"
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+#: a unit as a config may write it: a registered name in any case, padded or
+#: not, or the alias N/A
+WRITTEN_UNITS = st.sampled_from(sorted(REGISTRY)).flatmap(
+    lambda name: st.sampled_from([name, name.upper(), f" {name.title()} "])
+) | st.sampled_from(["N/A", "n/a"])
+
+
+@st.composite
+def distribution_trees(draw):
+    """A ``{kind, ...}`` mapping of each kind, its hyperparameters finite."""
+    kind = draw(st.sampled_from(sorted(DISTRIBUTION_KINDS)))
+    if kind == "constant":
+        return {"kind": kind, "value": draw(FINITE)}
+    if kind == "uniform":
+        low, high = sorted(draw(st.lists(FINITE, min_size=2, max_size=2)))
+        return {"kind": kind, "low": low, "high": high}
+    if kind == "truncated_gaussian":
+        low, high = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
+        sigma = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+        return {"kind": kind, "mu": draw(FINITE), "sigma": sigma, "low": low, "high": high}
+    values = draw(st.lists(FINITE, min_size=1, max_size=4))
+    tree = {"kind": kind, "values": values}
+    if draw(st.booleans()):
+        weights = st.lists(st.floats(0.0, 1e6), min_size=len(values), max_size=len(values))
+        tree["weights"] = draw(weights.filter(lambda w: sum(w) > 0))
+    return tree
+
+
+@st.composite
+def parameter_trees(draw):
+    """A parameter entry: a bare number, or a distribution with a written
+    unit and 0-2 updaters, each with and without ``limit``."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        return draw(FINITE)
+    distribution = draw(distribution_trees())
+    tree = {"distribution": distribution, "unit": draw(WRITTEN_UNITS)}
+    mutable = DISTRIBUTION_KINDS[distribution["kind"]].mutable
+    updaters = []
+    for _ in range(draw(st.integers(0, 2)) if mutable else 0):
+        updater = {"target": draw(st.sampled_from(mutable)), "step": draw(FINITE)}
+        if draw(st.booleans()):
+            updater["limit"] = draw(FINITE)
+        updaters.append(updater)
+    if updaters or draw(st.booleans()):
+        tree["updaters"] = updaters
+    return tree
 
 
 class TestLoader:
@@ -196,13 +253,100 @@ class TestDuplicateNames:
         assert self.codes(self.tree([self.observe], dones)) == [("DuplicateName", "agents/0/dones/0")]
 
 
-class TestSerialization:
-    def test_round_trip_through_validation(self):
-        config, _ = validate_environment_file(CONFIG_DIR / "docking" / "environment.yml")
-        tree = environment_config_to_tree(config)
-        # The tree must be plain-data (JSON and YAML serializable) and
-        # revalidate to an equivalent config.
-        json.dumps(tree)
-        reparsed, report = validate_environment(yaml.safe_load(yaml.safe_dump(tree)))
+def assert_round_trip(config):
+    """``validate_environment`` reads ``environment_tree(config)``, plain data
+    sent through YAML, back as ``config``, which it writes as the same tree."""
+    tree = environment_tree(config)
+    json.dumps(tree)
+    reparsed, report = validate_environment(yaml.safe_load(yaml.safe_dump(tree)))
+    assert reparsed == config, str(report)
+    assert environment_tree(reparsed) == tree
+
+
+def shapes_tree():
+    """A docking tree with the functor shapes no shipped config uses: a keyed
+    ``wrapped`` mapping, a list of wrapped children, a wrapped child given by
+    name, an extractor without ``key``, and an empty ``wrapped``, which is none."""
+    position = {"functor": "ObserveSensor", "config": {"sensor": "Sensor_Position", "normalize": False}}
+    tree = docking_tree(
+        extra_glues=[
+            {"functor": "Difference", "name": "Gap", "wrapped": {"first": "ObservePosition", "second": position}},
+            {"functor": "Wrapper", "name": "Both", "wrapped": ["ObservePosition", "ObserveVelocity"]},
+            {"functor": "Norm", "name": "Speed", "extractor": {"glue": "ObserveVelocity"}},
+        ]
+    )
+    tree["agents"][0]["dones"].append(
+        {"functor": "StateBounds", "name": "Far", "config": {"min": -100.0, "max": 100.0}, "wrapped": "ObservePosition"}
+    )
+    tree["agents"][0]["rewards"][1]["wrapped"] = []
+    return tree
+
+
+class TestRoundTrip:
+    """``environment_tree`` writes what ``validate_environment`` reads back as the same config."""
+
+    @pytest.mark.parametrize(
+        "path", ["docking/environment.yml", "docking/environment_short.yml", "cartpole/environment.yml"]
+    )
+    def test_shipped_configs(self, path):
+        config, report = validate_environment_file(CONFIG_DIR / path)
+        assert config is not None, str(report)
+        assert_round_trip(config)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            docking_tree(),
+            docking_tree(
+                agents=2, end_mode="all_agents_done", space_check={"spot_check": 0.25}, policy={"name": "random"}
+            ),
+            docking_tree(space_check="off", dones=False),
+            curriculum_tree(),
+            shapes_tree(),
+        ],
+        ids=["default", "two_agents_spot_check", "no_dones", "updaters", "functor_shapes"],
+    )
+    def test_test_trees(self, tree):
+        config, report = validate_environment(tree)
+        assert config is not None, str(report)
+        assert_round_trip(config)
+
+    def test_functor_shapes_are_written_as_given(self):
+        config, _ = validate_environment(shapes_tree())
+        agent = environment_tree(config)["agents"][0]
+        glues = {glue["name"]: glue for glue in agent["glues"]}
+        assert glues["Gap"]["wrapped"]["first"] == "ObservePosition"
+        assert glues["Gap"]["wrapped"]["second"]["functor"] == "ObserveSensor"
+        assert glues["Both"]["wrapped"] == ["ObservePosition", "ObserveVelocity"]
+        assert glues["Speed"]["extractor"] == {"glue": "ObserveVelocity"}
+        assert agent["dones"][-1]["wrapped"] == "ObservePosition"
+
+    def test_empty_sections_are_left_out(self):
+        config, _ = validate_environment(docking_tree(policy={"name": "random", "config": {}}))
+        tree = environment_tree(config)
+        assert tree["agents"][0]["policy"] == {"name": "random"}
+        assert "shared_dones" not in tree
+        assert "updaters" not in tree["reference_store"]["v_max"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(parameter=parameter_trees())
+    def test_parameter_spec_parse_of_dump(self, parameter):
+        report = ValidationReport()
+        spec = parse_parameter_spec("p", parameter, "", report)
+        assert spec is not None, str(report)
+        written = json.loads(json.dumps(dump_params(PARAMETER, vars(spec))))
+        again = parse_parameter_spec("p", written, "", report)
         assert report.ok, str(report)
-        assert environment_config_to_tree(reparsed) == tree
+        assert again == spec
+        assert dump_params(PARAMETER, vars(again)) == written
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        end_mode=st.sampled_from([mode.value for mode in EpisodeEndMode]),
+        space_check=st.sampled_from(["every_step", "off", "spot_check"])
+        | st.floats(0.0, 1.0).map(lambda p: {"spot_check": p}),
+    )
+    def test_modes_parse_of_dump(self, end_mode, space_check):
+        config, report = validate_environment(docking_tree(end_mode=end_mode, space_check=space_check))
+        assert config is not None, str(report)
+        assert_round_trip(config)

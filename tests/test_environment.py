@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 
 import numpy as np
@@ -17,7 +18,6 @@ from envforge.environment import (
     UnknownActionKey,
 )
 from envforge.evaluation import TestCase, rollout
-from envforge.evaluation.evaluate import override_policies
 from envforge.evaluation.evaluate import run_episode as record_episode
 from envforge.functors.base import DoneStatusCode
 from envforge.policies import ScriptedPolicy
@@ -380,7 +380,53 @@ class TestLogging:
         assert names == {"episode_0.csv", "episode_1.csv", "episode_2.csv", "run_config.json"}
 
 
+def curriculum_tree():
+    """``docking_tree`` with an updater on a reference-store and a platform parameter."""
+    tree = docking_tree()
+    tree["reference_store"]["v_max"]["distribution"] = {"kind": "uniform", "low": 0.1, "high": 0.2}
+    tree["reference_store"]["v_max"]["updaters"] = [{"target": "low", "step": 0.05}]
+    x0 = tree["platforms"][0]["initialization"]["x0"]
+    x0["distribution"] = {"kind": "uniform", "low": -10.5, "high": -9.5}
+    x0["updaters"] = [{"target": "high", "step": 0.25}]
+    return tree
+
+
+class TestCurriculumLeavesConfig:
+    """A curriculum moves the provider's distributions, never the config's."""
+
+    def test_apply_training_result_leaves_the_config(self):
+        config, report = validate_environment(curriculum_tree())
+        assert config is not None, str(report)
+        env = Environment(config)
+        before = env.run_config()["environment"]
+        env.apply_training_result()
+        assert env.run_config()["environment"] == before
+        assert config.reference_store["v_max"].distribution.low == 0.1
+        assert config.platforms[0].initialization["x0"].distribution.high == -9.5
+        states = env.run_config()["epp_state_per_iteration"]
+        assert [s["v_max"]["low"] for s in states] == [0.1, 0.15000000000000002]
+        assert [s["deputy.x0"]["high"] for s in states] == [-9.5, -9.25]
+        # a second environment of the config starts where the first did
+        assert Environment(config).run_config()["epp_state_per_iteration"] == states[:1]
+
+
 class TestPolicyOverride:
+    def test_run_config_records_the_override(self, tmp_path):
+        # the snapshot of `run --policy random` runs the same episodes without the flag
+        env_file = tmp_path / "env.json"
+        env_file.write_text(json.dumps(docking_tree(agents=2, horizon=20, dones=False, space_check="off")))
+        argv = ["run", "--seed", "5", "--episodes", "2"]
+        assert cli.main([*argv, "--env", str(env_file), "--policy", "random", "--out", str(tmp_path / "a")]) == 0
+        snapshot = json.loads((tmp_path / "a" / "run_config.json").read_text())
+        assert [agent["policy"] for agent in snapshot["environment"]["agents"]] == [{"name": "random"}] * 2
+        (tmp_path / "snapshot.json").write_text(json.dumps(snapshot["environment"]))
+        assert cli.main([*argv, "--env", str(tmp_path / "snapshot.json"), "--out", str(tmp_path / "b")]) == 0
+        for name in ["episode_0.csv", "episode_1.csv"]:
+            # the snapshot's keys are sorted, so its parameters' columns may come in another order
+            rows = [list(csv.DictReader((tmp_path / run / name).read_text().splitlines())) for run in "ab"]
+            assert rows[0] == rows[1]
+        assert (tmp_path / "a" / "run_config.json").read_bytes() == (tmp_path / "b" / "run_config.json").read_bytes()
+
     def test_run_and_rollout_share_one_policy_across_agents(self, tmp_path, monkeypatch):
         env = make_env(agents=2, horizon=20, dones=False, space_check="off")
         env_file = tmp_path / "env.yml"
@@ -395,8 +441,7 @@ class TestPolicyOverride:
         argv = ["run", "--env", str(env_file), "--policy", "random", "--seed", "5", "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 0
         ran = recorded[0]
-        fresh = Environment(env.config)
-        override_policies(fresh, ("random", {}))
+        fresh = make_env(agents=2, horizon=20, dones=False, space_check="off", policy={"name": "random"})
         rolled = rollout(fresh, TestCase("c", {}, 5))
         assert len(ran.rows) == 20
         ran_steps = recorded_steps(ran)
@@ -540,11 +585,8 @@ class TestActionShape:
             env.step({"agent_0": {"ThrustControl": np.array([np.nan, 0.5])}})
 
     def test_rollout_records_shape_mismatch(self):
-        config, report = validate_environment(docking_tree(horizon=20))
-        assert config is not None, str(report)
-        replay = ("replay", {"actions": [{"ThrustControl": [0.5]}, {"ThrustControl": [0.5, 0.9, -1.0]}]})
-        env = Environment(config)
-        override_policies(env, replay)
+        actions = [{"ThrustControl": [0.5]}, {"ThrustControl": [0.5, 0.9, -1.0]}]
+        env = make_env(horizon=20, policy={"name": "replay", "config": {"actions": actions}})
         artifact = record_episode(env, seed=0)
         assert artifact.error.startswith("ActionShapeMismatch")
         assert "agent_0" in artifact.error and "ThrustControl" in artifact.error

@@ -43,7 +43,7 @@ from envforge.evaluation import (
 )
 from envforge.config.validate import validate_environment
 from envforge.evaluation.artifact import TruncatedArtifact
-from envforge.evaluation.evaluate import _case_overrides, override_policies, run_episode
+from envforge.evaluation.evaluate import _case_overrides, run_episode
 from envforge.environment import Environment
 from envforge.policies import Policy
 from envforge.units import METER, Quantity
@@ -527,22 +527,20 @@ class TestOnePass:
         # Two steps of full reverse thrust: from x0 = -4 the bounded glue
         # leaves its [-5, 5] box at step 2 and the episode fails there; from
         # x0 = 4 the craft passes the dock too fast and the episode ends in LOSS.
-        tree = docking_tree(horizon=30, extra_glues=TestSpaceChecks().bounded_tvd_glue(-5.0, 5.0))
+        replay = {"name": "replay", "config": {"actions": [{"ThrustControl": [-1.0]}] * 2}}
+        tree = docking_tree(horizon=30, policy=replay, extra_glues=TestSpaceChecks().bounded_tvd_glue(-5.0, 5.0))
         config, report = validate_environment(tree)
         assert config is not None, str(report)
-        replay = ("replay", {"actions": [{"ThrustControl": [-1.0]}] * 2})
         cases = [
             TestCase("fails", {"deputy.x0": -4.0}, seed=0),
             TestCase("after", {"deputy.x0": 4.0}, seed=1),
             TestCase("again", {"deputy.x0": -4.0}, seed=2),
         ]
-        reused = evaluate(config, cases, tmp_path, policy_override=replay)
+        reused = evaluate(config, cases, tmp_path)
         assert reused[0].error.startswith("SpaceViolation") and len(reused[0].rows) == 1
         assert reused[1].error is None and reused[1].final_outcome == {"agent_0": "LOSS"}
         for case, artifact in zip(cases, reused):
-            env = Environment(config)
-            override_policies(env, replay)
-            assert rollout(env, case).to_lines() == artifact.to_lines()
+            assert rollout(Environment(config), case).to_lines() == artifact.to_lines()
 
 
 class TestInputChecks:

@@ -475,10 +475,8 @@ class TestSettingsResolvedOnce:
     # glues, 2 dones, 2 rewards, the horizon, its scripted policy (twice: its
     # rule, then the rule's table), its simulator and 3 parts; cartpole's 2
     # glues, 2 differences, 2 bounds, 1 reward, the horizon, its policy, its
-    # simulator and 2 parts; and one per platform initialization parameter,
-    # whose distribution is read with its table when its spec is filed under
-    # the platform's name: docking's 2 and cartpole's 4
-    PARSED = {"docking": 16, "cartpole": 16}
+    # simulator and 2 parts
+    PARSED = {"docking": 14, "cartpole": 12}
 
     @pytest.mark.parametrize("task", ["docking", "cartpole"])
     def test_episodes_convert_each_value_once(self, task, monkeypatch):
