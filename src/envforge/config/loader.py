@@ -3,6 +3,11 @@
 A list element of the form ``{include: <relative path>}`` is replaced by the
 parsed contents of the referenced file, resolved relative to the including
 file.  If the included file holds a list, it is spliced in place.
+
+Files are parsed by libyaml (``yaml.CSafeLoader``) when PyYAML was built
+with it, else by PyYAML's pure-Python ``SafeLoader``.  Both use the same
+constructor and resolver, so they build the same trees and mark an error at
+the same line and column; only the wording of the problem may differ.
 """
 
 from __future__ import annotations
@@ -10,6 +15,10 @@ from __future__ import annotations
 from pathlib import Path
 
 import yaml
+
+
+#: the YAML loader of config files
+SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigLoadError(Exception):
@@ -43,7 +52,7 @@ def _parse_file(path: Path):
         raise FileNotFound(path)
     text = path.read_text()
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=SAFE_LOADER)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         line = (mark.line + 1) if mark else 0

@@ -103,11 +103,11 @@ def episode_parameters(config: EnvironmentConfig) -> tuple[EpisodeParameterProvi
     provider holds its own copy of each distribution, so a curriculum moves
     the copy and ``config`` keeps the values it was built from."""
     epp = EpisodeParameterProvider()
-    for spec in config.reference_store.values():
-        epp.add(_own_copy(spec, spec.name))
-    for platform in config.platforms:
+    for key, spec in config.reference_store.items():
+        epp.add(_own_copy(spec, spec.name), join_path("reference_store", key))
+    for i, platform in enumerate(config.platforms):
         for pname, spec in platform.initialization.items():
-            epp.add(_own_copy(spec, init_key(platform.name, pname)))
+            epp.add(_own_copy(spec, init_key(platform.name, pname)), join_path("platforms", i, "initialization", pname))
     conflicts: list[ParamError] = []
     for agent_cfg in config.agents:
         for section, store in (
@@ -115,11 +115,12 @@ def episode_parameters(config: EnvironmentConfig) -> tuple[EpisodeParameterProvi
             ("episode_parameter_provider/parameters", agent_cfg.parameters),
         ):
             for key, spec in store.items():
+                path = join_path(agent_cfg.path, section, key)
                 if spec.name not in epp:
-                    epp.add(_own_copy(spec, spec.name))
+                    epp.add(_own_copy(spec, spec.name), path)
                 elif epp.specs[spec.name] != spec:
                     message = f"'{spec.name}' is already declared with another spec"
-                    conflicts.append((join_path(agent_cfg.path, section, key), "ConflictingField", message))
+                    conflicts.append((path, "ConflictingField", message))
     return epp, conflicts
 
 
@@ -163,9 +164,12 @@ class Environment:
         self.simulator = errors.attempt(sim_cls, config.simulator_config, setups, path="simulator")
         errors.check()  # nothing builds without the simulator and its platforms
 
-        # Priming reset so platforms exist for part attachment and glue wiring.
+        # Priming reset so platforms exist for part attachment and glue wiring;
+        # a distribution that cannot be sampled fails here, at its path.
         self.epp, conflicts = episode_parameters(config)
-        platforms = errors.attempt(self.simulator.reset, self.epp.sample_episode(seed=0))
+        sampled = errors.attempt(self.epp.sample_episode, 0)
+        errors.check()
+        platforms = errors.attempt(self.simulator.reset, sampled)
         errors.check()
 
         for agent_cfg in config.agents:

@@ -10,6 +10,7 @@ sampled value visible to every functor that references it.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Any
@@ -35,6 +36,15 @@ class UnknownHyperparameter(EppError):
 class UnknownReference(EppError):
     def __init__(self, key: str):
         super().__init__(f"reference store has no key '{key}'")
+
+
+class UnsampleableParameter(EppError):
+    """A parameter whose distribution raised when drawn from, reported at
+    that distribution's config path."""
+
+    def __init__(self, path: str, exc: Exception):
+        message = f"cannot be sampled: {exc}"
+        super().__init__(f"episode parameters: {path}: {message}", [(path, "TypeMismatch", message)])
 
 
 class NotYetSampled(EppError):
@@ -94,6 +104,8 @@ class Uniform(Distribution):
         super().validate()
         if self.low > self.high:
             raise ValueError(f"Uniform: low ({self.low}) > high ({self.high})")
+        if not math.isfinite(self.high - self.low):  # the generator draws low + (high - low) * u
+            raise ValueError(f"Uniform: high - low is not finite (low {self.low}, high {self.high})")
 
     def clamp(self) -> None:
         if self.low > self.high:
@@ -154,8 +166,8 @@ class DiscreteChoice(Distribution):
         if self.weights is not None:
             if len(self.weights) != len(self.values):
                 raise ValueError("DiscreteChoice: weights length != values length")
-            if sum(self.weights) <= 0:
-                raise ValueError("DiscreteChoice: weights must sum to > 0")
+            if not 0 < sum(self.weights) < math.inf:
+                raise ValueError("DiscreteChoice: weights must sum to a finite number > 0")
 
     def sample(self, rng: np.random.Generator) -> float:
         if self.weights is None:
@@ -235,14 +247,18 @@ class EpisodeParameterProvider:
 
     def __init__(self, specs: list[ParameterSpec] | None = None):
         self._specs: dict[str, ParameterSpec] = {}
+        self._paths: dict[str, str] = {}
         for spec in specs or []:
             self.add(spec)
         self._current: SampledParameters | None = None
 
-    def add(self, spec: ParameterSpec) -> None:
+    def add(self, spec: ParameterSpec, path: str = "") -> None:
+        """Add ``spec``; ``path`` is where the config declares it (its name
+        if not given), for errors."""
         if spec.name in self._specs:
             raise ValueError(f"duplicate parameter name '{spec.name}'")
         self._specs[spec.name] = spec
+        self._paths[spec.name] = path or spec.name
 
     @property
     def specs(self) -> dict[str, ParameterSpec]:
@@ -257,7 +273,9 @@ class EpisodeParameterProvider:
         """Draw every parameter for one episode.
 
         ``overrides`` replaces named distributions with fixed values for this
-        episode only (used by the evaluation pipeline's test cases).
+        episode only (used by the evaluation pipeline's test cases).  A
+        distribution that raises when drawn from raises
+        ``UnsampleableParameter``.
         """
         overrides = overrides or {}
         values: dict[str, Quantity] = {}
@@ -265,8 +283,11 @@ class EpisodeParameterProvider:
             if name in overrides:
                 values[name] = overrides[name].to(spec.unit)
             else:
-                rng = _parameter_rng(seed, name)
-                values[name] = Quantity.scalar(spec.distribution.sample(rng), spec.unit)
+                try:
+                    value = spec.distribution.sample(_parameter_rng(seed, name))
+                except (ArithmeticError, ValueError) as exc:
+                    raise UnsampleableParameter(f"{self._paths[name]}/distribution", exc) from exc
+                values[name] = Quantity.scalar(value, spec.unit)
         self._current = SampledParameters(values, seed)
         return self._current
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 import logging
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from weakref import WeakKeyDictionary
 
@@ -119,12 +119,15 @@ _CODE_TEXT = {None: "null", **{code: json.dumps(code.value) for code in DoneStat
 
 
 class _RowPlan:
-    """Reads the steps of one shape, but for its arrays' lengths, into rows.
+    """Reads the steps of one structure, but for its arrays' lengths, into rows.
 
-    The key ``run_episode`` files a plan under (the active agents, the
-    platforms and each agent's action glues) fixes the shape, with what the
-    environment fixes at build.  The lengths of a step's arrays complete it,
-    so a fragment of another length gets a layout of its own.
+    The structure is the active agents, the platforms and each agent's
+    fragment names: ``run_episode`` files a plan under them and keeps using
+    it while ``fits`` holds and no agent has ended.  With what the
+    environment fixes at build, they fix the step's shape; the lengths of a
+    step's arrays complete it, so a fragment of another length gets a layout
+    of its own.  What ``row`` reads is bound here: each observation's glue
+    node and key, and a getter of each platform's state attributes.
     """
 
     def __init__(self, env: Environment, actions: dict, result: StepResult):
@@ -139,7 +142,23 @@ class _RowPlan:
             platform_states=tuple((name, tuple(sorted(vars(platforms[name].state)))) for name in sorted(platforms)),
             rewards=tuple((agent, tuple(sorted(c))) for agent, c in sorted(result.info["reward_components"].items())),
         )
+        #: (agent, its fragment names) of each agent that acts
+        self.fragments = [(agent, frozenset(glues)) for agent, glues in self.shape.actions]
+        self.platform_count = len(platforms)
+        # as Environment._collect_observations keys them: a later name wins
+        readers = {entry[0]: {name: (node, key) for name, node, key, _ in entry[6]} for entry in env._plan}
+        self._observations = [readers[agent][name] for agent, names in self.shape.observations for name, _ in names]
+        self._platform_states = [(name, _state_getter(attrs)) for name, attrs in self.shape.platform_states]
         self.layouts: dict[tuple[int, ...], RecordLayout] = {}
+
+    def fits(self, env: Environment, actions: dict) -> bool:
+        """Whether a step of the plan's active agents, with ``actions``, has the plan's structure."""
+        if len(env.simulator.platforms) != self.platform_count:
+            return False
+        for agent, names in self.fragments:
+            if actions[agent].keys() != names:
+                return False
+        return True
 
     def row(self, env: Environment, actions: dict, result: StepResult) -> Row:
         shape = self.shape
@@ -153,25 +172,22 @@ class _RowPlan:
                 values += leaf
         codes = result.done_codes
         values += [_CODE_TEXT[codes[agent]] for agent in shape.done_codes]
-        observations = result.observations
-        for agent, names in shape.observations:
-            obs = observations[agent]
-            for name, _ in names:
-                leaf = obs[name].values.tolist()
-                lengths.append(len(leaf))
-                values += leaf
+        for node, key in self._observations:
+            leaf = as_vector(node.observation[key]).tolist()  # as the step's Quantity holds it
+            lengths.append(len(leaf))
+            values += leaf
         platforms = env.simulator.platforms
-        for name, attrs in shape.platform_states:
-            state = vars(platforms[name].state)
-            values += [float(state[attr]) for attr in attrs]
+        for name, getter in self._platform_states:
+            values += map(float, getter(platforms[name].state))
         totals = result.rewards
         components = result.info["reward_components"]
         values += [totals[agent] for agent, _ in shape.rewards]
         for agent, names in shape.rewards:
             agent_components = components[agent]
             values += [agent_components[name] for name in names]
-        values.append(float(env.state.sim_time))
-        values.append(env.state.step_count)
+        state = env.state
+        values.append(float(state.sim_time))
+        values.append(state.step_count)
         key = tuple(lengths)
         layout = self.layouts.get(key)
         if layout is None:
@@ -179,8 +195,15 @@ class _RowPlan:
         return layout, tuple(values)
 
 
-#: each environment's row plans, by the key ``run_episode`` computes: a plan
-#: holds for every episode of the environment it was made on
+def _state_getter(attributes: tuple[str, ...]):
+    """The getter of a platform state's ``attributes``, as a tuple."""
+    if len(attributes) > 1:
+        return attrgetter(*attributes)
+    return lambda state: tuple([getattr(state, name) for name in attributes])
+
+
+#: each environment's row plans, by the structure ``run_episode`` selects a
+#: plan for: a plan holds for every episode of the environment it was made on
 _row_plans: WeakKeyDictionary[Environment, dict[tuple, _RowPlan]] = WeakKeyDictionary()
 
 
@@ -205,18 +228,22 @@ def run_episode(
         rows = artifact.rows
         agents = env.agents
         active = list(agents)  # the agents that have not ended: only they act
+        plan = None  # the plan of the previous step, while its agents are the active ones
         while not env.episode_done:
             actions = {
                 name: agents[name].policy.compute_action(observations[name], agents[name].action_space())
                 for name in active
             }
             result = env.step(actions)
-            active = [name for name, code in result.done_codes.items() if code is None]
-            key = (tuple(result.done_codes), tuple(env.simulator.platforms), tuple(map(tuple, actions.values())))
-            plan = plans.get(key)
-            if plan is None:
-                plan = plans[key] = _RowPlan(env, actions, result)
+            if plan is None or not plan.fits(env, actions):
+                key = (tuple(result.done_codes), tuple(env.simulator.platforms), tuple(map(tuple, actions.values())))
+                plan = plans.get(key)
+                if plan is None:
+                    plan = plans[key] = _RowPlan(env, actions, result)
             rows.append(plan.row(env, actions, result))
+            active = [name for name, code in result.done_codes.items() if code is None]
+            if len(active) < len(result.done_codes):  # an agent ended: the next step's agents differ
+                plan = None
             observations = result.observations
         artifact.final_outcome = {
             name: (code.value if code else None)
@@ -286,6 +313,8 @@ def evaluate(
         raise IOError(f"output directory '{out_dir}' is not writable: {exc}") from exc
 
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported only by a run that uses it
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(config,)
         ) as pool:

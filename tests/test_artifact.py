@@ -200,6 +200,43 @@ class TestCapture:
         layouts = {id(layout) for layout, _ in artifact.rows}
         assert len(layouts) >= 2
 
+    def test_rows_follow_an_omitted_fragment(self, monkeypatch):
+        # the replayed policy gives no thrust on its third step, then thrust again
+        replay = [{"ThrustControl": [0.5]}, {"ThrustControl": [0.5]}, {}, {"ThrustControl": [-0.2]}]
+        tree = docking_tree(horizon=8, policy={"name": "replay", "config": {"actions": replay}})
+        config, report = validate_environment(tree)
+        assert config is not None, str(report)
+        records = spy_records(monkeypatch)
+        artifact = evaluate_module.run_episode(Environment(config), seed=0)
+        assert artifact.error is None and len(artifact.rows) == 8
+        assert [r["actions"]["agent_0"] for r in records[1:4]] == [{"ThrustControl": [0.5]}, {}, {"ThrustControl": [-0.2]}]
+        assert artifact.to_lines()[1:-1] == [json.dumps(r, sort_keys=True) for r in records]
+        layouts = [layout for layout, _ in artifact.rows]
+        assert layouts[2] is not layouts[1] and layouts[3] is layouts[1]
+
+    def test_rows_follow_a_removed_platform(self, monkeypatch):
+        # a second craft, which no agent owns, is removed in the fourth step
+        tree = docking_tree(horizon=8)
+        tree["platforms"].append({**copy.deepcopy(tree["platforms"][0]), "name": "spare"})
+        config, report = validate_environment(tree)
+        assert config is not None, str(report)
+        records = spy_records(monkeypatch)
+        env = Environment(config)
+        simulator_step = env.simulator.step
+
+        def step():
+            simulator_step()
+            if env.state.step_count == 3 and "spare" in env.simulator.platforms:
+                env.simulator.remove_platform("spare")
+
+        monkeypatch.setattr(env.simulator, "step", step)
+        for seed in range(2):  # the second episode starts with both crafts again
+            del records[:]
+            artifact = evaluate_module.run_episode(env, seed=seed)
+            assert artifact.error is None and len(artifact.rows) == 8
+            assert [sorted(r["platform_states"]) for r in records[2:4]] == [["deputy", "spare"], ["deputy"]]
+            assert artifact.to_lines()[1:-1] == [json.dumps(r, sort_keys=True) for r in records]
+
     def test_later_episodes_reuse_the_layouts(self, monkeypatch):
         records = spy_records(monkeypatch)
         env = Environment(self.early_ending_config())

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 import yaml
@@ -16,7 +17,7 @@ from envforge.config.validate import (
     validate_environment,
     validate_environment_file,
 )
-from envforge.epp import DISTRIBUTION_KINDS, Uniform
+from envforge.epp import DISTRIBUTION_KINDS, Distribution, Uniform
 from envforge.params import dump_params
 from envforge.units import REGISTRY
 
@@ -35,12 +36,14 @@ WRITTEN_UNITS = st.sampled_from(sorted(REGISTRY)).flatmap(
 
 @st.composite
 def distribution_trees(draw):
-    """A ``{kind, ...}`` mapping of each kind, its hyperparameters finite."""
+    """A ``{kind, ...}`` mapping of each kind, its hyperparameters finite, and
+    so is a uniform's width."""
     kind = draw(st.sampled_from(sorted(DISTRIBUTION_KINDS)))
     if kind == "constant":
         return {"kind": kind, "value": draw(FINITE)}
     if kind == "uniform":
-        low, high = sorted(draw(st.lists(FINITE, min_size=2, max_size=2)))
+        bounds = st.lists(FINITE, min_size=2, max_size=2).map(sorted)
+        low, high = draw(bounds.filter(lambda b: math.isfinite(b[1] - b[0])))
         return {"kind": kind, "low": low, "high": high}
     if kind == "truncated_gaussian":
         low, high = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
@@ -128,6 +131,44 @@ class TestLoader:
         assert loader.load_config(tmp_path / "root.yml") == {"a": ["s"], "b": ["s"]}
 
 
+#: every YAML file shipped or used by the tests
+YAML_FILES = sorted([*CONFIG_DIR.rglob("*.yml"), *DATA_DIR.rglob("*.yml")])
+#: malformed YAML that each parser marks at the same line and column, in its own words
+MALFORMED = ["a:\n\tb: 1\n", "a: [1, 2\n", "- a\nb: 1\n", "a: &x 1\nb: *y\n", "a: 1\n---\nb: 2\n", "? [1]\n: 2\n"]
+
+
+def parsed(path, yaml_loader, monkeypatch):
+    """What ``load_config`` makes of ``path`` with ``yaml_loader``: the repr
+    of its tree (which tells 1 from 1.0 and True), or the class of its error,
+    the class of the YAML error under it, and the line and column it marks."""
+    with monkeypatch.context() as patch:
+        patch.setattr(loader, "SAFE_LOADER", yaml_loader)
+        try:
+            return repr(loader.load_config(path))
+        except loader.ConfigLoadError as exc:
+            return type(exc), type(exc.__cause__), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+class TestYamlLoaders:
+    """The loader's YAML parser builds the trees PyYAML's ``SafeLoader`` builds."""
+
+    def test_libyaml_when_pyyaml_has_it(self):
+        assert loader.SAFE_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+    @pytest.mark.parametrize("yaml_loader", [loader.SAFE_LOADER, yaml.SafeLoader], ids=["default", "fallback"])
+    def test_every_file_loads_as_with_safeloader(self, yaml_loader, monkeypatch, tmp_path):
+        malformed = []
+        for i, text in enumerate(MALFORMED):
+            malformed.append(tmp_path / f"malformed_{i}.yml")
+            malformed[-1].write_text(text)
+        failed = 0
+        for path in [*YAML_FILES, *malformed]:
+            got = parsed(path, yaml_loader, monkeypatch)
+            assert got == parsed(path, yaml.SafeLoader, monkeypatch), path
+            failed += not isinstance(got, str)
+        assert failed > len(MALFORMED)  # and the corpus's parse_error.yml
+
+
 def load_expected():
     return json.loads((INVALID_DIR / "expected.json").read_text())
 
@@ -150,6 +191,17 @@ class TestInvalidCorpus:
         listed = set(load_expected())
         present = {p.name for p in INVALID_DIR.glob("*.yml")}
         assert present == listed
+
+    def test_priming_sample_reports_an_unsampleable_distribution(self, monkeypatch):
+        # a distribution that validates but raises when drawn from is reported
+        # at its path by the build's first draw, not raised through validate
+        monkeypatch.setattr(Uniform, "validate", Distribution.validate)
+        config, report = validate_environment_file(INVALID_DIR / "unsampleable_uniform.yml")
+        assert config is None
+        assert [(e.path, e.code) for e in report.errors] == [
+            ("reference_store/spread/distribution", ErrorCode.TYPE_MISMATCH)
+        ]
+        assert "cannot be sampled" in report.errors[0].message
 
 
 class TestValidConfigs:

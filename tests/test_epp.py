@@ -15,6 +15,7 @@ from envforge.epp import (
     Uniform,
     UnknownHyperparameter,
     UnknownReference,
+    UnsampleableParameter,
     _parameter_rng,
 )
 from envforge.units import METER, Quantity, get_unit
@@ -39,6 +40,15 @@ class TestDistributions:
     def test_uniform_invalid(self):
         with pytest.raises(ValueError):
             Uniform(1.0, 0.0).validate()
+
+    def test_uniform_range_must_be_finite(self):
+        # each bound is finite, but the generator cannot draw from a range
+        # whose width overflows
+        with pytest.raises(ValueError, match="high - low is not finite"):
+            Uniform(-1e308, 1e308).validate()
+        wide = Uniform(-1e308, 0.0)
+        wide.validate()
+        assert -1e308 <= wide.sample(np.random.default_rng(0)) <= 0.0
 
     def test_truncated_gaussian_support(self):
         dist = TruncatedGaussian(mu=0.0, sigma=2.0, low=-1.0, high=3.0)
@@ -76,6 +86,8 @@ class TestDistributions:
         assert all(dist.sample(rng) == 1.0 for _ in range(100))
         with pytest.raises(ValueError):
             DiscreteChoice([1.0], weights=[1.0, 2.0]).validate()
+        with pytest.raises(ValueError, match="finite"):  # the probabilities would be weight / inf
+            DiscreteChoice([1.0, 2.0], weights=[1e308, 1e308]).validate()
 
 
 class TestSampling:
@@ -123,6 +135,17 @@ class TestSampling:
         epp = make_epp(ParameterSpec("a", Constant(1.0)))
         with pytest.raises(ValueError):
             epp.add(ParameterSpec("a", Constant(2.0)))
+
+    def test_unsampleable_distribution_names_its_path(self):
+        # an updater may move a valid distribution where it cannot be drawn from
+        epp = EpisodeParameterProvider()
+        spec = ParameterSpec("u", Uniform(0.0, 1.0))
+        epp.add(spec, "reference_store/u")
+        spec.distribution.low, spec.distribution.high = -1e308, 1e308
+        with pytest.raises(UnsampleableParameter) as caught:
+            epp.sample_episode(0)
+        assert caught.value.errors[0][:2] == ("reference_store/u/distribution", "TypeMismatch")
+        assert "cannot be sampled" in str(caught.value)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50)

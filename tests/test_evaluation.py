@@ -1,3 +1,4 @@
+import concurrent.futures
 import importlib
 import json
 import os
@@ -555,7 +556,7 @@ class TestInputChecks:
             raise AssertionError("evaluate started rollouts")
 
         monkeypatch.setattr(evaluate_module, "Environment", refuse)
-        monkeypatch.setattr(evaluate_module, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from envforge.environment import Environment
 from envforge.epp import Constant, EpisodeParameterProvider, ParameterSpec
@@ -305,6 +307,16 @@ class TestGlues:
         assert box.low[0] == -1.0 and box.high[0] == 1.0
 
 
+#: floats at the edges of a bound test, and bounds as a config or a test may give them
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 2.0**53]
+BOUNDS = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False),
+    st.integers(-(2**70), 2**70),
+    st.integers(2**53 - 4, 2**53 + 4),
+)
+
+
 class TestDones:
     def test_state_bounds_inside_and_outside(self):
         platforms = cartpole_platform(x=0.0)
@@ -319,6 +331,28 @@ class TestDones:
         evaluate_glues(graph, state)
         result = graph.dones[0].functor.evaluate(state)
         assert result == DoneResult(DoneStatusCode.LOSS)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()), min_size=1, max_size=4),
+        low=BOUNDS,
+        high=BOUNDS,
+    )
+    @example(values=[2.0**53], low=2**53 + 1, high=math.inf)  # the int rounds down to 2.0**53: inside
+    @example(values=[2.0**53], low=-math.inf, high=2**53 - 1)  # 2**53 - 1 is a float: outside
+    @example(values=[-0.0], low=0.0, high=0.0)
+    @example(values=[math.nan], low=-1.0, high=1.0)
+    @example(values=[0.0], low=math.nan, high=math.nan)
+    def test_state_bounds_is_numpys(self, values, low, high):
+        platforms = cartpole_platform()
+        bounds = FunctorSpec("StateBounds", "B", wrapped={"sensor": "ObserveState"})
+        graph = build_graph(platforms, glues=[observe_state_spec()], dones=[bounds])
+        done = graph.dones[0].functor
+        done.values.update(min=low, max=high)  # past the param's reader, which takes floats only
+        value = np.array(values)
+        graph.glues[0].observation = {"direct_observation": value}
+        fired = done.evaluate(make_state(platforms)) is not None
+        assert fired is bool(((value < low) | (value > high)).any())
 
     def test_episode_horizon_truncates(self):
         platforms = cartpole_platform()
