@@ -339,7 +339,7 @@ class TestDones:
         high=BOUNDS,
     )
     @example(values=[2.0**53], low=2**53 + 1, high=math.inf)  # the int rounds down to 2.0**53: inside
-    @example(values=[2.0**53], low=-math.inf, high=2**53 - 1)  # 2**53 - 1 is a float: outside
+    @example(values=[2.0**53], low=-math.inf, high=2**53 - 1)  # 2**53 - 1 converts exactly: outside
     @example(values=[-0.0], low=0.0, high=0.0)
     @example(values=[math.nan], low=-1.0, high=1.0)
     @example(values=[0.0], low=math.nan, high=math.nan)
