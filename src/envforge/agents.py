@@ -39,13 +39,18 @@ class Agent:
             for node in graph.glues
             for key, box in node.observation_space.items()
         ]
+        self._observation_space = MappingProxyType({name: box for name, _, _, box in self.observation_layout})
         self._action_space = MappingProxyType({
             name: node.action_space for name, node in self.action_glues.items()
         })
 
     def observation_space(self) -> Mapping[str, Box]:
-        """Union of top-level glue observations, keyed '<glue name>/<key>'."""
-        return MappingProxyType({name: box for name, _, _, box in self.observation_layout})
+        """Union of top-level glue observations, keyed '<glue name>/<key>'.
+
+        The same read-only mapping on every call; each box's unit is that of
+        the observation ``step`` returns under its name.
+        """
+        return self._observation_space
 
     def action_space(self) -> Mapping[str, Box]:
         """Action fragments of controller-backed glues, keyed by glue name.
@@ -131,13 +136,15 @@ def build_agent(
     policy_pool: PolicyPool,
 ) -> Agent:
     """Wire an agent's glue/done/reward maps into a compiled graph, and get
-    its policy; if either fails, the first error is raised, listing both's."""
+    its policy; if either fails, the first error is raised, listing both's.
+    Then the policy's config is checked against the agent's spaces."""
     agent_platforms = _agent_platforms(agent_config, platforms)
     errors = BuildErrors()
     graph = errors.attempt(build_graph, agent_platforms, agent_config.glues, agent_config.dones, agent_config.rewards)
-    policy = errors.attempt(
-        policy_pool.get, agent_config.policy.name, agent_config.policy.config,
-        path=join_path(agent_config.path, "policy"),
-    )
+    policy_path = join_path(agent_config.path, "policy")
+    policy = errors.attempt(policy_pool.get, agent_config.policy.name, agent_config.policy.config, path=policy_path)
     errors.check()
-    return Agent(agent_config.name, agent_config.platform_names, graph, policy)
+    agent = Agent(agent_config.name, agent_config.platform_names, graph, policy)
+    errors.attempt(policy.check_spaces, agent.observation_space(), agent.action_space(), path=policy_path)
+    errors.check()
+    return agent

@@ -7,7 +7,7 @@ only steps; recording a trajectory is the caller's job (see
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,13 +77,15 @@ class ActionShapeMismatch(EnvironmentError_):
 
 @dataclass
 class StepResult:
-    observations: dict[str, dict[str, Quantity]]
+    """Each observation is its glue's array, in its ``observation_space()`` box's unit."""
+
+    observations: dict[str, dict[str, np.ndarray]]
     rewards: dict[str, float]
     dones: dict[str, bool]
     done_codes: dict[str, DoneStatusCode | None]
     env_done: bool
     truncated: bool
-    info: dict = field(default_factory=dict)
+    reward_components: dict[str, dict[str, float]]
 
 
 def _own_copy(spec: ParameterSpec, name: str) -> ParameterSpec:
@@ -97,18 +99,25 @@ def episode_parameters(config: EnvironmentConfig) -> tuple[EpisodeParameterProvi
     """A provider of every episode parameter ``config`` declares: the
     reference store, each platform's initialization (keyed
     ``<platform>.<name>``), then each agent's reference store and parameters;
-    and a ``ConflictingField`` for each agent spec whose name an earlier,
-    different spec took (the earlier one is kept).  An identical repeat, as
-    two agent files that include one store give, is one parameter.  The
-    provider holds its own copy of each distribution, so a curriculum moves
-    the copy and ``config`` keeps the values it was built from."""
+    and an error for each spec whose name an earlier one took (the earlier
+    one is kept): a ``DuplicateName`` outside the agents, and a
+    ``ConflictingField`` for an agent's spec unless it is identical.  An
+    identical repeat, as two agent files that include one store give, is one
+    parameter.  The provider holds its own copy of each distribution, so a
+    curriculum moves the copy and ``config`` keeps the values it was built from."""
     epp = EpisodeParameterProvider()
-    for key, spec in config.reference_store.items():
-        epp.add(_own_copy(spec, spec.name), join_path("reference_store", key))
-    for i, platform in enumerate(config.platforms):
-        for pname, spec in platform.initialization.items():
-            epp.add(_own_copy(spec, init_key(platform.name, pname)), join_path("platforms", i, "initialization", pname))
     conflicts: list[ParamError] = []
+    declared = [(spec.name, spec, join_path("reference_store", key)) for key, spec in config.reference_store.items()]
+    declared += [
+        (init_key(platform.name, pname), spec, join_path("platforms", i, "initialization", pname))
+        for i, platform in enumerate(config.platforms)
+        for pname, spec in platform.initialization.items()
+    ]
+    for name, spec, path in declared:
+        if name in epp:
+            conflicts.append((path, "DuplicateName", f"another parameter is already named '{name}'"))
+        else:
+            epp.add(_own_copy(spec, name), path)
     for agent_cfg in config.agents:
         for section, store in (
             ("reference_store", agent_cfg.reference_store),
@@ -164,13 +173,15 @@ class Environment:
         self.simulator = errors.attempt(sim_cls, config.simulator_config, setups, path="simulator")
         errors.check()  # nothing builds without the simulator and its platforms
 
+        self.epp, conflicts = episode_parameters(config)
+        if conflicts:
+            errors.add(EppError.listing("episode parameters", conflicts))
         # Priming reset so platforms exist for part attachment and glue wiring;
         # a distribution that cannot be sampled fails here, at its path.
-        self.epp, conflicts = episode_parameters(config)
         sampled = errors.attempt(self.epp.sample_episode, 0)
-        errors.check()
-        platforms = errors.attempt(self.simulator.reset, sampled)
-        errors.check()
+        platforms = None if sampled is None else errors.attempt(self.simulator.reset, sampled)
+        if platforms is None:
+            errors.check()
 
         for agent_cfg in config.agents:
             errors.attempt(attach_parts, agent_cfg, platforms, sim_cls.simulator_type, registry)
@@ -183,13 +194,11 @@ class Environment:
             graphs = [agent.graph for agent in agents if agent is not None] + [self.shared_graph]
             for node in (node for graph in graphs if graph is not None for node in graph.nodes.values()):
                 errors.attempt(node.functor.check_references, self.epp.specs, path=node.functor.spec.path)
-        if conflicts:
-            errors.add(EppError.listing("episode parameters", conflicts))
         errors.check()
         # The step plan: every call a step makes, bound here once.  Per agent:
         # (name, agent, [(action glue, its box's shape, apply_action)],
         # [(done name, evaluate)], [(reward name, evaluate)], platform names,
-        # [(observation name, glue node, key, unit)]).
+        # [(observation name, glue node, key)]).
         self._plan = [
             (
                 name,
@@ -201,7 +210,7 @@ class Environment:
                 [(node.name, node.functor.evaluate) for node in agent.graph.dones],
                 [(node.name, node.functor.evaluate) for node in agent.graph.rewards],
                 agent.platform_names,
-                [(obs_name, node, key, box.unit) for obs_name, node, key, box in agent.observation_layout],
+                [(obs_name, node, key) for obs_name, node, key, _ in agent.observation_layout],
             )
             for name, agent in self.agents.items()
         ]
@@ -371,7 +380,7 @@ class Environment:
             done_codes=done_codes,
             env_done=self._env_done,
             truncated=truncated,
-            info={"reward_components": components},
+            reward_components=components,
         )
 
     @property
@@ -401,13 +410,10 @@ class Environment:
             node.observation = get_observation(state)
 
     @staticmethod
-    def _collect_observations(plan) -> dict[str, dict[str, Quantity]]:
+    def _collect_observations(plan) -> dict[str, dict[str, np.ndarray]]:
         """The observations of each agent in ``plan`` (entries of the step
-        plan), keyed '<glue name>/<key>', as a ``Quantity`` in its box's unit."""
-        return {
-            entry[0]: {obs_name: Quantity(node.observation[key], unit) for obs_name, node, key, unit in entry[6]}
-            for entry in plan
-        }
+        plan), keyed '<glue name>/<key>': each the array its glue returned."""
+        return {entry[0]: {obs_name: node.observation[key] for obs_name, node, key in entry[6]} for entry in plan}
 
     def _space_check(self) -> None:
         mode = self.config.space_check_mode

@@ -126,8 +126,8 @@ class _RowPlan:
     it while ``fits`` holds and no agent has ended.  With what the
     environment fixes at build, they fix the step's shape; the lengths of a
     step's arrays complete it, so a fragment of another length gets a layout
-    of its own.  What ``row`` reads is bound here: each observation's glue
-    node and key, and a getter of each platform's state attributes.
+    of its own.  What ``row`` reads is bound here: a getter of each
+    platform's state attributes.
     """
 
     def __init__(self, env: Environment, actions: dict, result: StepResult):
@@ -136,18 +136,16 @@ class _RowPlan:
             actions=tuple((agent, tuple(sorted(fragments))) for agent, fragments in sorted(actions.items())),
             done_codes=tuple(sorted(result.done_codes)),
             observations=tuple(
-                (agent, tuple((name, obs[name].unit.name) for name in sorted(obs)))
+                (agent, tuple((name, env.agents[agent].observation_space()[name].unit.name) for name in sorted(obs)))
                 for agent, obs in sorted(result.observations.items())
             ),
             platform_states=tuple((name, tuple(sorted(vars(platforms[name].state)))) for name in sorted(platforms)),
-            rewards=tuple((agent, tuple(sorted(c))) for agent, c in sorted(result.info["reward_components"].items())),
+            rewards=tuple((agent, tuple(sorted(c))) for agent, c in sorted(result.reward_components.items())),
         )
         #: (agent, its fragment names) of each agent that acts
         self.fragments = [(agent, frozenset(glues)) for agent, glues in self.shape.actions]
         self.platform_count = len(platforms)
-        # as Environment._collect_observations keys them: a later name wins
-        readers = {entry[0]: {name: (node, key) for name, node, key, _ in entry[6]} for entry in env._plan}
-        self._observations = [readers[agent][name] for agent, names in self.shape.observations for name, _ in names]
+        self._observations = [(agent, name) for agent, names in self.shape.observations for name, _ in names]
         self._platform_states = [(name, _state_getter(attrs)) for name, attrs in self.shape.platform_states]
         self.layouts: dict[tuple[int, ...], RecordLayout] = {}
 
@@ -172,15 +170,16 @@ class _RowPlan:
                 values += leaf
         codes = result.done_codes
         values += [_CODE_TEXT[codes[agent]] for agent in shape.done_codes]
-        for node, key in self._observations:
-            leaf = as_vector(node.observation[key]).tolist()  # as the step's Quantity holds it
+        observations = result.observations
+        for agent, name in self._observations:
+            leaf = as_vector(observations[agent][name]).tolist()  # as a Quantity would hold the glue's array
             lengths.append(len(leaf))
             values += leaf
         platforms = env.simulator.platforms
         for name, getter in self._platform_states:
             values += map(float, getter(platforms[name].state))
         totals = result.rewards
-        components = result.info["reward_components"]
+        components = result.reward_components
         values += [totals[agent] for agent, _ in shape.rewards]
         for agent, names in shape.rewards:
             agent_components = components[agent]

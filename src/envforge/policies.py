@@ -15,10 +15,10 @@ import numpy as np
 
 from .params import ConfigError, Param, list_of, mapping_of, number, one_of, parse_params, string
 from .parts import Box
-from .units import Quantity, as_vector
+from .units import as_vector
 
 ActionDict = dict[str, np.ndarray]
-ObservationDict = dict[str, Quantity]
+ObservationDict = dict[str, np.ndarray]
 ActionSpace = Mapping[str, Box]
 
 
@@ -27,7 +27,8 @@ class PolicyError(ConfigError):
 
 
 class Policy:
-    """Maps glue observations to an action inside the declared action space."""
+    """Maps an agent's observations, bare arrays each in the unit of its box in
+    ``Agent.observation_space()``, to an action inside the declared action space."""
 
     def __init__(self, config: dict | None = None, seed: int = 0):
         self.config = config or {}
@@ -48,6 +49,10 @@ class Policy:
 
     def _compute(self, observation: ObservationDict, action_space: ActionSpace) -> ActionDict:
         raise NotImplementedError
+
+    def check_spaces(self, observation_space: Mapping[str, Box], action_space: ActionSpace) -> None:
+        """Raise ``PolicyError`` if the config names an observation or an
+        action glue that an agent of these spaces lacks; called at its build."""
 
 
 def _settings(context: str, params: tuple[Param, ...], config: Mapping) -> dict[str, Any]:
@@ -98,20 +103,30 @@ ScriptedRule = Callable[[ObservationDict, ActionSpace], ActionDict]
 
 @dataclass(frozen=True)
 class RegisteredRule:
-    """A scripted rule's factory, called with the settings its table parses from the config."""
+    """A scripted rule's factory, called with the settings its table parses
+    from the config; ``observations`` and ``actions`` are its settings that
+    name an observation and an action glue."""
 
     factory: Callable[[dict[str, Any]], ScriptedRule]
     params: tuple[Param, ...]
+    observations: tuple[str, ...] = ()
+    actions: tuple[str, ...] = ()
 
 
 SCRIPTED_RULES: dict[str, RegisteredRule] = {}
 
 
 def register_scripted_rule(
-    name: str, factory: Callable[[dict[str, Any]], ScriptedRule], params: tuple[Param, ...]
+    name: str,
+    factory: Callable[[dict[str, Any]], ScriptedRule],
+    params: tuple[Param, ...],
+    observations: tuple[str, ...] = (),
+    actions: tuple[str, ...] = (),
 ) -> None:
-    """Register a rule under name; ``params`` declares every key of its config but ``rule``."""
-    SCRIPTED_RULES[name] = RegisteredRule(factory, params)
+    """Register a rule under name; ``params`` declares every key of its config
+    but ``rule``, of which ``observations`` name an observation, and
+    ``actions`` an action glue, of the agent (checked at its build)."""
+    SCRIPTED_RULES[name] = RegisteredRule(factory, params, observations, actions)
 
 
 class ScriptedPolicy(Policy):
@@ -122,10 +137,24 @@ class ScriptedPolicy(Policy):
         given = {"rule": config["rule"]} if "rule" in config else {}
         name = _settings("scripted policy", (Param("rule", one_of(SCRIPTED_RULES)),), given)["rule"]
         rule_config = {k: v for k, v in config.items() if k != "rule"}
-        self._rule = SCRIPTED_RULES[name].factory(
-            _settings(f"scripted rule '{name}'", SCRIPTED_RULES[name].params, rule_config)
-        )
+        self._registered = SCRIPTED_RULES[name]
+        self._settings = _settings(f"scripted rule '{name}'", self._registered.params, rule_config)
+        self._rule = self._registered.factory(self._settings)
         super().__init__(config, seed)
+
+    def check_spaces(self, observation_space, action_space):
+        registered = self._registered
+        errors = []
+        for keys, space, kind in (
+            (registered.observations, observation_space, "observation"),
+            (registered.actions, action_space, "action glue"),
+        ):
+            for key in keys:
+                if self._settings[key] not in space:
+                    message = f"the agent has no {kind} '{self._settings[key]}' (it has: {sorted(space)})"
+                    errors.append((f"config/{key}", "UnknownReference", message))
+        if errors:
+            raise PolicyError.listing(f"scripted rule '{self.config['rule']}'", errors)
 
     def _compute(self, observation, action_space):
         action = self._rule(observation, action_space)
@@ -205,8 +234,8 @@ def _bang_bang_docking(settings: dict) -> ScriptedRule:
     band = settings["band"]
 
     def rule(observation, action_space):
-        x = float(observation[position_obs].values[0])
-        v = float(observation[velocity_obs].values[0])
+        x = float(observation[position_obs][0])
+        v = float(observation[velocity_obs][0])
         v_desired = -np.sign(x) * min(v_cruise, gain * abs(x))
         err = v_desired - v
         if err > band:
@@ -221,4 +250,7 @@ def _bang_bang_docking(settings: dict) -> ScriptedRule:
 
 
 register_scripted_rule("zero", _zero_rule, ())
-register_scripted_rule("bang_bang_docking", _bang_bang_docking, _BANG_BANG_DOCKING_PARAMS)
+register_scripted_rule(
+    "bang_bang_docking", _bang_bang_docking, _BANG_BANG_DOCKING_PARAMS,
+    observations=("position_obs", "velocity_obs"), actions=("action_glue",),
+)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -39,6 +40,15 @@ class PlatformSetup:
     init_params: list[str] = field(default_factory=list)
 
 
+def frame_rate(raw) -> float:
+    """A positive number of frames per second whose frame time, its
+    reciprocal, is finite too (``1 / 1e-320`` is not)."""
+    value = positive(raw)
+    if not math.isfinite(1.0 / value):
+        raise ValueError(f"frame time 1 / {value} s is not finite")
+    return value
+
+
 def init_key(platform_name: str, param: str) -> str:
     """EPP key under which a platform initialization parameter is sampled."""
     return f"{platform_name}.{param}"
@@ -57,7 +67,7 @@ class Simulator:
     #: init parameter names each platform of this simulator must declare, and
     #: the only ones it reads
     required_init_params: tuple[str, ...] = ()
-    params: tuple[Param, ...] = (Param("frame_rate", positive, default=1.0),)
+    params: tuple[Param, ...] = (Param("frame_rate", frame_rate, default=1.0),)
 
     def __init__(self, config: dict[str, Any], platform_setups: list[PlatformSetup]):
         self.settings, errors = parse_params(self.params, config, "config")

@@ -17,7 +17,7 @@ from ..epp import SampledParameters
 from ..params import Param, finite, positive, table
 from ..parts import GLOBAL_REGISTRY, Box, Controller, Platform, Sensor
 from ..units import METER, METER_PER_SECOND, NEWTON, NONE, RADIAN, RADIAN_PER_SECOND
-from .base import PlatformSetup, Simulator
+from .base import PlatformSetup, Simulator, frame_rate
 
 DEFAULTS = {
     "gravity": 9.8,
@@ -48,7 +48,7 @@ class CartPoleSimulator(Simulator):
     platform_type = "CartPolePlatform"
     required_init_params = ("x0", "xdot0", "theta0", "thetadot0")
     params = (
-        Param("frame_rate", positive, default=50.0),
+        Param("frame_rate", frame_rate, default=50.0),
         Param("constants", table(CONSTANTS), default=DEFAULTS),
     )
 

@@ -1,11 +1,12 @@
 """Closed unit library: dimension-checked storage and conversion of measured values.
 
 Sensors, controllers, glues, dones and rewards pass bare float64 vectors, each
-in the unit of its ``Box`` (see :mod:`envforge.parts`).  A :class:`Quantity`,
-a vector tagged with a :class:`Unit`, is built only where a value enters or
-leaves the step: episode parameters, bound references, initialization values
-and returned observations.  Conversions are purely multiplicative (no affine
-units) and the registry is fixed at import time.
+in the unit of its ``Box`` (see :mod:`envforge.parts`), and so do the
+observations ``step`` returns: a unit belongs to the space, not the value.  A
+:class:`Quantity`, a vector tagged with a :class:`Unit`, is built only where a
+value enters the system: config values, episode parameter samples, and case
+and reset overrides.  Conversions are purely multiplicative (no affine units)
+and the registry is fixed at import time.
 """
 
 from __future__ import annotations
@@ -163,9 +164,6 @@ class Quantity:
 
     def to(self, target: Unit) -> "Quantity":
         return convert(self, target)
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Quantity):

@@ -181,9 +181,7 @@ def test_step_schedule(monkeypatch):
         order_ok = order_ok and phases(calls) == PHASES
         observations = result.observations
         for agent, total in result.rewards.items():
-            sums_exact = sums_exact and total == sum(
-                result.info["reward_components"][agent].values()
-            )
+            sums_exact = sums_exact and total == sum(result.reward_components[agent].values())
     report(
         "step schedule: each of 100 steps runs apply_action, sim_step, observe, dones, rewards "
         "in order (dones strictly before rewards); agent reward equals component sum exactly",

@@ -21,7 +21,7 @@ from envforge.simulators.docking import (
     _thrust_controller,
     _velocity_sensor,
 )
-from envforge.units import METER, METER_PER_SECOND, NEWTON, Quantity
+from envforge.units import NEWTON
 
 
 def docking_platforms():
@@ -77,6 +77,27 @@ class TestAgentSpaces:
         box = space["ThrustControl"]
         assert box.low[0] == -1.0 and box.high[0] == 1.0
         assert box.unit is NEWTON
+
+    def test_each_space_is_one_read_only_mapping(self):
+        # The recorder and the policies take each observation's unit from it.
+        agent, _ = built_docking_agent()
+        for space in (agent.observation_space, agent.action_space):
+            assert space() is space()
+            with pytest.raises(TypeError):
+                space()["ObservePosition/direct_observation"] = Box(1, 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "key, name",
+        [("action_glue", "Thrust"), ("position_obs", "meter"), ("velocity_obs", "ObserveVelocity")],
+    )
+    def test_scripted_rule_names_are_checked_at_build(self, key, name):
+        # A name the rule would look up in the step's observations, or
+        # return as an action, fails the build at its setting.
+        policy = PolicyConfig("scripted", {"rule": "bang_bang_docking", key: name})
+        with pytest.raises(PolicyError) as info:
+            built_docking_agent(policy)
+        assert [(path, code) for path, code, _ in info.value.errors] == [(f"policy/config/{key}", "UnknownReference")]
+        assert repr(name) in str(info.value)
 
     def test_unknown_platform_raises(self):
         config = docking_agent_config()
@@ -202,8 +223,8 @@ class TestRandomPolicy:
 class TestScriptedPolicy:
     def obs(self, x, v):
         return {
-            "ObservePosition/direct_observation": Quantity.scalar(x, METER),
-            "ObserveVelocity/direct_observation": Quantity.scalar(v, METER_PER_SECOND),
+            "ObservePosition/direct_observation": np.array([x]),
+            "ObserveVelocity/direct_observation": np.array([v]),
         }
 
     def space(self):

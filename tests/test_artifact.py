@@ -139,14 +139,17 @@ def step_record(env: Environment, actions: dict, result) -> dict:
         "step": env.state.step_count,
         "sim_time": float(env.state.sim_time),
         "observations": {
-            agent: {key: {"values": q.values.tolist(), "unit": q.unit.name} for key, q in obs.items()}
+            agent: {
+                key: {"values": values.tolist(), "unit": env.agents[agent].observation_space()[key].unit.name}
+                for key, values in obs.items()
+            }
             for agent, obs in result.observations.items()
         },
         "actions": {
             agent: {glue: np.atleast_1d(np.asarray(frag, dtype=float)).tolist() for glue, frag in fragments.items()}
             for agent, fragments in actions.items()
         },
-        "rewards": result.info["reward_components"],
+        "rewards": result.reward_components,
         "reward_totals": result.rewards,
         "done_codes": {agent: (code.value if code else None) for agent, code in result.done_codes.items()},
         "platform_states": {

@@ -169,13 +169,24 @@ class TestStepSchedule:
         results = run_episode(env)
         final = results[-1]
         assert final.done_codes["agent_0"] is DoneStatusCode.WIN
-        assert final.info["reward_components"]["agent_0"]["OutcomeReward"] == 10.0
+        assert final.reward_components["agent_0"]["OutcomeReward"] == 10.0
 
     def test_reward_is_exact_component_sum(self):
         env = make_env(horizon=300)
         for result in run_episode(env):
             for agent, total in result.rewards.items():
-                assert total == sum(result.info["reward_components"][agent].values())
+                assert total == sum(result.reward_components[agent].values())
+
+    def test_observations_are_the_glue_arrays(self):
+        # A policy reads each array its glue returned, uncopied; the unit is
+        # that of its box in the agent's observation space.
+        env = make_env(horizon=10, policy={"name": "scripted", "config": {"rule": "zero"}})
+        agent = env.agents["agent_0"]
+        for step in (lambda: env.reset(seed=0), lambda: env.step({}).observations):
+            observations = step()["agent_0"]
+            assert list(observations) == list(agent.observation_space())
+            for name, node, key, _ in agent.observation_layout:
+                assert observations[name] is node.observation[key]
 
     def test_step_after_done_raises(self):
         env = make_env(horizon=5, dones=False, policy={"name": "scripted", "config": {"rule": "zero"}})
@@ -186,11 +197,11 @@ class TestStepSchedule:
     def test_observations_refreshed_after_sim_step(self):
         env = make_env(horizon=10, x0=-10.0, policy={"name": "scripted", "config": {"rule": "zero"}})
         obs = env.reset(seed=0)
-        assert obs["agent_0"]["ObservePosition/direct_observation"].item == -10.0
+        assert obs["agent_0"]["ObservePosition/direct_observation"].tolist() == [-10.0]
         env.agents["agent_0"].graph.by_name["ThrustControl"]
         result = env.step({"agent_0": {"ThrustControl": np.array([1.0])}})
         # One 1 N / 1 kg step from rest moves 0.5 m.
-        assert result.observations["agent_0"]["ObservePosition/direct_observation"].item == -9.5
+        assert result.observations["agent_0"]["ObservePosition/direct_observation"].tolist() == [-9.5]
 
 
 class TestEpisodeEnd:
@@ -253,16 +264,16 @@ class TestAgentsOwnObservations:
         env = Environment(config)
         position = "ObservePosition/direct_observation"
         obs = env.reset(seed=0)
-        assert obs["agent_0"][position].item == -10.0
-        assert obs["agent_1"][position].item == 7.0
+        assert obs["agent_0"][position].tolist() == [-10.0]
+        assert obs["agent_1"][position].tolist() == [7.0]
         # Thrust only agent_1's craft: 1 N on 1 kg from rest moves it 0.5 m.
         result = env.step({"agent_1": {"ThrustControl": np.array([1.0])}})
-        assert result.observations["agent_0"][position].item == -10.0
-        assert result.observations["agent_1"][position].item == 7.5
+        assert result.observations["agent_0"][position].tolist() == [-10.0]
+        assert result.observations["agent_1"][position].tolist() == [7.5]
         for _ in range(3):
             result = env.step({})
-        assert result.observations["agent_0"][position].item == -10.0
-        assert result.observations["agent_1"][position].item == 10.5
+        assert result.observations["agent_0"][position].tolist() == [-10.0]
+        assert result.observations["agent_1"][position].tolist() == [10.5]
 
 
 def write_logs(env, seeds, out):
@@ -296,7 +307,7 @@ class TestDeterminism:
     def test_reset_overrides(self):
         env = make_env()
         obs = env.reset(seed=0, overrides={"deputy.x0": Quantity.scalar(-42.0, METER)})
-        assert obs["agent_0"]["ObservePosition/direct_observation"].item == -42.0
+        assert obs["agent_0"]["ObservePosition/direct_observation"].tolist() == [-42.0]
 
 
 class TestSpaceChecks:
@@ -505,7 +516,7 @@ class TestActionBoundary:
         result = env.step(actions)
         deputy = env.simulator.platforms["deputy"].state
         assert deputy.thrust == 0.0 and deputy.xdot == 0.0
-        assert result.observations["agent_0"]["ObservePosition/direct_observation"].item == -10.0
+        assert result.observations["agent_0"]["ObservePosition/direct_observation"].tolist() == [-10.0]
 
     _env = None
 

@@ -589,11 +589,12 @@ class TestDifferenceUnits:
 
 
 class TestQuantityOnlyAtTheBoundary:
-    """Inside ``step()`` values are bare arrays in their box's unit: the only
-    ``Quantity`` built is one per returned observation, and nothing converts."""
+    """Inside ``step()`` values are bare arrays in their box's unit, and so
+    are the observations it returns: it builds no ``Quantity`` and converts
+    nothing."""
 
     @pytest.mark.parametrize("task", ["docking", "cartpole"])
-    def test_step_builds_one_quantity_per_observation(self, task, monkeypatch):
+    def test_step_builds_no_quantity_and_converts_nothing(self, task, monkeypatch):
         env = Environment(load_env_config(CONFIG_DIR / task / "environment.yml"))
         built, converted = [], []
         post_init, to = Quantity.__post_init__, Quantity.to
@@ -625,5 +626,5 @@ class TestQuantityOnlyAtTheBoundary:
                 returned += sum(len(obs) for obs in observations.values())
                 steps += 1
             assert steps > 1 and returned > 0
-            assert in_step == returned
+            assert in_step == 0
             assert converted == [] and conversions == []

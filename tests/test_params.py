@@ -4,6 +4,7 @@ import copy
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -38,7 +39,7 @@ from envforge.simulators.docking import (
     _thrust_controller,
     _velocity_sensor,
 )
-from envforge.units import METER, METER_PER_SECOND, Quantity
+from envforge.units import METER, METER_PER_SECOND
 
 from conftest import CONFIG_DIR, load_env_config
 
@@ -146,8 +147,8 @@ class TestBuildAgreesWithValidate:
     def test_scripted_rule_reads_its_settings(self):
         policy = ScriptedPolicy({"rule": "bang_bang_docking", "thrust": 0.3, "action_glue": "T"})
         observation = {
-            "ObservePosition/direct_observation": Quantity.scalar(-10.0, METER),
-            "ObserveVelocity/direct_observation": Quantity.scalar(0.0, METER_PER_SECOND),
+            "ObservePosition/direct_observation": np.array([-10.0]),
+            "ObserveVelocity/direct_observation": np.array([0.0]),
         }
         assert policy._rule(observation, {})["T"].tolist() == [0.3]
 

@@ -6,7 +6,13 @@ import pytest
 
 from envforge.epp import SampledParameters
 from envforge.simulators import SIMULATORS
-from envforge.simulators.base import MissingInitParameter, PlatformSetup, UnknownPlatform, init_key
+from envforge.simulators.base import (
+    InvalidSimulatorConfig,
+    MissingInitParameter,
+    PlatformSetup,
+    UnknownPlatform,
+    init_key,
+)
 from envforge.simulators.cartpole import DEFAULTS, CartPoleSimulator, _force_controller
 from envforge.simulators.cartpole import _state_sensor as cartpole_state_sensor
 from envforge.simulators.docking import Docking1dSimulator, _thrust_controller
@@ -212,6 +218,16 @@ class TestCartPole:
     def test_default_frame_rate_is_50(self):
         sim, _ = make_cartpole()
         assert sim.frame_rate == 50.0
+
+    def test_frame_time_must_be_finite(self):
+        # 1e-320 is positive and finite, but its frame time 1 / 1e-320 is
+        # inf: the first step would fail with a math domain error.
+        setups = [PlatformSetup("cart", "CartPolePlatform", ["x0", "xdot0", "theta0", "thetadot0"])]
+        with pytest.raises(InvalidSimulatorConfig) as excinfo:
+            CartPoleSimulator({"frame_rate": 1.0e-320}, setups)
+        assert [(path, code) for path, code, _ in excinfo.value.errors] == [("config/frame_rate", "TypeMismatch")]
+        sim = CartPoleSimulator({"frame_rate": 1.0e-300}, setups)
+        assert math.isfinite(sim.dt)
 
     def test_defaults_match_published_task(self):
         assert DEFAULTS["gravity"] == 9.8

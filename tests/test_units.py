@@ -134,11 +134,6 @@ class TestQuantity:
         assert a == Quantity(np.array([2.0]), get_unit("meter"))
         assert a != Quantity.scalar(2.0, get_unit("kilometer"))
 
-    def test_is_finite(self):
-        assert Quantity.scalar(1.0).is_finite()
-        assert not Quantity(np.array([1.0, np.nan]), NONE).is_finite()
-        assert not Quantity(np.array([np.inf]), NONE).is_finite()
-
 
 class TestAsVector:
     """``as_vector`` is ``np.atleast_1d(np.asarray(v, dtype=float))``, bit for bit."""
