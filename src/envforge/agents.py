@@ -15,7 +15,8 @@ from .policies import POLICY_REGISTRY, Policy, PolicyError
 
 
 class Agent:
-    """A named agent: its platforms, compiled functor graph, and policy handle."""
+    """A named agent: its platforms, compiled functor graph and policy
+    handle, and the calls a step makes for it, bound here once."""
 
     def __init__(
         self,
@@ -28,10 +29,15 @@ class Agent:
         self.platform_names = platform_names
         self.graph = graph
         self.policy = policy
-        #: glue name -> node, for the glues that take an action fragment
-        self.action_glues = {
-            node.name: node for node in graph.glues if node.action_space is not None
-        }
+        # glue name -> node, for the glues that take an action fragment
+        action_glues = {node.name: node for node in graph.glues if node.action_space is not None}
+        #: (glue name, (its box's shape,), apply_action) per action glue
+        self.action_calls = [
+            (glue, (node.action_space.shape,), node.functor.apply_action) for glue, node in action_glues.items()
+        ]
+        #: (name, evaluate) per done, then per reward, in spec order
+        self.done_calls = [(node.name, node.functor.evaluate) for node in graph.dones]
+        self.reward_calls = [(node.name, node.functor.evaluate) for node in graph.rewards]
         #: (observation name '<glue name>/<key>', glue node, key, box) for
         #: every observation entry of the agent's glues, in glue order
         self.observation_layout = [
@@ -40,9 +46,7 @@ class Agent:
             for key, box in node.observation_space.items()
         ]
         self._observation_space = MappingProxyType({name: box for name, _, _, box in self.observation_layout})
-        self._action_space = MappingProxyType({
-            name: node.action_space for name, node in self.action_glues.items()
-        })
+        self._action_space = MappingProxyType({name: node.action_space for name, node in action_glues.items()})
 
     def observation_space(self) -> Mapping[str, Box]:
         """Union of top-level glue observations, keyed '<glue name>/<key>'.

@@ -190,30 +190,11 @@ class Environment:
             agents = [errors.attempt(build_agent, a, platforms, policy_pool) for a in config.agents]
             self.agents: dict[str, Agent] = {agent.name: agent for agent in agents if agent is not None}
             shared_specs = [*config.shared_dones, HORIZON_DONE]
-            self.shared_graph = errors.attempt(build_graph, dict(platforms), [], None, None, shared_specs)
+            self.shared_graph = errors.attempt(build_graph, dict(platforms), [], shared_specs)
             graphs = [agent.graph for agent in agents if agent is not None] + [self.shared_graph]
             for node in (node for graph in graphs if graph is not None for node in graph.nodes.values()):
                 errors.attempt(node.functor.check_references, self.epp.specs, path=node.functor.spec.path)
         errors.check()
-        # The step plan: every call a step makes, bound here once.  Per agent:
-        # (name, agent, [(action glue, its box's shape, apply_action)],
-        # [(done name, evaluate)], [(reward name, evaluate)], platform names,
-        # [(observation name, glue node, key)]).
-        self._plan = [
-            (
-                name,
-                agent,
-                [
-                    (glue, (node.action_space.shape,), node.functor.apply_action)
-                    for glue, node in agent.action_glues.items()
-                ],
-                [(node.name, node.functor.evaluate) for node in agent.graph.dones],
-                [(node.name, node.functor.evaluate) for node in agent.graph.rewards],
-                agent.platform_names,
-                [(obs_name, node, key) for obs_name, node, key, _ in agent.observation_layout],
-            )
-            for name, agent in self.agents.items()
-        ]
         # every glue node with its get_observation, each graph's in
         # topological order: the observe phase
         self._observe = [
@@ -222,7 +203,7 @@ class Environment:
             for node in map(graph.nodes.__getitem__, graph.topo_order)
             if node.kind == "glue"
         ]
-        self._shared_dones = [(node.name, node.functor.evaluate) for node in self.shared_graph.shared_dones]
+        self._shared_dones = [(node.name, node.functor.evaluate) for node in self.shared_graph.dones]
         self._any_agent_done = config.episode_end_mode is EpisodeEndMode.ANY_AGENT_DONE
 
         self.spot_checks_attempted = 0
@@ -243,7 +224,7 @@ class Environment:
         policy and the spot checks."""
         sampled = self.epp.sample_episode(seed, overrides)
         self.simulator.reset(sampled)
-        for _, agent, _, _, _, _, _ in self._plan:
+        for agent in self.agents.values():
             agent.graph.reset(sampled)
             agent.policy.reseed(seed)
         self.shared_graph.reset(sampled)
@@ -257,7 +238,7 @@ class Environment:
 
         self._evaluate_glues()
         self._space_check()
-        return self._collect_observations(self._plan)
+        return self._collect_observations(self.agents.values())
 
     def step(self, actions: dict[str, dict[str, np.ndarray]]) -> StepResult:
         if self.state is None or self._env_done:
@@ -265,8 +246,8 @@ class Environment:
         state = self.state
         outcome = self._outcome
         agents = self.agents
-        # the plan of each agent without an outcome as the step starts
-        active = [entry for entry in self._plan if outcome[entry[0]] is None]
+        # each agent without an outcome as the step starts
+        active = [agent for agent in agents.values() if outcome[agent.name] is None]
 
         # (1) glues push actions to controllers, once every fragment has passed
         # its checks; a missing fragment leaves that controller's zero command
@@ -274,15 +255,17 @@ class Environment:
             agent = agents.get(name)
             if agent is None:
                 raise UnknownActionKey(name)
-            if not fragments.keys() <= agent.action_glues.keys():
-                unknown = next(k for k in fragments if k not in agent.action_glues)
+            action_space = agent.action_space()
+            if not fragments.keys() <= action_space.keys():
+                unknown = next(k for k in fragments if k not in action_space)
                 raise UnknownActionKey(name, unknown)
         commands = []
-        for name, _, action_glues, _, _, _, _ in active:
+        for agent in active:
+            name = agent.name
             fragments = actions.get(name)
             if not fragments:
                 continue
-            for glue, shape, apply_action in action_glues:
+            for glue, shape, apply_action in agent.action_calls:
                 if glue in fragments:
                     values = as_vector(fragments[glue])
                     if values.shape != shape:
@@ -305,10 +288,11 @@ class Environment:
         # fired done, else PlatformDestroyed, else the first shared done
         platforms = self.simulator.platforms
         fired: dict[str, dict[str, DoneResult]] = {}
-        for name, _, _, done_calls, _, platform_names, _ in active:
+        for agent in active:
+            name = agent.name
             fired[name] = agent_fired = {}
             first = None
-            for done, evaluate in done_calls:
+            for done, evaluate in agent.done_calls:
                 result = evaluate(state)
                 if result is not None:
                     agent_fired[done] = result
@@ -316,7 +300,7 @@ class Environment:
                         first = result
             if first is None:
                 # destruction of an owning platform ends the agent with LOSS
-                for pname in platform_names:
+                for pname in agent.platform_names:
                     if pname not in platforms:
                         first = agent_fired["PlatformDestroyed"] = DoneResult(DoneStatusCode.LOSS)
                         break
@@ -334,11 +318,12 @@ class Environment:
         # reward is the sum of its components, in order
         components: dict[str, dict[str, float]] = {}
         rewards: dict[str, float] = {}
-        for name, _, _, _, reward_calls, _, _ in active:
+        for agent in active:
+            name = agent.name
             agent_dones = {**fired[name], **shared_fired} if shared_fired else fired[name]
             components[name] = agent_components = {}
             total = 0  # an int, as sum() starts: no components is a reward of 0
-            for reward, evaluate in reward_calls:
+            for reward, evaluate in agent.reward_calls:
                 agent_components[reward] = value = float(evaluate(state, agent_dones))
                 total += value
             rewards[name] = total
@@ -348,8 +333,8 @@ class Environment:
         dones: dict[str, bool] = {}
         done_codes: dict[str, DoneStatusCode | None] = {}
         ended = len(outcome) - len(active)
-        for entry in active:
-            name = entry[0]
+        for agent in active:
+            name = agent.name
             result = outcome[name]
             if result is None:
                 result = outcome[name] = shared_first
@@ -410,10 +395,13 @@ class Environment:
             node.observation = get_observation(state)
 
     @staticmethod
-    def _collect_observations(plan) -> dict[str, dict[str, np.ndarray]]:
-        """The observations of each agent in ``plan`` (entries of the step
-        plan), keyed '<glue name>/<key>': each the array its glue returned."""
-        return {entry[0]: {obs_name: node.observation[key] for obs_name, node, key in entry[6]} for entry in plan}
+    def _collect_observations(agents) -> dict[str, dict[str, np.ndarray]]:
+        """The observations of each of ``agents``, keyed '<glue name>/<key>':
+        each the array its glue returned."""
+        return {
+            agent.name: {obs_name: node.observation[key] for obs_name, node, key, _ in agent.observation_layout}
+            for agent in agents
+        }
 
     def _space_check(self) -> None:
         mode = self.config.space_check_mode

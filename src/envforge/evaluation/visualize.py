@@ -6,10 +6,10 @@ network resources -- so reports stay portable and inspectable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from ..params import Param, list_of, mapping, one_of, optional, parse_entries, string
+from ..params import Param, list_of, one_of, optional, parse_entries, string
 from .metrics import NON_TERMINAL, TERMINAL, MetricError, MetricValue, UnknownMetric
 
 
@@ -35,7 +35,6 @@ class VizSpec:
     metrics: list[str] | None = None  # None = all applicable
     file: str = "report.html"
     title: str = "Evaluation report"
-    config: dict = field(default_factory=dict)
 
 
 #: the keys of a visualizations entry, which are ``VizSpec``'s fields;
@@ -45,7 +44,6 @@ VIZ_ENTRY = (
     Param("metrics", optional(list_of(string)), None),
     Param("file", string, "report.html"),
     Param("title", string, "Evaluation report"),
-    Param("config", mapping, {}),
 )
 
 

@@ -228,11 +228,11 @@ class Done(Functor):
         raise NotImplementedError
 
 
-class SharedDone(Functor):
-    kind = "shared_done"
+class SharedDone(Done):
+    """A done written to end every agent; a done is shared because it is
+    listed under ``shared_dones``, whatever its class."""
 
-    def evaluate(self, state: EpisodeState) -> DoneResult | None:
-        raise NotImplementedError
+    kind = "shared_done"
 
 
 class Reward(Functor):

@@ -86,7 +86,11 @@ def canonical_hash(
 
 @dataclass
 class CompiledGraph:
-    """Deduplicated functor DAG plus per-kind evaluation schedules."""
+    """Deduplicated functor DAG plus its top-level nodes per role.
+
+    A node's role is the list its spec was given in, not its class: the
+    environment's shared graph holds its shared dones as ``dones``.
+    """
 
     nodes: dict[str, FunctorNode] = field(default_factory=dict)
     by_name: dict[str, FunctorNode] = field(default_factory=dict)
@@ -95,7 +99,6 @@ class CompiledGraph:
     glues: list[FunctorNode] = field(default_factory=list)
     dones: list[FunctorNode] = field(default_factory=list)
     rewards: list[FunctorNode] = field(default_factory=list)
-    shared_dones: list[FunctorNode] = field(default_factory=list)
 
     @property
     def node_count(self) -> int:
@@ -112,7 +115,8 @@ class CompiledGraph:
 
 
 class GraphBuilder:
-    """Compiles functor specs into one graph.  A spec that fails is reported
+    """Compiles the glue, done and reward specs of one agent, or of the
+    environment's shared dones, into one graph.  A spec that fails is reported
     at its ``path`` and every spec that reads it is skipped; ``build`` then
     raises the first error, listing every one (see ``params.BuildErrors``)."""
 
@@ -130,14 +134,8 @@ class GraphBuilder:
         glues: list[FunctorSpec],
         dones: list[FunctorSpec] | None = None,
         rewards: list[FunctorSpec] | None = None,
-        shared_dones: list[FunctorSpec] | None = None,
     ) -> CompiledGraph:
-        all_specs = [
-            ("glues", glues),
-            ("dones", dones or []),
-            ("rewards", rewards or []),
-            ("shared_dones", shared_dones or []),
-        ]
+        all_specs = [("glues", glues), ("dones", dones or []), ("rewards", rewards or [])]
         for _, specs in all_specs:
             for spec in specs:
                 name = spec.display_name
@@ -243,6 +241,5 @@ def build_graph(
     glues: list[FunctorSpec],
     dones: list[FunctorSpec] | None = None,
     rewards: list[FunctorSpec] | None = None,
-    shared_dones: list[FunctorSpec] | None = None,
 ) -> CompiledGraph:
-    return GraphBuilder(platforms).build(glues, dones, rewards, shared_dones)
+    return GraphBuilder(platforms).build(glues, dones, rewards)

@@ -178,6 +178,16 @@ class ReplayPolicy(Policy):
         self._sequence = _settings("replay policy", self.params, config or {})["actions"]
         super().__init__(config, seed)
 
+    def check_spaces(self, observation_space, action_space):
+        errors = []
+        for step, action in enumerate(self._sequence):
+            for name in action:
+                if name not in action_space:
+                    message = f"the agent has no action glue '{name}' (it has: {sorted(action_space)})"
+                    errors.append((f"config/actions/{step}/{name}", "UnknownReference", message))
+        if errors:
+            raise PolicyError.listing("replay policy", errors)
+
     def reset(self):
         super().reset()
         self._cursor = 0

@@ -1,9 +1,11 @@
 """Native cart-pole simulator: classic pole-balancing dynamics, explicit Euler.
 
 Constants follow the standard published task (cart mass 1.0 kg, pole mass
-0.1 kg, half-length 0.5 m, g = 9.8, force magnitude 10 N, dt = 0.02 s,
-failure bounds +-2.4 m and +-12 degrees) and live in one block; the
-simulator config's ``constants`` overrides any of them by name.
+0.1 kg, half-length 0.5 m, g = 9.8, force magnitude 10 N, dt = 0.02 s) and
+live in one block.  The simulator config's ``constants`` overrides gravity,
+the two masses and the half-length by name; the force magnitude is the
+default ``force_limit`` of ``Controller_Force``, and the task's failure bounds
+(+-2.4 m, +-12 degrees) are ``StateBounds`` dones of the agent's config.
 """
 
 from __future__ import annotations
@@ -25,13 +27,16 @@ DEFAULTS = {
     "mass_pole": 0.1,
     "pole_half_length": 0.5,
     "force_mag": 10.0,
-    "x_threshold": 2.4,
-    "theta_threshold": 12.0 * math.pi / 180.0,
 }
 
 
-#: the keys of ``constants``: each of ``DEFAULTS``, a finite number defaulting to its value there
-CONSTANTS = tuple(Param(name, finite, default) for name, default in DEFAULTS.items())
+#: the keys of ``constants``, each defaulting to its value in ``DEFAULTS``:
+#: gravity is a finite number, and the masses and the half-length, which the
+#: dynamics divide by, are positive
+CONSTANTS = (
+    Param("gravity", finite, DEFAULTS["gravity"]),
+    *(Param(name, positive, DEFAULTS[name]) for name in ("mass_cart", "mass_pole", "pole_half_length")),
+)
 
 
 @dataclass
@@ -49,7 +54,7 @@ class CartPoleSimulator(Simulator):
     required_init_params = ("x0", "xdot0", "theta0", "thetadot0")
     params = (
         Param("frame_rate", frame_rate, default=50.0),
-        Param("constants", table(CONSTANTS), default=DEFAULTS),
+        Param("constants", table(CONSTANTS), default={p.name: p.default for p in CONSTANTS}),
     )
 
     def __init__(self, config, platform_setups):

@@ -99,6 +99,18 @@ class TestAgentSpaces:
         assert [(path, code) for path, code, _ in info.value.errors] == [(f"policy/config/{key}", "UnknownReference")]
         assert repr(name) in str(info.value)
 
+    def test_replayed_action_names_are_checked_at_build(self):
+        # Each step's unknown name fails at its step; a known one, or a
+        # fragment of the wrong length (a run-time ActionShapeMismatch), passes.
+        actions = [{"ThrustControl": [0.1]}, {"Thrust": [0.1]}, {}, {"ThrustControl": [0.1, 0.2], "Other": 1.0}]
+        with pytest.raises(PolicyError) as info:
+            built_docking_agent(PolicyConfig("replay", {"actions": actions}))
+        assert [(path, code) for path, code, _ in info.value.errors] == [
+            ("policy/config/actions/1/Thrust", "UnknownReference"),
+            ("policy/config/actions/3/Other", "UnknownReference"),
+        ]
+        assert "'Thrust'" in str(info.value)
+
     def test_unknown_platform_raises(self):
         config = docking_agent_config()
         config.platform_names = ["ghost"]

@@ -242,6 +242,41 @@ class TestEpisodeEnd:
         assert env.agent_done_codes["agent_0"] is DoneStatusCode.DRAW
         assert env.agent_done_codes["agent_1"] is DoneStatusCode.DRAW
 
+    # A done is shared because it is listed under shared_dones, not because of its class.
+
+    def test_any_done_under_shared_dones_ends_every_agent(self):
+        tree = docking_tree(agents=2, end_mode="all_agents_done", dones=False)
+        sensor = {"functor": "ObserveSensor", "config": {"sensor": "Sensor_Position", "normalize": False}}
+        bounds = {"functor": "StateBounds", "name": "PastMark", "config": {"max": -9.0, "status": "WIN"}}
+        tree["shared_dones"] = [{**bounds, "wrapped": {"sensor": sensor}}]
+        config, report = validate_environment(tree)
+        assert config is not None, str(report)
+        results = run_episode(Environment(config))
+        position = [r.observations["agent_0"]["ObservePosition/direct_observation"][0] for r in results]
+        fired = results[-1]
+        assert 1 < len(results) < 50 and position[-2] <= -9.0 < position[-1]
+        assert fired.env_done and not fired.truncated
+        assert fired.dones == {"agent_0": True, "agent_1": True}
+        assert fired.done_codes == {"agent_0": DoneStatusCode.WIN, "agent_1": DoneStatusCode.WIN}
+        for name in ("agent_0", "agent_1"):
+            assert fired.reward_components[name]["OutcomeReward"] == 10.0
+            assert all(r.reward_components[name]["OutcomeReward"] == 0.0 for r in results[:-1])
+
+    def test_episode_horizon_under_an_agents_dones_ends_only_that_agent(self):
+        tree = docking_tree(
+            agents=2, end_mode="all_agents_done", horizon=20, dones=False,
+            policy={"name": "scripted", "config": {"rule": "zero"}},
+        )
+        tree["agents"][0]["dones"] = [{"functor": "EpisodeHorizon", "name": "Short", "config": {"horizon": 5}}]
+        config, report = validate_environment(tree)
+        assert config is not None, str(report)
+        results = run_episode(Environment(config))
+        assert len(results) == 20
+        assert results[4].dones == {"agent_0": True, "agent_1": False}
+        assert results[4].done_codes["agent_0"] is DoneStatusCode.DRAW and not results[4].env_done
+        assert all(set(r.dones) == {"agent_1"} for r in results[5:])
+        assert results[-1].env_done and results[-1].done_codes == {"agent_1": DoneStatusCode.DRAW}
+
 
 class TestAgentsOwnObservations:
     def two_platform_tree(self):

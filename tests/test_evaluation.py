@@ -637,6 +637,7 @@ class TestInputChecks:
             ([{"type": "table", "metrics": "success_rate"}],
              "visualizations entry 0: metrics: invalid value for 'metrics'"),
             ([{"type": "table", "metric": ["success_rate"]}], "visualizations entry 0: metric: unknown field 'metric'"),
+            ([{"type": "table", "config": {}}], "visualizations entry 0: config: unknown field 'config'"),
             ([{"type": "table", "metrics": ["success_rate", 3]}],
              "visualizations entry 0: metrics/1: invalid value for '1': expected a string, got int"),
             ([{"type": "html", "file": ["a"]}],
@@ -644,7 +645,7 @@ class TestInputChecks:
             ([{"type": "html", "title": 3}],
              "visualizations entry 0: title: invalid value for 'title': expected a string, got int"),
         ],
-        ids=["unknown_type", "no_type", "metrics", "undeclared", "metric_name", "file", "title"],
+        ids=["unknown_type", "no_type", "metrics", "undeclared", "metric_name", "config", "file", "title"],
     )
     def test_bad_viz_entry(self, entries, message):
         with pytest.raises(InvalidVizEntry, match=re.escape(message)):

@@ -356,12 +356,12 @@ class TestDones:
 
     def test_episode_horizon_truncates(self):
         platforms = cartpole_platform()
-        graph = build_graph(platforms, glues=[], shared_dones=[FunctorSpec("EpisodeHorizon")])
+        graph = build_graph(platforms, glues=[], dones=[FunctorSpec("EpisodeHorizon")])
         state = make_state(platforms, horizon=10)
         state.step_count = 9
-        assert graph.shared_dones[0].functor.evaluate(state) is None
+        assert graph.dones[0].functor.evaluate(state) is None
         state.step_count = 10
-        result = graph.shared_dones[0].functor.evaluate(state)
+        result = graph.dones[0].functor.evaluate(state)
         assert result.code is DoneStatusCode.DRAW and result.truncation
 
     def test_docking_success_and_failure(self):

@@ -30,7 +30,7 @@ from envforge.functors import (
 from envforge.params import ANY, SOURCE, ConfigError, Param, check_inputs, nonnegative, parse_params
 from envforge.parts import GLOBAL_REGISTRY, PartError, Platform
 from envforge.simulators.base import InvalidSimulatorConfig
-from envforge.simulators.cartpole import DEFAULTS
+from envforge.simulators.cartpole import CONSTANTS, DEFAULTS
 from envforge.policies import SCRIPTED_RULES, PolicyError, ScriptedPolicy
 from envforge.simulators.docking import (
     Deputy1d,
@@ -737,7 +737,7 @@ class TestSimulatorAndPartTables:
         assert report.ok, str(report)
         env = Environment(config)
         assert env.simulator.dt == 1.0 / 25.0
-        assert env.simulator.constants == {**DEFAULTS, "gravity": 0.0}
+        assert env.simulator.constants == {"gravity": 0.0, "mass_cart": 1.0, "mass_pole": 0.1, "pole_half_length": 0.5}
         assert env.agents["cartpole_agent"].action_space()["ForceControl"].high.tolist() == [4.0]
 
     def test_each_simulator_owns_its_constants(self):
@@ -747,7 +747,7 @@ class TestSimulatorAndPartTables:
         env = Environment(config)
         env.simulator.constants["gravity"] = 0.0
         assert DEFAULTS["gravity"] != 0.0
-        assert Environment(config).simulator.constants == DEFAULTS
+        assert Environment(config).simulator.constants == {p.name: DEFAULTS[p.name] for p in CONSTANTS}
 
     def test_construction_fails_naming_the_field(self, docking_config):
         with pytest.raises(InvalidSimulatorConfig, match="Docking1dSimulator: config/mas: unknown field 'mas'"):

@@ -31,6 +31,7 @@ from envforge.evaluation import (
 )
 from envforge.evaluation.evaluate import _case_overrides
 from envforge.params import ConfigError, Param, finite, integer, list_of, number, optional, table, value_in
+from envforge.simulators.cartpole import CONSTANTS
 from envforge.units import METER, UnknownUnit
 
 
@@ -128,7 +129,6 @@ def cartpole_tree():
                 "frame_rate": 50.0,
                 "constants": {
                     "gravity": 9.8, "mass_cart": 1.0, "mass_pole": 0.1, "pole_half_length": 0.5,
-                    "force_mag": 10.0, "x_threshold": 2.4, "theta_threshold": 0.2,
                 },
             },
         },
@@ -200,9 +200,10 @@ KEYS = [
     (docking_tree, f"{_STORE}/d/distribution/values/1", FINITE, REALS),
     (docking_tree, f"{_STORE}/d/distribution/weights/0", FINITE, POSITIVE),
     (cartpole_tree, "simulator/config/frame_rate", FINITE, POSITIVE),
+    (cartpole_tree, "simulator/config/constants/gravity", FINITE, st.floats(0.5, 10.0)),
     *[
-        (cartpole_tree, f"simulator/config/constants/{k}", FINITE, st.floats(0.5, 10.0))
-        for k in ("gravity", "mass_cart", "mass_pole", "pole_half_length", "force_mag", "x_threshold", "theta_threshold")
+        (cartpole_tree, f"simulator/config/constants/{k}", FINITE, POSITIVE)
+        for k in ("mass_cart", "mass_pole", "pole_half_length")
     ],
     (cartpole_tree, f"{_A}/parts/1/config/force_limit", FINITE, POSITIVE),
 ]
@@ -318,7 +319,8 @@ class TestEveryTable:
                 "ExponentialDecayFromTargetValue", "DoneStatusReward"} <= functors
         kinds = {tree["distribution"]["kind"] for tree in docking_tree()["reference_store"].values()}
         assert kinds == set(DISTRIBUTION_KINDS)
-        assert sum(p.startswith("simulator/config/constants/") for p in paths) == 7
+        constants = {p for p in paths if p.startswith("simulator/config/constants/")}
+        assert constants == {f"simulator/config/constants/{p.name}" for p in CONSTANTS}
 
 
 #: case, metric and visualization entries: (parse, tree with one entry, key, kind)

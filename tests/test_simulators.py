@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+import yaml
 
 from envforge.epp import SampledParameters
 from envforge.simulators import SIMULATORS
@@ -17,6 +18,8 @@ from envforge.simulators.cartpole import DEFAULTS, CartPoleSimulator, _force_con
 from envforge.simulators.cartpole import _state_sensor as cartpole_state_sensor
 from envforge.simulators.docking import Docking1dSimulator, _thrust_controller
 from envforge.units import METER, METER_PER_SECOND, RADIAN, RADIAN_PER_SECOND, Quantity
+
+from conftest import CONFIG_DIR
 
 
 def docking_sampled(x0=0.0, v0=0.0, name="deputy"):
@@ -229,14 +232,31 @@ class TestCartPole:
         sim = CartPoleSimulator({"frame_rate": 1.0e-300}, setups)
         assert math.isfinite(sim.dt)
 
+    def test_divisor_constants_must_be_positive(self):
+        # The dynamics divide by the half-length and the total mass, and with
+        # both masses positive 4/3 - m_p cos^2(theta) / (m_c + m_p) stays above 1/3.
+        setups = [PlatformSetup("cart", "CartPolePlatform", ["x0", "xdot0", "theta0", "thetadot0"])]
+        constants = {"mass_cart": -5.0, "mass_pole": 0.0, "pole_half_length": -0.5, "gravity": -9.8}
+        with pytest.raises(InvalidSimulatorConfig) as excinfo:
+            CartPoleSimulator({"constants": constants}, setups)
+        assert [(path, code) for path, code, _ in excinfo.value.errors] == [
+            (f"config/constants/{key}", "TypeMismatch") for key in ("mass_cart", "mass_pole", "pole_half_length")
+        ]
+
     def test_defaults_match_published_task(self):
         assert DEFAULTS["gravity"] == 9.8
         assert DEFAULTS["mass_cart"] == 1.0
         assert DEFAULTS["mass_pole"] == 0.1
         assert DEFAULTS["pole_half_length"] == 0.5
         assert DEFAULTS["force_mag"] == 10.0
-        assert DEFAULTS["x_threshold"] == 2.4
-        assert DEFAULTS["theta_threshold"] == pytest.approx(12.0 * math.pi / 180.0)
+
+    def test_baseline_failure_bounds_match_published_task(self):
+        # The task's failure bounds are dones of the shipped agent, not constants.
+        specs = yaml.safe_load((CONFIG_DIR / "cartpole" / "baseline_dones.yml").read_text())
+        bounds = {spec["name"]: (spec["config"]["min"], spec["config"]["max"]) for spec in specs}
+        assert bounds["CartPositionBounds"] == (-2.4, 2.4)
+        low, high = bounds["PoleAngleBounds"]
+        assert -low == high == pytest.approx(12.0 * math.pi / 180.0)
 
 
 class TestSensors:
