@@ -462,7 +462,7 @@ def validate_environment(
     sim_name = simulator.get("name")
     # the initialization declares exactly the parameters the simulator reads
     initialization = None if sim_name is None else tuple(
-        Param(name, identity) for name in SIMULATORS[sim_name].required_init_params
+        Param(name, identity) for name in SIMULATORS[sim_name].init_params
     )
 
     platforms: list[PlatformConfig] = []

@@ -165,10 +165,7 @@ class Environment:
             raise ConfigError.listing("environment", duplicates)
         errors = BuildErrors()
 
-        setups = [
-            PlatformSetup(p.name, p.platform_type, list(p.initialization))
-            for p in config.platforms
-        ]
+        setups = [PlatformSetup(p.name, p.platform_type) for p in config.platforms]
         sim_cls = SIMULATORS[config.simulator_name]
         self.simulator = errors.attempt(sim_cls, config.simulator_config, setups, path="simulator")
         errors.check()  # nothing builds without the simulator and its platforms

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from statistics import NormalDist
+from types import MappingProxyType
 from typing import Any
 
 import numpy as np
@@ -220,21 +222,8 @@ class ParameterSpec:
         self.distribution.validate()
 
 
-@dataclass(frozen=True)
-class SampledParameters:
-    """Immutable per-episode snapshot of every parameter's drawn value."""
-
-    values: dict[str, Quantity]
-    episode_seed: int
-
-    def __getitem__(self, name: str) -> Quantity:
-        return self.values[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.values
-
-    def get(self, name: str, default=None):
-        return self.values.get(name, default)
+#: one episode's draw, read-only: each parameter's value by name
+SampledParameters = Mapping[str, Quantity]
 
 
 def _parameter_rng(seed: int, name: str) -> np.random.Generator:
@@ -288,7 +277,7 @@ class EpisodeParameterProvider:
                 except (ArithmeticError, ValueError) as exc:
                     raise UnsampleableParameter(f"{self._paths[name]}/distribution", exc) from exc
                 values[name] = Quantity.scalar(value, spec.unit)
-        self._current = SampledParameters(values, seed)
+        self._current = MappingProxyType(values)
         return self._current
 
     @property
@@ -305,9 +294,9 @@ class EpisodeParameterProvider:
         """The value sampled for ``key`` this episode; stable within an episode."""
         if self._current is None:
             raise NotYetSampled()
-        if key not in self._current.values:
+        if key not in self._current:
             raise UnknownReference(key)
-        return self._current.values[key]
+        return self._current[key]
 
     def snapshot_state(self) -> dict[str, Any]:
         """Serializable view of the current distribution hyperparameters."""

@@ -222,7 +222,7 @@ def run_episode(
         observations = env.reset(seed=seed, overrides=overrides)
         artifact.parameters = {
             k: {"value": q.item, "unit": q.unit.name}
-            for k, q in env.epp.current_sample.values.items()
+            for k, q in env.epp.current_sample.items()
         }
         rows = artifact.rows
         agents = env.agents

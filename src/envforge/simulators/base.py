@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..epp import SampledParameters
@@ -33,11 +33,10 @@ class UnknownPlatform(SimulatorError):
 
 @dataclass
 class PlatformSetup:
-    """Construction plan for one platform: name, type, and init parameter names."""
+    """Construction plan for one platform: its name and type."""
 
     name: str
     platform_type: str
-    init_params: list[str] = field(default_factory=list)
 
 
 def frame_rate(raw) -> float:
@@ -57,16 +56,18 @@ def init_key(platform_name: str, param: str) -> str:
 class Simulator:
     """Base simulator: owns platforms and advances sim_time at a fixed frame rate.
 
-    Subclasses implement :meth:`_make_entity` and :meth:`_advance`.  ``params``
-    declares the keys of the simulator's ``config``; the constructor parses
-    it with ``parse_params``, raising ``InvalidSimulatorConfig`` that lists
-    every error, and the parsed values are ``settings``.
+    Subclasses declare ``init_params`` and implement :meth:`_make_entity` and
+    :meth:`_advance`.  ``params`` declares the keys of the simulator's
+    ``config``; the constructor parses it with ``parse_params``, raising
+    ``InvalidSimulatorConfig`` that lists every error, and the parsed values
+    are ``settings``.
     """
 
     simulator_type = "Simulator"
-    #: init parameter names each platform of this simulator must declare, and
-    #: the only ones it reads
-    required_init_params: tuple[str, ...] = ()
+    #: the initialization parameters each platform of this simulator must
+    #: declare, and the only ones it reads, each with the unit
+    #: ``_make_entity`` takes it in
+    init_params: dict[str, Unit] = {}
     params: tuple[Param, ...] = (Param("frame_rate", frame_rate, default=1.0),)
 
     def __init__(self, config: dict[str, Any], platform_setups: list[PlatformSetup]):
@@ -87,34 +88,32 @@ class Simulator:
     def dt(self) -> float:
         return 1.0 / self.frame_rate
 
-    def _init_value(self, sampled: SampledParameters, platform: str, param: str, unit: Unit) -> float:
-        """The sampled initialization ``param`` of ``platform``, in ``unit``.
-        A value of another dimension fails at its config path."""
-        key = init_key(platform, param)
-        value = sampled.get(key)
-        if value is None:
-            raise MissingInitParameter(key)
-        try:
-            return value.to(unit).item
-        except UnitError as exc:
-            index = [setup.name for setup in self.platform_setups].index(platform)
-            error = (f"platforms/{index}/initialization/{param}", "DimensionMismatch", str(exc))
-            raise SimulatorError.listing(self.simulator_type, [error]) from exc
-
     def reset(self, sampled: SampledParameters) -> dict[str, Platform]:
         """Construct entities from sampled parameters and pair them with platforms.
 
-        Platform objects (and the parts attached to them) persist across
-        resets; only their entity state is rebuilt.
+        Each platform's ``init_params`` are converted to their units, a
+        value of another dimension failing at its config path.  Platform
+        objects (and the parts attached to them) persist across resets; only
+        their entity state is rebuilt.
         """
         self._steps = 0
         self.platforms = {}
-        for setup in self.platform_setups:
+        for index, setup in enumerate(self.platform_setups):
             platform = self._persistent.get(setup.name)
             if platform is None:
                 platform = Platform(setup.name, setup.platform_type)
                 self._persistent[setup.name] = platform
-            platform.state = self._make_entity(setup, sampled)
+            values = {}
+            for param, unit in self.init_params.items():
+                key = init_key(setup.name, param)
+                if key not in sampled:
+                    raise MissingInitParameter(key)
+                try:
+                    values[param] = sampled[key].to(unit).item
+                except UnitError as exc:
+                    error = (f"platforms/{index}/initialization/{param}", "DimensionMismatch", str(exc))
+                    raise SimulatorError.listing(self.simulator_type, [error]) from exc
+            platform.state = self._make_entity(values)
             platform.operable = True
             for part in platform.parts.values():
                 part.reset()
@@ -146,7 +145,8 @@ class Simulator:
 
     # subclass hooks ---------------------------------------------------
 
-    def _make_entity(self, setup: PlatformSetup, sampled: SampledParameters) -> Any:
+    def _make_entity(self, values: dict[str, float]) -> Any:
+        """A platform's entity from its ``init_params`` values, each in its unit."""
         raise NotImplementedError
 
     def _advance(self, platform: Platform) -> None:

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..epp import SampledParameters
 from ..params import Param, finite, positive, table
 from ..parts import GLOBAL_REGISTRY, Box, Controller, Platform, Sensor
 from ..units import METER, METER_PER_SECOND, NEWTON, NONE, RADIAN, RADIAN_PER_SECOND
-from .base import PlatformSetup, Simulator, frame_rate
+from .base import Simulator, frame_rate
 
 DEFAULTS = {
     "gravity": 9.8,
@@ -51,7 +50,7 @@ class CartPoleState:
 class CartPoleSimulator(Simulator):
     simulator_type = "CartPoleSimulator"
     platform_type = "CartPolePlatform"
-    required_init_params = ("x0", "xdot0", "theta0", "thetadot0")
+    init_params = {"x0": METER, "xdot0": METER_PER_SECOND, "theta0": RADIAN, "thetadot0": RADIAN_PER_SECOND}
     params = (
         Param("frame_rate", frame_rate, default=50.0),
         Param("constants", table(CONSTANTS), default={p.name: p.default for p in CONSTANTS}),
@@ -61,13 +60,8 @@ class CartPoleSimulator(Simulator):
         super().__init__(config, platform_setups)
         self.constants = dict(self.settings["constants"])
 
-    def _make_entity(self, setup: PlatformSetup, sampled: SampledParameters) -> CartPoleState:
-        return CartPoleState(
-            x=self._init_value(sampled, setup.name, "x0", METER),
-            xdot=self._init_value(sampled, setup.name, "xdot0", METER_PER_SECOND),
-            theta=self._init_value(sampled, setup.name, "theta0", RADIAN),
-            thetadot=self._init_value(sampled, setup.name, "thetadot0", RADIAN_PER_SECOND),
-        )
+    def _make_entity(self, values: dict[str, float]) -> CartPoleState:
+        return CartPoleState(values["x0"], values["xdot0"], values["theta0"], values["thetadot0"])
 
     def _advance(self, platform: Platform) -> None:
         state: CartPoleState = platform.state

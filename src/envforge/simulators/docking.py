@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..epp import SampledParameters
 from ..params import Param, positive
 from ..parts import (
     GLOBAL_REGISTRY,
@@ -24,7 +23,7 @@ from ..parts import (
     Sensor,
 )
 from ..units import METER, METER_PER_SECOND, NEWTON, NONE
-from .base import PlatformSetup, Simulator
+from .base import Simulator
 
 
 @dataclass
@@ -49,13 +48,11 @@ class Deputy1d:
 class Docking1dSimulator(Simulator):
     simulator_type = "Docking1dSimulator"
     platform_type = "Docking1dPlatform"
-    required_init_params = ("x0", "v0")
+    init_params = {"x0": METER, "v0": METER_PER_SECOND}
     params = (*Simulator.params, Param("mass", positive, default=1.0))
 
-    def _make_entity(self, setup: PlatformSetup, sampled: SampledParameters) -> Deputy1d:
-        x0 = self._init_value(sampled, setup.name, "x0", METER)
-        v0 = self._init_value(sampled, setup.name, "v0", METER_PER_SECOND)
-        return Deputy1d(x=x0, xdot=v0, m=self.settings["mass"])
+    def _make_entity(self, values: dict[str, float]) -> Deputy1d:
+        return Deputy1d(x=values["x0"], xdot=values["v0"], m=self.settings["mass"])
 
     def _advance(self, platform: Platform) -> None:
         entity: Deputy1d = platform.state

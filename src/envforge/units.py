@@ -3,7 +3,7 @@
 Sensors, controllers, glues, dones and rewards pass bare float64 vectors, each
 in the unit of its ``Box`` (see :mod:`envforge.parts`), and so do the
 observations ``step`` returns: a unit belongs to the space, not the value.  A
-:class:`Quantity`, a vector tagged with a :class:`Unit`, is built only where a
+:class:`Quantity`, a number tagged with a :class:`Unit`, is built only where a
 value enters the system: config values, episode parameter samples, and case
 and reset overrides.  Conversions are purely multiplicative (no affine units)
 and the registry is fixed at import time.
@@ -12,7 +12,8 @@ and the registry is fixed at import time.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,39 +140,20 @@ def as_vector(value) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Quantity:
-    """A non-empty vector of reals tagged with a unit."""
+    """A real number, ``item``, tagged with a unit."""
 
-    values: np.ndarray = field()
+    item: float
     unit: Unit = NONE
 
     def __post_init__(self):
-        values = as_vector(self.values)
-        if not values.size:
-            raise ValueError("Quantity values must be non-empty")
-        if values is not self.values:
-            object.__setattr__(self, "values", values)
+        object.__setattr__(self, "item", float(self.item))
 
     @classmethod
     def scalar(cls, value: float, unit: Unit = NONE) -> "Quantity":
-        return cls(np.array([float(value)]), unit)
-
-    @property
-    def item(self) -> float:
-        """The single value of a scalar quantity."""
-        if self.values.size != 1:
-            raise ValueError(f"quantity has {self.values.size} elements, not 1")
-        return float(self.values[0])
+        return cls(value, unit)
 
     def to(self, target: Unit) -> "Quantity":
         return convert(self, target)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Quantity):
-            return NotImplemented
-        return self.unit == other.unit and np.array_equal(self.values, other.values)
-
-    def __repr__(self) -> str:
-        return f"Quantity({self.values.tolist()}, {self.unit.name})"
 
 
 def convert(q: Quantity, target: Unit) -> Quantity:
@@ -184,10 +166,7 @@ def convert(q: Quantity, target: Unit) -> Quantity:
         raise DimensionMismatch(q.unit, target)
     if q.unit == target:
         return q
-    factor = q.unit.scale_to_base / target.scale_to_base
-    try:
-        with np.errstate(over="raise"):
-            values = q.values * factor
-    except FloatingPointError:
-        raise OverflowError(f"a value in {q.unit.name} overflows a float in {target.name}") from None
-    return Quantity(values, target)
+    item = q.item * (q.unit.scale_to_base / target.scale_to_base)
+    if math.isinf(item) and not math.isinf(q.item):
+        raise OverflowError(f"a value in {q.unit.name} overflows a float in {target.name}")
+    return Quantity(item, target)

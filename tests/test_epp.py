@@ -98,8 +98,8 @@ class TestSampling:
         )
         first = epp.sample_episode(seed=42)
         second = epp.sample_episode(seed=42)
-        assert first.values["a"] == second.values["a"]
-        assert first.values["b"] == second.values["b"]
+        assert first["a"] == second["a"]
+        assert first["b"] == second["b"]
 
     def test_different_seeds_differ(self):
         epp = make_epp(ParameterSpec("a", Uniform(0.0, 1.0)))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import yaml
 
-from envforge.epp import SampledParameters
 from envforge.simulators import SIMULATORS
 from envforge.simulators.base import (
     InvalidSimulatorConfig,
@@ -23,19 +22,16 @@ from conftest import CONFIG_DIR
 
 
 def docking_sampled(x0=0.0, v0=0.0, name="deputy"):
-    return SampledParameters(
-        {
-            init_key(name, "x0"): Quantity.scalar(x0, METER),
-            init_key(name, "v0"): Quantity.scalar(v0, METER_PER_SECOND),
-        },
-        episode_seed=0,
-    )
+    return {
+        init_key(name, "x0"): Quantity.scalar(x0, METER),
+        init_key(name, "v0"): Quantity.scalar(v0, METER_PER_SECOND),
+    }
 
 
 def make_docking(config=None, x0=0.0, v0=0.0, with_controller=True):
     sim = Docking1dSimulator(
         config or {"frame_rate": 1.0, "mass": 1.0},
-        [PlatformSetup("deputy", "Docking1dPlatform", ["x0", "v0"])],
+        [PlatformSetup("deputy", "Docking1dPlatform")],
     )
     sim.reset(docking_sampled(x0, v0))
     platform = sim.platforms["deputy"]
@@ -45,20 +41,17 @@ def make_docking(config=None, x0=0.0, v0=0.0, with_controller=True):
 
 
 def cartpole_sampled(x=0.0, xdot=0.0, theta=0.0, thetadot=0.0, name="cart"):
-    return SampledParameters(
-        {
-            init_key(name, "x0"): Quantity.scalar(x, METER),
-            init_key(name, "xdot0"): Quantity.scalar(xdot, METER_PER_SECOND),
-            init_key(name, "theta0"): Quantity.scalar(theta, RADIAN),
-            init_key(name, "thetadot0"): Quantity.scalar(thetadot, RADIAN_PER_SECOND),
-        },
-        episode_seed=0,
-    )
+    return {
+        init_key(name, "x0"): Quantity.scalar(x, METER),
+        init_key(name, "xdot0"): Quantity.scalar(xdot, METER_PER_SECOND),
+        init_key(name, "theta0"): Quantity.scalar(theta, RADIAN),
+        init_key(name, "thetadot0"): Quantity.scalar(thetadot, RADIAN_PER_SECOND),
+    }
 
 
 def make_cartpole(**state):
     sim = CartPoleSimulator(
-        {}, [PlatformSetup("cart", "CartPolePlatform", ["x0", "xdot0", "theta0", "thetadot0"])]
+        {}, [PlatformSetup("cart", "CartPolePlatform")]
     )
     sim.reset(cartpole_sampled(**state))
     platform = sim.platforms["cart"]
@@ -110,9 +103,9 @@ class TestDockingDynamics:
             make_docking({"frame_rate": 1.0, "mass": -1.0})
 
     def test_missing_init_parameter(self):
-        sim = Docking1dSimulator({}, [PlatformSetup("deputy", "Docking1dPlatform", ["x0", "v0"])])
+        sim = Docking1dSimulator({}, [PlatformSetup("deputy", "Docking1dPlatform")])
         with pytest.raises(MissingInitParameter):
-            sim.reset(SampledParameters({}, episode_seed=0))
+            sim.reset({})
 
 
 class TestTimeBookkeeping:
@@ -210,7 +203,7 @@ class TestCartPole:
     def test_constants_config_overridable(self):
         sim = CartPoleSimulator(
             {"constants": {"gravity": 0.0}},
-            [PlatformSetup("cart", "CartPolePlatform", ["x0", "xdot0", "theta0", "thetadot0"])],
+            [PlatformSetup("cart", "CartPolePlatform")],
         )
         sim.reset(cartpole_sampled(theta=0.5))
         for _ in range(50):
@@ -225,7 +218,7 @@ class TestCartPole:
     def test_frame_time_must_be_finite(self):
         # 1e-320 is positive and finite, but its frame time 1 / 1e-320 is
         # inf: the first step would fail with a math domain error.
-        setups = [PlatformSetup("cart", "CartPolePlatform", ["x0", "xdot0", "theta0", "thetadot0"])]
+        setups = [PlatformSetup("cart", "CartPolePlatform")]
         with pytest.raises(InvalidSimulatorConfig) as excinfo:
             CartPoleSimulator({"frame_rate": 1.0e-320}, setups)
         assert [(path, code) for path, code, _ in excinfo.value.errors] == [("config/frame_rate", "TypeMismatch")]
@@ -235,7 +228,7 @@ class TestCartPole:
     def test_divisor_constants_must_be_positive(self):
         # The dynamics divide by the half-length and the total mass, and with
         # both masses positive 4/3 - m_p cos^2(theta) / (m_c + m_p) stays above 1/3.
-        setups = [PlatformSetup("cart", "CartPolePlatform", ["x0", "xdot0", "theta0", "thetadot0"])]
+        setups = [PlatformSetup("cart", "CartPolePlatform")]
         constants = {"mass_cart": -5.0, "mass_pole": 0.0, "pole_half_length": -0.5, "gravity": -9.8}
         with pytest.raises(InvalidSimulatorConfig) as excinfo:
             CartPoleSimulator({"constants": constants}, setups)
