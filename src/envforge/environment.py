@@ -77,7 +77,11 @@ class ActionShapeMismatch(EnvironmentError_):
 
 @dataclass
 class StepResult:
-    """Each observation is its glue's array, in its ``observation_space()`` box's unit."""
+    """Each observation is its glue's array, in its ``observation_space()`` box's unit.
+
+    ``truncated`` is True only on the step that ends the episode, and only if
+    the shared done that fired, or a done that ended an agent on that step,
+    is a truncation (an ``EpisodeHorizon``'s DRAW)."""
 
     observations: dict[str, dict[str, np.ndarray]]
     rewards: dict[str, float]
@@ -208,7 +212,6 @@ class Environment:
 
         self.state: EpisodeState | None = None
         self._env_done = True
-        self._truncated = False
         # agent name -> the done that ended it, None while it is active
         self._outcome: dict[str, DoneResult | None] = {}
         self._check_rng = np.random.default_rng(0)
@@ -218,7 +221,9 @@ class Environment:
 
     def reset(self, seed: int = 0, overrides: dict[str, Quantity] | None = None):
         """Start an episode; ``seed`` seeds the parameter draws, every agent's
-        policy and the spot checks."""
+        policy and the spot checks.  ``overrides`` fixes named parameters for
+        this episode; a bad one raises ``InvalidOverride`` (see
+        ``EpisodeParameterProvider.sample_episode``) and changes nothing."""
         sampled = self.epp.sample_episode(seed, overrides)
         self.simulator.reset(sampled)
         for agent in self.agents.values():
@@ -229,7 +234,6 @@ class Environment:
         self.state = EpisodeState(self.simulator.platforms, self.epp, self.config.horizon)
         self.state.sim_time = self.simulator.sim_time
         self._env_done = False
-        self._truncated = False
         self._outcome = dict.fromkeys(self.agents)
         self._check_rng = np.random.default_rng(seed)
 
@@ -326,7 +330,7 @@ class Environment:
             rewards[name] = total
 
         # (6) episode end policy; the shared done ends every agent still active
-        truncated = self._truncated
+        truncated = False
         dones: dict[str, bool] = {}
         done_codes: dict[str, DoneStatusCode | None] = {}
         ended = len(outcome) - len(active)
@@ -350,7 +354,6 @@ class Environment:
             self._env_done = ended > 0
         else:
             self._env_done = ended == len(outcome)
-        self._truncated = truncated
 
         # (7) observation space sanity checks
         self._space_check()
@@ -361,7 +364,7 @@ class Environment:
             dones=dones,
             done_codes=done_codes,
             env_done=self._env_done,
-            truncated=truncated,
+            truncated=self._env_done and truncated,
             reward_components=components,
         )
 

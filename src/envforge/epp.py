@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from .params import ConfigError, Param, finite, list_of, nonempty, nonnegative, optional, parse_params, positive
-from .units import NONE, Quantity, Unit
+from .units import NONE, Quantity, Unit, UnitError
 
 
 class EppError(ConfigError):
@@ -38,6 +38,15 @@ class UnknownHyperparameter(EppError):
 class UnknownReference(EppError):
     def __init__(self, key: str):
         super().__init__(f"reference store has no key '{key}'")
+
+
+class InvalidOverride(EppError):
+    """An override that names no declared parameter, or whose value is not a
+    ``Quantity`` that converts to its parameter's unit."""
+
+    def __init__(self, name: str, reason: str):
+        self.name = name
+        super().__init__(f"override '{name}': {reason}")
 
 
 class UnsampleableParameter(EppError):
@@ -262,15 +271,18 @@ class EpisodeParameterProvider:
         """Draw every parameter for one episode.
 
         ``overrides`` replaces named distributions with fixed values for this
-        episode only (used by the evaluation pipeline's test cases).  A
-        distribution that raises when drawn from raises
-        ``UnsampleableParameter``.
+        episode only (used by the evaluation pipeline's test cases).  Every
+        override is checked before anything is drawn: one that names no
+        parameter, or whose value is not a ``Quantity`` convertible to its
+        parameter's unit, raises ``InvalidOverride``.  A distribution that
+        raises when drawn from raises ``UnsampleableParameter``.  Either
+        leaves ``current_sample`` as it was.
         """
-        overrides = overrides or {}
+        fixed = {name: self._override(name, value) for name, value in (overrides or {}).items()}
         values: dict[str, Quantity] = {}
         for name, spec in self._specs.items():
-            if name in overrides:
-                values[name] = overrides[name].to(spec.unit)
+            if name in fixed:
+                values[name] = fixed[name]
             else:
                 try:
                     value = spec.distribution.sample(_parameter_rng(seed, name))
@@ -279,6 +291,20 @@ class EpisodeParameterProvider:
                 values[name] = Quantity.scalar(value, spec.unit)
         self._current = MappingProxyType(values)
         return self._current
+
+    def _override(self, name: str, value) -> Quantity:
+        """The override ``value`` of parameter ``name`` in its unit."""
+        spec = self._specs.get(name)
+        if spec is None:
+            reason = f"no such parameter; declared: {', '.join(self._specs)}"
+        elif not isinstance(value, Quantity):
+            reason = f"expected a Quantity, got {type(value).__name__}"
+        else:
+            try:
+                return value.to(spec.unit)
+            except (UnitError, OverflowError) as exc:
+                reason = str(exc)
+        raise InvalidOverride(name, reason)
 
     @property
     def current_sample(self) -> SampledParameters | None:

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envforge import cli
+from envforge.config.loader import load_config
 from envforge.config.validate import validate_environment, validate_environment_file
 from envforge.environment import (
     ActionShapeMismatch,
@@ -17,11 +19,12 @@ from envforge.environment import (
     SpaceViolation,
     UnknownActionKey,
 )
+from envforge.epp import InvalidOverride
 from envforge.evaluation import TestCase, rollout
 from envforge.evaluation.evaluate import run_episode as record_episode
 from envforge.functors.base import DoneStatusCode
 from envforge.policies import ScriptedPolicy
-from envforge.units import METER, Quantity
+from envforge.units import METER, SECOND, Quantity, get_unit
 
 from conftest import CONFIG_DIR, PHASES, phases, record_schedule, recorded_steps
 
@@ -277,6 +280,51 @@ class TestEpisodeEnd:
         assert all(set(r.dones) == {"agent_1"} for r in results[5:])
         assert results[-1].env_done and results[-1].done_codes == {"agent_1": DoneStatusCode.DRAW}
 
+    def test_an_agent_truncated_before_the_last_step_leaves_the_episode_untruncated(self, monkeypatch):
+        # agent_0 draws at its own horizon on step 5; agent_1 docks later and
+        # ends the episode with a WIN, which is no truncation.
+        tree = docking_tree(agents=2, end_mode="all_agents_done", horizon=300)
+        tree["agents"][0]["dones"] = [{"functor": "EpisodeHorizon", "name": "Short", "config": {"horizon": 5}}]
+        config, report = validate_environment(tree)
+        assert config is not None, str(report)
+        env = Environment(config)
+        results = []
+        step = env.step
+        monkeypatch.setattr(env, "step", lambda actions: results.append(step(actions)) or results[-1])
+        artifact = record_episode(env, seed=0)
+        assert artifact.final_outcome == {"agent_0": "DRAW", "agent_1": "WIN"}
+        assert results[4].done_codes["agent_0"] is DoneStatusCode.DRAW and not results[4].env_done
+        assert artifact.truncated is False
+        assert not any(r.truncated for r in results)
+
+
+class TestInitializationUnits:
+    """A platform initialization declared in another unit of its dimension
+    starts the entity at the value converted to the simulator's unit."""
+
+    @staticmethod
+    def reset_state(tree, base_dir="."):
+        """The entity state of the first platform after a reset."""
+        config, report = validate_environment(tree, base_dir)
+        assert config is not None, str(report)
+        env = Environment(config)
+        env.reset(seed=0)
+        return env.simulator.platforms[config.platforms[0].name].state
+
+    def test_docking_x0_in_kilometers(self):
+        tree = docking_tree()
+        tree["platforms"][0]["initialization"]["x0"] = {
+            "distribution": {"kind": "constant", "value": -0.01}, "unit": "kilometer",
+        }
+        assert self.reset_state(tree).x == -10.0
+
+    def test_cartpole_theta0_in_degrees(self, cartpole_env_path):
+        tree = load_config(cartpole_env_path)
+        tree["platforms"][0]["initialization"]["theta0"] = {
+            "distribution": {"kind": "constant", "value": 6}, "unit": "degree",
+        }
+        assert self.reset_state(tree, cartpole_env_path.parent).theta == 6 * (math.pi / 180)
+
 
 class TestAgentsOwnObservations:
     def two_platform_tree(self):
@@ -343,6 +391,35 @@ class TestDeterminism:
         env = make_env()
         obs = env.reset(seed=0, overrides={"deputy.x0": Quantity.scalar(-42.0, METER)})
         assert obs["agent_0"]["ObservePosition/direct_observation"].tolist() == [-42.0]
+
+
+class TestResetOverrideErrors:
+    """A bad override raises before anything is drawn, naming its key, and
+    leaves the episode in progress as it was."""
+
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("deputy.x00", Quantity.scalar(-7.0, METER),
+             "no such parameter; declared: dock_radius, v_max, deputy.x0, deputy.v0"),
+            ("deputy.x0", Quantity.scalar(-7.0, SECOND), "cannot convert between 'second' (time) and 'meter' (length)"),
+            ("deputy.x0", -7.0, "expected a Quantity, got float"),
+            ("deputy.x0", Quantity.scalar(1e308, get_unit("kilometer")), "overflows a float in meter"),
+        ],
+        ids=["undeclared", "other_dimension", "not_a_quantity", "overflow"],
+    )
+    def test_bad_override_raises_and_changes_nothing(self, docking_config, key, value, reason):
+        env = Environment(docking_config)
+        env.reset(seed=0)
+        env.step({})
+        sample, state, x = env.epp.current_sample, env.state, env.simulator.platforms["deputy"].state.x
+        with pytest.raises(InvalidOverride) as caught:
+            env.reset(seed=1, overrides={key: value})
+        assert caught.value.name == key
+        assert str(caught.value).startswith(f"override '{key}': ") and reason in str(caught.value)
+        assert env.epp.current_sample is sample and env.state is state
+        assert env.simulator.platforms["deputy"].state.x == x and env.state.step_count == 1
+        assert not env.step({}).env_done
 
 
 class TestSpaceChecks:

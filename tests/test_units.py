@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -98,6 +98,25 @@ class TestConversion:
         a, b = pair
         back = Quantity.scalar(value, a).to(b).to(a).item
         assert back == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=1000)
+    @given(
+        value=st.floats(allow_nan=False, allow_infinity=False),
+        pair=st.sampled_from([(a, b) for units in units_by_dimension().values() for a in units for b in units]),
+    )
+    def test_conversion_is_one_float64_product(self, value, pair):
+        # a converted value is numpy's float64 product by the units' factor,
+        # bit for bit (the sign of zero too), and overflows where it is infinite
+        a, b = pair
+        with np.errstate(over="ignore"):
+            expected = np.array([value]) * (a.scale_to_base / b.scale_to_base)
+        if np.isinf(expected[0]):
+            with pytest.raises(OverflowError):
+                Quantity.scalar(value, a).to(b)
+        else:
+            converted = Quantity.scalar(value, a).to(b)
+            assert type(converted.item) is float
+            assert np.array([converted.item]).tobytes() == expected.tobytes()
 
     @given(
         value=st.floats(-1e9, 1e9, allow_nan=False),
