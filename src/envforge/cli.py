@@ -103,6 +103,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed: expected an integer >= 0, got {args.seed}")
     config = _require_config(args)
     env = Environment(config)
     out = Path(args.out)

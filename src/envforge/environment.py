@@ -17,7 +17,7 @@ from .config.validate import environment_tree
 from .epp import EppError, EpisodeParameterProvider, ParameterSpec
 from .functors.base import DoneResult, DoneStatusCode, EpisodeState
 from .functors.graph import build_graph
-from .params import BuildErrors, ConfigError, ParamError, join_path
+from .params import PARSE_ERRORS, BuildErrors, ConfigError, ParamError, join_path, nonnegative_int
 from .parts import GLOBAL_REGISTRY, Box, all_finite
 from .simulators import SIMULATORS, PlatformSetup, init_key
 from .units import Quantity, as_vector
@@ -30,6 +30,14 @@ class EnvironmentError_(Exception):
 class EpisodeAlreadyDone(EnvironmentError_):
     def __init__(self):
         super().__init__("step() called after the episode ended; call reset()")
+
+
+class InvalidSeed(EnvironmentError_):
+    """A ``reset`` seed that is not an integer of zero or more."""
+
+    def __init__(self, seed, reason: str):
+        self.seed = seed
+        super().__init__(f"reset: seed {seed!r}: {reason}")
 
 
 class SpaceViolation(EnvironmentError_):
@@ -60,6 +68,19 @@ class NonFiniteAction(EnvironmentError_):
         self.agent = agent
         self.glue = glue
         super().__init__(f"agent '{agent}', glue '{glue}': action fragment is not finite")
+
+
+class ObservationShapeMismatch(EnvironmentError_):
+    """An observation whose shape is not its observation box's."""
+
+    def __init__(self, agent: str, glue: str, key: str, got: tuple[int, ...], expected: tuple[int, ...]):
+        self.agent = agent
+        self.glue = glue
+        self.got = got
+        self.expected = expected
+        super().__init__(
+            f"agent '{agent}', glue '{glue}': observation '{key}' has shape {got}, expected {expected}"
+        )
 
 
 class ActionShapeMismatch(EnvironmentError_):
@@ -214,16 +235,20 @@ class Environment:
         self._env_done = True
         # agent name -> the done that ended it, None while it is active
         self._outcome: dict[str, DoneResult | None] = {}
-        self._check_rng = np.random.default_rng(0)
         self._epp_history: list[dict] = [self.epp.snapshot_state()]
 
     # Lifecycle ---------------------------------------------------------
 
     def reset(self, seed: int = 0, overrides: dict[str, Quantity] | None = None):
-        """Start an episode; ``seed`` seeds the parameter draws, every agent's
-        policy and the spot checks.  ``overrides`` fixes named parameters for
-        this episode; a bad one raises ``InvalidOverride`` (see
-        ``EpisodeParameterProvider.sample_episode``) and changes nothing."""
+        """Start an episode; ``seed``, an integer of zero or more, seeds the
+        parameter draws, every agent's policy and the spot checks.
+        ``overrides`` fixes named parameters for this episode; a bad one
+        raises ``InvalidOverride`` (see ``EpisodeParameterProvider.sample_episode``),
+        and another seed ``InvalidSeed``, and either changes nothing."""
+        try:
+            seed = nonnegative_int(seed)
+        except PARSE_ERRORS as exc:
+            raise InvalidSeed(seed, str(exc)) from exc
         sampled = self.epp.sample_episode(seed, overrides)
         self.simulator.reset(sampled)
         for agent in self.agents.values():
@@ -231,11 +256,11 @@ class Environment:
             agent.policy.reseed(seed)
         self.shared_graph.reset(sampled)
 
-        self.state = EpisodeState(self.simulator.platforms, self.epp, self.config.horizon)
+        self.state = EpisodeState(self.simulator.platforms, self.config.horizon)
         self.state.sim_time = self.simulator.sim_time
         self._env_done = False
         self._outcome = dict.fromkeys(self.agents)
-        self._check_rng = np.random.default_rng(seed)
+        self._check_rng = np.random.default_rng(seed) if self.config.space_check_mode.mode == "spot_check" else None
 
         self._evaluate_glues()
         self._space_check()
@@ -417,15 +442,16 @@ class Environment:
                 values = node.observation[key]
                 # NaN fails neither comparison, so it passes here as it does in
                 # the element loop that words the error, and no value lies
-                # outside an unbounded box; a wrong shape goes to that loop as
-                # it always did.
+                # outside an unbounded box; that loop names a wrong shape first
                 if values.shape != box.low.shape or (
                     not box.unbounded and ((values < box.low) | (values > box.high)).any()
                 ):
-                    _raise_first_violation(name, node.name, values, box)
+                    _raise_first_violation(name, node.name, key, values, box)
 
 
-def _raise_first_violation(agent: str, glue: str, values: np.ndarray, box: Box) -> None:
+def _raise_first_violation(agent: str, glue: str, key: str, values: np.ndarray, box: Box) -> None:
+    if values.shape != box.low.shape:
+        raise ObservationShapeMismatch(agent, glue, key, values.shape, box.low.shape)
     for i, v in enumerate(values):
         if v < box.low[i] or v > box.high[i]:
             raise SpaceViolation(agent, glue, i, float(v), float(box.low[i]), float(box.high[i]))

@@ -2,9 +2,10 @@
 
 Each parameter is a distribution sampled once per episode with a generator
 keyed by (episode seed, parameter name), so adding or renaming one parameter
-never perturbs another's draws.  Updaters mutate distribution hyperparameters
-between episodes to implement curricula.  The Reference Store makes a single
-sampled value visible to every functor that references it.
+never perturbs another's draws; a constant, which draws nothing, is built no
+generator.  Updaters mutate distribution hyperparameters between episodes to
+implement curricula.  The Reference Store makes a single sampled value
+visible to every functor that references it.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ class Distribution:
     params: tuple[Param, ...] = ()
     #: names of hyperparameters an updater may target
     mutable: tuple[str, ...] = ()
+    draws = True  # whether ``sample`` draws from its generator; one that does not is given None
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: np.random.Generator | None) -> float:
         raise NotImplementedError
 
     def validate(self) -> None:
@@ -98,8 +100,9 @@ class Constant(Distribution):
 
     params = (Param("value", finite),)
     mutable = ("value",)
+    draws = False
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: np.random.Generator | None) -> float:
         return float(self.value)
 
 
@@ -284,8 +287,9 @@ class EpisodeParameterProvider:
             if name in fixed:
                 values[name] = fixed[name]
             else:
+                dist = spec.distribution
                 try:
-                    value = spec.distribution.sample(_parameter_rng(seed, name))
+                    value = dist.sample(_parameter_rng(seed, name) if dist.draws else None)
                 except (ArithmeticError, ValueError) as exc:
                     raise UnsampleableParameter(f"{self._paths[name]}/distribution", exc) from exc
                 values[name] = Quantity.scalar(value, spec.unit)

@@ -24,7 +24,7 @@ from ..config.validate import reference_range_error, referencing_params
 from ..environment import Environment, StepResult, episode_parameters
 from ..epp import ParameterSpec
 from ..functors.base import DoneStatusCode
-from ..params import PARSE_ERRORS, Param, finite, integer, mapping, parse_entries, string, value_in
+from ..params import PARSE_ERRORS, Param, finite, mapping, nonnegative_int, parse_entries, string, value_in
 from ..units import Quantity, UnitError, as_vector
 from .artifact import EpisodeArtifact, RecordLayout, Row, StepShape, artifact_file, case_name, write_manifest
 
@@ -60,8 +60,8 @@ class TestCase:
 
 
 #: the keys of a test case; ``name`` defaults to ``case_<index>``, and
-#: ``seed`` to the index
-CASE = (Param("name", string, None), Param("parameters", mapping, {}), Param("seed", integer, None))
+#: ``seed``, an integer of zero or more, to the index
+CASE = (Param("name", string, None), Param("parameters", mapping, {}), Param("seed", nonnegative_int, None))
 
 
 def parse_condition_set(tree) -> list[TestCase]:
@@ -283,12 +283,12 @@ def evaluate(
 ) -> list[EpisodeArtifact]:
     """Roll out every case and write one artifact file per case, then the manifest.
 
-    Every case's name and parameters are checked before the first rollout, as
-    ``parse_condition_set`` and ``rollout`` check them, and so is each value
-    given to a reference-store key against the range of every functor param
-    that references the key, as ``reset`` checks it.  Each process builds
-    one environment and runs its cases on it.  Returns the artifacts in case
-    order.  ``workers`` must be at least 1.
+    Every case's name, seed and parameters are checked before the first
+    rollout, as ``parse_condition_set``, ``reset`` and ``rollout`` check them,
+    and so is each value given to a reference-store key against the range of
+    every functor param that references the key, as ``reset`` checks it.
+    Each process builds one environment and runs its cases on it.  Returns
+    the artifacts in case order.  ``workers`` must be at least 1.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -297,6 +297,10 @@ def evaluate(
     referencing = referencing_params(config)
     for i, case in enumerate(cases):
         _check_case_name(i, case.name, names)
+        try:
+            nonnegative_int(case.seed)
+        except PARSE_ERRORS as exc:
+            raise InvalidCase(i, f"seed: {exc}") from exc
         for name, value in _case_overrides(specs, case).items():
             reason = reference_range_error(referencing.get(name, ()), value)
             if reason is not None:

@@ -87,7 +87,7 @@ def render_table(metrics: dict[str, MetricValue], spec: VizSpec) -> str:
 
 def _svg_bar_chart(title: str, data: dict[str, float]) -> str:
     if not data:
-        return f"<p>{title}: no data</p>"
+        return f"<p>{_escape(title)}: no data</p>"
     width, bar_h, gap, label_w = 640, 22, 6, 220
     peak = max(abs(v) for v in data.values()) or 1.0
     height = (bar_h + gap) * len(data) + gap
@@ -110,7 +110,7 @@ def _svg_bar_chart(title: str, data: dict[str, float]) -> str:
 
 def _svg_line_chart(title: str, series: list[float]) -> str:
     if not series:
-        return f"<p>{title}: no data</p>"
+        return f"<p>{_escape(title)}: no data</p>"
     width, height, pad = 640, 240, 30
     lo, hi = min(series), max(series)
     span = (hi - lo) or 1.0

@@ -90,9 +90,8 @@ class FunctorSpec:
 class EpisodeState:
     """Mutable per-step view handed to functors during evaluation."""
 
-    def __init__(self, platforms: dict[str, Platform], epp, horizon: int):
+    def __init__(self, platforms: dict[str, Platform], horizon: int):
         self.platforms = platforms
-        self.epp = epp
         self.horizon = horizon
         self.step_count = 0
         self.sim_time = 0.0

@@ -186,9 +186,6 @@ class Platform:
         self.parts[part.name] = part
         self._controllers = None
 
-    def sensors(self) -> dict[str, Sensor]:
-        return {n: p for n, p in self.parts.items() if isinstance(p, Sensor)}
-
     def controllers(self) -> dict[str, Controller]:
         """The platform's controllers by name; one dict, rebuilt only after ``add_part``."""
         if self._controllers is None:
@@ -196,10 +193,6 @@ class Platform:
                 n: p for n, p in self.parts.items() if isinstance(p, Controller)
             }
         return self._controllers
-
-    def measure_all(self) -> None:
-        for sensor in self.sensors().values():
-            sensor.measure(self.state)
 
 
 @dataclass(frozen=True)

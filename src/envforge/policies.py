@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -37,7 +38,12 @@ class Policy:
         self.reset()
 
     def reset(self) -> None:
-        self._rng = np.random.default_rng(self.seed)
+        self.__dict__.pop("_rng", None)  # the next draw builds the generator
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        """``np.random.default_rng(seed)``: a policy that never draws builds none."""
+        return np.random.default_rng(self.seed)
 
     def reseed(self, seed: int) -> None:
         self.seed = seed

@@ -118,8 +118,6 @@ class Simulator:
             for part in platform.parts.values():
                 part.reset()
             self.platforms[setup.name] = platform
-            # Read every sensor once so a bad first reading fails at reset.
-            platform.measure_all()
         return self.platforms
 
     def step(self) -> dict[str, Platform]:

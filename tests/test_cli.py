@@ -128,6 +128,12 @@ class TestRun:
             projected = artifact.write_csv(tmp_path / f"projected_{k}.csv")
             assert (out / f"episode_{k}.csv").read_bytes() == projected.read_bytes()
 
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(docking_args("run", "--seed", "-1", "--out", str(out))) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: --seed: expected an integer >= 0, got -1"]
+        assert not out.exists()
+
     def test_unknown_policy_exit_two(self, tmp_path, capsys):
         code = main(docking_args("run", "--policy", "telepathy", "--out", str(tmp_path)))
         assert code == 2

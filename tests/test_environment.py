@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from envforge import cli
 from envforge.config.loader import load_config
 from envforge.config.validate import validate_environment, validate_environment_file
+from envforge.config.schema import SpaceCheckMode
 from envforge.environment import (
     ActionShapeMismatch,
     Environment,
     EpisodeAlreadyDone,
+    InvalidSeed,
     NonFiniteAction,
     SpaceViolation,
     UnknownActionKey,
@@ -26,7 +28,7 @@ from envforge.functors.base import DoneStatusCode
 from envforge.policies import ScriptedPolicy
 from envforge.units import METER, SECOND, Quantity, get_unit
 
-from conftest import CONFIG_DIR, PHASES, phases, record_schedule, recorded_steps
+from conftest import CONFIG_DIR, PHASES, load_env_config, phases, record_schedule, recorded_steps
 
 
 def docking_tree(
@@ -420,6 +422,67 @@ class TestResetOverrideErrors:
         assert env.epp.current_sample is sample and env.state is state
         assert env.simulator.platforms["deputy"].state.x == x and env.state.step_count == 1
         assert not env.step({}).env_done
+
+
+class TestResetSeedErrors:
+    """A seed that is not an integer of zero or more raises before anything
+    changes, on a config that draws from no generator as on one that does."""
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"], ids=["negative", "fraction", "text"])
+    def test_bad_seed_raises_and_changes_nothing(self, docking_config, seed):
+        env = Environment(docking_config)
+        env.reset(seed=0)
+        env.step({})
+        deputy = env.simulator.platforms["deputy"]
+        sample, state, entity = env.epp.current_sample, env.state, deputy.state
+        with pytest.raises(InvalidSeed) as caught:
+            env.reset(seed=seed)
+        assert caught.value.seed == seed
+        assert str(caught.value).startswith(f"reset: seed {seed!r}: ")
+        assert env.epp.current_sample is sample and env.state is state
+        assert env.simulator.platforms == {"deputy": deputy} and deputy.state is entity
+        assert env.state.step_count == 1 and not env.step({}).env_done
+
+    def test_any_integer_of_zero_or_more_is_a_seed(self, cartpole_config):
+        env = Environment(cartpole_config)
+        for seed in (0, np.int64(3), 2**70):
+            env.reset(seed=seed)
+            assert not env.step({}).env_done
+
+
+class TestGenerators:
+    """An episode builds a generator only for a stream that something draws
+    from: each non-constant parameter, the policy that draws, and the spot
+    checks under ``spot_check`` mode."""
+
+    @pytest.mark.parametrize(
+        "env_file, spot_check, at_build, per_episode",
+        [
+            ("docking/environment.yml", False, 0, 0),
+            ("docking/environment.yml", True, 0, 1),
+            # the build draws cart-pole's four uniform parameters once, for its priming reset
+            ("cartpole/environment.yml", False, 4, 5),
+            ("cartpole/environment.yml", True, 4, 6),
+        ],
+        ids=["docking", "docking_spot_check", "cartpole", "cartpole_spot_check"],
+    )
+    def test_generators_built(self, monkeypatch, env_file, spot_check, at_build, per_episode):
+        config = load_env_config(CONFIG_DIR / env_file)
+        if spot_check:
+            config.space_check_mode = SpaceCheckMode.spot_check(0.5)
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(seed=None):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        env = Environment(config)
+        assert len(built) == at_build
+        for seed in range(3):
+            assert record_episode(env, seed).error is None
+        assert len(built) == at_build + 3 * per_episode
 
 
 class TestSpaceChecks:

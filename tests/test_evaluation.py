@@ -349,6 +349,15 @@ class TestVisualize:
         html = render_html({"a<b": MetricValue("terminal", 1)}, VizSpec("html"))
         assert "a&lt;b" in html and "a<b" not in html.replace("a&lt;b", "")
 
+    @pytest.mark.parametrize(
+        "value", [{}, [], {"a": 1.0}, [0.0, 1.0]], ids=["bar_no_data", "line_no_data", "bar", "line"]
+    )
+    def test_html_escapes_every_chart_title(self, value):
+        name = "<img src=x onerror=alert(1)> & co"
+        html = render_html({name: MetricValue("non_terminal", value)}, VizSpec("html"))
+        assert "&lt;img src=x onerror=alert(1)&gt; &amp; co" in html
+        assert "<img" not in html and "> & co" not in html
+
     def test_series_rendered_as_line_chart(self):
         html = render_html(
             {"trace": MetricValue("non_terminal", [0.0, 1.0, 0.5])}, VizSpec("html")
@@ -573,8 +582,11 @@ class TestInputChecks:
              "test case 'b': parameter 'v_max': 'velocity_limit': must be >= 0, got -0.1"),
             (TestCase("b", {"dock_radius": {"value": -10.0, "unit": "centimeter"}}, seed=3), InvalidCaseParameter,
              "test case 'b': parameter 'dock_radius': 'dock_radius': must be >= 0, got -0.1"),
+            (TestCase("neg", {}, seed=-3), InvalidCase, "test case 3: seed: must be >= 0, got -3"),
+            (TestCase("frac", {}, seed=1.5), InvalidCase, "test case 3: seed: expected an integer, got float"),
         ],
-        ids=["duplicate", "separator", "bad_value", "unknown", "reference_range", "reference_range_converted"],
+        ids=["duplicate", "separator", "bad_value", "unknown", "reference_range", "reference_range_converted",
+             "negative_seed", "fractional_seed"],
     )
     def test_evaluate_checks_every_case_before_the_first_rollout(self, tmp_path, monkeypatch, bad, error, message, workers):
         self.no_rollouts(monkeypatch)
@@ -593,11 +605,13 @@ class TestInputChecks:
              "test case 0: parameters: invalid value for 'parameters': expected a mapping"),
             ([{"name": "a", "seed": 1.5}],
              "test case 0: seed: invalid value for 'seed': expected an integer, got float"),
+            ([{"name": "a", "seed": -3}], "test case 0: seed: invalid value for 'seed': must be >= 0, got -3"),
             ([{"name": 5}], "test case 0: name: invalid value for 'name': expected a string, got int"),
             ([{"name": "a", "paramters": {"deputy.x0": -5.0}, "sed": 3}],
              "test case 0: paramters: unknown field 'paramters'"),
         ],
-        ids=["duplicate", "slash", "backslash", "not_a_mapping", "parameters", "seed", "name", "undeclared"],
+        ids=["duplicate", "slash", "backslash", "not_a_mapping", "parameters", "seed", "negative_seed", "name",
+             "undeclared"],
     )
     def test_bad_case_entry(self, entries, message):
         with pytest.raises(InvalidCase, match=re.escape(message)):

@@ -25,7 +25,7 @@ from envforge.parts import Platform
 from envforge.simulators.cartpole import CartPoleState
 from envforge.simulators.cartpole import _state_sensor as cartpole_state_sensor
 from envforge.simulators.docking import Deputy1d, _position_sensor, _velocity_sensor
-from envforge.units import METER, METER_PER_SECOND, NONE, Quantity, get_unit
+from envforge.units import METER, METER_PER_SECOND, Quantity, get_unit
 
 from conftest import CONFIG_DIR, load_env_config
 
@@ -43,13 +43,14 @@ def docking_platform(x=0.0, xdot=0.0):
     return {"deputy": platform}
 
 
-def make_state(platforms, reference_values=None, horizon=1000, units=None):
-    units = units or {}
-    epp = EpisodeParameterProvider(
-        [ParameterSpec(k, Constant(v), units.get(k, NONE)) for k, v in (reference_values or {}).items()]
-    )
-    epp.sample_episode(0)
-    return EpisodeState(platforms, epp, horizon)
+def make_state(platforms, horizon=1000):
+    return EpisodeState(platforms, horizon)
+
+
+def sample(reference_values, units):
+    """An episode's draw of ``reference_values``, each a constant in its unit in ``units``."""
+    epp = EpisodeParameterProvider([ParameterSpec(k, Constant(v), units[k]) for k, v in reference_values.items()])
+    return epp.sample_episode(0)
 
 
 def evaluate_glues(graph, state):
@@ -376,8 +377,9 @@ class TestDones:
             references={"dock_radius": "dock_radius", "velocity_limit": "v_max"},
         )
         graph = build_graph(platforms, glues=[], dones=[success, failure])
-        state = make_state(platforms, refs, units={"dock_radius": METER, "v_max": METER_PER_SECOND})
-        graph.reset(state.epp.current_sample)  # binds the referenced values, as Environment.reset does
+        state = make_state(platforms)
+        # binds the referenced values, as Environment.reset does
+        graph.reset(sample(refs, {"dock_radius": METER, "v_max": METER_PER_SECOND}))
         assert graph.dones[0].functor.evaluate(state).code is DoneStatusCode.WIN
         assert graph.dones[1].functor.evaluate(state) is None
 
@@ -455,7 +457,7 @@ class TestRewards:
         state = make_state(platforms)
         evaluate_glues(graph, state)
         graph.rewards[0].functor.evaluate(state, {})
-        graph.reset(state.epp.current_sample)
+        graph.reset({})
         platforms["deputy"].state.x = -2.0
         evaluate_glues(graph, state)
         # After reset there is no previous distance, so no damping.

@@ -200,7 +200,6 @@ class TestPlatform:
         platform = Platform("p", "T")
         platform.add_part(Controller("c", Box(1, -1.0, 1.0, NONE, name="t")))
         platform.add_part(Sensor("s", position_property(), lambda _: np.array([0.0])))
-        assert set(platform.sensors()) == {"s"}
         assert set(platform.controllers()) == {"c"}
 
     def test_controllers_include_one_added_later(self):

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envforge.environment import Environment, SpaceViolation
+from envforge.config.schema import SpaceCheckMode
+from envforge.environment import Environment, ObservationShapeMismatch, SpaceViolation
 from envforge.evaluation.evaluate import run_episode
 from envforge.functors.base import FunctorNode, Glue
+from envforge.functors.builtins import ObserveSensor
 from envforge.functors.graph import FUNCTOR_REGISTRY
-from envforge.parts import Box, Sensor
+from envforge.parts import Box, NoValidMeasurementYet, Sensor
 
 from conftest import CONFIG_DIR, load_env_config
 
@@ -192,6 +194,51 @@ class TestSensorReads:
         artifact = run_episode(env, seed=0)
         steps = len(artifact.rows)
         assert artifact.final_outcome == {"deputy_agent": "WIN"} and steps > 10
-        # At reset the simulator reads each sensor once and its glue reads it
-        # once; every step after that, only the glue reads it.
-        assert reads == {"Sensor_Position": 2 + steps, "Sensor_Velocity": 2 + steps}
+        # Its glue reads each sensor once at reset and once every step.
+        assert reads == {"Sensor_Position": 1 + steps, "Sensor_Velocity": 1 + steps}
+
+    def test_bad_first_reading_of_an_observed_sensor_fails_reset(self, docking_config):
+        env = Environment(docking_config)
+        env.simulator.platforms["deputy"].parts["Sensor_Position"]._read = lambda state: np.array([np.inf])
+        with pytest.raises(NoValidMeasurementYet, match="Sensor_Position"):
+            env.reset(seed=0)
+
+
+class TestObservationShape:
+    """The space check compares an observation's shape with its box's, then its bounds."""
+
+    @pytest.mark.parametrize("shape", [(2,), (3,), (6,), (2, 2)], ids=["two", "three", "six", "two_by_two"])
+    def test_other_shape_raises_naming_agent_glue_and_shapes(self, cartpole_config, shape):
+        env = Environment(cartpole_config)
+        env.reset(seed=0)
+        ((_, node, key, _),) = env.agents["cartpole_agent"].observation_layout
+        node.observation = {key: np.zeros(shape)}
+        with pytest.raises(ObservationShapeMismatch) as caught:
+            env._space_check()
+        error = caught.value
+        assert (error.agent, error.glue, error.got, error.expected) == ("cartpole_agent", "ObserveState", shape, (4,))
+        assert str(error) == (
+            f"agent 'cartpole_agent', glue 'ObserveState': observation 'direct_observation' "
+            f"has shape {shape}, expected (4,)"
+        )
+
+    @pytest.mark.parametrize(
+        "mode, raises",
+        [(SpaceCheckMode.every_step(), True), (SpaceCheckMode.spot_check(1.0), True),
+         (SpaceCheckMode.spot_check(0.0), False), (SpaceCheckMode.off(), False)],
+        ids=["every_step", "spot_check_runs", "spot_check_skips", "off"],
+    )
+    def test_reset_checks_the_shape_when_a_check_runs(self, cartpole_config, monkeypatch, mode, raises):
+        get_observation = ObserveSensor.get_observation
+
+        def six_elements(self, state):
+            return {k: np.resize(v, 6) for k, v in get_observation(self, state).items()}
+
+        monkeypatch.setattr(ObserveSensor, "get_observation", six_elements)
+        cartpole_config.space_check_mode = mode
+        env = Environment(cartpole_config)
+        if raises:
+            with pytest.raises(ObservationShapeMismatch, match=r"has shape \(6,\), expected \(4,\)"):
+                env.reset(seed=0)
+        else:
+            assert env.reset(seed=0)["cartpole_agent"]["ObserveState/direct_observation"].shape == (6,)
