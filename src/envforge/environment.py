@@ -15,12 +15,12 @@ from .agents import Agent, PolicyPool, attach_parts, build_agent
 from .config.schema import HORIZON_DONE, EnvironmentConfig, EpisodeEndMode
 from .config.validate import environment_tree
 from .epp import EppError, EpisodeParameterProvider, ParameterSpec
-from .functors.base import DoneResult, DoneStatusCode, EpisodeState
+from .functors.base import DoneResult, DoneStatusCode, EpisodeState, FunctorNode
 from .functors.graph import build_graph
 from .params import PARSE_ERRORS, BuildErrors, ConfigError, ParamError, join_path, nonnegative_int
 from .parts import GLOBAL_REGISTRY, Box, all_finite
 from .simulators import SIMULATORS, PlatformSetup, init_key
-from .units import Quantity, as_vector
+from .units import DimensionMismatch, Quantity, Unit, as_vector
 
 
 class EnvironmentError_(Exception):
@@ -158,6 +158,22 @@ def episode_parameters(config: EnvironmentConfig) -> tuple[EpisodeParameterProvi
     return epp, conflicts
 
 
+def _initialization_errors(config: EnvironmentConfig, init_params: dict[str, Unit]) -> list[ParamError]:
+    """A ``MissingField`` for each of the simulator's ``init_params`` that a
+    platform does not declare, and a ``DimensionMismatch`` for each it
+    declares in a unit of another dimension than the simulator reads."""
+    errors: list[ParamError] = []
+    for i, platform in enumerate(config.platforms):
+        for name, unit in init_params.items():
+            path = join_path("platforms", i, "initialization", name)
+            spec = platform.initialization.get(name)
+            if spec is None:
+                errors.append((path, "MissingField", f"missing initialization parameter '{name}'"))
+            elif spec.unit.dimension is not unit.dimension:
+                errors.append((path, "DimensionMismatch", str(DimensionMismatch(spec.unit, unit))))
+    return errors
+
+
 def _duplicate_names(config: EnvironmentConfig) -> list[ParamError]:
     """A ``DuplicateName`` for each platform, and each agent, whose name an
     earlier one took: the simulator keys platforms by name, and the
@@ -177,12 +193,14 @@ class Environment:
     """Owns one simulator, its agents, and the per-step evaluation schedule."""
 
     def __init__(self, config: EnvironmentConfig, registry=GLOBAL_REGISTRY):
-        """Build the simulator, then every agent's parts, then the functor
-        graphs and policies, and check each functor's references against the
-        episode parameters.  Two platforms, or two agents, of one name raise
-        before anything is built.  What fails is reported at its config path and
-        what depends on it is skipped (a functor may read any part); then the
-        first ``ConfigError`` is raised, listing every error."""
+        """Build the simulator and its platforms, then every agent's parts,
+        then the functor graphs and policies, and check each platform's
+        initialization and each functor's references against the episode
+        parameters; nothing is drawn or reset.  Two platforms, or two agents,
+        of one name raise before anything is built.  What fails is reported at
+        its config path and what depends on it is skipped (a functor may read
+        any part); then the first ``ConfigError`` is raised, listing every
+        error."""
         self.config = config
         self.registry = registry
         duplicates = _duplicate_names(config)
@@ -196,15 +214,11 @@ class Environment:
         errors.check()  # nothing builds without the simulator and its platforms
 
         self.epp, conflicts = episode_parameters(config)
+        conflicts += _initialization_errors(config, sim_cls.init_params)
         if conflicts:
             errors.add(EppError.listing("episode parameters", conflicts))
-        # Priming reset so platforms exist for part attachment and glue wiring;
-        # a distribution that cannot be sampled fails here, at its path.
-        sampled = errors.attempt(self.epp.sample_episode, 0)
-        platforms = None if sampled is None else errors.attempt(self.simulator.reset, sampled)
-        if platforms is None:
-            errors.check()
 
+        platforms = self.simulator.platforms
         for agent_cfg in config.agents:
             errors.attempt(attach_parts, agent_cfg, platforms, sim_cls.simulator_type, registry)
         if errors.first is None:
@@ -416,8 +430,29 @@ class Environment:
 
     def _evaluate_glues(self) -> None:
         state = self.state
-        for node, get_observation in self._observe:
-            node.observation = get_observation(state)
+        try:
+            for node, get_observation in self._observe:
+                node.observation = get_observation(state)
+        except Exception as exc:
+            mismatch = self._shape_mismatch_before(node)
+            if mismatch is None:
+                raise
+            raise mismatch from exc
+
+    def _shape_mismatch_before(self, failed: FunctorNode) -> ObservationShapeMismatch | None:
+        """The mismatch of the first agent observation, of those evaluated
+        before the glue ``failed`` raised, whose shape is not its box's, or
+        None: a glue that reads a mis-shaped observation may fail on it
+        before the space check would name it."""
+        for agent in self.agents.values():
+            for node in map(agent.graph.nodes.__getitem__, agent.graph.topo_order):
+                if node is failed:
+                    return None
+                for key, box in node.observation_space.items():
+                    values = node.observation.get(key)
+                    if values is not None and np.shape(values) != box.low.shape:
+                        return ObservationShapeMismatch(agent.name, node.name, key, np.shape(values), box.low.shape)
+        return None
 
     @staticmethod
     def _collect_observations(agents) -> dict[str, dict[str, np.ndarray]]:

@@ -20,7 +20,6 @@ from ..params import (
     PARSE_ERRORS, SOURCE, ConfigError, Param, check_inputs, parse_params, parse_reference, wrapped_path,
 )
 from ..parts import Box, Platform
-from ..units import UnitError
 
 
 class FunctorError(ConfigError):
@@ -175,23 +174,16 @@ class Functor:
     def bind(self, sample: SampledParameters) -> None:
         """Bind this episode's referenced values into ``values``.
 
-        Each sample is converted to its param's declared unit and passed
-        through the param's ``parse``, so a value out of range fails here, at
+        Each sample, whose key and dimension ``check_references`` proved at
+        build, is converted to its param's declared unit and passed through
+        the param's ``parse``, so a value out of range fails here, at
         ``reset``, naming the functor, the param and the reference key.
         """
         for name, (key, p) in self._references.items():
-            q = sample.get(key)
-            if q is None:
-                raise self._error(f"references/{name}", f"reference store has no key '{key}'", "UnknownReference")
             try:
-                self.values[name] = parse_reference(p, q)
-            except (UnitError, *PARSE_ERRORS) as exc:
+                self.values[name] = parse_reference(p, sample[key])
+            except PARSE_ERRORS as exc:
                 raise self._error(f"references/{name}", f"reference '{key}': {exc}") from exc
-
-    def param(self, state: EpisodeState, name: str) -> Any:
-        """A parameter's value: its setting, or, for a referenced one, this
-        episode's sample in its declared unit, as bound at ``reset``."""
-        return self.values[name]
 
 
 class Glue(Functor):

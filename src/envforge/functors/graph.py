@@ -93,7 +93,6 @@ class CompiledGraph:
     """
 
     nodes: dict[str, FunctorNode] = field(default_factory=dict)
-    by_name: dict[str, FunctorNode] = field(default_factory=dict)
     topo_order: list[str] = field(default_factory=list)
     # top-level nodes per role, in spec order (deduplicated)
     glues: list[FunctorNode] = field(default_factory=list)
@@ -203,7 +202,6 @@ class GraphBuilder:
             except ValueError as exc:
                 raise FunctorError.listing(spec.label, [("", "TypeMismatch", str(exc))]) from exc
         self.graph.nodes[node_id] = node
-        self.graph.by_name.setdefault(node.name, node)
         self.graph.topo_order.append(node_id)  # children compiled first
         return node
 

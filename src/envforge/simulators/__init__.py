@@ -1,7 +1,7 @@
 """Built-in simulators and the name -> class lookup used by config validation."""
 
 from .base import (
-    InvalidSimulatorConfig, MissingInitParameter, PlatformSetup, Simulator, SimulatorError, UnknownPlatform, init_key,
+    InvalidSimulatorConfig, PlatformSetup, Simulator, SimulatorError, UnknownPlatform, init_key,
 )
 from .cartpole import CartPoleSimulator
 from .docking import Deputy1d, Docking1dSimulator
@@ -22,7 +22,6 @@ __all__ = [
     "Deputy1d",
     "Docking1dSimulator",
     "InvalidSimulatorConfig",
-    "MissingInitParameter",
     "PlatformSetup",
     "SIMULATORS",
     "Simulator",

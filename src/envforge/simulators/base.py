@@ -9,7 +9,7 @@ from typing import Any
 from ..epp import SampledParameters
 from ..params import ConfigError, Param, parse_params, positive
 from ..parts import Platform
-from ..units import Unit, UnitError
+from ..units import Unit
 
 
 class SimulatorError(ConfigError):
@@ -18,12 +18,6 @@ class SimulatorError(ConfigError):
 
 class InvalidSimulatorConfig(SimulatorError, ValueError):
     """The simulator's ``config`` fails its parameter table."""
-
-
-class MissingInitParameter(SimulatorError):
-    def __init__(self, key: str):
-        self.key = key
-        super().__init__(f"missing initialization parameter '{key}'")
 
 
 class UnknownPlatform(SimulatorError):
@@ -60,7 +54,8 @@ class Simulator:
     :meth:`_advance`.  ``params`` declares the keys of the simulator's
     ``config``; the constructor parses it with ``parse_params``, raising
     ``InvalidSimulatorConfig`` that lists every error, and the parsed values
-    are ``settings``.
+    are ``settings``.  It makes each platform, from its setup, once: ``reset``
+    restores every one and rebuilds only its entity state.
     """
 
     simulator_type = "Simulator"
@@ -75,9 +70,9 @@ class Simulator:
         if errors:
             raise InvalidSimulatorConfig.listing(self.simulator_type, errors)
         self.frame_rate = self.settings["frame_rate"]
-        self.platform_setups = platform_setups
-        self.platforms: dict[str, Platform] = {}
-        self._persistent: dict[str, Platform] = {}
+        # every platform; ``platforms`` holds those not removed this episode
+        self._all_platforms = {s.name: Platform(s.name, s.platform_type) for s in platform_setups}
+        self.platforms: dict[str, Platform] = dict(self._all_platforms)
         self._steps = 0
 
     @property
@@ -89,35 +84,17 @@ class Simulator:
         return 1.0 / self.frame_rate
 
     def reset(self, sampled: SampledParameters) -> dict[str, Platform]:
-        """Construct entities from sampled parameters and pair them with platforms.
-
-        Each platform's ``init_params`` are converted to their units, a
-        value of another dimension failing at its config path.  Platform
-        objects (and the parts attached to them) persist across resets; only
-        their entity state is rebuilt.
-        """
+        """Restore every platform and build its entity from ``sampled``, each
+        of its ``init_params`` converted to its unit (the environment's build
+        checked that each is declared, in a unit of its dimension)."""
         self._steps = 0
-        self.platforms = {}
-        for index, setup in enumerate(self.platform_setups):
-            platform = self._persistent.get(setup.name)
-            if platform is None:
-                platform = Platform(setup.name, setup.platform_type)
-                self._persistent[setup.name] = platform
-            values = {}
-            for param, unit in self.init_params.items():
-                key = init_key(setup.name, param)
-                if key not in sampled:
-                    raise MissingInitParameter(key)
-                try:
-                    values[param] = sampled[key].to(unit).item
-                except UnitError as exc:
-                    error = (f"platforms/{index}/initialization/{param}", "DimensionMismatch", str(exc))
-                    raise SimulatorError.listing(self.simulator_type, [error]) from exc
+        self.platforms = dict(self._all_platforms)
+        for name, platform in self.platforms.items():
+            values = {param: sampled[init_key(name, param)].to(unit).item for param, unit in self.init_params.items()}
             platform.state = self._make_entity(values)
             platform.operable = True
             for part in platform.parts.values():
                 part.reset()
-            self.platforms[setup.name] = platform
         return self.platforms
 
     def step(self) -> dict[str, Platform]:

@@ -17,7 +17,8 @@ from envforge.config.validate import (
     validate_environment,
     validate_environment_file,
 )
-from envforge.epp import DISTRIBUTION_KINDS, Distribution, Uniform
+from envforge.environment import Environment
+from envforge.epp import DISTRIBUTION_KINDS, Distribution, UnsampleableParameter, Uniform
 from envforge.params import dump_params
 from envforge.units import REGISTRY
 
@@ -192,16 +193,18 @@ class TestInvalidCorpus:
         present = {p.name for p in INVALID_DIR.glob("*.yml")}
         assert present == listed
 
-    def test_priming_sample_reports_an_unsampleable_distribution(self, monkeypatch):
-        # a distribution that validates but raises when drawn from is reported
-        # at its path by the build's first draw, not raised through validate
+    def test_unsampleable_distribution_fails_the_first_reset_at_its_path(self, monkeypatch):
+        # the build draws nothing, so a distribution that validates but raises
+        # when drawn from builds, and the first reset reports it at its path
         monkeypatch.setattr(Uniform, "validate", Distribution.validate)
         config, report = validate_environment_file(INVALID_DIR / "unsampleable_uniform.yml")
-        assert config is None
-        assert [(e.path, e.code) for e in report.errors] == [
-            ("reference_store/spread/distribution", ErrorCode.TYPE_MISMATCH)
+        assert report.ok, str(report)
+        env = Environment(config)
+        with pytest.raises(UnsampleableParameter, match="cannot be sampled") as caught:
+            env.reset(seed=0)
+        assert [(path, code) for path, code, _ in caught.value.errors] == [
+            ("reference_store/spread/distribution", "TypeMismatch")
         ]
-        assert "cannot be sampled" in report.errors[0].message
 
 
 class TestValidConfigs:

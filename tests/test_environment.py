@@ -21,11 +21,12 @@ from envforge.environment import (
     SpaceViolation,
     UnknownActionKey,
 )
-from envforge.epp import InvalidOverride
+from envforge.epp import EpisodeParameterProvider, InvalidOverride, NotYetSampled
 from envforge.evaluation import TestCase, rollout
 from envforge.evaluation.evaluate import run_episode as record_episode
 from envforge.functors.base import DoneStatusCode
 from envforge.policies import ScriptedPolicy
+from envforge.simulators import Simulator
 from envforge.units import METER, SECOND, Quantity, get_unit
 
 from conftest import CONFIG_DIR, PHASES, load_env_config, phases, record_schedule, recorded_steps
@@ -203,7 +204,6 @@ class TestStepSchedule:
         env = make_env(horizon=10, x0=-10.0, policy={"name": "scripted", "config": {"rule": "zero"}})
         obs = env.reset(seed=0)
         assert obs["agent_0"]["ObservePosition/direct_observation"].tolist() == [-10.0]
-        env.agents["agent_0"].graph.by_name["ThrustControl"]
         result = env.step({"agent_0": {"ThrustControl": np.array([1.0])}})
         # One 1 N / 1 kg step from rest moves 0.5 m.
         assert result.observations["agent_0"]["ObservePosition/direct_observation"].tolist() == [-9.5]
@@ -450,6 +450,37 @@ class TestResetSeedErrors:
             assert not env.step({}).env_done
 
 
+class TestBuild:
+    """The build makes the simulator, its platforms and their parts, and
+    draws nothing: entity state and the episode's draw exist from the first
+    ``reset``."""
+
+    @pytest.mark.parametrize("env_file", ["docking/environment.yml", "cartpole/environment.yml"])
+    def test_build_neither_samples_nor_resets(self, monkeypatch, env_file):
+        config = load_env_config(CONFIG_DIR / env_file)
+        calls = []
+        for cls, method in [(EpisodeParameterProvider, "sample_episode"), (Simulator, "reset")]:
+            original = getattr(cls, method)
+
+            def counting(self, *args, _original=original, _method=method, **kwargs):
+                calls.append(_method)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, counting)
+        env = Environment(config)
+        assert calls == []
+        assert env.epp.current_sample is None
+        with pytest.raises(NotYetSampled):
+            env.epp.reference_lookup(next(iter(env.epp.specs)))
+        assert list(env.simulator.platforms) == [p.name for p in config.platforms]
+        for platform in env.simulator.platforms.values():
+            assert platform.state is None
+            assert set(platform.parts) == {part.group for agent in config.agents for part in agent.parts}
+        env.reset(seed=0)
+        assert calls == ["sample_episode", "reset"]
+        assert all(platform.state is not None for platform in env.simulator.platforms.values())
+
+
 class TestGenerators:
     """An episode builds a generator only for a stream that something draws
     from: each non-constant parameter, the policy that draws, and the spot
@@ -460,9 +491,8 @@ class TestGenerators:
         [
             ("docking/environment.yml", False, 0, 0),
             ("docking/environment.yml", True, 0, 1),
-            # the build draws cart-pole's four uniform parameters once, for its priming reset
-            ("cartpole/environment.yml", False, 4, 5),
-            ("cartpole/environment.yml", True, 4, 6),
+            ("cartpole/environment.yml", False, 0, 5),
+            ("cartpole/environment.yml", True, 0, 6),
         ],
         ids=["docking", "docking_spot_check", "cartpole", "cartpole_spot_check"],
     )

@@ -262,7 +262,7 @@ class TestGlues:
         graph = build_graph(platforms, glues=[tvd])
         state = make_state(platforms)
         evaluate_glues(graph, state)
-        obs = graph.by_name["TVD"].observation
+        obs = graph.glues[0].observation
         assert obs["target_value_difference"][0] == pytest.approx(1.0 - 0.4)
 
     @pytest.mark.parametrize("index", [-1, 4, 7])
@@ -284,8 +284,9 @@ class TestGlues:
         )
         state = make_state(platforms)
         evaluate_glues(graph, state)
-        assert graph.by_name["N"].observation["norm"][0] == pytest.approx(5.0)
-        uv = graph.by_name["U"].observation["unit_vector"]
+        norm, unit_vector = graph.glues
+        assert norm.observation["norm"][0] == pytest.approx(5.0)
+        uv = unit_vector.observation["unit_vector"]
         assert np.linalg.norm(uv) == pytest.approx(1.0)
 
     def test_observation_normalization(self):
@@ -532,14 +533,15 @@ class TestSettingsResolvedOnce:
 
     def test_references_are_read_per_episode(self, docking_config):
         env = Environment(docking_config)
-        success = env.agents["deputy_agent"].graph.by_name["DockingSuccess"]
+        success = env.agents["deputy_agent"].graph.dones[0]
+        assert success.name == "DockingSuccess"
         start = {
             "deputy.x0": Quantity.scalar(-1.0, METER),
             "deputy.v0": Quantity.scalar(0.0, METER_PER_SECOND),
         }
         for radius, fires in [(2.0, True), (0.5, False), (2.0, True)]:
             env.reset(seed=0, overrides={**start, "dock_radius": Quantity.scalar(radius, METER)})
-            assert success.functor.param(env.state, "dock_radius") == radius
+            assert success.functor.values["dock_radius"] == radius
             result = success.functor.evaluate(env.state)
             assert (result is not None and result.code is DoneStatusCode.WIN) is fires
 
@@ -565,7 +567,7 @@ class TestDifferenceUnits:
         platforms = docking_platform(x=0.5)
         spec = difference_spec(("meter", -1.0, 1.0, 0.0), ("centimeter", -100.0, 100.0, 100.0))
         graph = build_graph(platforms, glues=[spec])
-        node = graph.by_name["D"]
+        node = graph.glues[0]
         box = node.observation_space["difference"]
         assert box.unit == METER
         assert box.low.tolist() == [-2.0] and box.high.tolist() == [2.0]
@@ -577,7 +579,7 @@ class TestDifferenceUnits:
         platforms = docking_platform(x=0.25)
         spec = difference_spec(("meter", -1.0, 1.0, 0.0), ("meter", -3.0, 2.0, 1.0))
         graph = build_graph(platforms, glues=[spec])
-        node = graph.by_name["D"]
+        node = graph.glues[0]
         box = node.observation_space["difference"]
         assert box.low.tolist() == [-3.0] and box.high.tolist() == [4.0]
         evaluate_glues(graph, make_state(platforms))

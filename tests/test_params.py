@@ -656,8 +656,8 @@ class TestReferencedValues:
         config = self.short_config_with("dock_radius", {"kind": "constant", "value": 10.0}, "centimeter")
         env = Environment(config)
         env.reset(seed=0)
-        success = env.agents["deputy_agent"].graph.by_name["DockingSuccess"].functor
-        assert success.param(env.state, "dock_radius") == pytest.approx(0.1)
+        success = env.agents["deputy_agent"].graph.dones[0].functor
+        assert success.name == "DockingSuccess" and success.values["dock_radius"] == pytest.approx(0.1)
 
     def test_uniform_reference_is_rebound_on_every_reset(self):
         config = self.short_config_with("dock_radius", {"kind": "uniform", "low": 0.05, "high": 0.5}, "meter")
@@ -668,10 +668,10 @@ class TestReferencedValues:
             env.reset(seed=seed)
             sampled = env.epp.current_sample["dock_radius"].item
             radii.add(sampled)
-            for name in ("DockingSuccess", "DockingFailure"):
-                functor = graph.by_name[name].functor
-                assert functor.param(env.state, "dock_radius") == sampled
-                assert functor.param(env.state, "velocity_limit") == env.epp.current_sample["v_max"].item
+            for name, node in zip(("DockingSuccess", "DockingFailure"), graph.dones):
+                assert node.name == name
+                assert node.functor.values["dock_radius"] == sampled
+                assert node.functor.values["velocity_limit"] == env.epp.current_sample["v_max"].item
         assert len(radii) == 8
 
 

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 import yaml
 
+from envforge.environment import Environment
+from envforge.params import ConfigError
 from envforge.simulators import SIMULATORS
 from envforge.simulators.base import (
     InvalidSimulatorConfig,
-    MissingInitParameter,
     PlatformSetup,
     UnknownPlatform,
     init_key,
@@ -102,10 +103,15 @@ class TestDockingDynamics:
         with pytest.raises(ValueError):
             make_docking({"frame_rate": 1.0, "mass": -1.0})
 
-    def test_missing_init_parameter(self):
-        sim = Docking1dSimulator({}, [PlatformSetup("deputy", "Docking1dPlatform")])
-        with pytest.raises(MissingInitParameter):
-            sim.reset({})
+    def test_missing_init_parameter(self, docking_config):
+        # a config built in Python skips validate; the build checks each
+        # platform's initialization against the simulator's init_params
+        del docking_config.platforms[0].initialization["v0"]
+        with pytest.raises(ConfigError) as caught:
+            Environment(docking_config)
+        assert [(path, code) for path, code, _ in caught.value.errors] == [
+            ("platforms/0/initialization/v0", "MissingField")
+        ]
 
 
 class TestTimeBookkeeping:

@@ -242,3 +242,34 @@ class TestObservationShape:
                 env.reset(seed=0)
         else:
             assert env.reset(seed=0)["cartpole_agent"]["ObserveState/direct_observation"].shape == (6,)
+
+    @pytest.mark.parametrize("phase", ["reset", "step"])
+    def test_a_glue_failing_on_a_short_observation_names_the_observation(self, cartpole_config, monkeypatch, phase):
+        # the pole-angle TargetValueDifference reads element 2 of ObserveState,
+        # so it raises IndexError on a two-element observation before any
+        # space check; the error names the observation it read
+        get_observation = ObserveSensor.get_observation
+        short = [phase == "reset"]
+
+        def shortened(self, state):
+            observation = get_observation(self, state)
+            return {k: v[:2] for k, v in observation.items()} if short[0] else observation
+
+        monkeypatch.setattr(ObserveSensor, "get_observation", shortened)
+        env = Environment(cartpole_config)
+        if phase == "step":
+            env.reset(seed=0)
+            short[0] = True
+        with pytest.raises(ObservationShapeMismatch) as caught:
+            env.reset(seed=0) if phase == "reset" else env.step({})
+        error = caught.value
+        assert (error.agent, error.glue, error.got, error.expected) == ("cartpole_agent", "ObserveState", (2,), (4,))
+        assert isinstance(error.__cause__, IndexError)
+
+    def test_a_glue_failing_on_well_shaped_observations_raises_its_own_error(self, cartpole_config, monkeypatch):
+        def failing(self, state):
+            raise RuntimeError("sensor offline")
+
+        monkeypatch.setattr(ObserveSensor, "get_observation", failing)
+        with pytest.raises(RuntimeError, match="^sensor offline$"):
+            Environment(cartpole_config).reset(seed=0)
