@@ -6,10 +6,11 @@ structure: each structural section is a ``Param`` table that
 registry lookups that choose which class to build are converters of those
 tables), plus file loading and the reference stores.  Then it builds the
 environment from what parsed, through the same constructors ``run`` uses,
-and reports what they reject: a parameter table, a functor's inputs and
-references, a part or platform a functor names, a scripted rule's config, a
-simulator's config, two platforms or agents of one name.  So a config that
-validates also builds.
+and reports what they reject: a parameter table, a functor's inputs, every
+reader of an episode parameter (a reference, an initialization value), a
+part or platform a functor names, a scripted rule's config, a simulator's
+config, two platforms or agents of one name.  So a config that validates
+also builds.
 
 Validation is total: any loaded tree yields either a typed config or a
 ValidationReport whose errors carry the slash-separated path of the offending
@@ -28,17 +29,15 @@ tree that validates back to it.  ``run_config.json`` holds that tree.
 from __future__ import annotations
 
 import enum
-from collections.abc import Collection, Iterable
+from collections.abc import Collection
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
-from .. import epp as epp_mod
 from ..epp import DISTRIBUTION_KINDS, Distribution, Increment, ParameterSpec
 from ..functors.base import ExtractorSpec, FunctorSpec
 from ..functors.graph import FUNCTOR_REGISTRY
 from ..params import (
-    PARSE_ERRORS,
     ConfigError,
     Param,
     dump_params,
@@ -50,7 +49,6 @@ from ..params import (
     nonempty,
     one_of,
     parse_params,
-    parse_reference,
     positive_int,
     probability,
     sequence,
@@ -61,7 +59,7 @@ from ..params import join_path as _join
 from ..parts import GLOBAL_REGISTRY, PluginRegistry
 from ..policies import POLICY_REGISTRY
 from ..simulators import SIMULATORS
-from ..units import NONE, Quantity, UnitError, get_unit
+from ..units import NONE, get_unit
 from . import loader
 from .schema import (
     HORIZON_DONE,
@@ -460,10 +458,6 @@ def validate_environment(
 
     simulator = _parse(SIMULATOR, settings["simulator"], "simulator", report) if "simulator" in settings else {}
     sim_name = simulator.get("name")
-    # the initialization declares exactly the parameters the simulator reads
-    initialization = None if sim_name is None else tuple(
-        Param(name, identity) for name in SIMULATORS[sim_name].init_params
-    )
 
     platforms: list[PlatformConfig] = []
     for i, platform_tree in enumerate(settings.get("platforms", [])):
@@ -471,17 +465,10 @@ def validate_environment(
         platform = _parse(PLATFORM, platform_tree, ppath, report)
         if platform is None:
             continue
-        ipath = _join(ppath, "initialization")
-        init_tree = platform.get("initialization", {})
-        if initialization is not None:
-            _parse(initialization, init_tree, ipath, report)
-        init = parse_parameter_store(init_tree, ipath, report)
+        init = parse_parameter_store(platform.get("initialization", {}), _join(ppath, "initialization"), report)
         platforms.append(PlatformConfig(platform.get("name"), platform.get("platform_type"), init))
 
     reference_store = parse_parameter_store(settings.get("reference_store", {}), "reference_store", report)
-    # (path, store) of every reference store, checked once every functor that
-    # may reference it is known
-    stores = [("reference_store", reference_store)]
 
     space_check = settings.get("space_check_mode")
     if isinstance(space_check, dict):
@@ -506,7 +493,6 @@ def validate_environment(
         )
         report.errors.extend(agent_report.errors)
         if agent is not None:
-            stores.append((_join(apath, "reference_store"), agent.reference_store))
             agents.append(agent)
 
     # a key that failed has no setting: such a config is neither built nor returned
@@ -521,12 +507,6 @@ def validate_environment(
         reference_store=reference_store,
         space_check_mode=space_check,
     )
-    referencing = referencing_params(config)
-    for path, store in stores:
-        for key, spec in store.items():
-            message = _store_range_error(spec, referencing.get(key, ()))
-            if message is not None:
-                report.add(_join(path, key, "distribution"), ErrorCode.TYPE_MISMATCH, message)
     if environment_parsed:
         # a shared done may read any agent's parts, so it is built only beside every agent
         every_agent = len(agents) == len(agent_trees)
@@ -557,64 +537,6 @@ def _build_errors(config: EnvironmentConfig, registry: PluginRegistry) -> list[V
         errors = [ValidationError(path, ErrorCode(code), message) for path, code, message in exc.errors]
         return sorted(errors, key=_document_position)
     return []
-
-
-def referencing_params(config: EnvironmentConfig) -> dict[str, list[Param]]:
-    """Each reference-store key that ``config``'s functor specs reference
-    (``wrapped`` specs included), mapped to the params that reference it."""
-    found: dict[str, list[Param]] = {}
-
-    def walk(wrapped) -> None:
-        if isinstance(wrapped, FunctorSpec):
-            cls = FUNCTOR_REGISTRY.get(wrapped.functor)
-            declared = {p.name: p for p in cls.params} if cls else {}
-            for name, key in wrapped.references.items():
-                p = declared.get(name)
-                if p is not None and p not in found.setdefault(key, []):
-                    found[key].append(p)
-            walk(wrapped.wrapped)
-        elif isinstance(wrapped, (list, tuple)):
-            for child in wrapped:
-                walk(child)
-        elif isinstance(wrapped, dict):
-            walk(list(wrapped.values()))
-
-    walk(config.shared_dones)
-    for agent in config.agents:
-        walk([*agent.glues, *agent.dones, *agent.rewards])
-    return found
-
-
-def reference_range_error(params: Iterable[Param], value: Quantity) -> str | None:
-    """Why ``value``, a sample of a reference-store key, fails the first of
-    ``params`` (the params that reference the key) whose ``parse`` rejects it
-    once ``Functor.bind`` has converted it; None if every one takes it.  A
-    value of another dimension is skipped: the reference reports it."""
-    for p in params:
-        try:
-            parse_reference(p, value)
-        except UnitError:
-            continue
-        except PARSE_ERRORS as exc:
-            return f"'{p.name}': {exc}"
-    return None
-
-
-def _store_range_error(spec: ParameterSpec, params: Iterable[Param]) -> str | None:
-    """Why a value that ``spec`` can only draw (a constant, or any value of a
-    discrete choice) fails a param that references it, or None."""
-    dist = spec.distribution
-    if isinstance(dist, epp_mod.Constant):
-        values = [dist.value]
-    elif isinstance(dist, epp_mod.DiscreteChoice):
-        values = dist.values
-    else:
-        return None
-    for value in values:  # finite numbers, as Distribution.validate requires
-        reason = reference_range_error(params, Quantity.scalar(value, spec.unit))
-        if reason is not None:
-            return f"value {value} {spec.unit.name}: {reason}"
-    return None
 
 
 def validate_environment_file(path: str | Path) -> tuple[EnvironmentConfig | None, ValidationReport]:

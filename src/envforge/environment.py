@@ -14,13 +14,13 @@ import numpy as np
 from .agents import Agent, PolicyPool, attach_parts, build_agent
 from .config.schema import HORIZON_DONE, EnvironmentConfig, EpisodeEndMode
 from .config.validate import environment_tree
-from .epp import EppError, EpisodeParameterProvider, ParameterSpec
-from .functors.base import DoneResult, DoneStatusCode, EpisodeState, FunctorNode
-from .functors.graph import build_graph
-from .params import PARSE_ERRORS, BuildErrors, ConfigError, ParamError, join_path, nonnegative_int
+from .epp import EppError, EpisodeParameterProvider, InvalidOverride, ParameterSpec
+from .functors.base import DoneResult, DoneStatusCode, EpisodeState, FunctorNode, FunctorSpec
+from .functors.graph import FUNCTOR_REGISTRY, build_graph
+from .params import PARSE_ERRORS, BuildErrors, ConfigError, Param, ParamError, join_path, nonnegative_int
 from .parts import GLOBAL_REGISTRY, Box, all_finite
 from .simulators import SIMULATORS, PlatformSetup, init_key
-from .units import DimensionMismatch, Quantity, Unit, as_vector
+from .units import DimensionMismatch, Quantity, as_vector
 
 
 class EnvironmentError_(Exception):
@@ -121,26 +121,36 @@ def _own_copy(spec: ParameterSpec, name: str) -> ParameterSpec:
 
 
 def episode_parameters(config: EnvironmentConfig) -> tuple[EpisodeParameterProvider, list[ParamError]]:
-    """A provider of every episode parameter ``config`` declares: the
-    reference store, each platform's initialization (keyed
-    ``<platform>.<name>``), then each agent's reference store and parameters;
-    and an error for each spec whose name an earlier one took (the earlier
-    one is kept): a ``DuplicateName`` outside the agents, and a
-    ``ConflictingField`` for an agent's spec unless it is identical.  An
-    identical repeat, as two agent files that include one store give, is one
-    parameter.  The provider holds its own copy of each distribution, so a
-    curriculum moves the copy and ``config`` keeps the values it was built from."""
+    """A provider of every episode parameter ``config`` declares, with the
+    readers of each (see ``_readers``), and every error in them.
+
+    The parameters are the reference store, each platform's initialization
+    (keyed ``<platform>.<name>``), then each agent's reference store and
+    parameters.  A name an earlier spec took is a ``DuplicateName`` outside
+    the agents, and a ``ConflictingField`` for an agent's spec unless it is
+    identical: an identical repeat, as two agent files that include one
+    store give, is one parameter.  The provider holds its own copy of each
+    distribution, so a curriculum moves the copy and not ``config``.
+
+    A platform's initialization parameter that the simulator does not read
+    is an ``UnknownField``.  A reader of a key no spec declares, or in a
+    unit of another dimension, is an error at the reader; a value of a
+    spec's ``support`` that a reader refuses is a ``TypeMismatch`` at the
+    spec's ``distribution``.
+    """
     epp = EpisodeParameterProvider()
-    conflicts: list[ParamError] = []
+    errors: list[ParamError] = []
     declared = [(spec.name, spec, join_path("reference_store", key)) for key, spec in config.reference_store.items()]
-    declared += [
-        (init_key(platform.name, pname), spec, join_path("platforms", i, "initialization", pname))
-        for i, platform in enumerate(config.platforms)
-        for pname, spec in platform.initialization.items()
-    ]
+    reads = [p.name for p in SIMULATORS[config.simulator_name].init_params]
+    for i, platform in enumerate(config.platforms):
+        for pname, spec in platform.initialization.items():
+            path = join_path("platforms", i, "initialization", pname)
+            declared.append((init_key(platform.name, pname), spec, path))
+            if pname not in reads:
+                errors.append((path, "UnknownField", f"unknown field '{pname}' (declared: {sorted(reads)})"))
     for name, spec, path in declared:
         if name in epp:
-            conflicts.append((path, "DuplicateName", f"another parameter is already named '{name}'"))
+            errors.append((path, "DuplicateName", f"another parameter is already named '{name}'"))
         else:
             epp.add(_own_copy(spec, name), path)
     for agent_cfg in config.agents:
@@ -154,24 +164,56 @@ def episode_parameters(config: EnvironmentConfig) -> tuple[EpisodeParameterProvi
                     epp.add(_own_copy(spec, spec.name), path)
                 elif epp.specs[spec.name] != spec:
                     message = f"'{spec.name}' is already declared with another spec"
-                    conflicts.append((path, "ConflictingField", message))
-    return epp, conflicts
+                    errors.append((path, "ConflictingField", message))
+    specs = epp.specs
+    for key, path, p, undeclared in _readers(config):
+        spec = specs.get(key)
+        if spec is None:
+            errors.append((path, *undeclared))
+        elif p.unit is not None and spec.unit.dimension is not p.unit.dimension:
+            message = f"'{key}' is in {spec.unit.name}: {DimensionMismatch(spec.unit, p.unit)}"
+            errors.append((path, "DimensionMismatch", message))
+        else:
+            epp.readers.setdefault(key, []).append(p)
+    for key in epp.readers:
+        spec = specs[key]
+        try:  # a value the spec can yield must pass its readers as an override does
+            for value in spec.distribution.support(spec.updaters):
+                epp.override(key, Quantity.scalar(value, spec.unit))
+        except InvalidOverride as exc:
+            message = f"value {value} {spec.unit.name}: {exc.reason}"
+            errors.append((join_path(epp.paths[key], "distribution"), "TypeMismatch", message))
+    return epp, errors
 
 
-def _initialization_errors(config: EnvironmentConfig, init_params: dict[str, Unit]) -> list[ParamError]:
-    """A ``MissingField`` for each of the simulator's ``init_params`` that a
-    platform does not declare, and a ``DimensionMismatch`` for each it
-    declares in a unit of another dimension than the simulator reads."""
-    errors: list[ParamError] = []
+def _readers(config: EnvironmentConfig) -> list[tuple[str, str, Param, tuple[str, str]]]:
+    """(key, config path, param, code and message if no spec declares the
+    key) of each param that reads an episode parameter: each initialization
+    value the simulator reads, then each reference of a functor (``wrapped``
+    ones too) to a param it declares referenceable (its constructor reports
+    any other)."""
+    found = []
     for i, platform in enumerate(config.platforms):
-        for name, unit in init_params.items():
-            path = join_path("platforms", i, "initialization", name)
-            spec = platform.initialization.get(name)
-            if spec is None:
-                errors.append((path, "MissingField", f"missing initialization parameter '{name}'"))
-            elif spec.unit.dimension is not unit.dimension:
-                errors.append((path, "DimensionMismatch", str(DimensionMismatch(spec.unit, unit))))
-    return errors
+        for p in SIMULATORS[config.simulator_name].init_params:
+            path = join_path("platforms", i, "initialization", p.name)
+            missing = ("MissingField", f"missing initialization parameter '{p.name}'")
+            found.append((init_key(platform.name, p.name), path, p, missing))
+
+    def walk(item) -> None:
+        if isinstance(item, FunctorSpec):
+            cls = FUNCTOR_REGISTRY.get(item.functor)
+            declared = {p.name: p for p in cls.params if p.referenceable} if cls else {}
+            for name, key in item.references.items():
+                if name in declared:
+                    undeclared = ("UnknownReference", f"reference key '{key}' is not declared")
+                    found.append((key, join_path(item.path, "references", name), declared[name], undeclared))
+            walk(item.wrapped)
+        elif isinstance(item, (list, tuple, dict)):
+            for child in item.values() if isinstance(item, dict) else item:
+                walk(child)
+
+    walk([config.shared_dones, *([*a.glues, *a.dones, *a.rewards] for a in config.agents)])
+    return found
 
 
 def _duplicate_names(config: EnvironmentConfig) -> list[ParamError]:
@@ -193,14 +235,13 @@ class Environment:
     """Owns one simulator, its agents, and the per-step evaluation schedule."""
 
     def __init__(self, config: EnvironmentConfig, registry=GLOBAL_REGISTRY):
-        """Build the simulator and its platforms, then every agent's parts,
-        then the functor graphs and policies, and check each platform's
-        initialization and each functor's references against the episode
-        parameters; nothing is drawn or reset.  Two platforms, or two agents,
-        of one name raise before anything is built.  What fails is reported at
-        its config path and what depends on it is skipped (a functor may read
-        any part); then the first ``ConfigError`` is raised, listing every
-        error."""
+        """Build the simulator and its platforms and check every reader of
+        an episode parameter (see ``episode_parameters``), then build every
+        agent's parts, then the functor graphs and policies; nothing is
+        drawn or reset.  Two platforms, or two agents, of one name raise
+        before anything is built.  What fails is reported at its config path
+        and what depends on it is skipped (a functor may read any part);
+        then the first ``ConfigError`` is raised, listing every error."""
         self.config = config
         self.registry = registry
         duplicates = _duplicate_names(config)
@@ -213,10 +254,9 @@ class Environment:
         self.simulator = errors.attempt(sim_cls, config.simulator_config, setups, path="simulator")
         errors.check()  # nothing builds without the simulator and its platforms
 
-        self.epp, conflicts = episode_parameters(config)
-        conflicts += _initialization_errors(config, sim_cls.init_params)
-        if conflicts:
-            errors.add(EppError.listing("episode parameters", conflicts))
+        self.epp, parameter_errors = episode_parameters(config)
+        if parameter_errors:
+            errors.add(EppError.listing("episode parameters", parameter_errors))
 
         platforms = self.simulator.platforms
         for agent_cfg in config.agents:
@@ -227,9 +267,6 @@ class Environment:
             self.agents: dict[str, Agent] = {agent.name: agent for agent in agents if agent is not None}
             shared_specs = [*config.shared_dones, HORIZON_DONE]
             self.shared_graph = errors.attempt(build_graph, dict(platforms), [], shared_specs)
-            graphs = [agent.graph for agent in agents if agent is not None] + [self.shared_graph]
-            for node in (node for graph in graphs if graph is not None for node in graph.nodes.values()):
-                errors.attempt(node.functor.check_references, self.epp.specs, path=node.functor.spec.path)
         errors.check()
         # every glue node with its get_observation, each graph's in
         # topological order: the observe phase

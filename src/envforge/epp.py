@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from types import MappingProxyType
@@ -20,7 +20,10 @@ from typing import Any
 
 import numpy as np
 
-from .params import ConfigError, Param, finite, list_of, nonempty, nonnegative, optional, parse_params, positive
+from .params import (
+    PARSE_ERRORS, ConfigError, Param, finite, list_of, nonempty, nonnegative, optional, parse_params, parse_reference,
+    positive,
+)
 from .units import NONE, Quantity, Unit, UnitError
 
 
@@ -43,10 +46,11 @@ class UnknownReference(EppError):
 
 class InvalidOverride(EppError):
     """An override that names no declared parameter, or whose value is not a
-    ``Quantity`` that converts to its parameter's unit."""
+    ``Quantity`` that converts to its parameter's unit and its readers take."""
 
     def __init__(self, name: str, reason: str):
         self.name = name
+        self.reason = reason
         super().__init__(f"override '{name}': {reason}")
 
 
@@ -75,10 +79,19 @@ class Distribution:
     params: tuple[Param, ...] = ()
     #: names of hyperparameters an updater may target
     mutable: tuple[str, ...] = ()
+    #: names of the hyperparameters that bound what ``sample`` returns
+    bounds: tuple[str, ...] = ()
     draws = True  # whether ``sample`` draws from its generator; one that does not is given None
 
     def sample(self, rng: np.random.Generator | None) -> float:
         raise NotImplementedError
+
+    def support(self, updaters: Iterable["Increment"] = ()) -> list[float]:
+        """The values a reader of a draw must take: the ``bounds``, and the
+        ``limit`` of each of ``updaters`` that moves one (one with no limit
+        may move it anywhere: ``reset`` checks each draw)."""
+        limits = [u.limit for u in updaters if u.target in self.bounds and u.limit is not None]
+        return [*(getattr(self, name) for name in self.bounds), *limits]
 
     def validate(self) -> None:
         """Check invariants; ``ParameterSpec`` calls it at construction.  The
@@ -100,6 +113,7 @@ class Constant(Distribution):
 
     params = (Param("value", finite),)
     mutable = ("value",)
+    bounds = ("value",)
     draws = False
 
     def sample(self, rng: np.random.Generator | None) -> float:
@@ -113,6 +127,7 @@ class Uniform(Distribution):
 
     params = (Param("low", finite), Param("high", finite))
     mutable = ("low", "high")
+    bounds = ("low", "high")
 
     def validate(self) -> None:
         super().validate()
@@ -138,6 +153,7 @@ class TruncatedGaussian(Distribution):
 
     params = (Param("mu", finite), Param("sigma", positive), Param("low", finite), Param("high", finite))
     mutable = ("mu", "sigma", "low", "high")
+    bounds = ("low", "high")
 
     def validate(self) -> None:
         super().validate()
@@ -174,6 +190,9 @@ class DiscreteChoice(Distribution):
         Param("weights", optional(list_of(nonnegative)), None),
     )
     mutable = ()
+
+    def support(self, updaters: Iterable["Increment"] = ()) -> list[float]:
+        return list(self.values)
 
     def validate(self) -> None:
         super().validate()
@@ -244,11 +263,15 @@ def _parameter_rng(seed: int, name: str) -> np.random.Generator:
 
 
 class EpisodeParameterProvider:
-    """Holds parameter specs, samples them per episode, and hosts the Reference Store."""
+    """Holds parameter specs, samples them per episode, and hosts the
+    Reference Store.  ``paths`` holds where the config declares each
+    parameter, and ``readers`` the params that read it each episode (a
+    functor's reference, a simulator's initialization value), by name."""
 
     def __init__(self, specs: list[ParameterSpec] | None = None):
         self._specs: dict[str, ParameterSpec] = {}
-        self._paths: dict[str, str] = {}
+        self.paths: dict[str, str] = {}
+        self.readers: dict[str, list[Param]] = {}
         for spec in specs or []:
             self.add(spec)
         self._current: SampledParameters | None = None
@@ -259,7 +282,7 @@ class EpisodeParameterProvider:
         if spec.name in self._specs:
             raise ValueError(f"duplicate parameter name '{spec.name}'")
         self._specs[spec.name] = spec
-        self._paths[spec.name] = path or spec.name
+        self.paths[spec.name] = path or spec.name
 
     @property
     def specs(self) -> dict[str, ParameterSpec]:
@@ -274,14 +297,12 @@ class EpisodeParameterProvider:
         """Draw every parameter for one episode.
 
         ``overrides`` replaces named distributions with fixed values for this
-        episode only (used by the evaluation pipeline's test cases).  Every
-        override is checked before anything is drawn: one that names no
-        parameter, or whose value is not a ``Quantity`` convertible to its
-        parameter's unit, raises ``InvalidOverride``.  A distribution that
-        raises when drawn from raises ``UnsampleableParameter``.  Either
+        episode only (used by the evaluation pipeline's test cases); each is
+        checked by ``override`` before anything is drawn.  A distribution
+        that raises when drawn from raises ``UnsampleableParameter``.  Either
         leaves ``current_sample`` as it was.
         """
-        fixed = {name: self._override(name, value) for name, value in (overrides or {}).items()}
+        fixed = {name: self.override(name, value) for name, value in (overrides or {}).items()}
         values: dict[str, Quantity] = {}
         for name, spec in self._specs.items():
             if name in fixed:
@@ -291,24 +312,29 @@ class EpisodeParameterProvider:
                 try:
                     value = dist.sample(_parameter_rng(seed, name) if dist.draws else None)
                 except (ArithmeticError, ValueError) as exc:
-                    raise UnsampleableParameter(f"{self._paths[name]}/distribution", exc) from exc
+                    raise UnsampleableParameter(f"{self.paths[name]}/distribution", exc) from exc
                 values[name] = Quantity.scalar(value, spec.unit)
         self._current = MappingProxyType(values)
         return self._current
 
-    def _override(self, name: str, value) -> Quantity:
-        """The override ``value`` of parameter ``name`` in its unit."""
+    def override(self, name: str, value) -> Quantity:
+        """The override ``value`` of parameter ``name`` in its unit, once
+        each reader takes it as it would at ``reset``; or ``InvalidOverride``."""
         spec = self._specs.get(name)
         if spec is None:
-            reason = f"no such parameter; declared: {', '.join(self._specs)}"
-        elif not isinstance(value, Quantity):
-            reason = f"expected a Quantity, got {type(value).__name__}"
-        else:
+            raise InvalidOverride(name, f"no such parameter; declared: {', '.join(self._specs)}")
+        if not isinstance(value, Quantity):
+            raise InvalidOverride(name, f"expected a Quantity, got {type(value).__name__}")
+        try:
+            value = value.to(spec.unit)
+        except (UnitError, OverflowError) as exc:
+            raise InvalidOverride(name, str(exc)) from exc
+        for p in self.readers.get(name, ()):
             try:
-                return value.to(spec.unit)
-            except (UnitError, OverflowError) as exc:
-                reason = str(exc)
-        raise InvalidOverride(name, reason)
+                parse_reference(p, value)
+            except PARSE_ERRORS as exc:
+                raise InvalidOverride(name, f"'{p.name}': {exc}") from exc
+        return value
 
     @property
     def current_sample(self) -> SampledParameters | None:

@@ -20,8 +20,8 @@ from pathlib import Path
 from weakref import WeakKeyDictionary
 
 from ..config.schema import EnvironmentConfig
-from ..config.validate import reference_range_error, referencing_params
 from ..environment import Environment, StepResult, episode_parameters
+from ..epp import InvalidOverride
 from ..epp import ParameterSpec
 from ..functors.base import DoneStatusCode
 from ..params import PARSE_ERRORS, Param, finite, mapping, nonnegative_int, parse_entries, string, value_in
@@ -284,27 +284,27 @@ def evaluate(
     """Roll out every case and write one artifact file per case, then the manifest.
 
     Every case's name, seed and parameters are checked before the first
-    rollout, as ``parse_condition_set``, ``reset`` and ``rollout`` check them,
-    and so is each value given to a reference-store key against the range of
-    every functor param that references the key, as ``reset`` checks it.
+    rollout, as ``parse_condition_set``, ``rollout`` and ``reset`` check
+    them: each value must pass every reader of its parameter (a functor's
+    reference, a simulator's initialization value).
     Each process builds one environment and runs its cases on it.  Returns
     the artifacts in case order.  ``workers`` must be at least 1.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     names: set[str] = set()
-    specs = episode_parameters(config)[0].specs
-    referencing = referencing_params(config)
+    epp = episode_parameters(config)[0]
     for i, case in enumerate(cases):
         _check_case_name(i, case.name, names)
         try:
             nonnegative_int(case.seed)
         except PARSE_ERRORS as exc:
             raise InvalidCase(i, f"seed: {exc}") from exc
-        for name, value in _case_overrides(specs, case).items():
-            reason = reference_range_error(referencing.get(name, ()), value)
-            if reason is not None:
-                raise InvalidCaseParameter(case.name, name, reason)
+        for name, value in _case_overrides(epp.specs, case).items():
+            try:
+                epp.override(name, value)
+            except InvalidOverride as exc:
+                raise InvalidCaseParameter(case.name, name, exc.reason) from exc
 
     out_dir = Path(out_dir)
     try:

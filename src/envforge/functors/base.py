@@ -9,13 +9,12 @@ All three compile into a deduplicated DAG (see :mod:`envforge.functors.graph`).
 from __future__ import annotations
 
 import enum
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Union
 
 import numpy as np
 
-from ..epp import ParameterSpec, SampledParameters
+from ..epp import SampledParameters
 from ..params import (
     PARSE_ERRORS, SOURCE, ConfigError, Param, check_inputs, parse_params, parse_reference, wrapped_path,
 )
@@ -150,34 +149,16 @@ class Functor:
             raise self._error(wrapped_path(key), f"'{node.name}' has {count} observations, expected one")
         return Extractor(node, None)
 
-    def check_references(self, specs: Mapping[str, ParameterSpec]) -> None:
-        """Raise a ``FunctorError`` listing each reference to a key that the
-        episode parameters ``specs`` lack, or whose unit is of another
-        dimension than its param's."""
-        errors = []
-        for name, (key, p) in self._references.items():
-            spec = specs.get(key)
-            if spec is None:
-                errors.append((f"references/{name}", "UnknownReference", f"reference key '{key}' is not declared"))
-            elif p.unit is not None and spec.unit.dimension is not p.unit.dimension:
-                message = (
-                    f"'{name}' expects dimension '{p.unit.dimension.value}' but reference "
-                    f"'{key}' has dimension '{spec.unit.dimension.value}'"
-                )
-                errors.append((f"references/{name}", "DimensionMismatch", message))
-        if errors:
-            raise FunctorError.listing(self.spec.label, errors)
-
     def reset(self) -> None:
         """Clear episode-local state."""
 
     def bind(self, sample: SampledParameters) -> None:
         """Bind this episode's referenced values into ``values``.
 
-        Each sample, whose key and dimension ``check_references`` proved at
-        build, is converted to its param's declared unit and passed through
-        the param's ``parse``, so a value out of range fails here, at
-        ``reset``, naming the functor, the param and the reference key.
+        Each sample is converted to its param's declared unit and passed
+        through the param's ``parse``, as the build checked every value its
+        spec can yield, so a value an updater without a limit moved out of
+        range fails here, naming the functor, the param and the reference key.
         """
         for name, (key, p) in self._references.items():
             try:

@@ -1,7 +1,8 @@
 """Built-in simulators and the name -> class lookup used by config validation."""
 
 from .base import (
-    InvalidSimulatorConfig, PlatformSetup, Simulator, SimulatorError, UnknownPlatform, init_key,
+    InvalidInitialValue, InvalidSimulatorConfig, PlatformSetup, SimulationDiverged, Simulator, SimulatorError,
+    UnknownPlatform, init_key,
 )
 from .cartpole import CartPoleSimulator
 from .docking import Deputy1d, Docking1dSimulator
@@ -21,9 +22,11 @@ __all__ = [
     "CartPoleSimulator",
     "Deputy1d",
     "Docking1dSimulator",
+    "InvalidInitialValue",
     "InvalidSimulatorConfig",
     "PlatformSetup",
     "SIMULATORS",
+    "SimulationDiverged",
     "Simulator",
     "SimulatorError",
     "UnknownPlatform",

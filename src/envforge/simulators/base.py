@@ -7,9 +7,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..epp import SampledParameters
-from ..params import ConfigError, Param, parse_params, positive
+from ..params import PARSE_ERRORS, ConfigError, Param, parse_params, parse_reference, positive
 from ..parts import Platform
-from ..units import Unit
 
 
 class SimulatorError(ConfigError):
@@ -23,6 +22,18 @@ class InvalidSimulatorConfig(SimulatorError, ValueError):
 class UnknownPlatform(SimulatorError):
     def __init__(self, name: str):
         super().__init__(f"no platform named '{name}'")
+
+
+class InvalidInitialValue(SimulatorError):
+    """A sampled initialization value that its ``init_params`` param refuses."""
+
+
+class SimulationDiverged(Exception):
+    """A platform whose step raised an ``ArithmeticError`` or a ``ValueError``."""
+
+    def __init__(self, platform: Platform, exc: Exception):
+        self.platform = platform.name
+        super().__init__(f"platform '{platform.name}' diverged: {type(exc).__name__}: {exc}; state {platform.state!r}")
 
 
 @dataclass
@@ -60,9 +71,9 @@ class Simulator:
 
     simulator_type = "Simulator"
     #: the initialization parameters each platform of this simulator must
-    #: declare, and the only ones it reads, each with the unit
-    #: ``_make_entity`` takes it in
-    init_params: dict[str, Unit] = {}
+    #: declare, and the only ones it reads: each param's ``unit`` is the unit
+    #: ``_make_entity`` takes it in, and its ``parse`` the values it takes
+    init_params: tuple[Param, ...] = ()
     params: tuple[Param, ...] = (Param("frame_rate", frame_rate, default=1.0),)
 
     def __init__(self, config: dict[str, Any], platform_setups: list[PlatformSetup]):
@@ -85,13 +96,21 @@ class Simulator:
 
     def reset(self, sampled: SampledParameters) -> dict[str, Platform]:
         """Restore every platform and build its entity from ``sampled``, each
-        of its ``init_params`` converted to its unit (the environment's build
-        checked that each is declared, in a unit of its dimension)."""
+        of its ``init_params`` read as ``Functor.bind`` reads a reference
+        (the build proved each declared and in range, but for a value an
+        updater without a limit moved): one the param refuses raises
+        ``InvalidInitialValue`` before any platform changes."""
+        values = {name: {} for name in self._all_platforms}
+        for name, platform_values in values.items():
+            for p in self.init_params:
+                try:
+                    platform_values[p.name] = parse_reference(p, sampled[init_key(name, p.name)])
+                except PARSE_ERRORS as exc:
+                    raise InvalidInitialValue(f"platform '{name}': initialization '{p.name}': {exc}") from exc
         self._steps = 0
         self.platforms = dict(self._all_platforms)
         for name, platform in self.platforms.items():
-            values = {param: sampled[init_key(name, param)].to(unit).item for param, unit in self.init_params.items()}
-            platform.state = self._make_entity(values)
+            platform.state = self._make_entity(values[name])
             platform.operable = True
             for part in platform.parts.values():
                 part.reset()
@@ -101,10 +120,15 @@ class Simulator:
         """Apply pending controls and advance dynamics by one frame.
 
         No sensor is read here: each glue that observes a sensor reads it
-        once per step.
+        once per step.  An ``ArithmeticError`` or ``ValueError`` from
+        ``_advance`` raises ``SimulationDiverged``, naming the platform and
+        its state.
         """
-        for platform in self.platforms.values():
-            self._advance(platform)
+        try:
+            for platform in self.platforms.values():
+                self._advance(platform)
+        except (ArithmeticError, ValueError) as exc:
+            raise SimulationDiverged(platform, exc) from exc
         self._steps += 1
         return self.platforms
 

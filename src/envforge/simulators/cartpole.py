@@ -50,7 +50,12 @@ class CartPoleState:
 class CartPoleSimulator(Simulator):
     simulator_type = "CartPoleSimulator"
     platform_type = "CartPolePlatform"
-    init_params = {"x0": METER, "xdot0": METER_PER_SECOND, "theta0": RADIAN, "thetadot0": RADIAN_PER_SECOND}
+    init_params = (
+        Param("x0", finite, unit=METER),
+        Param("xdot0", finite, unit=METER_PER_SECOND),
+        Param("theta0", finite, unit=RADIAN),
+        Param("thetadot0", finite, unit=RADIAN_PER_SECOND),
+    )
     params = (
         Param("frame_rate", frame_rate, default=50.0),
         Param("constants", table(CONSTANTS), default={p.name: p.default for p in CONSTANTS}),

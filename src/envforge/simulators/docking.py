@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..params import Param, positive
+from ..params import Param, finite, positive
 from ..parts import (
     GLOBAL_REGISTRY,
     Box,
@@ -48,7 +48,7 @@ class Deputy1d:
 class Docking1dSimulator(Simulator):
     simulator_type = "Docking1dSimulator"
     platform_type = "Docking1dPlatform"
-    init_params = {"x0": METER, "v0": METER_PER_SECOND}
+    init_params = (Param("x0", finite, unit=METER), Param("v0", finite, unit=METER_PER_SECOND))
     params = (*Simulator.params, Param("mass", positive, default=1.0))
 
     def _make_entity(self, values: dict[str, float]) -> Deputy1d:

@@ -424,6 +424,25 @@ class TestResetOverrideErrors:
         assert not env.step({}).env_done
 
 
+    def test_initialization_override_a_reader_refuses_raises_and_changes_nothing(self):
+        # x0 is declared in kilometer, so the override converts to its unit;
+        # the simulator reads it in meters, where -1e306 km is no float
+        tree = load_config(CONFIG_DIR / "docking" / "environment_short.yml")
+        tree["platforms"][0]["initialization"]["x0"] = {"distribution": {"kind": "constant", "value": -0.01}, "unit": "kilometer"}
+        config, report = validate_environment(tree, base_dir=CONFIG_DIR / "docking")
+        assert report.ok, str(report)
+        env = Environment(config)
+        env.reset(seed=0)
+        env.step({})
+        sample, state, x = env.epp.current_sample, env.state, env.simulator.platforms["deputy"].state.x
+        with pytest.raises(InvalidOverride) as caught:
+            env.reset(seed=1, overrides={"deputy.x0": Quantity.scalar(-1.0e306, get_unit("kilometer"))})
+        assert caught.value.name == "deputy.x0"
+        assert str(caught.value) == "override 'deputy.x0': 'x0': a value in kilometer overflows a float in meter"
+        assert env.epp.current_sample is sample and env.state is state
+        assert env.simulator.platforms["deputy"].state.x == x and env.state.step_count == 1
+
+
 class TestResetSeedErrors:
     """A seed that is not an integer of zero or more raises before anything
     changes, on a config that draws from no generator as on one that does."""

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from envforge.config.loader import load_config
 from envforge.config.validate import validate_environment_file
 from envforge.evaluation import (
     MANIFEST,
@@ -592,6 +593,21 @@ class TestInputChecks:
         self.no_rollouts(monkeypatch)
         with pytest.raises(error, match=re.escape(message)):
             evaluate(short_config(), docking_cases() + [bad], tmp_path / "out", workers=workers)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_case_override_of_an_initialization_key_is_checked_before_the_first_rollout(
+        self, tmp_path, monkeypatch, workers
+    ):
+        # x0 is declared in kilometer; -1e306 km is no float in meters, the unit the simulator reads
+        tree = load_config(CONFIG_DIR / "docking" / "environment_short.yml")
+        tree["platforms"][0]["initialization"]["x0"] = {"distribution": {"kind": "constant", "value": -0.01}, "unit": "kilometer"}
+        config, report = validate_environment(tree, base_dir=CONFIG_DIR / "docking")
+        assert report.ok, str(report)
+        self.no_rollouts(monkeypatch)
+        message = "test case 'big': parameter 'deputy.x0': 'x0': a value in kilometer overflows a float in meter"
+        with pytest.raises(InvalidCaseParameter, match=re.escape(message)):
+            evaluate(config, docking_cases() + [TestCase("big", {"deputy.x0": -1.0e306}, seed=3)], tmp_path / "out", workers=workers)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,14 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from envforge.config import AgentConfig, EnvironmentConfig, PartConfig, PlatformConfig, PolicyConfig, loader
-from envforge.config.validate import (
-    ValidationReport,
-    parse_parameter_spec,
-    referencing_params,
-    validate_environment,
-)
-from envforge.environment import Environment
-from envforge.epp import Constant, ParameterSpec
+from envforge.config.validate import validate_environment
+from envforge.environment import Environment, episode_parameters
+from envforge.epp import Constant, EppError, Increment, ParameterSpec, Uniform
 from envforge.evaluation.evaluate import run_episode
 from envforge.functors import (
     BUILTIN_FUNCTORS,
@@ -39,7 +35,7 @@ from envforge.simulators.docking import (
     _thrust_controller,
     _velocity_sensor,
 )
-from envforge.units import METER, METER_PER_SECOND
+from envforge.units import METER, METER_PER_SECOND, get_unit
 
 from conftest import CONFIG_DIR, load_env_config
 
@@ -613,7 +609,9 @@ class TestDeclaredUnits:
     def test_undeclared_reference_fails_construction(self):
         config = copy.deepcopy(DOCKING_CONFIG)
         config.agents[0].dones[0].references["dock_radius"] = "radius"
-        with pytest.raises(FunctorError, match="references/dock_radius: reference key 'radius' is not declared"):
+        # every reader of an episode parameter is checked in one place, the episode parameters'
+        message = "episode parameters: agents/0/dones/0/references/dock_radius: reference key 'radius' is not declared"
+        with pytest.raises(EppError, match=re.escape(message)):
             Environment(config)
 
 
@@ -621,25 +619,30 @@ class TestReferencedValues:
     """A referenced value is sampled each episode and checked by its param's ``parse`` when bound."""
 
     @staticmethod
-    def short_config_with(key, distribution, unit):
-        # validate rejects a constant that a referencing param's parse rejects
-        # (TestReferencedRangesInValidate), so the spec goes in after
-        # validation, as a config built in Python or a curriculum updater can
-        # put it; reset checks what validate cannot see
+    def short_config_with(key, spec):
+        # the build refuses a spec that can yield a value a referencing
+        # param's parse refuses (TestReferencedRangesInValidate), but an
+        # updater without a limit can still move a constant out of range:
+        # reset checks what the build cannot see
         config = load_env_config(CONFIG_DIR / "docking" / "environment_short.yml")
-        report = ValidationReport()
-        tree = {"distribution": distribution, "unit": unit}
-        config.reference_store[key] = parse_parameter_spec(key, tree, f"reference_store/{key}", report)
-        assert report.ok, str(report)
+        config.reference_store[key] = spec
         return config
+
+    @staticmethod
+    def moved_out_of_range(key, unit):
+        """An environment whose ``key`` is a constant 0.1 in ``unit`` that an
+        updater without a limit has moved to -0.1."""
+        spec = ParameterSpec(key, Constant(0.1), get_unit(unit), [Increment("value", -0.2)])
+        env = Environment(TestReferencedValues.short_config_with(key, spec))
+        env.apply_training_result()
+        return env
 
     @pytest.mark.parametrize(
         "key, unit, param",
         [("dock_radius", "meter", "dock_radius"), ("v_max", "meter_per_second", "velocity_limit")],
     )
     def test_sample_out_of_range_fails_reset_naming_functor_param_and_key(self, key, unit, param):
-        config = self.short_config_with(key, {"kind": "constant", "value": -0.1}, unit)
-        env = Environment(config)
+        env = self.moved_out_of_range(key, unit)
         with pytest.raises(FunctorError) as info:
             env.reset(seed=7)
         message = str(info.value)
@@ -649,19 +652,18 @@ class TestReferencedValues:
         assert artifact.rows == [] and artifact.error.startswith("FunctorError: DockingSuccess")
 
     def test_sample_is_converted_before_it_is_checked(self):
-        # -10 cm is out of range in metres as well; 10 cm binds as 0.1 m
-        config = self.short_config_with("dock_radius", {"kind": "constant", "value": -10.0}, "centimeter")
-        with pytest.raises(FunctorError, match="must be >= 0, got -0.1"):
-            Environment(config).reset(seed=0)
-        config = self.short_config_with("dock_radius", {"kind": "constant", "value": 10.0}, "centimeter")
-        env = Environment(config)
+        # -0.1 cm is out of range in metres as well; 10 cm binds as 0.1 m
+        with pytest.raises(FunctorError, match="must be >= 0, got -0.001"):
+            self.moved_out_of_range("dock_radius", "centimeter").reset(seed=0)
+        spec = ParameterSpec("dock_radius", Constant(10.0), get_unit("centimeter"))
+        env = Environment(self.short_config_with("dock_radius", spec))
         env.reset(seed=0)
         success = env.agents["deputy_agent"].graph.dones[0].functor
         assert success.name == "DockingSuccess" and success.values["dock_radius"] == pytest.approx(0.1)
 
     def test_uniform_reference_is_rebound_on_every_reset(self):
-        config = self.short_config_with("dock_radius", {"kind": "uniform", "low": 0.05, "high": 0.5}, "meter")
-        env = Environment(config)
+        spec = ParameterSpec("dock_radius", Uniform(0.05, 0.5), METER)
+        env = Environment(self.short_config_with("dock_radius", spec))
         graph = env.agents["deputy_agent"].graph
         radii = set()
         for seed in range(8):
@@ -778,6 +780,9 @@ class TestReferencedRangesInValidate:
              "value -10.0 centimeter: 'dock_radius': must be >= 0, got -0.1"),
             ("dock_radius", {"kind": "discrete_choice", "values": [0.1, -0.2]}, "meter",
              "value -0.2 meter: 'dock_radius': must be >= 0, got -0.2"),
+            # a uniform's bounds are values it can yield
+            ("dock_radius", {"kind": "uniform", "low": -1.0, "high": 1.0}, "meter",
+             "value -1.0 meter: 'dock_radius': must be >= 0, got -1.0"),
         ],
     )
     def test_value_out_of_range_is_a_type_mismatch(self, key, distribution, unit, reason):
@@ -791,12 +796,26 @@ class TestReferencedRangesInValidate:
         [
             ({"kind": "constant", "value": 10.0}, "centimeter"),
             ({"kind": "discrete_choice", "values": [0.0, 0.3]}, "meter"),
-            # a draw validate cannot see is checked by reset
-            ({"kind": "uniform", "low": -1.0, "high": 1.0}, "meter"),
+            ({"kind": "uniform", "low": 0.0, "high": 1.0}, "meter"),
         ],
     )
     def test_value_in_range_or_not_fixed_passes(self, distribution, unit):
         assert errors_of(self.short_tree_with("dock_radius", distribution, unit)) == []
+
+    @pytest.mark.parametrize(
+        "target, limit, errors",
+        [
+            ("value", -0.1, [("reference_store/dock_radius/distribution", "TypeMismatch")]),
+            ("value", 0.0, []),
+            # an updater with no limit may move the value anywhere: reset checks each draw
+            ("value", None, []),
+        ],
+    )
+    def test_an_updater_limit_is_a_value_the_spec_can_yield(self, target, limit, errors):
+        tree = self.short_tree_with("dock_radius", {"kind": "constant", "value": 0.1}, "meter")
+        updater = {"target": target, "step": -0.05} if limit is None else {"target": target, "step": -0.05, "limit": limit}
+        tree["reference_store"]["dock_radius"]["updaters"] = [updater]
+        assert errors_of(tree) == errors
 
     def test_agent_store_is_checked_at_its_path(self):
         tree = env_tree("docking")
@@ -821,9 +840,13 @@ class TestReferencedRangesInValidate:
         })
         config, report = validate_environment(tree, base_dir=CONFIG_DIR / "docking")
         assert report.ok, str(report)
-        referencing = referencing_params(config)
-        assert {key: [p.name for p in params] for key, params in referencing.items()} == {
-            "dock_radius": ["dock_radius"],
-            "v_max": ["velocity_limit"],
+        # each reader of each key, once per place that reads it: the
+        # simulator's initialization values, then each functor reference
+        readers = episode_parameters(config)[0].readers
+        assert {key: [p.name for p in params] for key, params in readers.items()} == {
+            "deputy.x0": ["x0"],
+            "deputy.v0": ["v0"],
+            "dock_radius": ["dock_radius", "dock_radius"],
+            "v_max": ["velocity_limit", "velocity_limit"],
             "t": ["target_value"],
         }

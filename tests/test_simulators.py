@@ -9,17 +9,23 @@ from envforge.environment import Environment
 from envforge.params import ConfigError
 from envforge.simulators import SIMULATORS
 from envforge.simulators.base import (
+    InvalidInitialValue,
     InvalidSimulatorConfig,
     PlatformSetup,
+    SimulationDiverged,
     UnknownPlatform,
     init_key,
 )
 from envforge.simulators.cartpole import DEFAULTS, CartPoleSimulator, _force_controller
 from envforge.simulators.cartpole import _state_sensor as cartpole_state_sensor
 from envforge.simulators.docking import Docking1dSimulator, _thrust_controller
-from envforge.units import METER, METER_PER_SECOND, RADIAN, RADIAN_PER_SECOND, Quantity
+from envforge.units import METER, METER_PER_SECOND, RADIAN, RADIAN_PER_SECOND, Quantity, get_unit
 
-from conftest import CONFIG_DIR
+from envforge import cli
+from envforge.config.validate import validate_environment_file
+from envforge.evaluation.evaluate import run_episode
+
+from conftest import CONFIG_DIR, DATA_DIR
 
 
 def docking_sampled(x0=0.0, v0=0.0, name="deputy"):
@@ -112,6 +118,61 @@ class TestDockingDynamics:
         assert [(path, code) for path, code, _ in caught.value.errors] == [
             ("platforms/0/initialization/v0", "MissingField")
         ]
+
+
+class TestInitialValues:
+    """``reset`` reads each initialization value with its ``init_params``
+    param, as a functor reads a reference, and names the platform and the
+    parameter when the param refuses it."""
+
+    def test_init_params_are_declared_params(self):
+        assert [(p.name, p.unit) for p in Docking1dSimulator.init_params] == [("x0", METER), ("v0", METER_PER_SECOND)]
+
+    @pytest.mark.parametrize(
+        "x0, reason",
+        [
+            (Quantity.scalar(1e306, get_unit("kilometer")), "a value in kilometer overflows a float in meter"),
+            (Quantity.scalar(math.inf, METER), "expected a finite number, got inf"),
+        ],
+    )
+    def test_refused_value_names_platform_and_parameter(self, x0, reason):
+        sim, platform = make_docking(x0=-1.0)
+        sampled = {**docking_sampled(), init_key("deputy", "x0"): x0}
+        with pytest.raises(InvalidInitialValue, match=f"platform 'deputy': initialization 'x0': {reason}"):
+            sim.reset(sampled)
+        assert platform.state.x == -1.0
+
+
+class TestDivergence:
+    """Arithmetic that fails inside a simulator's step raises one typed
+    error naming the platform and its entity state, never a bare one."""
+
+    def test_overflow_names_platform_and_state(self):
+        sim, platform = make_cartpole(thetadot=-1e308)  # float ** raises on overflow
+        with pytest.raises(SimulationDiverged) as caught:
+            sim.step()
+        message = str(caught.value)
+        assert message.startswith("platform 'cart' diverged: OverflowError: ")
+        assert "thetadot=-1e+308" in message
+        assert caught.value.platform == "cart" and isinstance(caught.value.__cause__, OverflowError)
+
+    def test_domain_error_names_platform_and_state(self):
+        sim, platform = make_cartpole()
+        platform.state.theta = math.inf  # reset refuses it; a step that overflowed would leave it
+        with pytest.raises(SimulationDiverged, match="platform 'cart' diverged: ValueError: math domain error"):
+            sim.step()
+
+    def test_diverging_config_validates_and_fails_the_run_naming_the_platform(self, tmp_path, capsys):
+        path = DATA_DIR / "diverging" / "cartpole.yml"
+        config, report = validate_environment_file(path)
+        assert str(report) == "0 errors"
+        artifact = run_episode(Environment(config), seed=0)
+        assert artifact.error.startswith("SimulationDiverged: platform 'cart' diverged: OverflowError: ")
+        capsys.readouterr()
+        assert cli.main(["run", "--env", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: EpisodeFailed: episode 0 (seed 0): SimulationDiverged: platform 'cart'")
 
 
 class TestTimeBookkeeping:
