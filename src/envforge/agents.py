@@ -9,14 +9,16 @@ from types import MappingProxyType
 from .config.schema import AgentConfig, PartConfig
 from .functors.base import PartBindingError
 from .functors.graph import CompiledGraph, build_graph, canonical
-from .params import BuildErrors, join_path, parse_params
+from .params import BuildErrors, ConfigError, join_path, parse_params
 from .parts import GLOBAL_REGISTRY, Box, PartError, Platform, PluginRegistry
 from .policies import POLICY_REGISTRY, Policy, PolicyError
 
 
 class Agent:
     """A named agent: its platforms, compiled functor graph and policy
-    handle, and the calls a step makes for it, bound here once."""
+    handle, and the calls a step makes for it, bound here once.  A glue
+    observation whose name an earlier one took is a ``DuplicateName`` at
+    the later glue's path: ``step`` keys observations by name."""
 
     def __init__(
         self,
@@ -45,6 +47,15 @@ class Agent:
             for node in graph.glues
             for key, box in node.observation_space.items()
         ]
+        taken: set[str] = set()
+        errors = []
+        for obs_name, node, _, _ in self.observation_layout:
+            if obs_name in taken:
+                message = f"another observation is already named '{obs_name}'"
+                errors.append((node.functor.spec.path, "DuplicateName", message))
+            taken.add(obs_name)
+        if errors:
+            raise ConfigError.listing(f"agent '{name}'", errors)
         self._observation_space = MappingProxyType({name: box for name, _, _, box in self.observation_layout})
         self._action_space = MappingProxyType({name: node.action_space for name, node in action_glues.items()})
 

@@ -9,8 +9,8 @@ environment from what parsed, through the same constructors ``run`` uses,
 and reports what they reject: a parameter table, a functor's inputs, every
 reader of an episode parameter (a reference, an initialization value), a
 part or platform a functor names, a scripted rule's config, a simulator's
-config, two platforms or agents of one name.  So a config that validates
-also builds.
+config, two platforms, agents, functors or observations of one name.  So a
+config that validates also builds.
 
 Validation is total: any loaded tree yields either a typed config or a
 ValidationReport whose errors carry the slash-separated path of the offending
@@ -62,7 +62,6 @@ from ..simulators import SIMULATORS
 from ..units import NONE, get_unit
 from . import loader
 from .schema import (
-    HORIZON_DONE,
     AgentConfig,
     EnvironmentConfig,
     EpisodeEndMode,
@@ -245,9 +244,11 @@ FUNCTOR = (
 )
 POLICY = (Param("name", one_of(POLICY_REGISTRY)), Param("config", mapping, {}))
 EPISODE_PARAMETER_PROVIDER = (Param("parameters", mapping, {}, dump=_store_tree),)
+#: an agent's platforms; its parts attach to the first unless they name one
+AGENT_PLATFORMS = Param("platforms", nonempty(list_of(string)))
 AGENT = (
     Param("agent", string),
-    Param("platforms", nonempty(list_of(string))),
+    AGENT_PLATFORMS,
     Param(
         "parts",
         sequence,
@@ -282,17 +283,19 @@ def environment_tree(config: EnvironmentConfig) -> dict:
     return dump_params(ENVIRONMENT, {**vars(config), "simulator": simulator})
 
 
-def _parse(table: tuple[Param, ...], tree, path: str, report: ValidationReport) -> dict | None:
+def _parse(table: tuple[Param, ...], tree, path: str, report: ValidationReport, shorthand=False) -> dict | None:
     """The settings of the section ``tree`` at ``path`` under ``table``, its
     errors added to ``report``.  A failed key has no setting.  None, and a
-    ``TypeMismatch`` at ``path``, if ``tree`` is not a mapping."""
+    ``TypeMismatch`` at ``path``, if ``tree`` is not a mapping.  A
+    ``shorthand`` tree stands for the scalar written at ``path``, where each
+    of its errors is reported."""
     try:
         tree = mapping(tree)
     except TypeError as exc:
         report.add(path, ErrorCode.TYPE_MISMATCH, str(exc))
         return None
     settings, errors = parse_params(table, tree, path)
-    report.errors += [ValidationError(p, ErrorCode(code), message) for p, code, message in errors]
+    report.errors += [ValidationError(path if shorthand else p, ErrorCode(code), m) for p, code, m in errors]
     return settings
 
 
@@ -302,9 +305,10 @@ def parse_parameter_spec(name: str, tree, path: str, report: ValidationReport) -
     Every hyperparameter must be a finite number, and so must an updater's
     ``step`` and ``limit``.
     """
-    if isinstance(tree, (int, float)) and not isinstance(tree, bool):
+    shorthand = isinstance(tree, (int, float)) and not isinstance(tree, bool)
+    if shorthand:
         tree = {"distribution": {"kind": "constant", "value": tree}}
-    settings = _parse(PARAMETER, tree, path, report)
+    settings = _parse(PARAMETER, tree, path, report, shorthand)
     if settings is None or "distribution" not in settings or "unit" not in settings:
         return None
     spec = ParameterSpec(name, settings["distribution"], settings["unit"])
@@ -362,29 +366,10 @@ def _parse_child(tree, path: str, report: ValidationReport):
     return parse_functor_spec(tree, path, report)
 
 
-def _parse_functor_list(
-    entries: list, path: str, report: ValidationReport, names: dict[str, FunctorSpec]
-) -> list[FunctorSpec]:
-    """The specs of one functor list.
-
-    ``names`` maps each display name to the first spec that has it, across
-    every list that shares the namespace: ``step()`` keys dones and reward
-    components by name, so a different spec with a taken name would hide the
-    first.  An identical spec is one graph node, so it may repeat.
-    """
-    specs: list[FunctorSpec] = []
-    for i, sub in enumerate(entries):
-        spec = parse_functor_spec(sub, _join(path, i), report)
-        if spec is None:
-            continue
-        if names.setdefault(spec.display_name, spec) != spec:
-            report.add(
-                _join(path, i),
-                ErrorCode.DUPLICATE_NAME,
-                f"another functor is already named '{spec.display_name}'",
-            )
-        specs.append(spec)
-    return specs
+def _parse_functor_list(entries: list, path: str, report: ValidationReport) -> list[FunctorSpec]:
+    """The specs of one functor list; the build checks their names (see ``GraphBuilder``)."""
+    specs = [parse_functor_spec(sub, _join(path, i), report) for i, sub in enumerate(entries)]
+    return [spec for spec in specs if spec is not None]
 
 
 def validate_agent(
@@ -403,7 +388,8 @@ def validate_agent(
     part_table = _part_table(registry.groups)
     for i, part_tree in enumerate(settings.get("parts", [])):
         ppath = _join(p, "parts", i)
-        part = _parse(part_table, {"part": part_tree} if isinstance(part_tree, str) else part_tree, ppath, report)
+        shorthand = isinstance(part_tree, str)
+        part = _parse(part_table, {"part": part_tree} if shorthand else part_tree, ppath, report, shorthand)
         if part is not None and "part" in part:
             parts.append(PartConfig(part["part"], part.get("config", {}), ppath))
 
@@ -414,10 +400,9 @@ def validate_agent(
     epp = _parse(EPISODE_PARAMETER_PROVIDER, settings.get("episode_parameter_provider", {}), epp_path, report)
     parameters = parse_parameter_store(epp.get("parameters", {}), _join(epp_path, "parameters"), report)
 
-    names: dict[str, FunctorSpec] = {}
-    glues = _parse_functor_list(settings.get("glues", []), _join(p, "glues"), report, names)
-    dones = _parse_functor_list(settings.get("dones", []), _join(p, "dones"), report, names)
-    rewards = _parse_functor_list(settings.get("rewards", []), _join(p, "rewards"), report, names)
+    glues = _parse_functor_list(settings.get("glues", []), _join(p, "glues"), report)
+    dones = _parse_functor_list(settings.get("dones", []), _join(p, "dones"), report)
+    rewards = _parse_functor_list(settings.get("rewards", []), _join(p, "rewards"), report)
 
     policy = PolicyConfig("random")
     if settings.get("policy") is not None:
@@ -475,9 +460,7 @@ def validate_environment(
         spot_check = _parse(SPOT_CHECK, space_check, "space_check_mode", report)
         space_check = SpaceCheckMode.spot_check(spot_check.get("spot_check", 0.0))
 
-    # the built-in horizon done shares the shared dones' namespace
-    horizon_name = {HORIZON_DONE.display_name: HORIZON_DONE}
-    shared_dones = _parse_functor_list(settings.get("shared_dones", []), "shared_dones", report, horizon_name)
+    shared_dones = _parse_functor_list(settings.get("shared_dones", []), "shared_dones", report)
 
     agent_trees = settings.get("agents", [])
     environment_parsed = report.ok

@@ -13,11 +13,13 @@ import numpy as np
 
 from .agents import Agent, PolicyPool, attach_parts, build_agent
 from .config.schema import HORIZON_DONE, EnvironmentConfig, EpisodeEndMode
-from .config.validate import environment_tree
+from .config.validate import AGENT_PLATFORMS, SIMULATOR, environment_tree
 from .epp import EppError, EpisodeParameterProvider, InvalidOverride, ParameterSpec
 from .functors.base import DoneResult, DoneStatusCode, EpisodeState, FunctorNode, FunctorSpec
 from .functors.graph import FUNCTOR_REGISTRY, build_graph
-from .params import PARSE_ERRORS, BuildErrors, ConfigError, Param, ParamError, join_path, nonnegative_int
+from .params import (
+    PARSE_ERRORS, BuildErrors, ConfigError, Param, ParamError, join_path, nonnegative_int, parse_params,
+)
 from .parts import GLOBAL_REGISTRY, Box, all_finite
 from .simulators import SIMULATORS, PlatformSetup, init_key
 from .units import DimensionMismatch, Quantity, as_vector
@@ -216,14 +218,20 @@ def _readers(config: EnvironmentConfig) -> list[tuple[str, str, Param, tuple[str
     return found
 
 
-def _duplicate_names(config: EnvironmentConfig) -> list[ParamError]:
-    """A ``DuplicateName`` for each platform, and each agent, whose name an
-    earlier one took: the simulator keys platforms by name, and the
-    environment keys agents by name."""
+def _entry_errors(config: EnvironmentConfig) -> list[ParamError]:
+    """What ``validate`` reports of a config's simulator, platforms and
+    agents: an unknown simulator, an agent with no platform (its parts
+    attach to its first), and a ``DuplicateName`` for each platform, and each
+    agent, whose name an earlier one took: the simulator keys platforms by
+    name, and the environment keys agents by name."""
+    simulator = {"name": config.simulator_name, "config": config.simulator_config}
+    errors = parse_params(SIMULATOR, simulator, "simulator")[1]
+    agent_paths = [a.path or f"agents/{i}" for i, a in enumerate(config.agents)]
+    for path, agent in zip(agent_paths, config.agents):
+        errors += parse_params((AGENT_PLATFORMS,), {"platforms": agent.platform_names}, path)[1]
     entries = [(join_path("platforms", i, "name"), "platform", p.name) for i, p in enumerate(config.platforms)]
-    entries += [(join_path(a.path or f"agents/{i}", "agent"), "agent", a.name) for i, a in enumerate(config.agents)]
+    entries += [(join_path(path, "agent"), "agent", a.name) for path, a in zip(agent_paths, config.agents)]
     seen: set[tuple[str, str]] = set()
-    errors: list[ParamError] = []
     for path, kind, name in entries:
         if (kind, name) in seen:
             errors.append((path, "DuplicateName", f"another {kind} is already named '{name}'"))
@@ -238,15 +246,15 @@ class Environment:
         """Build the simulator and its platforms and check every reader of
         an episode parameter (see ``episode_parameters``), then build every
         agent's parts, then the functor graphs and policies; nothing is
-        drawn or reset.  Two platforms, or two agents, of one name raise
-        before anything is built.  What fails is reported at its config path
-        and what depends on it is skipped (a functor may read any part);
-        then the first ``ConfigError`` is raised, listing every error."""
+        drawn or reset.  What ``_entry_errors`` finds raises before anything
+        is built.  What fails is reported at its config path and what
+        depends on it is skipped (a functor may read any part); then the
+        first ``ConfigError`` is raised, listing every error."""
         self.config = config
         self.registry = registry
-        duplicates = _duplicate_names(config)
-        if duplicates:
-            raise ConfigError.listing("environment", duplicates)
+        entry_errors = _entry_errors(config)
+        if entry_errors:
+            raise ConfigError.listing("environment", entry_errors)
         errors = BuildErrors()
 
         setups = [PlatformSetup(p.name, p.platform_type) for p in config.platforms]
@@ -273,7 +281,7 @@ class Environment:
         self._observe = [
             (node, node.functor.get_observation)
             for graph in [*(a.graph for a in self.agents.values()), self.shared_graph]
-            for node in map(graph.nodes.__getitem__, graph.topo_order)
+            for node in graph.nodes.values()
             if node.kind == "glue"
         ]
         self._shared_dones = [(node.name, node.functor.evaluate) for node in self.shared_graph.dones]
@@ -482,7 +490,7 @@ class Environment:
         None: a glue that reads a mis-shaped observation may fail on it
         before the space check would name it."""
         for agent in self.agents.values():
-            for node in map(agent.graph.nodes.__getitem__, agent.graph.topo_order):
+            for node in agent.graph.nodes.values():
                 if node is failed:
                     return None
                 for key, box in node.observation_space.items():

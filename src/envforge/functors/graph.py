@@ -1,8 +1,10 @@
-"""Compile functor specs into a deduplicated DAG with a topological schedule.
+"""Compile functor specs into a deduplicated DAG.
 
-Node identity is a structural hash over (functor name, resolved config with
-references kept as store keys, children hashes), so two episodes share the
-graph while the sampled values change.  Identical specs collapse to one node.
+A node is a named functor: its identity is a hash over its display name and
+its structure (functor name, config with references kept as store keys,
+children's identities), so two episodes share the graph while the sampled
+values change.  Repeats of one spec, and identical subtrees of one display
+name, collapse to one node.  ``GraphBuilder`` owns each namespace of names.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ def canonical(value):
 
 
 def canonical_hash(
+    name: str,
     functor: str,
     config: dict,
     references: dict[str, str],
@@ -73,6 +76,7 @@ def canonical_hash(
 ) -> str:
     payload = json.dumps(
         {
+            "name": name,
             "functor": functor,
             "config": canonical(config),
             "references": canonical(references),
@@ -89,11 +93,11 @@ class CompiledGraph:
     """Deduplicated functor DAG plus its top-level nodes per role.
 
     A node's role is the list its spec was given in, not its class: the
-    environment's shared graph holds its shared dones as ``dones``.
+    environment's shared graph holds its shared dones as ``dones``.  Each
+    node follows its children in ``nodes``.
     """
 
     nodes: dict[str, FunctorNode] = field(default_factory=dict)
-    topo_order: list[str] = field(default_factory=list)
     # top-level nodes per role, in spec order (deduplicated)
     glues: list[FunctorNode] = field(default_factory=list)
     dones: list[FunctorNode] = field(default_factory=list)
@@ -109,15 +113,17 @@ class CompiledGraph:
             node.functor.bind(sample)
             node.functor.reset()
 
-    def order_index(self, node_id: str) -> int:
-        return self.topo_order.index(node_id)
-
 
 class GraphBuilder:
     """Compiles the glue, done and reward specs of one agent, or of the
     environment's shared dones, into one graph.  A spec that fails is reported
     at its ``path`` and every spec that reads it is skipped; ``build`` then
-    raises the first error, listing every one (see ``params.BuildErrors``)."""
+    raises the first error, listing every one (see ``params.BuildErrors``).
+
+    The specs of one ``build`` share one namespace: ``step`` keys dones and
+    reward components by name, so a spec whose name a different spec took is
+    a ``DuplicateName`` at its path (one with none, the environment's own
+    ``EpisodeHorizon``, at the taker's)."""
 
     def __init__(self, platforms: dict[str, Platform]):
         self.platforms = platforms
@@ -137,9 +143,10 @@ class GraphBuilder:
         all_specs = [("glues", glues), ("dones", dones or []), ("rewards", rewards or [])]
         for _, specs in all_specs:
             for spec in specs:
-                name = spec.display_name
-                if name not in self._named_specs:
-                    self._named_specs[name] = spec
+                taken = self._named_specs.setdefault(spec.display_name, spec)
+                if taken != spec:
+                    error = ("", "DuplicateName", f"another functor is already named '{spec.display_name}'")
+                    self.errors.add(FunctorError.listing(spec.label, [error]), spec.path or taken.path)
         for role, specs in all_specs:
             target: list[FunctorNode] = getattr(self.graph, role)
             for spec in specs:
@@ -174,6 +181,7 @@ class GraphBuilder:
             return None
 
         node_id = canonical_hash(
+            spec.display_name,
             spec.functor,
             spec.config,
             spec.references,
@@ -201,8 +209,7 @@ class GraphBuilder:
                 node.action_space = functor.action_space()
             except ValueError as exc:
                 raise FunctorError.listing(spec.label, [("", "TypeMismatch", str(exc))]) from exc
-        self.graph.nodes[node_id] = node
-        self.graph.topo_order.append(node_id)  # children compiled first
+        self.graph.nodes[node_id] = node  # after its children, compiled above
         return node
 
     def _resolve(self, child: FunctorSpec | str, parent: FunctorSpec, path: str) -> FunctorNode | None:

@@ -20,7 +20,12 @@ from envforge.evaluation.evaluate import run_episode
 
 from conftest import CONFIG_DIR, load_env_config
 
-SHIPPED = ["docking/environment.yml", "docking/environment_short.yml", "cartpole/environment.yml"]
+SHIPPED = [
+    "docking/environment.yml",
+    "docking/environment_short.yml",
+    "docking/environment_two_agents.yml",
+    "cartpole/environment.yml",
+]
 #: the run_config.json tree of each shipped config: agents inlined, defaults written
 TREES = {name: environment_tree(load_env_config(CONFIG_DIR / name)) for name in SHIPPED}
 
@@ -67,11 +72,6 @@ def mutants(draw):
     return name, tree
 
 
-#: the keys below a scalar that the config reads as shorthand for a mapping:
-#: a part given by its group name, and a parameter given as a bare number
-SHORTHANDS = {(str, ("part",)), (float, ("distribution", "value")), (int, ("distribution", "value"))}
-
-
 def with_value(name: str, path: tuple, value):
     """(``name``, its tree with the node at ``path`` set to ``value``)."""
     tree = copy.deepcopy(TREES[name])
@@ -83,21 +83,19 @@ def with_value(name: str, path: tuple, value):
 
 
 def names_a_node(tree, path: str, code: str) -> bool:
-    """Whether ``path`` names a node of ``tree``, or a key of the mapping a
-    shorthand scalar stands for.  A ``MissingField`` names a key that a
-    mapping of the tree lacks, or one below it that a section left out, and
-    so defaulted to an empty mapping, lacks (``config/<key>``); a key written
-    with no value (None) is an empty mapping."""
+    """Whether ``path`` names a node of ``tree``.  A ``MissingField`` names
+    a key that a mapping of the tree lacks, or one below it that a section
+    left out, and so defaulted to an empty mapping, lacks (``config/<key>``);
+    a key written with no value (None) is an empty mapping."""
     parts = path.split("/") if path else []
     node = tree
-    for i, part in enumerate(parts):
+    for part in parts:
         if isinstance(node, dict) and part in node:
             node = node[part]
         elif isinstance(node, list) and part.isdigit() and int(part) < len(node):
             node = node[int(part)]
         else:
-            shorthand = (type(node), tuple(parts[i:])) in SHORTHANDS
-            return shorthand or code == "MissingField" and (node is None or isinstance(node, dict))
+            return code == "MissingField" and (node is None or isinstance(node, dict))
     return True
 
 

@@ -54,8 +54,7 @@ def sample(reference_values, units):
 
 
 def evaluate_glues(graph, state):
-    for node_id in graph.topo_order:
-        node = graph.nodes[node_id]
+    for node in graph.nodes.values():
         if node.kind == "glue":
             node.observation = node.functor.get_observation(state)
 
@@ -127,15 +126,17 @@ class TestDeduplication:
         )
         assert graph.node_count == 2
 
-    def test_canonical_hash_ignores_name(self):
-        a = canonical_hash("F", {"x": 1}, {}, {}, None)
-        b = canonical_hash("F", {"x": 1}, {}, {}, None)
-        c = canonical_hash("F", {"x": 2}, {}, {}, None)
-        assert a == b and a != c
+    def test_canonical_hash_includes_name(self):
+        # a node is a named functor: one structure under two names is two nodes
+        a = canonical_hash("A", "F", {"x": 1}, {}, {}, None)
+        b = canonical_hash("A", "F", {"x": 1}, {}, {}, None)
+        c = canonical_hash("A", "F", {"x": 2}, {}, {}, None)
+        d = canonical_hash("B", "F", {"x": 1}, {}, {}, None)
+        assert a == b and a != c and a != d
 
     def test_canonical_hash_key_order_invariant(self):
-        a = canonical_hash("F", {"x": 1, "y": 2}, {}, {}, None)
-        b = canonical_hash("F", {"y": 2, "x": 1}, {}, {}, None)
+        a = canonical_hash("F", "F", {"x": 1, "y": 2}, {}, {}, None)
+        b = canonical_hash("F", "F", {"y": 2, "x": 1}, {}, {}, None)
         assert a == b
 
 
@@ -146,9 +147,11 @@ class TestGraphStructure:
             glues=[observe_state_spec()],
             dones=[tvd_done_spec("CartBounds", 0, 2.4)],
         )
+        # each node follows its children in graph.nodes, the order glues are evaluated in
+        order = list(graph.nodes)
         for node in graph.nodes.values():
             for child_id in node.children:
-                assert graph.order_index(child_id) < graph.order_index(node.id)
+                assert order.index(child_id) < order.index(node.id)
 
     def test_cycle_detected(self):
         # A wraps B and B wraps A, through name references.
@@ -512,8 +515,9 @@ class TestSettingsResolvedOnce:
     # glues, 2 dones, 2 rewards, the horizon, its scripted policy (twice: its
     # rule, then the rule's table), its simulator and 3 parts; cartpole's 2
     # glues, 2 differences, 2 bounds, 1 reward, the horizon, its policy, its
-    # simulator and 2 parts
-    PARSED = {"docking": 14, "cartpole": 12}
+    # simulator and 2 parts; and in each, before the build, the simulator
+    # section and the one agent's platforms
+    PARSED = {"docking": 16, "cartpole": 14}
 
     @pytest.mark.parametrize("task", ["docking", "cartpole"])
     def test_episodes_convert_each_value_once(self, task, monkeypatch):
