@@ -17,6 +17,7 @@ from .config import PolicyConfig, loader
 from .config.validate import validate_environment, validate_environment_file
 from .environment import Environment
 from .evaluation import (
+    StepShape,
     artifact_file,
     evaluate,
     generate_metrics,
@@ -111,7 +112,7 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.episodes):
         episode_seed = args.seed + i
-        artifact = run_episode(env, episode_seed)
+        artifact = run_episode(env, episode_seed, projection=StepShape.csv_projection)  # what the CSV holds
         if artifact.error is not None:
             raise EpisodeFailed(i, episode_seed, artifact.error)
         log.info("episode %d: %d steps, outcomes %s", i, len(artifact.rows), artifact.final_outcome)

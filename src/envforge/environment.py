@@ -137,9 +137,11 @@ def episode_parameters(config: EnvironmentConfig) -> tuple[EpisodeParameterProvi
     A platform's initialization parameter that the simulator does not read
     is an ``UnknownField``.  A reader of a key no spec declares, or in a
     unit of another dimension, is an error at the reader; a value of a
-    spec's ``support`` that a reader refuses is a ``TypeMismatch`` at the
-    spec's ``distribution``.
+    spec's ``distribution``.  What ``_entry_errors`` finds raises, as in the build.
     """
+    entry_errors = _entry_errors(config)
+    if entry_errors:
+        raise ConfigError.listing("environment", entry_errors)
     epp = EpisodeParameterProvider()
     errors: list[ParamError] = []
     declared = [(spec.name, spec, join_path("reference_store", key)) for key, spec in config.reference_store.items()]
@@ -243,18 +245,16 @@ class Environment:
     """Owns one simulator, its agents, and the per-step evaluation schedule."""
 
     def __init__(self, config: EnvironmentConfig, registry=GLOBAL_REGISTRY):
-        """Build the simulator and its platforms and check every reader of
-        an episode parameter (see ``episode_parameters``), then build every
-        agent's parts, then the functor graphs and policies; nothing is
-        drawn or reset.  What ``_entry_errors`` finds raises before anything
-        is built.  What fails is reported at its config path and what
-        depends on it is skipped (a functor may read any part); then the
-        first ``ConfigError`` is raised, listing every error."""
+        """Check every reader of an episode parameter (``episode_parameters``
+        raises what ``_entry_errors`` finds before anything is built), build
+        the simulator and its platforms, then every agent's parts, then the
+        functor graphs and policies; nothing is drawn or reset.  What fails
+        is reported at its config path and what depends on it is skipped (a
+        functor may read any part); then the first ``ConfigError`` is raised,
+        listing every error."""
         self.config = config
         self.registry = registry
-        entry_errors = _entry_errors(config)
-        if entry_errors:
-            raise ConfigError.listing("environment", entry_errors)
+        self.epp, parameter_errors = episode_parameters(config)
         errors = BuildErrors()
 
         setups = [PlatformSetup(p.name, p.platform_type) for p in config.platforms]
@@ -262,7 +262,6 @@ class Environment:
         self.simulator = errors.attempt(sim_cls, config.simulator_config, setups, path="simulator")
         errors.check()  # nothing builds without the simulator and its platforms
 
-        self.epp, parameter_errors = episode_parameters(config)
         if parameter_errors:
             errors.add(EppError.listing("episode parameters", parameter_errors))
 

@@ -18,6 +18,7 @@ stage reads that run's artifacts and no other file in the directory.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -106,14 +107,20 @@ def write_atomic(path: str | Path, text: str) -> Path:
 class StepShape(NamedTuple):
     """The structure of a step record, which fixes its line but for the
     values: each mapping's keys in sorted order and each array's length.
-    ``reward_totals`` has the agents of ``rewards``."""
+    ``reward_totals`` has the agents of ``rewards``.  A section that is None
+    is one a projection does not record (see ``csv_projection``)."""
 
-    actions: tuple[tuple[str, tuple[str, ...]], ...]  # (agent, its glues that took a fragment)
+    actions: tuple[tuple[str, tuple[str, ...]], ...] | None  # (agent, its glues that took a fragment)
     done_codes: tuple[str, ...]  # the agents with a done code
-    observations: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]  # (agent, ((name, unit), ...))
-    platform_states: tuple[tuple[str, tuple[str, ...]], ...]  # (platform, its state attributes)
+    observations: tuple[tuple[str, tuple[tuple[str, str], ...]], ...] | None  # (agent, ((name, unit), ...))
+    platform_states: tuple[tuple[str, tuple[str, ...]], ...] | None  # (platform, its state attributes)
     rewards: tuple[tuple[str, tuple[str, ...]], ...]  # (agent, its reward components)
     lengths: tuple[int, ...] = ()  # of each action fragment, then of each observation's values
+
+    def csv_projection(self) -> StepShape:
+        """The shape of what ``write_csv`` reads: the step, sim time, rewards
+        and done codes.  Its line is a partial step record, which does not load."""
+        return self._replace(actions=None, observations=None, platform_states=None, lengths=())
 
 
 _STEP_KEYS = frozenset([
@@ -136,8 +143,8 @@ def _json(value) -> str:
 
 
 def _object(items) -> str:
-    """The template of a JSON object from (key, template of its value) pairs."""
-    return "{" + ", ".join([f"{_json(key)}: {value}" for key, value in items]) + "}"
+    """The template of a JSON object from (key, template of its value) pairs, but those of None."""
+    return "{" + ", ".join([f"{_json(key)}: {value}" for key, value in items if value is not None]) + "}"
 
 
 def _compile(shape: StepShape) -> tuple[str, list[tuple[tuple, str]]]:
@@ -158,15 +165,18 @@ def _compile(shape: StepShape) -> tuple[str, list[tuple[tuple, str]]]:
         return _object([("unit", _json(unit)), ("values", array("observations", agent, name, "values"))])
 
     # each section is compiled in its key order, so the slots are numbered in line order
+    actions, observations, platforms = shape.actions, shape.observations, shape.platform_states
     fmt = _object([
-        ("actions", _object((a, _object((g, array("actions", a, g)) for g in glues)) for a, glues in shape.actions)),
-        ("done_codes", _object((a, slot(_TEXT, "done_codes", a)) for a in shape.done_codes)),
-        ("observations", _object(
-            (a, _object((name, observation(a, name, unit)) for name, unit in names)) for a, names in shape.observations
+        ("actions", None if actions is None else _object(
+            (a, _object((g, array("actions", a, g)) for g in glues)) for a, glues in actions
         )),
-        ("platform_states", _object(
+        ("done_codes", _object((a, slot(_TEXT, "done_codes", a)) for a in shape.done_codes)),
+        ("observations", None if observations is None else _object(
+            (a, _object((name, observation(a, name, unit)) for name, unit in names)) for a, names in observations
+        )),
+        ("platform_states", None if platforms is None else _object(
             (p, _object((k, slot(_NUMBER, "platform_states", p, k)) for k in attributes))
-            for p, attributes in shape.platform_states
+            for p, attributes in platforms
         )),
         ("record", _json("step")),
         ("reward_totals", _object((a, slot(_NUMBER, "reward_totals", a)) for a, _ in shape.rewards)),
@@ -177,12 +187,6 @@ def _compile(shape: StepShape) -> tuple[str, list[tuple[tuple, str]]]:
         ("step", slot(_INTEGER, "step")),
     ])
     return fmt, slots
-
-
-@lru_cache(maxsize=64)
-def _text_value(encoded: str):
-    """The string or None that a text slot holds, JSON-encoded."""
-    return json.loads(encoded)
 
 
 @lru_cache(maxsize=64)
@@ -449,60 +453,74 @@ class EpisodeArtifact:
 
         The columns are "step", then each layout's columns followed by the
         parameters, in order of first use; a cell a step's layout lacks is
-        "" and a parameter's value is the same on every row.
+        "" and a parameter's value is the same on every row.  The header is
+        written by ``csv.writer``, each row by its layout's ``_csv_line``.
         """
         params = {f"param.{key}": p["value"] for key, p in self.parameters.items()}
-        step_columns: dict[int, list[tuple[str, int, bool]]] = {}  # by id() of the layout
-        for layout, _ in self.rows:
-            if id(layout) not in step_columns:
-                step_columns[id(layout)] = _csv_columns(layout)
-        columns = list(dict.fromkeys([
-            "step", *(name for plan in step_columns.values() for name in [*(c for c, _, _ in plan), *params])
-        ]))
-        plans = {key: _csv_plan(plan, columns, params) for key, plan in step_columns.items()}
+        layouts = {id(layout): layout for layout, _ in self.rows}
+        sources = {key: _csv_source(layout, params) for key, layout in layouts.items()}
+        columns = list(dict.fromkeys(["step", *(column for source in sources.values() for column in source)]))
+        lines = {key: _csv_line(source, columns) for key, source in sources.items()}
+        text = _csv_text(columns) + "".join([lines[id(layout)](values) for layout, values in self.rows])
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            writer.writerows(_csv_rows(self.rows, plans))
+            fh.write(text)
         return Path(path)
 
 
-def _csv_columns(layout: RecordLayout) -> list[tuple[str, int, bool]]:
-    """(column, slot, is a done code) of each of the layout's step columns."""
-    columns = [("step", layout.step, False)]
+def _csv_source(layout: RecordLayout, params: dict) -> dict[str, tuple[str | None, int | None]]:
+    """(template cell, slot) of each column of the layout's rows: "%s" and
+    a number's slot, None and a done code's slot, or a parameter's cell.  A
+    parameter wins over a step column of the same name, as the later key of
+    a merged mapping does."""
+    source = {"step": ("%s", layout.step)}
     for agent, total, components in layout.rewards:
-        columns += [(f"{agent}.reward.{component}", slot, False) for component, slot in components]
-        columns.append((f"{agent}.reward_total", total, False))
-    columns += [(f"{agent}.done_code", slot, True) for agent, slot in layout.done_codes]
-    return columns
+        source.update((f"{agent}.reward.{component}", ("%s", slot)) for component, slot in components)
+        source[f"{agent}.reward_total"] = ("%s", total)
+    source.update((f"{agent}.done_code", (None, slot)) for agent, slot in layout.done_codes)
+    source.update((column, (_csv_cell(value), None)) for column, value in params.items())
+    return source
 
 
-def _csv_rows(rows: list[Row], plans: dict):
-    """Each row's cells, filled by its layout's plan from ``_csv_plan``."""
-    for layout, values in rows:
-        slots, codes, constants = plans[id(layout)]
-        values += constants
-        cells = [values[i] for i in slots]
-        for j, i in codes:
-            cells[j] = _text_value(values[i]) or ""
-        yield cells
+def _csv_cell(value) -> str:
+    """A constant cell as ``csv.writer`` converts it, escaped for a %-format template."""
+    return ("" if value is None else str(value)).replace("%", "%%")
 
 
-def _csv_plan(
-    plan: list[tuple[str, int, bool]], columns: list[str], params: dict
-) -> tuple[list[int], list[tuple[int, int]], tuple]:
-    """How a row of the layout whose step columns are ``plan`` fills
-    ``columns``: the index of each cell in the row's values followed by
-    ``constants`` (the parameter values, then ""), a constant's counted from
-    the end; and (column index, slot) of each done code.  A parameter wins
-    over a step column of the same name, as the later key of a merged
-    mapping does.  A float parameter is formatted once, as the csv writer
-    formats a float: by its repr."""
-    constants = (*(repr(v) if type(v) is float else v for v in params.values()), "")
-    source = {column: (slot, code) for column, slot, code in plan}
-    source.update((column, (k - len(constants), False)) for k, column in enumerate(params))
-    cells = [source.get(column, (-1, False)) for column in columns]
-    return [i for i, _ in cells], [(j, i) for j, (i, code) in enumerate(cells) if code], constants
+def _csv_text(cells: list) -> str:
+    """A row as ``csv.writer`` writes it."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(cells)
+    return buffer.getvalue()
+
+
+def _csv_line(source: dict, columns: list[str]):
+    """The writer of the CSV line of a row whose layout's columns are
+    ``source``: a template per set of done codes, every cell but the numbers'
+    built in as ``csv.writer`` writes it, filled with the numbers by one
+    ``%`` (``%s`` writes a number as ``csv.writer`` does, by its ``str``)."""
+    cells, numbers, codes = [], [], []  # codes: (cell, slot) of each done code
+    for column in columns:
+        cell, slot = source.get(column, ("", None))
+        if cell is None:
+            codes.append((len(cells), slot))
+        elif slot is not None:
+            numbers.append(slot)
+        cells.append(cell)
+    fill = itemgetter(*numbers)  # every layout has the step
+    # a row's done codes, the key of its template: one alone, several in a tuple, as itemgetter gives them
+    read_codes = itemgetter(*[slot for _, slot in codes]) if codes else lambda values: None
+    templates: dict = {}
+
+    def line(values: tuple) -> str:
+        key = read_codes(values)
+        template = templates.get(key)
+        if template is None:
+            for (cell, _), text in zip(codes, key if len(codes) > 1 else (key,)):
+                cells[cell] = _csv_cell(json.loads(text) or "")
+            template = templates[key] = _csv_text(cells)
+        return template % fill(values)
+
+    return line
 
 
 def write_manifest(directory: str | Path, case_ids: list[str]) -> Path:

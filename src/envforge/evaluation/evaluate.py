@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from weakref import WeakKeyDictionary
 
@@ -126,13 +125,13 @@ class _RowPlan:
     it while ``fits`` holds and no agent has ended.  With what the
     environment fixes at build, they fix the step's shape; the lengths of a
     step's arrays complete it, so a fragment of another length gets a layout
-    of its own.  What ``row`` reads is bound here: a getter of each
-    platform's state attributes.
+    of its own.  A ``projection`` of the shape leaves sections out, and the
+    plan reads only the sections it keeps.
     """
 
-    def __init__(self, env: Environment, actions: dict, result: StepResult):
+    def __init__(self, env: Environment, actions: dict, result: StepResult, projection):
         platforms = env.simulator.platforms
-        self.shape = StepShape(
+        shape = StepShape(
             actions=tuple((agent, tuple(sorted(fragments))) for agent, fragments in sorted(actions.items())),
             done_codes=tuple(sorted(result.done_codes)),
             observations=tuple(
@@ -142,16 +141,19 @@ class _RowPlan:
             platform_states=tuple((name, tuple(sorted(vars(platforms[name].state)))) for name in sorted(platforms)),
             rewards=tuple((agent, tuple(sorted(c))) for agent, c in sorted(result.reward_components.items())),
         )
-        #: (agent, its fragment names) of each agent that acts
-        self.fragments = [(agent, frozenset(glues)) for agent, glues in self.shape.actions]
-        self.platform_count = len(platforms)
-        self._observations = [(agent, name) for agent, names in self.shape.observations for name, _ in names]
-        self._platform_states = [(name, _state_getter(attrs)) for name, attrs in self.shape.platform_states]
+        self.shape = shape = shape if projection is None else projection(shape)
+        self._actions = shape.actions or ()
+        self._observations = [(agent, name) for agent, names in shape.observations or () for name, _ in names]
+        self._platform_states = shape.platform_states or ()
+        #: (agent, its fragment names) of each agent whose action the plan reads
+        self.fragments = [(agent, frozenset(glues)) for agent, glues in self._actions]
         self.layouts: dict[tuple[int, ...], RecordLayout] = {}
 
     def fits(self, env: Environment, actions: dict) -> bool:
-        """Whether a step of the plan's active agents, with ``actions``, has the plan's structure."""
-        if len(env.simulator.platforms) != self.platform_count:
+        """Whether a step of the plan's active agents, with ``actions``, has
+        the structure the plan reads: the platforms, if it reads their states
+        (a step can remove a platform, never add one), and the fragments."""
+        if self._platform_states and len(env.simulator.platforms) != len(self._platform_states):
             return False
         for agent, names in self.fragments:
             if actions[agent].keys() != names:
@@ -159,31 +161,38 @@ class _RowPlan:
         return True
 
     def row(self, env: Environment, actions: dict, result: StepResult) -> Row:
+        # plain loops that append: a step gathers a few values, so a
+        # comprehension, a map or an attrgetter costs more than it saves
         shape = self.shape
         values: list = []
         lengths = []
-        for agent, glues in shape.actions:
+        for agent, glues in self._actions:
             fragments = actions[agent]
             for glue in glues:
                 leaf = as_vector(fragments[glue]).tolist()  # as step() reads it: a bare number is one element
                 lengths.append(len(leaf))
                 values += leaf
         codes = result.done_codes
-        values += [_CODE_TEXT[codes[agent]] for agent in shape.done_codes]
+        for agent in shape.done_codes:
+            values.append(_CODE_TEXT[codes[agent]])
         observations = result.observations
         for agent, name in self._observations:
             leaf = as_vector(observations[agent][name]).tolist()  # as a Quantity would hold the glue's array
             lengths.append(len(leaf))
             values += leaf
         platforms = env.simulator.platforms
-        for name, getter in self._platform_states:
-            values += map(float, getter(platforms[name].state))
+        for name, attributes in self._platform_states:
+            state = platforms[name].state
+            for attribute in attributes:
+                values.append(float(getattr(state, attribute)))
         totals = result.rewards
+        for agent, _ in shape.rewards:
+            values.append(totals[agent])
         components = result.reward_components
-        values += [totals[agent] for agent, _ in shape.rewards]
         for agent, names in shape.rewards:
             agent_components = components[agent]
-            values += [agent_components[name] for name in names]
+            for name in names:
+                values.append(agent_components[name])
         state = env.state
         values.append(float(state.sim_time))
         values.append(state.step_count)
@@ -194,27 +203,21 @@ class _RowPlan:
         return layout, tuple(values)
 
 
-def _state_getter(attributes: tuple[str, ...]):
-    """The getter of a platform state's ``attributes``, as a tuple."""
-    if len(attributes) > 1:
-        return attrgetter(*attributes)
-    return lambda state: tuple([getattr(state, name) for name in attributes])
-
-
 #: each environment's row plans, by the structure ``run_episode`` selects a
 #: plan for: a plan holds for every episode of the environment it was made on
 _row_plans: WeakKeyDictionary[Environment, dict[tuple, _RowPlan]] = WeakKeyDictionary()
 
 
 def run_episode(
-    env: Environment, seed: int, overrides: dict[str, Quantity] | None = None
+    env: Environment, seed: int, overrides: dict[str, Quantity] | None = None, projection: Callable | None = None
 ) -> EpisodeArtifact:
     """Run one seeded episode on env and record every step as a row.
 
     Each step asks the policy of every agent that has not ended for its
-    action; an agent that has ended records no action.  A failure inside the
-    episode is recorded in the artifact's ``error``, after the steps that
-    completed; the caller decides whether it is fatal.
+    action; an agent that has ended records no action.  A ``projection`` of
+    the shape (``StepShape.csv_projection``) records only what a caller writes.
+    A failure inside the episode is recorded in the artifact's ``error``,
+    after the steps that completed; the caller decides whether it is fatal.
     """
     artifact = EpisodeArtifact(case_id="", seed=seed, parameters={})
     plans = _row_plans.setdefault(env, {})
@@ -235,10 +238,11 @@ def run_episode(
             }
             result = env.step(actions)
             if plan is None or not plan.fits(env, actions):
-                key = (tuple(result.done_codes), tuple(env.simulator.platforms), tuple(map(tuple, actions.values())))
+                platforms = tuple(env.simulator.platforms)
+                key = (projection, tuple(result.done_codes), platforms, tuple(map(tuple, actions.values())))
                 plan = plans.get(key)
                 if plan is None:
-                    plan = plans[key] = _RowPlan(env, actions, result)
+                    plan = plans[key] = _RowPlan(env, actions, result, projection)
             rows.append(plan.row(env, actions, result))
             active = [name for name, code in result.done_codes.items() if code is None]
             if len(active) < len(result.done_codes):  # an agent ended: the next step's agents differ
@@ -286,7 +290,8 @@ def evaluate(
     Every case's name, seed and parameters are checked before the first
     rollout, as ``parse_condition_set``, ``rollout`` and ``reset`` check
     them: each value must pass every reader of its parameter (a functor's
-    reference, a simulator's initialization value).
+    reference, a simulator's initialization value).  A config the build
+    refuses before that (an unknown simulator, say) raises here too.
     Each process builds one environment and runs its cases on it.  Returns
     the artifacts in case order.  ``workers`` must be at least 1.
     """

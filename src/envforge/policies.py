@@ -156,9 +156,12 @@ class ScriptedPolicy(Policy):
             (registered.actions, action_space, "action glue"),
         ):
             for key in keys:
-                if self._settings[key] not in space:
-                    message = f"the agent has no {kind} '{self._settings[key]}' (it has: {sorted(space)})"
-                    errors.append((f"config/{key}", "UnknownReference", message))
+                value = self._settings[key]
+                if value not in space:
+                    path, message = f"config/{key}", f"the agent has no {kind} '{value}' (it has: {sorted(space)})"
+                    if key not in self.config:  # a default: reported at the config that left its key out
+                        path, message = "config", f"'{key}' defaults to '{value}', but {message}"
+                    errors.append((path, "UnknownReference", message))
         if errors:
             raise PolicyError.listing(f"scripted rule '{self.config['rule']}'", errors)
 

@@ -99,6 +99,20 @@ class TestAgentSpaces:
         assert [(path, code) for path, code, _ in info.value.errors] == [(f"policy/config/{key}", "UnknownReference")]
         assert repr(name) in str(info.value)
 
+    def test_a_default_that_names_nothing_is_reported_at_the_policy_config(self):
+        # the config has no action_glue key to report at: the error is at the
+        # config that left it out, and names the key and its default
+        platforms = docking_platforms()
+        agent = docking_agent_config(policy=PolicyConfig("scripted", {"rule": "bang_bang_docking"}))
+        agent.glues = [glue for glue in agent.glues if glue.name != "ThrustControl"]
+        attach_parts(agent, platforms, Docking1dSimulator.simulator_type)
+        with pytest.raises(PolicyError) as info:
+            build_agent(agent, platforms, PolicyPool())
+        assert [(path, code) for path, code, _ in info.value.errors] == [("policy/config", "UnknownReference")]
+        assert "'action_glue' defaults to 'ThrustControl', but the agent has no action glue 'ThrustControl'" in str(
+            info.value
+        )
+
     def test_replayed_action_names_are_checked_at_build(self):
         # Each step's unknown name fails at its step; a known one, or a
         # fragment of the wrong length (a run-time ActionShapeMismatch), passes.

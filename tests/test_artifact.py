@@ -10,6 +10,7 @@ import json
 import math
 import pickle
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 from envforge.cli import main
 from envforge.config.validate import validate_environment
 from envforge.environment import Environment
-from envforge.evaluation import ArtifactError, EpisodeArtifact, TestCase, evaluate
+from envforge.evaluation import ArtifactError, EpisodeArtifact, RecordLayout, StepShape, TestCase, evaluate
+from envforge.evaluation.artifact import _compile
 from envforge.functors.base import Reward
 from envforge.functors.graph import FUNCTOR_REGISTRY
 
@@ -130,6 +132,113 @@ class TestLayout:
         longer = {**base, "actions": {"a": {"G": [0.5, 0.5]}}}
         (first, _), (second, _), (third, _) = artifact_of([base, other, longer]).rows
         assert first is second and third is not first
+
+
+# names a CSV cell must quote (a comma, a quote, a line break), that a
+# template must escape (%) or that are non-ASCII
+csv_names = st.text(alphabet=',"\r\n%é漢 a.', min_size=1, max_size=4)
+csv_numbers = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308, 5e-324, 2.5e-320]), st.floats(),
+    st.integers(-(10**20), 10**20),
+)
+done_codes = st.one_of(st.sampled_from(["WIN", "LOSS", ""]), csv_names)
+
+
+@st.composite
+def csv_episodes(draw) -> list[str]:
+    """The lines of an episode's artifact: each agent ends at a drawn step,
+    whose record has its done code, and is in no later record, so the
+    layout switches when an agent ends; the episode ends with its last agent."""
+    agents = draw(st.lists(csv_names, min_size=1, max_size=3, unique=True))
+    components = {agent: draw(st.lists(csv_names, max_size=2, unique=True)) for agent in agents}
+    ends = {agent: draw(st.integers(1, 4)) for agent in agents}
+    records = []
+    for step in range(1, max(ends.values()) + 1):
+        active = [agent for agent in agents if ends[agent] >= step]
+        rewards = {agent: {c: draw(csv_numbers) for c in components[agent]} for agent in active}
+        records.append({
+            "record": "step", "step": step, "sim_time": draw(csv_numbers),
+            "observations": {}, "actions": {}, "platform_states": {}, "rewards": rewards,
+            # no components total an int 0, as Environment.step sums them
+            "reward_totals": {agent: draw(csv_numbers) if rewards[agent] else 0 for agent in active},
+            "done_codes": {agent: draw(done_codes) if ends[agent] == step else None for agent in active},
+        })
+    values = st.one_of(st.floats(), st.integers(), st.sampled_from([math.nan, -0.0, 1e308, 5e-324]))
+    parameters = draw(st.dictionaries(csv_names, st.fixed_dictionaries({"value": values, "unit": st.just("meter")})))
+    header = {"record": "header", "schema_version": 1, "case_id": "c", "seed": 0, "parameters": parameters}
+    outcome = {"record": "outcome", "final_outcome": {}, "truncated": False, "error": None}
+    return [json.dumps(record, sort_keys=True) for record in [header, *records, outcome]]
+
+
+def reference_csv(artifact: EpisodeArtifact, path) -> bytes:
+    """The artifact's CSV log as ``csv.DictWriter`` writes it from the step records."""
+    params = {f"param.{key}": p["value"] for key, p in artifact.parameters.items()}
+    rows = []
+    for step in recorded_steps(artifact):
+        row = {"step": step["step"]}
+        for agent, comps in step["rewards"].items():
+            row.update({f"{agent}.reward.{comp}": value for comp, value in comps.items()})
+            row[f"{agent}.reward_total"] = step["reward_totals"][agent]
+        row.update({f"{agent}.done_code": code or "" for agent, code in step["done_codes"].items()})
+        rows.append({**row, **params})
+    columns = list(dict.fromkeys(["step", *(key for row in rows for key in row)]))
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def csv_projection(artifact: EpisodeArtifact) -> EpisodeArtifact:
+    """A copy of the artifact whose rows hold only the CSV projection of their shapes, as ``run`` records them."""
+    rows = []
+    for layout, values in artifact.rows:
+        value_at = {path: value for (path, _), value in zip(_compile(layout.shape)[1], values)}
+        shape = layout.shape.csv_projection()
+        rows.append((RecordLayout.of(shape), tuple([value_at[path] for path, _ in _compile(shape)[1]])))
+    return replace(artifact, rows=rows)
+
+
+class TestCsvTemplate:
+    """``write_csv`` fills a compiled line template per layout; ``csv.DictWriter`` is its reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(csv_episodes())
+    def test_csv_is_what_dict_writer_writes(self, tmp_path_factory, lines):
+        directory = tmp_path_factory.mktemp("csv")
+        artifact = EpisodeArtifact.from_lines(lines)
+        expected = reference_csv(artifact, directory / "reference.csv")
+        assert artifact.write_csv(directory / "episode.csv").read_bytes() == expected
+        projected = csv_projection(artifact)
+        assert projected.write_csv(directory / "projected.csv").read_bytes() == expected
+
+    def test_a_parameter_wins_over_a_step_column_of_its_name(self, tmp_path):
+        # agent "param", component "a" and parameter "reward.a" all name the column "param.reward.a"
+        record = {
+            "record": "step", "step": 1, "sim_time": 1.0, "observations": {}, "actions": {},
+            "rewards": {"param": {"a": 1.5}}, "reward_totals": {"param": 1.5}, "done_codes": {"param": "WIN"},
+            "platform_states": {},
+        }
+        lines = lines_of([record])
+        header = json.loads(lines[0])
+        header["parameters"] = {"reward.a": {"value": 7, "unit": "none"}}
+        lines[0] = json.dumps(header, sort_keys=True)
+        artifact = EpisodeArtifact.from_lines(lines)
+        written = artifact.write_csv(tmp_path / "episode.csv").read_bytes()
+        assert written == reference_csv(artifact, tmp_path / "reference.csv")
+        assert written.splitlines() == [b"step,param.reward.a,param.reward_total,param.done_code", b"1,7,1.5,WIN"]
+
+    def test_projected_line_is_a_partial_record_that_does_not_load(self):
+        record = {
+            "record": "step", "step": 1, "sim_time": 1.0, "observations": {}, "actions": {"a": {"G": [0.5]}},
+            "rewards": {"a": {"r": 1.0}}, "reward_totals": {"a": 1.0}, "done_codes": {"a": None},
+            "platform_states": {},
+        }
+        artifact = csv_projection(artifact_of([record]))
+        partial = {k: v for k, v in record.items() if k not in ("actions", "observations", "platform_states")}
+        assert artifact.to_lines()[1] == json.dumps(partial, sort_keys=True)
+        with pytest.raises(ArtifactError, match="missing keys \\['actions', 'observations', 'platform_states'\\]"):
+            EpisodeArtifact.from_lines(artifact.to_lines())
 
 
 def step_record(env: Environment, actions: dict, result) -> dict:
@@ -266,25 +375,16 @@ class TestCapture:
             assert artifact.to_lines()[1:-1] == [json.dumps(r, sort_keys=True) for r in records]
 
     def test_csv_log_projects_the_step_records(self, tmp_path):
-        # the projection as it is made from the step records, the reference for the one made from rows
-        artifact = evaluate_module.run_episode(Environment(self.early_ending_config()), seed=0)
-        params = {f"param.{key}": p["value"] for key, p in artifact.parameters.items()}
-        rows = []
-        for step in recorded_steps(artifact):
-            row = {"step": step["step"]}
-            for agent, comps in step["rewards"].items():
-                row.update({f"{agent}.reward.{comp}": value for comp, value in comps.items()})
-                row[f"{agent}.reward_total"] = step["reward_totals"][agent]
-            row.update({f"{agent}.done_code": code or "" for agent, code in step["done_codes"].items()})
-            rows.append({**row, **params})
-        columns = list(dict.fromkeys(["step", *(key for row in rows for key in row)]))
-        with open(tmp_path / "reference.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns)
-            writer.writeheader()
-            writer.writerows(rows)
+        # the projection as it is made from the step records is the reference
+        # for the one made from full rows, and for the rows run records
+        env = Environment(self.early_ending_config())
+        artifact = evaluate_module.run_episode(env, seed=0)
         written = artifact.write_csv(tmp_path / "episode.csv").read_bytes()
-        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert written == reference_csv(artifact, tmp_path / "reference.csv")
         assert b"agent_1.done_code" in written.splitlines()[0]
+        projected = evaluate_module.run_episode(env, seed=0, projection=StepShape.csv_projection)
+        assert len({id(layout) for layout, _ in projected.rows}) == 2  # agent_1 ends first
+        assert projected.write_csv(tmp_path / "projected.csv").read_bytes() == written
 
     def test_pickled_artifact_writes_the_same_lines(self):
         env = Environment(self.early_ending_config())

@@ -1,9 +1,11 @@
+import csv
 import json
 import logging
 
 import pytest
 
 from envforge.cli import main
+from envforge.config import PolicyConfig
 from envforge.environment import Environment
 from envforge.evaluation import TestCase, rollout
 
@@ -111,22 +113,46 @@ class TestRun:
         assert (out / "episode_0.csv").exists()
 
     @pytest.mark.parametrize(
-        "env_file, seed",
-        [(DOCKING / "environment.yml", 7), (CONFIG_DIR / "cartpole" / "environment.yml", 3)],
-        ids=["docking", "cartpole"],
+        "env_file, seed, policy",
+        [
+            (DOCKING / "environment.yml", 7, None),
+            (CONFIG_DIR / "cartpole" / "environment.yml", 3, None),
+            (DOCKING / "environment_two_agents.yml", 7, None),
+            (DOCKING / "environment_short.yml", 5, "random"),
+        ],
+        ids=["docking", "cartpole", "two_agents", "short_random"],
     )
-    def test_run_csv_is_projection_of_rollout(self, tmp_path, env_file, seed):
-        # run keeps one environment for all episodes, so episodes 1 and 2
-        # match a fresh rollout only if reset reseeds the policies.
+    def test_run_csv_is_projection_of_rollout(self, tmp_path, env_file, seed, policy):
+        # run records only its CSV's columns; evaluate's rollout records the
+        # full step, and its CSV must be the same bytes.  run keeps one
+        # environment for all episodes, so episodes 1 and 2 match a fresh
+        # rollout only if reset reseeds the policies.
         out = tmp_path / "run"
         argv = ["run", "--env", str(env_file), "--seed", str(seed), "--episodes", "3"]
+        argv += ["--policy", policy] if policy else []
         assert main(argv + ["--out", str(out)]) == 0
         config = load_env_config(env_file)
+        for agent in config.agents if policy else []:
+            agent.policy = PolicyConfig(policy, {})
         for k in range(3):
             artifact = rollout(Environment(config), TestCase("c", {}, seed + k))
             assert artifact.error is None
             projected = artifact.write_csv(tmp_path / f"projected_{k}.csv")
             assert (out / f"episode_{k}.csv").read_bytes() == projected.read_bytes()
+
+    def test_two_agent_csv_leaves_an_ended_agents_cells_blank(self, tmp_path):
+        # seed 7: deputy_agent docks at step 77, deputy_b_agent at step 231
+        out = tmp_path / "run"
+        env_file = DOCKING / "environment_two_agents.yml"
+        assert main(["run", "--env", str(env_file), "--seed", "7", "--out", str(out)]) == 0
+        with open(out / "episode_0.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        ended = [key for key in rows[0] if key.startswith("deputy_agent.")]
+        assert len(ended) == 4 and len(rows) == 231
+        assert [row["deputy_agent.done_code"] for row in rows[75:77]] == ["", "WIN"]
+        assert all(row[key] != "" for row in rows[:77] for key in ended if key != "deputy_agent.done_code")
+        assert all(row[key] == "" for row in rows[77:] for key in ended)
+        assert rows[-1]["deputy_b_agent.done_code"] == "WIN"
 
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out"

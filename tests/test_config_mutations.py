@@ -82,6 +82,17 @@ def with_value(name: str, path: tuple, value):
     return name, tree
 
 
+def without_action_glue(name: str, agent: int):
+    """(``name``, its tree with the agent's scripted policy config cut to its
+    rule and its ThrustControl glue dropped): two edits, after which the
+    rule's ``action_glue`` defaults to a glue the agent lacks."""
+    tree = copy.deepcopy(TREES[name])
+    entry = tree["agents"][agent]
+    entry["policy"]["config"] = {"rule": "bang_bang_docking"}
+    entry["glues"] = [glue for glue in entry["glues"] if glue["name"] != "ThrustControl"]
+    return name, tree
+
+
 def names_a_node(tree, path: str, code: str) -> bool:
     """Whether ``path`` names a node of ``tree``.  A ``MissingField`` names
     a key that a mapping of the tree lacks, or one below it that a section
@@ -111,6 +122,8 @@ def names_a_node(tree, path: str, code: str) -> bool:
     ("platforms", 0, "initialization", "x0"),
     {"distribution": {"kind": "constant", "value": 1.0e306}, "unit": "kilometer"},
 ))
+# a default that names what the agent lacks: reported at the policy config, which the tree has
+@example(without_action_glue("docking/environment_two_agents.yml", 1))
 def test_mutated_config_is_reported_at_its_paths_or_builds_and_runs(mutant):
     name, tree = mutant
     config, report = validate_environment(tree, base_dir=(CONFIG_DIR / name).parent)

@@ -668,7 +668,8 @@ class TestPolicyOverride:
         env_file.write_text(json.dumps(env.run_config()["environment"]))
         recorded = []
 
-        def recording(*args):
+        def recording(*args, projection=None):
+            # the full record, whose actions are compared below; run itself records only its CSV's columns
             recorded.append(record_episode(*args))
             return recorded[-1]
 

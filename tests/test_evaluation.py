@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -47,6 +48,7 @@ from envforge.config.validate import validate_environment
 from envforge.evaluation.artifact import TruncatedArtifact
 from envforge.evaluation.evaluate import _case_overrides, run_episode
 from envforge.environment import Environment
+from envforge.params import ConfigError
 from envforge.policies import Policy
 from envforge.units import METER, Quantity
 
@@ -264,6 +266,18 @@ class TestMetrics:
         assert metrics["success_count"].value == 2
         assert metrics["success_rate"].value == 2 / 3
         assert metrics["success_rate"].kind == "terminal"
+
+    def test_success_rate_counts_every_agent_unless_one_is_named(self, tmp_path):
+        # README's two-agent example: over configs/docking/cases.yml the first
+        # deputy wins 3 of 5 cases and the second all 5
+        config, report = validate_environment_file(CONFIG_DIR / "docking" / "environment_two_agents.yml")
+        assert config is not None, str(report)
+        cases = parse_condition_set(load_config(CONFIG_DIR / "docking" / "cases.yml"))
+        metrics = generate_metrics(evaluate(config, cases, tmp_path), [
+            MetricSpec("all", "success_rate", {}, {}),
+            MetricSpec("second", "success_rate", {"agent": "deputy_b_agent"}, {}),
+        ])
+        assert (metrics["all"].value, metrics["second"].value) == (0.6, 1.0)
 
     def test_reward_component_proportions(self):
         metrics = generate_metrics(
@@ -593,6 +607,18 @@ class TestInputChecks:
         self.no_rollouts(monkeypatch)
         with pytest.raises(error, match=re.escape(message)):
             evaluate(short_config(), docking_cases() + [bad], tmp_path / "out", workers=workers)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unknown_simulator_is_reported_as_the_build_reports_it(self, tmp_path, monkeypatch, workers):
+        config = replace(short_config(), simulator_name="Nope")
+        with pytest.raises(ConfigError) as built:
+            Environment(config)
+        assert built.value.errors[0][:2] == ("simulator/name", "UnknownFunctor")
+        self.no_rollouts(monkeypatch)
+        with pytest.raises(ConfigError) as caught:
+            evaluate(config, docking_cases(), tmp_path / "out", workers=workers)
+        assert (str(caught.value), caught.value.errors) == (str(built.value), built.value.errors)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
