@@ -10,7 +10,7 @@ from .config.schema import AgentConfig, PartConfig
 from .functors.base import PartBindingError
 from .functors.graph import CompiledGraph, build_graph, canonical
 from .params import BuildErrors, ConfigError, join_path, parse_params
-from .parts import GLOBAL_REGISTRY, Box, PartError, Platform, PluginRegistry
+from .parts import GLOBAL_REGISTRY, Box, PartError, Platform
 from .policies import POLICY_REGISTRY, Policy, PolicyError
 
 
@@ -79,7 +79,6 @@ def attach_parts(
     agent_config: AgentConfig,
     platforms: dict[str, Platform],
     simulator_type: str,
-    registry: PluginRegistry = GLOBAL_REGISTRY,
 ) -> None:
     """Resolve the agent's part groups and attach them to its platforms.
 
@@ -97,7 +96,7 @@ def attach_parts(
     errors = BuildErrors()
     for part in agent_config.parts:
         target = agent_config.part_platform(part)
-        errors.attempt(_attach_part, part, target, platforms, simulator_type, registry, path=part.path)
+        errors.attempt(_attach_part, part, target, platforms, simulator_type, path=part.path)
     errors.check()
 
 
@@ -111,14 +110,14 @@ def _agent_platforms(agent_config: AgentConfig, platforms: dict[str, Platform]) 
     return {name: platforms[name] for name in agent_config.platform_names}
 
 
-def _attach_part(part: PartConfig, target, platforms, simulator_type: str, registry: PluginRegistry) -> None:
+def _attach_part(part: PartConfig, target, platforms, simulator_type: str) -> None:
     platform = platforms.get(target) if isinstance(target, str) else None
     if platform is None:
         error = ("config/platform", "UnknownReference", f"platform {target!r} is not declared in the environment")
         raise PartError.listing(f"part '{part.group}'", [error])
     if part.group in platform.parts:
         return
-    entry = registry.match(part.group, simulator_type, platform.platform_type)
+    entry = GLOBAL_REGISTRY.match(part.group, simulator_type, platform.platform_type)
     settings, errors = parse_params(entry.params, part.config, "config")
     if errors:
         raise PartError.listing(f"part '{part.group}'", errors)

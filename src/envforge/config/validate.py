@@ -56,7 +56,7 @@ from ..params import (
     table,
 )
 from ..params import join_path as _join
-from ..parts import GLOBAL_REGISTRY, PluginRegistry
+from ..parts import GLOBAL_REGISTRY
 from ..policies import POLICY_REGISTRY
 from ..simulators import SIMULATORS
 from ..units import NONE, get_unit
@@ -372,11 +372,7 @@ def _parse_functor_list(entries: list, path: str, report: ValidationReport) -> l
     return [spec for spec in specs if spec is not None]
 
 
-def validate_agent(
-    tree,
-    registry: PluginRegistry = GLOBAL_REGISTRY,
-    path_prefix: str = "",
-) -> tuple[AgentConfig | None, ValidationReport]:
+def validate_agent(tree, path_prefix: str = "") -> tuple[AgentConfig | None, ValidationReport]:
     """Validate an agent config tree into an AgentConfig, or report errors."""
     report = ValidationReport()
     p = path_prefix
@@ -385,7 +381,7 @@ def validate_agent(
         return None, report
 
     parts: list[PartConfig] = []
-    part_table = _part_table(registry.groups)
+    part_table = _part_table(GLOBAL_REGISTRY.groups)
     for i, part_tree in enumerate(settings.get("parts", [])):
         ppath = _join(p, "parts", i)
         shorthand = isinstance(part_tree, str)
@@ -429,11 +425,7 @@ def validate_agent(
     )
 
 
-def validate_environment(
-    tree,
-    base_dir: str | Path = ".",
-    registry: PluginRegistry = GLOBAL_REGISTRY,
-) -> tuple[EnvironmentConfig | None, ValidationReport]:
+def validate_environment(tree, base_dir: str | Path = ".") -> tuple[EnvironmentConfig | None, ValidationReport]:
     """Validate an environment config tree, loading agent files it references."""
     report = ValidationReport()
     settings = _parse(ENVIRONMENT, tree, "", report)
@@ -471,9 +463,7 @@ def validate_environment(
             at = _load(base_dir / at, apath, report)
             if at is None:
                 continue
-        agent, agent_report = validate_agent(
-            at, registry, path_prefix=apath
-        )
+        agent, agent_report = validate_agent(at, path_prefix=apath)
         report.errors.extend(agent_report.errors)
         if agent is not None:
             agents.append(agent)
@@ -493,7 +483,7 @@ def validate_environment(
     if environment_parsed:
         # a shared done may read any agent's parts, so it is built only beside every agent
         every_agent = len(agents) == len(agent_trees)
-        report.errors += _build_errors(config if every_agent else replace(config, shared_dones=[]), registry)
+        report.errors += _build_errors(config if every_agent else replace(config, shared_dones=[]))
     if not report.ok:
         return None, report
     return config, report
@@ -510,12 +500,12 @@ def _document_position(error: ValidationError) -> list[int]:
     return [int(p) if p.isdigit() else _SECTION_RANK.get(p, 0) for p in error.path.split("/")[:4]]
 
 
-def _build_errors(config: EnvironmentConfig, registry: PluginRegistry) -> list[ValidationError]:
+def _build_errors(config: EnvironmentConfig) -> list[ValidationError]:
     """Every error that building ``config`` reports, in document order."""
     from ..environment import Environment  # the environment imports this package
 
     try:
-        Environment(config, registry)
+        Environment(config)
     except ConfigError as exc:
         errors = [ValidationError(path, ErrorCode(code), message) for path, code, message in exc.errors]
         return sorted(errors, key=_document_position)

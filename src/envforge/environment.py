@@ -7,6 +7,7 @@ only steps; recording a trajectory is the caller's job (see
 from __future__ import annotations
 
 import copy
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,12 +16,12 @@ from .agents import Agent, PolicyPool, attach_parts, build_agent
 from .config.schema import HORIZON_DONE, EnvironmentConfig, EpisodeEndMode
 from .config.validate import AGENT_PLATFORMS, SIMULATOR, environment_tree
 from .epp import EppError, EpisodeParameterProvider, InvalidOverride, ParameterSpec
-from .functors.base import DoneResult, DoneStatusCode, EpisodeState, FunctorNode, FunctorSpec
+from .functors.base import DoneResult, DoneStatusCode, EpisodeState, FunctorSpec
 from .functors.graph import FUNCTOR_REGISTRY, build_graph
 from .params import (
     PARSE_ERRORS, BuildErrors, ConfigError, Param, ParamError, join_path, nonnegative_int, parse_params,
 )
-from .parts import GLOBAL_REGISTRY, Box, all_finite
+from .parts import Box, all_finite
 from .simulators import SIMULATORS, PlatformSetup, init_key
 from .units import DimensionMismatch, Quantity, as_vector
 
@@ -73,16 +74,22 @@ class NonFiniteAction(EnvironmentError_):
 
 
 class ObservationShapeMismatch(EnvironmentError_):
-    """An observation whose shape is not its observation box's."""
+    """A glue's observation that is not an array of its observation box's
+    shape.  ``got`` is its shape, or says what the glue returned instead
+    ('missing', 'a list'); ``agent`` is None for a glue of the shared dones."""
 
-    def __init__(self, agent: str, glue: str, key: str, got: tuple[int, ...], expected: tuple[int, ...]):
+    def __init__(self, agent: str | None, glue: str, key: str, got: tuple[int, ...] | str, expected: tuple[int, ...]):
         self.agent = agent
         self.glue = glue
+        self.key = key
         self.got = got
         self.expected = expected
-        super().__init__(
-            f"agent '{agent}', glue '{glue}': observation '{key}' has shape {got}, expected {expected}"
-        )
+        owner = "shared_dones" if agent is None else f"agent '{agent}'"
+        if isinstance(got, tuple):
+            found = f"has shape {got}, expected {expected}"
+        else:
+            found = f"is {got}, expected an array of shape {expected}"
+        super().__init__(f"{owner}, glue '{glue}': observation '{key}' {found}")
 
 
 class ActionShapeMismatch(EnvironmentError_):
@@ -244,7 +251,7 @@ def _entry_errors(config: EnvironmentConfig) -> list[ParamError]:
 class Environment:
     """Owns one simulator, its agents, and the per-step evaluation schedule."""
 
-    def __init__(self, config: EnvironmentConfig, registry=GLOBAL_REGISTRY):
+    def __init__(self, config: EnvironmentConfig):
         """Check every reader of an episode parameter (``episode_parameters``
         raises what ``_entry_errors`` finds before anything is built), build
         the simulator and its platforms, then every agent's parts, then the
@@ -253,7 +260,6 @@ class Environment:
         functor may read any part); then the first ``ConfigError`` is raised,
         listing every error."""
         self.config = config
-        self.registry = registry
         self.epp, parameter_errors = episode_parameters(config)
         errors = BuildErrors()
 
@@ -267,7 +273,7 @@ class Environment:
 
         platforms = self.simulator.platforms
         for agent_cfg in config.agents:
-            errors.attempt(attach_parts, agent_cfg, platforms, sim_cls.simulator_type, registry)
+            errors.attempt(attach_parts, agent_cfg, platforms, sim_cls.simulator_type)
         if errors.first is None:
             policy_pool = PolicyPool()
             agents = [errors.attempt(build_agent, a, platforms, policy_pool) for a in config.agents]
@@ -275,11 +281,13 @@ class Environment:
             shared_specs = [*config.shared_dones, HORIZON_DONE]
             self.shared_graph = errors.attempt(build_graph, dict(platforms), [], shared_specs)
         errors.check()
-        # every glue node with its get_observation, each graph's in
-        # topological order: the observe phase
+        # (owner, node, get_observation, (key, shape) of each observation it
+        # declares) of every glue, each graph's in topological order: the
+        # observe phase; the owner is the agent's name, None for the shared graph
         self._observe = [
-            (node, node.functor.get_observation)
-            for graph in [*(a.graph for a in self.agents.values()), self.shared_graph]
+            (owner, node, node.functor.get_observation,
+             tuple((key, box.low.shape) for key, box in node.observation_space.items()))
+            for owner, graph in [*((a.name, a.graph) for a in self.agents.values()), (None, self.shared_graph)]
             for node in graph.nodes.values()
             if node.kind == "glue"
         ]
@@ -365,7 +373,7 @@ class Environment:
         state.step_count += 1
         state.sim_time = self.simulator.sim_time
 
-        # (3) glues compute observations
+        # (3) glues compute observations, each checked as its glue returns it
         self._evaluate_glues()
 
         # (4) dones, including shared dones; an agent's outcome is its first
@@ -438,7 +446,7 @@ class Environment:
         else:
             self._env_done = ended == len(outcome)
 
-        # (7) observation space sanity checks
+        # (7) the observations' bounds, as space_check_mode says
         self._space_check()
 
         return StepResult(
@@ -473,30 +481,17 @@ class Environment:
     # Schedule internals -------------------------------------------------
 
     def _evaluate_glues(self) -> None:
+        """Evaluate every glue and check each observation its node declares,
+        in every ``space_check_mode``, before a later glue can read it."""
         state = self.state
-        try:
-            for node, get_observation in self._observe:
-                node.observation = get_observation(state)
-        except Exception as exc:
-            mismatch = self._shape_mismatch_before(node)
-            if mismatch is None:
-                raise
-            raise mismatch from exc
-
-    def _shape_mismatch_before(self, failed: FunctorNode) -> ObservationShapeMismatch | None:
-        """The mismatch of the first agent observation, of those evaluated
-        before the glue ``failed`` raised, whose shape is not its box's, or
-        None: a glue that reads a mis-shaped observation may fail on it
-        before the space check would name it."""
-        for agent in self.agents.values():
-            for node in agent.graph.nodes.values():
-                if node is failed:
-                    return None
-                for key, box in node.observation_space.items():
-                    values = node.observation.get(key)
-                    if values is not None and np.shape(values) != box.low.shape:
-                        return ObservationShapeMismatch(agent.name, node.name, key, np.shape(values), box.low.shape)
-        return None
+        for owner, node, get_observation, expected in self._observe:
+            observation = node.observation = get_observation(state)
+            try:
+                for key, shape in expected:
+                    if observation[key].shape != shape:
+                        raise ObservationShapeMismatch(owner, node.name, key, observation[key].shape, shape)
+            except (LookupError, TypeError, AttributeError):  # no array under key
+                raise ObservationShapeMismatch(owner, node.name, key, _found(observation, key), shape) from None
 
     @staticmethod
     def _collect_observations(agents) -> dict[str, dict[str, np.ndarray]]:
@@ -508,6 +503,8 @@ class Environment:
         }
 
     def _space_check(self) -> None:
+        """Compare each agent observation with its box's bounds, on every
+        step, on a spot-checked one or never; the glues checked its shape."""
         mode = self.config.space_check_mode
         if mode.mode == "off":
             return
@@ -521,16 +518,19 @@ class Environment:
                 values = node.observation[key]
                 # NaN fails neither comparison, so it passes here as it does in
                 # the element loop that words the error, and no value lies
-                # outside an unbounded box; that loop names a wrong shape first
-                if values.shape != box.low.shape or (
-                    not box.unbounded and ((values < box.low) | (values > box.high)).any()
-                ):
+                # outside an unbounded box
+                if not box.unbounded and ((values < box.low) | (values > box.high)).any():
                     _raise_first_violation(name, node.name, key, values, box)
 
 
+def _found(observation, key: str) -> str:
+    """What a glue's result, ``observation``, holds under ``key`` instead of an array."""
+    if not isinstance(observation, Mapping):
+        return f"missing: the glue returned a {type(observation).__name__}"
+    return f"a {type(observation[key]).__name__}" if key in observation else "missing"
+
+
 def _raise_first_violation(agent: str, glue: str, key: str, values: np.ndarray, box: Box) -> None:
-    if values.shape != box.low.shape:
-        raise ObservationShapeMismatch(agent, glue, key, values.shape, box.low.shape)
     for i, v in enumerate(values):
         if v < box.low[i] or v > box.high[i]:
             raise SpaceViolation(agent, glue, i, float(v), float(box.low[i]), float(box.high[i]))

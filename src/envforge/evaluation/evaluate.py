@@ -118,15 +118,15 @@ _CODE_TEXT = {None: "null", **{code: json.dumps(code.value) for code in DoneStat
 
 
 class _RowPlan:
-    """Reads the steps of one structure, but for its arrays' lengths, into rows.
+    """Reads the steps of one structure into rows of its one layout.
 
     The structure is the active agents, the platforms and each agent's
     fragment names: ``run_episode`` files a plan under them and keeps using
     it while ``fits`` holds and no agent has ended.  With what the
-    environment fixes at build, they fix the step's shape; the lengths of a
-    step's arrays complete it, so a fragment of another length gets a layout
-    of its own.  A ``projection`` of the shape leaves sections out, and the
-    plan reads only the sections it keeps.
+    environment fixes at build, they fix the step's shape, its arrays'
+    lengths included: ``step`` refuses a fragment, and a glue an
+    observation, that is not of its box's shape.  A ``projection`` of the
+    shape leaves sections out, and the plan reads only the sections it keeps.
     """
 
     def __init__(self, env: Environment, actions: dict, result: StepResult, projection):
@@ -141,13 +141,16 @@ class _RowPlan:
             platform_states=tuple((name, tuple(sorted(vars(platforms[name].state)))) for name in sorted(platforms)),
             rewards=tuple((agent, tuple(sorted(c))) for agent, c in sorted(result.reward_components.items())),
         )
-        self.shape = shape = shape if projection is None else projection(shape)
+        shape = shape if projection is None else projection(shape)
         self._actions = shape.actions or ()
         self._observations = [(agent, name) for agent, names in shape.observations or () for name, _ in names]
         self._platform_states = shape.platform_states or ()
         #: (agent, its fragment names) of each agent whose action the plan reads
         self.fragments = [(agent, frozenset(glues)) for agent, glues in self._actions]
-        self.layouts: dict[tuple[int, ...], RecordLayout] = {}
+        agents = env.agents
+        lengths = [agents[agent].action_space()[glue].shape for agent, glues in self._actions for glue in glues]
+        lengths += [agents[agent].observation_space()[name].shape for agent, name in self._observations]
+        self.layout = RecordLayout.of(shape._replace(lengths=tuple(lengths)))
 
     def fits(self, env: Environment, actions: dict) -> bool:
         """Whether a step of the plan's active agents, with ``actions``, has
@@ -163,23 +166,18 @@ class _RowPlan:
     def row(self, env: Environment, actions: dict, result: StepResult) -> Row:
         # plain loops that append: a step gathers a few values, so a
         # comprehension, a map or an attrgetter costs more than it saves
-        shape = self.shape
+        shape = self.layout.shape
         values: list = []
-        lengths = []
         for agent, glues in self._actions:
             fragments = actions[agent]
             for glue in glues:
-                leaf = as_vector(fragments[glue]).tolist()  # as step() reads it: a bare number is one element
-                lengths.append(len(leaf))
-                values += leaf
+                values += as_vector(fragments[glue]).tolist()  # as step() reads it: a bare number is one element
         codes = result.done_codes
         for agent in shape.done_codes:
             values.append(_CODE_TEXT[codes[agent]])
         observations = result.observations
         for agent, name in self._observations:
-            leaf = as_vector(observations[agent][name]).tolist()  # as a Quantity would hold the glue's array
-            lengths.append(len(leaf))
-            values += leaf
+            values += as_vector(observations[agent][name]).tolist()  # as a Quantity would hold the glue's array
         platforms = env.simulator.platforms
         for name, attributes in self._platform_states:
             state = platforms[name].state
@@ -196,11 +194,7 @@ class _RowPlan:
         state = env.state
         values.append(float(state.sim_time))
         values.append(state.step_count)
-        key = tuple(lengths)
-        layout = self.layouts.get(key)
-        if layout is None:
-            layout = self.layouts[key] = RecordLayout.of(shape._replace(lengths=key))
-        return layout, tuple(values)
+        return self.layout, tuple(values)
 
 
 #: each environment's row plans, by the structure ``run_episode`` selects a

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..params import Param, list_of, one_of, optional, parse_entries, string
+from .artifact import case_name
 from .metrics import NON_TERMINAL, TERMINAL, MetricError, MetricValue, UnknownMetric
 
 
@@ -37,12 +38,20 @@ class VizSpec:
     title: str = "Evaluation report"
 
 
+def _report_file(raw) -> str:
+    """A report's file name, which names a file in the output directory: a
+    ``case_name`` other than '', '.' and '..'."""
+    if case_name(raw) in ("", ".", ".."):
+        raise ValueError(f"'{raw}' names no file in the output directory")
+    return raw
+
+
 #: the keys of a visualizations entry, which are ``VizSpec``'s fields;
 #: ``metrics`` names the metrics to render, and null renders every applicable one
 VIZ_ENTRY = (
     Param("type", one_of(VIZ_TYPES)),
     Param("metrics", optional(list_of(string)), None),
-    Param("file", string, "report.html"),
+    Param("file", _report_file, "report.html"),
     Param("title", string, "Evaluation report"),
 )
 

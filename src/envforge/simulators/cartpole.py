@@ -108,8 +108,8 @@ def _force_controller(name: str, settings: dict) -> Controller:
     return Controller(name, prop)
 
 
-def register_parts(registry=GLOBAL_REGISTRY) -> None:
+def register_parts() -> None:
     sim, plat = CartPoleSimulator.simulator_type, CartPoleSimulator.platform_type
-    registry.register("Sensor_State", _state_sensor, sim, plat)
+    GLOBAL_REGISTRY.register("Sensor_State", _state_sensor, sim, plat)
     limit = Param("force_limit", positive, default=DEFAULTS["force_mag"])
-    registry.register("Controller_Force", _force_controller, sim, plat, (limit,))
+    GLOBAL_REGISTRY.register("Controller_Force", _force_controller, sim, plat, (limit,))

@@ -88,11 +88,11 @@ def _thrust_controller(name: str, settings: dict) -> Controller:
     return Controller(name, prop)
 
 
-def register_parts(registry=GLOBAL_REGISTRY) -> None:
+def register_parts() -> None:
     sim, plat = Docking1dSimulator.simulator_type, Docking1dSimulator.platform_type
-    registry.register("Sensor_Position", _position_sensor, sim, plat)
-    registry.register("Sensor_Velocity", _velocity_sensor, sim, plat)
-    registry.register("Sensor_State", _state_sensor, sim, plat)
-    registry.register(
+    GLOBAL_REGISTRY.register("Sensor_Position", _position_sensor, sim, plat)
+    GLOBAL_REGISTRY.register("Sensor_Velocity", _velocity_sensor, sim, plat)
+    GLOBAL_REGISTRY.register("Sensor_State", _state_sensor, sim, plat)
+    GLOBAL_REGISTRY.register(
         "Controller_Thrust", _thrust_controller, sim, plat, (Param("thrust_limit", positive, default=1.0),)
     )

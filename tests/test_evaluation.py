@@ -707,6 +707,13 @@ class TestInputChecks:
         with pytest.raises(InvalidVizEntry, match=re.escape(message)):
             parse_viz_config({"visualizations": entries})
 
+    @pytest.mark.parametrize("file", ["", ".", "..", "sub/r.html", "sub\\r.html", "r\0.html"])
+    def test_viz_file_names_a_file_in_the_output_directory(self, file):
+        # each would fail the report's write after every rollout had run
+        with pytest.raises(InvalidVizEntry, match=re.escape("visualizations entry 0: file: ")):
+            parse_viz_config({"visualizations": [{"type": "html", "file": file}]})
+        assert parse_viz_config({"visualizations": [{"type": "html", "file": "r.html"}]})[0].file == "r.html"
+
     @pytest.mark.parametrize(
         "parse, tree",
         [(parse_condition_set, {"test_cases": {}}), (parse_metric_config, []), (parse_viz_config, None)],

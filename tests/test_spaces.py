@@ -1,6 +1,9 @@
 """Spaces are compiled once per glue, checked per step, and sensors read once per step."""
 
+import json
 from collections import Counter
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from envforge.config.schema import SpaceCheckMode
 from envforge.environment import Environment, ObservationShapeMismatch, SpaceViolation
 from envforge.evaluation.evaluate import run_episode
 from envforge.functors.base import FunctorNode, Glue
-from envforge.functors.builtins import ObserveSensor
+from envforge.functors.builtins import ObserveSensor, TargetValueDifference
 from envforge.functors.graph import FUNCTOR_REGISTRY
 from envforge.parts import Box, NoValidMeasurementYet, Sensor
 
@@ -204,67 +207,137 @@ class TestSensorReads:
             env.reset(seed=0)
 
 
+def reshaping(get_observation, reshape, on=True):
+    """``get_observation`` with each result passed through ``reshape`` while
+    ``switch[0]`` is true, and that switch, initially ``on``."""
+    switch = [on]
+
+    def patched(self, state):
+        observation = get_observation(self, state)
+        return reshape(observation) if switch[0] else observation
+
+    return patched, switch
+
+
+def noting(get_observation, switch):
+    """``get_observation`` that appends ``switch[0]`` to a list at each
+    call, and that list."""
+    notes = []
+
+    def patched(self, state):
+        notes.append(switch[0])
+        return get_observation(self, state)
+
+    return patched, notes
+
+
+MODES = [
+    SpaceCheckMode.every_step(), SpaceCheckMode.spot_check(1.0), SpaceCheckMode.spot_check(0.0), SpaceCheckMode.off()
+]
+MODE_IDS = ["every_step", "spot_check_runs", "spot_check_skips", "off"]
+
+
 class TestObservationShape:
-    """The space check compares an observation's shape with its box's, then its bounds."""
+    """Each glue's result is checked against its node's boxes as the glue
+    returns it, in every space_check_mode; the mode governs the bounds only."""
 
     @pytest.mark.parametrize("shape", [(2,), (3,), (6,), (2, 2)], ids=["two", "three", "six", "two_by_two"])
-    def test_other_shape_raises_naming_agent_glue_and_shapes(self, cartpole_config, shape):
+    def test_other_shape_raises_naming_agent_glue_and_shapes(self, cartpole_config, monkeypatch, shape):
+        patched, switch = reshaping(ObserveSensor.get_observation, lambda obs: {k: np.zeros(shape) for k in obs})
+        monkeypatch.setattr(ObserveSensor, "get_observation", patched)
         env = Environment(cartpole_config)
-        env.reset(seed=0)
-        ((_, node, key, _),) = env.agents["cartpole_agent"].observation_layout
-        node.observation = {key: np.zeros(shape)}
-        with pytest.raises(ObservationShapeMismatch) as caught:
-            env._space_check()
-        error = caught.value
-        assert (error.agent, error.glue, error.got, error.expected) == ("cartpole_agent", "ObserveState", shape, (4,))
-        assert str(error) == (
-            f"agent 'cartpole_agent', glue 'ObserveState': observation 'direct_observation' "
-            f"has shape {shape}, expected (4,)"
-        )
+        for call in (lambda: env.reset(seed=0), lambda: env.step({})):
+            switch[0] = False
+            env.reset(seed=0)
+            switch[0] = True
+            with pytest.raises(ObservationShapeMismatch) as caught:
+                call()
+            error = caught.value
+            assert (error.agent, error.glue, error.got, error.expected) == (
+                "cartpole_agent", "ObserveState", shape, (4,)
+            )
+            assert str(error) == (
+                f"agent 'cartpole_agent', glue 'ObserveState': observation 'direct_observation' "
+                f"has shape {shape}, expected (4,)"
+            )
 
-    @pytest.mark.parametrize(
-        "mode, raises",
-        [(SpaceCheckMode.every_step(), True), (SpaceCheckMode.spot_check(1.0), True),
-         (SpaceCheckMode.spot_check(0.0), False), (SpaceCheckMode.off(), False)],
-        ids=["every_step", "spot_check_runs", "spot_check_skips", "off"],
-    )
-    def test_reset_checks_the_shape_when_a_check_runs(self, cartpole_config, monkeypatch, mode, raises):
-        get_observation = ObserveSensor.get_observation
-
-        def six_elements(self, state):
-            return {k: np.resize(v, 6) for k, v in get_observation(self, state).items()}
-
-        monkeypatch.setattr(ObserveSensor, "get_observation", six_elements)
+    @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+    def test_reset_checks_the_shape_when_a_check_runs(self, cartpole_config, monkeypatch, mode):
+        # the shape is checked at the glue, so the check runs in every mode
+        patched, _ = reshaping(ObserveSensor.get_observation, lambda obs: {k: np.resize(v, 6) for k, v in obs.items()})
+        monkeypatch.setattr(ObserveSensor, "get_observation", patched)
         cartpole_config.space_check_mode = mode
         env = Environment(cartpole_config)
-        if raises:
-            with pytest.raises(ObservationShapeMismatch, match=r"has shape \(6,\), expected \(4,\)"):
-                env.reset(seed=0)
-        else:
-            assert env.reset(seed=0)["cartpole_agent"]["ObserveState/direct_observation"].shape == (6,)
+        with pytest.raises(ObservationShapeMismatch, match=r"has shape \(6,\), expected \(4,\)"):
+            env.reset(seed=0)
 
     @pytest.mark.parametrize("phase", ["reset", "step"])
     def test_a_glue_failing_on_a_short_observation_names_the_observation(self, cartpole_config, monkeypatch, phase):
         # the pole-angle TargetValueDifference reads element 2 of ObserveState,
-        # so it raises IndexError on a two-element observation before any
-        # space check; the error names the observation it read
-        get_observation = ObserveSensor.get_observation
-        short = [phase == "reset"]
-
-        def shortened(self, state):
-            observation = get_observation(self, state)
-            return {k: v[:2] for k, v in observation.items()} if short[0] else observation
-
-        monkeypatch.setattr(ObserveSensor, "get_observation", shortened)
+        # so it would raise IndexError on a two-element observation; the
+        # check at ObserveState raises first, and TargetValueDifference never
+        # reads it
+        patched, switch = reshaping(
+            ObserveSensor.get_observation, lambda obs: {k: v[:2] for k, v in obs.items()}, on=phase == "reset"
+        )
+        monkeypatch.setattr(ObserveSensor, "get_observation", patched)
+        reading, reads = noting(TargetValueDifference.get_observation, switch)
+        monkeypatch.setattr(TargetValueDifference, "get_observation", reading)
         env = Environment(cartpole_config)
         if phase == "step":
             env.reset(seed=0)
-            short[0] = True
+            switch[0] = True
         with pytest.raises(ObservationShapeMismatch) as caught:
             env.reset(seed=0) if phase == "reset" else env.step({})
         error = caught.value
         assert (error.agent, error.glue, error.got, error.expected) == ("cartpole_agent", "ObserveState", (2,), (4,))
-        assert isinstance(error.__cause__, IndexError)
+        assert error.__cause__ is None
+        assert True not in reads
+
+    @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+    @pytest.mark.parametrize(
+        "result, found",
+        [
+            (lambda obs: {}, "is missing"),
+            (lambda obs: {k: v.tolist() for k, v in obs.items()}, "is a list"),
+            (lambda obs: list(obs.values()), "is missing: the glue returned a list"),
+        ],
+        ids=["empty", "lists", "not_a_mapping"],
+    )
+    def test_a_missing_or_unarrayed_observation_names_agent_glue_and_key(
+        self, cartpole_config, monkeypatch, mode, result, found
+    ):
+        patched, _ = reshaping(ObserveSensor.get_observation, result)
+        monkeypatch.setattr(ObserveSensor, "get_observation", patched)
+        cartpole_config.space_check_mode = mode
+        with pytest.raises(ObservationShapeMismatch) as caught:
+            Environment(cartpole_config).reset(seed=0)
+        error = caught.value
+        assert (error.agent, error.glue, error.key, error.got, error.expected) == (
+            "cartpole_agent", "ObserveState", "direct_observation", found[3:], (4,)
+        )
+        assert str(error) == (
+            f"agent 'cartpole_agent', glue 'ObserveState': observation 'direct_observation' "
+            f"{found}, expected an array of shape (4,)"
+        )
+        assert error.__cause__ is None and error.__suppress_context__
+
+    def test_a_glue_of_the_shared_dones_is_checked_and_named(self, monkeypatch):
+        # LeftCorridor wraps an unnamed ObserveSensor of deputy_b's position;
+        # the agents' observing glues are all named
+        config = load_env_config(CONFIG_DIR / "docking" / "environment_two_agents.yml")
+        get_observation = ObserveSensor.get_observation
+
+        def patched(self, state):
+            observation = get_observation(self, state)
+            return {k: np.resize(v, 3) for k, v in observation.items()} if self.name == "ObserveSensor" else observation
+
+        monkeypatch.setattr(ObserveSensor, "get_observation", patched)
+        with pytest.raises(ObservationShapeMismatch) as caught:
+            Environment(config).reset(seed=0)
+        error = caught.value
+        assert (error.agent, error.glue, error.got, error.expected) == (None, "ObserveSensor", (3,), (1,))
+        assert str(error).startswith("shared_dones, glue 'ObserveSensor': observation 'direct_observation' ")
 
     def test_a_glue_failing_on_well_shaped_observations_raises_its_own_error(self, cartpole_config, monkeypatch):
         def failing(self, state):
@@ -273,3 +346,66 @@ class TestObservationShape:
         monkeypatch.setattr(ObserveSensor, "get_observation", failing)
         with pytest.raises(RuntimeError, match="^sensor offline$"):
             Environment(cartpole_config).reset(seed=0)
+
+
+CARTPOLE = load_env_config(CONFIG_DIR / "cartpole" / "environment.yml")
+
+#: (kind, size) of a glue result: its box's array, one of another length
+#: (0 and 4 included), a 2-D one, one without the key, and a list
+GLUE_RESULTS = st.one_of(
+    st.just(("box", None)),
+    st.tuples(st.just("length"), st.integers(0, 8)),
+    st.tuples(st.just("2d"), st.tuples(st.integers(1, 3), st.integers(1, 3))),
+    st.just(("missing", None)),
+    st.just(("list", None)),
+)
+
+
+def glue_result(observation: dict, kind: str, size) -> dict:
+    if kind == "length" or kind == "2d":
+        return {k: np.resize(v, size) for k, v in observation.items()}
+    if kind == "missing":
+        return {}
+    if kind == "list":
+        return {k: v.tolist() for k, v in observation.items()}
+    return observation
+
+
+class TestObservationShapeProperty:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        GLUE_RESULTS,
+        st.sampled_from([SpaceCheckMode.every_step(), SpaceCheckMode.spot_check(0.5), SpaceCheckMode.off()]),
+        st.sampled_from(["reset", "step"]),
+        st.integers(0, 2**16),
+    )
+    def test_typed_error_exactly_when_a_result_is_not_its_box_shape(self, result, mode, phase, seed):
+        kind, size = result
+        well_formed = kind == "box" or (kind == "length" and size == 4)
+        patched, switch = reshaping(
+            ObserveSensor.get_observation, lambda obs: glue_result(obs, kind, size), on=phase == "reset"
+        )
+        reading, reads = noting(TargetValueDifference.get_observation, switch)
+        with mock.patch.object(ObserveSensor, "get_observation", patched), \
+                mock.patch.object(TargetValueDifference, "get_observation", reading):
+            env = Environment(replace(CARTPOLE, space_check_mode=mode))
+            if phase == "step":
+                env.reset(seed=seed)
+                switch[0] = True
+            if not well_formed:
+                with pytest.raises(ObservationShapeMismatch) as caught:
+                    env.reset(seed=seed) if phase == "reset" else env.step({})
+                error = caught.value
+                assert (error.agent, error.glue) == ("cartpole_agent", "ObserveState")
+                assert "agent 'cartpole_agent', glue 'ObserveState'" in str(error)
+                assert True not in reads  # no glue read the result
+                return
+            artifact = run_episode(env, seed)
+        assert artifact.error is None and artifact.rows
+        (agent,) = env.agents.values()
+        for layout, values in artifact.rows:
+            record = json.loads(layout.line(values))
+            for name, fragment in record["actions"]["cartpole_agent"].items():
+                assert len(fragment) == agent.action_space()[name].shape
+            for name, observation in record["observations"]["cartpole_agent"].items():
+                assert len(observation["values"]) == agent.observation_space()[name].shape
