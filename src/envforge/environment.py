@@ -1,6 +1,7 @@
 """Multi-agent environment: EPP sampling, simulator stepping, and the
-glue -> done -> reward schedule, with space sanity checks.  The environment
-only steps; recording a trajectory is the caller's job (see
+glue -> done -> reward schedule.  Each observation is checked as its glue
+returns it: its shape always, its bounds as ``space_check_mode`` says.  The
+environment only steps; recording a trajectory is the caller's job (see
 ``evaluation.evaluate.run_episode``).
 """
 
@@ -44,11 +45,14 @@ class InvalidSeed(EnvironmentError_):
 
 
 class SpaceViolation(EnvironmentError_):
-    def __init__(self, agent: str, glue: str, element: int, value: float, low: float, high: float):
+    """An observation element outside its box; ``agent`` is None for a glue of the shared dones."""
+
+    def __init__(self, agent: str | None, glue: str, element: int, value: float, low: float, high: float):
         self.agent = agent
         self.glue = glue
+        owner = "shared_dones" if agent is None else f"agent '{agent}'"
         super().__init__(
-            f"observation out of bounds: agent '{agent}', glue '{glue}', "
+            f"observation out of bounds: {owner}, glue '{glue}', "
             f"element {element}: value {value} outside [{low}, {high}]"
         )
 
@@ -281,12 +285,13 @@ class Environment:
             shared_specs = [*config.shared_dones, HORIZON_DONE]
             self.shared_graph = errors.attempt(build_graph, dict(platforms), [], shared_specs)
         errors.check()
-        # (owner, node, get_observation, (key, shape) of each observation it
-        # declares) of every glue, each graph's in topological order: the
-        # observe phase; the owner is the agent's name, None for the shared graph
+        # (owner, node, get_observation, (key, shape, box or None if
+        # unbounded) of each observation it declares) of every glue, each
+        # graph's in topological order: the observe phase; the owner is the
+        # agent's name, None for the shared graph
         self._observe = [
             (owner, node, node.functor.get_observation,
-             tuple((key, box.low.shape) for key, box in node.observation_space.items()))
+             tuple((key, box.low.shape, None if box.unbounded else box) for key, box in node.observation_space.items()))
             for owner, graph in [*((a.name, a.graph) for a in self.agents.values()), (None, self.shared_graph)]
             for node in graph.nodes.values()
             if node.kind == "glue"
@@ -329,7 +334,6 @@ class Environment:
         self._check_rng = np.random.default_rng(seed) if self.config.space_check_mode.mode == "spot_check" else None
 
         self._evaluate_glues()
-        self._space_check()
         return self._collect_observations(self.agents.values())
 
     def step(self, actions: dict[str, dict[str, np.ndarray]]) -> StepResult:
@@ -446,9 +450,6 @@ class Environment:
         else:
             self._env_done = ended == len(outcome)
 
-        # (7) the observations' bounds, as space_check_mode says
-        self._space_check()
-
         return StepResult(
             observations=self._collect_observations(active),
             rewards=rewards,
@@ -481,17 +482,30 @@ class Environment:
     # Schedule internals -------------------------------------------------
 
     def _evaluate_glues(self) -> None:
-        """Evaluate every glue and check each observation its node declares,
-        in every ``space_check_mode``, before a later glue can read it."""
+        """Evaluate every glue and check each observation it declares before a
+        later glue, a done or a reward reads it: its shape always, its bounds
+        on each reset or step that ``space_check_mode`` checks."""
+        mode = self.config.space_check_mode
+        bounds = mode.mode == "every_step"
+        if mode.mode == "spot_check":
+            self.spot_checks_attempted += 1
+            bounds = self._check_rng.random() < mode.probability
+            self.spot_checks_run += bounds
         state = self.state
         for owner, node, get_observation, expected in self._observe:
             observation = node.observation = get_observation(state)
-            try:
-                for key, shape in expected:
-                    if observation[key].shape != shape:
-                        raise ObservationShapeMismatch(owner, node.name, key, observation[key].shape, shape)
-            except (LookupError, TypeError, AttributeError):  # no array under key
-                raise ObservationShapeMismatch(owner, node.name, key, _found(observation, key), shape) from None
+            for key, shape, box in expected:
+                try:
+                    values = observation[key]
+                    got = values.shape
+                except (LookupError, TypeError, AttributeError):  # no array under key
+                    raise ObservationShapeMismatch(owner, node.name, key, _found(observation, key), shape) from None
+                if got != shape:
+                    raise ObservationShapeMismatch(owner, node.name, key, got, shape)
+                # NaN fails neither comparison, so it passes here as it does in
+                # the element loop that words the error
+                if bounds and box is not None and ((values < box.low) | (values > box.high)).any():
+                    _raise_first_violation(owner, node.name, values, box)
 
     @staticmethod
     def _collect_observations(agents) -> dict[str, dict[str, np.ndarray]]:
@@ -502,26 +516,6 @@ class Environment:
             for agent in agents
         }
 
-    def _space_check(self) -> None:
-        """Compare each agent observation with its box's bounds, on every
-        step, on a spot-checked one or never; the glues checked its shape."""
-        mode = self.config.space_check_mode
-        if mode.mode == "off":
-            return
-        if mode.mode == "spot_check":
-            self.spot_checks_attempted += 1
-            if self._check_rng.random() >= mode.probability:
-                return
-            self.spot_checks_run += 1
-        for name, agent in self.agents.items():
-            for _, node, key, box in agent.observation_layout:
-                values = node.observation[key]
-                # NaN fails neither comparison, so it passes here as it does in
-                # the element loop that words the error, and no value lies
-                # outside an unbounded box
-                if not box.unbounded and ((values < box.low) | (values > box.high)).any():
-                    _raise_first_violation(name, node.name, key, values, box)
-
 
 def _found(observation, key: str) -> str:
     """What a glue's result, ``observation``, holds under ``key`` instead of an array."""
@@ -530,7 +524,7 @@ def _found(observation, key: str) -> str:
     return f"a {type(observation[key]).__name__}" if key in observation else "missing"
 
 
-def _raise_first_violation(agent: str, glue: str, key: str, values: np.ndarray, box: Box) -> None:
+def _raise_first_violation(agent: str | None, glue: str, values: np.ndarray, box: Box) -> None:
     for i, v in enumerate(values):
         if v < box.low[i] or v > box.high[i]:
             raise SpaceViolation(agent, glue, i, float(v), float(box.low[i]), float(box.high[i]))

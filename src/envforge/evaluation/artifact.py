@@ -530,15 +530,11 @@ def write_manifest(directory: str | Path, case_ids: list[str]) -> Path:
 
 
 def load_artifacts(directory: str | Path) -> list[EpisodeArtifact]:
-    """The artifacts the directory's manifest names, ordered by file name.
-
-    A directory without a manifest, written before manifests existed, yields
-    every ``artifact_*.jsonl`` in it.
-    """
+    """The artifacts the directory's manifest names, ordered by file name."""
     directory = Path(directory)
     manifest = directory / MANIFEST
     if not manifest.is_file():
-        return [EpisodeArtifact.load(p) for p in sorted(directory.glob("artifact_*.jsonl"))]
+        raise ArtifactError(f"{manifest}: no run manifest; evaluate writes one with its artifacts")
     try:
         document = mapping(json.loads(manifest.read_text()))
     except (ValueError, TypeError) as exc:

@@ -174,11 +174,12 @@ class Glue(Functor):
     is compiled, and the results are kept on the glue's :class:`FunctorNode`;
     they may depend only on the glue's config and on part properties.
     ``get_observation`` returns one float64 array per observation key, of its
-    box's shape and in its box's unit; the environment checks each shape as
-    the glue returns it, before another glue reads it, and raises
+    box's shape and in its box's unit.  The environment checks each one as
+    the glue returns it, before another glue, a done or a reward reads it:
     ``ObservationShapeMismatch`` for an observation that is missing, not an
-    array or of another shape.  ``apply_action`` gets the fragment in the
-    action box's unit.
+    array or of another shape, and, when ``space_check_mode`` checks, a
+    ``SpaceViolation`` for one outside its box.  ``apply_action`` gets the
+    fragment in the action box's unit.
     """
 
     kind = "glue"

@@ -29,11 +29,6 @@ class NoValidMeasurementYet(PartError):
         super().__init__(f"sensor '{sensor}' got an invalid reading before any valid one")
 
 
-class RegistryFrozen(PartError):
-    def __init__(self, group: str):
-        super().__init__(f"cannot register '{group}': plugin registry is frozen")
-
-
 class UnknownGroup(PartError):
     def __init__(self, group: str):
         self.group = group
@@ -84,12 +79,6 @@ class Box:
         """``np.clip(values, low, high)``, bit for bit (signed zeros
         included), without its Python-level dispatch."""
         return np.minimum(np.maximum(values, self.low), self.high)
-
-    def contains(self, values: np.ndarray) -> bool:
-        v = np.asarray(values, dtype=float)
-        return v.shape == (self.shape,) and bool(
-            np.all(v >= self.low) and np.all(v <= self.high)
-        )
 
 
 def all_finite(values: np.ndarray) -> bool:
@@ -231,7 +220,6 @@ class PluginRegistry:
 
     def __init__(self):
         self._entries: dict[str, list[PartEntry]] = {}
-        self._frozen = False
 
     def register(
         self,
@@ -243,17 +231,8 @@ class PluginRegistry:
     ) -> None:
         """Register ``factory`` for ``group``; ``params`` declares every key of
         the part's config but ``platform``."""
-        if self._frozen:
-            raise RegistryFrozen(group)
         entry = PartEntry(Conditions(simulator_type, platform_type), factory, (PLATFORM, *params))
         self._entries.setdefault(group, []).append(entry)
-
-    def freeze(self) -> None:
-        self._frozen = True
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
     @property
     def groups(self) -> Collection[str]:

@@ -22,7 +22,7 @@ from envforge.cli import main
 from envforge.config.validate import validate_environment
 from envforge.environment import Environment
 from envforge.evaluation import ArtifactError, EpisodeArtifact, RecordLayout, StepShape, TestCase, evaluate
-from envforge.evaluation.artifact import _compile
+from envforge.evaluation.artifact import _compile, write_manifest
 from envforge.functors.base import Reward
 from envforge.functors.graph import FUNCTOR_REGISTRY
 
@@ -512,6 +512,7 @@ class TestMalformed:
     @pytest.mark.parametrize("case", ["step_missing_a_key", "record_is_a_list", "header_without_case_id"])
     def test_metrics_command_reports_artifact_error(self, tmp_path, capsys, case):
         path, line = self.write(tmp_path, *MALFORMED[case])
+        write_manifest(tmp_path, ["c"])
         code = main(["metrics", "--metrics", str(DOCKING / "metrics.yml"), "--out", str(tmp_path)])
         assert code == 1
         assert f"error: ArtifactError: {path}:{line}: " in capsys.readouterr().err

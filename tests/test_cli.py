@@ -8,6 +8,7 @@ from envforge.cli import main
 from envforge.config import PolicyConfig
 from envforge.environment import Environment
 from envforge.evaluation import TestCase, rollout
+from envforge.evaluation.artifact import write_manifest
 
 from conftest import CONFIG_DIR, DATA_DIR, load_env_config
 
@@ -270,10 +271,15 @@ class TestPipelineStages:
         "path", sorted((DATA_DIR / "invalid_artifacts").glob("*.json*")), ids=lambda p: p.stem
     )
     def test_invalid_artifacts_corpus(self, tmp_path, capsys, path):
-        # each file alone in an output directory; a manifest under its own name
+        # each file alone in an output directory: a manifest as manifest.json,
+        # an artifact under its own name with a manifest that names its case
         out = tmp_path / "out"
         out.mkdir()
-        target = out / ("manifest.json" if path.name.startswith("manifest_") else path.name)
+        if path.name.startswith("manifest_"):
+            target = out / "manifest.json"
+        else:
+            target = out / path.name
+            write_manifest(out, [path.stem.removeprefix("artifact_")])
         target.write_bytes(path.read_bytes())
         assert main(["metrics", "--metrics", str(DOCKING / "metrics.yml"), "--out", str(out)]) == 1
         lines = capsys.readouterr().err.splitlines()

@@ -29,7 +29,7 @@ from envforge.policies import ScriptedPolicy
 from envforge.simulators import Simulator
 from envforge.units import METER, SECOND, Quantity, get_unit
 
-from conftest import CONFIG_DIR, PHASES, load_env_config, phases, record_schedule, recorded_steps
+from conftest import CONFIG_DIR, DATA_DIR, PHASES, load_env_config, phases, record_schedule, recorded_steps
 
 
 def docking_tree(
@@ -700,6 +700,23 @@ class TestEpisodeFailure:
         config, _ = validate_environment(tree)
         artifact = rollout(Environment(config), TestCase("c", {}, 0))
         assert artifact.error.startswith("SpaceViolation") and artifact.rows == []
+
+    def test_a_glue_of_the_shared_dones_is_bounds_checked_and_named(self, tmp_path, capsys):
+        # LeftCorridor reads a TargetValueDifference boxed to [-5, 5] m whose
+        # first observation is 20 m to 40 m
+        path = DATA_DIR / "space_violation" / "two_agents_shared.yml"
+        config, report = validate_environment_file(path)
+        assert str(report) == "0 errors"
+        assert cli.main(["run", "--env", str(path), "--episodes", "1", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "error: EpisodeFailed: episode 0 (seed 0): SpaceViolation: observation out of bounds: "
+            "shared_dones, glue 'BoundedDelta', element 0: value "
+        )
+        with pytest.raises(SpaceViolation) as caught:
+            Environment(config).reset(seed=0)
+        assert (caught.value.agent, caught.value.glue) == (None, "BoundedDelta")
 
 
 class TestActionBoundary:

@@ -45,7 +45,7 @@ from envforge.evaluation import (
     write_metrics,
 )
 from envforge.config.validate import validate_environment
-from envforge.evaluation.artifact import TruncatedArtifact
+from envforge.evaluation.artifact import TruncatedArtifact, write_manifest
 from envforge.evaluation.evaluate import _case_overrides, run_episode
 from envforge.environment import Environment
 from envforge.params import ConfigError
@@ -113,6 +113,7 @@ class TestArtifact:
     def test_load_artifacts_sorted(self, tmp_path):
         sample_artifact("b").save(tmp_path / "artifact_b.jsonl")
         sample_artifact("a").save(tmp_path / "artifact_a.jsonl")
+        write_manifest(tmp_path, ["b", "a"])
         assert [a.case_id for a in load_artifacts(tmp_path)] == ["a", "b"]
 
     def test_failed_save_leaves_previous_file_whole(self, tmp_path, monkeypatch):
@@ -135,7 +136,8 @@ class TestArtifact:
         path.write_text("\n".join(path.read_text().splitlines()[kept]) + "\n")
         with pytest.raises(TruncatedArtifact, match="artifact_c.jsonl"):
             EpisodeArtifact.load(path)
-        with pytest.raises(TruncatedArtifact):
+        write_manifest(tmp_path, ["c"])
+        with pytest.raises(TruncatedArtifact, match="artifact_c.jsonl"):
             load_artifacts(tmp_path)
 
     def test_line_cut_mid_record_raises_naming_file(self, tmp_path):
@@ -486,12 +488,13 @@ class TestRunManifest:
         with pytest.raises(ArtifactError, match=f"^{re.escape(str(tmp_path / MANIFEST))}: {message}"):
             load_artifacts(tmp_path)
 
-    def test_directory_without_manifest_loads_every_artifact(self, tmp_path):
+    def test_directory_without_manifest_raises_naming_it(self, tmp_path):
         evaluate(short_config(), docking_cases(), tmp_path)
         sample_artifact("older").save(tmp_path / "artifact_older.jsonl")
         assert [a.case_id for a in load_artifacts(tmp_path)] == ["far_150m", "near_10m", "near_5m"]
         (tmp_path / MANIFEST).unlink()
-        assert [a.case_id for a in load_artifacts(tmp_path)] == ["far_150m", "near_10m", "near_5m", "older"]
+        with pytest.raises(ArtifactError, match=f"^{re.escape(str(tmp_path / MANIFEST))}: no run manifest"):
+            load_artifacts(tmp_path)
 
 
 class TestOnePass:

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envforge.config.schema import SpaceCheckMode
+from envforge.config.validate import validate_environment
 from envforge.environment import Environment, ObservationShapeMismatch, SpaceViolation
 from envforge.evaluation.evaluate import run_episode
-from envforge.functors.base import FunctorNode, Glue
+from envforge.functors.base import SOURCE, Done, FunctorNode, Glue, Reward
 from envforge.functors.builtins import ObserveSensor, TargetValueDifference
 from envforge.functors.graph import FUNCTOR_REGISTRY
 from envforge.parts import Box, NoValidMeasurementYet, Sensor
@@ -79,7 +80,7 @@ class TestSpacesCompiledOnce:
 
 
 def reference_space_check(entries):
-    """The element loop ``_space_check`` ran before spaces were compiled."""
+    """The element loop the bounds check ran before spaces were compiled."""
     for name, node, key, box in entries:
         values = node.observation[key]
         for i, v in enumerate(values):
@@ -148,39 +149,153 @@ class TestUnboundedBox:
 
 
 class TestSpaceCheck:
+    """The bounds ``_evaluate_glues`` checks as each glue returns, against the element loop."""
+
     env = None
 
     @classmethod
-    def shared_env(cls) -> Environment:
+    def stub_glues(cls, entries) -> list:
+        """Make the shared environment's glues one stub per (box, values)
+        entry, in order, each returning ``{"obs": values}``; the reference's
+        entries."""
         if cls.env is None:
             cls.env = Environment(load_env_config(CONFIG_DIR / "docking" / "environment.yml"))
             cls.env.reset(seed=0)
-        return cls.env
+        (agent,) = cls.env.agents
+        nodes = [FunctorNode(f"id{i}", "glue", f"Glue{i}", None, ()) for i in range(len(entries))]
+        cls.env._observe = [
+            (agent, node, lambda state, obs={"obs": values}: obs, (("obs", values.shape, None if box.unbounded else box),))
+            for node, (box, values) in zip(nodes, entries)
+        ]
+        for node, (_, values) in zip(nodes, entries):
+            node.observation = {"obs": values}
+        return [(agent, node, "obs", box) for node, (box, _) in zip(nodes, entries)]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(box_and_values(), min_size=1, max_size=3))
     def test_same_verdict_and_message_as_element_loop(self, entries):
-        env = self.shared_env()
-        (agent,) = env.agents.values()
-        nodes = [FunctorNode(f"id{i}", "glue", f"Glue{i}", None, ()) for i in range(len(entries))]
-        agent.observation_layout = [
-            (f"{node.name}/obs", node, "obs", box) for node, (box, _) in zip(nodes, entries)
-        ]
-        for node, (_, values) in zip(nodes, entries):
-            node.observation = {"obs": values}
-        reference = [(agent.name, node, "obs", box) for node, (box, _) in zip(nodes, entries)]
-        assert outcome(env._space_check) == outcome(lambda: reference_space_check(reference))
+        reference = self.stub_glues(entries)
+        assert outcome(self.env._evaluate_glues) == outcome(lambda: reference_space_check(reference))
 
     def test_nan_passes_and_bound_values_pass(self):
-        env = self.shared_env()
-        node = FunctorNode("id", "glue", "G", None, ())
-        (agent,) = env.agents.values()
-        agent.observation_layout = [("G/obs", node, "obs", Box(3, -1.0, 1.0))]
-        node.observation = {"obs": np.array([np.nan, -1.0, 1.0])}
-        env._space_check()
-        node.observation = {"obs": np.array([np.nan, -1.0, np.inf])}
+        box = Box(3, -1.0, 1.0)
+        self.stub_glues([(box, np.array([np.nan, -1.0, 1.0]))])
+        self.env._evaluate_glues()
+        self.stub_glues([(box, np.array([np.nan, -1.0, np.inf]))])
         with pytest.raises(SpaceViolation, match="element 2: value inf outside"):
-            env._space_check()
+            self.env._evaluate_glues()
+
+
+class DrawnValue(Glue):
+    """0.0 in a [-1, 1] box, except that the glue named ``leaves[0]`` returns
+    ``leaves[2]`` at step count ``leaves[1]`` (0 is the reset)."""
+
+    leaves: tuple[str, int, float] = ("", -1, 0.0)
+
+    def observation_space(self):
+        return {"value": Box(1, -1.0, 1.0)}
+
+    def get_observation(self, state):
+        name, step, value = DrawnValue.leaves
+        return {"value": np.array([value if (self.name, state.step_count) == (name, step) else 0.0])}
+
+
+#: (functor name, step count, value it read or None) of each done and reward call
+READS: list[tuple[str, int, float | None]] = []
+
+
+class ReadingDone(Done):
+    inputs = SOURCE
+
+    def evaluate(self, state):
+        READS.append((self.name, state.step_count, float(self.source.value()[0])))
+        return None
+
+
+class CountingReward(Reward):
+    def evaluate(self, state, done_results):
+        READS.append((self.name, state.step_count, None))
+        return 0.0
+
+
+def drawn_value_tree(mode) -> dict:
+    """One agent and the shared dones, each a ReadingDone of its own DrawnValue glue."""
+    constant = {"distribution": {"kind": "constant", "value": 0.0}, "unit": "meter"}
+    return {
+        "simulator": {"name": "Docking1dSimulator", "config": {"frame_rate": 1.0, "mass": 1.0}},
+        "platforms": [{
+            "name": "deputy",
+            "platform_type": "Docking1dPlatform",
+            "initialization": {"x0": constant, "v0": {**constant, "unit": "meter_per_second"}},
+        }],
+        "agents": [{
+            "agent": "agent_0",
+            "platforms": ["deputy"],
+            "glues": [{"functor": "DrawnValue", "name": "AgentValue"}],
+            "dones": [{"functor": "ReadingDone", "name": "AgentDone", "wrapped": "AgentValue"}],
+            "rewards": [{"functor": "CountingReward", "name": "AgentReward"}],
+            "policy": {"name": "random"},
+        }],
+        "horizon": 20,
+        "space_check_mode": mode,
+        "shared_dones": [{
+            "functor": "ReadingDone",
+            "name": "SharedDone",
+            "wrapped": {"functor": "DrawnValue", "name": "SharedValue"},
+        }],
+    }
+
+
+OUTSIDE = st.one_of(st.floats(min_value=1.0, exclude_min=True), st.floats(max_value=-1.0, exclude_max=True))
+
+
+class TestBoundsBeforeReaders:
+    """A value outside its box raises as its glue returns it, before any done
+    or reward reads it, on each reset and step whose mode checks bounds."""
+
+    environments: dict[str, Environment] = {}
+
+    @classmethod
+    def environment(cls, mode) -> Environment:
+        key = json.dumps(mode)
+        if key not in cls.environments:
+            functors = {"DrawnValue": DrawnValue, "ReadingDone": ReadingDone, "CountingReward": CountingReward}
+            with mock.patch.dict(FUNCTOR_REGISTRY, functors):
+                config, report = validate_environment(drawn_value_tree(mode))
+                assert config is not None, str(report)
+                cls.environments[key] = Environment(config)
+        return cls.environments[key]
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from(["every_step", {"spot_check": 1.0}, "off"]),
+        st.sampled_from(["AgentValue", "SharedValue"]),
+        st.integers(0, 6),
+        OUTSIDE,
+    )
+    def test_raises_naming_the_owner_before_any_done_or_reward_runs(self, mode, glue, step, value):
+        env = self.environment(mode)
+        DrawnValue.leaves = (glue, step, value)
+        READS.clear()
+
+        def run():
+            env.reset(seed=0)
+            for _ in range(step):
+                env.step({})
+
+        if mode == "off":
+            run()
+            done = "AgentDone" if glue == "AgentValue" else "SharedDone"
+            assert (step > 0) == ((done, step, value) in READS)
+            return
+        with pytest.raises(SpaceViolation) as caught:
+            run()
+        error = caught.value
+        owner = "agent 'agent_0'" if glue == "AgentValue" else "shared_dones"
+        assert (error.agent, error.glue) == ("agent_0" if glue == "AgentValue" else None, glue)
+        assert str(error).startswith(f"observation out of bounds: {owner}, glue '{glue}', element 0: ")
+        # each done and the reward ran on every step before, and nothing on this one
+        assert [s for _, s, _ in READS] == [s for s in range(1, step) for _ in range(3)]
 
 
 class TestSensorReads:
