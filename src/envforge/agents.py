@@ -15,20 +15,13 @@ from .policies import POLICY_REGISTRY, Policy, PolicyError
 
 
 class Agent:
-    """A named agent: its platforms, compiled functor graph and policy
-    handle, and the calls a step makes for it, bound here once.  A glue
+    """A named agent: its compiled functor graph and policy handle, and
+    the calls a step makes for it, bound here once.  A glue
     observation whose name an earlier one took is a ``DuplicateName`` at
     the later glue's path: ``step`` keys observations by name."""
 
-    def __init__(
-        self,
-        name: str,
-        platform_names: list[str],
-        graph: CompiledGraph,
-        policy: Policy,
-    ):
+    def __init__(self, name: str, graph: CompiledGraph, policy: Policy):
         self.name = name
-        self.platform_names = platform_names
         self.graph = graph
         self.policy = policy
         # glue name -> node, for the glues that take an action fragment
@@ -158,7 +151,7 @@ def build_agent(
     policy_path = join_path(agent_config.path, "policy")
     policy = errors.attempt(policy_pool.get, agent_config.policy.name, agent_config.policy.config, path=policy_path)
     errors.check()
-    agent = Agent(agent_config.name, agent_config.platform_names, graph, policy)
+    agent = Agent(agent_config.name, graph, policy)
     errors.attempt(policy.check_spaces, agent.observation_space(), agent.action_space(), path=policy_path)
     errors.check()
     return agent

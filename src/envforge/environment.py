@@ -381,8 +381,7 @@ class Environment:
         self._evaluate_glues()
 
         # (4) dones, including shared dones; an agent's outcome is its first
-        # fired done, else PlatformDestroyed, else the first shared done
-        platforms = self.simulator.platforms
+        # fired done, else the first shared done
         fired: dict[str, dict[str, DoneResult]] = {}
         for agent in active:
             name = agent.name
@@ -394,12 +393,6 @@ class Environment:
                     agent_fired[done] = result
                     if first is None:
                         first = result
-            if first is None:
-                # destruction of an owning platform ends the agent with LOSS
-                for pname in agent.platform_names:
-                    if pname not in platforms:
-                        first = agent_fired["PlatformDestroyed"] = DoneResult(DoneStatusCode.LOSS)
-                        break
             outcome[name] = first
         shared_fired: dict[str, DoneResult] = {}
         shared_first: DoneResult | None = None

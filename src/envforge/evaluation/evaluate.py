@@ -120,10 +120,10 @@ _CODE_TEXT = {None: "null", **{code: json.dumps(code.value) for code in DoneStat
 class _RowPlan:
     """Reads the steps of one structure into rows of its one layout.
 
-    The structure is the active agents, the platforms and each agent's
-    fragment names: ``run_episode`` files a plan under them and keeps using
-    it while ``fits`` holds and no agent has ended.  With what the
-    environment fixes at build, they fix the step's shape, its arrays'
+    The structure is the active agents and each agent's fragment names:
+    ``run_episode`` files a plan under them and keeps using it while
+    ``fits`` holds and no agent has ended.  With what the environment fixes
+    at build, the platforms among it, they fix the step's shape, its arrays'
     lengths included: ``step`` refuses a fragment, and a glue an
     observation, that is not of its box's shape.  A ``projection`` of the
     shape leaves sections out, and the plan reads only the sections it keeps.
@@ -152,12 +152,9 @@ class _RowPlan:
         lengths += [agents[agent].observation_space()[name].shape for agent, name in self._observations]
         self.layout = RecordLayout.of(shape._replace(lengths=tuple(lengths)))
 
-    def fits(self, env: Environment, actions: dict) -> bool:
+    def fits(self, actions: dict) -> bool:
         """Whether a step of the plan's active agents, with ``actions``, has
-        the structure the plan reads: the platforms, if it reads their states
-        (a step can remove a platform, never add one), and the fragments."""
-        if self._platform_states and len(env.simulator.platforms) != len(self._platform_states):
-            return False
+        the fragments the plan reads."""
         for agent, names in self.fragments:
             if actions[agent].keys() != names:
                 return False
@@ -231,9 +228,8 @@ def run_episode(
                 for name in active
             }
             result = env.step(actions)
-            if plan is None or not plan.fits(env, actions):
-                platforms = tuple(env.simulator.platforms)
-                key = (projection, tuple(result.done_codes), platforms, tuple(map(tuple, actions.values())))
+            if plan is None or not plan.fits(actions):
+                key = (projection, tuple(result.done_codes), tuple(map(tuple, actions.values())))
                 plan = plans.get(key)
                 if plan is None:
                     plan = plans[key] = _RowPlan(env, actions, result, projection)

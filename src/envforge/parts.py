@@ -159,14 +159,13 @@ class Controller(Part):
 
 
 class Platform:
-    """A named simulator entity carrying parts; inoperable platforms ignore controls."""
+    """A named simulator entity carrying parts; it lives as long as its simulator."""
 
     def __init__(self, name: str, platform_type: str, state: Any = None):
         self.name = name
         self.platform_type = platform_type
         self.state = state
         self.parts: dict[str, Part] = {}
-        self.operable = True
         self._controllers: dict[str, Controller] | None = None
 
     def add_part(self, part: Part) -> None:

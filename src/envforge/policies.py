@@ -34,7 +34,6 @@ class Policy:
     def __init__(self, config: dict | None = None, seed: int = 0):
         self.config = config or {}
         self.seed = seed
-        self.calls = 0  # instrumentation for shared-policy aliasing checks
         self.reset()
 
     def reset(self) -> None:
@@ -50,7 +49,6 @@ class Policy:
         self.reset()
 
     def compute_action(self, observation: ObservationDict, action_space: ActionSpace) -> ActionDict:
-        self.calls += 1
         return self._compute(observation, action_space)
 
     def _compute(self, observation: ObservationDict, action_space: ActionSpace) -> ActionDict:

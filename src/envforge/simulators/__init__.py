@@ -1,8 +1,7 @@
 """Built-in simulators and the name -> class lookup used by config validation."""
 
 from .base import (
-    InvalidInitialValue, InvalidSimulatorConfig, PlatformSetup, SimulationDiverged, Simulator, SimulatorError,
-    UnknownPlatform, init_key,
+    InvalidInitialValue, InvalidSimulatorConfig, PlatformSetup, SimulationDiverged, Simulator, SimulatorError, init_key,
 )
 from .cartpole import CartPoleSimulator
 from .docking import Deputy1d, Docking1dSimulator
@@ -29,6 +28,5 @@ __all__ = [
     "SimulationDiverged",
     "Simulator",
     "SimulatorError",
-    "UnknownPlatform",
     "init_key",
 ]

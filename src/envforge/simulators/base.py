@@ -19,11 +19,6 @@ class InvalidSimulatorConfig(SimulatorError, ValueError):
     """The simulator's ``config`` fails its parameter table."""
 
 
-class UnknownPlatform(SimulatorError):
-    def __init__(self, name: str):
-        super().__init__(f"no platform named '{name}'")
-
-
 class InvalidInitialValue(SimulatorError):
     """A sampled initialization value that its ``init_params`` param refuses."""
 
@@ -65,8 +60,9 @@ class Simulator:
     :meth:`_advance`.  ``params`` declares the keys of the simulator's
     ``config``; the constructor parses it with ``parse_params``, raising
     ``InvalidSimulatorConfig`` that lists every error, and the parsed values
-    are ``settings``.  It makes each platform, from its setup, once: ``reset``
-    restores every one and rebuilds only its entity state.
+    are ``settings``.  It makes each platform, from its setup, once, and the
+    platforms are fixed from then on: ``reset`` rebuilds only each one's
+    entity state and resets its parts.
     """
 
     simulator_type = "Simulator"
@@ -81,9 +77,7 @@ class Simulator:
         if errors:
             raise InvalidSimulatorConfig.listing(self.simulator_type, errors)
         self.frame_rate = self.settings["frame_rate"]
-        # every platform; ``platforms`` holds those not removed this episode
-        self._all_platforms = {s.name: Platform(s.name, s.platform_type) for s in platform_setups}
-        self.platforms: dict[str, Platform] = dict(self._all_platforms)
+        self.platforms = {s.name: Platform(s.name, s.platform_type) for s in platform_setups}
         self._steps = 0
 
     @property
@@ -94,13 +88,13 @@ class Simulator:
     def dt(self) -> float:
         return 1.0 / self.frame_rate
 
-    def reset(self, sampled: SampledParameters) -> dict[str, Platform]:
-        """Restore every platform and build its entity from ``sampled``, each
-        of its ``init_params`` read as ``Functor.bind`` reads a reference
+    def reset(self, sampled: SampledParameters) -> None:
+        """Rebuild every platform's entity from ``sampled`` and reset its
+        parts, each of its ``init_params`` read as ``Functor.bind`` reads a reference
         (the build proved each declared and in range, but for a value an
         updater without a limit moved): one the param refuses raises
         ``InvalidInitialValue`` before any platform changes."""
-        values = {name: {} for name in self._all_platforms}
+        values = {name: {} for name in self.platforms}
         for name, platform_values in values.items():
             for p in self.init_params:
                 try:
@@ -108,15 +102,12 @@ class Simulator:
                 except PARSE_ERRORS as exc:
                     raise InvalidInitialValue(f"platform '{name}': initialization '{p.name}': {exc}") from exc
         self._steps = 0
-        self.platforms = dict(self._all_platforms)
         for name, platform in self.platforms.items():
             platform.state = self._make_entity(values[name])
-            platform.operable = True
             for part in platform.parts.values():
                 part.reset()
-        return self.platforms
 
-    def step(self) -> dict[str, Platform]:
+    def step(self) -> None:
         """Apply pending controls and advance dynamics by one frame.
 
         No sensor is read here: each glue that observes a sensor reads it
@@ -130,17 +121,6 @@ class Simulator:
         except (ArithmeticError, ValueError) as exc:
             raise SimulationDiverged(platform, exc) from exc
         self._steps += 1
-        return self.platforms
-
-    def mark_platform_inoperable(self, name: str) -> None:
-        if name not in self.platforms:
-            raise UnknownPlatform(name)
-        self.platforms[name].operable = False
-
-    def remove_platform(self, name: str) -> None:
-        if name not in self.platforms:
-            raise UnknownPlatform(name)
-        del self.platforms[name]
 
     # subclass hooks ---------------------------------------------------
 

@@ -71,9 +71,8 @@ class CartPoleSimulator(Simulator):
     def _advance(self, platform: Platform) -> None:
         state: CartPoleState = platform.state
         state.force = 0.0
-        if platform.operable:
-            for controller in platform.controllers().values():
-                state.force = float(controller.take_pending()[0])
+        for controller in platform.controllers().values():
+            state.force = float(controller.take_pending()[0])
 
         c = self.constants
         total_mass = c["mass_cart"] + c["mass_pole"]

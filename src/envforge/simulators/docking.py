@@ -57,9 +57,8 @@ class Docking1dSimulator(Simulator):
     def _advance(self, platform: Platform) -> None:
         entity: Deputy1d = platform.state
         entity.thrust = 0.0
-        if platform.operable:
-            for controller in platform.controllers().values():
-                entity.thrust = float(controller.take_pending()[0])
+        for controller in platform.controllers().values():
+            entity.thrust = float(controller.take_pending()[0])
         entity.step(self.dt)
 
 

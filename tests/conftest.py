@@ -26,6 +26,20 @@ def load_env_config(path):
     return config
 
 
+def spy_calls(policy) -> list[tuple]:
+    """Wrap one policy instance's ``compute_action``: each call appends its
+    arguments to the returned list."""
+    calls: list[tuple] = []
+    compute_action = policy.compute_action
+
+    def spying(*args):
+        calls.append(args)
+        return compute_action(*args)
+
+    policy.compute_action = spying
+    return calls
+
+
 #: the phases of a step, in the order the schedule runs them
 PHASES = ["apply_action", "sim_step", "observe", "dones", "rewards"]
 

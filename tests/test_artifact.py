@@ -326,27 +326,19 @@ class TestCapture:
         layouts = [layout for layout, _ in artifact.rows]
         assert layouts[2] is not layouts[1] and layouts[3] is layouts[1]
 
-    def test_rows_follow_a_removed_platform(self, monkeypatch):
-        # a second craft, which no agent owns, is removed in the fourth step
+    def test_rows_record_every_declared_platform(self, monkeypatch):
+        # a second craft, which no agent owns, is in every step of every episode
         tree = docking_tree(horizon=8)
         tree["platforms"].append({**copy.deepcopy(tree["platforms"][0]), "name": "spare"})
         config, report = validate_environment(tree)
         assert config is not None, str(report)
         records = spy_records(monkeypatch)
         env = Environment(config)
-        simulator_step = env.simulator.step
-
-        def step():
-            simulator_step()
-            if env.state.step_count == 3 and "spare" in env.simulator.platforms:
-                env.simulator.remove_platform("spare")
-
-        monkeypatch.setattr(env.simulator, "step", step)
-        for seed in range(2):  # the second episode starts with both crafts again
+        for seed in range(2):
             del records[:]
             artifact = evaluate_module.run_episode(env, seed=seed)
             assert artifact.error is None and len(artifact.rows) == 8
-            assert [sorted(r["platform_states"]) for r in records[2:4]] == [["deputy", "spare"], ["deputy"]]
+            assert all(sorted(r["platform_states"]) == ["deputy", "spare"] for r in records)
             assert artifact.to_lines()[1:-1] == [json.dumps(r, sort_keys=True) for r in records]
 
     def test_later_episodes_reuse_the_layouts(self, monkeypatch):

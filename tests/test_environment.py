@@ -29,7 +29,9 @@ from envforge.policies import ScriptedPolicy
 from envforge.simulators import Simulator
 from envforge.units import METER, SECOND, Quantity, get_unit
 
-from conftest import CONFIG_DIR, DATA_DIR, PHASES, load_env_config, phases, record_schedule, recorded_steps
+from conftest import (
+    CONFIG_DIR, DATA_DIR, PHASES, load_env_config, phases, record_schedule, recorded_steps, spy_calls,
+)
 
 
 def docking_tree(
@@ -534,20 +536,23 @@ class TestGenerators:
         assert len(built) == at_build + 3 * per_episode
 
 
-class TestSpaceChecks:
-    def bounded_tvd_glue(self, low, high):
-        return [
-            {
-                "functor": "TargetValueDifference",
-                "name": "BoundedDelta",
-                "config": {"index": 0, "unit": "N/A", "min": low, "max": high},
-                "wrapped": {"sensor": "ObservePosition"},
-            }
-        ]
+def bounded_tvd_glue(low, high):
+    """A glue list holding one ``TargetValueDifference`` of the deputy's
+    position, named ``BoundedDelta`` and boxed to ``[low, high]``."""
+    return [
+        {
+            "functor": "TargetValueDifference",
+            "name": "BoundedDelta",
+            "config": {"index": 0, "unit": "N/A", "min": low, "max": high},
+            "wrapped": {"sensor": "ObservePosition"},
+        }
+    ]
 
+
+class TestSpaceChecks:
     def test_violation_identifies_agent_and_glue(self):
         # -x0 = 10 exceeds the declared [-5, 5] observation box immediately.
-        tree = docking_tree(extra_glues=self.bounded_tvd_glue(-5.0, 5.0))
+        tree = docking_tree(extra_glues=bounded_tvd_glue(-5.0, 5.0))
         config, report = validate_environment(tree)
         assert config is not None, str(report)
         env = Environment(config)
@@ -557,7 +562,7 @@ class TestSpaceChecks:
         assert excinfo.value.glue == "BoundedDelta"
 
     def test_off_mode_skips_checks(self):
-        tree = docking_tree(space_check="off", extra_glues=self.bounded_tvd_glue(-5.0, 5.0))
+        tree = docking_tree(space_check="off", extra_glues=bounded_tvd_glue(-5.0, 5.0))
         config, _ = validate_environment(tree)
         env = Environment(config)
         env.reset(seed=0)  # no raise
@@ -691,7 +696,7 @@ class TestPolicyOverride:
 class TestEpisodeFailure:
     def test_run_fails_and_rollout_records_error(self, tmp_path, capsys):
         # -x0 = 10 leaves the declared [-5, 5] box at reset.
-        tree = docking_tree(extra_glues=TestSpaceChecks().bounded_tvd_glue(-5.0, 5.0))
+        tree = docking_tree(extra_glues=bounded_tvd_glue(-5.0, 5.0))
         env_file = tmp_path / "env.yml"
         env_file.write_text(json.dumps(tree))
         assert cli.main(["run", "--env", str(env_file), "--out", str(tmp_path / "out")]) == 1
@@ -875,10 +880,11 @@ class TestEndedAgentsDoNotAct:
 
     def test_ended_agent_policy_is_not_called(self):
         env = Environment(self.leashed_config())
-        artifact = record_episode(env, seed=0)
         policy = env.agents["agent_0"].policy
         assert policy is env.agents["agent_1"].policy  # one shared declaration
-        assert policy.calls == sum(len(step["actions"]) for step in recorded_steps(artifact))
+        calls = spy_calls(policy)
+        artifact = record_episode(env, seed=0)
+        assert len(calls) == sum(len(step["actions"]) for step in recorded_steps(artifact))
 
 
 class TestConfigFiles:

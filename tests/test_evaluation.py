@@ -53,7 +53,7 @@ from envforge.policies import Policy
 from envforge.units import METER, Quantity
 
 from conftest import CONFIG_DIR, recorded_steps
-from test_environment import TestSpaceChecks, docking_tree
+from test_environment import bounded_tvd_glue, docking_tree
 
 # the module, which the package's ``evaluate`` function shadows
 evaluate_module = importlib.import_module("envforge.evaluation.evaluate")
@@ -556,7 +556,7 @@ class TestOnePass:
         # leaves its [-5, 5] box at step 2 and the episode fails there; from
         # x0 = 4 the craft passes the dock too fast and the episode ends in LOSS.
         replay = {"name": "replay", "config": {"actions": [{"ThrustControl": [-1.0]}] * 2}}
-        tree = docking_tree(horizon=30, policy=replay, extra_glues=TestSpaceChecks().bounded_tvd_glue(-5.0, 5.0))
+        tree = docking_tree(horizon=30, policy=replay, extra_glues=bounded_tvd_glue(-5.0, 5.0))
         config, report = validate_environment(tree)
         assert config is not None, str(report)
         cases = [

@@ -13,7 +13,6 @@ from envforge.simulators.base import (
     InvalidSimulatorConfig,
     PlatformSetup,
     SimulationDiverged,
-    UnknownPlatform,
     init_key,
 )
 from envforge.simulators.cartpole import DEFAULTS, CartPoleSimulator, _force_controller
@@ -200,25 +199,6 @@ class TestPlatformPersistence:
         assert sim.platforms["deputy"] is platform
         assert "Controller_Thrust" in platform.parts
         assert platform.state.x == -3.0
-
-    def test_inoperable_platform_ignores_controls(self):
-        sim, platform = make_docking()
-        sim.mark_platform_inoperable("deputy")
-        platform.controllers()["Controller_Thrust"].apply(np.array([1.0]))
-        sim.step()
-        assert platform.state.xdot == 0.0
-
-    def test_remove_platform(self):
-        sim, _ = make_docking()
-        sim.remove_platform("deputy")
-        assert "deputy" not in sim.platforms
-        with pytest.raises(UnknownPlatform):
-            sim.remove_platform("deputy")
-
-    def test_unknown_platform_operations(self):
-        sim, _ = make_docking()
-        with pytest.raises(UnknownPlatform):
-            sim.mark_platform_inoperable("ghost")
 
 
 def cartpole_oracle(state, force, n, dt=0.02):
