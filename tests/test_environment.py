@@ -476,6 +476,28 @@ class TestBuild:
     draws nothing: entity state and the episode's draw exist from the first
     ``reset``."""
 
+    @pytest.mark.parametrize(
+        "env_file",
+        [
+            "docking/environment.yml",
+            "docking/environment_short.yml",
+            "docking/environment_two_agents.yml",
+            "cartpole/environment.yml",
+        ],
+    )
+    def test_platforms_last_the_simulators_life(self, env_file):
+        # every declared platform, with its parts, is built once and kept
+        # through each reset and step of every episode
+        config = load_env_config(CONFIG_DIR / env_file)
+        env = Environment(config)
+        platforms = env.simulator.platforms
+        built = {name: (platform, dict(platform.parts)) for name, platform in platforms.items()}
+        assert list(built) == [p.name for p in config.platforms]
+        for seed in range(2):
+            assert record_episode(env, seed=seed).error is None
+            assert env.simulator.platforms is platforms
+            assert {name: (platform, platform.parts) for name, platform in platforms.items()} == built
+
     @pytest.mark.parametrize("env_file", ["docking/environment.yml", "cartpole/environment.yml"])
     def test_build_neither_samples_nor_resets(self, monkeypatch, env_file):
         config = load_env_config(CONFIG_DIR / env_file)

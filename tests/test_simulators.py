@@ -200,6 +200,29 @@ class TestPlatformPersistence:
         assert "Controller_Thrust" in platform.parts
         assert platform.state.x == -3.0
 
+    @pytest.mark.parametrize("make, sampled", [(make_docking, docking_sampled), (make_cartpole, cartpole_sampled)])
+    def test_reset_and_step_keep_the_platform_dict(self, make, sampled):
+        # the platforms are fixed at build: reset and step return nothing and
+        # leave the one dict, with the same platforms, in place
+        sim, platform = make()
+        platforms = sim.platforms
+        assert sim.step() is None
+        assert sim.reset(sampled()) is None
+        assert sim.platforms is platforms and list(platforms.values()) == [platform]
+
+    def test_every_platform_takes_its_controls(self):
+        sim = Docking1dSimulator(
+            {"frame_rate": 1.0, "mass": 1.0},
+            [PlatformSetup("deputy", "Docking1dPlatform"), PlatformSetup("spare", "Docking1dPlatform")],
+        )
+        sim.reset({**docking_sampled(), **docking_sampled(name="spare")})
+        for name, thrust in [("deputy", 0.5), ("spare", -0.25)]:
+            platform = sim.platforms[name]
+            platform.add_part(_thrust_controller("Controller_Thrust", {"thrust_limit": 1.0}))
+            platform.controllers()["Controller_Thrust"].apply(np.array([thrust]))
+        sim.step()
+        assert [p.state.xdot for p in sim.platforms.values()] == [0.5, -0.25]
+
 
 def cartpole_oracle(state, force, n, dt=0.02):
     """Independent reimplementation of the classic cart-pole Euler update."""
