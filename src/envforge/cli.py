@@ -17,6 +17,7 @@ from .config import PolicyConfig, loader
 from .config.validate import validate_environment, validate_environment_file
 from .environment import Environment
 from .evaluation import (
+    METRICS_FILE,
     StepShape,
     artifact_file,
     evaluate,
@@ -140,13 +141,13 @@ def cmd_evaluate(args) -> int:
 def cmd_metrics(args) -> int:
     specs = parse_metric_config(loader.load_config(args.metrics))
     metrics = generate_metrics(load_artifacts(args.out), specs)
-    path = write_metrics(metrics, Path(args.out) / "metrics.json")
+    path = write_metrics(metrics, Path(args.out) / METRICS_FILE)
     print(path)
     return 0
 
 
 def cmd_visualize(args) -> int:
-    metrics = read_metrics(Path(args.out) / "metrics.json")
+    metrics = read_metrics(Path(args.out) / METRICS_FILE)
     specs = parse_viz_config(loader.load_config(args.viz))
     for path in visualize(metrics, specs, args.out):
         print(path)

@@ -15,24 +15,9 @@ class EpisodeEndMode(enum.Enum):
     ANY_AGENT_DONE = "any_agent_done"
 
 
-@dataclass(frozen=True)
-class SpaceCheckMode:
-    """every_step, spot_check(probability), or off."""
-
-    mode: str
-    probability: float = 0.0
-
-    @classmethod
-    def every_step(cls):
-        return cls("every_step")
-
-    @classmethod
-    def off(cls):
-        return cls("off")
-
-    @classmethod
-    def spot_check(cls, probability: float = 0.01):
-        return cls("spot_check", probability)
+class SpaceCheckMode(enum.Enum):
+    EVERY_STEP = "every_step"
+    OFF = "off"
 
 
 @dataclass
@@ -93,4 +78,4 @@ class EnvironmentConfig:
     episode_end_mode: EpisodeEndMode = EpisodeEndMode.ALL_AGENTS_DONE
     horizon: int = 1000
     reference_store: dict[str, ParameterSpec] = field(default_factory=dict)
-    space_check_mode: SpaceCheckMode = field(default_factory=SpaceCheckMode.every_step)
+    space_check_mode: SpaceCheckMode = SpaceCheckMode.EVERY_STEP

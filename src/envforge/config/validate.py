@@ -50,7 +50,6 @@ from ..params import (
     one_of,
     parse_params,
     positive_int,
-    probability,
     sequence,
     string,
     table,
@@ -155,24 +154,6 @@ def _distribution_tree(distribution: Distribution) -> dict:
     return dump_params((_KIND, *cls.params), {"kind": _KIND_NAMES[cls], **vars(distribution)})
 
 
-_SPACE_CHECK_MODES = {
-    "every_step": SpaceCheckMode.every_step(),
-    "off": SpaceCheckMode.off(),
-    "spot_check": SpaceCheckMode.spot_check(),
-}
-
-
-def _space_check_mode(raw):
-    """A mode's name, or a ``{spot_check: p}`` mapping, which is parsed as
-    its own section (``SPOT_CHECK``)."""
-    return raw if isinstance(raw, dict) else _SPACE_CHECK_MODES[one_of(_SPACE_CHECK_MODES)(raw)]
-
-
-def _space_check_tree(mode: SpaceCheckMode):
-    """A mode's name, or the ``{spot_check: p}`` mapping of a spot check."""
-    return dump_params(SPOT_CHECK, {"spot_check": mode.probability}) if mode.mode == "spot_check" else mode.mode
-
-
 def _updater_table(mutable: Collection[str]) -> tuple[Param, ...]:
     """The keys of an updater of a distribution whose hyperparameters ``mutable`` may change."""
     return (
@@ -217,7 +198,6 @@ def _agent_tree(agent: AgentConfig) -> dict:
 #: by its constructor, against its own table.  Where a section's parse builds
 #: an object, its ``dump`` writes that object back as the section's tree.
 SIMULATOR = (Param("name", one_of(SIMULATORS, "UnknownFunctor")), Param("config", mapping, {}))
-SPOT_CHECK = (Param("spot_check", probability),)
 PARAMETER = (
     Param("distribution", _distribution, dump=_distribution_tree),
     Param("unit", get_unit, NONE, dump=lambda unit: unit.name),
@@ -268,7 +248,7 @@ ENVIRONMENT = (
     Param("agents", sequence, dump=lambda agents: [_agent_tree(agent) for agent in agents]),
     Param("horizon", positive_int, 1000),
     Param("episode_end_mode", EpisodeEndMode, EpisodeEndMode.ALL_AGENTS_DONE, dump=lambda mode: mode.value),
-    Param("space_check_mode", _space_check_mode, SpaceCheckMode.every_step(), dump=_space_check_tree),
+    Param("space_check_mode", SpaceCheckMode, SpaceCheckMode.EVERY_STEP, dump=lambda mode: mode.value),
     Param("reference_store", mapping, {}, dump=_store_tree),
     Param("shared_dones", sequence, [], dump=_functor_tree),
 )
@@ -447,11 +427,6 @@ def validate_environment(tree, base_dir: str | Path = ".") -> tuple[EnvironmentC
 
     reference_store = parse_parameter_store(settings.get("reference_store", {}), "reference_store", report)
 
-    space_check = settings.get("space_check_mode")
-    if isinstance(space_check, dict):
-        spot_check = _parse(SPOT_CHECK, space_check, "space_check_mode", report)
-        space_check = SpaceCheckMode.spot_check(spot_check.get("spot_check", 0.0))
-
     shared_dones = _parse_functor_list(settings.get("shared_dones", []), "shared_dones", report)
 
     agent_trees = settings.get("agents", [])
@@ -478,7 +453,7 @@ def validate_environment(tree, base_dir: str | Path = ".") -> tuple[EnvironmentC
         episode_end_mode=settings.get("episode_end_mode"),
         horizon=settings.get("horizon"),
         reference_store=reference_store,
-        space_check_mode=space_check,
+        space_check_mode=settings.get("space_check_mode"),
     )
     if environment_parsed:
         # a shared done may read any agent's parts, so it is built only beside every agent

@@ -1,7 +1,7 @@
 """Multi-agent environment: EPP sampling, simulator stepping, and the
 glue -> done -> reward schedule.  Each observation is checked as its glue
-returns it: its shape always, its bounds as ``space_check_mode`` says.  The
-environment only steps; recording a trajectory is the caller's job (see
+returns it: its shape always, its bounds unless ``space_check_mode`` is off.
+The environment only steps; recording a trajectory is the caller's job (see
 ``evaluation.evaluate.run_episode``).
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import Agent, PolicyPool, attach_parts, build_agent
-from .config.schema import HORIZON_DONE, EnvironmentConfig, EpisodeEndMode
+from .config.schema import HORIZON_DONE, EnvironmentConfig, EpisodeEndMode, SpaceCheckMode
 from .config.validate import AGENT_PLATFORMS, SIMULATOR, environment_tree
 from .epp import EppError, EpisodeParameterProvider, InvalidOverride, ParameterSpec
 from .functors.base import DoneResult, DoneStatusCode, EpisodeState, FunctorSpec
@@ -23,7 +23,7 @@ from .params import (
     PARSE_ERRORS, BuildErrors, ConfigError, Param, ParamError, join_path, nonnegative_int, parse_params,
 )
 from .parts import Box, all_finite
-from .simulators import SIMULATORS, PlatformSetup, init_key
+from .simulators import SIMULATORS, init_key
 from .units import DimensionMismatch, Quantity, as_vector
 
 
@@ -253,7 +253,9 @@ def _entry_errors(config: EnvironmentConfig) -> list[ParamError]:
 
 
 class Environment:
-    """Owns one simulator, its agents, and the per-step evaluation schedule."""
+    """Owns one simulator, its agents, and the per-step evaluation schedule.
+    The build reads ``space_check_mode`` once, to fix which boxes' bounds
+    every reset and step check."""
 
     def __init__(self, config: EnvironmentConfig):
         """Check every reader of an episode parameter (``episode_parameters``
@@ -267,9 +269,8 @@ class Environment:
         self.epp, parameter_errors = episode_parameters(config)
         errors = BuildErrors()
 
-        setups = [PlatformSetup(p.name, p.platform_type) for p in config.platforms]
         sim_cls = SIMULATORS[config.simulator_name]
-        self.simulator = errors.attempt(sim_cls, config.simulator_config, setups, path="simulator")
+        self.simulator = errors.attempt(sim_cls, config.simulator_config, config.platforms, path="simulator")
         errors.check()  # nothing builds without the simulator and its platforms
 
         if parameter_errors:
@@ -285,22 +286,22 @@ class Environment:
             shared_specs = [*config.shared_dones, HORIZON_DONE]
             self.shared_graph = errors.attempt(build_graph, dict(platforms), [], shared_specs)
         errors.check()
-        # (owner, node, get_observation, (key, shape, box or None if
-        # unbounded) of each observation it declares) of every glue, each
-        # graph's in topological order: the observe phase; the owner is the
-        # agent's name, None for the shared graph
+        # (owner, node, get_observation, (key, shape, box whose bounds are
+        # checked, else None) of each observation it declares) of every glue,
+        # each graph's in topological order: the observe phase; the owner is
+        # the agent's name, None for the shared graph.  A box is checked if it
+        # is bounded and the mode is every_step.
+        checks_bounds = config.space_check_mode is SpaceCheckMode.EVERY_STEP
         self._observe = [
             (owner, node, node.functor.get_observation,
-             tuple((key, box.low.shape, None if box.unbounded else box) for key, box in node.observation_space.items()))
+             tuple((key, box.low.shape, box if checks_bounds and not box.unbounded else None)
+                   for key, box in node.observation_space.items()))
             for owner, graph in [*((a.name, a.graph) for a in self.agents.values()), (None, self.shared_graph)]
             for node in graph.nodes.values()
             if node.kind == "glue"
         ]
         self._shared_dones = [(node.name, node.functor.evaluate) for node in self.shared_graph.dones]
         self._any_agent_done = config.episode_end_mode is EpisodeEndMode.ANY_AGENT_DONE
-
-        self.spot_checks_attempted = 0
-        self.spot_checks_run = 0
 
         self.state: EpisodeState | None = None
         self._env_done = True
@@ -312,7 +313,7 @@ class Environment:
 
     def reset(self, seed: int = 0, overrides: dict[str, Quantity] | None = None):
         """Start an episode; ``seed``, an integer of zero or more, seeds the
-        parameter draws, every agent's policy and the spot checks.
+        parameter draws and every agent's policy.
         ``overrides`` fixes named parameters for this episode; a bad one
         raises ``InvalidOverride`` (see ``EpisodeParameterProvider.sample_episode``),
         and another seed ``InvalidSeed``, and either changes nothing."""
@@ -331,7 +332,6 @@ class Environment:
         self.state.sim_time = self.simulator.sim_time
         self._env_done = False
         self._outcome = dict.fromkeys(self.agents)
-        self._check_rng = np.random.default_rng(seed) if self.config.space_check_mode.mode == "spot_check" else None
 
         self._evaluate_glues()
         return self._collect_observations(self.agents.values())
@@ -477,13 +477,7 @@ class Environment:
     def _evaluate_glues(self) -> None:
         """Evaluate every glue and check each observation it declares before a
         later glue, a done or a reward reads it: its shape always, its bounds
-        on each reset or step that ``space_check_mode`` checks."""
-        mode = self.config.space_check_mode
-        bounds = mode.mode == "every_step"
-        if mode.mode == "spot_check":
-            self.spot_checks_attempted += 1
-            bounds = self._check_rng.random() < mode.probability
-            self.spot_checks_run += bounds
+        wherever ``_observe`` holds its box."""
         state = self.state
         for owner, node, get_observation, expected in self._observe:
             observation = node.observation = get_observation(state)
@@ -497,7 +491,7 @@ class Environment:
                     raise ObservationShapeMismatch(owner, node.name, key, got, shape)
                 # NaN fails neither comparison, so it passes here as it does in
                 # the element loop that words the error
-                if bounds and box is not None and ((values < box.low) | (values > box.high)).any():
+                if box is not None and ((values < box.low) | (values > box.high)).any():
                     _raise_first_violation(owner, node.name, values, box)
 
     @staticmethod

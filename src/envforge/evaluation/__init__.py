@@ -33,6 +33,7 @@ from .evaluate import (
 )
 from .metrics import (
     METRIC_REGISTRY,
+    METRICS_FILE,
     InvalidMetricEntry,
     MetricCycle,
     MetricError,
@@ -76,7 +77,7 @@ def run_pipeline(
     artifacts = evaluate(config, cases, out_dir, workers=workers)
     artifacts.sort(key=lambda artifact: artifact_file(artifact.case_id))
     metrics = generate_metrics(artifacts, metric_specs)
-    path = write_metrics(metrics, out_dir / "metrics.json")
+    path = write_metrics(metrics, out_dir / METRICS_FILE)
     # Visualize from the stored file so staged runs render identically.
     metrics = read_metrics(path)
     visualize(metrics, viz_specs, out_dir)
@@ -102,6 +103,7 @@ __all__ = [
     "parse_condition_set",
     "rollout",
     "METRIC_REGISTRY",
+    "METRICS_FILE",
     "InvalidMetricEntry",
     "MetricCycle",
     "MetricError",

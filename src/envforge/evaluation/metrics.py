@@ -18,6 +18,8 @@ from .artifact import EpisodeArtifact
 
 TERMINAL = "terminal"
 NON_TERMINAL = "non_terminal"
+#: the file in an output directory that the metrics stage writes and the visualize stage reads
+METRICS_FILE = "metrics.json"
 
 
 class MetricError(Exception):

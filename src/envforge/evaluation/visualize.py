@@ -7,11 +7,12 @@ network resources -- so reports stay portable and inspectable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 from ..params import Param, list_of, one_of, optional, parse_entries, string
-from .artifact import case_name
-from .metrics import NON_TERMINAL, TERMINAL, MetricError, MetricValue, UnknownMetric
+from .artifact import MANIFEST, artifact_file, case_name
+from .metrics import METRICS_FILE, NON_TERMINAL, TERMINAL, MetricError, MetricValue, UnknownMetric
 
 
 class KindMismatch(MetricError):
@@ -57,11 +58,24 @@ VIZ_ENTRY = (
 
 
 def parse_viz_config(tree) -> list[VizSpec]:
-    """The visualization specs of a config tree, each checked before any rollout."""
+    """The visualization specs of a config tree, each checked before any
+    rollout.  Each HTML report writes a file of its own: not one an earlier
+    report writes, nor the manifest, metrics or an artifact of the run."""
     entries = tree.get("visualizations", []) if isinstance(tree, dict) else None
     if not isinstance(entries, list):
         raise MetricError("visualization config: expected a mapping with a 'visualizations' list")
-    return [VizSpec(**settings) for settings in parse_entries(entries, VIZ_ENTRY, InvalidVizEntry)]
+    specs = [VizSpec(**settings) for settings in parse_entries(entries, VIZ_ENTRY, InvalidVizEntry)]
+    reports: set[str] = set()
+    for i, spec in enumerate(specs):
+        if spec.type != "html":
+            continue
+        file = spec.file
+        if file in (MANIFEST, METRICS_FILE) or fnmatchcase(file, artifact_file("*")):
+            raise InvalidVizEntry(i, f"file: '{file}' is written by the run")
+        if file in reports:
+            raise InvalidVizEntry(i, f"file: '{file}' is written by an earlier report")
+        reports.add(file)
+    return specs
 
 
 def _select(metrics: dict[str, MetricValue], names: list[str] | None, default_kind: str | None):

@@ -195,8 +195,6 @@ nonnegative = _bounded(finite, lambda v: v >= 0, ">= 0")
 positive_int = _bounded(integer, lambda v: v >= 1, ">= 1")
 #: an integer of zero or more: an episode's seed
 nonnegative_int = _bounded(integer, lambda v: v >= 0, ">= 0")
-#: a finite number in [0, 1]
-probability = _bounded(finite, lambda v: 0 <= v <= 1, "in [0, 1]")
 
 
 def nonempty(convert: Callable[[Any], list]) -> Callable[[Any], list]:

@@ -1,7 +1,7 @@
 """Built-in simulators and the name -> class lookup used by config validation."""
 
 from .base import (
-    InvalidInitialValue, InvalidSimulatorConfig, PlatformSetup, SimulationDiverged, Simulator, SimulatorError, init_key,
+    InvalidInitialValue, InvalidSimulatorConfig, SimulationDiverged, Simulator, SimulatorError, init_key,
 )
 from .cartpole import CartPoleSimulator
 from .docking import Deputy1d, Docking1dSimulator
@@ -23,7 +23,6 @@ __all__ = [
     "Docking1dSimulator",
     "InvalidInitialValue",
     "InvalidSimulatorConfig",
-    "PlatformSetup",
     "SIMULATORS",
     "SimulationDiverged",
     "Simulator",

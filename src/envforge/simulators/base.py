@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..epp import SampledParameters
 from ..params import PARSE_ERRORS, ConfigError, Param, parse_params, parse_reference, positive
 from ..parts import Platform
+
+if TYPE_CHECKING:  # config imports simulators
+    from ..config.schema import PlatformConfig
 
 
 class SimulatorError(ConfigError):
@@ -29,14 +31,6 @@ class SimulationDiverged(Exception):
     def __init__(self, platform: Platform, exc: Exception):
         self.platform = platform.name
         super().__init__(f"platform '{platform.name}' diverged: {type(exc).__name__}: {exc}; state {platform.state!r}")
-
-
-@dataclass
-class PlatformSetup:
-    """Construction plan for one platform: its name and type."""
-
-    name: str
-    platform_type: str
 
 
 def frame_rate(raw) -> float:
@@ -60,7 +54,7 @@ class Simulator:
     :meth:`_advance`.  ``params`` declares the keys of the simulator's
     ``config``; the constructor parses it with ``parse_params``, raising
     ``InvalidSimulatorConfig`` that lists every error, and the parsed values
-    are ``settings``.  It makes each platform, from its setup, once, and the
+    are ``settings``.  It makes each platform, from its config, once, and the
     platforms are fixed from then on: ``reset`` rebuilds only each one's
     entity state and resets its parts.
     """
@@ -72,12 +66,12 @@ class Simulator:
     init_params: tuple[Param, ...] = ()
     params: tuple[Param, ...] = (Param("frame_rate", frame_rate, default=1.0),)
 
-    def __init__(self, config: dict[str, Any], platform_setups: list[PlatformSetup]):
+    def __init__(self, config: dict[str, Any], platforms: list[PlatformConfig]):
         self.settings, errors = parse_params(self.params, config, "config")
         if errors:
             raise InvalidSimulatorConfig.listing(self.simulator_type, errors)
         self.frame_rate = self.settings["frame_rate"]
-        self.platforms = {s.name: Platform(s.name, s.platform_type) for s in platform_setups}
+        self.platforms = {p.name: Platform(p.name, p.platform_type) for p in platforms}
         self._steps = 0
 
     @property

@@ -61,8 +61,8 @@ class CartPoleSimulator(Simulator):
         Param("constants", table(CONSTANTS), default={p.name: p.default for p in CONSTANTS}),
     )
 
-    def __init__(self, config, platform_setups):
-        super().__init__(config, platform_setups)
+    def __init__(self, config, platforms):
+        super().__init__(config, platforms)
         self.constants = dict(self.settings["constants"])
 
     def _make_entity(self, values: dict[str, float]) -> CartPoleState:

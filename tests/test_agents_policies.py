@@ -14,13 +14,7 @@ from envforge.policies import (
     ReplayPolicy,
     ScriptedPolicy,
 )
-from envforge.simulators.docking import (
-    Deputy1d,
-    Docking1dSimulator,
-    _position_sensor,
-    _thrust_controller,
-    _velocity_sensor,
-)
+from envforge.simulators.docking import Deputy1d, Docking1dSimulator
 from envforge.units import NEWTON
 
 from conftest import spy_calls

@@ -7,7 +7,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envforge.config import EpisodeEndMode, loader
+from envforge.config import EpisodeEndMode, SpaceCheckMode, loader
 from envforge.config.validate import (
     PARAMETER,
     ErrorCode,
@@ -265,6 +265,12 @@ class TestValidConfigs:
         paths = [e.path for e in report.errors]
         assert paths == ["platforms", "horizon", "simulator"]
 
+    @pytest.mark.parametrize("mode", ["spot_check", {"spot_check": 0.5}], ids=["spot_check", "spot_check_mapping"])
+    def test_space_check_mode_other_than_every_step_or_off_is_one_error(self, mode):
+        config, report = validate_environment(docking_tree(space_check=mode))
+        assert config is None
+        assert [(e.path, e.code.value) for e in report.errors] == [("space_check_mode", "TypeMismatch")]
+
 
 class TestDuplicateNames:
     """Two different top-level specs of one agent may not share a display name."""
@@ -352,14 +358,12 @@ class TestRoundTrip:
         "tree",
         [
             docking_tree(),
-            docking_tree(
-                agents=2, end_mode="all_agents_done", space_check={"spot_check": 0.25}, policy={"name": "random"}
-            ),
+            docking_tree(agents=2, end_mode="all_agents_done", policy={"name": "random"}),
             docking_tree(space_check="off", dones=False),
             curriculum_tree(),
             shapes_tree(),
         ],
-        ids=["default", "two_agents_spot_check", "no_dones", "updaters", "functor_shapes"],
+        ids=["default", "two_agents", "no_dones", "updaters", "functor_shapes"],
     )
     def test_test_trees(self, tree):
         config, report = validate_environment(tree)
@@ -398,8 +402,7 @@ class TestRoundTrip:
     @settings(max_examples=30, deadline=None)
     @given(
         end_mode=st.sampled_from([mode.value for mode in EpisodeEndMode]),
-        space_check=st.sampled_from(["every_step", "off", "spot_check"])
-        | st.floats(0.0, 1.0).map(lambda p: {"spot_check": p}),
+        space_check=st.sampled_from([mode.value for mode in SpaceCheckMode]),
     )
     def test_modes_parse_of_dump(self, end_mode, space_check):
         config, report = validate_environment(docking_tree(end_mode=end_mode, space_check=space_check))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from envforge import cli
 from envforge.config.loader import load_config
 from envforge.config.validate import validate_environment, validate_environment_file
-from envforge.config.schema import SpaceCheckMode
 from envforge.environment import (
     ActionShapeMismatch,
     Environment,
@@ -526,23 +525,15 @@ class TestBuild:
 
 class TestGenerators:
     """An episode builds a generator only for a stream that something draws
-    from: each non-constant parameter, the policy that draws, and the spot
-    checks under ``spot_check`` mode."""
+    from: each non-constant parameter and the policy that draws."""
 
     @pytest.mark.parametrize(
-        "env_file, spot_check, at_build, per_episode",
-        [
-            ("docking/environment.yml", False, 0, 0),
-            ("docking/environment.yml", True, 0, 1),
-            ("cartpole/environment.yml", False, 0, 5),
-            ("cartpole/environment.yml", True, 0, 6),
-        ],
-        ids=["docking", "docking_spot_check", "cartpole", "cartpole_spot_check"],
+        "env_file, at_build, per_episode",
+        [("docking/environment.yml", 0, 0), ("cartpole/environment.yml", 0, 5)],
+        ids=["docking", "cartpole"],
     )
-    def test_generators_built(self, monkeypatch, env_file, spot_check, at_build, per_episode):
+    def test_generators_built(self, monkeypatch, env_file, at_build, per_episode):
         config = load_env_config(CONFIG_DIR / env_file)
-        if spot_check:
-            config.space_check_mode = SpaceCheckMode.spot_check(0.5)
         built = []
         default_rng = np.random.default_rng
 
@@ -588,25 +579,6 @@ class TestSpaceChecks:
         config, _ = validate_environment(tree)
         env = Environment(config)
         env.reset(seed=0)  # no raise
-
-    def test_spot_check_rate(self):
-        # Over ~10k checks a p=0.01 spot check runs np +- 3 sqrt(np(1-p)) times.
-        tree = docking_tree(
-            horizon=20_000,
-            dones=False,
-            space_check={"spot_check": 0.01},
-            policy={"name": "scripted", "config": {"rule": "zero"}},
-            x0=-1000.0,
-        )
-        config, report = validate_environment(tree)
-        assert config is not None, str(report)
-        env = Environment(config)
-        env.reset(seed=0)
-        for _ in range(10_000):
-            env.step({"agent_0": {"ThrustControl": np.array([0.0])}})
-        n, p = env.spot_checks_attempted, 0.01
-        sigma = (n * p * (1 - p)) ** 0.5
-        assert abs(env.spot_checks_run - n * p) < 3 * sigma
 
 
 class TestLogging:

@@ -303,15 +303,15 @@ def resolves(tree, path: str, code: str) -> bool:
     return True
 
 
-#: the docking tree, its agent file inlined, with an updater and a spot-check probability
+#: the docking tree, its agent file inlined, with an updater and bounds checks off
 STRUCTURE = copy.deepcopy(DOCKING_TREE)
 STRUCTURE["agents"] = [copy.deepcopy(DOCKING_AGENT)]
 STRUCTURE["platforms"][0]["initialization"]["x0"]["updaters"] = [{"target": "value", "step": 0.0}]
-STRUCTURE["space_check_mode"] = {"spot_check": 1.0}
+STRUCTURE["space_check_mode"] = "off"
 X0 = ("platforms", 0, "initialization", "x0")
 #: the path of each structural section of STRUCTURE
 SECTIONS = [
-    (), ("simulator",), ("platforms", 0), X0[:-1], X0, (*X0, "updaters", 0), ("space_check_mode",),
+    (), ("simulator",), ("platforms", 0), X0[:-1], X0, (*X0, "updaters", 0),
     ("reference_store", "dock_radius"), ("agents", 0), ("agents", 0, "parts", 2),
     ("agents", 0, "episode_parameter_provider"), ("agents", 0, "glues", 0),
     ("agents", 0, "rewards", 0, "extractor"), ("agents", 0, "policy"),
@@ -322,7 +322,7 @@ NOT_STRINGS = [5, 0.5, True, None, [1.0], {"value": 2.0}]
 LEAVES = {
     ("horizon",): POOL,
     ("episode_end_mode",): [*POOL, "any_agent_done"],
-    ("space_check_mode", "spot_check"): POOL,
+    ("space_check_mode",): [*POOL, "every_step"],
     ("simulator", "name"): [*NOT_STRINGS, "nope"],
     ("platforms", 0, "name"): NOT_STRINGS,
     ("platforms", 0, "platform_type"): NOT_STRINGS,
@@ -473,7 +473,6 @@ class TestValidateIsBuild:
     @given(structural_defects())
     @example(("duplicate", ("platforms",), None))
     @example(("duplicate", ("agents",), None))
-    @example(("undeclared", ("space_check_mode",), "probabilty"))
     @example(("leaf", (*X0, "unit"), "second"))
     def test_structural_defect_is_reported_where_it_lies(self, defect):
         kind, path, key = defect

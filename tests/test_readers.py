@@ -42,7 +42,7 @@ def constant(value, unit="none"):
 def docking_tree():
     """A docking environment whose config reads every built-in numeric key
     but cart-pole's: each functor, part, simulator and scripted-rule table,
-    each distribution kind, an updater and a spot-check probability."""
+    each distribution kind and an updater."""
     return {
         "simulator": {"name": "Docking1dSimulator", "config": {"frame_rate": 1.0, "mass": 1.0}},
         "platforms": [
@@ -107,7 +107,6 @@ def docking_tree():
         ],
         "shared_dones": [{"functor": "EpisodeHorizon", "name": "Deadline", "config": {"horizon": 50}}],
         "horizon": 100,
-        "space_check_mode": {"spot_check": 0.5},
         "reference_store": {
             "c": constant(1.0),
             "u": {
@@ -187,7 +186,6 @@ KEYS = [
     *[(docking_tree, f"{_A}/policy/config/{k}", NUMBER, POSITIVE) for k in ("thrust", "v_cruise", "gain", "band")],
     (docking_tree, "shared_dones/0/config/horizon", INTEGER, st.integers(1, 100)),
     (docking_tree, "horizon", INTEGER, st.integers(1, 100)),
-    (docking_tree, "space_check_mode/spot_check", FINITE, st.floats(0.0, 1.0)),
     (docking_tree, f"{_STORE}/c/distribution/value", FINITE, REALS),
     (docking_tree, f"{_STORE}/u/distribution/low", FINITE, st.floats(-1.0, 1.0)),
     (docking_tree, f"{_STORE}/u/distribution/high", FINITE, st.floats(0.0, 2.0)),

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 import yaml
 
+from envforge.config.schema import PlatformConfig
 from envforge.environment import Environment
 from envforge.params import ConfigError
 from envforge.simulators import SIMULATORS
 from envforge.simulators.base import (
     InvalidInitialValue,
     InvalidSimulatorConfig,
-    PlatformSetup,
     SimulationDiverged,
     init_key,
 )
@@ -37,7 +37,7 @@ def docking_sampled(x0=0.0, v0=0.0, name="deputy"):
 def make_docking(config=None, x0=0.0, v0=0.0, with_controller=True):
     sim = Docking1dSimulator(
         config or {"frame_rate": 1.0, "mass": 1.0},
-        [PlatformSetup("deputy", "Docking1dPlatform")],
+        [PlatformConfig("deputy", "Docking1dPlatform")],
     )
     sim.reset(docking_sampled(x0, v0))
     platform = sim.platforms["deputy"]
@@ -57,7 +57,7 @@ def cartpole_sampled(x=0.0, xdot=0.0, theta=0.0, thetadot=0.0, name="cart"):
 
 def make_cartpole(**state):
     sim = CartPoleSimulator(
-        {}, [PlatformSetup("cart", "CartPolePlatform")]
+        {}, [PlatformConfig("cart", "CartPolePlatform")]
     )
     sim.reset(cartpole_sampled(**state))
     platform = sim.platforms["cart"]
@@ -213,7 +213,7 @@ class TestPlatformPersistence:
     def test_every_platform_takes_its_controls(self):
         sim = Docking1dSimulator(
             {"frame_rate": 1.0, "mass": 1.0},
-            [PlatformSetup("deputy", "Docking1dPlatform"), PlatformSetup("spare", "Docking1dPlatform")],
+            [PlatformConfig("deputy", "Docking1dPlatform"), PlatformConfig("spare", "Docking1dPlatform")],
         )
         sim.reset({**docking_sampled(), **docking_sampled(name="spare")})
         for name, thrust in [("deputy", 0.5), ("spare", -0.25)]:
@@ -273,7 +273,7 @@ class TestCartPole:
     def test_constants_config_overridable(self):
         sim = CartPoleSimulator(
             {"constants": {"gravity": 0.0}},
-            [PlatformSetup("cart", "CartPolePlatform")],
+            [PlatformConfig("cart", "CartPolePlatform")],
         )
         sim.reset(cartpole_sampled(theta=0.5))
         for _ in range(50):
@@ -288,20 +288,20 @@ class TestCartPole:
     def test_frame_time_must_be_finite(self):
         # 1e-320 is positive and finite, but its frame time 1 / 1e-320 is
         # inf: the first step would fail with a math domain error.
-        setups = [PlatformSetup("cart", "CartPolePlatform")]
+        platforms = [PlatformConfig("cart", "CartPolePlatform")]
         with pytest.raises(InvalidSimulatorConfig) as excinfo:
-            CartPoleSimulator({"frame_rate": 1.0e-320}, setups)
+            CartPoleSimulator({"frame_rate": 1.0e-320}, platforms)
         assert [(path, code) for path, code, _ in excinfo.value.errors] == [("config/frame_rate", "TypeMismatch")]
-        sim = CartPoleSimulator({"frame_rate": 1.0e-300}, setups)
+        sim = CartPoleSimulator({"frame_rate": 1.0e-300}, platforms)
         assert math.isfinite(sim.dt)
 
     def test_divisor_constants_must_be_positive(self):
         # The dynamics divide by the half-length and the total mass, and with
         # both masses positive 4/3 - m_p cos^2(theta) / (m_c + m_p) stays above 1/3.
-        setups = [PlatformSetup("cart", "CartPolePlatform")]
+        platforms = [PlatformConfig("cart", "CartPolePlatform")]
         constants = {"mass_cart": -5.0, "mass_pole": 0.0, "pole_half_length": -0.5, "gravity": -9.8}
         with pytest.raises(InvalidSimulatorConfig) as excinfo:
-            CartPoleSimulator({"constants": constants}, setups)
+            CartPoleSimulator({"constants": constants}, platforms)
         assert [(path, code) for path, code, _ in excinfo.value.errors] == [
             (f"config/constants/{key}", "TypeMismatch") for key in ("mass_cart", "mass_pole", "pole_half_length")
         ]

@@ -256,19 +256,18 @@ class TestBoundsBeforeReaders:
     environments: dict[str, Environment] = {}
 
     @classmethod
-    def environment(cls, mode) -> Environment:
-        key = json.dumps(mode)
-        if key not in cls.environments:
+    def environment(cls, mode: str) -> Environment:
+        if mode not in cls.environments:
             functors = {"DrawnValue": DrawnValue, "ReadingDone": ReadingDone, "CountingReward": CountingReward}
             with mock.patch.dict(FUNCTOR_REGISTRY, functors):
                 config, report = validate_environment(drawn_value_tree(mode))
                 assert config is not None, str(report)
-                cls.environments[key] = Environment(config)
-        return cls.environments[key]
+                cls.environments[mode] = Environment(config)
+        return cls.environments[mode]
 
     @settings(max_examples=120, deadline=None)
     @given(
-        st.sampled_from(["every_step", {"spot_check": 1.0}, "off"]),
+        st.sampled_from(["every_step", "off"]),
         st.sampled_from(["AgentValue", "SharedValue"]),
         st.integers(0, 6),
         OUTSIDE,
@@ -346,10 +345,8 @@ def noting(get_observation, switch):
     return patched, notes
 
 
-MODES = [
-    SpaceCheckMode.every_step(), SpaceCheckMode.spot_check(1.0), SpaceCheckMode.spot_check(0.0), SpaceCheckMode.off()
-]
-MODE_IDS = ["every_step", "spot_check_runs", "spot_check_skips", "off"]
+MODES = list(SpaceCheckMode)
+MODE_IDS = [mode.value for mode in MODES]
 
 
 class TestObservationShape:
@@ -490,7 +487,7 @@ class TestObservationShapeProperty:
     @settings(max_examples=120, deadline=None)
     @given(
         GLUE_RESULTS,
-        st.sampled_from([SpaceCheckMode.every_step(), SpaceCheckMode.spot_check(0.5), SpaceCheckMode.off()]),
+        st.sampled_from(MODES),
         st.sampled_from(["reset", "step"]),
         st.integers(0, 2**16),
     )
