@@ -265,7 +265,9 @@ class TestValidConfigs:
         paths = [e.path for e in report.errors]
         assert paths == ["platforms", "horizon", "simulator"]
 
-    @pytest.mark.parametrize("mode", ["spot_check", {"spot_check": 0.5}], ids=["spot_check", "spot_check_mapping"])
+    @pytest.mark.parametrize(
+        "mode", ["spot_check", {"spot_check": 0.5}, "EVERY_STEP"], ids=["spot_check", "spot_check_mapping", "member_name"]
+    )
     def test_space_check_mode_other_than_every_step_or_off_is_one_error(self, mode):
         config, report = validate_environment(docking_tree(space_check=mode))
         assert config is None

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from envforge import cli
 from envforge.config.loader import load_config
+from envforge.config.schema import SpaceCheckMode
 from envforge.config.validate import validate_environment, validate_environment_file
 from envforge.environment import (
     ActionShapeMismatch,
@@ -579,6 +580,47 @@ class TestSpaceChecks:
         config, _ = validate_environment(tree)
         env = Environment(config)
         env.reset(seed=0)  # no raise
+
+    @pytest.mark.parametrize("mode", list(SpaceCheckMode), ids=[mode.value for mode in SpaceCheckMode])
+    def test_build_fixes_which_boxes_are_checked(self, mode):
+        # Only BoundedDelta's box is bounded; it alone is checked, and only
+        # under every_step.  Changing the mode after the build changes nothing.
+        tree = docking_tree(space_check=mode.value, extra_glues=bounded_tvd_glue(-5.0, 5.0))
+        config, report = validate_environment(tree)
+        assert config is not None, str(report)
+        env = Environment(config)
+        checked = {(owner, node.name, key) for owner, node, _, entries in env._observe for key, _, box in entries if box}
+        expected = {("agent_0", "BoundedDelta", "target_value_difference")} if mode is SpaceCheckMode.EVERY_STEP else set()
+        assert checked == expected
+        config.space_check_mode = SpaceCheckMode.OFF if mode is SpaceCheckMode.EVERY_STEP else SpaceCheckMode.EVERY_STEP
+        if mode is SpaceCheckMode.EVERY_STEP:
+            with pytest.raises(SpaceViolation):
+                env.reset(seed=0)
+        else:
+            env.reset(seed=0)  # no raise
+
+    @pytest.mark.parametrize(
+        "env_file",
+        [
+            "docking/environment.yml",
+            "docking/environment_short.yml",
+            "docking/environment_two_agents.yml",
+            "cartpole/environment.yml",
+        ],
+        ids=["docking", "docking_short", "docking_two_agents", "cartpole"],
+    )
+    def test_shipped_config_records_the_same_under_each_mode(self, env_file):
+        # No shipped config declares a bounded observation, so turning the
+        # check off changes no recorded line of a passing episode.
+        lines = {}
+        for mode in SpaceCheckMode:
+            config = load_env_config(CONFIG_DIR / env_file)
+            config.space_check_mode = mode
+            env = Environment(config)
+            artifacts = [record_episode(env, seed) for seed in range(2)]
+            assert all(artifact.error is None for artifact in artifacts)
+            lines[mode] = [artifact.to_lines() for artifact in artifacts]
+        assert lines[SpaceCheckMode.EVERY_STEP] == lines[SpaceCheckMode.OFF]
 
 
 class TestLogging:
