@@ -313,15 +313,16 @@ class Environment:
 
     def reset(self, seed: int = 0, overrides: dict[str, Quantity] | None = None):
         """Start an episode; ``seed``, an integer of zero or more, seeds the
-        parameter draws and every agent's policy.
-        ``overrides`` fixes named parameters for this episode; a bad one
-        raises ``InvalidOverride`` (see ``EpisodeParameterProvider.sample_episode``),
-        and another seed ``InvalidSeed``, and either changes nothing."""
+        parameter draws and every agent's policy, and ``overrides`` fixes
+        named parameters for it.  A bad seed (``InvalidSeed``), override or
+        draw (see ``EpisodeParameterProvider.sample_episode``) changes
+        nothing; any later exception ends the episode, as in ``step``."""
         try:
             seed = nonnegative_int(seed)
         except PARSE_ERRORS as exc:
             raise InvalidSeed(seed, str(exc)) from exc
         sampled = self.epp.sample_episode(seed, overrides)
+        self._env_done = True
         self.simulator.reset(sampled)
         for agent in self.agents.values():
             agent.graph.reset(sampled)
@@ -330,13 +331,15 @@ class Environment:
 
         self.state = EpisodeState(self.simulator.platforms, self.config.horizon)
         self.state.sim_time = self.simulator.sim_time
-        self._env_done = False
         self._outcome = dict.fromkeys(self.agents)
 
         self._evaluate_glues()
+        self._env_done = False
         return self._collect_observations(self.agents.values())
 
     def step(self, actions: dict[str, dict[str, np.ndarray]]) -> StepResult:
+        """Run one step.  A refused action changes nothing; any later exception
+        ends the episode, and ``step`` raises ``EpisodeAlreadyDone`` until ``reset``."""
         if self.state is None or self._env_done:
             raise EpisodeAlreadyDone()
         state = self.state
@@ -369,6 +372,7 @@ class Environment:
                     if not all_finite(values):
                         raise NonFiniteAction(name, glue)
                     commands.append((apply_action, values))
+        self._env_done = True  # until the end of the schedule says otherwise
         for apply_action, values in commands:
             apply_action(values, state)
 

@@ -55,11 +55,11 @@ class InvalidOverride(EppError):
 
 
 class UnsampleableParameter(EppError):
-    """A parameter whose distribution raised when drawn from, reported at
-    that distribution's config path."""
+    """A parameter whose distribution raised when drawn from, or drew a
+    value a reader refuses, reported at that distribution's config path."""
 
-    def __init__(self, path: str, exc: Exception):
-        message = f"cannot be sampled: {exc}"
+    def __init__(self, path: str, reason: Exception | str):
+        message = f"cannot be sampled: {reason}"
         super().__init__(f"episode parameters: {path}: {message}", [(path, "TypeMismatch", message)])
 
 
@@ -298,9 +298,10 @@ class EpisodeParameterProvider:
 
         ``overrides`` replaces named distributions with fixed values for this
         episode only (used by the evaluation pipeline's test cases); each is
-        checked by ``override`` before anything is drawn.  A distribution
-        that raises when drawn from raises ``UnsampleableParameter``.  Either
-        leaves ``current_sample`` as it was.
+        checked by ``override`` before anything is drawn, and each draw by
+        its readers as an override is: a distribution that raises when drawn
+        from, or a draw a reader refuses, raises ``UnsampleableParameter``.
+        Any of these leaves ``current_sample`` as it was.
         """
         fixed = {name: self.override(name, value) for name, value in (overrides or {}).items()}
         values: dict[str, Quantity] = {}
@@ -314,6 +315,9 @@ class EpisodeParameterProvider:
                 except (ArithmeticError, ValueError) as exc:
                     raise UnsampleableParameter(f"{self.paths[name]}/distribution", exc) from exc
                 values[name] = Quantity.scalar(value, spec.unit)
+                if refusal := self._refusal(name, values[name]):
+                    reason = f"value {value} {spec.unit.name}: {refusal}"
+                    raise UnsampleableParameter(f"{self.paths[name]}/distribution", reason)
         self._current = MappingProxyType(values)
         return self._current
 
@@ -329,12 +333,18 @@ class EpisodeParameterProvider:
             value = value.to(spec.unit)
         except (UnitError, OverflowError) as exc:
             raise InvalidOverride(name, str(exc)) from exc
+        if refusal := self._refusal(name, value):
+            raise InvalidOverride(name, refusal)
+        return value
+
+    def _refusal(self, name: str, value: Quantity) -> str | None:
+        """Why the first reader of ``name`` to refuse ``value`` refuses it, else None."""
         for p in self.readers.get(name, ()):
             try:
                 parse_reference(p, value)
             except PARSE_ERRORS as exc:
-                raise InvalidOverride(name, f"'{p.name}': {exc}") from exc
-        return value
+                return f"'{p.name}': {exc}"
+        return None
 
     @property
     def current_sample(self) -> SampledParameters | None:

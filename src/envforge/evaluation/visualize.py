@@ -59,15 +59,19 @@ VIZ_ENTRY = (
 
 def parse_viz_config(tree) -> list[VizSpec]:
     """The visualization specs of a config tree, each checked before any
-    rollout.  Each HTML report writes a file of its own: not one an earlier
-    report writes, nor the manifest, metrics or an artifact of the run."""
+    rollout.  Only an HTML report takes ``file`` and ``title``, and each
+    writes a file of its own: not one an earlier report writes, nor the
+    manifest, metrics or an artifact of the run."""
     entries = tree.get("visualizations", []) if isinstance(tree, dict) else None
     if not isinstance(entries, list):
         raise MetricError("visualization config: expected a mapping with a 'visualizations' list")
     specs = [VizSpec(**settings) for settings in parse_entries(entries, VIZ_ENTRY, InvalidVizEntry)]
     reports: set[str] = set()
-    for i, spec in enumerate(specs):
+    for i, (entry, spec) in enumerate(zip(entries, specs)):
         if spec.type != "html":
+            for key in ("file", "title"):
+                if key in entry:
+                    raise InvalidVizEntry(i, f"{key}: only an html entry takes '{key}'; a table writes no report")
             continue
         file = spec.file
         if file in (MANIFEST, METRICS_FILE) or fnmatchcase(file, artifact_file("*")):

@@ -15,9 +15,7 @@ from typing import Any, Union
 import numpy as np
 
 from ..epp import SampledParameters
-from ..params import (
-    PARSE_ERRORS, SOURCE, ConfigError, Param, check_inputs, parse_params, parse_reference, wrapped_path,
-)
+from ..params import SOURCE, ConfigError, Param, check_inputs, parse_params, parse_reference, wrapped_path
 from ..parts import Box, Platform
 
 
@@ -153,18 +151,11 @@ class Functor:
         """Clear episode-local state."""
 
     def bind(self, sample: SampledParameters) -> None:
-        """Bind this episode's referenced values into ``values``.
-
-        Each sample is converted to its param's declared unit and passed
-        through the param's ``parse``, as the build checked every value its
-        spec can yield, so a value an updater without a limit moved out of
-        range fails here, naming the functor, the param and the reference key.
-        """
+        """Bind this episode's referenced values into ``values``, each
+        converted to its param's unit and read by its ``parse``, which takes
+        it: ``sample_episode`` refused any sample a reader refuses."""
         for name, (key, p) in self._references.items():
-            try:
-                self.values[name] = parse_reference(p, sample[key])
-            except PARSE_ERRORS as exc:
-                raise self._error(f"references/{name}", f"reference '{key}': {exc}") from exc
+            self.values[name] = parse_reference(p, sample[key])
 
 
 class Glue(Functor):

@@ -13,7 +13,6 @@ from .base import (
     Done,
     DoneResult,
     DoneStatusCode,
-    EpisodeState,
     Glue,
     PartBindingError,
     Reward,

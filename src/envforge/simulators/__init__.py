@@ -1,8 +1,6 @@
 """Built-in simulators and the name -> class lookup used by config validation."""
 
-from .base import (
-    InvalidInitialValue, InvalidSimulatorConfig, SimulationDiverged, Simulator, SimulatorError, init_key,
-)
+from .base import InvalidSimulatorConfig, SimulationDiverged, Simulator, SimulatorError, init_key
 from .cartpole import CartPoleSimulator
 from .docking import Deputy1d, Docking1dSimulator
 
@@ -21,7 +19,6 @@ __all__ = [
     "CartPoleSimulator",
     "Deputy1d",
     "Docking1dSimulator",
-    "InvalidInitialValue",
     "InvalidSimulatorConfig",
     "SIMULATORS",
     "SimulationDiverged",

@@ -6,7 +6,7 @@ import math
 from typing import TYPE_CHECKING, Any
 
 from ..epp import SampledParameters
-from ..params import PARSE_ERRORS, ConfigError, Param, parse_params, parse_reference, positive
+from ..params import ConfigError, Param, parse_params, parse_reference, positive
 from ..parts import Platform
 
 if TYPE_CHECKING:  # config imports simulators
@@ -19,10 +19,6 @@ class SimulatorError(ConfigError):
 
 class InvalidSimulatorConfig(SimulatorError, ValueError):
     """The simulator's ``config`` fails its parameter table."""
-
-
-class InvalidInitialValue(SimulatorError):
-    """A sampled initialization value that its ``init_params`` param refuses."""
 
 
 class SimulationDiverged(Exception):
@@ -84,20 +80,12 @@ class Simulator:
 
     def reset(self, sampled: SampledParameters) -> None:
         """Rebuild every platform's entity from ``sampled`` and reset its
-        parts, each of its ``init_params`` read as ``Functor.bind`` reads a reference
-        (the build proved each declared and in range, but for a value an
-        updater without a limit moved): one the param refuses raises
-        ``InvalidInitialValue`` before any platform changes."""
-        values = {name: {} for name in self.platforms}
-        for name, platform_values in values.items():
-            for p in self.init_params:
-                try:
-                    platform_values[p.name] = parse_reference(p, sampled[init_key(name, p.name)])
-                except PARSE_ERRORS as exc:
-                    raise InvalidInitialValue(f"platform '{name}': initialization '{p.name}': {exc}") from exc
+        parts, each of its ``init_params`` read as ``Functor.bind`` reads a
+        reference (``sample_episode`` refused any sample a reader refuses)."""
         self._steps = 0
         for name, platform in self.platforms.items():
-            platform.state = self._make_entity(values[name])
+            values = {p.name: parse_reference(p, sampled[init_key(name, p.name)]) for p in self.init_params}
+            platform.state = self._make_entity(values)
             for part in platform.parts.values():
                 part.reset()
 

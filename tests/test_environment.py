@@ -21,13 +21,16 @@ from envforge.environment import (
     SpaceViolation,
     UnknownActionKey,
 )
-from envforge.epp import EpisodeParameterProvider, InvalidOverride, NotYetSampled
+from envforge.epp import (
+    Constant, EpisodeParameterProvider, Increment, InvalidOverride, NotYetSampled, ParameterSpec,
+    UnsampleableParameter,
+)
 from envforge.evaluation import TestCase, rollout
 from envforge.evaluation.evaluate import run_episode as record_episode
 from envforge.functors.base import DoneStatusCode
 from envforge.policies import ScriptedPolicy
-from envforge.simulators import Simulator
-from envforge.units import METER, SECOND, Quantity, get_unit
+from envforge.simulators import SimulationDiverged, Simulator
+from envforge.units import METER, RADIAN_PER_SECOND, SECOND, Quantity, get_unit
 
 from conftest import (
     CONFIG_DIR, DATA_DIR, PHASES, load_env_config, phases, record_schedule, recorded_steps, spy_calls,
@@ -132,6 +135,9 @@ def docking_tree(
             },
         },
     }
+
+
+SHORT_CONFIG = load_env_config(CONFIG_DIR / "docking" / "environment_short.yml")
 
 
 def make_env(**kwargs):
@@ -469,6 +475,136 @@ class TestResetSeedErrors:
         for seed in (0, np.int64(3), 2**70):
             env.reset(seed=seed)
             assert not env.step({}).env_done
+
+
+#: one step of thrust 0.5 N for the docking deputy, mass 1 kg
+PUSH = {"deputy_agent": {"ThrustControl": np.array([0.5])}}
+
+
+def curriculum_short_env(dock_radius_step=None, x0_step=None) -> Environment:
+    """``environment_short.yml`` whose ``dock_radius`` (0.1 m) and
+    ``deputy.x0`` (-10 m), each a constant, carry an updater without a limit
+    of the given step; a step of None leaves the parameter as the file has it."""
+    config = copy.deepcopy(SHORT_CONFIG)
+    if dock_radius_step is not None:
+        updater = Increment("value", dock_radius_step)
+        config.reference_store["dock_radius"] = ParameterSpec("dock_radius", Constant(0.1), METER, [updater])
+    if x0_step is not None:
+        updater = Increment("value", x0_step)
+        config.platforms[0].initialization["x0"] = ParameterSpec("x0", Constant(-10.0), METER, [updater])
+    return Environment(config)
+
+
+def step_outcome(env, actions):
+    """What ``env.step(actions)`` gives: its result's fields, or the
+    exception it raised, by type and message."""
+    try:
+        return vars(env.step(actions))
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+
+
+#: a refused reset: (its arguments, the environment's updater steps, how
+#: many training results to apply first, the error it raises)
+REFUSED_RESETS = {
+    "negative_seed": ({"seed": -1}, {}, 0, InvalidSeed),
+    "fractional_seed": ({"seed": 1.5}, {}, 0, InvalidSeed),
+    "unknown_override": (
+        {"seed": 2, "overrides": {"deputy.x00": Quantity.scalar(-7.0, METER)}}, {}, 0, InvalidOverride,
+    ),
+    "out_of_range_override": (
+        {"seed": 2, "overrides": {"dock_radius": Quantity.scalar(-1.0, METER)}}, {}, 0, InvalidOverride,
+    ),
+    # -0.1 m, which DockingSuccess and DockingFailure refuse
+    "dock_radius_draw": ({"seed": 2}, {"dock_radius_step": -0.2}, 1, UnsampleableParameter),
+    # -10 + 1e308 + 1e308 is inf, which the simulator's x0 refuses
+    "x0_draw": ({"seed": 2}, {"x0_step": 1e308}, 2, UnsampleableParameter),
+}
+
+
+class TestRefusedResetChangesNothing:
+    """A ``reset`` whose seed, override or draw is refused raises before
+    anything changes: the episode it interrupted runs on as if it had not
+    been called."""
+
+    def test_a_draw_an_updater_moved_out_of_range_leaves_the_episode(self):
+        env, twin = curriculum_short_env(dock_radius_step=-0.2), curriculum_short_env(dock_radius_step=-0.2)
+        for e in (env, twin):
+            e.reset(seed=1)
+            for _ in range(5):
+                e.step(PUSH)
+            e.apply_training_result()
+        with pytest.raises(UnsampleableParameter) as caught:
+            env.reset(seed=2)
+        assert str(caught.value) == (
+            "episode parameters: reference_store/dock_radius/distribution: cannot be sampled: "
+            "value -0.1 meter: 'dock_radius': must be >= 0, got -0.1"
+        )
+        deputy = env.simulator.platforms["deputy"].state
+        assert env.state.step_count == 5 and (deputy.x, deputy.xdot) == (-3.75, 2.5)
+        assert env.epp.current_sample["dock_radius"].item == 0.1 and not env.episode_done
+        np.testing.assert_equal(step_outcome(env, PUSH), step_outcome(twin, PUSH))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        refused=st.sampled_from(sorted(REFUSED_RESETS)),
+        seed=st.integers(0, 2**32),
+        before=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
+        after=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
+    )
+    def test_the_steps_after_a_refused_reset_are_those_of_an_untouched_twin(self, refused, seed, before, after):
+        arguments, updaters, training_results, error = REFUSED_RESETS[refused]
+        env, twin = curriculum_short_env(**updaters), curriculum_short_env(**updaters)
+        for e in (env, twin):
+            e.reset(seed=seed)
+            for thrust in before:
+                step_outcome(e, {"deputy_agent": {"ThrustControl": np.array([thrust])}})
+            for _ in range(training_results):
+                e.apply_training_result()
+        sample, state = env.epp.current_sample, env.state
+        with pytest.raises(error):
+            env.reset(**arguments)
+        assert env.epp.current_sample is sample and env.state is state
+        for thrust in after:
+            actions = {"deputy_agent": {"ThrustControl": np.array([thrust])}}
+            np.testing.assert_equal(step_outcome(env, actions), step_outcome(twin, actions))
+
+
+class TestFailureEndsTheEpisode:
+    """An exception in ``reset`` after its draw, or in ``step`` after its
+    action checks, ends the episode: ``step`` raises ``EpisodeAlreadyDone``
+    until a ``reset``, which runs the episode a fresh environment runs."""
+
+    def test_a_diverged_step_ends_the_episode(self):
+        config = load_env_config(DATA_DIR / "diverging" / "cartpole.yml")
+        env = Environment(config)
+        env.reset(seed=0)
+        with pytest.raises(SimulationDiverged):
+            env.step({})
+        assert env.episode_done
+        with pytest.raises(EpisodeAlreadyDone):
+            env.step({})
+        calm = {"cart.thetadot0": Quantity.scalar(0.0, RADIAN_PER_SECOND)}
+        again = record_episode(env, seed=1, overrides=calm)
+        fresh = record_episode(Environment(config), seed=1, overrides=calm)
+        assert again.error is None and len(again.rows) > 1
+        assert again.to_lines() == fresh.to_lines()
+
+    def test_a_reset_whose_first_observation_fails_ends_the_episode(self):
+        # deputy_b starts 20 m to 40 m out, so the shared BoundedDelta's [-5, 5] m box refuses it
+        config = load_env_config(DATA_DIR / "space_violation" / "two_agents_shared.yml")
+        env = Environment(config)
+        env.reset(seed=0, overrides={"deputy_b.x0": Quantity.scalar(-3.0, METER)})
+        env.step({})
+        with pytest.raises(SpaceViolation):
+            env.reset(seed=1)
+        assert env.episode_done
+        with pytest.raises(EpisodeAlreadyDone):
+            env.step({})
+        near = {"deputy_b.x0": Quantity.scalar(-3.0, METER)}
+        again = record_episode(env, seed=1, overrides=near)
+        fresh = record_episode(Environment(config), seed=1, overrides=near)
+        assert len(again.rows) > 1 and again.to_lines() == fresh.to_lines()
 
 
 class TestBuild:

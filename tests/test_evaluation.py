@@ -703,8 +703,10 @@ class TestInputChecks:
              "visualizations entry 0: file: invalid value for 'file': expected a string, got list"),
             ([{"type": "html", "title": 3}],
              "visualizations entry 0: title: invalid value for 'title': expected a string, got int"),
+            ([{"type": "html"}, {"type": "table", "title": "Unused"}],
+             "visualizations entry 1: title: only an html entry takes 'title'; a table writes no report"),
         ],
-        ids=["unknown_type", "no_type", "metrics", "undeclared", "metric_name", "config", "file", "title"],
+        ids=["unknown_type", "no_type", "metrics", "undeclared", "metric_name", "config", "file", "title", "table_title"],
     )
     def test_bad_viz_entry(self, entries, message):
         with pytest.raises(InvalidVizEntry, match=re.escape(message)):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from envforge.config import AgentConfig, EnvironmentConfig, PartConfig, PlatformConfig, PolicyConfig, loader
 from envforge.config.validate import validate_environment
 from envforge.environment import Environment, episode_parameters
-from envforge.epp import Constant, EppError, Increment, ParameterSpec, Uniform
+from envforge.epp import Constant, EppError, Increment, ParameterSpec, Uniform, UnsampleableParameter
 from envforge.evaluation.evaluate import run_episode
 from envforge.functors import (
     BUILTIN_FUNCTORS,
@@ -615,7 +615,8 @@ class TestDeclaredUnits:
 
 
 class TestReferencedValues:
-    """A referenced value is sampled each episode and checked by its param's ``parse`` when bound."""
+    """A referenced value is sampled each episode, checked by its param's
+    ``parse`` when drawn, and bound as drawn."""
 
     @staticmethod
     def short_config_with(key, spec):
@@ -640,19 +641,23 @@ class TestReferencedValues:
         "key, unit, param",
         [("dock_radius", "meter", "dock_radius"), ("v_max", "meter_per_second", "velocity_limit")],
     )
-    def test_sample_out_of_range_fails_reset_naming_functor_param_and_key(self, key, unit, param):
+    def test_sample_out_of_range_fails_reset_at_its_distribution(self, key, unit, param):
         env = self.moved_out_of_range(key, unit)
-        with pytest.raises(FunctorError) as info:
+        with pytest.raises(UnsampleableParameter) as caught:
             env.reset(seed=7)
-        message = str(info.value)
-        assert message.startswith(f"DockingSuccess (DockingSuccess): references/{param}: ")
-        assert f"'{key}'" in message and "must be >= 0, got -0.1" in message
+        # worded as the build words a value of the spec that a reader refuses
+        assert str(caught.value) == (
+            f"episode parameters: reference_store/{key}/distribution: cannot be sampled: "
+            f"value -0.1 {unit}: '{param}': must be >= 0, got -0.1"
+        )
+        assert env.epp.current_sample is None and env.state is None
         artifact = run_episode(env, seed=7)
-        assert artifact.rows == [] and artifact.error.startswith("FunctorError: DockingSuccess")
+        assert artifact.rows == [] and artifact.error == f"UnsampleableParameter: {caught.value}"
 
     def test_sample_is_converted_before_it_is_checked(self):
         # -0.1 cm is out of range in metres as well; 10 cm binds as 0.1 m
-        with pytest.raises(FunctorError, match="must be >= 0, got -0.001"):
+        message = "value -0.1 centimeter: 'dock_radius': must be >= 0, got -0.001"
+        with pytest.raises(UnsampleableParameter, match=re.escape(message)):
             self.moved_out_of_range("dock_radius", "centimeter").reset(seed=0)
         spec = ParameterSpec("dock_radius", Constant(10.0), get_unit("centimeter"))
         env = Environment(self.short_config_with("dock_radius", spec))

@@ -9,12 +9,8 @@ from envforge.config.schema import PlatformConfig
 from envforge.environment import Environment
 from envforge.params import ConfigError
 from envforge.simulators import SIMULATORS
-from envforge.simulators.base import (
-    InvalidInitialValue,
-    InvalidSimulatorConfig,
-    SimulationDiverged,
-    init_key,
-)
+from envforge.epp import Constant, Increment, ParameterSpec, UnsampleableParameter
+from envforge.simulators.base import InvalidSimulatorConfig, SimulationDiverged, init_key
 from envforge.simulators.cartpole import DEFAULTS, CartPoleSimulator, _force_controller
 from envforge.simulators.cartpole import _state_sensor as cartpole_state_sensor
 from envforge.simulators.docking import Docking1dSimulator, _thrust_controller
@@ -121,25 +117,36 @@ class TestDockingDynamics:
 
 class TestInitialValues:
     """``reset`` reads each initialization value with its ``init_params``
-    param, as a functor reads a reference, and names the platform and the
-    parameter when the param refuses it."""
+    param, as a functor reads a reference.  A draw the param refuses fails
+    the environment's ``reset`` at the parameter's distribution path, before
+    any platform changes."""
 
     def test_init_params_are_declared_params(self):
         assert [(p.name, p.unit) for p in Docking1dSimulator.init_params] == [("x0", METER), ("v0", METER_PER_SECOND)]
 
     @pytest.mark.parametrize(
-        "x0, reason",
+        "unit, step, moves, reason",
         [
-            (Quantity.scalar(1e306, get_unit("kilometer")), "a value in kilometer overflows a float in meter"),
-            (Quantity.scalar(math.inf, METER), "expected a finite number, got inf"),
+            ("kilometer", 1e306, 1, "value 1e+306 kilometer: 'x0': a value in kilometer overflows a float in meter"),
+            ("meter", 1e308, 2, "value inf meter: 'x0': expected a finite number, got inf"),
         ],
+        ids=["overflow", "inf"],
     )
-    def test_refused_value_names_platform_and_parameter(self, x0, reason):
-        sim, platform = make_docking(x0=-1.0)
-        sampled = {**docking_sampled(), init_key("deputy", "x0"): x0}
-        with pytest.raises(InvalidInitialValue, match=f"platform 'deputy': initialization 'x0': {reason}"):
-            sim.reset(sampled)
-        assert platform.state.x == -1.0
+    def test_refused_value_names_platform_and_parameter(self, docking_short_config, unit, step, moves, reason):
+        # an updater without a limit moves x0 to a value the build never saw
+        spec = ParameterSpec("x0", Constant(0.0), get_unit(unit), [Increment("value", step)])
+        docking_short_config.platforms[0].initialization["x0"] = spec
+        env = Environment(docking_short_config)
+        env.reset(seed=0)
+        deputy = env.simulator.platforms["deputy"]
+        entity = deputy.state
+        for _ in range(moves):
+            env.apply_training_result()
+        with pytest.raises(UnsampleableParameter) as caught:
+            env.reset(seed=1)
+        path = "platforms/0/initialization/x0/distribution"
+        assert str(caught.value) == f"episode parameters: {path}: cannot be sampled: {reason}"
+        assert deputy.state is entity and entity.x == 0.0
 
 
 class TestDivergence:
