@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import PolicyConfig, loader
-from .config.validate import validate_environment, validate_environment_file
+from .config.validate import validate_environment_file
 from .environment import Environment
 from .evaluation import (
     METRICS_FILE,
@@ -71,20 +71,11 @@ def _parse_policy(value: str | None) -> tuple[str, dict] | None:
     )
 
 
-def _load_environment(env_path: str, agent_paths: list[str]):
-    """Validated EnvironmentConfig or a report full of errors."""
-    if agent_paths:
-        tree = loader.load_config(env_path)
-        tree["agents"] = [str(Path(p).resolve()) for p in agent_paths]
-        return validate_environment(tree, base_dir=Path(env_path).parent)
-    return validate_environment_file(env_path)
-
-
 def _require_config(args):
     """The validated config, each agent's policy replaced by a ``--policy``
     given: one declaration, so ``PolicyPool`` shares one instance between
     the agents, and ``run_config.json`` records it."""
-    config, report = _load_environment(args.env, getattr(args, "agent", []) or [])
+    config, report = validate_environment_file(args.env, args.agent or ())
     if config is None:
         print(report)
         raise SystemExit(1)
@@ -99,7 +90,7 @@ def _require_config(args):
 
 
 def cmd_validate(args) -> int:
-    config, report = _load_environment(args.env, args.agent or [])
+    config, report = validate_environment_file(args.env, args.agent or ())
     print(report)
     return 0 if config is not None else 1
 

@@ -1,5 +1,8 @@
 """Config file loading with list-position include directives.
 
+A config file is UTF-8 text; a byte that is not UTF-8 is a ``ParseError``
+at its line and column.
+
 A list element of the form ``{include: <relative path>}`` is replaced by the
 parsed contents of the referenced file, resolved relative to the including
 file.  If the included file holds a list, it is spliced in place.
@@ -47,10 +50,23 @@ class IncludeCycle(ConfigLoadError):
         )
 
 
+def _decode(path: Path) -> str:
+    """The text of the file at ``path``, which must be UTF-8; a
+    ``ParseError`` marks the first byte that is not."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        column = len(data[line_start:exc.start].decode("utf-8")) + 1
+        problem = f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
+        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1, column, problem) from None
+
+
 def _parse_file(path: Path):
     if not path.is_file():
         raise FileNotFound(path)
-    text = path.read_text()
+    text = _decode(path)
     try:
         return yaml.load(text, Loader=SAFE_LOADER)
     except yaml.MarkedYAMLError as exc:

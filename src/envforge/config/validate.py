@@ -1,35 +1,39 @@
 """Config tree validation with path-addressed error reporting.
 
-Validation is construction.  ``validate_environment`` itself parses only the
-structure: each structural section is a ``Param`` table that
-``params.parse_params`` reads, as a constructor reads its config (the
-registry lookups that choose which class to build are converters of those
-tables), plus file loading and the reference stores.  Then it builds the
-environment from what parsed, through the same constructors ``run`` uses,
-and reports what they reject: a parameter table, a functor's inputs, every
-reader of an episode parameter (a reference, an initialization value), a
-part or platform a functor names, a scripted rule's config, a simulator's
-config, two platforms, agents, functors or observations of one name.  So a
-config that validates also builds.
+Validation is construction.  ``params.parse_params`` is the one parser of a
+config: ``validate_environment`` reads the environment with the table
+``ENVIRONMENT``, and ``validate_agent`` each agent with ``AGENT``.  Every
+section is a converter in its table, as a constructor reads its config: a
+``Param`` whose parse builds the section's object (a distribution, a
+parameter store, a functor entry and its ``wrapped`` children, a part,
+policy or platform) with the section's own table, and the registry lookups
+that choose which class to build are converters too.  Besides that parse,
+validation loads agent files and sets the config path of each functor and
+part entry.  Then it builds the environment from what parsed, through the
+same constructors ``run`` uses, and reports what they reject: a parameter
+table, a functor's inputs, every reader of an episode parameter (a
+reference, an initialization value), a part or platform a functor names, a
+scripted rule's config, a simulator's config, two platforms, agents,
+functors or observations of one name.  So a config that validates also
+builds.
 
 Validation is total: any loaded tree yields either a typed config or a
 ValidationReport whose errors carry the slash-separated path of the offending
-node.  The structural errors come first: each section's own errors, in
-``parse_params`` order (its keys in document order, then the required keys
-it lacks), before the errors inside it.  Then come the build's, in document
-order.  Nothing here raises for bad user input.
+node.  The errors come in ``parse_params`` order: a section's keys in
+document order, each key's nested errors at that key, then the required keys
+it lacks.  Each agent's errors come after the environment's, and the build's
+come last, in document order.  Nothing here raises for bad user input.
 
-The tables also write the config.  Where a table's parse builds an object
-(a distribution, a unit, a mode, a parameter store, a functor, part, policy,
-platform or agent), its ``Param.dump`` writes the object back, and
-``environment_tree`` writes a typed config with ``params.dump_params`` as the
-tree that validates back to it.  ``run_config.json`` holds that tree.
+The tables also write the config.  Where a section's converter builds an
+object, its ``Param.dump`` writes the object back, and ``environment_tree``
+writes a typed config with ``params.dump_params`` as the tree that validates
+back to it.  ``run_config.json`` holds that tree.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -42,7 +46,6 @@ from ..params import (
     Param,
     dump_params,
     finite,
-    identity,
     list_of,
     mapping,
     mapping_of,
@@ -164,9 +167,62 @@ def _updater_table(mutable: Collection[str]) -> tuple[Param, ...]:
     )
 
 
-def _part_table(groups: Collection[str]) -> tuple[Param, ...]:
-    """The keys of a part entry, whose group must be one of ``groups``."""
-    return (Param("part", one_of(groups, "UnknownPartGroup")), Param("config", mapping, {}))
+def _parameter(raw) -> dict:
+    """The settings of a parameter entry, its updaters read with the table
+    of its distribution's ``mutable`` names.  A bare number is a ``constant``
+    with unit none, and its errors are reported at the number."""
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            return _parameter({"distribution": {"kind": "constant", "value": raw}})
+        except ConfigError as exc:
+            raise ConfigError(str(exc), [("", code, message) for _, code, message in exc.errors]) from None
+    settings, errors = parse_params(PARAMETER, mapping(raw), "")
+    if "distribution" in settings and "unit" in settings:
+        updater = table(_updater_table(settings["distribution"].mutable))
+        try:
+            updaters = list_of(updater)(settings.get("updaters", []))
+        except ConfigError as exc:
+            errors += [(_join("updaters", path), code, message) for path, code, message in exc.errors]
+        else:
+            settings["updaters"] = [Increment(u["target"], u["step"], u["limit"]) for u in updaters]
+    if errors:
+        raise ConfigError(errors[0][2], errors)
+    return settings
+
+
+def _store(raw) -> dict[str, ParameterSpec]:
+    """A parameter store: the spec of each parameter, by name."""
+    return {name: ParameterSpec(name, **settings) for name, settings in mapping_of(_parameter)(raw).items()}
+
+
+def _built(cls, params: tuple[Param, ...]):
+    """The converter of a mapping read with the table ``params`` into a ``cls``."""
+    return lambda raw: cls(**table(params)(raw))
+
+
+def _wrapped(raw):
+    """A functor's ``wrapped``: one child, or a list or mapping of them; an
+    empty one is none, as its dump leaves it out."""
+    if raw == [] or raw == {}:
+        return None
+    if isinstance(raw, list):
+        return list_of(_child)(raw)
+    if isinstance(raw, dict) and "functor" not in raw:
+        return mapping_of(_child)(raw)
+    return _child(raw)
+
+
+def _child(raw):
+    """A wrapped child: a functor entry, or the name of a top-level one."""
+    return raw if raw is None or isinstance(raw, str) else _functor(raw)
+
+
+def _part(raw) -> PartConfig:
+    """A part entry; a bare group name is one with no config, its error reported at the name."""
+    if isinstance(raw, str):
+        return PartConfig(_GROUP.parse(raw))
+    settings = table(PART)(raw)
+    return PartConfig(settings["part"], settings["config"])
 
 
 def _store_tree(store: dict[str, ParameterSpec]) -> dict:
@@ -193,10 +249,11 @@ def _agent_tree(agent: AgentConfig) -> dict:
     return dump_params(AGENT, {**vars(agent), **settings})
 
 
-#: the keys each structural section declares; any other key is UnknownField.
-#: A simulator's, a part's, a functor's and a policy's ``config`` is checked
-#: by its constructor, against its own table.  Where a section's parse builds
-#: an object, its ``dump`` writes that object back as the section's tree.
+#: the keys each config section declares; any other key is UnknownField.
+#: Where a section builds an object, its converter builds it, and its
+#: ``dump`` writes that object back as the section's tree.  A simulator's, a
+#: part's, a functor's and a policy's ``config`` is checked by its
+#: constructor, against its own table.
 SIMULATOR = (Param("name", one_of(SIMULATORS, "UnknownFunctor")), Param("config", mapping, {}))
 PARAMETER = (
     Param("distribution", _distribution, dump=_distribution_tree),
@@ -211,7 +268,7 @@ PARAMETER = (
 PLATFORM = (
     Param("name", string),
     Param("platform_type", string),
-    Param("initialization", mapping, {}, dump=_store_tree),
+    Param("initialization", _store, {}, dump=_store_tree),
 )
 EXTRACTOR = (Param("glue", string), Param("key", string, None))
 FUNCTOR = (
@@ -219,11 +276,14 @@ FUNCTOR = (
     Param("name", string, None),
     Param("config", mapping, {}),
     Param("references", mapping_of(string), {}),
-    Param("wrapped", identity, None, dump=_functor_tree),
-    Param("extractor", mapping, None, dump=lambda extractor: dump_params(EXTRACTOR, vars(extractor))),
+    Param("wrapped", _wrapped, None, dump=_functor_tree),
+    Param("extractor", _built(ExtractorSpec, EXTRACTOR), None, dump=lambda spec: dump_params(EXTRACTOR, vars(spec))),
 )
+_functor = _built(FunctorSpec, FUNCTOR)
+_GROUP = Param("part", one_of(GLOBAL_REGISTRY.groups, "UnknownPartGroup"))
+PART = (_GROUP, Param("config", mapping, {}))
 POLICY = (Param("name", one_of(POLICY_REGISTRY)), Param("config", mapping, {}))
-EPISODE_PARAMETER_PROVIDER = (Param("parameters", mapping, {}, dump=_store_tree),)
+EPISODE_PARAMETER_PROVIDER = (Param("parameters", _store, {}, dump=_store_tree),)
 #: an agent's platforms; its parts attach to the first unless they name one
 AGENT_PLATFORMS = Param("platforms", nonempty(list_of(string)))
 AGENT = (
@@ -231,26 +291,35 @@ AGENT = (
     AGENT_PLATFORMS,
     Param(
         "parts",
-        sequence,
+        list_of(_part),
         [],
-        dump=lambda parts: [dump_params(_part_table(()), {"part": p.group, "config": p.config}) for p in parts],
+        dump=lambda parts: [dump_params(PART, {"part": p.group, "config": p.config}) for p in parts],
     ),
-    Param("reference_store", mapping, {}, dump=_store_tree),
-    Param("episode_parameter_provider", mapping, {}, dump=partial(dump_params, EPISODE_PARAMETER_PROVIDER)),
-    Param("glues", nonempty(sequence), dump=_functor_tree),
-    Param("dones", sequence, [], dump=_functor_tree),
-    Param("rewards", sequence, [], dump=_functor_tree),
-    Param("policy", mapping, None, dump=lambda policy: dump_params(POLICY, vars(policy))),
+    Param("reference_store", _store, {}, dump=_store_tree),
+    Param(
+        "episode_parameter_provider",
+        table(EPISODE_PARAMETER_PROVIDER),
+        {"parameters": {}},
+        dump=partial(dump_params, EPISODE_PARAMETER_PROVIDER),
+    ),
+    Param("glues", nonempty(list_of(_functor)), dump=_functor_tree),
+    Param("dones", list_of(_functor), [], dump=_functor_tree),
+    Param("rewards", list_of(_functor), [], dump=_functor_tree),
+    Param("policy", _built(PolicyConfig, POLICY), None, dump=lambda policy: dump_params(POLICY, vars(policy))),
 )
 ENVIRONMENT = (
-    Param("simulator", mapping, dump=partial(dump_params, SIMULATOR)),
-    Param("platforms", sequence, dump=lambda platforms: [dump_params(PLATFORM, vars(p)) for p in platforms]),
+    Param("simulator", table(SIMULATOR), dump=partial(dump_params, SIMULATOR)),
+    Param(
+        "platforms",
+        list_of(_built(PlatformConfig, PLATFORM)),
+        dump=lambda platforms: [dump_params(PLATFORM, vars(p)) for p in platforms],
+    ),
     Param("agents", sequence, dump=lambda agents: [_agent_tree(agent) for agent in agents]),
     Param("horizon", positive_int, 1000),
     Param("episode_end_mode", EpisodeEndMode, EpisodeEndMode.ALL_AGENTS_DONE, dump=lambda mode: mode.value),
     Param("space_check_mode", SpaceCheckMode, SpaceCheckMode.EVERY_STEP, dump=lambda mode: mode.value),
-    Param("reference_store", mapping, {}, dump=_store_tree),
-    Param("shared_dones", sequence, [], dump=_functor_tree),
+    Param("reference_store", _store, {}, dump=_store_tree),
+    Param("shared_dones", list_of(_functor), [], dump=_functor_tree),
 )
 
 
@@ -263,146 +332,55 @@ def environment_tree(config: EnvironmentConfig) -> dict:
     return dump_params(ENVIRONMENT, {**vars(config), "simulator": simulator})
 
 
-def _parse(table: tuple[Param, ...], tree, path: str, report: ValidationReport, shorthand=False) -> dict | None:
+def _parse(table: tuple[Param, ...], tree, path: str, report: ValidationReport) -> dict | None:
     """The settings of the section ``tree`` at ``path`` under ``table``, its
     errors added to ``report``.  A failed key has no setting.  None, and a
-    ``TypeMismatch`` at ``path``, if ``tree`` is not a mapping.  A
-    ``shorthand`` tree stands for the scalar written at ``path``, where each
-    of its errors is reported."""
+    ``TypeMismatch`` at ``path``, if ``tree`` is not a mapping."""
     try:
         tree = mapping(tree)
     except TypeError as exc:
         report.add(path, ErrorCode.TYPE_MISMATCH, str(exc))
         return None
     settings, errors = parse_params(table, tree, path)
-    report.errors += [ValidationError(path if shorthand else p, ErrorCode(code), m) for p, code, m in errors]
+    report.errors += [ValidationError(p, ErrorCode(code), m) for p, code, m in errors]
     return settings
 
 
-def parse_parameter_spec(name: str, tree, path: str, report: ValidationReport) -> ParameterSpec | None:
-    """Parse one parameter entry; bare scalars are Constant with unit none.
-
-    Every hyperparameter must be a finite number, and so must an updater's
-    ``step`` and ``limit``.
-    """
-    shorthand = isinstance(tree, (int, float)) and not isinstance(tree, bool)
-    if shorthand:
-        tree = {"distribution": {"kind": "constant", "value": tree}}
-    settings = _parse(PARAMETER, tree, path, report, shorthand)
-    if settings is None or "distribution" not in settings or "unit" not in settings:
-        return None
-    spec = ParameterSpec(name, settings["distribution"], settings["unit"])
-    table = _updater_table(spec.distribution.mutable)
-    for i, updater_tree in enumerate(settings.get("updaters", [])):
-        updater = _parse(table, updater_tree, _join(path, "updaters", i), report)
-        if updater is not None and len(updater) == len(table):
-            spec.updaters.append(Increment(updater["target"], updater["step"], updater["limit"]))
-    return spec
-
-
-def parse_parameter_store(tree: dict, path: str, report: ValidationReport) -> dict[str, ParameterSpec]:
-    """The parameter specs of a mapping of them, by name."""
-    store = {str(name): parse_parameter_spec(str(name), sub, _join(path, name), report) for name, sub in tree.items()}
-    return {name: spec for name, spec in store.items() if spec is not None}
-
-
-def parse_functor_spec(tree, path: str, report: ValidationReport) -> FunctorSpec | None:
-    settings = _parse(FUNCTOR, tree, path, report)
-    if settings is None or "functor" not in settings:
-        return None
-    wrapped = _parse_wrapped(settings.get("wrapped"), _join(path, "wrapped"), report)
-    extractor = None
-    if settings.get("extractor") is not None:
-        extractor_settings = _parse(EXTRACTOR, settings["extractor"], _join(path, "extractor"), report)
-        if "glue" in extractor_settings:
-            extractor = ExtractorSpec(extractor_settings["glue"], extractor_settings.get("key"))
-    return FunctorSpec(
-        functor=settings["functor"],
-        name=settings.get("name"),
-        config=settings.get("config", {}),
-        references=settings.get("references", {}),
-        wrapped=wrapped,
-        extractor=extractor,
-        path=path,
-    )
-
-
-def _parse_wrapped(tree, path: str, report: ValidationReport):
-    """A functor's ``wrapped``: one child, or a list or mapping of them; an
-    empty one is none, as its dump leaves it out."""
-    if tree == [] or tree == {}:
-        return None
-    if isinstance(tree, list):
-        return [_parse_child(item, _join(path, i), report) for i, item in enumerate(tree)]
-    if isinstance(tree, dict) and "functor" not in tree:
-        return {str(k): _parse_child(v, _join(path, k), report) for k, v in tree.items()}
-    return _parse_child(tree, path, report)
-
-
-def _parse_child(tree, path: str, report: ValidationReport):
-    """A wrapped child: a functor entry, or the name of a top-level one."""
-    if tree is None or isinstance(tree, str):
-        return tree
-    return parse_functor_spec(tree, path, report)
-
-
-def _parse_functor_list(entries: list, path: str, report: ValidationReport) -> list[FunctorSpec]:
-    """The specs of one functor list; the build checks their names (see ``GraphBuilder``)."""
-    specs = [parse_functor_spec(sub, _join(path, i), report) for i, sub in enumerate(entries)]
-    return [spec for spec in specs if spec is not None]
+def _set_paths(entry, path: str) -> None:
+    """Set the config path of each functor and part entry in ``entry`` (one,
+    or a list or mapping of them), and of each functor's wrapped children, to
+    where it was parsed from: the build reports an entry's errors there."""
+    if isinstance(entry, list):
+        entry = dict(enumerate(entry))
+    if isinstance(entry, dict):
+        for key, child in entry.items():
+            _set_paths(child, _join(path, key))
+    elif isinstance(entry, (FunctorSpec, PartConfig)):
+        entry.path = path
+        _set_paths(getattr(entry, "wrapped", None), _join(path, "wrapped"))
 
 
 def validate_agent(tree, path_prefix: str = "") -> tuple[AgentConfig | None, ValidationReport]:
     """Validate an agent config tree into an AgentConfig, or report errors."""
     report = ValidationReport()
-    p = path_prefix
-    settings = _parse(AGENT, tree, p, report)
-    if settings is None:
-        return None, report
-
-    parts: list[PartConfig] = []
-    part_table = _part_table(GLOBAL_REGISTRY.groups)
-    for i, part_tree in enumerate(settings.get("parts", [])):
-        ppath = _join(p, "parts", i)
-        shorthand = isinstance(part_tree, str)
-        part = _parse(part_table, {"part": part_tree} if shorthand else part_tree, ppath, report, shorthand)
-        if part is not None and "part" in part:
-            parts.append(PartConfig(part["part"], part.get("config", {}), ppath))
-
-    reference_store = parse_parameter_store(
-        settings.get("reference_store", {}), _join(p, "reference_store"), report
-    )
-    epp_path = _join(p, "episode_parameter_provider")
-    epp = _parse(EPISODE_PARAMETER_PROVIDER, settings.get("episode_parameter_provider", {}), epp_path, report)
-    parameters = parse_parameter_store(epp.get("parameters", {}), _join(epp_path, "parameters"), report)
-
-    glues = _parse_functor_list(settings.get("glues", []), _join(p, "glues"), report)
-    dones = _parse_functor_list(settings.get("dones", []), _join(p, "dones"), report)
-    rewards = _parse_functor_list(settings.get("rewards", []), _join(p, "rewards"), report)
-
-    policy = PolicyConfig("random")
-    if settings.get("policy") is not None:
-        policy_settings = _parse(POLICY, settings["policy"], _join(p, "policy"), report)
-        if "name" in policy_settings:
-            policy = PolicyConfig(policy_settings["name"], policy_settings.get("config", {}))
-
+    settings = _parse(AGENT, tree, path_prefix, report)
     if not report.ok:
         return None, report
-    return (
-        AgentConfig(
-            name=settings["agent"],
-            platform_names=settings["platforms"],
-            parts=parts,
-            glues=glues,
-            dones=dones,
-            rewards=rewards,
-            parameters=parameters,
-            reference_store=reference_store,
-            policy=policy,
-            path=path_prefix,
-        ),
-        report,
+    for key in ("parts", "glues", "dones", "rewards"):
+        _set_paths(settings[key], _join(path_prefix, key))
+    agent = AgentConfig(
+        name=settings["agent"],
+        platform_names=settings["platforms"],
+        parts=settings["parts"],
+        glues=settings["glues"],
+        dones=settings["dones"],
+        rewards=settings["rewards"],
+        parameters=settings["episode_parameter_provider"]["parameters"],
+        reference_store=settings["reference_store"],
+        policy=settings["policy"] or PolicyConfig("random"),
+        path=path_prefix,
     )
+    return agent, report
 
 
 def validate_environment(tree, base_dir: str | Path = ".") -> tuple[EnvironmentConfig | None, ValidationReport]:
@@ -411,54 +389,37 @@ def validate_environment(tree, base_dir: str | Path = ".") -> tuple[EnvironmentC
     settings = _parse(ENVIRONMENT, tree, "", report)
     if settings is None:
         return None, report
-    base_dir = Path(base_dir)
-
-    simulator = _parse(SIMULATOR, settings["simulator"], "simulator", report) if "simulator" in settings else {}
-    sim_name = simulator.get("name")
-
-    platforms: list[PlatformConfig] = []
-    for i, platform_tree in enumerate(settings.get("platforms", [])):
-        ppath = _join("platforms", i)
-        platform = _parse(PLATFORM, platform_tree, ppath, report)
-        if platform is None:
-            continue
-        init = parse_parameter_store(platform.get("initialization", {}), _join(ppath, "initialization"), report)
-        platforms.append(PlatformConfig(platform.get("name"), platform.get("platform_type"), init))
-
-    reference_store = parse_parameter_store(settings.get("reference_store", {}), "reference_store", report)
-
-    shared_dones = _parse_functor_list(settings.get("shared_dones", []), "shared_dones", report)
-
-    agent_trees = settings.get("agents", [])
     environment_parsed = report.ok
+    agent_trees = settings.get("agents", [])
     agents: list[AgentConfig] = []
     for i, at in enumerate(agent_trees):
         apath = _join("agents", i)
         if isinstance(at, str):
-            at = _load(base_dir / at, apath, report)
+            at = _load(Path(base_dir) / at, apath, report)
             if at is None:
                 continue
         agent, agent_report = validate_agent(at, path_prefix=apath)
         report.errors.extend(agent_report.errors)
         if agent is not None:
             agents.append(agent)
+    if not environment_parsed:
+        return None, report
 
-    # a key that failed has no setting: such a config is neither built nor returned
+    _set_paths(settings["shared_dones"], "shared_dones")
     config = EnvironmentConfig(
-        simulator_name=sim_name,
-        simulator_config=simulator.get("config", {}),
-        platforms=platforms,
+        simulator_name=settings["simulator"]["name"],
+        simulator_config=settings["simulator"]["config"],
+        platforms=settings["platforms"],
         agents=agents,
-        shared_dones=shared_dones,
-        episode_end_mode=settings.get("episode_end_mode"),
-        horizon=settings.get("horizon"),
-        reference_store=reference_store,
-        space_check_mode=settings.get("space_check_mode"),
+        shared_dones=settings["shared_dones"],
+        episode_end_mode=settings["episode_end_mode"],
+        horizon=settings["horizon"],
+        reference_store=settings["reference_store"],
+        space_check_mode=settings["space_check_mode"],
     )
-    if environment_parsed:
-        # a shared done may read any agent's parts, so it is built only beside every agent
-        every_agent = len(agents) == len(agent_trees)
-        report.errors += _build_errors(config if every_agent else replace(config, shared_dones=[]))
+    # a shared done may read any agent's parts, so it is built only beside every agent
+    every_agent = len(agents) == len(agent_trees)
+    report.errors += _build_errors(config if every_agent else replace(config, shared_dones=[]))
     if not report.ok:
         return None, report
     return config, report
@@ -487,10 +448,15 @@ def _build_errors(config: EnvironmentConfig) -> list[ValidationError]:
     return []
 
 
-def validate_environment_file(path: str | Path) -> tuple[EnvironmentConfig | None, ValidationReport]:
-    """Load and validate an environment file; load errors land in the report."""
+def validate_environment_file(
+    path: str | Path, agent_paths: Sequence[str | Path] = ()
+) -> tuple[EnvironmentConfig | None, ValidationReport]:
+    """Load and validate an environment file, its ``agents`` replaced by the
+    agent files ``agent_paths`` if any are given; load errors land in the report."""
     report = ValidationReport()
     tree = _load(Path(path), "", report)
     if tree is None:
         return None, report
+    if agent_paths and isinstance(tree, dict):
+        tree["agents"] = [str(Path(p).resolve()) for p in agent_paths]
     return validate_environment(tree, base_dir=Path(path).parent)

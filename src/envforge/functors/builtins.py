@@ -153,10 +153,24 @@ class Norm(Glue):
         return {"norm": np.array([float(np.linalg.norm(self.source.value()))])}
 
 
+def _check_one_shape(functor, first: str, second: str) -> None:
+    """Raise a ``TypeMismatch`` at ``wrapped/<second>`` unless ``functor``'s
+    sources ``first`` and ``second`` have one shape."""
+    a, b = functor.sources[first], functor.sources[second]
+    if a.space().shape != b.space().shape:
+        shapes = f"'{a.node.name}' ({first}) has {a.space().shape} elements, '{b.node.name}' ({second})"
+        raise functor._error(f"wrapped/{second}", f"{shapes} {b.space().shape}: expected one shape")
+
+
 class Projection(Glue):
-    """Scalar projection of child 'value' onto the direction of child 'onto'."""
+    """Scalar projection of child 'value' onto the direction of child 'onto',
+    which has value's shape."""
 
     inputs = ("value", "onto")
+
+    def __init__(self, spec, children, extractor, platforms):
+        super().__init__(spec, children, extractor, platforms)
+        _check_one_shape(self, "value", "onto")
 
     def observation_space(self):
         value = self.sources["value"].space()
@@ -174,13 +188,15 @@ class Projection(Glue):
 
 
 class Difference(Glue):
-    """Element-wise difference of two wrapped observations, first - second, in
-    first's unit; second is converted to it by one factor fixed at build."""
+    """Element-wise difference of two wrapped observations of one shape,
+    first - second, in first's unit; second is converted to it by one factor
+    fixed at build."""
 
     inputs = ("first", "second")
 
     def __init__(self, spec, children, extractor, platforms):
         super().__init__(spec, children, extractor, platforms)
+        _check_one_shape(self, "first", "second")
         first = self.sources["first"].space().unit
         second = self.sources["second"].space().unit
         if not check_compatibility(first, second):

@@ -3,16 +3,20 @@ functor, part, policy, scripted rule or simulator.
 
 Each declares its keys once, as a tuple of :class:`Param`, and a functor
 declares the inputs it reads.  :func:`parse_params` is the one parser of a
-table: ``validate`` runs it over each structural section, and each
-constructor over its own config, raising a :class:`ConfigError` listing
-every error it found.  ``validate`` builds the environment, so these are the
-only checks of a config value, and a config that validates also builds.
+table: ``validate`` runs it over the environment and over each agent, whose
+sections are converters in those tables (built from :func:`table`,
+:func:`list_of` and :func:`mapping_of`, each reporting an error at its
+key), and each constructor runs it over its own config, raising a
+:class:`ConfigError` listing every error it found.  ``validate`` builds the
+environment, so these are the only checks of a config value, and a config
+that validates also builds.
 :func:`dump_params` is the one writer of a table, its inverse: the config
 sections write ``run_config.json`` with it.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from collections.abc import Callable, Collection, Mapping
@@ -288,7 +292,8 @@ def parse_params(
     ``config``) has none, because each episode samples its value.  An error
     is reported at ``path`` joined to its key, a reference's at
     ``references/<key>``.  Errors come in document order: config keys, then
-    references, then the required params that neither gives.
+    references, then the required params that neither gives.  A param that
+    neither gives takes its default; a mapping or list is copied.
     """
     declared = {p.name: p for p in params}
     settings: dict[str, Any] = {}
@@ -325,8 +330,8 @@ def parse_params(
             continue
         if p.default is REQUIRED:
             errors.append((join_path(path, p.name), "MissingField", f"missing required field '{p.name}'"))
-        else:
-            settings[p.name] = p.default
+        else:  # a mapping or list default is copied, so no two settings share one
+            settings[p.name] = copy.deepcopy(p.default) if isinstance(p.default, (dict, list)) else p.default
     return settings, errors
 
 

@@ -50,6 +50,28 @@ class TestValidate:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "env, code",
+        [
+            (None, "TypeMismatch"),
+            ("no_such_file.yml", "FileNotFound"),
+            (DATA_DIR / "invalid" / "include_cycle.yml", "IncludeCycle"),
+            (DATA_DIR / "invalid" / "parse_error.yml", "ParseError"),
+            (DATA_DIR / "invalid" / "not_utf8.yml", "ParseError"),
+        ],
+        ids=["list", "missing", "include_cycle", "parse_error", "not_utf8"],
+    )
+    def test_agent_flag_reports_a_load_error(self, tmp_path, capsys, env, code):
+        # the environment file fails to load, or holds a list: the report says so at ''
+        if env is None:
+            env = tmp_path / "list.yml"
+            env.write_text("- simulator: {name: Docking1dSimulator}\n")
+        assert main(["validate", "--env", str(env), "--agent", str(DOCKING / "agent.yml")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 2 and lines[0] == "1 error(s):" and lines[1].startswith(f"  : [{code}] "), lines
+
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["validate"])  # missing --env
@@ -250,6 +272,15 @@ class TestPipelineStages:
         argv = [f"--{k}={v}" for k, v in inputs.items()]
         assert main(short_args("pipeline", *argv, "--out", str(out))) == 1
         assert error in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cases_file_not_utf8_names_the_file(self, tmp_path, capsys):
+        cases = tmp_path / "cases.yml"
+        cases.write_bytes(b"test_cases:\n  - name: caf\xe9\n")
+        out = tmp_path / "out"
+        assert main(short_args("evaluate", "--cases", str(cases), "--out", str(out))) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: ParseError: {cases}:2:14: not UTF-8: byte 0xe9"), lines
         assert not out.exists()
 
     @pytest.mark.parametrize("path", sorted((DATA_DIR / "invalid_pipeline").glob("*.yml")), ids=lambda p: p.stem)

@@ -7,19 +7,20 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envforge.config import EpisodeEndMode, SpaceCheckMode, loader
+from envforge.config import EpisodeEndMode, PartConfig, SpaceCheckMode, loader
 from envforge.config.validate import (
+    EPISODE_PARAMETER_PROVIDER,
+    FUNCTOR,
     PARAMETER,
     ErrorCode,
-    ValidationReport,
     environment_tree,
-    parse_parameter_spec,
     validate_environment,
     validate_environment_file,
 )
 from envforge.environment import Environment
 from envforge.epp import DISTRIBUTION_KINDS, Distribution, UnsampleableParameter, Uniform
-from envforge.params import dump_params
+from envforge.functors.base import FunctorSpec
+from envforge.params import dump_params, table
 from envforge.units import REGISTRY
 
 from conftest import CONFIG_DIR, DATA_DIR
@@ -265,6 +266,18 @@ class TestValidConfigs:
         paths = [e.path for e in report.errors]
         assert paths == ["platforms", "horizon", "simulator"]
 
+    def test_each_config_holds_its_own_sections_left_out(self):
+        # docking_tree leaves out shared_dones and each agent's reference_store
+        # and episode_parameter_provider: each parse fills them afresh
+        first, _ = validate_environment(docking_tree(agents=2))
+        first.shared_dones.append(first.agents[0].dones[0])
+        first.agents[0].reference_store["gain"] = first.reference_store["v_max"]
+        first.agents[0].parameters["gain"] = first.reference_store["v_max"]
+        second, report = validate_environment(docking_tree(agents=2))
+        assert report.ok, str(report)
+        assert second.shared_dones == []
+        assert [(a.reference_store, a.parameters) for a in (first.agents[1], *second.agents)] == [({}, {})] * 3
+
     @pytest.mark.parametrize(
         "mode", ["spot_check", {"spot_check": 0.5}, "EVERY_STEP"], ids=["spot_check", "spot_check_mapping", "member_name"]
     )
@@ -392,12 +405,11 @@ class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(parameter=parameter_trees())
     def test_parameter_spec_parse_of_dump(self, parameter):
-        report = ValidationReport()
-        spec = parse_parameter_spec("p", parameter, "", report)
-        assert spec is not None, str(report)
+        # a parameter store is read by its section's converter, which raises for any error
+        read = table(EPISODE_PARAMETER_PROVIDER)
+        spec = read({"parameters": {"p": parameter}})["parameters"]["p"]
         written = json.loads(json.dumps(dump_params(PARAMETER, vars(spec))))
-        again = parse_parameter_spec("p", written, "", report)
-        assert report.ok, str(report)
+        again = read({"parameters": {"p": written}})["parameters"]["p"]
         assert again == spec
         assert dump_params(PARAMETER, vars(again)) == written
 
@@ -410,3 +422,94 @@ class TestRoundTrip:
         config, report = validate_environment(docking_tree(end_mode=end_mode, space_check=space_check))
         assert config is not None, str(report)
         assert_round_trip(config)
+
+
+def node_at(tree, path: str, base_dir):
+    """The node at the config ``path`` of the loaded ``tree``; an agent file
+    named on the way is loaded, relative to ``base_dir``."""
+    node = tree
+    for key in path.split("/"):
+        if isinstance(node, str):
+            node = loader.load_config(base_dir / node)
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    return node
+
+
+def entries(config):
+    """Every functor entry of ``config`` (shared dones, then each agent's
+    lists, each followed by its wrapped children) and every part entry."""
+
+    def walk(spec):
+        yield spec
+        wrapped = spec.wrapped
+        children = wrapped if isinstance(wrapped, list) else [wrapped]
+        if isinstance(wrapped, dict):
+            children = wrapped.values()
+        for child in children:
+            if isinstance(child, FunctorSpec):
+                yield from walk(child)
+
+    agents = config.agents
+    for spec in [*config.shared_dones, *(s for a in agents for s in (*a.glues, *a.dones, *a.rewards))]:
+        yield from walk(spec)
+    yield from (part for agent in agents for part in agent.parts)
+
+
+def entry_paths_tree():
+    """``shapes_tree`` with a part given by its bare group name and a list of
+    wrapped children that holds a functor entry."""
+    tree = shapes_tree()
+    agent = tree["agents"][0]
+    agent["parts"][0] = agent["parts"][0]["part"]
+    position = {"functor": "ObserveSensor", "config": {"sensor": "Sensor_Position", "normalize": False}}
+    agent["glues"].append({"functor": "Wrapper", "name": "Listed", "wrapped": ["ObserveVelocity", position]})
+    return tree
+
+
+class TestEntryPaths:
+    """Each functor and part entry that ``validate`` returns carries the config
+    path of the entry it was read from, where the build reports its errors."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "docking/environment.yml",
+            "docking/environment_short.yml",
+            "docking/environment_two_agents.yml",
+            "cartpole/environment.yml",
+            None,
+        ],
+        ids=["docking", "docking_short", "docking_two_agents", "cartpole", "entry_shapes"],
+    )
+    def test_each_entry_path_names_its_entry(self, path):
+        if path is None:
+            tree, base_dir = entry_paths_tree(), CONFIG_DIR
+            config, report = validate_environment(tree)
+        else:
+            tree, base_dir = loader.load_config(CONFIG_DIR / path), (CONFIG_DIR / path).parent
+            config, report = validate_environment_file(CONFIG_DIR / path)
+        assert config is not None, str(report)
+        found = list(entries(config))
+        paths = [entry.path for entry in found]
+        assert len(set(paths)) == len(paths) and "" not in paths, paths
+        for entry in found:
+            node = node_at(tree, entry.path, base_dir)
+            if isinstance(entry, PartConfig):
+                written = (node, {}) if isinstance(node, str) else (node["part"], node.get("config", {}))
+                assert written == (entry.group, entry.config), entry.path
+            else:
+                assert FunctorSpec(**table(FUNCTOR)(node)) == entry, entry.path
+
+    def test_every_kind_of_entry_is_covered(self):
+        config, report = validate_environment(entry_paths_tree())
+        two_agents, _ = validate_environment_file(CONFIG_DIR / "docking" / "environment_two_agents.yml")
+        cartpole, _ = validate_environment_file(CONFIG_DIR / "cartpole" / "environment.yml")
+        paths = {entry.path for c in (config, two_agents, cartpole) for entry in entries(c)}
+        assert {
+            "agents/0/parts/0",  # a bare group name
+            "agents/0/glues/3/wrapped/second",  # a keyed child
+            "agents/0/glues/6/wrapped/1",  # a listed child
+            "shared_dones/0/wrapped",  # a single child, of a shared done
+            "agents/0/dones/0/wrapped/sensor",  # a keyed child, in an agent file's included list
+            "agents/1/rewards/1",  # an entry of a second agent, written inline after an agent file
+        } <= paths

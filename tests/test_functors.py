@@ -596,6 +596,45 @@ class TestDifferenceUnits:
             build_graph(docking_platform(), glues=[spec])
 
 
+class TestSourcesOfOneShape:
+    """``Difference`` and ``Projection`` read two sources of one shape."""
+
+    @pytest.mark.parametrize("xdot, expected", [(-2.0, -0.5), (3.0, 0.5), (0.0, 0.0)])
+    def test_projection_onto_one_element(self, xdot, expected):
+        # the deputy's position 0.5 m onto the direction of its velocity (none if it is 0)
+        position, velocity = (
+            FunctorSpec("ObserveSensor", name, config={"sensor": sensor, "normalize": False})
+            for name, sensor in [("P", "Sensor_Position"), ("V", "Sensor_Velocity")]
+        )
+        platforms = docking_platform(x=0.5, xdot=xdot)
+        graph = build_graph(platforms, glues=[FunctorSpec("Projection", wrapped={"value": position, "onto": velocity})])
+        evaluate_glues(graph, make_state(platforms))
+        assert graph.glues[0].observation["projection"].tolist() == [expected]
+
+    def test_projection_onto_its_own_direction_is_the_norm(self):
+        platforms = cartpole_platform(x=3.0, theta=4.0)
+        direction = FunctorSpec("UnitVector", "Direction", wrapped="ObserveState")
+        along = FunctorSpec("Projection", "Along", wrapped={"value": "ObserveState", "onto": "Direction"})
+        graph = build_graph(platforms, glues=[observe_state_spec(), direction, along])
+        evaluate_glues(graph, make_state(platforms))
+        node = graph.glues[2]
+        assert node.observation_space["projection"].shape == 1
+        assert node.observation["projection"].tolist() == [pytest.approx(5.0, abs=1e-12)]
+
+    @pytest.mark.parametrize(
+        "functor, first, second", [("Difference", "first", "second"), ("Projection", "value", "onto")]
+    )
+    def test_sources_of_two_shapes_fail_the_build(self, functor, first, second):
+        size = FunctorSpec("Norm", "Size", wrapped="ObserveState")
+        spec = FunctorSpec(functor, "F", wrapped={first: "ObserveState", second: "Size"})
+        message = (
+            rf"^F \({functor}\): wrapped/{second}: "
+            rf"'ObserveState' \({first}\) has 4 elements, 'Size' \({second}\) 1: expected one shape$"
+        )
+        with pytest.raises(FunctorError, match=message):
+            build_graph(cartpole_platform(), glues=[observe_state_spec(), size, spec])
+
+
 class TestQuantityOnlyAtTheBoundary:
     """Inside ``step()`` values are bare arrays in their box's unit, and so
     are the observations it returns: it builds no ``Quantity`` and converts
