@@ -24,9 +24,9 @@ class PartError(ConfigError):
     pass
 
 
-class NoValidMeasurementYet(PartError):
-    def __init__(self, sensor: str):
-        super().__init__(f"sensor '{sensor}' got an invalid reading before any valid one")
+class InvalidReading(PartError):
+    def __init__(self, sensor: str, reading: np.ndarray, shape: int):
+        super().__init__(f"sensor '{sensor}' read {reading.tolist()}: expected {shape} finite elements")
 
 
 class UnknownGroup(PartError):
@@ -100,30 +100,20 @@ class Part:
         self.name = name
         self.property = prop
 
-    def reset(self) -> None:
-        pass
-
 
 class Sensor(Part):
-    """Reads platform state as a float64 array in the property's unit; holds the
-    last valid value when a reading has the wrong shape or a non-finite element."""
+    """Reads platform state as a float64 array in the property's unit; a reading
+    of the wrong shape or with a non-finite element raises ``InvalidReading``."""
 
     def __init__(self, name: str, prop: Box, read: Callable[[Any], np.ndarray]):
         super().__init__(name, prop)
         self._read = read
-        self.last_valid: np.ndarray | None = None
-
-    def reset(self) -> None:
-        self.last_valid = None
 
     def measure(self, platform_state: Any) -> np.ndarray:
         reading = self._read(platform_state)
         if reading.shape == (self.property.shape,) and all_finite(reading):
-            self.last_valid = reading
             return reading
-        if self.last_valid is None:
-            raise NoValidMeasurementYet(self.name)
-        return self.last_valid
+        raise InvalidReading(self.name, reading, self.property.shape)
 
 
 class Controller(Part):

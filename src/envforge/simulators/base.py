@@ -22,7 +22,8 @@ class InvalidSimulatorConfig(SimulatorError, ValueError):
 
 
 class SimulationDiverged(Exception):
-    """A platform whose step raised an ``ArithmeticError`` or a ``ValueError``."""
+    """A platform whose step raised an ``ArithmeticError`` or a ``ValueError``,
+    or left a field of its entity state not finite."""
 
     def __init__(self, platform: Platform, exc: Exception):
         self.platform = platform.name
@@ -52,7 +53,7 @@ class Simulator:
     ``InvalidSimulatorConfig`` that lists every error, and the parsed values
     are ``settings``.  It makes each platform, from its config, once, and the
     platforms are fixed from then on: ``reset`` rebuilds only each one's
-    entity state and resets its parts.
+    entity state and resets its controllers.
     """
 
     simulator_type = "Simulator"
@@ -80,26 +81,29 @@ class Simulator:
 
     def reset(self, sampled: SampledParameters) -> None:
         """Rebuild every platform's entity from ``sampled`` and reset its
-        parts, each of its ``init_params`` read as ``Functor.bind`` reads a
+        controllers, each of its ``init_params`` read as ``Functor.bind`` reads a
         reference (``sample_episode`` refused any sample a reader refuses)."""
         self._steps = 0
         for name, platform in self.platforms.items():
             values = {p.name: parse_reference(p, sampled[init_key(name, p.name)]) for p in self.init_params}
             platform.state = self._make_entity(values)
-            for part in platform.parts.values():
-                part.reset()
+            for controller in platform.controllers().values():
+                controller.reset()
 
     def step(self) -> None:
         """Apply pending controls and advance dynamics by one frame.
 
         No sensor is read here: each glue that observes a sensor reads it
         once per step.  An ``ArithmeticError`` or ``ValueError`` from
-        ``_advance`` raises ``SimulationDiverged``, naming the platform and
-        its state.
+        ``_advance``, or a field of ``vars(platform.state)`` (what an artifact
+        records) that it leaves non-finite, raises ``SimulationDiverged``
+        naming the platform and its state.
         """
         try:
             for platform in self.platforms.values():
                 self._advance(platform)
+                if not all(map(math.isfinite, vars(platform.state).values())):
+                    raise ArithmeticError("non-finite state")
         except (ArithmeticError, ValueError) as exc:
             raise SimulationDiverged(platform, exc) from exc
         self._steps += 1

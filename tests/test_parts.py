@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from envforge.parts import (
     Box,
     Controller,
+    InvalidReading,
     NoMatch,
-    NoValidMeasurementYet,
     Platform,
     PluginRegistry,
     Sensor,
@@ -56,29 +56,24 @@ class TestBox:
 
 
 class TestSensor:
-    def test_invalid_reading_holds_last_valid(self):
-        values = iter([1.0, float("nan"), 2.0])
+    def test_invalid_reading_after_a_valid_one_raises(self):
+        values = iter([1.0, float("nan")])
         sensor = Sensor("s", position_property(), lambda _: np.array([next(values)]))
         assert sensor.measure(None)[0] == 1.0
-        assert sensor.measure(None)[0] == 1.0  # NaN reading: held
-        assert sensor.measure(None)[0] == 2.0  # recovers on next valid value
+        with pytest.raises(InvalidReading, match=r"sensor 's' read \[nan\]: expected 1 finite elements"):
+            sensor.measure(None)
 
     def test_invalid_first_reading_raises(self):
         sensor = Sensor("s", position_property(), lambda _: np.array([float("inf")]))
-        with pytest.raises(NoValidMeasurementYet):
+        with pytest.raises(InvalidReading, match="sensor 's'"):
             sensor.measure(None)
 
     def test_wrong_shape_is_invalid(self):
         values = iter([np.array([1.0]), np.array([1.0, 2.0])])
         sensor = Sensor("s", position_property(), lambda _: next(values))
         assert sensor.measure(None)[0] == 1.0
-        assert sensor.measure(None)[0] == 1.0  # shape mismatch: held
-
-    def test_reset_clears_hold(self):
-        sensor = Sensor("s", position_property(), lambda _: np.array([1.0]))
-        sensor.measure(None)
-        sensor.reset()
-        assert sensor.last_valid is None
+        with pytest.raises(InvalidReading, match=r"sensor 's' read \[1.0, 2.0\]: expected 1 finite elements"):
+            sensor.measure(None)
 
 
 class TestController:

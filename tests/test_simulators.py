@@ -4,6 +4,8 @@ import time
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envforge.config.schema import PlatformConfig
 from envforge.environment import Environment
@@ -20,7 +22,7 @@ from envforge import cli
 from envforge.config.validate import validate_environment_file
 from envforge.evaluation.evaluate import run_episode
 
-from conftest import CONFIG_DIR, DATA_DIR
+from conftest import CONFIG_DIR, DATA_DIR, load_env_config
 
 
 def docking_sampled(x0=0.0, v0=0.0, name="deputy"):
@@ -179,6 +181,61 @@ class TestDivergence:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: EpisodeFailed: episode 0 (seed 0): SimulationDiverged: platform 'cart'")
+
+    def test_diverging_docking_config_validates_and_fails_the_run_naming_the_platform(self, tmp_path, capsys):
+        # x + xdot*dt overflows to -inf without raising: the state check catches it
+        path = DATA_DIR / "diverging" / "docking.yml"
+        config, report = validate_environment_file(path)
+        assert str(report) == "0 errors"
+        artifact = run_episode(Environment(config), seed=0)
+        assert artifact.error.startswith(
+            "SimulationDiverged: platform 'deputy' diverged: ArithmeticError: non-finite state; state Deputy1d(x=-inf"
+        )
+        assert artifact.rows == []
+        capsys.readouterr()
+        assert cli.main(["run", "--env", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: EpisodeFailed: episode 0 (seed 0): SimulationDiverged: platform 'deputy'")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.fixture(scope="module")
+def docking_short_env(docking_short_env_path):
+    return Environment(load_env_config(docking_short_env_path))
+
+
+@pytest.fixture(scope="module")
+def cartpole_env(cartpole_env_path):
+    return Environment(load_env_config(cartpole_env_path))
+
+
+def assert_finite_or_diverged(artifact):
+    """Every float a row records is finite, and the episode ends with no
+    error or with ``SimulationDiverged``."""
+    assert all(math.isfinite(v) for _, values in artifact.rows for v in values if isinstance(v, float))
+    assert artifact.error is None or artifact.error.startswith("SimulationDiverged: "), artifact.error
+
+
+class TestFiniteStates:
+    """Over every finite initial value, no recorded row holds a NaN or an
+    infinity: a state that stops being finite ends the episode."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(x0=FINITE, v0=FINITE)
+    def test_docking(self, docking_short_env, x0, v0):
+        overrides = {"deputy.x0": Quantity.scalar(x0, METER), "deputy.v0": Quantity.scalar(v0, METER_PER_SECOND)}
+        assert_finite_or_diverged(run_episode(docking_short_env, seed=0, overrides=overrides))
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.tuples(FINITE, FINITE, FINITE, FINITE))
+    def test_cartpole(self, cartpole_env, values):
+        units = (METER, METER_PER_SECOND, RADIAN, RADIAN_PER_SECOND)
+        names = ("x0", "xdot0", "theta0", "thetadot0")
+        overrides = {f"cart.{n}": Quantity.scalar(v, u) for n, v, u in zip(names, values, units)}
+        assert_finite_or_diverged(run_episode(cartpole_env, seed=0, overrides=overrides))
 
 
 class TestTimeBookkeeping:

@@ -17,7 +17,7 @@ from envforge.evaluation.evaluate import run_episode
 from envforge.functors.base import SOURCE, Done, FunctorNode, Glue, Reward
 from envforge.functors.builtins import ObserveSensor, TargetValueDifference
 from envforge.functors.graph import FUNCTOR_REGISTRY
-from envforge.parts import Box, NoValidMeasurementYet, Sensor
+from envforge.parts import Box, InvalidReading, Sensor
 
 from conftest import CONFIG_DIR, load_env_config
 
@@ -317,7 +317,7 @@ class TestSensorReads:
     def test_bad_first_reading_of_an_observed_sensor_fails_reset(self, docking_config):
         env = Environment(docking_config)
         env.simulator.platforms["deputy"].parts["Sensor_Position"]._read = lambda state: np.array([np.inf])
-        with pytest.raises(NoValidMeasurementYet, match="Sensor_Position"):
+        with pytest.raises(InvalidReading, match="Sensor_Position"):
             env.reset(seed=0)
 
 
