@@ -26,6 +26,8 @@ class Agent:
         self.policy = policy
         # glue name -> node, for the glues that take an action fragment
         action_glues = {node.name: node for node in graph.glues if node.action_space is not None}
+        #: the names of the action glues, which ``step`` checks fragments against
+        self.action_names = frozenset(action_glues)
         #: (glue name, (its box's shape,), apply_action) per action glue
         self.action_calls = [
             (glue, (node.action_space.shape,), node.functor.apply_action) for glue, node in action_glues.items()

@@ -307,6 +307,8 @@ class Environment:
         self._env_done = True
         # agent name -> the done that ended it, None while it is active
         self._outcome: dict[str, DoneResult | None] = {}
+        # the agents without an outcome: set by reset, replaced by a completed step
+        self._active: list[Agent] = []
         self._epp_history: list[dict] = [self.epp.snapshot_state()]
 
     # Lifecycle ---------------------------------------------------------
@@ -332,6 +334,7 @@ class Environment:
         self.state = EpisodeState(self.simulator.platforms, self.config.horizon)
         self.state.sim_time = self.simulator.sim_time
         self._outcome = dict.fromkeys(self.agents)
+        self._active = list(self.agents.values())
 
         self._evaluate_glues()
         self._env_done = False
@@ -345,8 +348,7 @@ class Environment:
         state = self.state
         outcome = self._outcome
         agents = self.agents
-        # each agent without an outcome as the step starts
-        active = [agent for agent in agents.values() if outcome[agent.name] is None]
+        active = self._active
 
         # (1) glues push actions to controllers, once every fragment has passed
         # its checks; a missing fragment leaves that controller's zero command
@@ -354,9 +356,8 @@ class Environment:
             agent = agents.get(name)
             if agent is None:
                 raise UnknownActionKey(name)
-            action_space = agent.action_space()
-            if not fragments.keys() <= action_space.keys():
-                unknown = next(k for k in fragments if k not in action_space)
+            if not fragments.keys() <= agent.action_names:
+                unknown = next(k for k in fragments if k not in agent.action_names)
                 raise UnknownActionKey(name, unknown)
         commands = []
         for agent in active:
@@ -385,27 +386,28 @@ class Environment:
         self._evaluate_glues()
 
         # (4) dones, including shared dones; an agent's outcome is its first
-        # fired done, else the first shared done
+        # fired done, else the first shared done; a dict is made where one fires
         fired: dict[str, dict[str, DoneResult]] = {}
         for agent in active:
             name = agent.name
-            fired[name] = agent_fired = {}
-            first = None
+            first = agent_fired = None
             for done, evaluate in agent.done_calls:
                 result = evaluate(state)
                 if result is not None:
-                    agent_fired[done] = result
                     if first is None:
                         first = result
+                        fired[name] = agent_fired = {}
+                    agent_fired[done] = result
             outcome[name] = first
-        shared_fired: dict[str, DoneResult] = {}
+        shared_fired: dict[str, DoneResult] | None = None
         shared_first: DoneResult | None = None
         for done, evaluate in self._shared_dones:
             result = evaluate(state)
             if result is not None:
-                shared_fired[done] = result
                 if shared_first is None:
                     shared_first = result
+                    shared_fired = {}
+                shared_fired[done] = result
 
         # (5) rewards, with this step's done results visible; an agent's
         # reward is the sum of its components, in order
@@ -413,7 +415,7 @@ class Environment:
         rewards: dict[str, float] = {}
         for agent in active:
             name = agent.name
-            agent_dones = {**fired[name], **shared_fired} if shared_fired else fired[name]
+            agent_dones = fired.get(name, {}) if shared_fired is None else {**fired.get(name, {}), **shared_fired}
             components[name] = agent_components = {}
             total = 0  # an int, as sum() starts: no components is a reward of 0
             for reward, evaluate in agent.reward_calls:
@@ -425,7 +427,7 @@ class Environment:
         truncated = False
         dones: dict[str, bool] = {}
         done_codes: dict[str, DoneStatusCode | None] = {}
-        ended = len(outcome) - len(active)
+        still_active = []
         for agent in active:
             name = agent.name
             result = outcome[name]
@@ -434,8 +436,8 @@ class Environment:
             if result is None:
                 dones[name] = False
                 done_codes[name] = None
+                still_active.append(agent)
             else:
-                ended += 1
                 dones[name] = True
                 done_codes[name] = result.code
                 truncated = truncated or result.truncation
@@ -443,18 +445,14 @@ class Environment:
             self._env_done = True
             truncated = truncated or shared_first.truncation
         elif self._any_agent_done:
-            self._env_done = ended > 0
+            self._env_done = len(still_active) < len(outcome)
         else:
-            self._env_done = ended == len(outcome)
+            self._env_done = not still_active
 
+        observations = self._collect_observations(active)
+        self._active = still_active
         return StepResult(
-            observations=self._collect_observations(active),
-            rewards=rewards,
-            dones=dones,
-            done_codes=done_codes,
-            env_done=self._env_done,
-            truncated=self._env_done and truncated,
-            reward_components=components,
+            observations, rewards, dones, done_codes, self._env_done, self._env_done and truncated, components
         )
 
     @property

@@ -17,7 +17,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .params import ConfigError, Param, string
-from .units import NONE, Unit
+from .units import FLOAT64, NONE, Unit
 
 
 class PartError(ConfigError):
@@ -52,7 +52,8 @@ class Box:
 
     ``name`` only labels errors (a part's property name, for example).
     ``unbounded`` is derived: every ``low`` is -inf and every ``high`` is
-    +inf, so no value of the right shape lies outside the box.
+    +inf, so no value of the right shape lies outside the box, and so is
+    ``bounds``: each element's (low, high) as Python floats.
     """
 
     shape: int
@@ -61,6 +62,7 @@ class Box:
     unit: Unit = NONE
     name: str = field(default="", compare=False)
     unbounded: bool = field(init=False, compare=False, repr=False)
+    bounds: tuple[tuple[float, float], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         low = np.broadcast_to(np.asarray(self.low, dtype=float), (self.shape,)).copy()
@@ -74,10 +76,19 @@ class Box:
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
         object.__setattr__(self, "unbounded", bool((low == -np.inf).all() and (high == np.inf).all()))
+        object.__setattr__(self, "bounds", tuple(zip(low.tolist(), high.tolist())))
 
     def clip(self, values: np.ndarray) -> np.ndarray:
         """``np.clip(values, low, high)``, bit for bit (signed zeros
-        included), without its Python-level dispatch."""
+        included), without its Python-level dispatch; ``values`` itself when
+        it is a float64 vector of the box's shape strictly inside its bounds,
+        so a caller that keeps ``values`` must not write to the result."""
+        if type(values) is np.ndarray and values.dtype is FLOAT64 and values.shape == self.low.shape:
+            for (low, high), value in zip(self.bounds, values.tolist()):
+                if not low < value < high:
+                    break
+            else:
+                return values
         return np.minimum(np.maximum(values, self.low), self.high)
 
 
@@ -132,14 +143,15 @@ class Controller(Part):
         clamped = self.property.clip(command)
         # as (clamped != command).any() for a command of the property's
         # shape, NaN and signed zeros included, without numpy's dispatch
-        if clamped.tolist() != command.tolist():
+        if clamped is not command and clamped.tolist() != command.tolist():
             self.clamp_count += 1
         self.pending = clamped
 
     def take_pending(self) -> np.ndarray:
         """The command applied this step, or a zero command if none was.
 
-        Taking the command clears it, so each command drives one step.
+        Taking the command clears it, so each command drives one step.  It
+        may be the array passed to ``apply``: a simulator never writes to it.
         """
         command, self.pending = self.pending, None
         if command is None:

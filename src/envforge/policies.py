@@ -129,7 +129,8 @@ def register_scripted_rule(
 ) -> None:
     """Register a rule under name; ``params`` declares every key of its config
     but ``rule``, of which ``observations`` name an observation, and
-    ``actions`` an action glue, of the agent (checked at its build)."""
+    ``actions`` an action glue, of the agent (checked at its build).  A rule
+    returns arrays it does not keep: the caller may write to them."""
     SCRIPTED_RULES[name] = RegisteredRule(factory, params, observations, actions)
 
 
@@ -203,7 +204,7 @@ class ReplayPolicy(Policy):
         if self._cursor < len(self._sequence):
             action = self._sequence[self._cursor]
             self._cursor += 1
-            return {n: action_space[n].clip(v) for n, v in action.items()}
+            return {n: action_space[n].clip(v.copy()) for n, v in action.items()}  # the caller may write to it
         return {n: b.clip(np.zeros(b.shape)) for n, b in action_space.items()}
 
 
@@ -253,7 +254,8 @@ def _bang_bang_docking(settings: dict) -> ScriptedRule:
     def rule(observation, action_space):
         x = float(observation[position_obs][0])
         v = float(observation[velocity_obs][0])
-        v_desired = -np.sign(x) * min(v_cruise, gain * abs(x))
+        # -np.sign(x) * ..., but for the sign of a zero, which no comparison sees
+        v_desired = ((x < 0) - (x > 0)) * min(v_cruise, gain * abs(x))
         err = v_desired - v
         if err > band:
             command = thrust

@@ -68,16 +68,13 @@ class Simulator:
         if errors:
             raise InvalidSimulatorConfig.listing(self.simulator_type, errors)
         self.frame_rate = self.settings["frame_rate"]
+        self.dt = 1.0 / self.frame_rate
         self.platforms = {p.name: Platform(p.name, p.platform_type) for p in platforms}
         self._steps = 0
 
     @property
     def sim_time(self) -> float:
         return self._steps / self.frame_rate
-
-    @property
-    def dt(self) -> float:
-        return 1.0 / self.frame_rate
 
     def reset(self, sampled: SampledParameters) -> None:
         """Rebuild every platform's entity from ``sampled`` and reset its
@@ -102,7 +99,9 @@ class Simulator:
         try:
             for platform in self.platforms.values():
                 self._advance(platform)
-                if not all(map(math.isfinite, vars(platform.state).values())):
+                # a finite sum proves every field finite, but finite fields may overflow it
+                fields = vars(platform.state).values()
+                if not math.isfinite(sum(fields)) and not all(map(math.isfinite, fields)):
                     raise ArithmeticError("non-finite state")
         except (ArithmeticError, ValueError) as exc:
             raise SimulationDiverged(platform, exc) from exc

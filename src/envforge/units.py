@@ -126,14 +126,14 @@ def check_compatibility(a: Unit, b: Unit) -> bool:
     return a.dimension == b.dimension
 
 
-_FLOAT64 = np.dtype(float)
+FLOAT64 = np.dtype(float)
 
 
 def as_vector(value) -> np.ndarray:
     """``np.atleast_1d(np.asarray(value, dtype=float))``: ``value`` itself
     when it already is a one-dimensional float64 array, which the
     conversion would return unchanged, without numpy's dispatch."""
-    if type(value) is np.ndarray and value.dtype is _FLOAT64 and value.ndim == 1:
+    if type(value) is np.ndarray and value.dtype is FLOAT64 and value.ndim == 1:
         return value
     return np.atleast_1d(np.asarray(value, dtype=float))
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from envforge.agents import PolicyPool, attach_parts, build_agent
@@ -9,6 +9,7 @@ from envforge.functors.base import FunctorSpec, PartBindingError
 from envforge.parts import Box, Platform
 from envforge.policies import (
     POLICY_REGISTRY,
+    SCRIPTED_RULES,
     PolicyError,
     RandomPolicy,
     ReplayPolicy,
@@ -243,6 +244,9 @@ class TestRandomPolicy:
             RandomPolicy(seed=0).compute_action({}, {"a": Box(1, -1e308, 1e308)})
 
 
+SIGNED_FINITE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+
+
 class TestScriptedPolicy:
     def obs(self, x, v):
         return {
@@ -288,6 +292,24 @@ class TestScriptedPolicy:
         action = policy.compute_action(self.obs(-10.0, 0.0), self.space())
         assert action["ThrustControl"][0] == 1.0
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        x=SIGNED_FINITE, v=SIGNED_FINITE,
+        thrust=SIGNED_FINITE, v_cruise=SIGNED_FINITE, gain=SIGNED_FINITE, band=SIGNED_FINITE,
+    )
+    @example(x=-1e308, v=-1e308, thrust=0.1, v_cruise=1e308, gain=1.0, band=0.01)  # err overflows
+    @example(x=0.0, v=0.0, thrust=0.1, v_cruise=0.15, gain=-0.1, band=0.0)  # a v_desired of -0.0 or 0.0
+    def test_bang_bang_command_matches_the_np_sign_formula(self, x, v, thrust, v_cruise, gain, band):
+        config = {"position_obs": "x", "velocity_obs": "v", "action_glue": "g",
+                  "thrust": thrust, "v_cruise": v_cruise, "gain": gain, "band": band}
+        rule = SCRIPTED_RULES["bang_bang_docking"].factory(config)
+        command = rule({"x": np.array([x]), "v": np.array([v])}, self.space())["g"]
+        # the rule as first written, with numpy's sign
+        with np.errstate(over="ignore"):
+            err = -np.sign(x) * min(v_cruise, gain * abs(x)) - v
+        expected = thrust if err > band else -thrust if err < -band else 0.0
+        assert command.tobytes() == np.array([expected]).tobytes()
+
 
 class TestReplayPolicy:
     def test_plays_back_then_zeros(self):
@@ -303,6 +325,14 @@ class TestReplayPolicy:
         policy.compute_action({}, space)
         policy.reset()
         assert policy.compute_action({}, space)["g"][0] == pytest.approx(0.5)
+
+    def test_a_caller_writing_to_an_action_does_not_change_the_replay(self):
+        space = {"g": Box(1, -1.0, 1.0)}
+        policy = ReplayPolicy({"actions": [{"g": [0.5]}]})
+        action = policy.compute_action({}, space)["g"]
+        action *= 2  # the action is in its box, so clip returns the array it was given
+        policy.reset()
+        assert policy.compute_action({}, space)["g"].tolist() == [0.5]
 
 
 ELEMENT = st.one_of(

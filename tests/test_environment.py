@@ -1058,6 +1058,29 @@ class TestEndedAgentsDoNotAct:
         artifact = record_episode(env, seed=0)
         assert len(calls) == sum(len(step["actions"]) for step in recorded_steps(artifact))
 
+    def test_a_refused_step_and_a_reset_keep_the_active_agents(self):
+        env = Environment(self.leashed_config())
+
+        def step(observations):
+            return env.step({
+                name: env.agents[name].policy.compute_action(obs, env.agents[name].action_space())
+                for name, obs in observations.items()
+            })
+
+        result = step(env.reset(seed=0))
+        while not result.dones["agent_1"]:
+            result = step(result.observations)
+        assert not result.env_done  # agent_1 ended on this step
+        codes, steps, deputy = env.agent_done_codes, env.state.step_count, vars(env.state.platforms["deputy"].state)
+        with pytest.raises(UnknownActionKey):
+            env.step({"agent_0": {"NoSuchGlue": np.array([0.0])}})
+        assert (env.agent_done_codes, env.state.step_count, env.episode_done) == (codes, steps, False)
+        assert vars(env.state.platforms["deputy"].state) == deputy
+        result = step({"agent_0": result.observations["agent_0"]})
+        assert set(result.dones) == set(result.rewards) == set(result.observations) == {"agent_0"}
+        result = step(env.reset(seed=0))
+        assert set(result.dones) == set(result.rewards) == set(result.observations) == {"agent_0", "agent_1"}
+
 
 class TestConfigFiles:
     def test_docking_file_runs_to_win(self, docking_config):

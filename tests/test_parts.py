@@ -138,6 +138,31 @@ SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e30
 any_float = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
 
 
+@st.composite
+def clip_cases(draw):
+    """A box, with infinite bounds, signed zeros and ``low == high`` among
+    its ends, and an array for its ``clip``: NaN, infinite, signed-zero and
+    on-bound elements, and at times a wrong length, a second dimension or
+    float32 elements."""
+    shape = draw(st.integers(1, 4))
+    edge = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf])
+    bound = st.one_of(edge, st.floats(allow_nan=False))
+    pair = st.one_of(st.tuples(bound, bound), bound.map(lambda b: (b, b)))
+    # sorted() keeps the drawn order of equal ends, so low may be 0.0 with high -0.0
+    ends = [sorted(draw(pair)) for _ in range(shape)]
+    box = Box(shape, [low for low, _ in ends], [high for _, high in ends])
+    element = st.one_of(edge, st.sampled_from([b for end in ends for b in end]), any_float)
+    length = draw(st.sampled_from([shape, shape, shape, 1, shape + 1]))
+    values = np.array(draw(st.lists(element, min_size=length, max_size=length)))
+    form = draw(st.sampled_from(["1-D", "2-D", "float32"]))
+    if form == "2-D":
+        values = values.reshape(1, -1)
+    elif form == "float32":
+        with np.errstate(over="ignore"):  # a float64 beyond float32's range becomes inf
+            values = values.astype(np.float32)
+    return box, values
+
+
 class TestExactChecks:
     """The step's checks on small arrays give numpy's verdict exactly."""
 
@@ -163,6 +188,28 @@ class TestExactChecks:
         ctrl = Controller("c", Box(shape, low, high, NONE, name="p"))
         ctrl.apply(values)
         assert ctrl.clamp_count == int((np.clip(values, low, high) != values).any())
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=clip_cases())
+    @example(case=(Box(1, 0.0, 1.0), np.array([-0.0])))  # numpy's maximum gives 0.0, Python's max -0.0
+    @example(case=(Box(1, -0.0, 0.0), np.array([0.0])))
+    @example(case=(Box(2, [-np.inf, 1.0], [np.inf, 1.0]), np.array([np.nan, 1.0])))
+    @example(case=(Box(2, -1.0, 1.0), np.array([0.5, -0.5, 0.0])))  # a wrong length
+    def test_clip_is_numpys_and_returns_only_a_value_strictly_inside(self, case):
+        box, values = case
+        try:
+            expected = np.minimum(np.maximum(values, box.low), box.high)
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                box.clip(values)
+            return
+        got = box.clip(values)
+        assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+        strictly_inside = (
+            values.dtype == np.float64 and values.shape == (box.shape,)
+            and all(lo < v < hi for lo, v, hi in zip(box.low.tolist(), values.tolist(), box.high.tolist()))
+        )
+        assert (got is values) == strictly_inside
 
     @pytest.mark.parametrize(
         "value, clamps",

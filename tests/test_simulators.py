@@ -170,6 +170,18 @@ class TestDivergence:
         with pytest.raises(SimulationDiverged, match="platform 'cart' diverged: ValueError: math domain error"):
             sim.step()
 
+    def test_finite_fields_whose_sum_overflows_do_not_raise(self):
+        sim, platform = make_docking({"frame_rate": 1.0, "mass": 1e308}, x0=1e308)
+        sim.step()
+        assert (platform.state.x, platform.state.m) == (1e308, 1e308)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_field_raises_naming_the_platform(self, value):
+        sim, platform = make_docking()
+        platform.state.m = value  # a field the step reads and leaves as it is
+        with pytest.raises(SimulationDiverged, match="platform 'deputy' diverged: ArithmeticError: non-finite state"):
+            sim.step()
+
     def test_diverging_config_validates_and_fails_the_run_naming_the_platform(self, tmp_path, capsys):
         path = DATA_DIR / "diverging" / "cartpole.yml"
         config, report = validate_environment_file(path)
