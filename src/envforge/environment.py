@@ -449,10 +449,15 @@ class Environment:
         else:
             self._env_done = not still_active
 
-        observations = self._collect_observations(active)
         self._active = still_active
         return StepResult(
-            observations, rewards, dones, done_codes, self._env_done, self._env_done and truncated, components
+            observations=self._collect_observations(active),
+            rewards=rewards,
+            dones=dones,
+            done_codes=done_codes,
+            env_done=self._env_done,
+            truncated=self._env_done and truncated,
+            reward_components=components,
         )
 
     @property

@@ -254,8 +254,8 @@ def _bang_bang_docking(settings: dict) -> ScriptedRule:
     def rule(observation, action_space):
         x = float(observation[position_obs][0])
         v = float(observation[velocity_obs][0])
-        # -np.sign(x) * ..., but for the sign of a zero, which no comparison sees
-        v_desired = ((x < 0) - (x > 0)) * min(v_cruise, gain * abs(x))
+        # -np.sign(x) * ..., NaN included, but for the sign of a zero, which no comparison sees
+        v_desired = ((x < 0) - (x > 0) if x == x else x) * min(v_cruise, gain * abs(x))
         err = v_desired - v
         if err > band:
             command = thrust
