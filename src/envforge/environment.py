@@ -113,16 +113,16 @@ class ActionShapeMismatch(EnvironmentError_):
 class StepResult:
     """Each observation is its glue's array, in its ``observation_space()`` box's unit.
 
-    ``truncated`` is True only on the step that ends the episode, and only if
-    the shared done that fired, or a done that ended an agent on that step,
-    is a truncation (an ``EpisodeHorizon``'s DRAW)."""
+    Each dict is keyed by the agents that acted this step.  An agent ends on
+    the step its ``done_codes`` entry is first not None; ``truncated`` is then
+    the ``truncation`` of the ``DoneResult`` that ended it (True for an
+    ``EpisodeHorizon``'s DRAW), and False while it is active."""
 
     observations: dict[str, dict[str, np.ndarray]]
     rewards: dict[str, float]
-    dones: dict[str, bool]
     done_codes: dict[str, DoneStatusCode | None]
     env_done: bool
-    truncated: bool
+    truncated: dict[str, bool]
     reward_components: dict[str, dict[str, float]]
 
 
@@ -424,9 +424,8 @@ class Environment:
             rewards[name] = total
 
         # (6) episode end policy; the shared done ends every agent still active
-        truncated = False
-        dones: dict[str, bool] = {}
         done_codes: dict[str, DoneStatusCode | None] = {}
+        truncated: dict[str, bool] = {}
         still_active = []
         for agent in active:
             name = agent.name
@@ -434,16 +433,14 @@ class Environment:
             if result is None:
                 result = outcome[name] = shared_first
             if result is None:
-                dones[name] = False
                 done_codes[name] = None
+                truncated[name] = False
                 still_active.append(agent)
             else:
-                dones[name] = True
                 done_codes[name] = result.code
-                truncated = truncated or result.truncation
+                truncated[name] = result.truncation
         if shared_first is not None:
             self._env_done = True
-            truncated = truncated or shared_first.truncation
         elif self._any_agent_done:
             self._env_done = len(still_active) < len(outcome)
         else:
@@ -453,10 +450,9 @@ class Environment:
         return StepResult(
             observations=self._collect_observations(active),
             rewards=rewards,
-            dones=dones,
             done_codes=done_codes,
             env_done=self._env_done,
-            truncated=self._env_done and truncated,
+            truncated=truncated,
             reward_components=components,
         )
 

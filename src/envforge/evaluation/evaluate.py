@@ -23,7 +23,9 @@ from ..environment import Environment, StepResult, episode_parameters
 from ..epp import InvalidOverride
 from ..epp import ParameterSpec
 from ..functors.base import DoneStatusCode
-from ..params import PARSE_ERRORS, Param, finite, mapping, nonnegative_int, parse_entries, string, value_in
+from ..params import (
+    PARSE_ERRORS, Param, finite, mapping, nonnegative_int, parse_entries, positive_int, string, value_in,
+)
 from ..units import Quantity, UnitError, as_vector
 from .artifact import EpisodeArtifact, RecordLayout, Row, StepShape, artifact_file, case_name, write_manifest
 
@@ -242,7 +244,7 @@ def run_episode(
             name: (code.value if code else None)
             for name, code in env.agent_done_codes.items()
         }
-        artifact.truncated = result.truncated
+        artifact.truncated = any(result.truncated.values())
     except Exception as exc:
         log.debug("episode with seed %d failed", seed, exc_info=True)
         artifact.error = f"{type(exc).__name__}: {exc}"
@@ -283,10 +285,14 @@ def evaluate(
     reference, a simulator's initialization value).  A config the build
     refuses before that (an unknown simulator, say) raises here too.
     Each process builds one environment and runs its cases on it.  Returns
-    the artifacts in case order.  ``workers`` must be at least 1.
+    the artifacts in case order.  ``workers`` must be an integer of 1 or more.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    try:
+        positive_int(workers)
+    except TypeError as exc:
+        raise TypeError(f"workers: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"workers must be at least 1, got {workers}") from exc
     names: set[str] = set()
     epp = episode_parameters(config)[0]
     for i, case in enumerate(cases):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from ..params import Param, mapping, mapping_of, parse_entries, string
-from .artifact import EpisodeArtifact
+from ..params import ConfigError, Param, identity, mapping, mapping_of, one_of, parse_entries, string, table
+from .artifact import EpisodeArtifact, write_atomic
 
 TERMINAL = "terminal"
 NON_TERMINAL = "non_terminal"
@@ -221,15 +221,28 @@ def generate_metrics(
     return computed
 
 
+#: the keys of a metric's entry in a metrics file, which is keyed by metric name
+METRIC_RECORD = (Param("kind", one_of((TERMINAL, NON_TERMINAL))), Param("value", identity))
+
+
 def write_metrics(metrics: dict[str, MetricValue], path: str | Path) -> Path:
-    path = Path(path)
     document = {
         name: {"kind": mv.kind, "value": mv.value} for name, mv in metrics.items()
     }
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_atomic(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def read_metrics(path: str | Path) -> dict[str, MetricValue]:
-    document = json.loads(Path(path).read_text())
-    return {name: MetricValue(entry["kind"], entry["value"]) for name, entry in document.items()}
+    """The metrics ``write_metrics`` wrote, each entry read with ``METRIC_RECORD``;
+    raises ``MetricError`` naming the file, and the key of a malformed entry."""
+    try:
+        document = json.loads(Path(path).read_text())
+        if not isinstance(document, dict):  # ``mapping`` would read null as no metrics
+            raise TypeError(f"expected a mapping, got {type(document).__name__}")
+        entries = mapping_of(table(METRIC_RECORD))(document)
+    except ConfigError as exc:
+        key, _, message = exc.errors[0]
+        raise MetricError(f"{path}: {key}: {message}") from exc
+    except (ValueError, TypeError) as exc:  # not JSON, or not a mapping
+        raise MetricError(f"{path}: not a metrics file: {exc}") from exc
+    return {name: MetricValue(entry["kind"], entry["value"]) for name, entry in entries.items()}

@@ -316,6 +316,14 @@ class TestPipelineStages:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: ArtifactError: {target}"), lines
 
+    @pytest.mark.parametrize("path", sorted((DATA_DIR / "invalid_metrics").glob("*.json")), ids=lambda p: p.stem)
+    def test_invalid_metrics_corpus(self, tmp_path, capsys, path):
+        target = tmp_path / "metrics.json"
+        target.write_bytes(path.read_bytes())
+        assert main(["visualize", "--viz", str(DOCKING / "viz.yml"), "--out", str(tmp_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: MetricError: {target}:"), lines
+
 
 class TestLogLevel:
     def test_log_level_flag(self, tmp_path):

@@ -223,14 +223,14 @@ class TestEpisodeEnd:
         results = run_episode(env)
         assert len(results) == 7
         final = results[-1]
-        assert final.env_done and final.truncated
+        assert final.env_done and final.truncated == {"agent_0": True}
         assert final.done_codes["agent_0"] is DoneStatusCode.DRAW
 
     def test_win_is_not_truncation(self):
         env = make_env(horizon=300)
         final = run_episode(env)[-1]
         assert final.done_codes["agent_0"] is DoneStatusCode.WIN
-        assert not final.truncated
+        assert final.truncated == {"agent_0": False}
 
     def test_any_agent_done_ends_episode(self):
         env = make_env(agents=2, end_mode="any_agent_done", horizon=300)
@@ -243,7 +243,7 @@ class TestEpisodeEnd:
         env = make_env(agents=2, end_mode="all_agents_done", horizon=300)
         final = run_episode(env)[-1]
         assert final.env_done
-        assert all(final.dones.values())
+        assert None not in final.done_codes.values()
 
     def test_shared_done_ends_episode_for_all(self):
         env = make_env(
@@ -268,8 +268,7 @@ class TestEpisodeEnd:
         position = [r.observations["agent_0"]["ObservePosition/direct_observation"][0] for r in results]
         fired = results[-1]
         assert 1 < len(results) < 50 and position[-2] <= -9.0 < position[-1]
-        assert fired.env_done and not fired.truncated
-        assert fired.dones == {"agent_0": True, "agent_1": True}
+        assert fired.env_done and fired.truncated == {"agent_0": False, "agent_1": False}
         assert fired.done_codes == {"agent_0": DoneStatusCode.WIN, "agent_1": DoneStatusCode.WIN}
         for name in ("agent_0", "agent_1"):
             assert fired.reward_components[name]["OutcomeReward"] == 10.0
@@ -285,9 +284,9 @@ class TestEpisodeEnd:
         assert config is not None, str(report)
         results = run_episode(Environment(config))
         assert len(results) == 20
-        assert results[4].dones == {"agent_0": True, "agent_1": False}
-        assert results[4].done_codes["agent_0"] is DoneStatusCode.DRAW and not results[4].env_done
-        assert all(set(r.dones) == {"agent_1"} for r in results[5:])
+        assert results[4].done_codes == {"agent_0": DoneStatusCode.DRAW, "agent_1": None}
+        assert results[4].truncated == {"agent_0": True, "agent_1": False} and not results[4].env_done
+        assert all(set(r.done_codes) == set(r.truncated) == {"agent_1"} for r in results[5:])
         assert results[-1].env_done and results[-1].done_codes == {"agent_1": DoneStatusCode.DRAW}
 
     def test_an_agent_truncated_before_the_last_step_leaves_the_episode_untruncated(self, monkeypatch):
@@ -304,8 +303,77 @@ class TestEpisodeEnd:
         artifact = record_episode(env, seed=0)
         assert artifact.final_outcome == {"agent_0": "DRAW", "agent_1": "WIN"}
         assert results[4].done_codes["agent_0"] is DoneStatusCode.DRAW and not results[4].env_done
+        assert results[4].truncated == {"agent_0": True, "agent_1": False}
+        assert [i for i, r in enumerate(results) if True in r.truncated.values()] == [4]
         assert artifact.truncated is False
-        assert not any(r.truncated for r in results)
+
+    def test_a_win_on_the_horizon_step_is_no_truncation(self, monkeypatch):
+        # seed 0's deputy docks on step 77, so with the horizon at 77 the
+        # shared horizon fires on the step the agent's own WIN ends it
+        tree = load_config(CONFIG_DIR / "docking" / "environment_short.yml")
+        tree["horizon"] = 77
+        config, report = validate_environment(tree, base_dir=CONFIG_DIR / "docking")
+        assert config is not None, str(report)
+        env = Environment(config)
+        results = []
+        step = env.step
+        monkeypatch.setattr(env, "step", lambda actions: results.append(step(actions)) or results[-1])
+        artifact = record_episode(env, seed=0)
+        assert len(results) == 77
+        assert results[-1].done_codes == {"deputy_agent": DoneStatusCode.WIN}
+        assert results[-1].truncated == {"deputy_agent": False}
+        assert artifact.final_outcome == {"deputy_agent": "WIN"}
+        assert artifact.truncated is False
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        end_mode=st.sampled_from(["any_agent_done", "all_agents_done"]),
+        horizon=st.integers(1, 12),
+        v0=st.floats(0.5, 2.0),
+        agent_ends=st.lists(
+            st.tuples(
+                st.integers(1, 12),  # the agent's own EpisodeHorizon
+                st.floats(-10.0, 10.0),  # where its StateBounds fires
+                st.sampled_from(["WIN", "LOSS", "DRAW"]),  # a configured DRAW is no truncation
+                st.booleans(),  # whether the horizon is listed first
+            ),
+            min_size=2, max_size=2,
+        ),
+    )
+    def test_truncated_is_that_of_the_done_that_ended_each_agent(
+        self, end_mode, horizon, v0, agent_ends
+    ):
+        tree = docking_tree(
+            agents=2, end_mode=end_mode, horizon=horizon, dones=False,
+            policy={"name": "scripted", "config": {"rule": "zero"}},
+        )
+        tree["platforms"][0]["initialization"]["v0"]["distribution"]["value"] = v0
+        for agent, (own_horizon, bound, status, horizon_first) in zip(tree["agents"], agent_ends):
+            dones = [
+                {"functor": "StateBounds", "name": "Bound", "config": {"max": bound, "status": status},
+                 "wrapped": "ObservePosition"},
+                {"functor": "EpisodeHorizon", "name": "Own", "config": {"horizon": own_horizon}},
+            ]
+            agent["dones"] = dones[::-1] if horizon_first else dones
+        config, report = validate_environment(tree)
+        assert config is not None, str(report)
+        env = Environment(config)
+        results = []
+        step = env.step
+        env.step = lambda actions: results.append(step(actions)) or results[-1]
+        artifact = record_episode(env, seed=0)
+        assert artifact.error is None and results[-1].env_done
+        ended = set()
+        for result in results:
+            assert result.truncated.keys() == result.done_codes.keys()
+            assert ended.isdisjoint(result.done_codes)  # an ended agent is absent from later steps
+            for name, code in result.done_codes.items():
+                if code is None:
+                    assert result.truncated[name] is False
+                else:
+                    assert result.truncated[name] is env._outcome[name].truncation
+                    ended.add(name)
+        assert artifact.truncated is any(results[-1].truncated.values())
 
 
 class TestInitializationUnits:
@@ -1068,7 +1136,7 @@ class TestEndedAgentsDoNotAct:
             })
 
         result = step(env.reset(seed=0))
-        while not result.dones["agent_1"]:
+        while result.done_codes["agent_1"] is None:
             result = step(result.observations)
         assert not result.env_done  # agent_1 ended on this step
         codes, steps, deputy = env.agent_done_codes, env.state.step_count, vars(env.state.platforms["deputy"].state)
@@ -1077,9 +1145,11 @@ class TestEndedAgentsDoNotAct:
         assert (env.agent_done_codes, env.state.step_count, env.episode_done) == (codes, steps, False)
         assert vars(env.state.platforms["deputy"].state) == deputy
         result = step({"agent_0": result.observations["agent_0"]})
-        assert set(result.dones) == set(result.rewards) == set(result.observations) == {"agent_0"}
+        assert set(result.done_codes) == set(result.truncated) == set(result.rewards) == {"agent_0"}
+        assert set(result.observations) == {"agent_0"}
         result = step(env.reset(seed=0))
-        assert set(result.dones) == set(result.rewards) == set(result.observations) == {"agent_0", "agent_1"}
+        assert set(result.done_codes) == set(result.truncated) == set(result.rewards) == {"agent_0", "agent_1"}
+        assert set(result.observations) == {"agent_0", "agent_1"}
 
 
 class TestConfigFiles:

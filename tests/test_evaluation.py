@@ -52,7 +52,7 @@ from envforge.params import ConfigError
 from envforge.policies import Policy
 from envforge.units import METER, Quantity
 
-from conftest import CONFIG_DIR, recorded_steps
+from conftest import CONFIG_DIR, DATA_DIR, recorded_steps
 from test_environment import bounded_tvd_glue, docking_tree
 
 # the module, which the package's ``evaluate`` function shadows
@@ -329,6 +329,22 @@ class TestMetrics:
         path = write_metrics(metrics, tmp_path / "metrics.json")
         assert read_metrics(path) == metrics
 
+    @pytest.mark.parametrize(
+        "path", sorted((DATA_DIR / "invalid_metrics").glob("*.json")), ids=lambda p: p.stem
+    )
+    def test_a_malformed_metrics_file_raises_naming_the_file_and_the_key(self, tmp_path, path):
+        where = {
+            "cut": "not a metrics file: Expecting ',' delimiter",
+            "entry_not_a_mapping": "success_rate: invalid value for 'success_rate': expected a mapping, got int",
+            "not_a_mapping": "not a metrics file: expected a mapping, got list",
+            "null": "not a metrics file: expected a mapping, got NoneType",
+            "unknown_kind": "success_rate/kind: 'scalar' is not one of",
+        }[path.stem]
+        target = tmp_path / "metrics.json"
+        target.write_bytes(path.read_bytes())
+        with pytest.raises(MetricError, match=f"^{re.escape(f'{target}: {where}')}"):
+            read_metrics(target)
+
     def test_parse_metric_config_defaults(self):
         specs = parse_metric_config({"metrics": [{"name": "success_rate"}]})
         assert specs[0].metric == "success_rate"
@@ -457,9 +473,15 @@ class TestRunManifest:
         with pytest.raises(MissingArtifact, match="artifact_near_10m.jsonl"):
             load_artifacts(tmp_path)
 
-    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("workers", [0, -1, -3])
     def test_workers_below_one_raise(self, tmp_path, workers):
         with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            evaluate(short_config(), docking_cases(), tmp_path / "out", workers=workers)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", [1.5, True, "2"], ids=repr)
+    def test_workers_that_are_not_integers_raise_before_the_output_directory(self, tmp_path, workers):
+        with pytest.raises(TypeError, match=f"^workers: expected an integer, got {type(workers).__name__}"):
             evaluate(short_config(), docking_cases(), tmp_path / "out", workers=workers)
         assert not (tmp_path / "out").exists()
 
